@@ -25,8 +25,11 @@
 //! event_bench --host-check BENCH_host.csv            # CI gate
 //! ```
 
+use pic_bench::cli::{self, Failure, Matches};
 use pic_bench::host_trend;
 use pic_simnet::event::{EventQueue, HeapQueue};
+
+const TAG: &str = "event_bench";
 
 /// SplitMix64: deterministic hold increments without RNG setup cost.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -63,119 +66,10 @@ macro_rules! hold {
     }};
 }
 
-struct Flags {
-    events: usize,
-    jobs: Vec<usize>,
-    out: Option<String>,
-    check: bool,
-    host_csv: Option<String>,
-    host_check: Option<String>,
-    host_reps: usize,
-    host_scale: f64,
-    host_band: f64,
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: event_bench [--events <n>] [--jobs <a,b,..>] [--out <csv>] [--check]\n\n\
-         Hold-model benchmark of the calendar-queue EventQueue against the\n\
-         BinaryHeap baseline. --events is the total operations per run\n\
-         (default 1000000); --jobs the concurrent-event populations\n\
-         (default 1024,4096,16384); --out appends/writes the CSV trend file;\n\
-         --check exits 1 unless the calendar queue wins at every 1k+ population.\n\n\
-         Host-trend mode (replaces the hold model when requested):\n\
-         --host-csv <path> profiles the fixed workload and writes the\n\
-         per-stage trend file; --host-check <path> gates a fresh profile\n\
-         against the committed baseline (calls/bytes exact, time shares\n\
-         within --host-band, default 0.25 absolute); --host-reps (default 5)\n\
-         repetitions behind the medians; --host-scale (default 0.02) the\n\
-         workload scale."
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn parse_flags() -> Flags {
-    let mut flags = Flags {
-        events: 1_000_000,
-        jobs: vec![1_024, 4_096, 16_384],
-        out: None,
-        check: false,
-        host_csv: None,
-        host_check: None,
-        host_reps: host_trend::DEFAULT_REPS,
-        host_scale: host_trend::TREND_SCALE,
-        host_band: host_trend::SHARE_BAND,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--events" => {
-                flags.events = take(&mut i).parse().unwrap_or_else(|_| usage("--events"));
-                if flags.events == 0 {
-                    usage("--events must be positive");
-                }
-            }
-            "--jobs" => {
-                flags.jobs = take(&mut i)
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage("--jobs")))
-                    .collect();
-                if flags.jobs.is_empty() || flags.jobs.contains(&0) {
-                    usage("--jobs wants positive populations");
-                }
-            }
-            "--out" => flags.out = Some(take(&mut i)),
-            "--check" => flags.check = true,
-            "--host-csv" => flags.host_csv = Some(take(&mut i)),
-            "--host-check" => flags.host_check = Some(take(&mut i)),
-            "--host-reps" => {
-                flags.host_reps = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--host-reps"));
-                if flags.host_reps == 0 {
-                    usage("--host-reps must be positive");
-                }
-            }
-            "--host-scale" => {
-                flags.host_scale = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--host-scale"));
-                if !(flags.host_scale > 0.0) {
-                    usage("--host-scale must be positive");
-                }
-            }
-            "--host-band" => {
-                flags.host_band = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--host-band"));
-                if !(flags.host_band > 0.0) {
-                    usage("--host-band must be positive");
-                }
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-    flags
-}
-
 /// Host-trend mode: measure, print, then write and/or gate.
-fn run_host_mode(flags: &Flags) -> ! {
-    let rows = host_trend::measure(flags.host_scale, flags.host_reps).unwrap_or_else(|e| {
-        eprintln!("[event_bench] host profile failed: {e}");
-        std::process::exit(2);
-    });
+fn host_mode(m: &Matches) -> Result<i32, Failure> {
+    let rows = host_trend::measure(m.num("--host-scale"), m.num("--host-reps"))
+        .map_err(|e| Failure::Input(format!("host profile failed: {e}")))?;
     for r in &rows {
         println!(
             "{:<24} calls {:>8} bytes {:>12} median {:>10.6}s share {:>5.1}%",
@@ -186,58 +80,45 @@ fn run_host_mode(flags: &Flags) -> ! {
             100.0 * r.share
         );
     }
-
-    if let Some(path) = &flags.host_csv {
-        std::fs::write(path, host_trend::to_csv(&rows)).unwrap_or_else(|e| {
-            eprintln!("[event_bench] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[event_bench] wrote host trend to {path}");
-    }
-
-    if let Some(path) = &flags.host_check {
-        let doc = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!(
-                "[event_bench] cannot read baseline {path}: {e}\n\
-                 [event_bench] generate it with: event_bench --host-csv {path}"
-            );
-            std::process::exit(2);
-        });
-        let baseline = host_trend::from_csv(&doc).unwrap_or_else(|e| {
-            eprintln!("[event_bench] baseline {path} is malformed: {e}");
-            std::process::exit(2);
-        });
-        let errs = host_trend::check(&baseline, &rows, flags.host_band);
-        if !errs.is_empty() {
-            eprintln!(
-                "[event_bench] FAIL: {} host-trend violation(s) against {path}:",
-                errs.len()
-            );
-            for e in &errs {
-                eprintln!("[event_bench]   {e}");
-            }
-            std::process::exit(1);
-        }
+    m.write("--host-csv", || host_trend::to_csv(&rows));
+    let Some(path) = m.get("--host-check") else {
+        return Ok(0);
+    };
+    let hint = format!("[{TAG}] generate it with: event_bench --host-csv {path}");
+    let baseline = std::fs::read_to_string(path)
+        .map_err(|e| Failure::Input(format!("cannot read baseline {path}: {e}\n{hint}")))?;
+    let baseline = host_trend::from_csv(&baseline)
+        .map_err(|e| Failure::Input(format!("baseline {path} is malformed: {e}\n{hint}")))?;
+    let band = m.num("--host-band");
+    let errs = host_trend::check(&baseline, &rows, band);
+    if !errs.is_empty() {
         eprintln!(
-            "[event_bench] PASS: host profile matches {path} \
-             (calls/bytes exact, shares within {})",
-            flags.host_band
+            "[{TAG}] FAIL: {} host-trend violation(s) against {path}:",
+            errs.len()
         );
+        for e in &errs {
+            eprintln!("[{TAG}]   {e}");
+        }
+        return Ok(1);
     }
-    std::process::exit(0);
+    eprintln!(
+        "[{TAG}] PASS: host profile matches {path} (calls/bytes exact, shares within {band})"
+    );
+    Ok(0)
 }
 
-fn main() {
-    let flags = parse_flags();
-    if flags.host_csv.is_some() || flags.host_check.is_some() {
-        run_host_mode(&flags);
+/// The hold model, unless a host-trend flag asks for that mode instead.
+fn bench(m: &Matches) -> Result<i32, Failure> {
+    if m.get("--host-csv").is_some() || m.get("--host-check").is_some() {
+        return host_mode(m);
     }
+    let events: usize = m.num("--events");
     let mut csv = String::from("events,jobs,heap_ns_per_op,calendar_ns_per_op,speedup_x\n");
     let mut losses = 0usize;
 
-    for &jobs in &flags.jobs {
-        let (heap_ns, heap_sum) = hold!(HeapQueue::new(), jobs, flags.events);
-        let (cal_ns, cal_sum) = hold!(EventQueue::new(), jobs, flags.events);
+    for jobs in m.counts("--jobs") {
+        let (heap_ns, heap_sum) = hold!(HeapQueue::new(), jobs, events);
+        let (cal_ns, cal_sum) = hold!(EventQueue::new(), jobs, events);
         assert_eq!(
             heap_sum.to_bits(),
             cal_sum.to_bits(),
@@ -248,27 +129,24 @@ fn main() {
             "jobs {jobs:>6}: heap {heap_ns:8.1} ns/op, calendar {cal_ns:8.1} ns/op, {speedup:.2}x"
         );
         csv.push_str(&format!(
-            "{},{},{:.1},{:.1},{:.3}\n",
-            flags.events, jobs, heap_ns, cal_ns, speedup
+            "{events},{jobs},{heap_ns:.1},{cal_ns:.1},{speedup:.3}\n"
         ));
         if jobs >= 1_000 && cal_ns >= heap_ns {
             losses += 1;
         }
     }
+    m.write("--out", || csv);
+    if m.on("--check") && losses > 0 {
+        eprintln!("[{TAG}] FAIL: calendar queue lost at {losses} population(s) of 1k+ jobs");
+        return Ok(1);
+    }
+    if m.on("--check") {
+        eprintln!("[{TAG}] PASS: calendar queue wins at every 1k+ population");
+    }
+    Ok(0)
+}
 
-    if let Some(path) = &flags.out {
-        std::fs::write(path, &csv).unwrap_or_else(|e| {
-            eprintln!("[event_bench] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[event_bench] wrote {path}");
-    }
-
-    if flags.check && losses > 0 {
-        eprintln!("[event_bench] FAIL: calendar queue lost at {losses} population(s) of 1k+ jobs");
-        std::process::exit(1);
-    }
-    if flags.check {
-        eprintln!("[event_bench] PASS: calendar queue wins at every 1k+ population");
-    }
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(cli::run(&cli::EVENT_BENCH, &argv, bench));
 }

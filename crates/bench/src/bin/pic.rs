@@ -1,549 +1,125 @@
-//! `pic` — run any of the five case studies, IC vs PIC, on any simulated
-//! cluster, from the command line.
+//! `pic` — the workbench's one binary. `pic help` lists every command;
+//! `pic <command> --help` lists its flags. Both are generated from the
+//! command table in [`pic_bench::cli`], which also parses and
+//! range-checks every flag — this file holds only what each command
+//! *does* with its validated argv.
 //!
 //! ```text
 //! pic kmeans    --n 100000 --k 100 --partitions 24 --cluster small
-//! pic pagerank  --n 20000 --partitions 18 --cluster small
-//! pic neuralnet --n 10000 --partitions 12
-//! pic linsolve  --n 100 --partitions 5
-//! pic smoothing --side 256 --partitions 16 --cluster medium
-//! ```
-//!
-//! The `report` subcommand runs the trace-analysis pipeline instead:
-//! critical paths, straggler rollups, the paper's per-iteration Fig. 2
-//! decomposition, invariant checking, and `BENCH_pic.json` emission
-//! (DESIGN.md §9):
-//!
-//! ```text
-//! pic report --scale 0.05 --check --json target/BENCH_pic.json --traces target/traces
-//! ```
-//!
-//! The `timeline` subcommand renders the time-resolved utilization view
-//! (DESIGN.md §11): per-link and per-slot-group ASCII heatmaps, IC and
-//! PIC side by side, with bisection saturated-seconds:
-//!
-//! ```text
-//! pic timeline --scale 0.05 --apps kmeans --width 48
-//! ```
-//!
-//! The `explain` subcommand replays a recorded run under counterfactual
-//! scenario edits — scaled link capacities, zeroed traffic classes,
-//! clamped stragglers, instant merge — and prints the ranked
-//! bottleneck-attribution table, IC vs PIC (DESIGN.md §15):
-//!
-//! ```text
-//! pic explain kmeans --scale 0.05 --top 8
-//! ```
-//!
-//! The `watch` subcommand replays a run through the online monitor
-//! (DESIGN.md §16): sliding-window series, the alert-rule catalog, and
-//! an ASCII dashboard with sparklines and an incident ticker:
-//!
-//! ```text
-//! pic watch kmeans --scale 0.05 --interval 10 --rules stall,saturation
+//! pic report    --scale 0.05 --check --json target/BENCH_pic.json --traces target/traces
+//! pic timeline  --scale 0.05 --apps kmeans --width 48
+//! pic explain   kmeans --scale 0.05 --top 8
+//! pic watch     kmeans --scale 0.05 --interval 10 --rules stall,saturation
+//! pic regress   --baseline BENCH_pic.json --scale 0.05
+//! pic repro     --exp fig9,table2
 //! ```
 
-use pic_bench::experiments::common::cost;
-use pic_bench::experiments::{chaos, explain, report as perf, tenancy, watch, ExperimentCtx};
-use pic_bench::table::{csv_row, fmt_bytes, fmt_secs, fmt_x, Table};
-use pic_core::prelude::*;
-use pic_mapreduce::{Dataset, Engine};
+use pic_bench::cli::Failure::{Input, Usage};
+use pic_bench::cli::{self, write_artifact, Command, Failure, Group, Handler, Matches};
+use pic_bench::experiments::common::{cost, BenchApp, Comparison, Workload};
+use pic_bench::experiments::report::{self as perf, SuiteOutputs};
+use pic_bench::experiments::{self, chaos, explain, tenancy, watch, ExperimentCtx};
+use pic_bench::json;
+use pic_bench::table::{fmt_bytes, fmt_secs, fmt_x, Table};
 use pic_simnet::{ClusterSpec, TrafficClass};
 
-/// Every non-app subcommand `main` dispatches on, in dispatch order.
-/// The unknown-name error lists these so a typo'd subcommand is
-/// recoverable without `--help`.
-const SUBCOMMANDS: [&str; 8] = [
-    "report", "timeline", "chaos", "tenancy", "diff", "explain", "watch", "help",
-];
-
-/// One-line summary per subcommand, same order as [`SUBCOMMANDS`] —
-/// `pic help` (and bare `pic`) renders this table.
-const SUBCOMMAND_SUMMARIES: [(&str, &str); 8] = [
-    (
-        "report",
-        "trace-driven perf analysis and BENCH_pic.json (DESIGN.md §9)",
-    ),
-    (
-        "timeline",
-        "utilization heatmaps, IC vs PIC (DESIGN.md §11)",
-    ),
-    (
-        "chaos",
-        "fault-injection campaign, IC vs PIC (DESIGN.md §12)",
-    ),
-    (
-        "tenancy",
-        "multi-tenant job stream through the cluster scheduler (DESIGN.md §13)",
-    ),
-    (
-        "diff",
-        "attribute the delta between two BENCH_pic.json documents (DESIGN.md §14)",
-    ),
-    (
-        "explain",
-        "counterfactual bottleneck attribution (DESIGN.md §15)",
-    ),
-    (
-        "watch",
-        "online monitor replay: dashboard, alert rules, incident log (DESIGN.md §16)",
-    ),
-    ("help", "print this subcommand table"),
-];
-
-#[derive(Debug)]
-struct Args {
-    app: String,
-    n: usize,
-    k: usize,
-    side: usize,
-    partitions: usize,
-    cluster: String,
-    seed: u64,
-}
-
-impl Args {
-    fn parse() -> Args {
-        let mut args = Args {
-            app: String::new(),
-            n: 50_000,
-            k: 100,
-            side: 256,
-            partitions: 24,
-            cluster: "small".into(),
-            seed: 42,
-        };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        if argv.is_empty() {
-            usage("missing app name");
-        }
-        args.app = argv[0].clone();
-        let mut i = 1;
-        while i < argv.len() {
-            let take = |i: &mut usize| -> String {
-                *i += 1;
-                argv.get(*i)
-                    .unwrap_or_else(|| usage("flag needs a value"))
-                    .clone()
-            };
-            match argv[i].as_str() {
-                "--n" => args.n = take(&mut i).parse().unwrap_or_else(|_| usage("--n")),
-                "--k" => args.k = take(&mut i).parse().unwrap_or_else(|_| usage("--k")),
-                "--side" => args.side = take(&mut i).parse().unwrap_or_else(|_| usage("--side")),
-                "--partitions" => {
-                    args.partitions = take(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| usage("--partitions"))
-                }
-                "--cluster" => args.cluster = take(&mut i),
-                "--seed" => args.seed = take(&mut i).parse().unwrap_or_else(|_| usage("--seed")),
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag '{other}'")),
-            }
-            i += 1;
-        }
-        args
-    }
-
-    fn cluster_spec(&self) -> ClusterSpec {
-        match self.cluster.as_str() {
-            "small" => ClusterSpec::small(),
-            "medium" => ClusterSpec::medium(),
-            s if s.starts_with("large") => {
-                let n = s
-                    .strip_prefix("large:")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(64);
-                ClusterSpec::large(n)
-            }
-            other => usage(&format!("unknown cluster '{other}' (small|medium|large:N)")),
-        }
+fn ctx_of(m: &Matches) -> ExperimentCtx {
+    ExperimentCtx {
+        scale: m.num("--scale"),
     }
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: pic <kmeans|pagerank|neuralnet|linsolve|smoothing> [flags]\n\
-         \n\
-         flags:\n\
-           --n <records>        dataset size (points/pages/samples/unknowns)\n\
-           --k <clusters>       K-means cluster count (default 100)\n\
-           --side <pixels>      smoothing image side (default 256)\n\
-           --partitions <p>     PIC sub-problem count (default 24)\n\
-           --cluster <c>        small | medium | large:N (default small)\n\
-           --seed <s>           workload seed (default 42)\n\
-           --list-apps          print the valid app names and exit\n\
-         \n\
-         usage: pic report [flags] — trace-driven perf analysis (DESIGN.md §9)\n\
-         \n\
-         flags:\n\
-           --scale <f>          workload scale multiplier (default 1.0)\n\
-           --apps <a,b,..>      subset of kmeans,pagerank,neuralnet,linsolve,smoothing\n\
-           --json <path>        write the schema-versioned BENCH_pic.json here\n\
-           --traces <dir>       export Chrome about:tracing JSON per app/run\n\
-           --path-limit <n>     critical-path lines to print (default 40, 0 = all)\n\
-           --check              validate every trace invariant; exit 1 on violation\n\
-           --quality            print only the quality-of-convergence sections\n\
-           --csv <path>         write the per-app convergence curves as CSV\n\
-           --util-csv <path>    write the utilization/occupancy series as CSV\n\
-           --chaos-csv <path>   write the quality-under-failure campaign as CSV\n\
-           --profile-host       record host-side stage timings (DESIGN.md §14);\n\
-                                prints the table and embeds host_profile in --json\n\
-         \n\
-         usage: pic timeline [flags] — utilization heatmaps, IC vs PIC (DESIGN.md §11)\n\
-         \n\
-         flags:\n\
-           --scale <f>          workload scale multiplier (default 1.0)\n\
-           --apps <a,b,..>      subset of kmeans,pagerank,neuralnet,linsolve,smoothing\n\
-           --width <n>          heatmap cells per side (default 48)\n\
-         \n\
-         usage: pic chaos [flags] — fault-injection campaign, IC vs PIC (DESIGN.md §12)\n\
-         \n\
-         flags:\n\
-           --scale <f>          workload scale multiplier (default 1.0)\n\
-           --scenarios <a,b,..> subset of the scenario matrix (default all)\n\
-           --csv <path>         write the campaign cells as CSV\n\
-           --list-scenarios     print the valid scenario names and exit\n\
-         \n\
-         usage: pic tenancy [flags] — multi-tenant job stream (DESIGN.md §13)\n\
-         \n\
-         flags:\n\
-           --preset <p>         topology preset: 1k | 2k | 4k | 10k (default 1k)\n\
-           --jobs <n>           concurrent jobs in the stream (default 16)\n\
-           --arrival <r>        mean arrivals per second (default 0.02)\n\
-           --mix <a=w,b=w,..>   app mix weights (default kmeans,linsolve,smoothing at 1)\n\
-           --drivers <d>        mixed | ic | pic (default mixed)\n\
-           --scales <n,n,..>    node counts jobs request (default 64,128,256)\n\
-           --seed <s>           stream seed (default 0x7E4A)\n\
-           --scale <f>          profile-run workload scale multiplier (default 1.0)\n\
-           --csv <path>         write the per-job rows as CSV\n\
-           --list-presets       print the valid topology presets and exit\n\
-         \n\
-         usage: pic diff <old.json> <new.json> [flags] — attribute a perf delta\n\
-         \n\
-         flags:\n\
-           --epsilon <e>        relative tolerance for simulated seconds (default 1e-9)\n\
-           --top <n>            rows in the ranked segment table (default 15)\n\
-           --json <path>        write the machine-readable attribution here\n\
-         \n\
-         usage: pic explain [apps..] [flags] — counterfactual bottleneck attribution (DESIGN.md §15)\n\
-         \n\
-         flags:\n\
-           --scale <f>          workload scale multiplier (default 1.0)\n\
-           --side <s>           ic | pic | both — tables and CSV rows to print (default both)\n\
-           --scenarios <a,b,..> subset of the scenario catalog (default all)\n\
-           --top <n>            rows per ranked table (default 10, 0 = all)\n\
-           --json <path>        write the full projection document (both sides, with phases)\n\
-           --csv <path>         write the ranked tables as CSV\n\
-           --list-scenarios     print the valid scenario names and exit\n\
-         \n\
-         usage: pic watch [apps..] [flags] — online monitor replay (DESIGN.md §16)\n\
-         \n\
-         flags:\n\
-           --scale <f>          workload scale multiplier (default 1.0)\n\
-           --rules <a,b,..>     alert rules to evaluate (default the full catalog)\n\
-           --window <s>         sliding-window length, simulated seconds (default 5)\n\
-           --interval <s>       render a dashboard frame every <s> simulated seconds\n\
-           --width <n>          sparkline cells per series (default 48)\n\
-           --json <path>        write the full monitor document (series + incidents)\n\
-           --csv <path>         write the incident log as CSV\n\
-           --metrics <path>     write an OpenMetrics-style text snapshot\n\
-           --list-rules         print the valid rule names and exit\n\
-         \n\
-         usage: pic help — print the subcommand table (also printed by bare `pic`)"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
+/// A flag the table gives a default, so it always has a value.
+fn text<'m>(m: &'m Matches, flag: &str) -> &'m str {
+    m.get(flag).expect("the table gives this flag a default")
 }
 
-/// `pic report`: run the comparisons, print perf reports, optionally
-/// validate, export traces, and write `BENCH_pic.json`.
-fn run_report(argv: &[String]) -> ! {
-    let mut ctx = ExperimentCtx::default();
-    let mut apps: Vec<String> = perf::APPS.iter().map(|s| s.to_string()).collect();
-    let mut json_path: Option<String> = None;
-    let mut traces_dir: Option<String> = None;
-    let mut check = false;
-    let mut path_limit = 40usize;
-    let mut quality_only = false;
-    let mut csv_path: Option<String> = None;
-    let mut util_csv_path: Option<String> = None;
-    let mut chaos_csv_path: Option<String> = None;
-    let mut profile_host = false;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                ctx.scale = take(&mut i).parse().unwrap_or_else(|_| usage("--scale"));
-                if !(ctx.scale > 0.0) {
-                    usage("--scale must be positive");
-                }
-            }
-            "--apps" => {
-                apps = take(&mut i)
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--json" => json_path = Some(take(&mut i)),
-            "--traces" => traces_dir = Some(take(&mut i)),
-            "--path-limit" => {
-                path_limit = take(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--path-limit"));
-            }
-            "--check" => check = true,
-            "--quality" => quality_only = true,
-            "--csv" => csv_path = Some(take(&mut i)),
-            "--util-csv" => util_csv_path = Some(take(&mut i)),
-            "--chaos-csv" => chaos_csv_path = Some(take(&mut i)),
-            "--profile-host" => profile_host = true,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-
-    if profile_host {
-        pic_simnet::hostprof::reset();
-        pic_simnet::hostprof::enable();
-    }
-    let app_refs: Vec<&str> = apps.iter().map(String::as_str).collect();
-    let runs = perf::collect(&ctx, &app_refs).unwrap_or_else(|e| usage(&e));
-
-    // The campaign backs both the JSON's quality-under-failure section
-    // and the CSV artifact; skip it when neither output is requested.
-    let cells = if json_path.is_some() || chaos_csv_path.is_some() {
-        chaos::campaign(&ctx, &chaos::SCENARIOS).unwrap_or_else(|e| usage(&e))
-    } else {
-        Vec::new()
+/// `pic report`: run the suite, print the perf reports, optionally
+/// export traces and validate every invariant (exit 1 on violation).
+fn report(m: &Matches) -> Result<i32, Failure> {
+    let tag = m.command.tag();
+    let outputs = SuiteOutputs {
+        json: m.get("--json"),
+        csv: m.get("--csv"),
+        util_csv: m.get("--util-csv"),
+        chaos_csv: m.get("--chaos-csv"),
+        ..Default::default()
     };
-    let host_profile = if profile_host {
-        pic_simnet::hostprof::disable();
-        let p = pic_simnet::hostprof::snapshot();
-        println!("{}", p.render());
-        Some(p)
-    } else {
-        None
-    };
+    let apps = m.names("--apps");
+    let suite = perf::run_suite(&tag, &ctx_of(m), &apps, m.on("--profile-host"), &outputs)?;
 
-    for run in &runs {
-        if quality_only {
+    if let Some(profile) = &suite.host_profile {
+        println!("{}", profile.render());
+    }
+    for run in &suite.runs {
+        if m.on("--quality") {
             println!("{}", run.quality.render());
         } else {
-            println!("{}", run.render(path_limit));
+            println!("{}", run.render(m.num("--path-limit")));
         }
     }
-
-    if let Some(path) = &csv_path {
-        let doc = perf::quality_csv(&runs);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic report] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic report] wrote {path} ({} bytes)", doc.len());
-    }
-
-    if let Some(path) = &util_csv_path {
-        let doc = perf::utilization_csv(&runs);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic report] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic report] wrote {path} ({} bytes)", doc.len());
-    }
-
-    if let Some(dir) = &traces_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("[pic report] cannot create {dir}: {e}");
-            std::process::exit(2);
-        });
-        for run in &runs {
+    if let Some(dir) = m.get("--traces") {
+        for run in &suite.runs {
             // Counter tracks ride along so the Chrome view plots link
             // utilization and slot occupancy under the span timeline.
-            let utils = [
+            let sides = [
                 ("ic", &run.ic_trace, run.ic_utilization()),
                 ("pic", &run.pic_trace, run.pic_utilization()),
             ];
-            for (side, trace, util) in utils {
+            for (side, trace, util) in sides {
                 let path = format!("{dir}/{}_{side}_trace.json", run.app);
                 let doc = trace.to_chrome_json_with_counters(&util.counter_tracks());
-                std::fs::write(&path, doc).unwrap_or_else(|e| {
-                    eprintln!("[pic report] cannot write {path}: {e}");
-                    std::process::exit(2);
-                });
-                eprintln!(
-                    "[pic report] wrote {path} ({} spans, {} instants)",
-                    trace.spans.len(),
-                    trace.instants.len()
-                );
+                write_artifact(&tag, &path, &doc);
             }
         }
     }
-
-    if let Some(path) = &chaos_csv_path {
-        let doc = chaos::chaos_csv(&cells);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic report] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic report] wrote {path} ({} bytes)", doc.len());
+    if !m.on("--check") {
+        return Ok(0);
     }
-
-    if let Some(path) = &json_path {
-        // The multi-tenant packing section rides along only when the
-        // JSON artifact is requested — it pays for 12 solo profile runs.
-        let tenancy_section = tenancy::section(&ctx).unwrap_or_else(|e| usage(&e));
-        let doc = perf::bench_json(
-            &ctx,
-            &runs,
-            &cells,
-            Some(&tenancy_section),
-            host_profile.as_ref(),
-        );
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic report] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic report] wrote {path} ({} bytes)", doc.len());
-    }
-
-    if check {
-        let mut failures = 0;
-        for run in &runs {
-            let errs = run.validate();
-            for e in &errs {
-                eprintln!("[pic report] violation: {e}");
-            }
-            if errs.is_empty() {
-                eprintln!(
-                    "[pic report] {} traces ok ({} + {} spans, bytes reconcile exactly)",
-                    run.app,
-                    run.ic_trace.spans.len(),
-                    run.pic_trace.spans.len()
-                );
-            }
-            failures += errs.len();
+    let mut failures = 0;
+    for run in &suite.runs {
+        let errs = run.validate();
+        for e in &errs {
+            eprintln!("[{tag}] violation: {e}");
         }
-        if failures > 0 {
-            eprintln!("[pic report] {failures} invariant violation(s)");
-            std::process::exit(1);
+        if errs.is_empty() {
+            eprintln!(
+                "[{tag}] {} traces ok ({} + {} spans, bytes reconcile exactly)",
+                run.app,
+                run.ic_trace.spans.len(),
+                run.pic_trace.spans.len()
+            );
         }
-        eprintln!("[pic report] all trace invariants hold");
+        failures += errs.len();
     }
-    std::process::exit(0);
+    if failures > 0 {
+        eprintln!("[{tag}] {failures} invariant violation(s)");
+        return Ok(1);
+    }
+    eprintln!("[{tag}] all trace invariants hold");
+    Ok(0)
 }
 
-/// `pic timeline`: run the comparisons and print the side-by-side
-/// utilization heatmaps (DESIGN.md §11).
-fn run_timeline(argv: &[String]) -> ! {
-    let mut ctx = ExperimentCtx::default();
-    let mut apps: Vec<String> = perf::APPS.iter().map(|s| s.to_string()).collect();
-    let mut width = 48usize;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                ctx.scale = take(&mut i).parse().unwrap_or_else(|_| usage("--scale"));
-                if !(ctx.scale > 0.0) {
-                    usage("--scale must be positive");
-                }
-            }
-            "--apps" => {
-                apps = take(&mut i)
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--width" => {
-                width = take(&mut i).parse().unwrap_or_else(|_| usage("--width"));
-                if width == 0 {
-                    usage("--width must be positive");
-                }
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-
-    let app_refs: Vec<&str> = apps.iter().map(String::as_str).collect();
-    let runs = perf::collect(&ctx, &app_refs).unwrap_or_else(|e| usage(&e));
-    for run in &runs {
-        let ic = run.ic_utilization();
-        let pic = run.pic_utilization();
+/// `pic timeline`: the side-by-side utilization heatmaps.
+fn timeline(m: &Matches) -> Result<i32, Failure> {
+    for run in &perf::collect(&ctx_of(m), &m.names("--apps"))? {
         println!(
             "=== {} ({}) on {} — utilization, darkness = fraction of capacity ===\n",
             run.app, run.experiment, run.spec.name
         );
+        let (ic, pic) = (run.ic_utilization(), run.pic_utilization());
+        let width = m.num("--width");
         println!(
             "{}",
             pic_simnet::timeline::render_side_by_side(&ic, &pic, width)
         );
     }
-    std::process::exit(0);
+    Ok(0)
 }
 
-/// `pic chaos`: run the fault-injection campaign (DESIGN.md §12) and
-/// print one row per (app, scenario, driver) cell.
-fn run_chaos(argv: &[String]) -> ! {
-    let mut ctx = ExperimentCtx::default();
-    let mut scenarios: Vec<String> = chaos::SCENARIOS.iter().map(|s| s.to_string()).collect();
-    let mut csv_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--list-scenarios" => {
-                for s in chaos::SCENARIOS {
-                    println!("{s}");
-                }
-                std::process::exit(0);
-            }
-            "--scale" => {
-                ctx.scale = take(&mut i).parse().unwrap_or_else(|_| usage("--scale"));
-                if !(ctx.scale > 0.0) {
-                    usage("--scale must be positive");
-                }
-            }
-            "--scenarios" => {
-                scenarios = take(&mut i)
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--csv" => csv_path = Some(take(&mut i)),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-
-    let scenario_refs: Vec<&str> = scenarios.iter().map(String::as_str).collect();
-    let cells = chaos::campaign(&ctx, &scenario_refs).unwrap_or_else(|e| usage(&e));
-
+/// `pic chaos`: one row per (app, scenario, driver) campaign cell.
+fn chaos(m: &Matches) -> Result<i32, Failure> {
+    let cells = chaos::campaign(&ctx_of(m), &m.names("--scenarios"))?;
     let mut t = Table::new([
         "app", "scenario", "driver", "clean", "faulty", "recovery", "bytes", "events", "tt-Δ",
         "alerts", "exact",
@@ -566,84 +142,41 @@ fn run_chaos(argv: &[String]) -> ! {
         ]);
     }
     println!("{}", t.render());
-
-    if let Some(path) = &csv_path {
-        let doc = chaos::chaos_csv(&cells);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic chaos] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic chaos] wrote {path} ({} bytes)", doc.len());
-    }
-    std::process::exit(0);
+    m.write("--csv", || chaos::chaos_csv(&cells));
+    Ok(0)
 }
 
-/// `pic tenancy`: generate a seeded multi-tenant job stream, run it
-/// through the cluster-level scheduler, and print per-job rows plus the
-/// time-to-quality percentile summary (DESIGN.md §13).
-fn run_tenancy(argv: &[String]) -> ! {
-    let mut ctx = ExperimentCtx::default();
-    let mut preset_name = "1k".to_string();
-    let mut wl = tenancy::default_workload();
-    let mut csv_path: Option<String> = None;
+/// `--mix a=w,b=w`; `WorkloadSpec::validate` range-checks the weights.
+fn parse_mix(list: &str) -> Result<Vec<(String, f64)>, String> {
+    list.split(',')
+        .map(|pair| {
+            let (app, w) = pair
+                .split_once('=')
+                .ok_or_else(|| "--mix wants app=weight,app=weight".to_string())?;
+            let weight = w
+                .trim()
+                .parse()
+                .map_err(|_| format!("--mix weight '{w}' is not a number"))?;
+            Ok((app.trim().to_string(), weight))
+        })
+        .collect()
+}
 
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--list-presets" => {
-                for p in pic_simnet::tenancy::PRESETS {
-                    println!("{p}");
-                }
-                std::process::exit(0);
-            }
-            "--preset" => preset_name = take(&mut i),
-            "--jobs" => wl.jobs = take(&mut i).parse().unwrap_or_else(|_| usage("--jobs")),
-            "--arrival" => {
-                wl.arrival_per_s = take(&mut i).parse().unwrap_or_else(|_| usage("--arrival"));
-            }
-            "--mix" => {
-                wl.mix = take(&mut i)
-                    .split(',')
-                    .map(|pair| {
-                        let (app, w) = pair
-                            .split_once('=')
-                            .unwrap_or_else(|| usage("--mix wants app=weight,app=weight"));
-                        let w: f64 = w.trim().parse().unwrap_or_else(|_| usage("--mix weight"));
-                        (app.trim().to_string(), w)
-                    })
-                    .collect();
-            }
-            "--drivers" => {
-                wl.drivers = pic_simnet::tenancy::DriverMix::parse(&take(&mut i))
-                    .unwrap_or_else(|e| usage(&e));
-            }
-            "--scales" => {
-                wl.scales = take(&mut i)
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage("--scales")))
-                    .collect();
-            }
-            "--seed" => wl.seed = take(&mut i).parse().unwrap_or_else(|_| usage("--seed")),
-            "--scale" => {
-                ctx.scale = take(&mut i).parse().unwrap_or_else(|_| usage("--scale"));
-                if !(ctx.scale > 0.0) {
-                    usage("--scale must be positive");
-                }
-            }
-            "--csv" => csv_path = Some(take(&mut i)),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-
-    let report = tenancy::stream(&ctx, &preset_name, &wl).unwrap_or_else(|e| usage(&e));
+/// `pic tenancy`: a seeded multi-tenant stream through the cluster
+/// scheduler; per-job rows plus the time-to-quality percentiles.
+fn tenancy(m: &Matches) -> Result<i32, Failure> {
+    let wl = pic_simnet::tenancy::WorkloadSpec {
+        jobs: m.num("--jobs"),
+        arrival_per_s: m.num("--arrival"),
+        mix: match m.get("--mix") {
+            Some(list) => parse_mix(list)?,
+            None => tenancy::default_workload().mix,
+        },
+        drivers: pic_simnet::tenancy::DriverMix::parse(text(m, "--drivers"))?,
+        scales: m.counts("--scales"),
+        seed: m.num("--seed"),
+    };
+    let report = tenancy::stream(&ctx_of(m), text(m, "--preset"), &wl)?;
 
     let mut t = Table::new([
         "job", "app", "driver", "arrive", "admit", "finish", "queued", "tt-qual", "contend",
@@ -666,367 +199,221 @@ fn run_tenancy(argv: &[String]) -> ! {
     }
     println!("{}", t.render());
     println!("{}", report.render());
+    m.write("--csv", || tenancy::tenancy_csv(&report));
+    Ok(0)
+}
 
-    if let Some(path) = &csv_path {
-        let doc = tenancy::tenancy_csv(&report);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic tenancy] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic tenancy] wrote {path} ({} bytes)", doc.len());
-    }
-    std::process::exit(0);
+fn load_json(path: &str) -> Result<json::Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
 }
 
 /// `pic diff`: attribute the difference between two BENCH_pic.json
-/// documents (DESIGN.md §14). Exits 0 when nothing simulated moved,
-/// 1 when deltas were attributed, 2 on unusable inputs.
-fn run_diff(argv: &[String]) -> ! {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut epsilon = 1e-9f64;
-    let mut top = 15usize;
-    let mut json_out: Option<String> = None;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--epsilon" => {
-                epsilon = take(&mut i).parse().unwrap_or_else(|_| usage("--epsilon"));
-            }
-            "--top" => top = take(&mut i).parse().unwrap_or_else(|_| usage("--top")),
-            "--json" => json_out = Some(take(&mut i)),
-            "--help" | "-h" => usage(""),
-            flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
-            _ => paths.push(&argv[i]),
-        }
-        i += 1;
-    }
-    let [old_path, new_path] = paths[..] else {
-        usage("pic diff wants exactly two report paths: <old.json> <new.json>");
+/// documents. Exits 0 when nothing simulated moved, 1 when deltas were
+/// attributed, 2 on unusable inputs.
+fn diff(m: &Matches) -> Result<i32, Failure> {
+    let [old, new] = &m.positionals[..] else {
+        unreachable!("the table asks for exactly two paths");
     };
-
-    let load = |path: &String| -> pic_bench::json::Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("[pic diff] cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        pic_bench::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("[pic diff] {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (old, new) = (load(old_path), load(new_path));
-    let report = pic_bench::diff::diff_docs(&old, &new, epsilon).unwrap_or_else(|e| {
-        eprintln!("[pic diff] {e}");
-        std::process::exit(2);
-    });
-    print!("{}", report.render(top));
-
-    if let Some(path) = &json_out {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
-            eprintln!("[pic diff] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic diff] wrote {path}");
-    }
-    std::process::exit(if report.is_empty() { 0 } else { 1 });
+    let (old, new) = (
+        load_json(old).map_err(Input)?,
+        load_json(new).map_err(Input)?,
+    );
+    let report = pic_bench::diff::diff_docs(&old, &new, m.num("--epsilon")).map_err(Input)?;
+    print!("{}", report.render(m.num("--top")));
+    m.write("--json", || report.to_json());
+    Ok(if report.is_empty() { 0 } else { 1 })
 }
 
 /// `pic explain`: replay the recorded runs under counterfactual edits
-/// and print the ranked bottleneck-attribution tables (DESIGN.md §15).
-/// Pure trace post-processing — nothing is re-simulated, so the output
-/// is a deterministic function of the runs.
-fn run_explain(argv: &[String]) -> ! {
-    use pic_simnet::whatif::{Scenario, SensitivityReport, CATALOG};
-
-    let mut ctx = ExperimentCtx::default();
-    let mut apps: Vec<String> = Vec::new();
-    let mut side = "both".to_string();
-    let mut scenarios: Vec<Scenario> = CATALOG.to_vec();
-    let mut top = 10usize;
-    let mut json_path: Option<String> = None;
-    let mut csv_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--list-scenarios" => {
-                for name in Scenario::names() {
-                    println!("{name}");
-                }
-                std::process::exit(0);
-            }
-            "--scale" => {
-                ctx.scale = take(&mut i).parse().unwrap_or_else(|_| usage("--scale"));
-                if !(ctx.scale > 0.0) {
-                    usage("--scale must be positive");
-                }
-            }
-            "--side" => {
-                side = take(&mut i);
-                if !["ic", "pic", "both"].contains(&side.as_str()) {
-                    usage("--side wants ic | pic | both");
-                }
-            }
-            "--scenarios" => {
-                scenarios = take(&mut i)
-                    .split(',')
-                    .map(|s| {
-                        let name = s.trim();
-                        Scenario::parse(name).unwrap_or_else(|| {
-                            usage(&format!(
-                                "unknown scenario '{name}'; valid scenarios: {}",
-                                Scenario::names().join(", ")
-                            ))
-                        })
-                    })
-                    .collect();
-            }
-            "--top" => top = take(&mut i).parse().unwrap_or_else(|_| usage("--top")),
-            "--json" => json_path = Some(take(&mut i)),
-            "--csv" => csv_path = Some(take(&mut i)),
-            "--help" | "-h" => usage(""),
-            flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
-            app => apps.push(app.to_string()),
-        }
-        i += 1;
+/// and print the ranked bottleneck-attribution tables. Pure trace
+/// post-processing, so the output is a deterministic function of the
+/// runs.
+fn explain(m: &Matches) -> Result<i32, Failure> {
+    use pic_simnet::whatif::Scenario;
+    let side = text(m, "--side");
+    if !["ic", "pic", "both"].contains(&side) {
+        return Err(Usage(format!("--side wants ic | pic | both, got '{side}'")));
     }
-    if apps.is_empty() {
-        apps = perf::APPS.iter().map(|s| s.to_string()).collect();
-    }
-
-    let app_refs: Vec<&str> = apps.iter().map(String::as_str).collect();
-    let runs = perf::collect(&ctx, &app_refs).unwrap_or_else(|e| usage(&e));
+    let scenarios: Vec<Scenario> = m
+        .names("--scenarios")
+        .iter()
+        .map(|name| Scenario::parse(name).expect("the table's catalog is whatif's"))
+        .collect();
+    let ctx = ctx_of(m);
+    let runs = perf::collect(&ctx, &m.positional_names())?;
     let sections = explain::sections(&runs, &scenarios);
+    let top = m.num("--top");
 
     for s in &sections {
-        match side.as_str() {
-            "ic" => {
-                println!("=== {} (ic) — bottleneck attribution ===", s.app);
-                print!("{}", s.ic.render(top));
+        for (label, table) in [("ic", &s.ic), ("pic", &s.pic)] {
+            if side == label {
+                println!("=== {} ({label}) — bottleneck attribution ===", s.app);
+                print!("{}", table.render(top));
             }
-            "pic" => {
-                println!("=== {} (pic) — bottleneck attribution ===", s.app);
-                print!("{}", s.pic.render(top));
-            }
-            _ => print!("{}", explain::render_side_by_side(s, top)),
+        }
+        if side == "both" {
+            print!("{}", explain::render_side_by_side(s, top));
         }
         println!();
     }
-
-    if let Some(path) = &json_path {
-        // The JSON artifact always carries both sides with phase
-        // breakdowns — `--side` narrows the printed tables and CSV only.
-        let doc = explain::explain_json(&ctx, &sections);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic explain] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic explain] wrote {path} ({} bytes)", doc.len());
-    }
-
-    if let Some(path) = &csv_path {
-        let mut doc = String::from(SensitivityReport::csv_header());
-        doc.push('\n');
-        for s in &sections {
-            for (sd, report) in [("ic", &s.ic), ("pic", &s.pic)] {
-                if side != "both" && side != sd {
-                    continue;
-                }
-                for rec in report.csv_records(&s.app, sd) {
-                    doc.push_str(&csv_row(&rec));
-                    doc.push('\n');
-                }
-            }
-        }
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic explain] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic explain] wrote {path} ({} bytes)", doc.len());
-    }
-    std::process::exit(0);
+    // The JSON artifact always carries both sides with phase breakdowns
+    // — `--side` narrows the printed tables and the CSV only.
+    m.write("--json", || explain::explain_json(&ctx, &sections));
+    m.write("--csv", || explain::explain_csv_for(&sections, side));
+    Ok(0)
 }
 
-/// `pic watch`: replay the recorded runs through the online monitor
-/// (DESIGN.md §16) and render the dashboard — optional intermediate
-/// frames, sparkline per series, incident ticker — plus the JSON,
-/// incident-CSV and OpenMetrics exports. Pure trace post-processing, so
-/// every artifact is byte-identical across rayon pool widths.
-fn run_watch(argv: &[String]) -> ! {
-    use pic_simnet::monitor::{parse_rules, CATALOG_RULES};
-
-    let mut ctx = ExperimentCtx::default();
-    let mut apps: Vec<String> = Vec::new();
-    let mut opts = watch::WatchOptions::default();
-    let mut json_path: Option<String> = None;
-    let mut csv_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| usage("flag needs a value"))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--list-rules" => {
-                for name in CATALOG_RULES {
-                    println!("{name}");
-                }
-                std::process::exit(0);
-            }
-            "--scale" => {
-                ctx.scale = take(&mut i).parse().unwrap_or_else(|_| usage("--scale"));
-                if !(ctx.scale > 0.0) {
-                    usage("--scale must be positive");
-                }
-            }
-            "--rules" => {
-                opts.rules = parse_rules(&take(&mut i)).unwrap_or_else(|e| usage(&e));
-            }
-            "--window" => {
-                opts.window_s = take(&mut i).parse().unwrap_or_else(|_| usage("--window"));
-                if !(opts.window_s > 0.0) {
-                    usage("--window must be positive");
-                }
-            }
-            "--interval" => {
-                opts.interval_s = take(&mut i).parse().unwrap_or_else(|_| usage("--interval"));
-                if !(opts.interval_s >= 0.0) {
-                    usage("--interval must be non-negative");
-                }
-            }
-            "--width" => {
-                opts.width = take(&mut i).parse().unwrap_or_else(|_| usage("--width"));
-                if opts.width == 0 {
-                    usage("--width must be positive");
-                }
-            }
-            "--json" => json_path = Some(take(&mut i)),
-            "--csv" => csv_path = Some(take(&mut i)),
-            "--metrics" => metrics_path = Some(take(&mut i)),
-            "--help" | "-h" => usage(""),
-            flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
-            app => apps.push(app.to_string()),
-        }
-        i += 1;
+/// `pic watch`: replay the recorded runs through the online monitor and
+/// render the dashboard plus the JSON, incident-CSV and OpenMetrics
+/// exports. Pure trace post-processing.
+fn watch(m: &Matches) -> Result<i32, Failure> {
+    let mut opts = watch::WatchOptions {
+        window_s: m.num("--window"),
+        interval_s: m.num("--interval"),
+        width: m.num("--width"),
+        ..Default::default()
+    };
+    if let Some(list) = m.get("--rules") {
+        opts.rules = pic_simnet::monitor::parse_rules(list)?;
     }
-    if apps.is_empty() {
-        apps = perf::APPS.iter().map(|s| s.to_string()).collect();
-    }
-
-    let app_refs: Vec<&str> = apps.iter().map(String::as_str).collect();
-    let runs = perf::collect(&ctx, &app_refs).unwrap_or_else(|e| usage(&e));
-    let sections = watch::sections(&runs, &opts).unwrap_or_else(|e| usage(&e));
-
+    let ctx = ctx_of(m);
+    let runs = perf::collect(&ctx, &m.positional_names())?;
+    let sections = watch::sections(&runs, &opts)?;
     for s in &sections {
         print!("{}", watch::render_section(s, &opts));
         println!();
     }
-
-    if let Some(path) = &json_path {
-        let doc = watch::watch_json(ctx.scale, &opts, &sections);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic watch] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic watch] wrote {path} ({} bytes)", doc.len());
-    }
-
-    if let Some(path) = &csv_path {
-        let doc = watch::watch_csv(&sections);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic watch] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic watch] wrote {path} ({} bytes)", doc.len());
-    }
-
-    if let Some(path) = &metrics_path {
-        let doc = watch::watch_metrics(&sections);
-        std::fs::write(path, &doc).unwrap_or_else(|e| {
-            eprintln!("[pic watch] cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("[pic watch] wrote {path} ({} bytes)", doc.len());
-    }
-    std::process::exit(0);
+    m.write("--json", || watch::watch_json(ctx.scale, &opts, &sections));
+    m.write("--csv", || watch::watch_csv(&sections));
+    m.write("--metrics", || watch::watch_metrics(&sections));
+    Ok(0)
 }
 
-/// `pic help` (and bare `pic`): render the full subcommand table — the
-/// recoverable version of the unknown-name error — plus the app
-/// launcher line. Exits 0.
-fn run_help() -> ! {
-    println!("pic — partitioned iterative convergence workbench\n");
-    println!("usage: pic <app> [flags]         run one app, IC vs PIC (see `pic --help`)");
-    println!("       pic <subcommand> [flags]  see `pic <subcommand> --help`\n");
-    let mut t = Table::new(["subcommand", "what it does"]);
-    for (name, what) in SUBCOMMAND_SUMMARIES {
-        t.row([name, what]);
-    }
-    println!("{}", t.render());
-    println!("apps: {}", perf::APPS.join(", "));
-    std::process::exit(0);
+fn help(_: &Matches) -> Result<i32, Failure> {
+    print!("{}", cli::help());
+    Ok(0)
 }
 
-/// Run one app through both drivers and print the comparison.
-fn report<A: PicApp + QualityProbe>(
-    spec: &ClusterSpec,
+/// `pic regress`: the CI performance-regression gate. Re-runs the report
+/// suite, writes the fresh `BENCH_pic.json`, and diffs it against the
+/// committed baseline under the tolerance bands of DESIGN.md §9. Exits 0
+/// on a match, 1 on any diff line, 2 on a configuration problem.
+fn regress(m: &Matches) -> Result<i32, Failure> {
+    let tag = m.command.tag();
+    let ctx = ctx_of(m);
+    let baseline_path = text(m, "--baseline");
+    let outputs = SuiteOutputs {
+        json: m.get("--out"),
+        csv: m.get("--csv"),
+        util_csv: m.get("--util-csv"),
+        chaos_csv: m.get("--chaos-csv"),
+        tenancy_csv: m.get("--tenancy-csv"),
+        explain_csv: m.get("--explain-csv"),
+    };
+    let suite = perf::run_suite(&tag, &ctx, &perf::APPS, m.on("--profile-host"), &outputs)?;
+    let fresh_text = suite.json.expect("--out has a default");
+
+    if m.on("--update") {
+        write_artifact(&tag, baseline_path, &fresh_text);
+        eprintln!("[{tag}] baseline {baseline_path} updated");
+        return Ok(0);
+    }
+    let baseline = load_json(baseline_path).map_err(|e| {
+        let scale = ctx.scale;
+        Input(format!(
+            "baseline: {e}\n[{tag}] generate it with: pic regress --update --scale {scale}"
+        ))
+    })?;
+    // A baseline recorded at a different scale would diff everywhere;
+    // refuse up front with a clear message instead.
+    let baseline_scale = baseline.get("scale").and_then(|v| v.as_f64());
+    if baseline_scale != Some(ctx.scale) {
+        return Err(Input(format!(
+            "baseline {baseline_path} was recorded at scale {baseline_scale:?}, this run is at {} \
+             — pass a matching --scale or refresh with --update",
+            ctx.scale
+        )));
+    }
+    let fresh = json::parse(&fresh_text).expect("bench_json emits valid JSON");
+    let diffs = json::diff(&baseline, &fresh, m.num("--epsilon"));
+    if diffs.is_empty() {
+        eprintln!("[{tag}] PASS: fresh report matches {baseline_path} within tolerance");
+        return Ok(0);
+    }
+    eprintln!(
+        "[{tag}] FAIL: {} regression(s) against {baseline_path}:",
+        diffs.len()
+    );
+    for d in &diffs {
+        eprintln!("[{tag}]   {d}");
+    }
+    Ok(1)
+}
+
+/// `pic repro`: regenerate the paper's tables and figures.
+fn repro(m: &Matches) -> Result<i32, Failure> {
+    let exps: Vec<&str> = match m.get("--exp") {
+        None => return Err(Usage("no experiments selected".to_string())),
+        Some("all") => experiments::ALL.to_vec(),
+        Some(list) => list.split(',').collect(),
+    };
+    let ctx = ctx_of(m);
+    for (idx, name) in exps.iter().enumerate() {
+        if idx > 0 {
+            println!("\n{}\n", "=".repeat(78));
+        }
+        let t0 = std::time::Instant::now();
+        print!("{}", experiments::run(name, &ctx)?);
+        eprintln!(
+            "[{name}] completed in {:.1}s (host time)",
+            t0.elapsed().as_secs_f64()
+        );
+    }
+    Ok(0)
+}
+
+/// `--cluster small | medium | large[:N]`.
+fn cluster_spec(name: &str) -> Result<ClusterSpec, String> {
+    const MAX_NODES: usize = 10_000; // the largest tenancy preset
+    match name.split_once(':') {
+        None if name == "small" => Ok(ClusterSpec::small()),
+        None if name == "medium" => Ok(ClusterSpec::medium()),
+        None if name == "large" => Ok(ClusterSpec::large(64)),
+        Some(("large", n)) => match n.parse() {
+            Ok(n) if (1..=MAX_NODES).contains(&n) => Ok(ClusterSpec::large(n)),
+            _ => Err(format!(
+                "--cluster large:N wants an integer N in 1..={MAX_NODES}, got '{n}'"
+            )),
+        },
+        _ => Err(format!(
+            "unknown cluster '{name}' (small | medium | large:N)"
+        )),
+    }
+}
+
+/// Run one app through both drivers on `/cli/input` and print the
+/// comparison.
+fn compare_and_print<A: BenchApp>(
+    spec: ClusterSpec,
     app: &A,
     records: Vec<A::Record>,
     init: A::Model,
-    splits: usize,
     partitions: usize,
     cost: cost::AppCost,
-) where
-    A::Record: Clone,
-    A::Model: Clone,
-{
-    let ic_engine = Engine::new(spec.clone());
-    let data = Dataset::create(&ic_engine, "/cli/input", records.clone(), splits);
-    ic_engine.reset();
-    let ic = run_ic(
-        &ic_engine,
+) {
+    let workload = Workload {
+        name: "cli",
+        dfs_path: "/cli/input",
+        spec,
         app,
-        &data,
-        init.clone(),
-        &IcOptions {
-            timing: cost.timing.clone(),
-            ..Default::default()
-        },
-    );
-
-    let pic_engine = Engine::new(spec.clone());
-    let data = Dataset::create(&pic_engine, "/cli/input", records, splits);
-    pic_engine.reset();
-    let pic = run_pic(
-        &pic_engine,
-        app,
-        &data,
+        records,
         init,
-        &PicOptions {
-            partitions,
-            timing: cost.timing,
-            local_secs_per_record: Some(cost.local_secs),
-            ..Default::default()
-        },
-    );
-
+        splits: partitions,
+        partitions,
+        cost,
+    };
+    let Comparison { ic, pic, .. } = workload.compare();
     let mut t = Table::new(["", "IC baseline", "PIC"]);
     t.row([
         "simulated time",
@@ -1051,11 +438,12 @@ fn report<A: PicApp + QualityProbe>(
         &fmt_bytes(ic.traffic.model_update_total()),
         &fmt_bytes(pic.traffic().model_update_total()),
     ]);
-    if let (Some(a), Some(b)) = (
-        ic.trajectory.last().map(|p| p.error),
-        pic.trajectory.last().map(|p| p.error),
-    ) {
-        t.row(["final error", &format!("{a:.4}"), &format!("{b:.4}")]);
+    if let (Some(a), Some(b)) = (ic.trajectory.last(), pic.trajectory.last()) {
+        t.row([
+            "final error",
+            &format!("{:.4}", a.error),
+            &format!("{:.4}", b.error),
+        ]);
     }
     println!("{}", t.render());
     println!("speedup: {}", fmt_x(ic.total_time_s / pic.total_time_s));
@@ -1065,134 +453,123 @@ fn report<A: PicApp + QualityProbe>(
     );
 }
 
-fn main() {
-    // `report` / `timeline` are subcommands with their own flag sets,
-    // not app runs.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("report") => run_report(&argv[1..]),
-        Some("timeline") => run_timeline(&argv[1..]),
-        Some("chaos") => run_chaos(&argv[1..]),
-        Some("tenancy") => run_tenancy(&argv[1..]),
-        Some("diff") => run_diff(&argv[1..]),
-        Some("explain") => run_explain(&argv[1..]),
-        Some("watch") => run_watch(&argv[1..]),
-        Some("help") => run_help(),
-        Some("--list-apps") => {
-            for app in perf::APPS {
-                println!("{app}");
-            }
-            std::process::exit(0);
+/// `pic <app>`: build the app's workload from the flags and compare the
+/// drivers. The cross-flag checks sit next to the constructors that
+/// would otherwise panic on them.
+fn launch(m: &Matches) -> Result<i32, Failure> {
+    let app_name = m.command.name;
+    let (n, k, side): (usize, usize, usize) = (m.num("--n"), m.num("--k"), m.num("--side"));
+    let (partitions, seed): (usize, u64) = (m.num("--partitions"), m.num("--seed"));
+    let spec = cluster_spec(text(m, "--cluster"))?;
+    // What the app constructors would otherwise panic on.
+    let need = |flag: &str, value: usize, min: usize| {
+        if value >= min {
+            return Ok(());
         }
-        // Bare `pic` prints the subcommand table instead of an error.
-        None => run_help(),
-        _ => {}
-    }
-    let args = Args::parse();
-    let spec = args.cluster_spec();
+        Err(format!(
+            "{app_name} wants {flag} ≥ {min} with --partitions {partitions}, got '{value}'"
+        ))
+    };
     println!(
-        "app={} cluster={} ({} nodes) partitions={}\n",
-        args.app, spec.name, spec.nodes, args.partitions
+        "app={app_name} cluster={} ({} nodes) partitions={partitions}\n",
+        spec.name, spec.nodes
     );
 
-    match args.app.as_str() {
+    match app_name {
         "kmeans" => {
             use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
-            let app = KMeansApp::new(args.k, 3, 1.0);
-            let pts = gaussian_mixture(args.n, args.k, 3, 1000.0, 40.0, args.seed);
-            let init = Centroids::new(init_random_centroids(args.k, 3, 1000.0, args.seed + 1));
-            report(
-                &spec,
-                &app,
-                pts,
-                init,
-                args.partitions,
-                args.partitions,
-                cost::kmeans(),
-            );
+            let app = KMeansApp::new(k, 3, 1.0);
+            let pts = gaussian_mixture(n, k, 3, 1000.0, 40.0, seed);
+            let init = Centroids::new(init_random_centroids(k, 3, 1000.0, seed.wrapping_add(1)));
+            compare_and_print(spec, &app, pts, init, partitions, cost::kmeans());
         }
         "pagerank" => {
             use pic_apps::pagerank::{block_local_graph, PageRankApp, PartitionMode};
-            let g = block_local_graph(args.n, args.partitions, 2, 8, 0.9, args.seed);
-            let app =
-                PageRankApp::new(g.clone(), args.partitions, PartitionMode::Random, args.seed);
+            need("--n", n, partitions.max(2))?; // a page needs another to link to
+            let g = block_local_graph(n, partitions, 2, 8, 0.9, seed);
+            let app = PageRankApp::new(g.clone(), partitions, PartitionMode::Random, seed);
             let init = app.initial_model();
-            report(
-                &spec,
-                &app,
-                g.records(),
-                init,
-                args.partitions,
-                args.partitions,
-                cost::pagerank(),
-            );
+            compare_and_print(spec, &app, g.records(), init, partitions, cost::pagerank());
         }
         "neuralnet" => {
             use pic_apps::neuralnet::{ocr_like_split, Mlp, NeuralNetApp};
-            let (train, valid) = ocr_like_split(args.n, args.n / 10, 10, 64, 0.2, args.seed);
+            let (train, valid) = ocr_like_split(n, n / 10, 10, 64, 0.2, seed);
             let mut app = NeuralNetApp::new(valid);
             app.max_iterations = 60;
-            let init = Mlp::random(64, 32, 10, args.seed + 1);
-            report(
-                &spec,
-                &app,
-                train,
-                init,
-                args.partitions,
-                args.partitions,
-                cost::neuralnet(),
-            );
+            let init = Mlp::random(64, 32, 10, seed.wrapping_add(1));
+            compare_and_print(spec, &app, train, init, partitions, cost::neuralnet());
         }
         "linsolve" => {
             use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
-            let sys = diag_dominant_system(args.n, 0.05, args.seed);
-            let app = LinSolveApp::new(args.n, args.partitions, 1e-8).with_exact(sys.exact.clone());
-            report(
-                &spec,
-                &app,
-                sys.rows,
-                vec![0.0; args.n],
-                args.partitions,
-                args.partitions,
-                cost::linsolve(),
-            );
+            need("--n", n, partitions)?;
+            let sys = diag_dominant_system(n, 0.05, seed);
+            let app = LinSolveApp::new(n, partitions, 1e-8).with_exact(sys.exact.clone());
+            let init = vec![0.0; n];
+            compare_and_print(spec, &app, sys.rows, init, partitions, cost::linsolve());
         }
         "smoothing" => {
             use pic_apps::smoothing::{noisy_image, SmoothingApp};
-            let f = noisy_image(args.side, args.side, 0.08, args.seed);
-            let app = SmoothingApp::new(args.side, args.side, args.partitions, 1e-6);
-            report(
-                &spec,
-                &app,
-                f.rows(),
-                f.clone(),
-                args.partitions,
-                args.partitions,
-                cost::smoothing(args.side),
-            );
+            need("--side", side, partitions.max(2))?; // the stencil needs 2×2
+            let f = noisy_image(side, side, 0.08, seed);
+            let app = SmoothingApp::new(side, side, partitions, 1e-6);
+            let rows = f.rows();
+            compare_and_print(spec, &app, rows, f, partitions, cost::smoothing(side));
         }
-        other => usage(&format!(
-            "unknown app or subcommand '{other}'; valid apps: {}; valid subcommands: {}",
-            perf::APPS.join(", "),
-            SUBCOMMANDS.join(", ")
-        )),
+        other => unreachable!("`pic {other}` is not a Group::App table entry"),
     }
+    Ok(0)
+}
+
+/// The function behind each table entry: adding a subcommand is one
+/// [`cli::COMMANDS`] row plus one arm here.
+fn handler(command: &Command) -> Handler {
+    match (command.group, command.name) {
+        (Group::App, _) => launch,
+        (_, "report") => report,
+        (_, "timeline") => timeline,
+        (_, "chaos") => chaos,
+        (_, "tenancy") => tenancy,
+        (_, "diff") => diff,
+        (_, "explain") => explain,
+        (_, "watch") => watch,
+        (_, "help") => help,
+        (_, "regress") => regress,
+        (_, "repro") => repro,
+        (_, other) => panic!("table entry `pic {other}` has no handler"),
+    }
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let code = match argv.first().map(String::as_str) {
+        // Bare `pic` prints the command table instead of an error.
+        None | Some("--help" | "-h") => {
+            print!("{}", cli::help());
+            0
+        }
+        Some("--list-apps") => {
+            perf::APPS.iter().for_each(|app| println!("{app}"));
+            0
+        }
+        Some(word) => match cli::COMMANDS.iter().find(|c| c.name == word) {
+            Some(command) => cli::run(command, &argv[1..], handler(command)),
+            None => {
+                eprintln!("error: {}\n\nsee `pic help`", cli::unknown_command(word));
+                2
+            }
+        },
+    };
+    std::process::exit(code);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{SUBCOMMANDS, SUBCOMMAND_SUMMARIES};
-
-    /// `pic help` renders SUBCOMMAND_SUMMARIES; main dispatches on
-    /// SUBCOMMANDS. Pin them to each other so a new subcommand cannot
-    /// ship without a help-table row (tests/cli_watch.rs pins the
-    /// rendered output end to end).
+    /// `handler` panics on a table entry it has no arm for; the rest of
+    /// the table's contract is pinned end to end by `tests/cli_table.rs`.
     #[test]
-    fn every_dispatched_subcommand_has_a_help_row() {
-        let summarized: Vec<&str> = SUBCOMMAND_SUMMARIES.iter().map(|(n, _)| *n).collect();
-        assert_eq!(summarized, SUBCOMMANDS);
-        for (_, what) in SUBCOMMAND_SUMMARIES {
-            assert!(!what.is_empty());
+    fn every_table_entry_has_a_handler() {
+        for command in pic_bench::cli::COMMANDS {
+            super::handler(command);
         }
     }
 }

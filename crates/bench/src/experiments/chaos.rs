@@ -11,10 +11,11 @@
 //! reproduce the clean run's answer exactly, and only `elastic-resize`
 //! (which changes the partitioning) may move the converged model.
 
-use super::common::cost::AppCost;
+use super::common::{
+    small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload, SMALL_SUITE_APPS,
+};
 use super::ExperimentCtx;
 use pic_core::prelude::*;
-use pic_mapreduce::{Dataset, Engine};
 use pic_simnet::chaos::FaultPlan;
 use pic_simnet::report::fmt_f64;
 use pic_simnet::trace::check;
@@ -28,9 +29,8 @@ pub const SCENARIOS: [&str; 4] = [
     "elastic-resize",
 ];
 
-/// The apps the campaign runs (a cheap, representative subset of the
-/// report apps: centroid model, dense vector model, grid model).
-pub const CHAOS_APPS: [&str; 3] = ["kmeans", "linsolve", "smoothing"];
+/// The apps the campaign runs: [`small_suite`]'s.
+pub const CHAOS_APPS: [&str; 3] = SMALL_SUITE_APPS;
 
 /// Seed every campaign plan is derived from (preemption victims etc.).
 const CAMPAIGN_SEED: u64 = 0xC1A0;
@@ -92,15 +92,6 @@ pub fn plan_for(
     }
 }
 
-/// Canonical `'static` name for a validated scenario string.
-fn static_name(scenario: &str) -> &'static str {
-    SCENARIOS
-        .iter()
-        .find(|s| **s == scenario)
-        .copied()
-        .unwrap_or_else(|| panic!("scenario '{scenario}' not validated"))
-}
-
 /// First trajectory time at which `target` quality is reached.
 fn time_to_quality(traj: &[TrajectoryPoint], target: f64, fallback: f64) -> f64 {
     traj.iter()
@@ -115,305 +106,125 @@ fn final_error(traj: &[TrajectoryPoint], who: &str) -> f64 {
         .error
 }
 
-/// One driver's run, clean or faulty, on its own fresh engine. The cell
-/// arithmetic needs clean and faulty runs to be *identical setups* —
-/// same DFS path, same split count, same options — so that
-/// `faulty - clean` isolates exactly what the fault plan cost and a
-/// never-firing plan yields a recovery of exactly zero.
-struct DriverRun<M> {
-    total_s: f64,
-    trajectory: Vec<TrajectoryPoint>,
-    model: M,
+/// What a cell keeps of one run, clean or faulty. The trace is checked
+/// and dropped: the clean baselines live across all of an app's
+/// scenarios, and their traces would ride along in peak memory.
+struct Checked<M> {
+    report: DriverReport<M>,
     recovery_bytes: u64,
     injected_events: usize,
     incidents: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_driver<A: PicApp + QualityProbe>(
-    who: &str,
-    driver: &'static str,
-    spec: &ClusterSpec,
-    app: &A,
-    records: &[A::Record],
-    init: &A::Model,
-    splits: usize,
-    partitions: usize,
-    cost: &AppCost,
+/// Run `driver` under `plan`, then hold the trace to the full structural
+/// suite (chaos checks included, byte-exact reconciliation) and replay it
+/// through the online monitor with the default rule catalog — the
+/// incident count couples each cell to the alerting layer.
+fn checked_run<A: BenchApp>(
+    w: &Workload<'_, A>,
+    driver: Driver,
+    tag: &str,
     plan: Option<&FaultPlan>,
-) -> Result<DriverRun<A::Model>, String>
-where
-    A::Record: Clone,
-    A::Model: Clone,
-{
-    let engine = Engine::new(spec.clone());
-    let data = Dataset::create(&engine, "/chaos/input", records.to_vec(), splits);
-    engine.reset();
-    if let Some(p) = plan {
-        engine
-            .arm_chaos(p)
-            .map_err(|es| format!("{who}: invalid plan: {es:?}"))?;
-    }
-    let (total_s, trajectory, model) = if driver == "ic" {
-        let r = run_ic(
-            &engine,
-            app,
-            &data,
-            init.clone(),
-            &IcOptions {
-                timing: cost.timing.clone(),
-                ..Default::default()
-            },
-        );
-        (r.total_time_s, r.trajectory, r.final_model)
-    } else {
-        let r = run_pic(
-            &engine,
-            app,
-            &data,
-            init.clone(),
-            &PicOptions {
-                partitions,
-                timing: cost.timing.clone(),
-                local_secs_per_record: Some(cost.local_secs),
-                ..Default::default()
-            },
-        );
-        (r.total_time_s, r.trajectory, r.final_model)
-    };
-    // Every trace, clean or faulty, must satisfy the full structural
-    // suite, chaos checks included, and reconcile byte-exactly.
-    let trace = engine.trace();
-    let traffic = engine.traffic();
-    check::validate(&trace, &traffic).map_err(|es| format!("{who}: {es:?}"))?;
-    // Replay through the online monitor with the default rule catalog:
-    // the incident count couples each cell to the alerting layer.
-    let monitor = Monitor::replay(MonitorConfig::new(spec.clone()), &trace)
+) -> Result<Checked<A::Model>, String> {
+    let who = format!("{}/{tag}/{}", w.name, driver.label());
+    let run = w.run(driver, plan)?;
+    check::validate(&run.trace, &run.traffic).map_err(|es| format!("{who}: {es:?}"))?;
+    let monitor = Monitor::replay(MonitorConfig::new(w.spec.clone()), &run.trace)
         .map_err(|e| format!("{who}: {e}"))?;
-    Ok(DriverRun {
-        total_s,
-        trajectory,
-        model,
-        recovery_bytes: traffic.recovery_total(),
-        injected_events: engine.chaos().injected_events(),
+    Ok(Checked {
+        report: run.report,
+        recovery_bytes: run.traffic.recovery_total(),
+        injected_events: run.injected_events,
         incidents: monitor.incidents.len() as u64,
     })
 }
 
-/// Run one app through both drivers under `scenario`, returning its two
-/// matrix cells. The clean per-driver baselines are taken as given so
-/// one pair of clean runs serves every scenario.
-#[allow(clippy::too_many_arguments)]
-fn cells_for<A: PicApp + QualityProbe>(
-    app_name: &'static str,
-    scenario: &'static str,
-    spec: &ClusterSpec,
-    app: &A,
-    records: &[A::Record],
-    init: &A::Model,
-    splits: usize,
-    partitions: usize,
-    cost: &AppCost,
-    clean: &[(&'static str, DriverRun<A::Model>)],
-) -> Result<Vec<ChaosCell>, String>
-where
-    A::Record: Clone,
-    A::Model: Clone + PartialEq,
-{
-    let mut cells = Vec::new();
-    for &(driver, ref clean_run) in clean {
-        let plan = plan_for(scenario, clean_run.total_s, spec, partitions)?;
-        let faulty = run_driver(
-            &format!("{app_name}/{scenario}/{driver}"),
-            driver,
-            spec,
-            app,
-            records,
-            init,
-            splits,
-            partitions,
-            cost,
-            Some(&plan),
-        )?;
-
-        let clean_final = final_error(&clean_run.trajectory, app_name);
-        let target = clean_final * 1.05 + 1e-12;
-        let tt_clean = time_to_quality(&clean_run.trajectory, target, clean_run.total_s);
-        let tt_faulty = time_to_quality(&faulty.trajectory, target, faulty.total_s);
-
-        cells.push(ChaosCell {
-            app: app_name,
-            scenario,
-            driver,
-            clean_s: clean_run.total_s,
-            faulty_s: faulty.total_s,
-            recovery_s: faulty.total_s - clean_run.total_s,
-            recovery_bytes: faulty.recovery_bytes,
-            injected_events: faulty.injected_events,
-            tt_quality_delta_s: tt_faulty - tt_clean,
-            exact_result: faulty.model == clean_run.model,
-            incidents: faulty.incidents,
-            clean_incidents: clean_run.incidents,
-        });
-    }
-    Ok(cells)
+/// Visits each suite workload: one pair of clean per-driver baselines,
+/// shared by all of the app's scenarios, then one faulty run per
+/// (scenario, driver).
+struct Campaign<'s> {
+    scenarios: &'s [&'static str],
+    cells: Vec<ChaosCell>,
 }
 
-/// Per-driver clean baselines: one [`DriverRun`] per driver label.
-type CleanRuns<M> = Vec<(&'static str, DriverRun<M>)>;
+impl SuiteVisitor for Campaign<'_> {
+    fn visit<A: BenchApp>(&mut self, w: &Workload<'_, A>) -> Result<(), String> {
+        let clean_runs = [
+            checked_run(w, Driver::Ic, "clean", None)?,
+            checked_run(w, Driver::Pic, "clean", None)?,
+        ];
+        for &scenario in self.scenarios {
+            for (driver, clean) in Driver::BOTH.into_iter().zip(&clean_runs) {
+                let (clean_s, clean_traj, clean_model) = clean.report.outcome();
+                let plan = plan_for(scenario, clean_s, &w.spec, w.partitions)?;
+                let faulty = checked_run(w, driver, scenario, Some(&plan))?;
+                let (faulty_s, faulty_traj, faulty_model) = faulty.report.outcome();
 
-/// The two clean per-driver baselines for one app (shared by all of the
-/// app's scenarios).
-#[allow(clippy::too_many_arguments)]
-fn clean_runs<A: PicApp + QualityProbe>(
-    app_name: &'static str,
-    spec: &ClusterSpec,
-    app: &A,
-    records: &[A::Record],
-    init: &A::Model,
-    splits: usize,
-    partitions: usize,
-    cost: &AppCost,
-) -> Result<CleanRuns<A::Model>, String>
-where
-    A::Record: Clone,
-    A::Model: Clone,
-{
-    ["ic", "pic"]
-        .into_iter()
-        .map(|driver| {
-            run_driver(
-                &format!("{app_name}/clean/{driver}"),
-                driver,
-                spec,
-                app,
-                records,
-                init,
-                splits,
-                partitions,
-                cost,
-                None,
-            )
-            .map(|r| (driver, r))
-        })
-        .collect()
+                let target = final_error(clean_traj, w.name) * 1.05 + 1e-12;
+                let tt_clean = time_to_quality(clean_traj, target, clean_s);
+                let tt_faulty = time_to_quality(faulty_traj, target, faulty_s);
+
+                self.cells.push(ChaosCell {
+                    app: w.name,
+                    scenario,
+                    driver: driver.label(),
+                    clean_s,
+                    faulty_s,
+                    recovery_s: faulty_s - clean_s,
+                    recovery_bytes: faulty.recovery_bytes,
+                    injected_events: faulty.injected_events,
+                    tt_quality_delta_s: tt_faulty - tt_clean,
+                    exact_result: faulty_model == clean_model,
+                    incidents: faulty.incidents,
+                    clean_incidents: clean.incidents,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Run the campaign matrix: every app in [`CHAOS_APPS`] × every
 /// requested scenario × both drivers. Scenario names are validated up
 /// front so an unknown name fails before any run.
 pub fn campaign(ctx: &ExperimentCtx, scenarios: &[&str]) -> Result<Vec<ChaosCell>, String> {
-    for s in scenarios {
-        if !SCENARIOS.contains(s) {
-            return Err(format!("unknown scenario '{s}'; known: {SCENARIOS:?}"));
-        }
-    }
-    let mut cells = Vec::new();
+    let scenarios: Vec<&'static str> = scenarios
+        .iter()
+        .map(|s| {
+            SCENARIOS
+                .into_iter()
+                .find(|known| known == s)
+                .ok_or_else(|| format!("unknown scenario '{s}'; known: {SCENARIOS:?}"))
+        })
+        .collect::<Result<_, _>>()?;
+    let mut campaign = Campaign {
+        scenarios: &scenarios,
+        cells: Vec::new(),
+    };
+    small_suite(ctx, "/chaos/input", &mut campaign)?;
+    Ok(campaign.cells)
+}
 
-    // K-means: small mixture, centroid model.
-    {
-        use super::common::cost;
-        use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
-        let spec = ClusterSpec::small();
-        let app = KMeansApp::new(4, 2, 1.0);
-        let records = gaussian_mixture(ctx.n(2_000, 400), 4, 2, 1000.0, 40.0, 3);
-        let init = Centroids::new(init_random_centroids(4, 2, 1000.0, 7));
-        // Error metric: relative SSE excess on a subsample vs the
-        // sequential solution (same construction as fig2).
-        let sample: Vec<_> = records.iter().step_by(2).cloned().collect();
-        let reference = app.solve_reference(&sample, &init, 300);
-        let app = app.with_eval_sample(sample, &reference);
-        let (splits, partitions) = (6, 4);
-        let c = cost::kmeans();
-        let clean = clean_runs(
-            "kmeans", &spec, &app, &records, &init, splits, partitions, &c,
-        )?;
-        for &scenario in scenarios {
-            cells.extend(cells_for(
-                "kmeans",
-                static_name(scenario),
-                &spec,
-                &app,
-                &records,
-                &init,
-                splits,
-                partitions,
-                &c,
-                &clean,
-            )?);
-        }
+impl ChaosCell {
+    /// The cell as `(column, value)` pairs, in schema order — the one
+    /// definition behind the `quality_under_failure` JSON objects and the
+    /// chaos CSV rows. The first three values are strings.
+    fn columns(&self) -> [(&'static str, String); 12] {
+        [
+            ("app", self.app.to_string()),
+            ("scenario", self.scenario.to_string()),
+            ("driver", self.driver.to_string()),
+            ("clean_s", fmt_f64(self.clean_s)),
+            ("faulty_s", fmt_f64(self.faulty_s)),
+            ("recovery_s", fmt_f64(self.recovery_s)),
+            ("recovery_bytes", self.recovery_bytes.to_string()),
+            ("injected_events", self.injected_events.to_string()),
+            ("tt_quality_delta_s", fmt_f64(self.tt_quality_delta_s)),
+            ("incidents", self.incidents.to_string()),
+            ("clean_incidents", self.clean_incidents.to_string()),
+            ("exact_result", self.exact_result.to_string()),
+        ]
     }
-
-    // Linear solver: dense vector model, paper-exact size.
-    {
-        use super::common::cost;
-        use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
-        let spec = ClusterSpec::small();
-        let n = 100;
-        let sys = diag_dominant_system(n, 0.05, 11);
-        let app = LinSolveApp::new(n, 5, 1e-8)
-            .with_exact(sys.exact.clone())
-            .with_rows(sys.rows.clone());
-        let init = vec![0.0; n];
-        let (splits, partitions) = (5, 5);
-        let c = cost::linsolve();
-        let clean = clean_runs(
-            "linsolve", &spec, &app, &sys.rows, &init, splits, partitions, &c,
-        )?;
-        for &scenario in scenarios {
-            cells.extend(cells_for(
-                "linsolve",
-                static_name(scenario),
-                &spec,
-                &app,
-                &sys.rows,
-                &init,
-                splits,
-                partitions,
-                &c,
-                &clean,
-            )?);
-        }
-    }
-
-    // Smoothing: grid model.
-    {
-        use super::common::cost;
-        use pic_apps::smoothing::{noisy_image, SmoothingApp};
-        let spec = ClusterSpec::small();
-        let side = 64;
-        let f = noisy_image(side, side, 0.08, 5);
-        let app = SmoothingApp::new(side, side, 8, 1e-6).with_observed(f.clone());
-        let records = f.rows();
-        let (splits, partitions) = (8, 8);
-        let c = cost::smoothing(side);
-        let clean = clean_runs(
-            "smoothing",
-            &spec,
-            &app,
-            &records,
-            &f,
-            splits,
-            partitions,
-            &c,
-        )?;
-        for &scenario in scenarios {
-            cells.extend(cells_for(
-                "smoothing",
-                static_name(scenario),
-                &spec,
-                &app,
-                &records,
-                &f,
-                splits,
-                partitions,
-                &c,
-                &clean,
-            )?);
-        }
-    }
-
-    Ok(cells)
 }
 
 /// The campaign cells as JSON array items (for `bench_json`'s
@@ -422,37 +233,16 @@ pub fn cells_json(cells: &[ChaosCell], indent: usize) -> String {
     let pad = " ".repeat(indent);
     let mut out = String::new();
     for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!("{pad}{{\n"));
-        out.push_str(&format!("{pad}  \"app\": \"{}\",\n", c.app));
-        out.push_str(&format!("{pad}  \"scenario\": \"{}\",\n", c.scenario));
-        out.push_str(&format!("{pad}  \"driver\": \"{}\",\n", c.driver));
-        out.push_str(&format!("{pad}  \"clean_s\": {},\n", fmt_f64(c.clean_s)));
-        out.push_str(&format!("{pad}  \"faulty_s\": {},\n", fmt_f64(c.faulty_s)));
+        let fields: Vec<String> = (c.columns().iter().enumerate())
+            .map(|(col, (key, value))| match col {
+                0..=2 => format!("{pad}  \"{key}\": \"{value}\""),
+                _ => format!("{pad}  \"{key}\": {value}"),
+            })
+            .collect();
+        let comma = if i + 1 < cells.len() { "," } else { "" };
         out.push_str(&format!(
-            "{pad}  \"recovery_s\": {},\n",
-            fmt_f64(c.recovery_s)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"recovery_bytes\": {},\n",
-            c.recovery_bytes
-        ));
-        out.push_str(&format!(
-            "{pad}  \"injected_events\": {},\n",
-            c.injected_events
-        ));
-        out.push_str(&format!(
-            "{pad}  \"tt_quality_delta_s\": {},\n",
-            fmt_f64(c.tt_quality_delta_s)
-        ));
-        out.push_str(&format!("{pad}  \"incidents\": {},\n", c.incidents));
-        out.push_str(&format!(
-            "{pad}  \"clean_incidents\": {},\n",
-            c.clean_incidents
-        ));
-        out.push_str(&format!("{pad}  \"exact_result\": {}\n", c.exact_result));
-        out.push_str(&format!(
-            "{pad}}}{}\n",
-            if i + 1 < cells.len() { "," } else { "" }
+            "{pad}{{\n{}\n{pad}}}{comma}\n",
+            fields.join(",\n")
         ));
     }
     out
@@ -469,20 +259,7 @@ pub fn chaos_csv(cells: &[ChaosCell]) -> String {
     let mut out = String::from(csv_header());
     out.push('\n');
     for c in cells {
-        out.push_str(&crate::table::csv_row([
-            c.app.to_string(),
-            c.scenario.to_string(),
-            c.driver.to_string(),
-            fmt_f64(c.clean_s),
-            fmt_f64(c.faulty_s),
-            fmt_f64(c.recovery_s),
-            c.recovery_bytes.to_string(),
-            c.injected_events.to_string(),
-            fmt_f64(c.tt_quality_delta_s),
-            c.incidents.to_string(),
-            c.clean_incidents.to_string(),
-            c.exact_result.to_string(),
-        ]));
+        out.push_str(&crate::table::csv_row(c.columns().map(|(_, value)| value)));
         out.push('\n');
     }
     out
@@ -521,6 +298,9 @@ mod tests {
                 c.driver
             );
         }
+        // The CSV header is the column list the JSON and the rows share.
+        let keys = cells[0].columns().map(|(key, _)| key);
+        assert_eq!(csv_header(), keys.join(","));
         // At least one driver side pays visible recovery.
         assert!(cells.iter().any(|c| c.recovery_bytes > 0));
         assert!(cells.iter().any(|c| c.recovery_s > 0.0));

@@ -1,7 +1,9 @@
 //! Shared plumbing for experiment runners.
 
+use super::ExperimentCtx;
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine};
+use pic_simnet::chaos::FaultPlan;
 use pic_simnet::{ClusterSpec, Trace, TrafficSnapshot};
 
 /// Deterministic per-record costs per application.
@@ -91,6 +93,160 @@ pub mod cost {
     }
 }
 
+/// Which driver a [`Workload`] runs under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// The conventional baseline ([`run_ic`]).
+    Ic,
+    /// Best-effort phase plus top-off ([`run_pic`]).
+    Pic,
+}
+
+impl Driver {
+    /// Both drivers, baseline first — the order every report uses.
+    pub const BOTH: [Driver; 2] = [Driver::Ic, Driver::Pic];
+
+    /// The `"ic"` / `"pic"` label used in rows, keys and CSV columns.
+    pub fn label(self) -> &'static str {
+        match self {
+            Driver::Ic => "ic",
+            Driver::Pic => "pic",
+        }
+    }
+}
+
+/// The report of whichever driver ran.
+#[derive(Debug)]
+pub enum DriverReport<M> {
+    /// From [`Driver::Ic`].
+    Ic(IcReport<M>),
+    /// From [`Driver::Pic`].
+    Pic(PicReport<M>),
+}
+
+impl<M> DriverReport<M> {
+    /// What both drivers report alike: total simulated seconds, the
+    /// error-vs-time trajectory, and the converged model.
+    pub fn outcome(&self) -> (f64, &[TrajectoryPoint], &M) {
+        match self {
+            DriverReport::Ic(r) => (r.total_time_s, &r.trajectory, &r.final_model),
+            DriverReport::Pic(r) => (r.total_time_s, &r.trajectory, &r.final_model),
+        }
+    }
+}
+
+/// Everything one [`Workload::run`] produced. No analysis has been done:
+/// callers validate, replay or profile as they need.
+#[derive(Debug)]
+pub struct Run<M> {
+    /// The driver's own report.
+    pub report: DriverReport<M>,
+    /// Span/event trace of the run.
+    pub trace: Trace,
+    /// The engine's ledger totals (what `trace` must reconcile with,
+    /// byte for byte).
+    pub traffic: TrafficSnapshot,
+    /// Fault events the injector fired (0 without a plan).
+    pub injected_events: usize,
+}
+
+/// The bounds every runner needs of an app, stated once.
+pub trait BenchApp: PicApp<Record: Clone, Model: Clone + PartialEq> + QualityProbe {}
+impl<A: PicApp<Record: Clone, Model: Clone + PartialEq> + QualityProbe> BenchApp for A {}
+
+/// One app over one dataset on one cluster — the single definition of
+/// "IC or PIC on a fresh engine over a fresh [`Dataset`]" that the
+/// experiment runners, the chaos campaign, the tenancy profiler and the
+/// `pic <app>` launcher all go through.
+pub struct Workload<'a, A: PicApp> {
+    /// Application name, for error messages.
+    pub name: &'static str,
+    /// DFS path of the input. A field, not a constant: `pic_dfs` seeds
+    /// replica placement from the path, so each caller's simulated bytes
+    /// depend on it staying what it is.
+    pub dfs_path: &'static str,
+    /// The simulated cluster.
+    pub spec: ClusterSpec,
+    /// The application.
+    pub app: &'a A,
+    /// Input records (cloned into each run's dataset).
+    pub records: Vec<A::Record>,
+    /// Initial model.
+    pub init: A::Model,
+    /// Map-task count for the input.
+    pub splits: usize,
+    /// PIC sub-problem count.
+    pub partitions: usize,
+    /// The deterministic cost model.
+    pub cost: cost::AppCost,
+}
+
+impl<A: BenchApp> Workload<'_, A> {
+    /// Run `driver` on a fresh engine over a fresh dataset, under `plan`
+    /// if given. Clean and faulty runs are identical setups, so
+    /// `faulty - clean` isolates exactly what the plan cost. Errors only
+    /// when the engine rejects the plan.
+    pub fn run(&self, driver: Driver, plan: Option<&FaultPlan>) -> Result<Run<A::Model>, String> {
+        let engine = Engine::new(self.spec.clone());
+        let data = Dataset::create(&engine, self.dfs_path, self.records.clone(), self.splits);
+        engine.reset(); // dataset load is not part of the measured run
+        if let Some(p) = plan {
+            engine
+                .arm_chaos(p)
+                .map_err(|es| format!("{}/{}: invalid plan: {es:?}", self.name, driver.label()))?;
+        }
+        let timing = self.cost.timing.clone();
+        let report = match driver {
+            Driver::Ic => DriverReport::Ic(run_ic(
+                &engine,
+                self.app,
+                &data,
+                self.init.clone(),
+                &IcOptions {
+                    timing,
+                    ..Default::default()
+                },
+            )),
+            Driver::Pic => DriverReport::Pic(run_pic(
+                &engine,
+                self.app,
+                &data,
+                self.init.clone(),
+                &PicOptions {
+                    partitions: self.partitions,
+                    timing,
+                    local_secs_per_record: Some(self.cost.local_secs),
+                    ..Default::default()
+                },
+            )),
+        };
+        Ok(Run {
+            report,
+            trace: engine.trace(),
+            traffic: engine.traffic(),
+            injected_events: engine.chaos().injected_events(),
+        })
+    }
+
+    /// The IC baseline and the PIC run, on independent engines over
+    /// identical data.
+    pub fn compare(&self) -> Comparison<A::Model> {
+        let ic = self.run(Driver::Ic, None).expect("no plan to reject");
+        let pic = self.run(Driver::Pic, None).expect("no plan to reject");
+        match (ic.report, pic.report) {
+            (DriverReport::Ic(ic_report), DriverReport::Pic(pic_report)) => Comparison {
+                ic: ic_report,
+                pic: pic_report,
+                ic_trace: ic.trace,
+                pic_trace: pic.trace,
+                ic_traffic: ic.traffic,
+                pic_traffic: pic.traffic,
+            },
+            _ => unreachable!("run returns the report of the driver it was given"),
+        }
+    }
+}
+
 /// The IC and PIC runs of one app on one cluster, executed on independent
 /// engines over identical data, plus their reports.
 pub struct Comparison<M> {
@@ -118,8 +274,8 @@ impl<M> Comparison<M> {
 
 /// Run the IC baseline and the PIC implementation of `app` over the same
 /// records on fresh engines of `spec`. `splits` is the map-task count for
-/// the input; `timing` the deterministic cost model.
-pub fn compare<A: PicApp + QualityProbe>(
+/// the input; `cost` the deterministic cost model.
+pub fn compare<A: BenchApp>(
     spec: &ClusterSpec,
     app: &A,
     records: Vec<A::Record>,
@@ -127,49 +283,100 @@ pub fn compare<A: PicApp + QualityProbe>(
     splits: usize,
     partitions: usize,
     cost: cost::AppCost,
-) -> Comparison<A::Model>
-where
-    A::Record: Clone,
-    A::Model: Clone,
-{
-    let ic_engine = Engine::new(spec.clone());
-    let ic_data = Dataset::create(&ic_engine, "/exp/input", records.clone(), splits);
-    ic_engine.reset(); // dataset load is not part of the measured run
-    let ic = run_ic(
-        &ic_engine,
+) -> Comparison<A::Model> {
+    Workload {
+        name: "exp",
+        dfs_path: "/exp/input",
+        spec: spec.clone(),
         app,
-        &ic_data,
-        init.clone(),
-        &IcOptions {
-            timing: cost.timing.clone(),
-            ..Default::default()
-        },
-    );
-
-    let pic_engine = Engine::new(spec.clone());
-    let pic_data = Dataset::create(&pic_engine, "/exp/input", records, splits);
-    pic_engine.reset();
-    let pic = run_pic(
-        &pic_engine,
-        app,
-        &pic_data,
+        records,
         init,
-        &PicOptions {
-            partitions,
-            timing: cost.timing,
-            local_secs_per_record: Some(cost.local_secs),
-            ..Default::default()
-        },
-    );
-
-    Comparison {
-        ic,
-        pic,
-        ic_trace: ic_engine.trace(),
-        pic_trace: pic_engine.trace(),
-        ic_traffic: ic_engine.traffic(),
-        pic_traffic: pic_engine.traffic(),
+        splits,
+        partitions,
+        cost,
     }
+    .compare()
+}
+
+/// What a caller does with each workload of [`small_suite`]. A trait
+/// rather than a closure because the three apps are three types.
+pub trait SuiteVisitor {
+    /// Called once per app, in suite order.
+    fn visit<A: BenchApp>(&mut self, w: &Workload<'_, A>) -> Result<(), String>;
+}
+
+/// The apps of [`small_suite`], in visit order.
+pub const SMALL_SUITE_APPS: [&str; 3] = ["kmeans", "linsolve", "smoothing"];
+
+/// The cheap, representative three-app suite on the small reference
+/// cluster — centroid model, dense vector model, grid model — that the
+/// chaos campaign and the tenancy profiler both run. Only the k-means
+/// record count follows `ctx.scale`.
+pub fn small_suite(
+    ctx: &ExperimentCtx,
+    dfs_path: &'static str,
+    visitor: &mut impl SuiteVisitor,
+) -> Result<(), String> {
+    let spec = ClusterSpec::small();
+    {
+        use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
+        let app = KMeansApp::new(4, 2, 1.0);
+        let records = gaussian_mixture(ctx.n(2_000, 400), 4, 2, 1000.0, 40.0, 3);
+        let init = Centroids::new(init_random_centroids(4, 2, 1000.0, 7));
+        // Error metric: relative SSE excess on a subsample vs the
+        // sequential solution (same construction as fig2).
+        let sample: Vec<_> = records.iter().step_by(2).cloned().collect();
+        let reference = app.solve_reference(&sample, &init, 300);
+        let app = app.with_eval_sample(sample, &reference);
+        visitor.visit(&Workload {
+            name: "kmeans",
+            dfs_path,
+            spec: spec.clone(),
+            app: &app,
+            records,
+            init,
+            splits: 6,
+            partitions: 4,
+            cost: cost::kmeans(),
+        })?;
+    }
+    {
+        use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
+        let n = 100; // the paper's exact size
+        let sys = diag_dominant_system(n, 0.05, 11);
+        let app = LinSolveApp::new(n, 5, 1e-8)
+            .with_exact(sys.exact.clone())
+            .with_rows(sys.rows.clone());
+        visitor.visit(&Workload {
+            name: "linsolve",
+            dfs_path,
+            spec: spec.clone(),
+            app: &app,
+            records: sys.rows,
+            init: vec![0.0; n],
+            splits: 5,
+            partitions: 5,
+            cost: cost::linsolve(),
+        })?;
+    }
+    {
+        use pic_apps::smoothing::{noisy_image, SmoothingApp};
+        let side = 64;
+        let f = noisy_image(side, side, 0.08, 5);
+        let app = SmoothingApp::new(side, side, 8, 1e-6).with_observed(f.clone());
+        visitor.visit(&Workload {
+            name: "smoothing",
+            dfs_path,
+            spec,
+            app: &app,
+            records: f.rows(),
+            init: f,
+            splits: 8,
+            partitions: 8,
+            cost: cost::smoothing(side),
+        })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -168,10 +168,19 @@ pub fn explain_json(ctx: &ExperimentCtx, sections: &[ExplainSection]) -> String 
 /// tt_10pct_s,delta_tt_10pct_s,binding,clamped`), both sides of every
 /// app.
 pub fn explain_csv(sections: &[ExplainSection]) -> String {
+    explain_csv_for(sections, "both")
+}
+
+/// [`explain_csv`] narrowed to one side (`"ic"` / `"pic"`; `"both"`
+/// keeps both) — what `pic explain --side` writes.
+pub fn explain_csv_for(sections: &[ExplainSection], only: &str) -> String {
     let mut out = String::from(SensitivityReport::csv_header());
     out.push('\n');
     for s in sections {
         for (side, report) in [("ic", &s.ic), ("pic", &s.pic)] {
+            if only != "both" && only != side {
+                continue;
+            }
             for rec in report.csv_records(&s.app, side) {
                 out.push_str(&csv_row(&rec));
                 out.push('\n');

@@ -4,7 +4,7 @@
 
 use super::common::{compare, cost};
 use super::ExperimentCtx;
-use crate::table::{fmt_bytes, fmt_secs, Table};
+use crate::table::{fmt_bytes, fmt_secs, fmt_x, Table};
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_simnet::ClusterSpec;
 
@@ -14,7 +14,7 @@ pub fn run(ctx: &ExperimentCtx) -> String {
 }
 
 /// Run Figure 2 and also return the comparison with both runs' traces —
-/// the smoke binary validates and exports them.
+/// `pic report` validates and exports them.
 pub fn run_full(ctx: &ExperimentCtx) -> (String, super::common::Comparison<Centroids>) {
     let n = ctx.n(400_000, 4_000);
     let k = 100;
@@ -74,12 +74,12 @@ pub fn run_full(ctx: &ExperimentCtx) -> (String, super::common::Comparison<Centr
 
     let report = format!(
         "Figure 2 — K-means runtime and traffic, IC vs PIC ({n} points, {k} clusters, \
-         64-node cluster; paper ran 100M points)\n\n{}\n{}\n{}\n\
+         64-node cluster; paper ran 100M points)\n\n{}\n{}\nspeedup: {}\n\n\
          paper expectation: BE phase ≈ 1/5 of IC time; top-off ≈ 1/6 of IC's \
          iterations; overall ≈ 3x; traffic collapses by orders of magnitude.\n",
         time.render(),
         traffic.render(),
-        pic_core::timeline::pic_timeline(&cmp.pic, Some(cmp.ic.total_time_s)),
+        fmt_x(cmp.speedup()),
     );
     (report, cmp)
 }

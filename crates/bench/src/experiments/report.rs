@@ -256,6 +256,103 @@ pub fn collect(ctx: &ExperimentCtx, apps: &[&str]) -> Result<Vec<AppRun>, String
     Ok(runs)
 }
 
+/// Where one suite run writes its artifacts, by the flag that asks for
+/// each; `None` skips the artifact.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SuiteOutputs<'a> {
+    /// `BENCH_pic.json` (`pic report --json`, `pic regress --out`).
+    pub json: Option<&'a str>,
+    /// Convergence curves (`--csv`).
+    pub csv: Option<&'a str>,
+    /// Utilization/occupancy series (`--util-csv`).
+    pub util_csv: Option<&'a str>,
+    /// Quality-under-failure campaign cells (`--chaos-csv`).
+    pub chaos_csv: Option<&'a str>,
+    /// Per-job rows of the mixed tenancy stream (`--tenancy-csv`).
+    pub tenancy_csv: Option<&'a str>,
+    /// Ranked counterfactual bottleneck tables (`--explain-csv`).
+    pub explain_csv: Option<&'a str>,
+}
+
+/// What [`run_suite`] hands back for the caller's own rendering.
+#[derive(Debug)]
+pub struct Suite {
+    /// The collected comparisons.
+    pub runs: Vec<AppRun>,
+    /// The host-side stage profile, when requested.
+    pub host_profile: Option<pic_simnet::HostProfile>,
+    /// The `BENCH_pic.json` text, when `outputs.json` asked for it.
+    pub json: Option<String>,
+}
+
+/// The one suite pipeline behind `pic report` and `pic regress`: collect
+/// the comparisons, run the chaos campaign and the tenancy section only
+/// if an output needs them (24 cells and 12 solo profile runs are not
+/// free), snapshot the host profile, then write `BENCH_pic.json` and the
+/// CSV artifacts, logging under `[tag]`.
+pub fn run_suite(
+    tag: &str,
+    ctx: &ExperimentCtx,
+    apps: &[&str],
+    profile_host: bool,
+    outputs: &SuiteOutputs<'_>,
+) -> Result<Suite, String> {
+    use super::{chaos, explain, tenancy};
+    use crate::cli::write_artifact;
+    use pic_simnet::hostprof;
+
+    let t0 = std::time::Instant::now();
+    if profile_host {
+        hostprof::reset();
+        hostprof::enable();
+    }
+    let runs = collect(ctx, apps)?;
+    let wanted = |csv: Option<&str>| outputs.json.or(csv).is_some();
+    let cells = wanted(outputs.chaos_csv)
+        .then(|| chaos::campaign(ctx, &chaos::SCENARIOS))
+        .transpose()?
+        .unwrap_or_default();
+    let tenancy = wanted(outputs.tenancy_csv)
+        .then(|| tenancy::section(ctx))
+        .transpose()?;
+    let host_profile = profile_host.then(|| {
+        hostprof::disable();
+        hostprof::snapshot()
+    });
+    eprintln!(
+        "[{tag}] suite ran in {:.1}s (host time) at scale {}",
+        t0.elapsed().as_secs_f64(),
+        ctx.scale
+    );
+
+    let write = |path: Option<&str>, doc: &dyn Fn() -> String| {
+        path.map(|path| {
+            let doc = doc();
+            write_artifact(tag, path, &doc);
+            doc
+        })
+    };
+    let json = write(outputs.json, &|| {
+        bench_json(ctx, &runs, &cells, tenancy.as_ref(), host_profile.as_ref())
+    });
+    write(outputs.csv, &|| quality_csv(&runs));
+    write(outputs.util_csv, &|| utilization_csv(&runs));
+    write(outputs.chaos_csv, &|| chaos::chaos_csv(&cells));
+    if let Some(section) = &tenancy {
+        write(outputs.tenancy_csv, &|| {
+            tenancy::tenancy_csv(&section.mixed)
+        });
+    }
+    write(outputs.explain_csv, &|| {
+        explain::explain_csv(&explain::sections(&runs, &pic_simnet::whatif::CATALOG))
+    });
+    Ok(Suite {
+        runs,
+        host_profile,
+        json,
+    })
+}
+
 /// Assemble the top-level `BENCH_pic.json` document. Every `host_*` key
 /// sits on its own line so determinism checks can strip them; everything
 /// else is a pure function of the simulated runs. `chaos` is the
@@ -306,19 +403,12 @@ pub fn bench_json(
         ));
         // `to_json(6)` indents every line by six spaces; the leading
         // indent of the first line is dropped because it follows the key.
+        let perf = |trace: &Trace| PerfReport::from_trace(trace).to_json(6);
         out.push_str("      \"ic\": ");
-        out.push_str(
-            PerfReport::from_trace(&run.ic_trace)
-                .to_json(6)
-                .trim_start(),
-        );
+        out.push_str(perf(&run.ic_trace).trim_start());
         out.push_str(",\n");
         out.push_str("      \"pic\": ");
-        out.push_str(
-            PerfReport::from_trace(&run.pic_trace)
-                .to_json(6)
-                .trim_start(),
-        );
+        out.push_str(perf(&run.pic_trace).trim_start());
         out.push_str(",\n");
         out.push_str("      \"quality\": ");
         out.push_str(run.quality.to_json(6).trim_start());
@@ -334,22 +424,17 @@ pub fn bench_json(
         // Schema v7: the ranked counterfactual bottleneck table
         // (DESIGN.md §15). Scalar rows only — the per-phase breakdowns
         // live in the `pic explain --json` artifact, not the gate.
+        let sensitivity = |side: &str| {
+            super::explain::sensitivity(run, side, &pic_simnet::whatif::CATALOG)
+                .expect("collected run has a root span")
+                .to_json(8, false)
+        };
         out.push_str("      \"sensitivity\": {\n");
         out.push_str("        \"ic\": ");
-        out.push_str(
-            super::explain::sensitivity(run, "ic", &pic_simnet::whatif::CATALOG)
-                .expect("collected run has a root span")
-                .to_json(8, false)
-                .trim_start(),
-        );
+        out.push_str(sensitivity("ic").trim_start());
         out.push_str(",\n");
         out.push_str("        \"pic\": ");
-        out.push_str(
-            super::explain::sensitivity(run, "pic", &pic_simnet::whatif::CATALOG)
-                .expect("collected run has a root span")
-                .to_json(8, false)
-                .trim_start(),
-        );
+        out.push_str(sensitivity("pic").trim_start());
         out.push('\n');
         out.push_str("      },\n");
         // Schema v8: the online-monitor summary (DESIGN.md §16) —

@@ -13,20 +13,21 @@
 //! repeated on a fresh engine and the two models compared, which pins
 //! that construction against future drift.
 
-use super::common::cost::{self, AppCost};
+use super::common::{
+    small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload, SMALL_SUITE_APPS,
+};
 use super::ExperimentCtx;
 use pic_core::prelude::*;
-use pic_mapreduce::{Dataset, Engine};
 use pic_simnet::report::{fmt_f64, TenancyReport};
 use pic_simnet::tenancy::{
     preset, DriverMix, IterKind, IterationDemand, JobProfile, TenancyJob, WorkloadSpec,
 };
-use pic_simnet::{ClusterSpec, Tracer, TrafficClass};
+use pic_simnet::{Tracer, TrafficClass};
 use std::collections::BTreeMap;
 
-/// The apps the tenancy stream draws from (same representative subset as
-/// the chaos campaign: centroid model, dense vector model, grid model).
-pub const TENANCY_APPS: [&str; 3] = ["kmeans", "linsolve", "smoothing"];
+/// The apps the tenancy stream draws from: [`small_suite`]'s, the same
+/// representative subset as the chaos campaign.
+pub const TENANCY_APPS: [&str; 3] = SMALL_SUITE_APPS;
 
 /// Seed of the default workload (arrivals, app picks, scale picks).
 pub const STREAM_SEED: u64 = 0x7E4A;
@@ -91,42 +92,15 @@ fn quality_index(traj: &[TrajectoryPoint], total_iters: usize) -> usize {
         .clamp(1, total_iters)
 }
 
-/// One solo run of `driver`, returning the derived profile and the
-/// converged model.
-#[allow(clippy::too_many_arguments)]
-fn run_solo<A: PicApp + QualityProbe>(
+/// Derive a job profile from one solo run's driver report.
+fn profile_of<M>(
     who: &str,
-    driver: &'static str,
-    spec: &ClusterSpec,
-    app: &A,
-    records: &[A::Record],
-    init: &A::Model,
+    report: &DriverReport<M>,
     splits: usize,
     partitions: usize,
-    cost: &AppCost,
-) -> Result<(JobProfile, A::Model), String>
-where
-    A::Record: Clone,
-    A::Model: Clone,
-{
-    let engine = Engine::new(spec.clone());
-    let data = Dataset::create(&engine, "/tenancy/input", records.to_vec(), splits);
-    engine.reset();
-    if driver == "ic" {
-        let r = run_ic(
-            &engine,
-            app,
-            &data,
-            init.clone(),
-            &IcOptions {
-                timing: cost.timing.clone(),
-                ..Default::default()
-            },
-        );
-        if r.per_iteration.is_empty() {
-            return Err(format!("{who}: solo IC run had no iterations"));
-        }
-        let iterations: Vec<IterationDemand> = r
+) -> Result<JobProfile, String> {
+    let iterations: Vec<IterationDemand> = match report {
+        DriverReport::Ic(r) => r
             .per_iteration
             .iter()
             .map(|it| IterationDemand {
@@ -135,173 +109,70 @@ where
                 task_duration_s: it.time_s,
                 bisection_bytes: it.traffic.shuffle_total() + it.traffic.model_update_total(),
             })
-            .collect();
-        let quality_iteration = quality_index(&r.trajectory, iterations.len());
-        Ok((
-            JobProfile {
-                iterations,
-                quality_iteration,
-            },
-            r.final_model,
-        ))
-    } else {
-        let r = run_pic(
-            &engine,
-            app,
-            &data,
-            init.clone(),
-            &PicOptions {
-                partitions,
-                timing: cost.timing.clone(),
-                local_secs_per_record: Some(cost.local_secs),
-                ..Default::default()
-            },
-        );
-        let mut iterations = Vec::new();
-        if r.be_iterations > 0 {
-            let n = r.be_iterations as u64;
-            let per_bytes = (r.be_traffic.get(TrafficClass::Merge)
-                + r.be_traffic.model_update_total()
-                + r.be_traffic.shuffle_total())
-                / n;
-            for _ in 0..r.be_iterations {
-                iterations.push(IterationDemand {
-                    kind: IterKind::Be,
-                    tasks: partitions,
-                    task_duration_s: r.be_time_s / r.be_iterations as f64,
-                    bisection_bytes: per_bytes,
-                });
-            }
+            .collect(),
+        DriverReport::Pic(r) => {
+            // A phase's time and bisection bytes, spread evenly over its
+            // `n` iterations.
+            let phase = |kind, n: usize, tasks, secs: f64, bytes: u64| {
+                (0..n).map(move |_| IterationDemand {
+                    kind,
+                    tasks,
+                    task_duration_s: secs / n as f64,
+                    bisection_bytes: bytes / n as u64,
+                })
+            };
+            let (be, top) = (&r.be_traffic, &r.topoff_traffic);
+            let be_bytes =
+                be.get(TrafficClass::Merge) + be.model_update_total() + be.shuffle_total();
+            let top_bytes = top.shuffle_total() + top.model_update_total();
+            let (be_n, top_n) = (r.be_iterations, r.topoff_iterations);
+            let be = phase(IterKind::Be, be_n, partitions, r.be_time_s, be_bytes);
+            let topoff = phase(IterKind::Topoff, top_n, splits, r.topoff_time_s, top_bytes);
+            be.chain(topoff).collect()
         }
-        if r.topoff_iterations > 0 {
-            let n = r.topoff_iterations as u64;
-            let per_bytes =
-                (r.topoff_traffic.shuffle_total() + r.topoff_traffic.model_update_total()) / n;
-            for _ in 0..r.topoff_iterations {
-                iterations.push(IterationDemand {
-                    kind: IterKind::Topoff,
-                    tasks: splits,
-                    task_duration_s: r.topoff_time_s / r.topoff_iterations as f64,
-                    bisection_bytes: per_bytes,
-                });
-            }
-        }
-        if iterations.is_empty() {
-            return Err(format!("{who}: solo PIC run had no iterations"));
-        }
-        let quality_iteration = quality_index(&r.trajectory, iterations.len());
-        Ok((
-            JobProfile {
-                iterations,
-                quality_iteration,
-            },
-            r.final_model,
-        ))
+    };
+    if iterations.is_empty() {
+        return Err(format!("{who}: solo run had no iterations"));
     }
+    let (_, trajectory, _) = report.outcome();
+    let quality_iteration = quality_index(trajectory, iterations.len());
+    Ok(JobProfile {
+        iterations,
+        quality_iteration,
+    })
 }
 
-/// Two solo runs on fresh engines: the profile from the first, the
-/// exact-model bit from comparing both converged models.
-#[allow(clippy::too_many_arguments)]
-fn solo_pair<A: PicApp + QualityProbe>(
-    app_name: &str,
-    driver: &'static str,
-    spec: &ClusterSpec,
-    app: &A,
-    records: &[A::Record],
-    init: &A::Model,
-    splits: usize,
-    partitions: usize,
-    cost: &AppCost,
-) -> Result<SoloProfile, String>
-where
-    A::Record: Clone,
-    A::Model: Clone + PartialEq,
-{
-    let who = format!("{app_name}/{driver}");
-    let (profile, m1) = run_solo(
-        &who, driver, spec, app, records, init, splits, partitions, cost,
-    )?;
-    let (_, m2) = run_solo(
-        &who, driver, spec, app, records, init, splits, partitions, cost,
-    )?;
-    Ok(SoloProfile {
-        profile,
-        exact_model: m1 == m2,
-    })
+/// Visits each suite workload: per driver, two solo runs on fresh
+/// engines — the profile from the first, the exact-model bit from
+/// comparing both converged models.
+struct Profiler(ProfileSet);
+
+impl SuiteVisitor for Profiler {
+    fn visit<A: BenchApp>(&mut self, w: &Workload<'_, A>) -> Result<(), String> {
+        for driver in Driver::BOTH {
+            let first = w.run(driver, None)?.report;
+            let second = w.run(driver, None)?.report;
+            let ((_, _, model), (_, _, rerun_model)) = (first.outcome(), second.outcome());
+            let who = format!("{}/{}", w.name, driver.label());
+            self.0.insert(
+                (w.name.to_string(), driver.label()),
+                SoloProfile {
+                    profile: profile_of(&who, &first, w.splits, w.partitions)?,
+                    exact_model: model == rerun_model,
+                },
+            );
+        }
+        Ok(())
+    }
 }
 
 /// Derive profiles for every `(app, driver)` pair the stream can draw:
 /// [`TENANCY_APPS`] × {ic, pic}, on the small reference cluster with the
 /// same per-app configurations as the chaos campaign.
 pub fn profiles(ctx: &ExperimentCtx) -> Result<ProfileSet, String> {
-    let mut out = ProfileSet::new();
-    let spec = ClusterSpec::small();
-
-    // K-means: small mixture, centroid model.
-    {
-        use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
-        let app = KMeansApp::new(4, 2, 1.0);
-        let records = gaussian_mixture(ctx.n(2_000, 400), 4, 2, 1000.0, 40.0, 3);
-        let init = Centroids::new(init_random_centroids(4, 2, 1000.0, 7));
-        let sample: Vec<_> = records.iter().step_by(2).cloned().collect();
-        let reference = app.solve_reference(&sample, &init, 300);
-        let app = app.with_eval_sample(sample, &reference);
-        let (splits, partitions) = (6, 4);
-        let c = cost::kmeans();
-        for driver in ["ic", "pic"] {
-            let p = solo_pair(
-                "kmeans", driver, &spec, &app, &records, &init, splits, partitions, &c,
-            )?;
-            out.insert(("kmeans".to_string(), driver), p);
-        }
-    }
-
-    // Linear solver: dense vector model.
-    {
-        use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
-        let n = 100;
-        let sys = diag_dominant_system(n, 0.05, 11);
-        let app = LinSolveApp::new(n, 5, 1e-8)
-            .with_exact(sys.exact.clone())
-            .with_rows(sys.rows.clone());
-        let init = vec![0.0; n];
-        let (splits, partitions) = (5, 5);
-        let c = cost::linsolve();
-        for driver in ["ic", "pic"] {
-            let p = solo_pair(
-                "linsolve", driver, &spec, &app, &sys.rows, &init, splits, partitions, &c,
-            )?;
-            out.insert(("linsolve".to_string(), driver), p);
-        }
-    }
-
-    // Smoothing: grid model.
-    {
-        use pic_apps::smoothing::{noisy_image, SmoothingApp};
-        let side = 64;
-        let f = noisy_image(side, side, 0.08, 5);
-        let app = SmoothingApp::new(side, side, 8, 1e-6).with_observed(f.clone());
-        let records = f.rows();
-        let (splits, partitions) = (8, 8);
-        let c = cost::smoothing(side);
-        for driver in ["ic", "pic"] {
-            let p = solo_pair(
-                "smoothing",
-                driver,
-                &spec,
-                &app,
-                &records,
-                &f,
-                splits,
-                partitions,
-                &c,
-            )?;
-            out.insert(("smoothing".to_string(), driver), p);
-        }
-    }
-
-    Ok(out)
+    let mut profiler = Profiler(ProfileSet::new());
+    small_suite(ctx, "/tenancy/input", &mut profiler)?;
+    Ok(profiler.0)
 }
 
 /// True when every profile's repeat run reproduced its model exactly.
@@ -361,27 +232,16 @@ pub fn stream(
 pub fn section(ctx: &ExperimentCtx) -> Result<TenancySection, String> {
     let set = profiles(ctx)?;
     let wl = default_workload();
-    let mixed = stream_with("1k", &wl, &set)?;
-    let ic = stream_with(
-        "1k",
-        &WorkloadSpec {
-            drivers: DriverMix::IcOnly,
+    let p99_of = |drivers| {
+        let replay = WorkloadSpec {
+            drivers,
             ..wl.clone()
-        },
-        &set,
-    )?;
-    let pic = stream_with(
-        "1k",
-        &WorkloadSpec {
-            drivers: DriverMix::PicOnly,
-            ..wl
-        },
-        &set,
-    )?;
-    let ic_p99 = ic.tt_quality_percentile(99.0);
-    let pic_p99 = pic.tt_quality_percentile(99.0);
+        };
+        stream_with("1k", &replay, &set).map(|r| r.tt_quality_percentile(99.0))
+    };
+    let (ic_p99, pic_p99) = (p99_of(DriverMix::IcOnly)?, p99_of(DriverMix::PicOnly)?);
     Ok(TenancySection {
-        mixed,
+        mixed: stream_with("1k", &wl, &set)?,
         ic_p99_tt_quality_s: ic_p99,
         pic_p99_tt_quality_s: pic_p99,
         packing_x: if pic_p99 > 0.0 { ic_p99 / pic_p99 } else { 0.0 },
@@ -393,27 +253,21 @@ pub fn section(ctx: &ExperimentCtx) -> Result<TenancySection, String> {
 /// `indent` spaces.
 pub fn section_json(s: &TenancySection, indent: usize) -> String {
     let pad = " ".repeat(indent);
-    let mut out = String::new();
-    out.push_str(&format!("{pad}{{\n"));
-    out.push_str(&format!(
-        "{pad}  \"ic_p99_tt_quality_s\": {},\n",
-        fmt_f64(s.ic_p99_tt_quality_s)
-    ));
-    out.push_str(&format!(
-        "{pad}  \"pic_p99_tt_quality_s\": {},\n",
-        fmt_f64(s.pic_p99_tt_quality_s)
-    ));
-    out.push_str(&format!(
-        "{pad}  \"packing_x\": {},\n",
-        fmt_f64(s.packing_x)
-    ));
-    out.push_str(&format!("{pad}  \"exact_models\": {},\n", s.exact_models));
-    out.push_str(&format!(
-        "{pad}  \"mixed\": {}\n",
-        s.mixed.to_json(indent + 2).trim_start()
-    ));
-    out.push_str(&format!("{pad}}}"));
-    out
+    let fields = [
+        ("ic_p99_tt_quality_s", fmt_f64(s.ic_p99_tt_quality_s)),
+        ("pic_p99_tt_quality_s", fmt_f64(s.pic_p99_tt_quality_s)),
+        ("packing_x", fmt_f64(s.packing_x)),
+        ("exact_models", s.exact_models.to_string()),
+        (
+            "mixed",
+            s.mixed.to_json(indent + 2).trim_start().to_string(),
+        ),
+    ];
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("{pad}  \"{key}\": {value}"))
+        .collect();
+    format!("{pad}{{\n{}\n{pad}}}", body.join(",\n"))
 }
 
 /// The per-job rows as one CSV document (the CI artifact).

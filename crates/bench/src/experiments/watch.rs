@@ -61,11 +61,23 @@ fn cfg_for(run: &AppRun, opts: &WatchOptions) -> MonitorConfig {
     cfg
 }
 
+/// Most buckets (a quarter-window each) one replayed run may span.
+const MAX_BUCKETS: f64 = 1e6;
+
 /// Replay every collected run through the monitor with the given
 /// options. Errors carry the monitor's pinned validation messages.
 pub fn sections(runs: &[AppRun], opts: &WatchOptions) -> Result<Vec<WatchSection>, String> {
     runs.iter()
         .map(|run| {
+            // The monitor keeps every bucket of every series: refuse a
+            // window so fine that the replay could not be allocated.
+            let buckets = run.ic_time_s.max(run.pic_time_s) / cfg_for(run, opts).bucket_s();
+            if buckets > MAX_BUCKETS {
+                let (window, app) = (opts.window_s, run.app);
+                return Err(format!(
+                    "--window {window} s is too fine for {app}: {buckets:.0} buckets, limit {MAX_BUCKETS}"
+                ));
+            }
             let ic = Monitor::replay(cfg_for(run, opts), &run.ic_trace)?;
             let pic = Monitor::replay(cfg_for(run, opts), &run.pic_trace)?;
             Ok(WatchSection {

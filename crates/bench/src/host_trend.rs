@@ -22,17 +22,10 @@ use pic_simnet::report::fmt_f64;
 /// Header of `BENCH_host.csv`.
 pub const CSV_HEADER: &str = "stage,calls,bytes,median_total_s,share";
 
-/// Default repetitions for the median.
-pub const DEFAULT_REPS: usize = 5;
-
 /// Default absolute tolerance on a stage's share of total host time.
 /// Generous on purpose: the gate exists to catch order-of-magnitude
 /// cliffs (a stage doubling its share), not scheduler jitter.
 pub const SHARE_BAND: f64 = 0.25;
-
-/// Workload scale for the trend run — small enough for CI, large enough
-/// that every engine, driver, DFS, and event-core stage records calls.
-pub const TREND_SCALE: f64 = 0.02;
 
 /// One `BENCH_host.csv` row.
 #[derive(Debug, Clone, PartialEq)]

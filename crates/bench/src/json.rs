@@ -1,9 +1,9 @@
 //! Minimal JSON parsing and tolerance-band diffing for the regression
 //! gate.
 //!
-//! The vendored `serde` stand-in is a no-op, so `BENCH_pic.json` is both
-//! written (by `experiments::report`) and read (here) by hand. The parser
-//! keeps each number's **raw literal** alongside its parsed value so that
+//! `BENCH_pic.json` is both written (by `experiments::report`) and read
+//! (here) by hand — the workspace has no serialization dependency. The
+//! parser keeps each number's **raw literal** alongside its parsed value so that
 //! byte counts and counters can be compared exactly, while simulated
 //! seconds (keys ending `_s`) and ratios (keys ending `_x`) are compared
 //! with a relative epsilon — the tolerance bands DESIGN.md §9 documents.

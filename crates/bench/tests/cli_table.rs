@@ -1,0 +1,235 @@
+//! The command table is the contract (DESIGN.md §17): these
+//! tests iterate `pic_bench::cli::COMMANDS` (plus `EVENT_BENCH`) and
+//! drive the real binaries, so a table entry cannot ship with a flag
+//! that is undocumented, unparsed, or able to panic on bad input.
+
+use pic_bench::cli::{usage, Command, Group, Kind, COMMANDS, EVENT_BENCH};
+use std::process::{Command as Process, Output};
+
+fn all_commands() -> impl Iterator<Item = &'static Command> {
+    COMMANDS.iter().chain([&EVENT_BENCH])
+}
+
+/// Run `command` (through `pic`, or the binary it is) with `args`.
+fn invoke(command: &Command, args: &[&str]) -> Output {
+    let mut process = match command.group {
+        Group::Binary => Process::new(env!("CARGO_BIN_EXE_event_bench")),
+        _ => {
+            let mut pic = Process::new(env!("CARGO_BIN_EXE_pic"));
+            pic.arg(command.name);
+            pic
+        }
+    };
+    process.args(args).output().expect("spawn")
+}
+
+fn stderr_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Exit 2 with `error: <line>` first — never a panic (101) or an abort
+/// (134). Returns the error line.
+fn rejected(command: &Command, args: &[&str]) -> String {
+    let out = invoke(command, args);
+    let stderr = stderr_of(&out);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{} {args:?} must exit 2:\n{stderr}",
+        command.invocation()
+    );
+    let first = stderr.lines().next().unwrap_or("");
+    assert!(first.starts_with("error: "), "{first}");
+    first.to_string()
+}
+
+#[test]
+fn help_of_every_command_documents_every_flag() {
+    for command in all_commands() {
+        let out = invoke(command, &["--help"]);
+        assert_eq!(out.status.code(), Some(0), "{}", command.invocation());
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(text, usage(command));
+        assert!(text.contains(command.summary), "{text}");
+        for flag in command.flags {
+            assert!(text.contains(flag.name), "{} missing:\n{text}", flag.name);
+            assert!(text.contains(flag.help), "{} help missing", flag.name);
+            assert!(text.contains(flag.metavar), "{} metavar", flag.name);
+        }
+    }
+}
+
+#[test]
+fn unknown_flag_lists_the_commands_valid_flags() {
+    for command in all_commands() {
+        let line = rejected(command, &["--no-such-flag"]);
+        assert!(line.contains("unknown flag '--no-such-flag'"), "{line}");
+        assert!(line.contains(&command.invocation()), "{line}");
+        for flag in command.flags {
+            assert!(line.contains(flag.name), "{} missing: {line}", flag.name);
+        }
+    }
+}
+
+/// Values the flag's kind must refuse: never parseable garbage for the
+/// numeric kinds, plus both sides of every stated range.
+fn bad_values(kind: Kind) -> Vec<String> {
+    match kind {
+        Kind::Switch | Kind::List(_) | Kind::Text => vec![],
+        Kind::Positive(max) => vec!["x".into(), "0".into(), "-1".into(), "nan".into()]
+            .into_iter()
+            .chain([format!("{}", max * 2.0), "inf".into()])
+            .collect(),
+        Kind::NonNegative => vec!["x".into(), "-1".into(), "inf".into(), "nan".into()],
+        Kind::Count(max) => vec!["x".into(), "0".into(), "-1".into(), (max + 1).to_string()],
+        Kind::Counts(max) => vec!["x".into(), "0".into(), format!("1,{}", max + 1)],
+        Kind::U64 => vec!["x".into(), "-1".into(), "1.5".into()],
+        Kind::Names(..) => vec!["no-such-name".into()],
+    }
+}
+
+#[test]
+fn every_value_flag_rejects_missing_garbage_and_out_of_range_values() {
+    for command in all_commands() {
+        for flag in command.flags {
+            if matches!(flag.kind, Kind::Switch | Kind::List(_)) {
+                continue;
+            }
+            let line = rejected(command, &[flag.name]);
+            let wants = format!("{} wants {}", flag.name, flag.kind.wants());
+            assert!(line.contains(&wants), "{line}");
+            assert!(line.ends_with("got nothing"), "{line}");
+
+            for value in bad_values(flag.kind) {
+                let line = rejected(command, &[flag.name, &value]);
+                assert!(line.contains(&format!("'{value}'")), "{line}");
+                match flag.kind {
+                    Kind::Names(what, catalog) => {
+                        assert!(line.contains(&format!("unknown {what}")), "{line}");
+                        assert!(line.contains(&catalog.join(", ")), "{line}");
+                    }
+                    _ => assert!(line.contains(&wants), "{line}"),
+                }
+            }
+        }
+    }
+}
+
+/// The nine argv cases that panicked, aborted, or were silently accepted
+/// before the table: each now exits 2 naming the flag, the value and
+/// the accepted range.
+#[test]
+fn the_nine_known_bad_argvs_are_refused_by_name() {
+    let cases: [(&str, &[&str], &str); 9] = [
+        (
+            "kmeans",
+            &["--partitions", "0"],
+            "--partitions wants an integer in 1..=4096, got '0'",
+        ),
+        (
+            "kmeans",
+            &["--k", "0", "--n", "1000"],
+            "--k wants an integer in 1..=10000, got '0'",
+        ),
+        (
+            "smoothing",
+            &["--side", "0"],
+            "--side wants an integer in 1..=4096, got '0'",
+        ),
+        (
+            "linsolve",
+            &["--n", "0"],
+            "--n wants an integer in 1..=10000000, got '0'",
+        ),
+        (
+            "kmeans",
+            &["--cluster", "large:0"],
+            "--cluster large:N wants an integer N in 1..=10000, got '0'",
+        ),
+        (
+            "pagerank",
+            &["--n", "10", "--partitions", "50"],
+            "pagerank wants --n ≥ 50 with --partitions 50, got '10'",
+        ),
+        (
+            "timeline",
+            &["--width", "99999999999"],
+            "--width wants an integer in 1..=4096, got '99999999999'",
+        ),
+        (
+            "report",
+            &["--scale", "inf"],
+            "--scale wants a number in (0, 100], got 'inf'",
+        ),
+        (
+            "explain",
+            &["linsolve", "--top", "-1"],
+            "--top wants an integer ≥ 0, got '-1'",
+        ),
+    ];
+    for (name, args, expected) in cases {
+        let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
+        assert_eq!(rejected(command, args), format!("error: {expected}"));
+    }
+}
+
+/// The launcher's cross-flag checks: shapes the app constructors would
+/// panic (or, for a one-page graph, spin) on.
+#[test]
+fn launcher_refuses_shapes_the_apps_cannot_build() {
+    let cases: [(&str, &[&str], &str); 6] = [
+        ("pagerank", &["--n", "1", "--partitions", "1"], "--n ≥ 2"),
+        ("linsolve", &["--n", "5", "--partitions", "10"], "--n ≥ 10"),
+        (
+            "smoothing",
+            &["--side", "4", "--partitions", "16"],
+            "--side ≥ 16",
+        ),
+        (
+            "smoothing",
+            &["--side", "1", "--partitions", "1"],
+            "--side ≥ 2",
+        ),
+        ("kmeans", &["--cluster", "largeX"], "unknown cluster"),
+        ("kmeans", &["--cluster", "large:abc"], "got 'abc'"),
+    ];
+    for (name, args, expected) in cases {
+        let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
+        let line = rejected(command, args);
+        assert!(line.contains(expected), "{line}");
+    }
+}
+
+/// `pic watch --window` so fine that the replay could not be allocated
+/// is refused after the (cheap) run, not by an allocation abort.
+#[test]
+fn a_window_too_fine_to_allocate_is_refused() {
+    let watch = COMMANDS.iter().find(|c| c.name == "watch").unwrap();
+    let line = rejected(
+        watch,
+        &["linsolve", "--scale", "0.01", "--window", "0.000000001"],
+    );
+    assert!(line.contains("too fine for linsolve"), "{line}");
+}
+
+#[test]
+fn pic_help_has_one_row_per_table_entry() {
+    let out = Process::new(env!("CARGO_BIN_EXE_pic"))
+        .arg("help")
+        .output()
+        .expect("spawn pic");
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let rows: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    assert_eq!(rows.len(), COMMANDS.len(), "{text}");
+    for (row, command) in rows.iter().zip(COMMANDS) {
+        assert!(row.starts_with(command.name), "{row}");
+        assert!(row.contains(command.summary), "{row}");
+        assert!(row.contains(command.design), "{row}");
+    }
+}

@@ -75,7 +75,6 @@ pub mod partition;
 pub mod quality;
 pub mod report;
 pub mod scope;
-pub mod timeline;
 
 pub use app::{IterativeApp, PicApp};
 pub use driver::{run_ic, run_pic, IcOptions, PicOptions};

@@ -5,10 +5,9 @@
 //! what gives the scheduler its locality information.
 
 use pic_simnet::topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One map task's slice of an input file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputSplit {
     /// Byte offset within the file.
     pub offset: u64,

@@ -20,7 +20,8 @@
 //!   (`==`) with the [`crate::traffic::TrafficLedger`] totals —
 //!   [`PerfReport::reconcile`] asserts it.
 //! * [`PerfReport::to_json`] — a deterministic, schema-versioned JSON
-//!   rendering (serde is a vendored no-op, so it is written by hand) that
+//!   rendering (written by hand: key order and number formatting are part
+//!   of the byte-identity contract) that
 //!   `bench`'s `BENCH_pic.json` embeds and the `regress` gate diffs. The
 //!   JSON contains no host wall-clock values, so it is byte-identical
 //!   across rayon pool widths. DESIGN.md §9 documents the schema.

@@ -12,7 +12,6 @@
 use crate::event::EventQueue;
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::{Payload, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Tuning knobs for a scheduling round.
@@ -84,7 +83,7 @@ impl TaskSpec {
 }
 
 /// How a scheduled task's input was reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Locality {
     /// Ran on a node holding a replica of its input.
     NodeLocal,
@@ -96,7 +95,7 @@ pub enum Locality {
 
 /// One task attempt assigned to a slot, in assignment order — the raw
 /// event-log the trace layer replays into task spans.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskLaunch {
     /// Index of the task in the input slice.
     pub task: usize,
@@ -112,14 +111,13 @@ pub struct TaskLaunch {
     pub speculative: bool,
     /// True if this attempt was killed by its node dying mid-execution;
     /// `finish_s` is then the death time, not a completion.
-    #[serde(default)]
     pub killed: bool,
     /// Locality class of this attempt's placement.
     pub locality: Locality,
 }
 
 /// Result of scheduling one batch of tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleOutcome {
     /// Time from first assignment to last completion.
     pub makespan_s: f64,
@@ -142,7 +140,6 @@ pub struct ScheduleOutcome {
     /// backups that lost the race and attempts killed by node failures.
     pub launches: Vec<TaskLaunch>,
     /// Attempts killed by injected node failures.
-    #[serde(default)]
     pub killed_attempts: usize,
 }
 

@@ -7,8 +7,6 @@
 //! scale" (paper §I). All-to-all shuffle traffic stresses the bisection;
 //! rack-local and node-local traffic does not.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node within a [`ClusterSpec`] (0-based, dense).
 pub type NodeId = usize;
 
@@ -26,7 +24,7 @@ pub const TEN_GBE: f64 = 1_250_000_000.0;
 ///
 /// All bandwidths are bytes/second. Slots are cluster-wide totals, matching
 /// how the paper reports them ("330 map and 110 reduce task slots").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable name, used in reports ("small", "medium", ...).
     pub name: String,

@@ -25,8 +25,8 @@
 //! `tests/trace_invariants.rs` pins.
 //!
 //! [`Trace::to_chrome_json`] exports the Chrome `about:tracing` /
-//! Perfetto JSON format (serde is a vendored no-op stand-in, so the JSON
-//! is rendered by hand). [`MetricsRegistry::from_trace`] derives per-phase
+//! Perfetto JSON format, rendered by hand so the bytes are a pinned
+//! function of the trace. [`MetricsRegistry::from_trace`] derives per-phase
 //! time, per-class bytes and counter rollups, and [`check`] holds the
 //! reusable trace invariants the test suite asserts.
 
@@ -781,7 +781,7 @@ impl MetricsRegistry {
 
 /// Reusable trace invariants. Every function returns `Ok(())` or the
 /// list of violations, so test failures show all problems at once and
-/// the CI smoke binary can print them.
+/// `pic report --check` can print them.
 pub mod check {
     use super::{Span, Trace};
     use crate::traffic::{TrafficClass, TrafficSnapshot};

@@ -10,10 +10,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a byte transfer, by which resource it consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Map → reduce intermediate data that stays on one node (free of the
     /// network; charged to local disk).
@@ -160,7 +158,7 @@ impl TrafficLedger {
 
 /// A plain-data copy of a [`TrafficLedger`] at one instant. Snapshots can be
 /// subtracted to get per-phase deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSnapshot {
     bytes: [u64; 10],
 }
