@@ -347,11 +347,11 @@ mod tests {
         let (x, iters) = app.solve_local(1, &parts[1], &x0, 100);
         assert!(iters >= 1);
         let range = app.block_range(1);
-        for i in 0..40 {
+        for (i, xi) in x.iter().enumerate() {
             if range.contains(&i) {
                 continue;
             }
-            assert_eq!(x[i], 0.25, "off-block unknown {i} must stay frozen");
+            assert_eq!(*xi, 0.25, "off-block unknown {i} must stay frozen");
         }
     }
 

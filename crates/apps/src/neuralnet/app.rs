@@ -298,7 +298,7 @@ mod tests {
         let (train, valid, model) = setup();
         let app = NeuralNetApp::new(valid);
         let (m, iters) = app.solve_local(0, &train[..100], &model, 30);
-        assert!(iters >= 1 && iters <= 30);
+        assert!((1..=30).contains(&iters));
         assert!(m.loss(&train[..100]) < model.loss(&train[..100]));
     }
 

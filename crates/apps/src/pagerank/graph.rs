@@ -141,7 +141,7 @@ mod tests {
     fn degrees_in_range_and_no_self_loops() {
         let g = block_local_graph(200, 4, 1, 5, 0.8, 3);
         for (v, outs) in g.out.iter().enumerate() {
-            assert!(outs.len() >= 1 && outs.len() <= 5);
+            assert!((1..=5).contains(&outs.len()));
             assert!(outs.iter().all(|&u| u as usize != v));
         }
     }

@@ -137,58 +137,10 @@ fn bench_hostprof_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// The DESIGN.md §16 online monitor's cost contract, same bar as
-/// hostprof: with no sink attached (the default) every span/instant
-/// record pays one relaxed atomic load, so a traced job benches
-/// identically with the hook compiled in; with a live monitor attached
-/// the overhead stays a small constant per event.
-fn bench_monitor_overhead(c: &mut Criterion) {
-    use pic_simnet::{Monitor, MonitorConfig};
-
-    let mut g = c.benchmark_group("monitor_overhead");
-    g.sample_size(10);
-
-    let n = 100_000usize;
-    // Traced: the sink hook sits on the tracer's record paths, so the
-    // detached case measures exactly the one-atomic-load discipline.
-    let engine = Engine::new(ClusterSpec::small());
-    let data = Dataset::create(&engine, "/b/mon", (0..n as u64).collect(), 24);
-    let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| {
-        ctx.emit(*x % 1000, 1);
-    });
-    let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
-        ctx.emit((*k, vs.iter().sum()));
-    });
-
-    g.bench_function("detached", |b| {
-        b.iter(|| {
-            engine.reset();
-            engine
-                .run(&analytic("jw"), &data, &mapper, &reducer)
-                .stats
-                .output_records
-        });
-    });
-    let _monitor = Monitor::attach(MonitorConfig::new(ClusterSpec::small()), engine.tracer())
-        .expect("default monitor config is valid");
-    g.bench_function("attached", |b| {
-        b.iter(|| {
-            engine.reset();
-            engine
-                .run(&analytic("jw"), &data, &mapper, &reducer)
-                .stats
-                .output_records
-        });
-    });
-    engine.tracer().detach_sink();
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_engine,
     bench_wide_shuffle,
-    bench_hostprof_overhead,
-    bench_monitor_overhead
+    bench_hostprof_overhead
 );
 criterion_main!(benches);

@@ -17,7 +17,7 @@ use super::common::{
 use super::ExperimentCtx;
 use pic_core::prelude::*;
 use pic_simnet::chaos::FaultPlan;
-use pic_simnet::report::fmt_f64;
+use pic_simnet::report::{csv_record, fmt_f64, Column};
 use pic_simnet::trace::check;
 use pic_simnet::{ClusterSpec, Monitor, MonitorConfig};
 
@@ -206,46 +206,24 @@ pub fn campaign(ctx: &ExperimentCtx, scenarios: &[&str]) -> Result<Vec<ChaosCell
 }
 
 impl ChaosCell {
-    /// The cell as `(column, value)` pairs, in schema order — the one
-    /// definition behind the `quality_under_failure` JSON objects and the
-    /// chaos CSV rows. The first three values are strings.
-    fn columns(&self) -> [(&'static str, String); 12] {
-        [
-            ("app", self.app.to_string()),
-            ("scenario", self.scenario.to_string()),
-            ("driver", self.driver.to_string()),
-            ("clean_s", fmt_f64(self.clean_s)),
-            ("faulty_s", fmt_f64(self.faulty_s)),
-            ("recovery_s", fmt_f64(self.recovery_s)),
-            ("recovery_bytes", self.recovery_bytes.to_string()),
-            ("injected_events", self.injected_events.to_string()),
-            ("tt_quality_delta_s", fmt_f64(self.tt_quality_delta_s)),
-            ("incidents", self.incidents.to_string()),
-            ("clean_incidents", self.clean_incidents.to_string()),
-            ("exact_result", self.exact_result.to_string()),
+    /// The cell in schema order — the one definition behind the
+    /// `quality_under_failure` JSON objects and the chaos CSV rows.
+    pub(crate) fn columns(&self) -> Vec<Column> {
+        vec![
+            Column::text("app", self.app),
+            Column::text("scenario", self.scenario),
+            Column::text("driver", self.driver),
+            Column::num("clean_s", fmt_f64(self.clean_s)),
+            Column::num("faulty_s", fmt_f64(self.faulty_s)),
+            Column::num("recovery_s", fmt_f64(self.recovery_s)),
+            Column::num("recovery_bytes", self.recovery_bytes),
+            Column::num("injected_events", self.injected_events),
+            Column::num("tt_quality_delta_s", fmt_f64(self.tt_quality_delta_s)),
+            Column::num("incidents", self.incidents),
+            Column::num("clean_incidents", self.clean_incidents),
+            Column::num("exact_result", self.exact_result),
         ]
     }
-}
-
-/// The campaign cells as JSON array items (for `bench_json`'s
-/// `quality_under_failure` section), indented by `indent` spaces.
-pub fn cells_json(cells: &[ChaosCell], indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let mut out = String::new();
-    for (i, c) in cells.iter().enumerate() {
-        let fields: Vec<String> = (c.columns().iter().enumerate())
-            .map(|(col, (key, value))| match col {
-                0..=2 => format!("{pad}  \"{key}\": \"{value}\""),
-                _ => format!("{pad}  \"{key}\": {value}"),
-            })
-            .collect();
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        out.push_str(&format!(
-            "{pad}{{\n{}\n{pad}}}{comma}\n",
-            fields.join(",\n")
-        ));
-    }
-    out
 }
 
 /// CSV header for [`chaos_csv`].
@@ -256,13 +234,7 @@ pub fn csv_header() -> &'static str {
 
 /// The campaign cells as one CSV document (the CI artifact).
 pub fn chaos_csv(cells: &[ChaosCell]) -> String {
-    let mut out = String::from(csv_header());
-    out.push('\n');
-    for c in cells {
-        out.push_str(&crate::table::csv_row(c.columns().map(|(_, value)| value)));
-        out.push('\n');
-    }
-    out
+    crate::table::csv_doc(csv_header(), cells.iter().map(|c| csv_record(c.columns())))
 }
 
 #[cfg(test)]
@@ -299,7 +271,8 @@ mod tests {
             );
         }
         // The CSV header is the column list the JSON and the rows share.
-        let keys = cells[0].columns().map(|(key, _)| key);
+        let columns = cells[0].columns();
+        let keys: Vec<&str> = columns.iter().map(Column::key).collect();
         assert_eq!(csv_header(), keys.join(","));
         // At least one driver side pays visible recovery.
         assert!(cells.iter().any(|c| c.recovery_bytes > 0));

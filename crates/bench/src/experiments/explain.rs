@@ -11,8 +11,8 @@
 
 use super::report::AppRun;
 use super::ExperimentCtx;
-use crate::table::{csv_row, Align, RowLayout};
-use pic_simnet::report::fmt_f64;
+use crate::table::{csv_doc, Align, RowLayout};
+use pic_simnet::report::{fmt_f64, JsonWriter};
 use pic_simnet::whatif::{Scenario, SensitivityReport};
 use std::fmt::Write as _;
 
@@ -31,21 +31,12 @@ pub struct ExplainSection {
 /// `"pic"`), feeding that side's quality curve so time-to-quality
 /// projections ride along.
 pub fn sensitivity(run: &AppRun, side: &str, scenarios: &[Scenario]) -> Option<SensitivityReport> {
-    match side {
-        "ic" => SensitivityReport::from_trace(
-            &run.ic_trace,
-            &run.spec,
-            &run.quality.ic_curve,
-            scenarios,
-        ),
-        "pic" => SensitivityReport::from_trace(
-            &run.pic_trace,
-            &run.spec,
-            &run.quality.pic_curve,
-            scenarios,
-        ),
-        _ => None,
-    }
+    let (trace, curve) = match side {
+        "ic" => (&run.ic_trace, &run.quality.ic_curve),
+        "pic" => (&run.pic_trace, &run.quality.pic_curve),
+        _ => return None,
+    };
+    SensitivityReport::from_trace(trace, &run.spec, curve, scenarios)
 }
 
 /// Build the explain sections for every collected run.
@@ -138,29 +129,16 @@ pub fn render_side_by_side(section: &ExplainSection, top: usize) -> String {
 /// entry per app with both sides' full tables (phase breakdowns
 /// included). Byte-identical across rayon pool widths.
 pub fn explain_json(ctx: &ExperimentCtx, sections: &[ExplainSection]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"suite\": \"pic-explain\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", fmt_f64(ctx.scale)));
-    out.push_str("  \"apps\": [\n");
-    for (i, s) in sections.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"app\": \"{}\",\n", s.app));
-        out.push_str("      \"ic\": ");
-        out.push_str(s.ic.to_json(6, true).trim_start());
-        out.push_str(",\n");
-        out.push_str("      \"pic\": ");
-        out.push_str(s.pic.to_json(6, true).trim_start());
-        out.push('\n');
-        out.push_str(if i + 1 < sections.len() {
-            "    },\n"
-        } else {
-            "    }\n"
+    let doc = JsonWriter::document(0, |w| {
+        w.field_str("suite", "pic-explain");
+        w.field("scale", &fmt_f64(ctx.scale));
+        w.objects("apps", sections, |w, s| {
+            w.field_str("app", &s.app);
+            w.object("ic", |w| s.ic.write_json(w, true));
+            w.object("pic", |w| s.pic.write_json(w, true));
         });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    });
+    doc + "\n"
 }
 
 /// The ranked-table CSV artifact
@@ -174,20 +152,12 @@ pub fn explain_csv(sections: &[ExplainSection]) -> String {
 /// [`explain_csv`] narrowed to one side (`"ic"` / `"pic"`; `"both"`
 /// keeps both) — what `pic explain --side` writes.
 pub fn explain_csv_for(sections: &[ExplainSection], only: &str) -> String {
-    let mut out = String::from(SensitivityReport::csv_header());
-    out.push('\n');
-    for s in sections {
-        for (side, report) in [("ic", &s.ic), ("pic", &s.pic)] {
-            if only != "both" && only != side {
-                continue;
-            }
-            for rec in report.csv_records(&s.app, side) {
-                out.push_str(&csv_row(&rec));
-                out.push('\n');
-            }
-        }
-    }
-    out
+    let sides = sections
+        .iter()
+        .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)])
+        .filter(|(side, ..)| only == "both" || only == *side);
+    let records = sides.flat_map(|(side, s, report)| report.csv_records(&s.app, side));
+    csv_doc(SensitivityReport::csv_header(), records)
 }
 
 #[cfg(test)]

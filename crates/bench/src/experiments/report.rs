@@ -12,9 +12,11 @@
 
 use super::common::Comparison;
 use super::{fig2, speedups, ExperimentCtx};
-use crate::table::csv_row;
+use crate::table::csv_doc;
 use pic_core::report::TrajectoryPoint;
-use pic_simnet::report::{fmt_f64, PerfReport, QualityPoint, QualityReport, REPORT_SCHEMA_VERSION};
+use pic_simnet::report::{
+    fmt_f64, JsonWriter, PerfReport, QualityPoint, QualityReport, REPORT_SCHEMA_VERSION,
+};
 use pic_simnet::trace::check;
 use pic_simnet::{
     ClusterSpec, Monitor, MonitorConfig, MonitorReport, Trace, TrafficSnapshot, UtilizationReport,
@@ -119,15 +121,14 @@ impl AppRun {
         UtilizationReport::from_trace(&self.pic_trace, &self.spec)
     }
 
-    /// Online-monitor replay of the IC baseline run with the default
-    /// rule catalog (DESIGN.md §16). Replay equals streaming, so this
-    /// is exactly what a live monitor would have reported.
+    /// Monitor replay of the IC baseline run with the default rule
+    /// catalog (DESIGN.md §16).
     pub fn ic_monitor(&self) -> MonitorReport {
         Monitor::replay(MonitorConfig::new(self.spec.clone()), &self.ic_trace)
             .expect("default monitor config is valid")
     }
 
-    /// Online-monitor replay of the PIC run.
+    /// Monitor replay of the PIC run.
     pub fn pic_monitor(&self) -> MonitorReport {
         Monitor::replay(MonitorConfig::new(self.spec.clone()), &self.pic_trace)
             .expect("default monitor config is valid")
@@ -369,124 +370,73 @@ pub fn bench_json(
     tenancy: Option<&super::tenancy::TenancySection>,
     host: Option<&pic_simnet::HostProfile>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema_version\": {REPORT_SCHEMA_VERSION},\n"));
-    out.push_str("  \"suite\": \"pic-report\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", fmt_f64(ctx.scale)));
-    out.push_str("  \"host_profile\": ");
-    match host {
-        Some(p) => out.push_str(&p.to_json_line()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n");
-    out.push_str("  \"apps\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"app\": \"{}\",\n", run.app));
-        out.push_str(&format!("      \"experiment\": \"{}\",\n", run.experiment));
-        out.push_str(&format!(
-            "      \"speedup_x\": {},\n",
-            fmt_f64(run.speedup_x())
-        ));
-        out.push_str(&format!(
-            "      \"ic_total_s\": {},\n",
-            fmt_f64(run.ic_time_s)
-        ));
-        out.push_str(&format!(
-            "      \"pic_total_s\": {},\n",
-            fmt_f64(run.pic_time_s)
-        ));
-        out.push_str(&format!(
-            "      \"host_elapsed_s\": {},\n",
-            fmt_f64(run.host_elapsed_s)
-        ));
-        // `to_json(6)` indents every line by six spaces; the leading
-        // indent of the first line is dropped because it follows the key.
-        let perf = |trace: &Trace| PerfReport::from_trace(trace).to_json(6);
-        out.push_str("      \"ic\": ");
-        out.push_str(perf(&run.ic_trace).trim_start());
-        out.push_str(",\n");
-        out.push_str("      \"pic\": ");
-        out.push_str(perf(&run.pic_trace).trim_start());
-        out.push_str(",\n");
-        out.push_str("      \"quality\": ");
-        out.push_str(run.quality.to_json(6).trim_start());
-        out.push_str(",\n");
-        out.push_str("      \"utilization\": {\n");
-        out.push_str("        \"ic\": ");
-        out.push_str(run.ic_utilization().to_json(8).trim_start());
-        out.push_str(",\n");
-        out.push_str("        \"pic\": ");
-        out.push_str(run.pic_utilization().to_json(8).trim_start());
-        out.push('\n');
-        out.push_str("      },\n");
-        // Schema v7: the ranked counterfactual bottleneck table
-        // (DESIGN.md §15). Scalar rows only — the per-phase breakdowns
-        // live in the `pic explain --json` artifact, not the gate.
-        let sensitivity = |side: &str| {
-            super::explain::sensitivity(run, side, &pic_simnet::whatif::CATALOG)
-                .expect("collected run has a root span")
-                .to_json(8, false)
-        };
-        out.push_str("      \"sensitivity\": {\n");
-        out.push_str("        \"ic\": ");
-        out.push_str(sensitivity("ic").trim_start());
-        out.push_str(",\n");
-        out.push_str("        \"pic\": ");
-        out.push_str(sensitivity("pic").trim_start());
-        out.push('\n');
-        out.push_str("      },\n");
-        // Schema v8: the online-monitor summary (DESIGN.md §16) —
-        // incident counts exact, open durations under the 100× band.
-        // The full series live in the `pic watch --json` artifact.
-        let ic_mon = run.ic_monitor();
-        let pic_mon = run.pic_monitor();
-        out.push_str("      \"monitor\": {\n");
-        out.push_str(&format!(
-            "        \"window_s\": {},\n",
-            fmt_f64(ic_mon.window_s)
-        ));
-        out.push_str("        \"ic\": ");
-        out.push_str(ic_mon.to_json_summary(8).trim_start());
-        out.push_str(",\n");
-        out.push_str("        \"pic\": ");
-        out.push_str(pic_mon.to_json_summary(8).trim_start());
-        out.push('\n');
-        out.push_str("      }\n");
-        out.push_str(if i + 1 < runs.len() {
-            "    },\n"
-        } else {
-            "    }\n"
+    let doc = JsonWriter::document(0, |w| {
+        w.field("schema_version", &REPORT_SCHEMA_VERSION.to_string());
+        w.field_str("suite", "pic-report");
+        w.field("scale", &fmt_f64(ctx.scale));
+        w.field(
+            "host_profile",
+            &host.map_or("null".to_string(), |p| p.to_json_line()),
+        );
+        w.objects("apps", runs, write_app);
+        w.objects("quality_under_failure", chaos, |w, cell| {
+            w.columns(&cell.columns())
         });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"quality_under_failure\": [\n");
-    out.push_str(&super::chaos::cells_json(chaos, 4));
-    out.push_str("  ],\n");
-    out.push_str("  \"tenancy\": ");
-    match tenancy {
-        Some(s) => out.push_str(super::tenancy::section_json(s, 2).trim_start()),
-        None => out.push_str("null"),
-    }
-    out.push('\n');
-    out.push_str("}\n");
-    out
+        match tenancy {
+            Some(section) => w.object("tenancy", |w| section.write_json(w)),
+            None => w.field("tenancy", "null"),
+        }
+    });
+    doc + "\n"
+}
+
+/// One entry of `bench_json`'s `apps` array: the headline numbers, then
+/// each derived report of both runs nested under its section key.
+fn write_app(w: &mut JsonWriter, run: &AppRun) {
+    w.field_str("app", run.app);
+    w.field_str("experiment", run.experiment);
+    w.field("speedup_x", &fmt_f64(run.speedup_x()));
+    w.field("ic_total_s", &fmt_f64(run.ic_time_s));
+    w.field("pic_total_s", &fmt_f64(run.pic_time_s));
+    w.field("host_elapsed_s", &fmt_f64(run.host_elapsed_s));
+    w.object("ic", |w| {
+        PerfReport::from_trace(&run.ic_trace).write_json(w)
+    });
+    w.object("pic", |w| {
+        PerfReport::from_trace(&run.pic_trace).write_json(w)
+    });
+    w.object("quality", |w| run.quality.write_json(w));
+    w.object("utilization", |w| {
+        w.object("ic", |w| run.ic_utilization().write_json(w));
+        w.object("pic", |w| run.pic_utilization().write_json(w));
+    });
+    // Schema v7: the ranked counterfactual bottleneck table
+    // (DESIGN.md §15). Scalar rows only — the per-phase breakdowns
+    // live in the `pic explain --json` artifact, not the gate.
+    w.object("sensitivity", |w| {
+        for side in ["ic", "pic"] {
+            let table = super::explain::sensitivity(run, side, &pic_simnet::whatif::CATALOG)
+                .expect("collected run has a root span");
+            w.object(side, |w| table.write_json(w, false));
+        }
+    });
+    // Schema v8: the online-monitor summary (DESIGN.md §16) —
+    // incident counts exact, open durations under the 100× band.
+    // The full series live in the `pic watch --json` artifact.
+    w.object("monitor", |w| {
+        let (ic, pic) = (run.ic_monitor(), run.pic_monitor());
+        w.field("window_s", &fmt_f64(ic.window_s));
+        w.object("ic", |w| ic.write_json_summary(w));
+        w.object("pic", |w| pic.write_json_summary(w));
+    });
 }
 
 /// Concatenate every run's convergence curves into one CSV document
 /// (`app,driver,point,t_s,err`) — the artifact CI uploads so curves can
 /// be plotted without re-running the suite.
 pub fn quality_csv(runs: &[AppRun]) -> String {
-    let mut out = String::from(QualityReport::csv_header());
-    out.push('\n');
-    for run in runs {
-        for rec in run.quality.csv_records() {
-            out.push_str(&csv_row(&rec));
-            out.push('\n');
-        }
-    }
-    out
+    let records = runs.iter().flat_map(|run| run.quality.csv_records());
+    csv_doc(QualityReport::csv_header(), records)
 }
 
 /// Concatenate every run's full utilization/occupancy series into one
@@ -494,17 +444,13 @@ pub fn quality_csv(runs: &[AppRun]) -> String {
 /// carries only scalar rollups plus the bisection series; this is the
 /// artifact with everything, uploaded by CI next to the quality curves.
 pub fn utilization_csv(runs: &[AppRun]) -> String {
-    let mut out = String::from(UtilizationReport::csv_header());
-    out.push('\n');
-    for run in runs {
-        for (side, util) in [("ic", run.ic_utilization()), ("pic", run.pic_utilization())] {
-            for rec in util.csv_records(run.app, side) {
-                out.push_str(&csv_row(&rec));
-                out.push('\n');
-            }
-        }
-    }
-    out
+    let records = runs.iter().flat_map(|run| {
+        let sides = [("ic", run.ic_utilization()), ("pic", run.pic_utilization())];
+        sides
+            .into_iter()
+            .flat_map(|(side, util)| util.csv_records(run.app, side))
+    });
+    csv_doc(UtilizationReport::csv_header(), records)
 }
 
 #[cfg(test)]

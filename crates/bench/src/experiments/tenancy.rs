@@ -18,7 +18,7 @@ use super::common::{
 };
 use super::ExperimentCtx;
 use pic_core::prelude::*;
-use pic_simnet::report::{fmt_f64, TenancyReport};
+use pic_simnet::report::{fmt_f64, JsonWriter, TenancyReport};
 use pic_simnet::tenancy::{
     preset, DriverMix, IterKind, IterationDemand, JobProfile, TenancyJob, WorkloadSpec,
 };
@@ -249,36 +249,21 @@ pub fn section(ctx: &ExperimentCtx) -> Result<TenancySection, String> {
     })
 }
 
-/// The section as a JSON object (for `bench_json`), indented by
-/// `indent` spaces.
-pub fn section_json(s: &TenancySection, indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let fields = [
-        ("ic_p99_tt_quality_s", fmt_f64(s.ic_p99_tt_quality_s)),
-        ("pic_p99_tt_quality_s", fmt_f64(s.pic_p99_tt_quality_s)),
-        ("packing_x", fmt_f64(s.packing_x)),
-        ("exact_models", s.exact_models.to_string()),
-        (
-            "mixed",
-            s.mixed.to_json(indent + 2).trim_start().to_string(),
-        ),
-    ];
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(key, value)| format!("{pad}  \"{key}\": {value}"))
-        .collect();
-    format!("{pad}{{\n{}\n{pad}}}", body.join(",\n"))
+impl TenancySection {
+    /// The section's fields (for `bench_json`), written into the
+    /// caller's open object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.field("ic_p99_tt_quality_s", &fmt_f64(self.ic_p99_tt_quality_s));
+        w.field("pic_p99_tt_quality_s", &fmt_f64(self.pic_p99_tt_quality_s));
+        w.field("packing_x", &fmt_f64(self.packing_x));
+        w.field("exact_models", &self.exact_models.to_string());
+        w.object("mixed", |w| self.mixed.write_json(w));
+    }
 }
 
 /// The per-job rows as one CSV document (the CI artifact).
 pub fn tenancy_csv(r: &TenancyReport) -> String {
-    let mut out = String::from(TenancyReport::csv_header());
-    out.push('\n');
-    for rec in r.csv_records() {
-        out.push_str(&crate::table::csv_row(&rec));
-        out.push('\n');
-    }
-    out
+    crate::table::csv_doc(TenancyReport::csv_header(), r.csv_records())
 }
 
 #[cfg(test)]
@@ -405,7 +390,7 @@ mod tests {
         assert!(s.ic_p99_tt_quality_s > 0.0);
         assert!(s.pic_p99_tt_quality_s > 0.0);
         // JSON embeds the summary keys the regress gate bands on.
-        let j = section_json(&s, 2);
+        let j = JsonWriter::document(2, |w| s.write_json(w));
         assert!(j.contains("\"packing_x\""));
         assert!(j.contains("\"p99_tt_quality_s\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -1,18 +1,17 @@
-//! The `pic watch` pipeline: replay recorded runs through the online
-//! monitor (DESIGN.md §16) and render the live dashboard plus the
+//! The `pic watch` pipeline: replay recorded runs through the run
+//! monitor (DESIGN.md §16) and render the dashboard plus the
 //! machine-readable exports — the full monitor JSON document, the
 //! incident-log CSV, and an OpenMetrics-style text snapshot for the
 //! five apps × ic/pic.
 //!
-//! Everything here is pure trace post-processing: the monitor's
-//! ingestion is order-insensitive and its series live on the simulated
-//! clock, so every artifact is byte-identical across rayon pool widths
-//! (pinned by `tests/cli_watch.rs`).
+//! Everything here is pure trace post-processing: the monitor's series
+//! live on the simulated clock, so every artifact is byte-identical
+//! across rayon pool widths (pinned by `tests/cli_watch.rs`).
 
 use super::report::AppRun;
-use crate::table::csv_row;
+use crate::table::csv_doc;
 use pic_simnet::monitor::{self, openmetrics, AlertRule, DEFAULT_WINDOW_S};
-use pic_simnet::report::fmt_f64;
+use pic_simnet::report::{fmt_f64, JsonWriter};
 use pic_simnet::{Monitor, MonitorConfig, MonitorReport};
 use std::fmt::Write as _;
 
@@ -135,66 +134,40 @@ pub fn watch_json(scale: f64, opts: &WatchOptions, sections: &[WatchSection]) ->
         .iter()
         .map(|r| format!("\"{}\"", r.name))
         .collect();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"suite\": \"pic-watch\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", fmt_f64(scale)));
-    out.push_str(&format!("  \"window_s\": {},\n", fmt_f64(opts.window_s)));
-    out.push_str(&format!("  \"rules\": [{}],\n", rules.join(", ")));
-    out.push_str("  \"apps\": [\n");
-    for (i, s) in sections.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"app\": \"{}\",\n", s.app));
-        out.push_str(&format!("      \"experiment\": \"{}\",\n", s.experiment));
-        out.push_str("      \"ic\": ");
-        out.push_str(s.ic.to_json(6).trim_start());
-        out.push_str(",\n");
-        out.push_str("      \"pic\": ");
-        out.push_str(s.pic.to_json(6).trim_start());
-        out.push('\n');
-        out.push_str(if i + 1 == sections.len() {
-            "    }\n"
-        } else {
-            "    },\n"
+    let doc = JsonWriter::document(0, |w| {
+        w.field_str("suite", "pic-watch");
+        w.field("scale", &fmt_f64(scale));
+        w.field("window_s", &fmt_f64(opts.window_s));
+        w.field("rules", &format!("[{}]", rules.join(", ")));
+        w.objects("apps", sections, |w, s| {
+            w.field_str("app", s.app);
+            w.field_str("experiment", s.experiment);
+            w.object("ic", |w| s.ic.write_json(w));
+            w.object("pic", |w| s.pic.write_json(w));
         });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    });
+    doc + "\n"
 }
 
 /// The incident log as CSV, one record per incident across every app
 /// and side (the CI artifact).
 pub fn watch_csv(sections: &[WatchSection]) -> String {
-    let mut doc = String::from(MonitorReport::csv_header());
-    doc.push('\n');
-    for s in sections {
-        for (side, r) in [("ic", &s.ic), ("pic", &s.pic)] {
-            for rec in r.csv_records(s.app, side) {
-                doc.push_str(&csv_row(&rec));
-                doc.push('\n');
-            }
-        }
-    }
-    doc
+    let sides = sections
+        .iter()
+        .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)]);
+    let records = sides.flat_map(|(side, s, report)| report.csv_records(s.app, side));
+    csv_doc(MonitorReport::csv_header(), records)
 }
 
 /// The OpenMetrics-style text snapshot: every report labelled by
 /// `app`/`side`, families grouped, ending with `# EOF`.
 pub fn watch_metrics(sections: &[WatchSection]) -> String {
-    let labelled: Vec<(Vec<(String, String)>, &MonitorReport)> = sections
+    let label = |key: &str, value: &str| (key.to_string(), value.to_string());
+    let sides = sections
         .iter()
-        .flat_map(|s| {
-            [("ic", &s.ic), ("pic", &s.pic)].map(|(side, r)| {
-                (
-                    vec![
-                        ("app".to_string(), s.app.to_string()),
-                        ("side".to_string(), side.to_string()),
-                    ],
-                    r,
-                )
-            })
-        })
+        .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)]);
+    let labelled: Vec<(Vec<(String, String)>, &MonitorReport)> = sides
+        .map(|(side, s, report)| (vec![label("app", s.app), label("side", side)], report))
         .collect();
     openmetrics(&labelled)
 }

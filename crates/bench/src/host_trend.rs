@@ -15,7 +15,7 @@
 //! ([`SHARE_BAND`] absolute by default).
 
 use crate::experiments::{report as perf, ExperimentCtx};
-use crate::table::{csv_parse, csv_row};
+use crate::table::{csv_doc, csv_parse};
 use pic_simnet::hostprof;
 use pic_simnet::report::fmt_f64;
 
@@ -113,19 +113,16 @@ pub fn measure(scale: f64, reps: usize) -> Result<Vec<StageRow>, String> {
 
 /// Serialize rows as the committed CSV document.
 pub fn to_csv(rows: &[StageRow]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for r in rows {
-        out.push_str(&csv_row([
+    let records = rows.iter().map(|r| {
+        [
             r.stage.clone(),
             r.calls.to_string(),
             r.bytes.to_string(),
             fmt_f64(r.median_total_s),
             fmt_f64(r.share),
-        ]));
-        out.push('\n');
-    }
-    out
+        ]
+    });
+    csv_doc(CSV_HEADER, records)
 }
 
 /// Parse a `BENCH_host.csv` document back into rows.

@@ -66,13 +66,18 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document; trailing garbage is an error.
+/// Deepest container nesting [`parse`] accepts. `BENCH_pic.json`
+/// reaches 7; the bound keeps a hostile file from overflowing the stack
+/// of the recursive parser.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document; trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`] are errors.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(src, &mut pos, 0)?;
+    skip_ws(src.as_bytes(), &mut pos);
+    if pos != src.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -84,13 +89,19 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` open containers.
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(src, pos, depth + 1),
+        Some(b'[') => parse_array(src, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(src, pos)?)),
         Some(b't') => parse_keyword(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_keyword(b, pos, "null", Json::Null),
@@ -119,7 +130,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     Ok(Json::Num(v, raw.to_string()))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let b = src.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -155,9 +167,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Multi-byte UTF-8 sequences pass through untouched.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let ch = s.chars().next().expect("non-empty");
+                // `pos` only ever advances past whole characters of the
+                // (valid UTF-8) source, so it is a char boundary here and
+                // multi-byte sequences pass through untouched.
+                let ch = src[*pos..].chars().next().expect("non-empty");
                 out.push(ch);
                 *pos += ch.len_utf8();
             }
@@ -166,7 +179,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".to_string())
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -175,7 +189,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(src, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -188,7 +202,8 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -201,13 +216,13 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected key string at byte {pos}", pos = *pos));
         }
-        let key = parse_string(b, pos)?;
+        let key = parse_string(src, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        fields.push((key, parse_value(b, pos)?));
+        fields.push((key, parse_value(src, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -371,6 +386,26 @@ mod tests {
         assert!(parse("{}extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"k\" 1}").is_err());
+    }
+
+    #[test]
+    fn multi_byte_text_passes_through_and_unicode_escapes_decode() {
+        let j = obj(r#"{"é→𝛑": "é→𝛑", "esc": "caf\u00e9"}"#);
+        assert_eq!(j.get("é→𝛑").unwrap().as_str(), Some("é→𝛑"));
+        assert_eq!(j.get("esc").unwrap().as_str(), Some("café"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            "nesting deeper than 128 at byte 128"
+        );
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        let err = parse(&objects).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -140,14 +140,29 @@ pub fn csv_field(field: &str) -> String {
 }
 
 /// Join fields into one CSV record (no trailing newline), each routed
-/// through [`csv_field`]. Every CSV artifact this crate writes builds
-/// its rows here so the escaping policy lives in exactly one place.
+/// through [`csv_field`], so the escaping policy lives in exactly one
+/// place.
 pub fn csv_row<S: AsRef<str>>(fields: impl IntoIterator<Item = S>) -> String {
     fields
         .into_iter()
         .map(|f| csv_field(f.as_ref()))
         .collect::<Vec<_>>()
         .join(",")
+}
+
+/// A whole CSV document: the header line, then one [`csv_row`] line per
+/// record. Every CSV artifact this crate writes is built here.
+pub fn csv_doc<R, S>(header: &str, records: impl IntoIterator<Item = R>) -> String
+where
+    R: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    let mut doc = format!("{header}\n");
+    for record in records {
+        doc.push_str(&csv_row(record));
+        doc.push('\n');
+    }
+    doc
 }
 
 /// Parse a CSV document written by [`csv_row`] back into records,

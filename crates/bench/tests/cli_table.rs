@@ -212,6 +212,22 @@ fn a_window_too_fine_to_allocate_is_refused() {
     assert!(line.contains("too fine for linsolve"), "{line}");
 }
 
+/// A BENCH file nested past the parser's limit is an unusable input
+/// (exit 2, `[pic diff] …` naming the limit), not a stack overflow (134).
+#[test]
+fn a_bench_file_nested_past_the_parser_limit_is_refused() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (deep, ok) = (dir.join("deep.json"), dir.join("ok.json"));
+    std::fs::write(&deep, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+    std::fs::write(&ok, "{}").unwrap();
+    let diff = COMMANDS.iter().find(|c| c.name == "diff").unwrap();
+    let out = invoke(diff, &[deep.to_str().unwrap(), ok.to_str().unwrap()]);
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("[pic diff] "), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+}
+
 #[test]
 fn pic_help_has_one_row_per_table_entry() {
     let out = Process::new(env!("CARGO_BIN_EXE_pic"))

@@ -120,7 +120,7 @@ mod tests {
     fn single_submodel_passthrough() {
         // The paper's degenerate case: one partition makes merge identity.
         let m = vec![4.0, 2.0];
-        assert_eq!(average(&[m.clone()]), m);
-        assert_eq!(concat(&[m.clone()]), m);
+        assert_eq!(average(std::slice::from_ref(&m)), m);
+        assert_eq!(concat(std::slice::from_ref(&m)), m);
     }
 }

@@ -249,7 +249,7 @@ mod tests {
             sizes[p] += 1;
         }
         for s in sizes {
-            assert!(s >= 15 && s <= 35, "sizes {sizes:?}");
+            assert!((15..=35).contains(&s), "sizes {sizes:?}");
         }
     }
 }

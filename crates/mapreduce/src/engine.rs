@@ -1165,13 +1165,11 @@ mod tests {
         pic_simnet::trace::check::validate(&trace, &t).expect("faulty trace still validates");
     }
 
-    fn mapper_mod() -> FnMapper<u64, u64, u64, impl Fn(&u64, &mut MapContext<u64, u64>)> {
+    fn mapper_mod() -> impl Mapper<In = u64, K = u64, V = u64> {
         FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 16, *x))
     }
 
-    fn reducer_sum(
-    ) -> FnReducer<u64, u64, (u64, u64), impl Fn(&u64, &[u64], &mut ReduceContext<(u64, u64)>)>
-    {
+    fn reducer_sum() -> impl Reducer<K = u64, V = u64, Out = (u64, u64)> {
         FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
             ctx.emit((*k, vs.iter().sum()))
         })

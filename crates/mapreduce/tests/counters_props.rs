@@ -74,7 +74,7 @@ fn run_counting_job() -> Counters {
     engine.reset();
     let mapper = FnMapper::new(|r: &(u8, u32), ctx: &mut MapContext<u64, u64>| {
         ctx.incr("map.records", 1);
-        if r.1 % 3 == 0 {
+        if r.1.is_multiple_of(3) {
             ctx.incr("map.thirds", 1);
         }
         ctx.emit(r.0 as u64, r.1 as u64);

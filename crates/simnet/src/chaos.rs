@@ -24,7 +24,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::topology::{ClusterSpec, NodeId};
-use crate::trace::{Payload, Trace, Tracer};
+use crate::trace::{check, Payload, Trace, Tracer};
 
 /// Display lane for injected-event instants.
 pub const CHAOS_LANE: &str = "chaos";
@@ -230,11 +230,7 @@ impl FaultPlan {
                 spec.nodes
             ));
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        check::verdict(errs)
     }
 }
 
@@ -584,11 +580,7 @@ pub fn check_chaos(trace: &Trace) -> Result<(), Vec<String>> {
             _ => {}
         }
     }
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
+    check::verdict(errs)
 }
 
 #[cfg(test)]

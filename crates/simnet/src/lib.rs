@@ -35,13 +35,15 @@
 //!   timers over the engine/DFS/event-queue/driver hot paths with a
 //!   zero-cost disabled path, feeding the `BENCH_host.csv` trend gate
 //!   and `pic diff` host-stage attribution ([`HostProfile`]).
-//! * [`monitor`] — online run monitoring: a streaming [`Monitor`]
-//!   subscribing to span/instant events as they are recorded (the
-//!   [`TraceSink`] hook on [`Tracer`], one atomic load when detached),
-//!   sliding-window series on the simulated clock, a declarative
-//!   [`AlertRule`] catalog, and an incident log whose window integrals
-//!   reconcile exactly with the [`TrafficLedger`] (the `pic watch`
-//!   subcommand and the BENCH `monitor` section).
+//! * [`sweep`] — the charge-sweep kernel every trace derivation shares:
+//!   `traffic` instants → charges, a link's rate steps, bytes and busy
+//!   seconds onto a bucket grid, span and lane group names.
+//! * [`monitor`] — run monitoring: [`Monitor::replay`] turns a recorded
+//!   trace into sliding-window series on the simulated clock, evaluates
+//!   a declarative [`AlertRule`] catalog, and keeps an incident log
+//!   whose window integrals reconcile exactly with the
+//!   [`TrafficLedger`] (the `pic watch` subcommand and the BENCH
+//!   `monitor` section).
 //! * [`whatif`] — counterfactual projection over recorded traces:
 //!   declarative scenario edits (scale a link, zero a traffic class,
 //!   drop stragglers, instant merge) replayed as time warps over the
@@ -67,6 +69,7 @@ pub mod hostprof;
 pub mod monitor;
 pub mod report;
 pub mod scheduler;
+pub mod sweep;
 pub mod tenancy;
 pub mod timeline;
 pub mod topology;
@@ -84,12 +87,13 @@ pub use report::{
     TenancyReport, TenancyRow,
 };
 pub use scheduler::{ScheduleOutcome, SlotScheduler, TaskLaunch, TaskSpec};
+pub use sweep::LinkClass;
 pub use tenancy::{
     ClusterScheduler, DriverMix, IterKind, IterationDemand, JobArrival, JobProfile, TenancyJob,
     WorkloadSpec,
 };
-pub use timeline::{LinkClass, LinkSeries, Saturation, SlotSeries, UtilizationReport};
+pub use timeline::{LinkSeries, Saturation, SlotSeries, UtilizationReport};
 pub use topology::{ClusterSpec, NodeId, RackId};
-pub use trace::{CounterTrack, MetricsRegistry, Payload, Trace, TraceSink, Tracer};
+pub use trace::{CounterTrack, MetricsRegistry, Payload, Trace, Tracer};
 pub use traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};
 pub use whatif::{Edit, Projection, Scenario, SensitivityReport, TimeWarp, WhatIf};

@@ -1,12 +1,9 @@
-//! Online run monitoring: streaming telemetry, alert rules and an
-//! incident log (DESIGN.md §16).
+//! Run monitoring: windowed telemetry, alert rules and an incident log
+//! (DESIGN.md §16).
 //!
-//! Every other observability layer in this crate is post-hoc — it reads
-//! a finished [`Trace`]. This module is the *online* loop: a [`Monitor`]
-//! subscribes to span/instant events as they are recorded (the
-//! [`TraceSink`] hook on [`Tracer`], one relaxed atomic load when no
-//! monitor is attached) and maintains sliding-window series on the
-//! simulated clock:
+//! [`Monitor::replay`] is a pure function of `(MonitorConfig, &Trace)`:
+//! it replays a recorded run onto sliding-window series on the simulated
+//! clock:
 //!
 //! * per-link utilization EWMAs over the §11 [`LinkClass`] mapping,
 //! * the quality-improvement rate from the §10 `quality` probes,
@@ -19,32 +16,34 @@
 //! `straggler-tail`, `recovery-storm` and `fault`. Each [`Incident`]
 //! records its rule, severity, open/close times, the peak value that
 //! tripped it, and the deepest trace span enclosing its open time — the
-//! live span tree gives incidents the same nesting the post-hoc views
-//! have.
+//! span tree gives incidents the same nesting the other views have.
 //!
-//! **Reconciliation guarantee.** The per-link window series are built
-//! with the same cumulative-rounding apportionment as
-//! [`crate::timeline`], so every byte integral equals the
-//! [`TrafficLedger`] total for its link class **exactly** (`==`), and
-//! the recovery series integrates to `recovery_total()` exactly.
-//! [`crate::trace::check::monitor_reconciles`] enforces this for every
-//! validated run. Ingestion is order-insensitive (bytes are apportioned
-//! into fixed simulated-time buckets, point series are sorted by
-//! `(t, seq)`), so a monitor streaming during the run and a monitor
-//! replaying the finished trace produce identical reports — and the
-//! report is byte-identical across rayon pool widths.
+//! Every bucketed series is **causal** — a bucket depends only on events
+//! at or before its own end, and the EWMA runs forward — so the frame a
+//! live dashboard would have shown at simulated time `t` is exactly the
+//! prefix of the finished series up to `t` ([`MonitorReport::rows_at`]).
+//! A streaming sink on the tracer returns with its first caller (the
+//! closed-loop alert→action item); nothing needs one today.
+//!
+//! **Reconciliation guarantee.** The per-link window series are built by
+//! the same [`crate::sweep`] spreader as [`crate::timeline`], so every
+//! byte integral equals the [`TrafficLedger`] total for its link class
+//! **exactly** (`==`), and the recovery series integrates to
+//! `recovery_total()`. [`crate::trace::check::monitor_reconciles`]
+//! enforces this for every validated run. Bytes land in fixed
+//! simulated-time buckets and point series are sorted by `(t, seq)`, so
+//! the report is byte-identical across rayon pool widths.
 //!
 //! [`TrafficLedger`]: crate::traffic::TrafficLedger
 
-use crate::report::{fmt_f64, nearest_rank, JsonWriter};
-use crate::timeline::{apportion, collect_charges, heat_bar, Charge, LinkClass};
+use crate::report::{csv_record, fmt_f64, json_f64s, nearest_rank, peak, Column, JsonWriter};
+use crate::sweep::{apportion, collect_charges, spread_busy, utilization, LinkClass};
+use crate::timeline::heat_bar;
 use crate::topology::ClusterSpec;
-use crate::trace::{InstantEvent, Span, Trace, TraceSink, Tracer};
+use crate::trace::{check, Span, Trace};
 use crate::traffic::{TrafficClass, TrafficSnapshot};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Default sliding-window length, simulated seconds.
 pub const DEFAULT_WINDOW_S: f64 = 5.0;
@@ -100,7 +99,7 @@ pub enum RuleKind {
 
 /// One declarative alert rule. Construct via [`catalog_rule`] (the
 /// default catalog) or literally, then [`AlertRule::validate`] before
-/// use — [`Monitor::new`] refuses invalid rules with pinned messages.
+/// use — [`Monitor::replay`] refuses invalid rules with pinned messages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertRule {
     /// Rule name — the incident-log and catalog key.
@@ -251,7 +250,7 @@ impl MonitorConfig {
 }
 
 /// One alert-rule firing: open/close on the simulated clock, nested
-/// inside the live span tree via `span`.
+/// inside the span tree via `span`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     /// The [`AlertRule::name`] that fired.
@@ -268,8 +267,8 @@ pub struct Incident {
     /// Peak value of the watched signal while open (gap seconds,
     /// utilization, ratio, bytes/second, …).
     pub peak: f64,
-    /// Name of the deepest span enclosing `open_s` — where in the live
-    /// span tree the incident opened (`-` when no span contains it).
+    /// Name of the deepest span enclosing `open_s` — where in the span
+    /// tree the incident opened (`-` when no span contains it).
     pub span: String,
 }
 
@@ -277,6 +276,20 @@ impl Incident {
     /// Open duration, simulated seconds.
     pub fn duration_s(&self) -> f64 {
         (self.close_s - self.open_s).max(0.0)
+    }
+
+    /// The incident in schema order — the one definition behind the
+    /// `incidents` JSON objects and the incident CSV records.
+    fn columns(&self) -> Vec<Column> {
+        vec![
+            Column::text("rule", &self.rule),
+            Column::text("severity", self.severity.label()),
+            Column::text("series", &self.series),
+            Column::num("open_s", fmt_f64(self.open_s)),
+            Column::num("close_s", fmt_f64(self.close_s)),
+            Column::num("peak", fmt_f64(self.peak)),
+            Column::text("span", &self.span),
+        ]
     }
 }
 
@@ -357,210 +370,41 @@ fn bucket_of(t: f64, dt: f64) -> usize {
     (t.max(0.0) / dt).floor() as usize
 }
 
-/// Grow `v` (zero-filled) so index `i` is addressable.
-fn ensure_len<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
-    if v.len() <= i {
-        v.resize(i + 1, T::default());
-    }
-}
-
-/// Raw observations accumulated by ingestion; series and incidents are
-/// derived in [`Monitor::finish`]. Every accumulator is either
-/// commutative (per-bucket `u64` sums) or sorted before use, so the
-/// report does not depend on ingestion order.
-#[derive(Debug, Default)]
-struct Ingest {
-    /// Per-[`LinkClass::ALL`] bucketed byte series.
-    link_bytes: [Vec<u64>; 4],
-    recovery_bytes: Vec<u64>,
-    /// Busy task-seconds per bucket (f64, accumulated in recording
-    /// order — identical between streaming and replay).
-    task_busy: Vec<f64>,
-    /// Quality samples `(t, seq, objective)`.
-    quality: Vec<(f64, u64, f64)>,
-    /// Completed task spans `(wave, t0, t1)` for spans carrying a
-    /// `wave` arg.
-    waves: Vec<(u64, f64, f64)>,
-    /// Injected chaos instants `(t, seq, name)`.
-    faults: Vec<(f64, u64, String)>,
-    horizon: f64,
-    events: u64,
-}
-
-/// The streaming observer. Attach to a live [`Tracer`] with
-/// [`Monitor::attach`] (events stream in as they are recorded) or feed a
-/// finished trace with [`Monitor::replay`]; both paths produce the same
-/// [`MonitorReport`].
-pub struct Monitor {
-    cfg: MonitorConfig,
-    state: Mutex<Ingest>,
-}
-
-impl std::fmt::Debug for Monitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Monitor").field("cfg", &self.cfg).finish()
-    }
-}
-
-impl TraceSink for Monitor {
-    fn on_span(&self, span: &Span) {
-        self.ingest_span(span);
-    }
-    fn on_instant(&self, event: &InstantEvent) {
-        self.ingest_instant(event);
-    }
-}
+/// The run monitor. [`Monitor::replay`] is its one entry point (`pic
+/// watch`, the bench `monitor` section, the chaos cells and the
+/// reconciliation check all call it).
+#[derive(Debug)]
+pub struct Monitor;
 
 impl Monitor {
-    /// A monitor with validated configuration (`Arc` so it can be
-    /// attached as a [`TraceSink`]).
-    pub fn new(cfg: MonitorConfig) -> Result<Arc<Monitor>, String> {
-        cfg.validate()?;
-        Ok(Arc::new(Monitor {
-            cfg,
-            state: Mutex::new(Ingest::default()),
-        }))
-    }
-
-    /// Create a monitor and subscribe it to `tracer`: every instant and
-    /// span close recorded from now on streams into the monitor. Call
-    /// [`Monitor::finish`] (and usually [`Tracer::detach_sink`]) when
-    /// the run completes.
-    pub fn attach(cfg: MonitorConfig, tracer: &Tracer) -> Result<Arc<Monitor>, String> {
-        let monitor = Monitor::new(cfg)?;
-        tracer.attach_sink(Arc::clone(&monitor) as Arc<dyn TraceSink>);
-        Ok(monitor)
-    }
-
-    /// Feed a finished trace through a fresh monitor — the post-hoc path
-    /// (`pic watch`, the bench `monitor` section, the reconciliation
-    /// check). Identical to streaming the same run live.
+    /// Replay `trace` under `cfg`: put every charge, task, quality probe
+    /// and fault on a grid of `cfg.bucket_s()` buckets covering the
+    /// run's horizon, compute EWMAs and rates, evaluate the rule set
+    /// into the incident log, and anchor each incident to the deepest
+    /// span enclosing it.
     pub fn replay(cfg: MonitorConfig, trace: &Trace) -> Result<MonitorReport, String> {
-        let monitor = Monitor::new(cfg)?;
-        for i in &trace.instants {
-            monitor.ingest_instant(i);
-        }
-        for s in &trace.spans {
-            monitor.ingest_span(s);
-        }
-        Ok(monitor.finish(trace))
-    }
-
-    /// Events ingested so far (instants + completed spans).
-    pub fn events_seen(&self) -> u64 {
-        self.state.lock().events
-    }
-
-    fn ingest_span(&self, span: &Span) {
-        if !span.t1.is_finite() {
-            return;
-        }
-        let mut st = self.state.lock();
-        st.events += 1;
-        st.horizon = st.horizon.max(span.t1).max(span.t0);
-        if span.cat != "task" {
-            return;
-        }
-        // Queue depth: spread the task's busy seconds over its buckets.
-        let dt = self.cfg.bucket_s();
-        let (t0, t1) = (span.t0.max(0.0), span.t1.max(span.t0.max(0.0)));
-        let last = bucket_of(t1, dt);
-        ensure_len(&mut st.task_busy, last);
-        for (i, slot) in st.task_busy.iter_mut().enumerate().take(last + 1) {
-            let lo = (i as f64 * dt).max(t0);
-            let hi = ((i + 1) as f64 * dt).min(t1);
-            if hi > lo {
-                *slot += hi - lo;
-            }
-        }
-        if let Some(wave) = span.arg_u64("wave") {
-            st.waves.push((wave, span.t0, span.t1));
-        }
-    }
-
-    fn ingest_instant(&self, ev: &InstantEvent) {
-        let mut st = self.state.lock();
-        st.events += 1;
-        st.horizon = st.horizon.max(ev.t);
-        match ev.cat {
-            "traffic" => {
-                let Some(class) = TrafficClass::from_label(&ev.name) else {
-                    return;
-                };
-                let bytes = ev.arg_u64("bytes").unwrap_or(0);
-                let (w0, w1) = match (ev.arg_f64("w0"), ev.arg_f64("w1")) {
-                    (Some(a), Some(b)) if b >= a => (a, b),
-                    _ => (ev.t, ev.t),
-                };
-                st.horizon = st.horizon.max(w1);
-                let dt = self.cfg.bucket_s();
-                let last = bucket_of(w1.max(w0), dt);
-                let charge = Charge {
-                    class,
-                    bytes,
-                    w0,
-                    w1,
-                };
-                let link = LinkClass::of(class);
-                let idx = LinkClass::ALL
-                    .iter()
-                    .position(|l| *l == link)
-                    .expect("every link class is in ALL");
-                ensure_len(&mut st.link_bytes[idx], last);
-                apportion(&mut st.link_bytes[idx], &charge, dt);
-                if class == TrafficClass::Recovery {
-                    ensure_len(&mut st.recovery_bytes, last);
-                    apportion(&mut st.recovery_bytes, &charge, dt);
-                }
-            }
-            "quality" => {
-                if let Some(obj) = ev.arg_f64("objective") {
-                    st.quality.push((ev.t, ev.seq, obj));
-                }
-            }
-            "chaos" => {
-                st.faults.push((ev.t, ev.seq, ev.name.clone()));
-            }
-            _ => {}
-        }
-    }
-
-    /// Finalize: normalize every series to a common bucket grid, compute
-    /// EWMAs and rates, evaluate the rule set into the incident log, and
-    /// anchor each incident to the deepest enclosing span of `trace`
-    /// (pass the same run's trace; in streaming mode,
-    /// `tracer.trace()` after the run ends).
-    pub fn finish(&self, trace: &Trace) -> MonitorReport {
-        let st = self.state.lock();
-        let dt = self.cfg.bucket_s();
-        let (_, trace_horizon) = collect_charges(trace);
-        let horizon = st.horizon.max(trace_horizon);
+        cfg.validate()?;
+        let dt = cfg.bucket_s();
+        let (charges, horizon) = collect_charges(trace);
         let buckets = if horizon > 0.0 {
-            (bucket_of(horizon, dt) + 1)
-                .max(st.link_bytes.iter().map(Vec::len).max().unwrap_or(0))
-                .max(st.recovery_bytes.len())
-                .max(st.task_busy.len())
+            bucket_of(horizon, dt) + 1
         } else {
             0
         };
 
-        // Per-link series.
-        let alpha = 1.0 - (-dt / self.cfg.window_s).exp();
+        // Per-link byte series (exact apportionment), utilization, EWMA.
+        let series_of = |member: &dyn Fn(TrafficClass) -> bool| {
+            let mut bytes = vec![0u64; buckets];
+            for ch in charges.iter().filter(|c| member(c.class)) {
+                apportion(&mut bytes, ch, dt);
+            }
+            bytes
+        };
+        let alpha = 1.0 - (-dt / cfg.window_s).exp();
         let mut links = BTreeMap::new();
-        for (idx, link) in LinkClass::ALL.iter().enumerate() {
-            let mut bytes = st.link_bytes[idx].clone();
-            bytes.resize(buckets, 0);
-            let cap = link.capacity(&self.cfg.spec);
-            let util: Vec<f64> = bytes
-                .iter()
-                .map(|&b| {
-                    if cap > 0.0 && dt > 0.0 {
-                        b as f64 / (cap * dt)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
+        for link in LinkClass::ALL {
+            let bytes = series_of(&|class| LinkClass::of(class) == link);
+            let util = utilization(&bytes, link.capacity(&cfg.spec), dt);
             let mut ewma = Vec::with_capacity(util.len());
             let mut e = 0.0;
             for u in &util {
@@ -568,7 +412,7 @@ impl Monitor {
                 ewma.push(e);
             }
             let total_bytes = bytes.iter().sum();
-            let peak_util = util.iter().copied().fold(0.0, f64::max);
+            let peak_util = peak(&util);
             links.insert(
                 link.label(),
                 MonitorSeries {
@@ -580,49 +424,21 @@ impl Monitor {
                 },
             );
         }
+        let recovery_bytes = series_of(&|class| class == TrafficClass::Recovery);
+        let recovery_rate: Vec<f64> = recovery_bytes.iter().map(|&b| b as f64 / dt).collect();
 
-        // Quality samples in deterministic (t, seq) order.
-        let mut quality_raw = st.quality.clone();
-        quality_raw.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite times"));
-        let quality: Vec<(f64, f64)> = quality_raw.iter().map(|&(t, _, o)| (t, o)).collect();
-
-        // Best-so-far improvement rate per bucket.
-        let mut quality_rate = vec![0.0; buckets];
-        if let Some(&(_, first_obj)) = quality.first() {
-            let mut best = first_obj;
-            for &(t, obj) in &quality {
-                if obj < best {
-                    let i = bucket_of(t, dt).min(buckets.saturating_sub(1));
-                    if dt > 0.0 && !quality_rate.is_empty() {
-                        quality_rate[i] += (best - obj) / dt;
-                    }
-                    best = obj;
-                }
+        // Queue depth (busy task-seconds per bucket, accumulated in span
+        // recording order) and the per-wave task windows.
+        let mut busy = vec![0.0; buckets];
+        let mut by_wave: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
+        let is_closed_task = |s: &&Span| s.cat == "task" && s.t1.is_finite();
+        for s in trace.spans.iter().filter(is_closed_task) {
+            spread_busy(&mut busy, s.t0, s.t1, dt);
+            if let Some(wave) = s.arg_u64("wave") {
+                by_wave.entry(wave).or_default().push((s.t0, s.t1));
             }
         }
-
-        // Queue depth.
-        let mut busy = st.task_busy.clone();
-        busy.resize(buckets, 0.0);
-        let depth: Vec<f64> = busy
-            .iter()
-            .map(|&s| if dt > 0.0 { s / dt } else { 0.0 })
-            .collect();
-        let peak_depth = depth.iter().copied().fold(0.0, f64::max);
-
-        // Recovery.
-        let mut recovery_bytes = st.recovery_bytes.clone();
-        recovery_bytes.resize(buckets, 0);
-        let recovery_rate: Vec<f64> = recovery_bytes
-            .iter()
-            .map(|&b| if dt > 0.0 { b as f64 / dt } else { 0.0 })
-            .collect();
-
-        // Waves.
-        let mut by_wave: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
-        for &(w, t0, t1) in &st.waves {
-            by_wave.entry(w).or_default().push((t0, t1));
-        }
+        let depth: Vec<f64> = busy.iter().map(|s| s / dt).collect();
         let waves: Vec<WaveStat> = by_wave
             .into_iter()
             .map(|(wave, tasks)| {
@@ -646,27 +462,54 @@ impl Monitor {
             })
             .collect();
 
-        let mut faults = st.faults.clone();
+        // Quality samples and fault instants in deterministic (t, seq)
+        // order.
+        let mut quality_raw: Vec<(f64, u64, f64)> = Vec::new();
+        let mut faults: Vec<(f64, u64, String)> = Vec::new();
+        for ev in &trace.instants {
+            match ev.cat {
+                "quality" => quality_raw.extend(ev.arg_f64("objective").map(|o| (ev.t, ev.seq, o))),
+                "chaos" => faults.push((ev.t, ev.seq, ev.name.clone())),
+                _ => {}
+            }
+        }
+        quality_raw.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite times"));
         faults.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite times"));
+        let quality: Vec<(f64, f64)> = quality_raw.iter().map(|&(t, _, o)| (t, o)).collect();
+
+        // Best-so-far improvement rate per bucket.
+        let mut quality_rate = vec![0.0; buckets];
+        if let Some(&(_, first_obj)) = quality.first() {
+            let mut best = first_obj;
+            for &(t, obj) in &quality {
+                if obj < best {
+                    let i = bucket_of(t, dt).min(buckets.saturating_sub(1));
+                    if !quality_rate.is_empty() {
+                        quality_rate[i] += (best - obj) / dt;
+                    }
+                    best = obj;
+                }
+            }
+        }
 
         let mut report = MonitorReport {
-            window_s: self.cfg.window_s,
+            window_s: cfg.window_s,
             bucket_s: dt,
             horizon_s: horizon,
             buckets,
             links,
             quality,
             quality_rate,
+            peak_depth: peak(&depth),
             depth,
-            peak_depth,
             recovery_bytes,
             recovery_rate,
             waves,
             faults: faults.len() as u64,
             incidents: Vec::new(),
         };
-        report.incidents = evaluate_rules(&self.cfg, &report, &faults, trace);
-        report
+        report.incidents = evaluate_rules(&cfg, &report, &faults, trace);
+        Ok(report)
     }
 }
 
@@ -901,18 +744,18 @@ impl MonitorReport {
                 ledger.recovery_total()
             ));
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        check::verdict(errs)
     }
 
     /// The scalar summary the regression gate diffs (`BENCH_pic.json`
     /// schema v8): incident counts exact, durations under the 100× band.
     pub fn to_json_summary(&self, indent: usize) -> String {
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
+        JsonWriter::document(indent, |w| self.write_json_summary(w))
+    }
+
+    /// The fields of [`MonitorReport::to_json_summary`], written into
+    /// the caller's open object.
+    pub fn write_json_summary(&self, w: &mut JsonWriter) {
         w.field("incidents", &self.incidents.len().to_string());
         w.field("incident_s", &fmt_f64(self.incident_s()));
         w.field("longest_incident_s", &fmt_f64(self.longest_incident_s()));
@@ -924,75 +767,54 @@ impl MonitorReport {
         w.field("quality_samples", &self.quality.len().to_string());
         w.field("faults", &self.faults.to_string());
         w.field("peak_depth", &fmt_f64(self.peak_depth));
-        w.close("}");
-        w.finish()
     }
 
     /// The full machine-readable document behind `pic watch --json`:
     /// config, every series, waves and the incident log. A pure function
     /// of the simulated trace — byte-identical across rayon pool widths.
     pub fn to_json(&self, indent: usize) -> String {
-        let f64s = |v: &[f64]| -> String {
-            let items: Vec<String> = v.iter().map(|x| fmt_f64(*x)).collect();
-            format!("[{}]", items.join(", "))
-        };
-        let u64s = |v: &[u64]| -> String {
-            let items: Vec<String> = v.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(", "))
-        };
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
+        JsonWriter::document(indent, |w| self.write_json(w))
+    }
+
+    /// The fields of [`MonitorReport::to_json`], written into the
+    /// caller's open object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.field("window_s", &fmt_f64(self.window_s));
         w.field("bucket_s", &fmt_f64(self.bucket_s));
         w.field("horizon_s", &fmt_f64(self.horizon_s));
         w.field("buckets", &self.buckets.to_string());
         w.open_key("links", "{");
         for (label, s) in &self.links {
+            let bytes: Vec<String> = s.bytes.iter().map(u64::to_string).collect();
             w.open_key(label, "{");
             w.field("total_bytes", &s.total_bytes.to_string());
             w.field("peak_util", &fmt_f64(s.peak_util));
-            w.field("bytes", &u64s(&s.bytes));
-            w.field("ewma_util", &f64s(&s.ewma));
+            w.field("bytes", &format!("[{}]", bytes.join(", ")));
+            w.field("ewma_util", &json_f64s(&s.ewma));
             w.close("}");
         }
         w.close("}");
         w.field("quality_samples", &self.quality.len().to_string());
-        w.field("quality_rate", &f64s(&self.quality_rate));
-        w.field("depth", &f64s(&self.depth));
+        w.field("quality_rate", &json_f64s(&self.quality_rate));
+        w.field("depth", &json_f64s(&self.depth));
         w.field("peak_depth", &fmt_f64(self.peak_depth));
         w.field(
             "recovery_bytes_total",
             &self.recovery_bytes.iter().sum::<u64>().to_string(),
         );
-        w.field("recovery_rate", &f64s(&self.recovery_rate));
-        w.open_key("waves", "[");
-        for wv in &self.waves {
-            w.open("{");
+        w.field("recovery_rate", &json_f64s(&self.recovery_rate));
+        w.objects("waves", &self.waves, |w, wv| {
             w.field("wave", &wv.wave.to_string());
             w.field("tasks", &wv.tasks.to_string());
             w.field("p50_s", &fmt_f64(wv.p50_s));
             w.field("max_s", &fmt_f64(wv.max_s));
             w.field("tail_x", &fmt_f64(wv.tail_x));
-            w.close("}");
-        }
-        w.close("]");
+        });
         w.field("faults", &self.faults.to_string());
         w.field("incident_s", &fmt_f64(self.incident_s()));
-        w.open_key("incidents", "[");
-        for inc in &self.incidents {
-            w.open("{");
-            w.field("rule", &format!("\"{}\"", inc.rule));
-            w.field("severity", &format!("\"{}\"", inc.severity.label()));
-            w.field("series", &format!("\"{}\"", inc.series));
-            w.field("open_s", &fmt_f64(inc.open_s));
-            w.field("close_s", &fmt_f64(inc.close_s));
-            w.field("peak", &fmt_f64(inc.peak));
-            w.field("span", &format!("\"{}\"", inc.span));
-            w.close("}");
-        }
-        w.close("]");
-        w.close("}");
-        w.finish()
+        w.objects("incidents", &self.incidents, |w, inc| {
+            w.columns(&inc.columns())
+        });
     }
 
     /// Header of the incident CSV artifact.
@@ -1005,17 +827,9 @@ impl MonitorReport {
         self.incidents
             .iter()
             .map(|i| {
-                vec![
-                    app.to_string(),
-                    side.to_string(),
-                    i.rule.clone(),
-                    i.severity.label().to_string(),
-                    i.series.clone(),
-                    fmt_f64(i.open_s),
-                    fmt_f64(i.close_s),
-                    fmt_f64(i.peak),
-                    i.span.clone(),
-                ]
+                let mut rec = vec![app.to_string(), side.to_string()];
+                rec.extend(csv_record(i.columns()));
+                rec
             })
             .collect()
     }
@@ -1075,9 +889,7 @@ impl MonitorReport {
     /// Render the dashboard panel: one sparkline row per series plus the
     /// incident ticker.
     pub fn render(&self, width: usize) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
+        let header = format!(
             "  window {} s, bucket {} s, horizon {:.3} s, {} waves, {} faults",
             self.window_s,
             self.bucket_s,
@@ -1085,36 +897,8 @@ impl MonitorReport {
             self.waves.len(),
             self.faults
         );
-        for (label, bar, last, peak) in self.dashboard_rows(width) {
-            let _ = writeln!(
-                out,
-                "  {label:<14} |{bar}| last {last:>10.4} peak {peak:>10.4}"
-            );
-        }
-        if self.incidents.is_empty() {
-            let _ = writeln!(out, "  incidents: none");
-        } else {
-            let _ = writeln!(
-                out,
-                "  incidents: {} ({:.3} s open)",
-                self.incidents.len(),
-                self.incident_s()
-            );
-            for inc in &self.incidents {
-                let _ = writeln!(
-                    out,
-                    "    [{}] {:<14} {:<18} open {:>9.3} close {:>9.3} peak {:>10.4} in {}",
-                    inc.severity.label(),
-                    inc.rule,
-                    inc.series,
-                    inc.open_s,
-                    inc.close_s,
-                    inc.peak,
-                    inc.span
-                );
-            }
-        }
-        out
+        let open_note = format!(" ({:.3} s open)", self.incident_s());
+        self.render_frame(&header, &open_note, f64::INFINITY, width)
     }
 
     /// Render one live frame at simulated time `t_s`: the dashboard
@@ -1123,13 +907,16 @@ impl MonitorReport {
     /// time show `close      ...` — that is the live-dashboard view
     /// `pic watch --interval` replays frame by frame.
     pub fn render_at(&self, t_s: f64, width: usize) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  t = {:.3} s / {:.3} s",
-            t_s.min(self.horizon_s),
-            self.horizon_s
-        );
+        let (now, horizon) = (t_s.min(self.horizon_s), self.horizon_s);
+        let header = format!("  t = {now:.3} s / {horizon:.3} s");
+        self.render_frame(&header, "", t_s, width)
+    }
+
+    /// The row loop and incident ticker behind [`MonitorReport::render`]
+    /// (`t_s` = ∞) and [`MonitorReport::render_at`]; `open_note` trails
+    /// the incident count.
+    fn render_frame(&self, header: &str, open_note: &str, t_s: f64, width: usize) -> String {
+        let mut out = format!("{header}\n");
         for (label, bar, last, peak) in self.rows_at(t_s, width) {
             let _ = writeln!(
                 out,
@@ -1140,27 +927,98 @@ impl MonitorReport {
         if opened.is_empty() {
             let _ = writeln!(out, "  incidents: none");
         } else {
-            let _ = writeln!(out, "  incidents: {}", opened.len());
-            for inc in opened {
-                let close = if inc.close_s <= t_s {
-                    format!("{:>9.3}", inc.close_s)
-                } else {
-                    "      ...".to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "    [{}] {:<14} {:<18} open {:>9.3} close {close} peak {:>10.4} in {}",
-                    inc.severity.label(),
-                    inc.rule,
-                    inc.series,
-                    inc.open_s,
-                    inc.peak,
-                    inc.span
-                );
-            }
+            let _ = writeln!(out, "  incidents: {}{open_note}", opened.len());
+        }
+        for inc in opened {
+            let close = if inc.close_s <= t_s {
+                format!("{:>9.3}", inc.close_s)
+            } else {
+                "      ...".to_string()
+            };
+            let _ = writeln!(
+                out,
+                "    [{}] {:<14} {:<18} open {:>9.3} close {close} peak {:>10.4} in {}",
+                inc.severity.label(),
+                inc.rule,
+                inc.series,
+                inc.open_s,
+                inc.peak,
+                inc.span
+            );
         }
         out
     }
+}
+
+/// What one report contributes to a family: `(extra label, value)`
+/// samples.
+type Samples = Vec<(Option<(&'static str, &'static str)>, String)>;
+
+/// One OpenMetrics family: name, type, help text, sample extractor.
+type Family = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&MonitorReport) -> Samples,
+);
+
+/// The `pic watch --metrics` families, in export order.
+const FAMILIES: [Family; 7] = [
+    (
+        "pic_link_bytes_total",
+        "counter",
+        "Bytes moved per link class (reconciles exactly with the ledger).",
+        |r| per_link(r, |s| s.total_bytes.to_string()),
+    ),
+    (
+        "pic_link_util_peak",
+        "gauge",
+        "Peak bucket utilization per link class.",
+        |r| per_link(r, |s| fmt_f64(s.peak_util)),
+    ),
+    (
+        "pic_quality_samples_total",
+        "counter",
+        "Quality probes observed.",
+        |r| vec![(None, r.quality.len().to_string())],
+    ),
+    (
+        "pic_queue_depth_peak",
+        "gauge",
+        "Peak mean concurrent tasks per bucket.",
+        |r| vec![(None, fmt_f64(r.peak_depth))],
+    ),
+    (
+        "pic_recovery_bytes_total",
+        "counter",
+        "Recovery bytes observed under chaos.",
+        |r| vec![(None, r.recovery_bytes.iter().sum::<u64>().to_string())],
+    ),
+    (
+        "pic_incidents_total",
+        "counter",
+        "Incidents opened per alert rule.",
+        |r| {
+            let rules = CATALOG_RULES.iter();
+            rules
+                .map(|rule| (Some(("rule", *rule)), r.count(rule).to_string()))
+                .collect()
+        },
+    ),
+    (
+        "pic_incident_seconds_total",
+        "counter",
+        "Total open-incident simulated seconds.",
+        |r| vec![(None, fmt_f64(r.incident_s()))],
+    ),
+];
+
+/// One `link`-labelled sample per link class.
+fn per_link(r: &MonitorReport, value: fn(&MonitorSeries) -> String) -> Samples {
+    let links = r.links.iter();
+    links
+        .map(|(link, s)| (Some(("link", *link)), value(s)))
+        .collect()
 }
 
 /// Render an OpenMetrics-style text snapshot for a set of labelled
@@ -1168,128 +1026,21 @@ impl MonitorReport {
 /// ic/pic). Families are grouped as the format requires; the document
 /// ends with `# EOF`.
 pub fn openmetrics(entries: &[(Vec<(String, String)>, &MonitorReport)]) -> String {
-    let label_set = |labels: &[(String, String)], extra: &[(&str, &str)]| -> String {
-        let mut parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-        parts.extend(extra.iter().map(|(k, v)| format!("{k}=\"{v}\"")));
-        format!("{{{}}}", parts.join(","))
-    };
     let mut out = String::new();
-    let mut family = |name: &str, kind: &str, help: &str, lines: &mut dyn FnMut(&mut String)| {
+    for (name, kind, help, samples) in FAMILIES {
         let _ = writeln!(out, "# TYPE {name} {kind}");
         let _ = writeln!(out, "# HELP {name} {help}");
-        lines(&mut out);
-    };
-    family(
-        "pic_link_bytes_total",
-        "counter",
-        "Bytes moved per link class (reconciles exactly with the ledger).",
-        &mut |out| {
-            for (labels, r) in entries {
-                for (link, s) in &r.links {
-                    let _ = writeln!(
-                        out,
-                        "pic_link_bytes_total{} {}",
-                        label_set(labels, &[("link", link)]),
-                        s.total_bytes
-                    );
-                }
+        for (labels, report) in entries {
+            for (extra, value) in samples(report) {
+                let labels = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                let parts: Vec<String> = labels
+                    .chain(extra)
+                    .map(|(k, v)| format!("{k}=\"{v}\""))
+                    .collect();
+                let _ = writeln!(out, "{name}{{{}}} {value}", parts.join(","));
             }
-        },
-    );
-    family(
-        "pic_link_util_peak",
-        "gauge",
-        "Peak bucket utilization per link class.",
-        &mut |out| {
-            for (labels, r) in entries {
-                for (link, s) in &r.links {
-                    let _ = writeln!(
-                        out,
-                        "pic_link_util_peak{} {}",
-                        label_set(labels, &[("link", link)]),
-                        fmt_f64(s.peak_util)
-                    );
-                }
-            }
-        },
-    );
-    family(
-        "pic_quality_samples_total",
-        "counter",
-        "Quality probes observed.",
-        &mut |out| {
-            for (labels, r) in entries {
-                let _ = writeln!(
-                    out,
-                    "pic_quality_samples_total{} {}",
-                    label_set(labels, &[]),
-                    r.quality.len()
-                );
-            }
-        },
-    );
-    family(
-        "pic_queue_depth_peak",
-        "gauge",
-        "Peak mean concurrent tasks per bucket.",
-        &mut |out| {
-            for (labels, r) in entries {
-                let _ = writeln!(
-                    out,
-                    "pic_queue_depth_peak{} {}",
-                    label_set(labels, &[]),
-                    fmt_f64(r.peak_depth)
-                );
-            }
-        },
-    );
-    family(
-        "pic_recovery_bytes_total",
-        "counter",
-        "Recovery bytes observed under chaos.",
-        &mut |out| {
-            for (labels, r) in entries {
-                let _ = writeln!(
-                    out,
-                    "pic_recovery_bytes_total{} {}",
-                    label_set(labels, &[]),
-                    r.recovery_bytes.iter().sum::<u64>()
-                );
-            }
-        },
-    );
-    family(
-        "pic_incidents_total",
-        "counter",
-        "Incidents opened per alert rule.",
-        &mut |out| {
-            for (labels, r) in entries {
-                for rule in CATALOG_RULES {
-                    let _ = writeln!(
-                        out,
-                        "pic_incidents_total{} {}",
-                        label_set(labels, &[("rule", rule)]),
-                        r.count(rule)
-                    );
-                }
-            }
-        },
-    );
-    family(
-        "pic_incident_seconds_total",
-        "counter",
-        "Total open-incident simulated seconds.",
-        &mut |out| {
-            for (labels, r) in entries {
-                let _ = writeln!(
-                    out,
-                    "pic_incident_seconds_total{} {}",
-                    label_set(labels, &[]),
-                    fmt_f64(r.incident_s())
-                );
-            }
-        },
-    );
+        }
+    }
     out.push_str("# EOF\n");
     out
 }
@@ -1298,8 +1049,10 @@ pub fn openmetrics(entries: &[(Vec<(String, String)>, &MonitorReport)]) -> Strin
 mod tests {
     use super::*;
     use crate::clock::SimClock;
-    use crate::trace::Payload;
+    use crate::trace::{Payload, Tracer};
     use crate::traffic::TrafficLedger;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     fn tracer() -> Tracer {
         Tracer::new(Arc::new(Mutex::new(SimClock::new())))
@@ -1607,44 +1360,6 @@ mod tests {
         );
     }
 
-    /// Streaming attach and post-hoc replay of the same run produce the
-    /// same report — ingestion is order-insensitive.
-    #[test]
-    fn streaming_equals_replay() {
-        let build = |t: &Tracer| {
-            let ledger = TrafficLedger::traced(t.clone());
-            let root = t.begin_at("run", "driver", 0.0);
-            let wave = vec![("wave".to_string(), Payload::U64(0))];
-            t.span_at_in("map-slot-0", "t0", "task", 0.0, 2.0, wave.clone());
-            quality_at(t, 1.0, 10.0);
-            ledger.add_over(
-                crate::traffic::TrafficClass::ShuffleBisection,
-                9999,
-                0.5,
-                2.5,
-            );
-            ledger.add(crate::traffic::TrafficClass::MapSpill, 12345);
-            t.span_at_in("map-slot-1", "t1", "task", 2.0, 3.0, wave);
-            quality_at(t, 2.5, 4.0);
-            t.end_at(root, 3.0);
-        };
-        let t1 = tracer();
-        let monitor = Monitor::attach(cfg(), &t1).unwrap();
-        build(&t1);
-        t1.detach_sink();
-        let streamed = monitor.finish(&t1.trace());
-
-        let t2 = tracer();
-        build(&t2);
-        let replayed = Monitor::replay(cfg(), &t2.trace()).unwrap();
-        assert_eq!(streamed, replayed);
-        assert_eq!(
-            streamed.to_json(0),
-            replayed.to_json(0),
-            "serialized documents match byte for byte"
-        );
-    }
-
     /// Byte integrals reconcile exactly against the ledger, per link
     /// class, on awkward windows.
     #[test]
@@ -1722,23 +1437,5 @@ mod tests {
             MonitorReport::csv_header(),
             "app,side,rule,severity,series,open_s,close_s,peak,span"
         );
-    }
-
-    /// A disabled tracer never reaches the sink; a tracer without a sink
-    /// pays only the atomic-load gate (behavioural half of the
-    /// zero-cost claim — the criterion group measures the overhead).
-    #[test]
-    fn sink_is_never_called_without_attachment() {
-        let t = tracer();
-        let monitor = Monitor::new(cfg()).unwrap();
-        let root = t.begin_at("run", "driver", 0.0);
-        quality_at(&t, 1.0, 1.0);
-        t.end_at(root, 2.0);
-        assert_eq!(monitor.events_seen(), 0, "not attached: nothing ingested");
-
-        let disabled = Tracer::disabled();
-        disabled.attach_sink(Arc::clone(&monitor) as Arc<dyn TraceSink>);
-        disabled.instant("x", "traffic", Vec::new());
-        assert_eq!(monitor.events_seen(), 0, "disabled tracer records nothing");
     }
 }

@@ -26,7 +26,8 @@
 //!   JSON contains no host wall-clock values, so it is byte-identical
 //!   across rayon pool widths. DESIGN.md §9 documents the schema.
 
-use crate::trace::{json_string, MetricsRegistry, Span, SpanId, Trace};
+use crate::sweep::{phase_key, slot_group};
+use crate::trace::{check, json_string, MetricsRegistry, Span, SpanId, Trace};
 use crate::traffic::{human_bytes, TrafficClass, TrafficSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -418,12 +419,9 @@ impl PerfReport {
         // Percentile rollups per phase group.
         let mut groups: BTreeMap<String, Vec<f64>> = BTreeMap::new();
         for s in &trace.spans {
-            let key = match s.cat {
-                "phase" | "transfer" | "merge" => format!("{}/{}", s.cat, s.name),
-                "job" | "be-iteration" | "ic" | "topoff" | "driver" => s.cat.to_string(),
-                _ => continue,
-            };
-            groups.entry(key).or_default().push(s.duration_s());
+            if let Some(key) = phase_key(s) {
+                groups.entry(key).or_default().push(s.duration_s());
+            }
         }
         let mut phases = BTreeMap::new();
         for (key, mut durations) in groups {
@@ -436,7 +434,7 @@ impl PerfReport {
         let mut task_durations: BTreeMap<String, Vec<f64>> = BTreeMap::new();
         let mut slot_busy: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
         for s in trace.spans.iter().filter(|s| s.cat == "task") {
-            let Some((group, _)) = s.lane.split_once("-slot-") else {
+            let Some(group) = slot_group(&s.lane) else {
                 continue;
             };
             task_durations
@@ -551,11 +549,7 @@ impl PerfReport {
                 )
             })
             .collect();
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        check::verdict(errs)
     }
 
     /// Human-readable report; the critical path prints at most
@@ -633,20 +627,24 @@ impl PerfReport {
     /// gate compares those with a relative epsilon, everything else
     /// exactly). Contains no host wall-clock values.
     pub fn to_json(&self, indent: usize) -> String {
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
+        JsonWriter::document(indent, |w| self.write_json(w))
+    }
+
+    /// The fields of [`PerfReport::to_json`], written into the caller's
+    /// open object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.field("schema_version", &REPORT_SCHEMA_VERSION.to_string());
         w.field("total_s", &fmt_f64(self.total_s));
         match &self.critical_path {
             None => w.field("critical_path", "null"),
             Some(cp) => {
                 w.open_key("critical_path", "{");
-                w.field("root", &json_string(&cp.root_name));
+                w.field_str("root", &cp.root_name);
                 w.field("total_s", &fmt_f64(cp.total_s));
                 w.field("segments", &cp.segments.len().to_string());
                 w.open_key("by_cat_s", "{");
                 for (cat, secs) in cp.by_cat_s() {
-                    w.field_key(&cat, &fmt_f64(secs));
+                    w.field(&cat, &fmt_f64(secs));
                 }
                 w.close("}");
                 w.close("}");
@@ -654,7 +652,7 @@ impl PerfReport {
         }
         w.open_key("phases", "{");
         for (key, st) in &self.phases {
-            w.open_key_escaped(key, "{");
+            w.open_key(key, "{");
             w.field("count", &st.count.to_string());
             w.field("total_s", &fmt_f64(st.total_s));
             w.field("p50_s", &fmt_f64(st.p50_s));
@@ -665,7 +663,7 @@ impl PerfReport {
         w.close("}");
         w.open_key("tasks", "{");
         for (group, st) in &self.tasks {
-            w.open_key_escaped(group, "{");
+            w.open_key(group, "{");
             w.field("count", &st.durations.count.to_string());
             w.field("slots", &st.slots.to_string());
             w.field("p50_s", &fmt_f64(st.durations.p50_s));
@@ -677,35 +675,29 @@ impl PerfReport {
             w.close("}");
         }
         w.close("}");
-        w.open_key("iterations", "[");
-        for it in &self.iterations {
-            w.open("{");
-            w.field("cat", &json_string(it.cat));
+        w.objects("iterations", &self.iterations, |w, it| {
+            w.field_str("cat", it.cat);
             w.field("index", &it.index.to_string());
-            w.field("name", &json_string(&it.name));
+            w.field_str("name", &it.name);
             w.field("time_s", &fmt_f64(it.time_s));
-            write_snapshot(&mut w, "bytes", &it.bytes);
-            w.close("}");
-        }
-        w.close("]");
-        write_snapshot(&mut w, "outside_bytes", &self.outside_bytes);
+            write_snapshot(w, "bytes", &it.bytes);
+        });
+        write_snapshot(w, "outside_bytes", &self.outside_bytes);
         w.open_key("phase_time_s", "{");
         for (key, secs) in &self.metrics.phase_time_s {
-            w.field_key(key, &fmt_f64(*secs));
+            w.field(key, &fmt_f64(*secs));
         }
         w.close("}");
         w.open_key("class_bytes", "{");
         for (key, bytes) in &self.metrics.class_bytes {
-            w.field_key(key, &bytes.to_string());
+            w.field(key, &bytes.to_string());
         }
         w.close("}");
         w.open_key("counters", "{");
         for (key, v) in &self.metrics.counters {
-            w.field_key(key, &v.to_string());
+            w.field(key, &v.to_string());
         }
         w.close("}");
-        w.close("}");
-        w.finish()
     }
 }
 
@@ -834,9 +826,13 @@ impl QualityReport {
     /// `_x` (all compared with a relative epsilon by the regression
     /// gate); iteration counts are bare integers compared exactly.
     pub fn to_json(&self, indent: usize) -> String {
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
-        w.field("app", &json_string(&self.app));
+        JsonWriter::document(indent, |w| self.write_json(w))
+    }
+
+    /// The fields of [`QualityReport::to_json`], written into the
+    /// caller's open object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.field_str("app", &self.app);
         w.field("ic_iterations", &self.ic_iterations.to_string());
         w.field("be_iterations", &self.be_iterations.to_string());
         w.field("topoff_iterations", &self.topoff_iterations.to_string());
@@ -849,27 +845,21 @@ impl QualityReport {
         for (label, x) in TIME_TO_WITHIN_PCTS {
             let ic = Self::time_to_within(&self.ic_curve, x);
             let pic = Self::time_to_within(&self.pic_curve, x);
-            w.field_key(&format!("ic_{label}_s"), &opt(ic));
-            w.field_key(&format!("pic_{label}_s"), &opt(pic));
+            w.field(&format!("ic_{label}_s"), &opt(ic));
+            w.field(&format!("pic_{label}_s"), &opt(pic));
             let speedup = match (ic, pic) {
                 (Some(a), Some(b)) if b > 0.0 => Some(a / b),
                 _ => None,
             };
-            w.field_key(&format!("speedup_{label}_x"), &opt(speedup));
+            w.field(&format!("speedup_{label}_x"), &opt(speedup));
         }
         w.close("}");
         for (key, curve) in [("ic_curve", &self.ic_curve), ("pic_curve", &self.pic_curve)] {
-            w.open_key(key, "[");
-            for p in curve {
-                w.open("{");
+            w.objects(key, curve, |w, p| {
                 w.field("t_s", &fmt_f64(p.t_s));
                 w.field("err", &fmt_f64(p.err));
-                w.close("}");
-            }
-            w.close("]");
+            });
         }
-        w.close("}");
-        w.finish()
     }
 }
 
@@ -906,6 +896,27 @@ pub struct TenancyRow {
     pub granted_nodes: usize,
     /// Times this job's best-effort iteration was preempted.
     pub preemptions: usize,
+}
+
+impl TenancyRow {
+    /// The row in schema order — the one definition behind the
+    /// `per_job` JSON objects and the tenancy CSV records.
+    fn columns(&self) -> Vec<Column> {
+        vec![
+            Column::num("id", self.id),
+            Column::text("app", &self.app),
+            Column::text("driver", &self.driver),
+            Column::num("arrival_s", fmt_f64(self.arrival_s)),
+            Column::num("admitted_s", fmt_f64(self.admitted_s)),
+            Column::num("finish_s", fmt_f64(self.finish_s)),
+            Column::num("queue_delay_s", fmt_f64(self.queue_delay_s)),
+            Column::num("tt_quality_s", fmt_f64(self.tt_quality_s)),
+            Column::num("contention_s", fmt_f64(self.contention_s)),
+            Column::num("requested_nodes", self.requested_nodes),
+            Column::num("granted_nodes", self.granted_nodes),
+            Column::num("preemptions", self.preemptions),
+        ]
+    }
 }
 
 /// Aggregate telemetry for one multi-tenant job stream: nearest-rank
@@ -954,9 +965,13 @@ impl TenancyReport {
     /// Stable JSON (summary percentiles + per-job rows); byte-identical
     /// across rayon pool widths because every field is simulated.
     pub fn to_json(&self, indent: usize) -> String {
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
-        w.field("preset", &json_string(&self.preset));
+        JsonWriter::document(indent, |w| self.write_json(w))
+    }
+
+    /// The fields of [`TenancyReport::to_json`], written into the
+    /// caller's open object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.field_str("preset", &self.preset);
         w.field("cluster_nodes", &self.cluster_nodes.to_string());
         w.field("jobs", &self.rows.len().to_string());
         w.field("makespan_s", &fmt_f64(self.makespan_s));
@@ -982,26 +997,7 @@ impl TenancyReport {
         );
         w.field("contention_s", &fmt_f64(self.contention_total_s()));
         w.field("preemption_total", &self.preemption_total().to_string());
-        w.open_key("per_job", "[");
-        for r in &self.rows {
-            w.open("{");
-            w.field("id", &r.id.to_string());
-            w.field("app", &json_string(&r.app));
-            w.field("driver", &json_string(&r.driver));
-            w.field("arrival_s", &fmt_f64(r.arrival_s));
-            w.field("admitted_s", &fmt_f64(r.admitted_s));
-            w.field("finish_s", &fmt_f64(r.finish_s));
-            w.field("queue_delay_s", &fmt_f64(r.queue_delay_s));
-            w.field("tt_quality_s", &fmt_f64(r.tt_quality_s));
-            w.field("contention_s", &fmt_f64(r.contention_s));
-            w.field("requested_nodes", &r.requested_nodes.to_string());
-            w.field("granted_nodes", &r.granted_nodes.to_string());
-            w.field("preemptions", &r.preemptions.to_string());
-            w.close("}");
-        }
-        w.close("]");
-        w.close("}");
-        w.finish()
+        w.objects("per_job", &self.rows, |w, r| w.columns(&r.columns()));
     }
 
     /// CSV header matching [`TenancyReport::csv_records`].
@@ -1012,25 +1008,7 @@ impl TenancyReport {
     /// One CSV field record per job, arrival order. Records come back
     /// unjoined: quoting/escaping lives in the `pic-bench` CSV writer.
     pub fn csv_records(&self) -> Vec<Vec<String>> {
-        self.rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.id.to_string(),
-                    r.app.clone(),
-                    r.driver.clone(),
-                    fmt_f64(r.arrival_s),
-                    fmt_f64(r.admitted_s),
-                    fmt_f64(r.finish_s),
-                    fmt_f64(r.queue_delay_s),
-                    fmt_f64(r.tt_quality_s),
-                    fmt_f64(r.contention_s),
-                    r.requested_nodes.to_string(),
-                    r.granted_nodes.to_string(),
-                    r.preemptions.to_string(),
-                ]
-            })
-            .collect()
+        self.rows.iter().map(|r| csv_record(r.columns())).collect()
     }
 
     /// Short human summary (the `pic tenancy` table renders the rows).
@@ -1056,7 +1034,7 @@ impl TenancyReport {
 fn write_snapshot(w: &mut JsonWriter, key: &str, snap: &TrafficSnapshot) {
     w.open_key(key, "{");
     for c in TrafficClass::ALL {
-        w.field_key(c.label(), &snap.get(c).to_string());
+        w.field(c.label(), &snap.get(c).to_string());
     }
     w.field("shuffle_total", &snap.shuffle_total().to_string());
     w.field("model_update_total", &snap.model_update_total().to_string());
@@ -1153,7 +1131,7 @@ impl JsonWriter {
         self.has_entry.push(false);
     }
 
-    /// Open a container under a key that is already valid JSON-safe.
+    /// Open a container under `key`.
     pub fn open_key(&mut self, key: &str, bracket: &str) {
         self.line_start();
         self.out.push_str(&json_string(key));
@@ -1163,23 +1141,53 @@ impl JsonWriter {
         self.has_entry.push(false);
     }
 
-    /// [`JsonWriter::open_key`] — kept separate for call-site clarity
-    /// when the key is dynamic (escaping always applies).
-    pub fn open_key_escaped(&mut self, key: &str, bracket: &str) {
-        self.open_key(key, bracket);
-    }
-
     /// Emit `"key": value` where `value` is already rendered JSON.
     pub fn field(&mut self, key: &str, value: &str) {
-        self.field_key(key, value);
-    }
-
-    /// Emit a field with a dynamic (escaped) key.
-    pub fn field_key(&mut self, key: &str, value: &str) {
         self.line_start();
         self.out.push_str(&json_string(key));
         self.out.push_str(": ");
         self.out.push_str(value);
+    }
+
+    /// Emit `"key": "text"`, escaping `text`.
+    pub fn field_str(&mut self, key: &str, text: &str) {
+        self.field(key, &json_string(text));
+    }
+
+    /// Emit `"key": { … }` with the fields written by `body` — how a
+    /// document nests a sub-report's `write_json`.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut JsonWriter)) {
+        self.open_key(key, "{");
+        body(self);
+        self.close("}");
+    }
+
+    /// Emit one field per column into the open object.
+    pub fn columns(&mut self, columns: &[Column]) {
+        for c in columns {
+            if c.is_text {
+                self.field_str(&c.key, &c.value);
+            } else {
+                self.field(&c.key, &c.value);
+            }
+        }
+    }
+
+    /// Emit `"key": [ {…}, … ]`: one object per item, its fields
+    /// written by `body`.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut body: impl FnMut(&mut JsonWriter, T),
+    ) {
+        self.open_key(key, "[");
+        for item in items {
+            self.open("{");
+            body(self, item);
+            self.close("}");
+        }
+        self.close("]");
     }
 
     /// Close the innermost container with `}` or `]`.
@@ -1197,6 +1205,64 @@ impl JsonWriter {
     pub fn finish(self) -> String {
         self.out
     }
+
+    /// A complete `{ … }` document at `base` indent whose fields are
+    /// written by `body`.
+    pub fn document(base: usize, body: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::new(base);
+        w.open("{");
+        body(&mut w);
+        w.close("}");
+        w.finish()
+    }
+}
+
+/// One cell of a report row: column name, rendered value, and whether
+/// the value is text (JSON-quoted) or an already-rendered JSON literal.
+/// A row type lists its columns once; [`JsonWriter::columns`] and
+/// [`csv_record`] derive the JSON object and the CSV record from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Column {
+    pub(crate) key: String,
+    pub(crate) value: String,
+    is_text: bool,
+}
+
+impl Column {
+    /// A numeric / boolean / `null` cell (`value` renders the literal).
+    pub fn num(key: impl Into<String>, value: impl ToString) -> Column {
+        Column {
+            key: key.into(),
+            value: value.to_string(),
+            is_text: false,
+        }
+    }
+
+    /// A text cell.
+    pub fn text(key: impl Into<String>, value: &str) -> Column {
+        Column {
+            key: key.into(),
+            value: value.to_string(),
+            is_text: true,
+        }
+    }
+
+    /// The column name.
+    pub fn key(&self) -> &str {
+        &self.key
+    }
+}
+
+/// The CSV record of a row: its column values, in order (quoting and
+/// escaping live in the `pic-bench` CSV writer).
+pub fn csv_record(columns: Vec<Column>) -> Vec<String> {
+    columns.into_iter().map(|c| c.value).collect()
+}
+
+/// Render a float series as an inline JSON array.
+pub fn json_f64s(values: &[f64]) -> String {
+    let items: Vec<String> = values.iter().map(|v| fmt_f64(*v)).collect();
+    format!("[{}]", items.join(", "))
 }
 
 #[cfg(test)]

@@ -1,0 +1,391 @@
+//! The charge-sweep kernel: the one place that knows how a recorded
+//! [`Trace`] encodes traffic and work, shared by every derivation
+//! ([`crate::report`], [`crate::timeline`], [`crate::whatif`],
+//! [`crate::monitor`]).
+//!
+//! * [`collect_charges`] turns `traffic` instants (with the `w0`/`w1`
+//!   windows [`crate::traffic::TrafficLedger::add_over`] records) into
+//!   [`Charge`]s and the timeline horizon;
+//! * [`rate_steps`] cuts one [`LinkClass`]'s charge windows into the
+//!   elementary steps of its piecewise-constant byte rate — the
+//!   saturation sweep and the what-if warps are filters over those steps;
+//! * [`apportion`], [`spread_busy`] and [`utilization`] put bytes and
+//!   task busy-seconds onto a uniform grid (a series of `n` buckets of
+//!   `dt` simulated seconds from `t = 0`) and price bucketed bytes
+//!   against a capacity — the 60-interval utilization report and the
+//!   monitor's quarter-window buckets are the same code at two `dt`s;
+//! * [`phase_key`] and [`slot_group`] name a span's rollup group and a
+//!   task lane's slot group.
+
+use crate::topology::ClusterSpec;
+use crate::trace::{Span, Trace};
+use crate::traffic::TrafficClass;
+
+/// The four link classes the topology prices, each aggregating the
+/// traffic classes that consume it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LinkClass {
+    /// Aggregate node-local disk bandwidth (`nodes × disk_bw`).
+    Disk,
+    /// Aggregate NIC bandwidth (`nodes × nic_bw`).
+    Nic,
+    /// Aggregate rack-uplink bandwidth (`racks × rack_uplink_bw`).
+    RackUplink,
+    /// Cluster bisection bandwidth (`bisection_bw`) — the paper's
+    /// bottleneck resource.
+    Bisection,
+}
+
+impl LinkClass {
+    /// All link classes, in display order.
+    pub const ALL: [LinkClass; 4] = [
+        LinkClass::Disk,
+        LinkClass::Nic,
+        LinkClass::RackUplink,
+        LinkClass::Bisection,
+    ];
+
+    /// Short label for reports and CSV.
+    pub fn label(self) -> &'static str {
+        match self {
+            LinkClass::Disk => "disk",
+            LinkClass::Nic => "nic",
+            LinkClass::RackUplink => "rack-uplink",
+            LinkClass::Bisection => "bisection",
+        }
+    }
+
+    /// The link a traffic class consumes. Shuffle-local and map-spill
+    /// bytes hit node disks; broadcast / merge / DFS-read / recovery
+    /// bytes enter or leave single nodes (NIC-bound); rack shuffle bytes
+    /// climb the rack uplinks; bisection shuffle, model updates and
+    /// replicated DFS writes cross the core (replication pipelines span
+    /// racks).
+    pub fn of(class: TrafficClass) -> LinkClass {
+        match class {
+            TrafficClass::ShuffleLocal | TrafficClass::MapSpill => LinkClass::Disk,
+            TrafficClass::Broadcast
+            | TrafficClass::Merge
+            | TrafficClass::DfsRead
+            | TrafficClass::Recovery => LinkClass::Nic,
+            TrafficClass::ShuffleRack => LinkClass::RackUplink,
+            TrafficClass::ShuffleBisection | TrafficClass::ModelUpdate | TrafficClass::DfsWrite => {
+                LinkClass::Bisection
+            }
+        }
+    }
+
+    /// Aggregate capacity of this link class on `spec`, bytes/second.
+    pub fn capacity(self, spec: &ClusterSpec) -> f64 {
+        match self {
+            LinkClass::Disk => spec.nodes as f64 * spec.disk_bw,
+            LinkClass::Nic => spec.nodes as f64 * spec.nic_bw,
+            LinkClass::RackUplink => spec.racks as f64 * spec.rack_uplink_bw,
+            LinkClass::Bisection => spec.bisection_bw,
+        }
+    }
+}
+
+/// One ledger charge with its attribution window (`w1 == w0` for
+/// impulse charges).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Charge {
+    /// The traffic class billed.
+    pub class: TrafficClass,
+    /// Bytes moved.
+    pub bytes: u64,
+    /// Window start, simulated seconds.
+    pub w0: f64,
+    /// Window end, simulated seconds (`== w0` for impulses).
+    pub w1: f64,
+}
+
+/// Extract every ledger charge from `trace` (the `traffic` instants
+/// recorded by [`crate::traffic::TrafficLedger`]) along with the
+/// timeline horizon (max over span ends, instant timestamps and
+/// charge-window ends). Un-windowed or malformed charges become
+/// impulses at their timestamp.
+pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
+    let mut charges: Vec<Charge> = Vec::new();
+    let mut horizon = 0.0f64;
+    for s in &trace.spans {
+        horizon = horizon.max(s.t1).max(s.t0);
+    }
+    for i in &trace.instants {
+        horizon = horizon.max(i.t);
+        if i.cat != "traffic" {
+            continue;
+        }
+        let Some(class) = TrafficClass::from_label(&i.name) else {
+            continue;
+        };
+        let bytes = i.arg_u64("bytes").unwrap_or(0);
+        let (w0, w1) = match (i.arg_f64("w0"), i.arg_f64("w1")) {
+            (Some(a), Some(b)) if b >= a => (a, b),
+            _ => (i.t, i.t),
+        };
+        horizon = horizon.max(w1);
+        charges.push(Charge {
+            class,
+            bytes,
+            w0,
+            w1,
+        });
+    }
+    (charges, horizon)
+}
+
+/// One elementary step `(t0, t1, rate, focus_rate)` of a link's
+/// piecewise-constant byte rate: between two adjacent window
+/// breakpoints the link moves `rate` bytes/second, `focus_rate` of it
+/// billed to the focus class.
+pub type RateStep = (f64, f64, f64, f64);
+
+/// Cut the windowed charges of `link` at every window boundary and
+/// return the steps with a positive rate, in time order. A step's rate
+/// is summed over the charges covering it, in charge order. Impulse
+/// charges carry no width and are ignored. O(cuts × windows).
+pub fn rate_steps(
+    charges: &[Charge],
+    link: LinkClass,
+    focus: Option<TrafficClass>,
+) -> Vec<RateStep> {
+    let windows: Vec<&Charge> = charges
+        .iter()
+        .filter(|c| LinkClass::of(c.class) == link)
+        .filter(|c| c.w1 > c.w0 && c.bytes > 0)
+        .collect();
+    let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
+    cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite windows"));
+    cuts.dedup();
+    let mut steps = Vec::new();
+    for pair in cuts.windows(2) {
+        let (p, q) = (pair[0], pair[1]);
+        let (mut rate, mut focus_rate) = (0.0, 0.0);
+        for c in windows.iter().filter(|c| c.w0 <= p && q <= c.w1) {
+            let r = c.bytes as f64 / (c.w1 - c.w0);
+            rate += r;
+            if focus == Some(c.class) {
+                focus_rate += r;
+            }
+        }
+        if rate > 0.0 {
+            steps.push((p, q, rate, focus_rate));
+        }
+    }
+    steps
+}
+
+/// Spread `charge` over the grid buckets its window covers by
+/// cumulative rounding: bucket `i` receives
+/// `round(B·F(i)) − round(B·F(i−1))` where `F` is the fraction of the
+/// window covered up to the bucket's right edge — shares are
+/// non-negative and sum to exactly `B`, so every series built here
+/// integrates to the ledger total. Impulses land whole in the bucket
+/// containing them.
+pub fn apportion(series: &mut [u64], charge: &Charge, dt: f64) {
+    let n = series.len();
+    if n == 0 || charge.bytes == 0 {
+        return;
+    }
+    let clamp_idx = |t: f64| -> usize {
+        if dt <= 0.0 {
+            return 0;
+        }
+        ((t / dt).floor() as isize).clamp(0, n as isize - 1) as usize
+    };
+    let (a, b) = (charge.w0.max(0.0), charge.w1.max(0.0));
+    // `b > a` (not `b - a > 0`) so a NaN window degrades to an impulse.
+    let windowed = b > a && dt > 0.0;
+    if !windowed {
+        // Impulse: the whole charge lands in the interval containing it.
+        series[clamp_idx(a)] += charge.bytes;
+        return;
+    }
+    let first = clamp_idx(a);
+    let last = clamp_idx(b - f64::MIN_POSITIVE).max(first);
+    let bytes = charge.bytes as f64;
+    let mut cum_prev = 0u64;
+    for (i, slot) in series.iter_mut().enumerate().take(last + 1).skip(first) {
+        let right = ((i + 1) as f64 * dt).min(b);
+        let frac = ((right - a) / (b - a)).clamp(0.0, 1.0);
+        let cum = if i == last {
+            charge.bytes // the window ends here: assign the exact remainder
+        } else {
+            (bytes * frac).round() as u64
+        };
+        *slot += cum.saturating_sub(cum_prev);
+        cum_prev = cum.max(cum_prev);
+    }
+}
+
+/// Add the busy seconds of `[t0, t1]` to every grid bucket the interval
+/// overlaps (bucket `i` covers `[i·dt, (i+1)·dt)`).
+pub fn spread_busy(series: &mut [f64], t0: f64, t1: f64, dt: f64) {
+    if dt <= 0.0 || series.is_empty() {
+        return;
+    }
+    let (t0, t1) = (t0.max(0.0), t1.max(0.0));
+    let first = ((t0 / dt).floor() as usize).min(series.len() - 1);
+    for (i, busy) in series.iter_mut().enumerate().skip(first) {
+        let left = i as f64 * dt;
+        if left >= t1 {
+            break;
+        }
+        *busy += (t1.min((i + 1) as f64 * dt) - t0.max(left)).max(0.0);
+    }
+}
+
+/// Bucketed bytes as a fraction of what `capacity` bytes/second moves
+/// in one `dt`-second bucket.
+pub fn utilization(bytes: &[u64], capacity: f64, dt: f64) -> Vec<f64> {
+    bytes
+        .iter()
+        .map(|&b| {
+            if capacity > 0.0 && dt > 0.0 {
+                b as f64 / (capacity * dt)
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// Rollup group of a span: `cat/name` for `phase` / `transfer` /
+/// `merge` spans, the bare category for iteration-level spans and the
+/// driver root, `None` for everything else (tasks).
+pub fn phase_key(s: &Span) -> Option<String> {
+    match s.cat {
+        "phase" | "transfer" | "merge" => Some(format!("{}/{}", s.cat, s.name)),
+        "job" | "be-iteration" | "ic" | "topoff" | "driver" => Some(s.cat.to_string()),
+        _ => None,
+    }
+}
+
+/// Slot-group name of a task lane (`map-slot-3` → `map`), if the lane
+/// follows the scheduler's `{group}-slot-{n}` convention.
+pub fn slot_group(lane: &str) -> Option<&str> {
+    lane.split_once("-slot-").map(|(g, _)| g)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Random charges on a quarter-second lattice (so windows share
+    /// breakpoints, nest and abut), a third of them impulses.
+    fn charges_strategy() -> impl Strategy<Value = Vec<Charge>> {
+        let charge = (
+            0..TrafficClass::ALL.len(),
+            0u64..1_000_000_000,
+            0u32..3,
+            0u32..400,
+            0u32..400,
+        )
+            .prop_map(|(class, bytes, kind, a, b)| {
+                let (w0, w1) = (f64::from(a.min(b)) / 4.0, f64::from(a.max(b)) / 4.0);
+                Charge {
+                    class: TrafficClass::ALL[class],
+                    bytes,
+                    w0,
+                    w1: if kind == 0 { w0 } else { w1 },
+                }
+            });
+        proptest::collection::vec(charge, 0..80)
+    }
+
+    /// The per-step formula both pre-kernel sweeps (`saturation_sweep`,
+    /// `WhatIf::rate_intervals`) spelled out, kept as the oracle.
+    fn oracle_rate(windows: &[&Charge], p: f64, q: f64) -> f64 {
+        windows
+            .iter()
+            .filter(|c| c.w0 <= p && q <= c.w1)
+            .map(|c| c.bytes as f64 / (c.w1 - c.w0))
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn rate_steps_equal_the_per_step_formula_bit_for_bit(
+            charges in charges_strategy(),
+            focus in 0..TrafficClass::ALL.len(),
+        ) {
+            let focus = TrafficClass::ALL[focus];
+            for link in LinkClass::ALL {
+                let windows: Vec<&Charge> = charges
+                    .iter()
+                    .filter(|c| LinkClass::of(c.class) == link && c.w1 > c.w0 && c.bytes > 0)
+                    .collect();
+                let focused: Vec<&Charge> =
+                    windows.iter().copied().filter(|c| c.class == focus).collect();
+                let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
+                cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                cuts.dedup();
+                let expected: Vec<(f64, f64, u64, u64)> = cuts
+                    .windows(2)
+                    .map(|pair| (pair[0], pair[1]))
+                    .filter(|&(p, q)| oracle_rate(&windows, p, q) > 0.0)
+                    // `+ 0.0` folds the empty sum's -0.0 into +0.0.
+                    .map(|(p, q)| {
+                        let (rate, focus_rate) =
+                            (oracle_rate(&windows, p, q), oracle_rate(&focused, p, q) + 0.0);
+                        (p, q, rate.to_bits(), focus_rate.to_bits())
+                    })
+                    .collect();
+                let got: Vec<(f64, f64, u64, u64)> = rate_steps(&charges, link, Some(focus))
+                    .into_iter()
+                    .map(|(p, q, rate, focus_rate)| (p, q, rate.to_bits(), focus_rate.to_bits()))
+                    .collect();
+                prop_assert_eq!(got, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn busy_seconds_spread_exactly_over_the_buckets_they_overlap() {
+        let mut series = vec![0.0; 5];
+        spread_busy(&mut series, 0.5, 3.25, 1.0);
+        assert_eq!(series, vec![0.5, 1.0, 1.0, 0.25, 0.0]);
+        // Past the grid's end the tail is dropped; a degenerate grid and
+        // an inverted interval add nothing.
+        spread_busy(&mut series, 4.5, 9.0, 1.0);
+        assert_eq!(series[4], 0.5);
+        spread_busy(&mut series, 0.0, 5.0, 0.0);
+        spread_busy(&mut series, 3.0, 1.0, 1.0);
+        assert_eq!(series.iter().sum::<f64>(), 3.25);
+    }
+
+    #[test]
+    fn utilization_prices_bytes_against_capacity_per_bucket() {
+        assert_eq!(utilization(&[50, 0, 200], 100.0, 2.0), vec![0.25, 0.0, 1.0]);
+        assert_eq!(utilization(&[50], 0.0, 2.0), vec![0.0]);
+        assert_eq!(utilization(&[50], 100.0, 0.0), vec![0.0]);
+    }
+
+    #[test]
+    fn group_names_follow_the_recording_conventions() {
+        assert_eq!(slot_group("map-slot-3"), Some("map"));
+        assert_eq!(slot_group("driver"), None);
+        let tracer = crate::trace::Tracer::standalone();
+        for (name, cat) in [
+            ("map", "phase"),
+            ("be-2", "be-iteration"),
+            ("pic:kmeans", "driver"),
+            ("t", "task"),
+        ] {
+            tracer.span_at(name, cat, 0.0, 1.0, Vec::new());
+        }
+        let keys: Vec<Option<String>> = tracer.trace().spans.iter().map(phase_key).collect();
+        let keys: Vec<Option<&str>> = keys.iter().map(Option::as_deref).collect();
+        let expected = [
+            Some("phase/map"),
+            Some("be-iteration"),
+            Some("driver"),
+            None,
+        ];
+        assert_eq!(keys, expected);
+    }
+}

@@ -30,9 +30,12 @@
 //! the whole report — JSON, CSV, counter tracks — is byte-identical
 //! across rayon pool widths.
 
-use crate::report::{fmt_f64, peak, percentile, JsonWriter};
+use crate::report::{fmt_f64, json_f64s, peak, percentile, JsonWriter};
+use crate::sweep::{
+    apportion, collect_charges, rate_steps, slot_group, spread_busy, utilization, Charge, LinkClass,
+};
 use crate::topology::ClusterSpec;
-use crate::trace::{CounterTrack, Trace};
+use crate::trace::{check, CounterTrack, Trace};
 use crate::traffic::{TrafficClass, TrafficSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,71 +46,6 @@ pub const DEFAULT_INTERVALS: usize = 60;
 /// Utilization at or above this fraction of link capacity counts as
 /// saturated in [`Saturation`] accounting.
 pub const SATURATION_THRESHOLD: f64 = 0.95;
-
-/// The four link classes the topology prices, each aggregating the
-/// traffic classes that consume it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LinkClass {
-    /// Aggregate node-local disk bandwidth (`nodes × disk_bw`).
-    Disk,
-    /// Aggregate NIC bandwidth (`nodes × nic_bw`).
-    Nic,
-    /// Aggregate rack-uplink bandwidth (`racks × rack_uplink_bw`).
-    RackUplink,
-    /// Cluster bisection bandwidth (`bisection_bw`) — the paper's
-    /// bottleneck resource.
-    Bisection,
-}
-
-impl LinkClass {
-    /// All link classes, in display order.
-    pub const ALL: [LinkClass; 4] = [
-        LinkClass::Disk,
-        LinkClass::Nic,
-        LinkClass::RackUplink,
-        LinkClass::Bisection,
-    ];
-
-    /// Short label for reports and CSV.
-    pub fn label(self) -> &'static str {
-        match self {
-            LinkClass::Disk => "disk",
-            LinkClass::Nic => "nic",
-            LinkClass::RackUplink => "rack-uplink",
-            LinkClass::Bisection => "bisection",
-        }
-    }
-
-    /// The link a traffic class consumes. Shuffle-local and map-spill
-    /// bytes hit node disks; broadcast / merge / DFS-read / recovery
-    /// bytes enter or leave single nodes (NIC-bound); rack shuffle bytes
-    /// climb the rack uplinks; bisection shuffle, model updates and
-    /// replicated DFS writes cross the core (replication pipelines span
-    /// racks).
-    pub fn of(class: TrafficClass) -> LinkClass {
-        match class {
-            TrafficClass::ShuffleLocal | TrafficClass::MapSpill => LinkClass::Disk,
-            TrafficClass::Broadcast
-            | TrafficClass::Merge
-            | TrafficClass::DfsRead
-            | TrafficClass::Recovery => LinkClass::Nic,
-            TrafficClass::ShuffleRack => LinkClass::RackUplink,
-            TrafficClass::ShuffleBisection | TrafficClass::ModelUpdate | TrafficClass::DfsWrite => {
-                LinkClass::Bisection
-            }
-        }
-    }
-
-    /// Aggregate capacity of this link class on `spec`, bytes/second.
-    pub fn capacity(self, spec: &ClusterSpec) -> f64 {
-        match self {
-            LinkClass::Disk => spec.nodes as f64 * spec.disk_bw,
-            LinkClass::Nic => spec.nodes as f64 * spec.nic_bw,
-            LinkClass::RackUplink => spec.racks as f64 * spec.rack_uplink_bw,
-            LinkClass::Bisection => spec.bisection_bw,
-        }
-    }
-}
 
 /// Per-interval byte and utilization series for one [`LinkClass`].
 #[derive(Debug, Clone, PartialEq)]
@@ -201,103 +139,6 @@ fn grid_dt(horizon_s: f64, intervals: usize) -> f64 {
     }
 }
 
-/// One ledger charge with its attribution window (`w1 == w0` for
-/// impulse charges).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Charge {
-    /// The traffic class billed.
-    pub class: TrafficClass,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Window start, simulated seconds.
-    pub w0: f64,
-    /// Window end, simulated seconds (`== w0` for impulses).
-    pub w1: f64,
-}
-
-/// Extract every windowed ledger charge from `trace` (the `traffic`
-/// instants recorded by [`crate::traffic::TrafficLedger`]) along with
-/// the timeline horizon (max over span ends, instant timestamps and
-/// charge-window ends). Shared by the utilization grid, the exact
-/// saturation sweep and the `whatif` projection engine.
-pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
-    let mut charges: Vec<Charge> = Vec::new();
-    let mut horizon = 0.0f64;
-    for s in &trace.spans {
-        horizon = horizon.max(s.t1).max(s.t0);
-    }
-    for i in &trace.instants {
-        horizon = horizon.max(i.t);
-        if i.cat != "traffic" {
-            continue;
-        }
-        let Some(class) = TrafficClass::from_label(&i.name) else {
-            continue;
-        };
-        let bytes = i.arg_u64("bytes").unwrap_or(0);
-        let (w0, w1) = match (i.arg_f64("w0"), i.arg_f64("w1")) {
-            (Some(a), Some(b)) if b >= a => (a, b),
-            _ => (i.t, i.t),
-        };
-        horizon = horizon.max(w1);
-        charges.push(Charge {
-            class,
-            bytes,
-            w0,
-            w1,
-        });
-    }
-    (charges, horizon)
-}
-
-/// Spread `bytes` over `[w0, w1]` on the grid by cumulative rounding:
-/// interval `i` receives `round(B·F(i)) − round(B·F(i−1))` where `F` is
-/// the fraction of the window covered up to the interval's right edge —
-/// shares are non-negative and sum to exactly `B`. Shared with
-/// [`crate::monitor`], whose bucket integrals inherit the same exactness
-/// guarantee.
-pub(crate) fn apportion(series: &mut [u64], charge: &Charge, dt: f64) {
-    let n = series.len();
-    if n == 0 || charge.bytes == 0 {
-        return;
-    }
-    let clamp_idx = |t: f64| -> usize {
-        if dt <= 0.0 {
-            return 0;
-        }
-        ((t / dt).floor() as isize).clamp(0, n as isize - 1) as usize
-    };
-    let (a, b) = (charge.w0.max(0.0), charge.w1.max(0.0));
-    // `b > a` (not `b - a > 0`) so a NaN window degrades to an impulse.
-    let windowed = b > a && dt > 0.0;
-    if !windowed {
-        // Impulse: the whole charge lands in the interval containing it.
-        series[clamp_idx(a)] += charge.bytes;
-        return;
-    }
-    let first = clamp_idx(a);
-    let last = clamp_idx(b - f64::MIN_POSITIVE).max(first);
-    let bytes = charge.bytes as f64;
-    let mut cum_prev = 0u64;
-    for (i, slot) in series.iter_mut().enumerate().take(last + 1).skip(first) {
-        let right = ((i + 1) as f64 * dt).min(b);
-        let frac = ((right - a) / (b - a)).clamp(0.0, 1.0);
-        let cum = if i == last {
-            charge.bytes // the window ends here: assign the exact remainder
-        } else {
-            (bytes * frac).round() as u64
-        };
-        *slot += cum.saturating_sub(cum_prev);
-        cum_prev = cum.max(cum_prev);
-    }
-}
-
-/// Slot-group name of a task lane (`map-slot-3` → `map`), if the lane
-/// follows the scheduler's `{group}-slot-{n}` convention.
-fn slot_group(lane: &str) -> Option<&str> {
-    lane.split_once("-slot-").map(|(g, _)| g)
-}
-
 /// Cluster-wide slot count for a group name. Solve tasks run on map
 /// slots (the PIC driver schedules them with `map_slots_per_node`).
 fn slots_for(spec: &ClusterSpec, group: &str) -> usize {
@@ -354,16 +195,7 @@ impl UtilizationReport {
                     }
                 }
             }
-            let util: Vec<f64> = bytes
-                .iter()
-                .map(|&b| {
-                    if dt > 0.0 {
-                        b as f64 / (capacity * dt)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
+            let util = utilization(&bytes, capacity, dt);
             let total_bytes = bytes.iter().sum();
             let peak_util = peak(&util);
             let p95_util = percentile(&util, 95.0);
@@ -401,19 +233,7 @@ impl UtilizationReport {
                     peak_occupancy: 0.0,
                 });
             entry.task_span_s += s.duration_s();
-            if dt <= 0.0 {
-                continue;
-            }
-            let (t0, t1) = (s.t0.max(0.0), s.t1.max(0.0));
-            let first = ((t0 / dt).floor() as usize).min(intervals - 1);
-            for (i, busy) in entry.busy_s.iter_mut().enumerate().skip(first) {
-                let left = i as f64 * dt;
-                if left >= t1 {
-                    break;
-                }
-                let overlap = (t1.min((i + 1) as f64 * dt) - t0.max(left)).max(0.0);
-                *busy += overlap;
-            }
+            spread_busy(&mut entry.busy_s, s.t0, s.t1, dt);
         }
         for series in slots.values_mut() {
             series.busy_integral_s = series.busy_s.iter().sum();
@@ -499,11 +319,7 @@ impl UtilizationReport {
                 }
             }
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        check::verdict(errs)
     }
 
     /// Chrome counter tracks (`"ph":"C"`) for the trace export: one
@@ -580,8 +396,12 @@ impl UtilizationReport {
     /// links carry scalar rollups only — the full series live in the
     /// CSV artifact and the Chrome counter tracks.
     pub fn to_json(&self, indent: usize) -> String {
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
+        JsonWriter::document(indent, |w| self.write_json(w))
+    }
+
+    /// The fields of [`UtilizationReport::to_json`], written into the
+    /// caller's open object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.field("horizon_s", &fmt_f64(self.horizon_s));
         w.field("intervals", &self.intervals.to_string());
         w.field("overlap_s", &fmt_f64(self.overlap_s));
@@ -599,7 +419,7 @@ impl UtilizationReport {
         w.close("}");
         w.open_key("slots", "{");
         for (group, s) in &self.slots {
-            w.open_key_escaped(group, "{");
+            w.open_key(group, "{");
             w.field("slots", &s.slots.to_string());
             w.field("busy_s", &fmt_f64(s.busy_integral_s));
             w.field("busy_util", &fmt_f64(s.busy_util));
@@ -617,14 +437,8 @@ impl UtilizationReport {
         w.field("topoff_s", &fmt_f64(sat.topoff_s));
         w.field("outside_s", &fmt_f64(sat.outside_s));
         w.close("}");
-        let series: Vec<String> = self.links[LinkClass::Bisection.label()]
-            .util
-            .iter()
-            .map(|u| fmt_f64(*u))
-            .collect();
-        w.field("bisection_util", &format!("[{}]", series.join(", ")));
-        w.close("}");
-        w.finish()
+        let bisection = &self.links[LinkClass::Bisection.label()];
+        w.field("bisection_util", &json_f64s(&bisection.util));
     }
 
     /// ASCII utilization heatmap for one run: a bar per link class and
@@ -740,11 +554,11 @@ pub fn render_side_by_side(
     out
 }
 
-/// Exact saturated-seconds sweep for one link: the windowed charges
-/// define a piecewise-constant byte rate; every maximal segment whose
-/// rate is at or above `threshold × capacity` contributes its length,
-/// attributed to the iteration span kind enclosing it. Impulse charges
-/// have zero width and cannot contribute. Parameterized by `link` and
+/// Exact saturated-seconds sweep for one link, a filter over its
+/// [`rate_steps`]: every step whose rate is at or above
+/// `threshold × capacity` contributes its length, attributed to the
+/// iteration span kind enclosing it. Impulse charges have zero width
+/// and cannot contribute. Parameterized by `link` and
 /// `capacity` so the `whatif` engine can re-sweep under scaled
 /// capacities or filtered charge sets; the utilization report calls it
 /// with [`LinkClass::Bisection`] at the topology capacity.
@@ -755,28 +569,14 @@ pub fn saturation_sweep(
     capacity: f64,
     threshold: f64,
 ) -> Saturation {
-    let windows: Vec<&Charge> = charges
-        .iter()
-        .filter(|c| LinkClass::of(c.class) == link)
-        .filter(|c| c.w1 > c.w0 && c.bytes > 0)
-        .collect();
     let mut sat = Saturation {
         threshold_util: threshold,
         ..Saturation::default()
     };
-    if windows.is_empty() || capacity <= 0.0 {
+    if capacity <= 0.0 {
         return sat;
     }
-    let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
-    cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite windows"));
-    cuts.dedup();
-    for pair in cuts.windows(2) {
-        let (p, q) = (pair[0], pair[1]);
-        let rate: f64 = windows
-            .iter()
-            .filter(|c| c.w0 <= p && q <= c.w1)
-            .map(|c| c.bytes as f64 / (c.w1 - c.w0))
-            .sum();
+    for (p, q, rate, _) in rate_steps(charges, link, None) {
         // `>=` with a one-ulp-scale slack: a transfer windowed at exactly
         // its serialization time computes to 1.0 up to rounding.
         if rate < threshold * capacity * (1.0 - 1e-12) {

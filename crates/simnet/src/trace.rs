@@ -35,7 +35,6 @@ use crate::traffic::{TrafficClass, TrafficSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a recorded span, unique within one [`Tracer`] epoch
@@ -184,38 +183,10 @@ struct State {
     stack: Vec<SpanId>,
 }
 
-/// A streaming observer of trace events, attached to a [`Tracer`] with
-/// [`Tracer::attach_sink`]. The tracer forwards every instant as it is
-/// recorded and every span as it *closes* (so args attached at record
-/// time ride along); snapshot-only closes in [`Tracer::trace`] are not
-/// forwarded. Implementations use interior mutability — the tracer
-/// calls through a shared reference while holding its state lock, so
-/// sink callbacks must not call back into the tracer.
-pub trait TraceSink: Send + Sync {
-    /// A span just closed (its `t1` is final).
-    fn on_span(&self, span: &Span);
-    /// An instant event was just recorded.
-    fn on_instant(&self, event: &InstantEvent);
-}
-
+#[derive(Debug)]
 struct Shared {
     clock: Arc<Mutex<SimClock>>,
     state: Mutex<State>,
-    /// One relaxed load on every record path decides whether to forward
-    /// to the sink — the same zero-cost discipline as
-    /// [`crate::hostprof`]: with no sink attached the entire monitor
-    /// machinery costs a single atomic load.
-    sink_on: AtomicBool,
-    sink: Mutex<Option<Arc<dyn TraceSink>>>,
-}
-
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("state", &self.state)
-            .field("sink_on", &self.sink_on)
-            .finish_non_exhaustive()
-    }
 }
 
 /// A cloneable handle recording spans and events against a shared
@@ -234,44 +205,7 @@ impl Tracer {
             inner: Some(Arc::new(Shared {
                 clock,
                 state: Mutex::new(State::default()),
-                sink_on: AtomicBool::new(false),
-                sink: Mutex::new(None),
             })),
-        }
-    }
-
-    /// Attach a streaming [`TraceSink`]: from now on every recorded
-    /// instant and every span *close* is forwarded to `sink` as it
-    /// happens. At most one sink is attached at a time (a second attach
-    /// replaces the first). No-op on a disabled tracer.
-    pub fn attach_sink(&self, sink: Arc<dyn TraceSink>) {
-        let Some(sh) = &self.inner else { return };
-        *sh.sink.lock() = Some(sink);
-        sh.sink_on.store(true, Ordering::Release);
-    }
-
-    /// Detach the current sink, if any, and stop forwarding. Record
-    /// paths go back to paying exactly one relaxed atomic load.
-    pub fn detach_sink(&self) -> Option<Arc<dyn TraceSink>> {
-        let sh = self.inner.as_ref()?;
-        sh.sink_on.store(false, Ordering::Release);
-        sh.sink.lock().take()
-    }
-
-    /// Forward a just-closed span to the attached sink (cold: only
-    /// reached when the one-atomic-load gate says a sink is attached).
-    #[cold]
-    fn forward_span(sh: &Shared, span: &Span) {
-        if let Some(sink) = sh.sink.lock().as_ref() {
-            sink.on_span(span);
-        }
-    }
-
-    /// Forward a just-recorded instant to the attached sink (cold).
-    #[cold]
-    fn forward_instant(sh: &Shared, event: &InstantEvent) {
-        if let Some(sink) = sh.sink.lock().as_ref() {
-            sink.on_instant(event);
         }
     }
 
@@ -357,14 +291,10 @@ impl Tracer {
             return;
         };
         let closing: Vec<SpanId> = st.stack.split_off(pos);
-        let forward = sh.sink_on.load(Ordering::Relaxed);
         for sid in closing {
             let span = &mut st.spans[sid.index()];
             if span.t1.is_nan() {
                 span.t1 = t1;
-                if forward {
-                    Self::forward_span(sh, &st.spans[sid.index()]);
-                }
             }
         }
     }
@@ -418,10 +348,6 @@ impl Tracer {
             t1,
             args,
         });
-        // Recorded completed: the span closes the moment it is pushed.
-        if sh.sink_on.load(Ordering::Relaxed) {
-            Self::forward_span(sh, &st.spans[id.index()]);
-        }
         id
     }
 
@@ -463,9 +389,6 @@ impl Tracer {
             seq,
             args,
         });
-        if sh.sink_on.load(Ordering::Relaxed) {
-            Self::forward_instant(sh, st.instants.last().expect("just pushed"));
-        }
     }
 
     /// Record one ledger charge: an instant named after the traffic
@@ -793,6 +716,15 @@ pub mod check {
         a <= b + 1e-9 * a.abs().max(b.abs()).max(1.0)
     }
 
+    /// `Ok(())` when a check found no violation, else all of them.
+    pub fn verdict(errs: Vec<String>) -> Result<(), Vec<String>> {
+        if errs.is_empty() {
+            Ok(())
+        } else {
+            Err(errs)
+        }
+    }
+
     fn span_label(s: &Span) -> String {
         format!("{}:{} [{:.6}, {:.6}]", s.cat, s.name, s.t0, s.t1)
     }
@@ -831,11 +763,7 @@ pub mod check {
                 }
             }
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        verdict(errs)
     }
 
     /// Every span of category `cat_before` ends no later than every
@@ -859,11 +787,7 @@ pub mod check {
                 ));
             }
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        verdict(errs)
     }
 
     /// No two `task` spans overlap within one display lane (a simulated
@@ -890,11 +814,7 @@ pub mod check {
                 }
             }
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        verdict(errs)
     }
 
     /// Traced bytes reconcile **exactly** with the ledger: summing the
@@ -912,11 +832,7 @@ pub mod check {
                 ));
             }
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        verdict(errs)
     }
 
     /// Span categories that may enclose a `quality` instant: the three
@@ -963,11 +879,7 @@ pub mod check {
             }
             prev_t = Some(i.t);
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        verdict(errs)
     }
 
     /// Count the `sched` instants named `name` (retry /
@@ -1022,11 +934,7 @@ pub mod check {
                 errs.append(&mut e);
             }
         }
-        if errs.is_empty() {
-            Ok(())
-        } else {
-            Err(errs)
-        }
+        verdict(errs)
     }
 }
 
@@ -1063,66 +971,6 @@ mod tests {
         assert!(tr.spans.is_empty());
         assert!(tr.instants.is_empty());
         assert_eq!(tr.traffic_totals(), TrafficSnapshot::default());
-        // Sink attachment is equally inert on a disabled tracer.
-        let sink = Arc::new(CountingSink::default());
-        t.attach_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-        t.instant("e", "sched", Vec::new());
-        t.span_at("s", "phase", 0.0, 1.0, Vec::new());
-        assert!(t.detach_sink().is_none(), "disabled tracer holds no sink");
-        assert_eq!(sink.spans.load(AtomicOrdering::Relaxed), 0);
-        assert_eq!(sink.instants.load(AtomicOrdering::Relaxed), 0);
-    }
-
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-
-    #[derive(Default)]
-    struct CountingSink {
-        spans: AtomicUsize,
-        instants: AtomicUsize,
-    }
-
-    impl TraceSink for CountingSink {
-        fn on_span(&self, _span: &Span) {
-            self.spans.fetch_add(1, AtomicOrdering::Relaxed);
-        }
-        fn on_instant(&self, _event: &InstantEvent) {
-            self.instants.fetch_add(1, AtomicOrdering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn sink_sees_every_instant_and_span_close() {
-        let (t, clock) = tracer();
-        let sink = Arc::new(CountingSink::default());
-        t.attach_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-        let outer = t.begin("outer", "job");
-        t.instant("tick", "sched", Vec::new());
-        // A begin does not forward; the close does.
-        assert_eq!(sink.spans.load(AtomicOrdering::Relaxed), 0);
-        t.span_at_in("lane", "done", "task", 0.0, 0.5, Vec::new());
-        assert_eq!(
-            sink.spans.load(AtomicOrdering::Relaxed),
-            1,
-            "completed spans forward on push"
-        );
-        clock.lock().advance(1.0);
-        t.end(outer);
-        assert_eq!(sink.spans.load(AtomicOrdering::Relaxed), 2);
-        assert_eq!(sink.instants.load(AtomicOrdering::Relaxed), 1);
-        // Snapshot-only closes in trace() are NOT forwarded.
-        let open = t.begin("open", "job");
-        let _ = t.trace();
-        assert_eq!(sink.spans.load(AtomicOrdering::Relaxed), 2);
-        // After detaching, nothing is forwarded.
-        let detached = t.detach_sink().expect("sink was attached");
-        assert_eq!(
-            Arc::as_ptr(&detached) as *const (),
-            Arc::as_ptr(&sink) as *const ()
-        );
-        t.end(open);
-        t.instant("tock", "sched", Vec::new());
-        assert_eq!(sink.spans.load(AtomicOrdering::Relaxed), 2);
-        assert_eq!(sink.instants.load(AtomicOrdering::Relaxed), 1);
     }
 
     #[test]

@@ -40,11 +40,13 @@
 //! counts, so reports are byte-identical across rayon pool widths.
 
 use crate::report::{
-    fmt_f64, percentile, CriticalPath, JsonWriter, QualityPoint, QualityReport, TIME_TO_WITHIN_PCTS,
+    fmt_f64, percentile, Column, CriticalPath, JsonWriter, QualityPoint, QualityReport,
+    TIME_TO_WITHIN_PCTS,
 };
-use crate::timeline::{collect_charges, saturation_sweep, Charge, LinkClass, SATURATION_THRESHOLD};
+use crate::sweep::{collect_charges, phase_key, rate_steps, Charge, LinkClass};
+use crate::timeline::{saturation_sweep, SATURATION_THRESHOLD};
 use crate::topology::ClusterSpec;
-use crate::trace::{json_string, Span, Trace};
+use crate::trace::{Span, Trace};
 use crate::traffic::TrafficClass;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -338,6 +340,40 @@ pub struct Projection {
     pub binding: &'static str,
 }
 
+impl Projection {
+    /// The row in JSON schema order — the one definition behind the
+    /// `scenarios` JSON objects and (through [`CSV_COLUMNS`]) the
+    /// ranked-table CSV records.
+    fn columns(&self) -> Vec<Column> {
+        let opt = |v: Option<f64>| v.map_or("null".to_string(), fmt_f64);
+        let mut cols = vec![
+            Column::text("scenario", self.scenario.name),
+            Column::num("projected_makespan_s", fmt_f64(self.makespan_s)),
+            Column::num("delta_makespan_s", fmt_f64(self.delta_makespan_s)),
+            Column::num("lower_bound_s", fmt_f64(self.lower_bound_s)),
+            Column::num("clamped", self.clamped),
+            Column::text("binding", self.binding),
+        ];
+        let tt = self.tt_within_s.iter();
+        cols.extend(tt.map(|(l, v)| Column::num(format!("tt_{l}_s"), opt(*v))));
+        let dtt = self.delta_tt_s.iter();
+        cols.extend(dtt.map(|(l, v)| Column::num(format!("delta_tt_{l}_s"), opt(*v))));
+        cols
+    }
+}
+
+/// The [`Projection::columns`] the ranked-table CSV keeps, in CSV order
+/// (after the `app,side,rank` prefix).
+const CSV_COLUMNS: [&str; 7] = [
+    "scenario",
+    "projected_makespan_s",
+    "delta_makespan_s",
+    "tt_10pct_s",
+    "delta_tt_10pct_s",
+    "binding",
+    "clamped",
+];
+
 /// The projection engine for one recorded run: caches the charges, the
 /// critical path, the root window and the baseline quantities, then
 /// projects any number of scenarios.
@@ -352,16 +388,12 @@ pub struct WhatIf<'a> {
     baseline_phases: BTreeMap<String, f64>,
 }
 
-/// The per-phase rollup key of a span, mirroring
-/// [`crate::report::PerfReport`]: named for `phase` / `transfer` /
-/// `merge` spans, bare category for iteration-level spans, `None` for
-/// tasks and the driver root.
-fn phase_key(s: &Span) -> Option<String> {
-    match s.cat {
-        "phase" | "transfer" | "merge" => Some(format!("{}/{}", s.cat, s.name)),
-        "job" | "be-iteration" | "ic" | "topoff" => Some(s.cat.to_string()),
-        _ => None,
-    }
+/// The spans a projection reports per phase, with their rollup key:
+/// [`phase_key`]'s groups minus the `driver` root, whose projected
+/// length is the makespan itself.
+fn phase_spans(trace: &Trace) -> impl Iterator<Item = (&Span, String)> {
+    let keyed = trace.spans.iter().filter(|s| s.cat != "driver");
+    keyed.filter_map(|s| phase_key(s).map(|key| (s, key)))
 }
 
 impl<'a> WhatIf<'a> {
@@ -378,10 +410,8 @@ impl<'a> WhatIf<'a> {
         let (root_t0, root_t1) = (root.t0, root.t1);
         let (charges, _) = collect_charges(trace);
         let mut baseline_phases: BTreeMap<String, f64> = BTreeMap::new();
-        for s in &trace.spans {
-            if let Some(key) = phase_key(s) {
-                *baseline_phases.entry(key).or_insert(0.0) += s.duration_s();
-            }
+        for (s, key) in phase_spans(trace) {
+            *baseline_phases.entry(key).or_insert(0.0) += s.duration_s();
         }
         Some(WhatIf {
             trace,
@@ -400,45 +430,6 @@ impl<'a> WhatIf<'a> {
         self.root_t1 - self.root_t0
     }
 
-    /// Elementary rate intervals for `link`: `(t0, t1, total rate,
-    /// rate of `focus` class)` over the breakpoints of the windowed
-    /// charges. Impulse charges carry no width and are ignored.
-    fn rate_intervals(
-        &self,
-        link: LinkClass,
-        focus: Option<TrafficClass>,
-    ) -> Vec<(f64, f64, f64, f64)> {
-        let windows: Vec<&Charge> = self
-            .charges
-            .iter()
-            .filter(|c| LinkClass::of(c.class) == link)
-            .filter(|c| c.w1 > c.w0 && c.bytes > 0)
-            .collect();
-        if windows.is_empty() {
-            return Vec::new();
-        }
-        let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
-        cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite windows"));
-        cuts.dedup();
-        let mut out = Vec::new();
-        for pair in cuts.windows(2) {
-            let (p, q) = (pair[0], pair[1]);
-            let mut rate = 0.0;
-            let mut focus_rate = 0.0;
-            for c in windows.iter().filter(|c| c.w0 <= p && q <= c.w1) {
-                let r = c.bytes as f64 / (c.w1 - c.w0);
-                rate += r;
-                if focus == Some(c.class) {
-                    focus_rate += r;
-                }
-            }
-            if rate > 0.0 {
-                out.push((p, q, rate, focus_rate));
-            }
-        }
-        out
-    }
-
     /// Build the warp for one edit (empty for the identity).
     fn warp_for(&self, edit: Edit) -> TimeWarp {
         let mut raw: Vec<WarpInterval> = Vec::new();
@@ -451,7 +442,7 @@ impl<'a> WhatIf<'a> {
                 if cap <= 0.0 {
                     return TimeWarp::default();
                 }
-                for (p, q, rate, _) in self.rate_intervals(link, None) {
+                for (p, q, rate, _) in rate_steps(&self.charges, link, None) {
                     let saturated = rate >= SATURATION_THRESHOLD * cap * (1.0 - RATE_EPS);
                     if factor > 1.0 {
                         // More capacity can only help, and only where the
@@ -485,7 +476,7 @@ impl<'a> WhatIf<'a> {
                 if cap <= 0.0 {
                     return TimeWarp::default();
                 }
-                for (p, q, rate, class_rate) in self.rate_intervals(link, Some(class)) {
+                for (p, q, rate, class_rate) in rate_steps(&self.charges, link, Some(class)) {
                     let saturated = rate >= SATURATION_THRESHOLD * cap * (1.0 - RATE_EPS);
                     if saturated && class_rate > 0.0 {
                         raw.push(WarpInterval {
@@ -650,10 +641,8 @@ impl<'a> WhatIf<'a> {
         let clamped = raw < lower_bound_s;
         let makespan_s = raw.max(lower_bound_s);
         let mut phases: BTreeMap<String, f64> = BTreeMap::new();
-        for s in &self.trace.spans {
-            if let Some(key) = phase_key(s) {
-                *phases.entry(key).or_insert(0.0) += warp.project_len(s.t0, s.t1).max(0.0);
-            }
+        for (s, key) in phase_spans(self.trace) {
+            *phases.entry(key).or_insert(0.0) += warp.project_len(s.t0, s.t1).max(0.0);
         }
         // Quality-curve times are offsets from the root start; push each
         // point through the warp (monotone, since scales are >= 0).
@@ -774,37 +763,23 @@ impl SensitivityReport {
     /// BENCH document keeps the scalar rows, `pic explain --json` keeps
     /// everything.
     pub fn to_json(&self, indent: usize, include_phases: bool) -> String {
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
+        JsonWriter::document(indent, |w| self.write_json(w, include_phases))
+    }
+
+    /// The fields of [`SensitivityReport::to_json`], written into the
+    /// caller's open object.
+    pub fn write_json(&self, w: &mut JsonWriter, include_phases: bool) {
         w.field("baseline_makespan_s", &fmt_f64(self.baseline_makespan_s));
-        w.open_key("scenarios", "[");
-        for row in &self.rows {
-            w.open("{");
-            w.field("scenario", &json_string(row.scenario.name));
-            w.field("projected_makespan_s", &fmt_f64(row.makespan_s));
-            w.field("delta_makespan_s", &fmt_f64(row.delta_makespan_s));
-            w.field("lower_bound_s", &fmt_f64(row.lower_bound_s));
-            w.field("clamped", if row.clamped { "true" } else { "false" });
-            w.field("binding", &json_string(row.binding));
-            let opt = |v: Option<f64>| v.map_or("null".to_string(), fmt_f64);
-            for (label, tt) in &row.tt_within_s {
-                w.field_key(&format!("tt_{label}_s"), &opt(*tt));
-            }
-            for (label, dtt) in &row.delta_tt_s {
-                w.field_key(&format!("delta_tt_{label}_s"), &opt(*dtt));
-            }
+        w.objects("scenarios", &self.rows, |w, row| {
+            w.columns(&row.columns());
             if include_phases {
                 w.open_key("phases", "{");
                 for (key, secs) in &row.phases {
-                    w.field_key(key, &fmt_f64(*secs));
+                    w.field(key, &fmt_f64(*secs));
                 }
                 w.close("}");
             }
-            w.close("}");
-        }
-        w.close("]");
-        w.close("}");
-        w.finish()
+        });
     }
 
     /// Header line of [`Self::csv_records`].
@@ -817,33 +792,19 @@ impl SensitivityReport {
     /// back unjoined: quoting/escaping lives in the `pic-bench` CSV
     /// writer.
     pub fn csv_records(&self, app: &str, side: &str) -> Vec<Vec<String>> {
-        let opt = |v: Option<f64>| v.map_or("-".to_string(), fmt_f64);
         self.rows
             .iter()
             .enumerate()
             .map(|(i, row)| {
-                let tt = row
-                    .tt_within_s
-                    .iter()
-                    .find(|(l, _)| *l == "10pct")
-                    .and_then(|(_, v)| *v);
-                let dtt = row
-                    .delta_tt_s
-                    .iter()
-                    .find(|(l, _)| *l == "10pct")
-                    .and_then(|(_, v)| *v);
-                vec![
-                    app.to_string(),
-                    side.to_string(),
-                    (i + 1).to_string(),
-                    row.scenario.name.to_string(),
-                    fmt_f64(row.makespan_s),
-                    fmt_f64(row.delta_makespan_s),
-                    opt(tt),
-                    opt(dtt),
-                    row.binding.to_string(),
-                    row.clamped.to_string(),
-                ]
+                let cols = row.columns();
+                let cell = |name: &str| {
+                    let col = cols.iter().find(|c| c.key == name);
+                    let value = &col.expect("a CSV column is a row column").value;
+                    (if value == "null" { "-" } else { value }).to_string()
+                };
+                let mut rec = vec![app.to_string(), side.to_string(), (i + 1).to_string()];
+                rec.extend(CSV_COLUMNS.map(cell));
+                rec
             })
             .collect()
     }
@@ -1030,6 +991,10 @@ mod tests {
         assert!(json.contains("\"phases\""));
         assert!(!report.to_json(0, false).contains("\"phases\""));
         let records = report.csv_records("kmeans", "ic");
+        assert_eq!(
+            SensitivityReport::csv_header(),
+            format!("app,side,rank,{}", CSV_COLUMNS.join(","))
+        );
         assert_eq!(records.len(), CATALOG.len());
         assert_eq!(records[0][2], "1");
         let text = report.render(3);

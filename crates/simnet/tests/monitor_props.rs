@@ -1,19 +1,23 @@
-//! Property-based tests for the online monitor: the sliding-window
-//! byte series must integrate to the **exact** ledger totals for any
+//! Property-based tests for the run monitor: the sliding-window byte
+//! series must integrate to the **exact** ledger totals for any
 //! sequence of charges — windowed or impulse, awkward fractional
-//! windows included — and streaming ingestion must match post-hoc
-//! replay on the same run.
+//! windows included — and to the same per-link totals as the
+//! utilization timeline of the same trace.
 
 use pic_simnet::monitor::{Monitor, MonitorConfig};
 use pic_simnet::trace::check;
-use pic_simnet::{ClusterSpec, SimClock, TraceSink, Tracer, TrafficClass, TrafficLedger};
+use pic_simnet::{
+    ClusterSpec, LinkClass, SimClock, Tracer, TrafficClass, TrafficLedger, UtilizationReport,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// One random charge: a class, a byte count small enough that even
 /// hundreds of charges cannot overflow `u64`, and an optional window
 /// (`add_over`) instead of an impulse (`add`).
-fn charge_strategy() -> impl Strategy<Value = (usize, u64, Option<(f64, f64)>)> {
+type RandomCharge = (usize, u64, Option<(f64, f64)>);
+
+fn charge_strategy() -> impl Strategy<Value = RandomCharge> {
     (
         0..TrafficClass::ALL.len(),
         0u64..1_000_000_000,
@@ -24,7 +28,7 @@ fn charge_strategy() -> impl Strategy<Value = (usize, u64, Option<(f64, f64)>)> 
         .prop_map(|(class, bytes, windowed, w0, w1)| (class, bytes, windowed.then_some((w0, w1))))
 }
 
-fn traced_run(charges: &[(usize, u64, Option<(f64, f64)>)]) -> (Tracer, TrafficLedger) {
+fn traced_run(charges: &[RandomCharge]) -> (Tracer, TrafficLedger) {
     let tracer = Tracer::new(Arc::new(parking_lot::Mutex::new(SimClock::new())));
     let ledger = TrafficLedger::traced(tracer.clone());
     let root = tracer.begin_at("run", "driver", 0.0);
@@ -69,48 +73,27 @@ proptest! {
         );
     }
 
-    /// A monitor streaming the run live and a monitor replaying the
-    /// finished trace produce identical reports — ingestion is
-    /// order-insensitive.
+    /// The monitor (`dt` = window/4) and the utilization timeline (`n`
+    /// intervals) put the same charges on two grids through one
+    /// spreader: whatever the grids, each link's bytes integrate to the
+    /// same total.
     #[test]
-    fn streaming_matches_replay(
-        charges in proptest::collection::vec(charge_strategy(), 0..60),
+    fn monitor_and_timeline_link_totals_agree(
+        charges in proptest::collection::vec(charge_strategy(), 0..120),
+        window_s in 0.1f64..60.0,
+        intervals in 1usize..200,
     ) {
-        let cfg = MonitorConfig::new(ClusterSpec::small());
-
-        let tracer = Tracer::new(Arc::new(parking_lot::Mutex::new(SimClock::new())));
-        let live = Monitor::attach(cfg.clone(), &tracer).expect("valid config");
-        let ledger = TrafficLedger::traced(tracer.clone());
-        let root = tracer.begin_at("run", "driver", 0.0);
-        for &(class_idx, bytes, window) in &charges {
-            let class = TrafficClass::ALL[class_idx];
-            match window {
-                Some((w0, w1)) => ledger.add_over(class, bytes, w0, w1),
-                None => ledger.add(class, bytes),
-            }
-        }
-        tracer.end_at(root, 500.0);
-        tracer.detach_sink();
+        let (tracer, _ledger) = traced_run(&charges);
         let trace = tracer.trace();
-        let streamed = live.finish(&trace);
-
-        let replayed = Monitor::replay(cfg, &trace).expect("valid config");
-        prop_assert_eq!(&streamed, &replayed);
-        prop_assert_eq!(streamed.to_json(0), replayed.to_json(0));
+        let spec = ClusterSpec::small();
+        let mut cfg = MonitorConfig::telemetry(spec.clone());
+        cfg.window_s = window_s;
+        let monitor = Monitor::replay(cfg, &trace).expect("valid config");
+        let timeline = UtilizationReport::with_intervals(&trace, &spec, intervals);
+        for link in LinkClass::ALL {
+            let (m, t) = (&monitor.links[link.label()], &timeline.links[link.label()]);
+            prop_assert_eq!(m.bytes.iter().sum::<u64>(), t.bytes.iter().sum::<u64>());
+            prop_assert_eq!(m.total_bytes, t.total_bytes);
+        }
     }
-}
-
-/// The `TraceSink` upcast used above keeps working if the monitor is
-/// also held as a plain trait object (regression guard for the
-/// attach/detach round-trip).
-#[test]
-fn attach_detach_round_trip() {
-    let tracer = Tracer::new(Arc::new(parking_lot::Mutex::new(SimClock::new())));
-    let monitor = Monitor::attach(MonitorConfig::new(ClusterSpec::small()), &tracer).unwrap();
-    tracer.instant_at("x", "sched", 0.0, Vec::new());
-    assert_eq!(monitor.events_seen(), 1);
-    let sink: Arc<dyn TraceSink> = tracer.detach_sink().expect("attached");
-    tracer.instant_at("y", "sched", 1.0, Vec::new());
-    assert_eq!(monitor.events_seen(), 1, "detached: nothing further");
-    drop(sink);
 }
