@@ -290,9 +290,8 @@ pub fn initializer_vs_pic(ctx: &ExperimentCtx) -> String {
     engine.reset();
     let pp_init = Centroids::new(init_kmeanspp(&pts, k, 31));
     let passes = 5.0;
-    if let pic_mapreduce::Timing::PerRecord { map_secs, .. } = cost::kmeans().timing {
-        engine.advance(passes * n as f64 * map_secs / spec.map_slots as f64);
-    }
+    let pic_mapreduce::Timing::PerRecord { map_secs, .. } = cost::kmeans().timing;
+    engine.advance(passes * n as f64 * map_secs / spec.map_slots as f64);
     let pp_ic = pic_core::driver::run_ic(
         &engine,
         &app,

@@ -34,8 +34,6 @@ pub struct IcOptions {
     pub group: Option<std::ops::Range<NodeId>>,
     /// Reduce tasks per job; `0` = one per group node.
     pub reducers: usize,
-    /// DFS path prefix for model files.
-    pub model_path: String,
     /// Phase label in job names and reports ("ic" or "topoff").
     pub phase: &'static str,
     /// Charge the one-time job-chain startup overhead at the beginning.
@@ -49,7 +47,6 @@ impl Default for IcOptions {
             timing: Timing::default_analytic(),
             group: None,
             reducers: 0,
-            model_path: "/pic/model".into(),
             phase: "ic",
             charge_startup: true,
         }
@@ -116,7 +113,7 @@ pub fn run_ic<A: IterativeApp + QualityProbe>(
     let mut per_iteration = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
-    let model_file = format!("{}/{}.model", opts.model_path, app.name());
+    let model_file = format!("{}/{}.model", super::MODEL_PATH, app.name());
 
     while iterations < max_iterations {
         let it_t0 = engine.now();
@@ -184,22 +181,15 @@ pub fn run_ic<A: IterativeApp + QualityProbe>(
             if opts.reducers == 0 {
                 scope.reducers = scope.group.len();
             }
-            let t_rb = engine.now();
             let (secs, net) = transfer::broadcast(spec, scope.group.len(), model.byte_size());
-            engine
-                .ledger()
-                .add_over(TrafficClass::Recovery, net, t_rb, t_rb + secs);
-            tracer.span_at(
+            let nodes = scope.group.len() as u64;
+            engine.transfer(
                 "rebalance",
-                "transfer",
-                t_rb,
-                t_rb + secs,
-                vec![
-                    ("bytes".into(), Payload::U64(net)),
-                    ("nodes".into(), Payload::U64(scope.group.len() as u64)),
-                ],
+                TrafficClass::Recovery,
+                net,
+                secs,
+                &[("nodes", nodes)],
             );
-            engine.advance(secs);
         }
     }
 

@@ -9,6 +9,9 @@ pub use pic::{run_pic, PicOptions};
 use crate::quality::QualityProbe;
 use pic_simnet::trace::{Args, Payload, Tracer};
 
+/// DFS path prefix for the drivers' model files.
+const MODEL_PATH: &str = "/pic/model";
+
 /// Sample `app`'s quality of `model` and record it as a `quality`
 /// instant — rendered as a Chrome *counter* event by
 /// [`pic_simnet::trace::Trace::to_chrome_json`]. Called inside the open

@@ -27,12 +27,11 @@ use crate::report::{PicReport, TrajectoryPoint};
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::hostprof::{self, Stage};
-use pic_simnet::scheduler::{SchedulerOptions, SlotScheduler, TaskSpec};
+use pic_simnet::scheduler::{ScheduleOutcome, TaskSpec};
 use pic_simnet::trace::Payload;
 use pic_simnet::traffic::TrafficClass;
 use pic_simnet::transfer;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Options for a PIC run.
 #[derive(Debug, Clone)]
@@ -54,16 +53,13 @@ pub struct PicOptions {
     /// Cap on top-off iterations; `None` defers to
     /// [`crate::app::IterativeApp::max_iterations`].
     pub max_topoff_iterations: Option<usize>,
-    /// DFS path prefix for model files.
-    pub model_path: String,
-    /// Simulated seconds one record costs inside a local iteration, for
-    /// [`Timing::PerRecord`] runs. Local iterations execute *inside one
-    /// long-running task* over deserialized in-memory data, so they do not
-    /// pay the per-record framework tax a MapReduce pass does — this
-    /// difference is where most of the best-effort phase's time advantage
-    /// comes from. `None` conservatively falls back to the framework
-    /// `map_secs` (ignored entirely under [`Timing::Measured`], where the
-    /// real solve time is used).
+    /// Simulated seconds one record costs inside a local iteration.
+    /// Local iterations execute *inside one long-running task* over
+    /// deserialized in-memory data, so they do not pay the per-record
+    /// framework tax a MapReduce pass does — this difference is where most
+    /// of the best-effort phase's time advantage comes from. `None`
+    /// conservatively falls back to the framework `map_secs` of
+    /// [`PicOptions::timing`].
     pub local_secs_per_record: Option<f64>,
     /// Best-effort straggler tolerance: the fraction of sub-problems a
     /// best-effort iteration waits for (`1.0` = all, the paper's
@@ -77,11 +73,6 @@ pub struct PicOptions {
     /// factor)`, factor > 1 = slower) — fault/straggler injection for
     /// experiments.
     pub slow_partitions: Vec<(usize, f64)>,
-    /// Physically repartition the input with a cluster-wide data pass
-    /// before the best-effort phase. `false` (default, and what the
-    /// paper's random partitioners amount to) treats partitions as
-    /// logical groupings of existing DFS blocks — no data moves.
-    pub repartition_data: bool,
 }
 
 impl Default for PicOptions {
@@ -93,11 +84,9 @@ impl Default for PicOptions {
             local_cap: None,
             max_be_iterations: None,
             max_topoff_iterations: None,
-            model_path: "/pic/model".into(),
             local_secs_per_record: None,
             merge_quorum: 1.0,
             slow_partitions: Vec::new(),
-            repartition_data: false,
         }
     }
 }
@@ -132,6 +121,10 @@ pub fn run_pic<A: PicApp + QualityProbe>(
     let mut parts = opts.partitions;
     let mut active_nodes = spec.nodes;
     assert!(parts > 0, "need at least one partition");
+    assert!(
+        opts.merge_quorum > 0.0 && opts.merge_quorum <= 1.0,
+        "merge_quorum must be in (0, 1]"
+    );
 
     // Root span for the whole two-phase run; the best-effort rounds and the
     // top-off's "topoff:*" driver span nest inside it.
@@ -142,52 +135,15 @@ pub fn run_pic<A: PicApp + QualityProbe>(
     let run_t0 = engine.now();
     let be_traffic0 = engine.traffic();
 
-    // ---- Partition the data (paper `partition`, data side). ------------
+    // ---- Partition the data (paper `partition`, data side). Partitions
+    // are logical groupings of existing DFS blocks — what the paper's
+    // random partitioners amount to — so no data moves.
     let mut parts_records = app.partition_data(data, parts);
     assert_eq!(
         parts_records.len(),
         parts,
         "partition_data must return `parts` groups"
     );
-    if opts.repartition_data {
-        // A real repartition job: one pass of the input through the
-        // cluster-wide shuffle plus a replicated rewrite.
-        let t_repart = engine.now();
-        let cost = transfer::shuffle(spec, &(0..spec.nodes), data.total_bytes);
-        engine.ledger().add_over(
-            TrafficClass::ShuffleLocal,
-            cost.local_bytes,
-            t_repart,
-            t_repart + cost.seconds,
-        );
-        engine.ledger().add_over(
-            TrafficClass::ShuffleRack,
-            cost.rack_bytes,
-            t_repart,
-            t_repart + cost.seconds,
-        );
-        let bisection_s = cost.bisection_bytes as f64 / spec.bisection_bw;
-        engine.ledger().add_over(
-            TrafficClass::ShuffleBisection,
-            cost.bisection_bytes,
-            t_repart,
-            t_repart + bisection_s.min(cost.seconds),
-        );
-        engine.advance(cost.seconds);
-        engine.dfs().overwrite(
-            &format!("{}/{}.partitioned", opts.model_path, app.name()),
-            data.total_bytes,
-            0,
-            TrafficClass::DfsWrite,
-        );
-        tracer.span_at(
-            "repartition",
-            "transfer",
-            t_repart,
-            t_repart + cost.seconds,
-            vec![("bytes".into(), Payload::U64(data.total_bytes))],
-        );
-    }
     let mut groups: Vec<std::ops::Range<usize>> =
         (0..parts).map(|p| spec.node_group(p, parts)).collect();
 
@@ -196,7 +152,7 @@ pub fn run_pic<A: PicApp + QualityProbe>(
     let max_be = opts
         .max_be_iterations
         .unwrap_or_else(|| app.max_be_iterations());
-    let model_file = format!("{}/{}.be.model", opts.model_path, app.name());
+    let model_file = format!("{}/{}.be.model", super::MODEL_PATH, app.name());
 
     let mut model = init;
     let mut trajectory = Vec::new();
@@ -246,36 +202,29 @@ pub fn run_pic<A: PicApp + QualityProbe>(
         engine.advance(bcast_s);
 
         // Local iterations: solve every sub-problem for real, in parallel.
-        let solved: Vec<(A::Model, usize, f64)> = parts_records
+        let solved: Vec<(A::Model, usize)> = parts_records
             .par_iter()
             .zip(sub_models.par_iter())
             .enumerate()
             .map(|(p, (records, sm))| {
-                let t0 = Instant::now();
                 let _hp = hostprof::scope(Stage::PicSolve);
-                let (m, iters) = app.solve_local(p, records, sm, cap);
-                (m, iters, t0.elapsed().as_secs_f64())
+                app.solve_local(p, records, sm, cap)
             })
             .collect();
 
         // Replay the solves onto the simulated cluster: one long-running
-        // task per sub-problem, preferring its group's nodes.
+        // task per sub-problem, preferring its group's nodes. Each
+        // best-effort round, the task re-reads and deserializes its shard
+        // once at the framework rate, then runs its local iterations over
+        // the in-memory records at the local rate.
+        let Timing::PerRecord { map_secs, .. } = opts.timing;
+        let local = opts.local_secs_per_record.unwrap_or(map_secs);
         let tasks: Vec<TaskSpec> = solved
             .iter()
             .enumerate()
-            .map(|(p, (_, iters, host_secs))| {
-                let mut duration = match &opts.timing {
-                    Timing::Measured { scale } => host_secs * scale,
-                    Timing::PerRecord { map_secs, .. } => {
-                        // Each best-effort round, the long-running task
-                        // re-reads and deserializes its shard once at the
-                        // framework rate, then runs its local iterations
-                        // over the in-memory records at the local rate.
-                        let local = opts.local_secs_per_record.unwrap_or(*map_secs);
-                        let records = parts_records[p].len() as f64;
-                        records * map_secs + records * *iters as f64 * local
-                    }
-                };
+            .map(|(p, (_, iters))| {
+                let records = parts_records[p].len() as f64;
+                let mut duration = records * map_secs + records * *iters as f64 * local;
                 if let Some((_, factor)) = opts.slow_partitions.iter().find(|(sp, _)| *sp == p) {
                     duration *= factor;
                 }
@@ -286,66 +235,39 @@ pub fn run_pic<A: PicApp + QualityProbe>(
                 }
             })
             .collect();
-        let sched = SlotScheduler::new(spec);
-        let t_solve = engine.now();
-        let mut outcome = sched.schedule(&tasks, spec.map_slots_per_node(), 0..active_nodes);
-        // Chaos: nodes dying inside this round's window kill their running
-        // solve attempts; surviving slots re-execute them (identical host
-        // results — the replay only pays the time and recovery traffic).
-        let t_peek_end = t_solve + outcome.makespan_s;
-        let failures = chaos.peek_failures(t_solve, t_peek_end);
-        if !failures.is_empty() {
-            outcome = sched.schedule_with(
-                &tasks,
-                spec.map_slots_per_node(),
-                0..active_nodes,
-                &SchedulerOptions {
-                    node_failures: failures.relative,
-                    ..Default::default()
-                },
-            );
-        }
 
         // Quorum wait: advance only to the ⌈q·parts⌉-th completion;
         // sub-problems still running then are stragglers whose round is
         // discarded (they contribute their starting sub-model).
-        assert!(
-            opts.merge_quorum > 0.0 && opts.merge_quorum <= 1.0,
-            "merge_quorum must be in (0, 1]"
-        );
         let quorum = ((opts.merge_quorum * parts as f64).ceil() as usize).clamp(1, parts);
-        let mut finish_sorted = outcome.finish_times.clone();
-        finish_sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-        let quorum_time = finish_sorted[quorum - 1];
-        // Commit any crashes now that the round's extent is final: fire
-        // their instants (clamped into this round), re-replicate the dead
-        // nodes' blocks and charge each killed attempt's lost sub-model
-        // broadcast to the recovery class.
-        let fresh = chaos.commit_failures(t_peek_end, t_solve, t_solve + quorum_time);
-        if !fresh.is_empty() {
-            let dead: Vec<usize> = fresh.iter().map(|&(n, _)| n).collect();
-            for &(node, at_s) in &fresh {
-                engine.dfs().rereplicate_after_crash(node, at_s, &dead);
-            }
-            for l in outcome.launches.iter().filter(|l| l.killed) {
-                engine.ledger().add_over(
-                    TrafficClass::Recovery,
-                    sub_models[l.task].byte_size(),
-                    t_solve,
-                    t_solve + quorum_time,
-                );
-            }
-        }
-        // Replay the solve tasks as per-slot spans, clamped to the quorum
-        // wait so straggler spans do not escape this round.
-        outcome.emit_task_spans(&tracer, t_solve, "solve", quorum_time);
+        let quorum_finish = |o: &ScheduleOutcome| {
+            let mut finish_sorted = o.finish_times.clone();
+            finish_sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+            finish_sorted[quorum - 1]
+        };
+        // Chaos: nodes dying inside this round's window kill their running
+        // solve attempts; surviving slots re-execute them (identical host
+        // results — the replay only pays the time and recovery traffic,
+        // each killed attempt's lost sub-model broadcast). Task spans are
+        // clamped to the quorum wait so straggler spans do not escape
+        // this round.
+        let (outcome, quorum_time) = engine.schedule_phase(
+            &tasks,
+            spec.map_slots_per_node(),
+            0..active_nodes,
+            engine.now(),
+            "solve",
+            &[],
+            &|t| sub_models[t].byte_size(),
+            &quorum_finish,
+        );
         engine.advance(quorum_time);
 
         // Collect sub-models and merge (paper `merge`).
         let sub_results: Vec<A::Model> = solved
             .iter()
             .enumerate()
-            .map(|(p, (m, _, _))| {
+            .map(|(p, (m, _))| {
                 if outcome.finish_times[p] <= quorum_time {
                     m.clone()
                 } else {
@@ -379,11 +301,11 @@ pub fn run_pic<A: PicApp + QualityProbe>(
         );
         tracer.end(merge_span);
 
-        local_iterations.push(solved.iter().map(|(_, iters, _)| *iters).collect());
+        local_iterations.push(solved.iter().map(|(_, iters)| *iters).collect());
         be_iterations += 1;
         // Probe the merged model while the best-effort span is still
         // open; the round's local-iteration batch total rides along.
-        let batch_locals: usize = solved.iter().map(|(_, iters, _)| *iters).sum();
+        let batch_locals: usize = solved.iter().map(|(_, iters)| *iters).sum();
         super::record_quality(
             &tracer,
             app,
@@ -419,26 +341,14 @@ pub fn run_pic<A: PicApp + QualityProbe>(
             groups = (0..parts)
                 .map(|p| subgroup(active_nodes, p, parts))
                 .collect();
-            let t_rb = engine.now();
             let cost = transfer::shuffle(spec, &(0..active_nodes), data.total_bytes);
-            engine.ledger().add_over(
+            engine.transfer(
+                "rebalance",
                 TrafficClass::Recovery,
                 data.total_bytes,
-                t_rb,
-                t_rb + cost.seconds,
+                cost.seconds,
+                &[("partitions", parts as u64), ("nodes", active_nodes as u64)],
             );
-            tracer.span_at(
-                "rebalance",
-                "transfer",
-                t_rb,
-                t_rb + cost.seconds,
-                vec![
-                    ("bytes".into(), Payload::U64(data.total_bytes)),
-                    ("partitions".into(), Payload::U64(parts as u64)),
-                    ("nodes".into(), Payload::U64(active_nodes as u64)),
-                ],
-            );
-            engine.advance(cost.seconds);
         }
     }
 
@@ -456,7 +366,6 @@ pub fn run_pic<A: PicApp + QualityProbe>(
         timing: opts.timing.clone(),
         group: None,
         reducers: opts.reducers,
-        model_path: opts.model_path.clone(),
         phase: "topoff",
         charge_startup: false, // same job chain continues
     };

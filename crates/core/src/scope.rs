@@ -70,7 +70,7 @@ mod tests {
         assert_eq!(cfg.name, "be-it3-agg");
         assert_eq!(cfg.node_group, Some(2..5));
         assert_eq!(cfg.reducers, 7);
-        assert!(matches!(cfg.timing, Timing::PerRecord { .. }));
+        assert_eq!(cfg.timing, Timing::default_analytic());
     }
 
     #[test]

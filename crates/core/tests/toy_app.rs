@@ -9,7 +9,6 @@
 
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine};
-use pic_simnet::traffic::TrafficClass;
 use pic_simnet::ClusterSpec;
 
 struct MeanApp;
@@ -258,27 +257,4 @@ fn trajectory_time_is_monotonic_across_phases() {
     for w in r.trajectory.windows(2) {
         assert!(w[1].t_s >= w[0].t_s, "trajectory time went backwards");
     }
-}
-
-#[test]
-fn repartition_option_charges_a_data_pass() {
-    let e = engine();
-    let data = Dataset::create(&e, "/toy/rp", symmetric_data(1000), 6);
-    let before = e.traffic();
-    let _ = run_pic(
-        &e,
-        &MeanApp,
-        &data,
-        0.0,
-        &PicOptions {
-            partitions: 4,
-            repartition_data: true,
-            ..Default::default()
-        },
-    );
-    let delta = e.traffic().delta_since(&before);
-    assert!(
-        delta.get(TrafficClass::DfsWrite) >= data.total_bytes,
-        "repartition should rewrite the dataset"
-    );
 }

@@ -1,5 +1,6 @@
 //! The MapReduce execution engine.
 
+use crate::counters::Counters;
 use crate::dataset::Dataset;
 use crate::job::{JobConfig, Timing};
 use crate::kv;
@@ -11,11 +12,12 @@ use pic_simnet::chaos::{ChaosInjector, FaultPlan};
 use pic_simnet::hostprof::{self, Stage};
 use pic_simnet::scheduler::{Locality, ScheduleOutcome, SchedulerOptions, SlotScheduler, TaskSpec};
 use pic_simnet::topology::{ClusterSpec, NodeId};
-use pic_simnet::trace::{Payload, Trace, Tracer};
+use pic_simnet::trace::{Args, Payload, SpanId, Trace, Tracer};
 use pic_simnet::traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};
 use pic_simnet::{transfer, SimClock};
 use rayon::prelude::*;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,10 +40,22 @@ impl Engine {
     /// # Panics
     /// Panics if the spec fails validation.
     pub fn new(spec: ClusterSpec) -> Self {
+        Self::build(spec, Tracer::new)
+    }
+
+    /// An engine with tracing disabled: the ledger still counts bytes
+    /// exactly, but no spans or instants are recorded and every tracer
+    /// call takes the allocation-free early-return path — the right
+    /// constructor for throughput benchmarks.
+    pub fn untraced(spec: ClusterSpec) -> Self {
+        Self::build(spec, |_| Tracer::disabled())
+    }
+
+    fn build(spec: ClusterSpec, tracer: impl FnOnce(Arc<Mutex<SimClock>>) -> Tracer) -> Self {
         spec.validate().expect("invalid cluster spec");
         let spec = Arc::new(spec);
         let clock = Arc::new(Mutex::new(SimClock::new()));
-        let tracer = Tracer::new(Arc::clone(&clock));
+        let tracer = tracer(Arc::clone(&clock));
         let ledger = Arc::new(TrafficLedger::traced(tracer.clone()));
         let chaos = ChaosInjector::idle();
         let dfs = Dfs::new(Arc::clone(&spec), Arc::clone(&ledger))
@@ -53,27 +67,6 @@ impl Engine {
             dfs,
             clock,
             tracer,
-            chaos,
-        }
-    }
-
-    /// An engine with tracing disabled: the ledger still counts bytes
-    /// exactly, but no spans or instants are recorded and every tracer
-    /// call takes the allocation-free early-return path — the right
-    /// constructor for throughput benchmarks.
-    pub fn untraced(spec: ClusterSpec) -> Self {
-        spec.validate().expect("invalid cluster spec");
-        let spec = Arc::new(spec);
-        let clock = Arc::new(Mutex::new(SimClock::new()));
-        let ledger = Arc::new(TrafficLedger::new());
-        let chaos = ChaosInjector::idle();
-        let dfs = Dfs::new(Arc::clone(&spec), Arc::clone(&ledger)).with_chaos(chaos.clone());
-        Engine {
-            spec,
-            ledger,
-            dfs,
-            clock,
-            tracer: Tracer::disabled(),
             chaos,
         }
     }
@@ -127,7 +120,8 @@ impl Engine {
     }
 
     /// The tracer recording this engine's simulated-time activity.
-    /// Drivers thread it through their own spans; it is always enabled.
+    /// Drivers thread it through their own spans; it records nothing on
+    /// an [`Engine::untraced`] engine.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -143,110 +137,82 @@ impl Engine {
         self.ledger.snapshot()
     }
 
+    /// The one timed data movement: starting now, `bytes` of `class`
+    /// traffic occupy the wire for `raw_secs` stretched by any active
+    /// link-degradation window (same bytes, slower links). The charge is
+    /// windowed over that interval, a `name` transfer span (args: the
+    /// charged `bytes`, then `extra`) covers it, and the clock advances
+    /// past it.
+    pub fn transfer(
+        &self,
+        name: &str,
+        class: TrafficClass,
+        bytes: u64,
+        raw_secs: f64,
+        extra: &[(&str, u64)],
+    ) {
+        let t0 = self.now();
+        let secs = raw_secs * self.chaos.degradation_factor(t0);
+        self.ledger.add_over(class, bytes, t0, t0 + secs);
+        let mut args = vec![("bytes".to_string(), Payload::U64(bytes))];
+        args.extend(extra.iter().map(|&(k, v)| (k.to_string(), Payload::U64(v))));
+        self.transfer_span(name, t0, secs, args);
+    }
+
+    /// Record a transfer that took `secs` from `t0` and advance past it.
+    fn transfer_span(&self, name: &str, t0: f64, secs: f64, args: Args) {
+        self.tracer.span_at(name, "transfer", t0, t0 + secs, args);
+        self.advance(secs);
+    }
+
     /// Write (or overwrite) a model file of `bytes` to the DFS, charged to
     /// `class`, advancing the clock by the write-pipeline time. Replication
     /// multiplies the charged bytes, per the paper's model-update
-    /// bottleneck.
+    /// bottleneck. The DFS makes the (replicated, degradation-stretched)
+    /// charge itself.
     pub fn write_model(&self, path: &str, bytes: u64, writer: NodeId, class: TrafficClass) {
         let t0 = self.now();
         let secs = self.dfs.overwrite(path, bytes, writer, class);
-        self.tracer.span_at(
-            "model-write",
-            "transfer",
-            t0,
-            t0 + secs,
-            vec![
-                ("bytes".to_string(), Payload::U64(bytes)),
-                ("class".to_string(), Payload::Str(class.label().to_string())),
-            ],
-        );
-        self.advance(secs);
+        let args = vec![
+            ("bytes".to_string(), Payload::U64(bytes)),
+            ("class".to_string(), Payload::Str(class.label().to_string())),
+        ];
+        self.transfer_span("model-write", t0, secs, args);
     }
 
     /// Broadcast `bytes` of model to every node of `group` (distributed
     /// cache style), charging [`TrafficClass::Broadcast`] and advancing the
     /// clock.
-    pub fn broadcast_model(&self, bytes: u64, group: &std::ops::Range<NodeId>) {
-        let t0 = self.now();
+    pub fn broadcast_model(&self, bytes: u64, group: &Range<NodeId>) {
         let (raw_secs, net) = transfer::broadcast(&self.spec, group.len(), bytes);
-        let secs = raw_secs * self.chaos.degradation_factor(t0);
-        self.ledger
-            .add_over(TrafficClass::Broadcast, net, t0, t0 + secs);
-        self.tracer.span_at(
-            "broadcast",
-            "transfer",
-            t0,
-            t0 + secs,
-            vec![("bytes".to_string(), Payload::U64(net))],
-        );
-        self.advance(secs);
+        self.transfer("broadcast", TrafficClass::Broadcast, net, raw_secs, &[]);
     }
 
     /// Distribute a *sliced* model of `bytes` total to the nodes of
     /// `group`: each node pulls only its own slice, so total network
     /// volume is `bytes` (not `m × bytes`), bounded by the replicas'
     /// aggregate serving bandwidth and the largest single slice.
-    pub fn scatter_model(&self, bytes: u64, group: &std::ops::Range<NodeId>) {
+    pub fn scatter_model(&self, bytes: u64, group: &Range<NodeId>) {
         let m = group.len().max(1) as u64;
         if bytes == 0 {
             return;
         }
-        let t0 = self.now();
         // Ceiling division: with uneven slicing some node pulls the
         // remainder, so the per-slice bound must not round down (a
         // `bytes / m` floor undercounts whenever `m` does not divide
         // `bytes`, and degenerates to 0 s for models smaller than `m`).
         let slice = bytes.div_ceil(m);
         let servers_bw = self.spec.replication as f64 * self.spec.nic_bw;
-        let secs = (slice as f64 / self.spec.nic_bw).max(bytes as f64 / servers_bw)
-            * self.chaos.degradation_factor(t0);
-        self.ledger
-            .add_over(TrafficClass::Broadcast, bytes, t0, t0 + secs);
-        self.tracer.span_at(
-            "scatter",
-            "transfer",
-            t0,
-            t0 + secs,
-            vec![("bytes".to_string(), Payload::U64(bytes))],
-        );
-        self.advance(secs);
-    }
-
-    /// Gather `m` sub-models of `bytes_each` onto one node (PIC merge
-    /// collection), charging [`TrafficClass::Merge`].
-    pub fn gather_models(&self, m: usize, bytes_each: u64) {
-        let t0 = self.now();
-        let (raw_secs, net) = transfer::gather(&self.spec, m, bytes_each);
-        let secs = raw_secs * self.chaos.degradation_factor(t0);
-        self.ledger
-            .add_over(TrafficClass::Merge, net, t0, t0 + secs);
-        self.tracer.span_at(
-            "gather",
-            "transfer",
-            t0,
-            t0 + secs,
-            vec![("bytes".to_string(), Payload::U64(net))],
-        );
-        self.advance(secs);
+        let raw_secs = (slice as f64 / self.spec.nic_bw).max(bytes as f64 / servers_bw);
+        self.transfer("scatter", TrafficClass::Broadcast, bytes, raw_secs, &[]);
     }
 
     /// Gather sub-models of the given exact sizes onto one node (PIC merge
     /// collection), charging [`TrafficClass::Merge`] with the exact byte
     /// sum — no rounding when sub-models differ in size.
     pub fn gather_models_sized(&self, sizes: &[u64]) {
-        let t0 = self.now();
         let (raw_secs, net) = transfer::gather_sized(&self.spec, sizes);
-        let secs = raw_secs * self.chaos.degradation_factor(t0);
-        self.ledger
-            .add_over(TrafficClass::Merge, net, t0, t0 + secs);
-        self.tracer.span_at(
-            "gather",
-            "transfer",
-            t0,
-            t0 + secs,
-            vec![("bytes".to_string(), Payload::U64(net))],
-        );
-        self.advance(secs);
+        self.transfer("gather", TrafficClass::Merge, net, raw_secs, &[]);
     }
 
     /// Run a job without a combiner.
@@ -279,20 +245,15 @@ impl Engine {
         C: Combiner<K = M::K, V = M::V>,
         R: Reducer<K = M::K, V = M::V>,
     {
-        self.run_inner(
-            cfg,
-            input,
-            mapper,
-            Some(combiner as &dyn DynCombiner<M::K, M::V>),
-            reducer,
-        )
+        self.run_inner(cfg, input, mapper, Some(combiner), reducer)
     }
 
     /// Run a map-only job (zero reducers, Hadoop style): mappers execute
     /// over the input and their emissions are returned directly, in split
-    /// order. There is no combine, no spill, no shuffle and no reduce;
-    /// output is *not* written to the DFS (callers that persist output —
-    /// e.g. a model — charge that write themselves).
+    /// order. It is the map stage of every job with one bucket, no
+    /// combiner and no spill — no shuffle and no reduce follow, and output
+    /// is *not* written to the DFS (callers that persist output — e.g. a
+    /// model — charge that write themselves).
     pub fn run_map_only<M>(
         &self,
         cfg: &JobConfig,
@@ -302,257 +263,128 @@ impl Engine {
     where
         M: Mapper,
     {
-        let group = cfg.node_group.clone().unwrap_or(0..self.spec.nodes);
-        assert!(
-            !group.is_empty() && group.end <= self.spec.nodes,
-            "bad node group"
-        );
-
-        let mut stats = JobStats {
-            name: cfg.name.clone(),
-            map_tasks: input.splits.len(),
-            reduce_tasks: 0,
-            ..Default::default()
-        };
-
-        let overhead = if cfg.charge_job_overhead {
-            self.spec.job_overhead_s
-        } else {
-            0.0
-        };
-        let t_job = self.now();
-        let job_span = self.tracer.begin(format!("job:{}", cfg.name), "job");
-
-        // (emitted pairs, counters, host seconds, input records) per task.
-        type MapOnlyOut<K, V> = (Vec<(K, V)>, crate::counters::Counters, f64, usize);
-        let host_map = Instant::now();
-        let map_outs: Vec<MapOnlyOut<M::K, M::V>> = input
-            .splits
-            .par_iter()
-            .map(|split| {
-                let t0 = Instant::now();
-                let mut ctx = MapContext::new();
-                {
-                    let _hp = hostprof::scope_bytes(Stage::Map, split.bytes);
-                    for r in &split.records {
-                        mapper.map(r, &mut ctx);
-                    }
-                }
-                let (pairs, counters) = ctx.into_parts();
-                (
-                    pairs,
-                    counters,
-                    t0.elapsed().as_secs_f64(),
-                    split.records.len(),
-                )
-            })
-            .collect();
-        stats.host_map_s = host_map.elapsed().as_secs_f64();
-
-        let map_tasks: Vec<TaskSpec> = map_outs
-            .iter()
-            .zip(&input.splits)
-            .map(|((_, _, host_secs, records), split)| {
-                let duration = match cfg.timing {
-                    Timing::Measured { scale } => host_secs * scale,
-                    Timing::PerRecord { map_secs, .. } => *records as f64 * map_secs,
-                };
-                TaskSpec {
-                    duration_s: duration,
-                    preferred_nodes: split.hosts.clone(),
-                    input_bytes: split.bytes,
-                }
-            })
-            .collect();
-        let t_phase = t_job + overhead;
-        let map_span = self.tracer.begin_at("map", "phase", t_phase);
-        let outcome = self.schedule_phase(
-            &map_tasks,
-            self.spec.map_slots_per_node(),
-            group,
-            t_phase,
-            "map",
-            &|t| map_tasks[t].input_bytes,
-        );
-        self.tracer.end_at(map_span, t_phase + outcome.makespan_s);
-        self.tracer
-            .set_arg(map_span, "waves", Payload::U64(outcome.waves as u64));
-        stats.map_time_s = outcome.makespan_s;
-        stats.map_waves = outcome.waves;
-        stats.node_local_tasks = outcome.node_local;
-        stats.rack_local_tasks = outcome.rack_local;
-        stats.remote_tasks = outcome.remote;
-
-        let mut output = Vec::new();
-        for (pairs, counters, _, records) in map_outs {
-            stats.input_records += records as u64;
-            stats.map_output_records += pairs.len() as u64;
-            stats.output_records += pairs.len() as u64;
-            stats.counters.merge(&counters);
-            output.extend(pairs);
+        let (mut job, outs) = self.map_stage(cfg, input, mapper, None, 0);
+        job.stats.output_records = job.stats.map_output_records;
+        job.stats.total_time_s = job.stats.map_time_s;
+        let mut output = Vec::with_capacity(job.stats.map_output_records as usize);
+        for bucket in outs.into_iter().flat_map(|mo| mo.buckets) {
+            output.extend(bucket);
         }
-
-        stats.total_time_s = overhead + stats.map_time_s;
-        self.emit_counter_events(&stats.counters, t_job + stats.total_time_s);
-        self.tracer
-            .set_arg(job_span, "host_map_s", Payload::F64(stats.host_map_s));
-        self.tracer.end_at(job_span, t_job + stats.total_time_s);
-        self.advance(stats.total_time_s);
-
-        JobResult { output, stats }
+        self.finish_job(job, output)
     }
 
-    /// Schedule one phase's tasks at `t_phase` with chaos-aware crash
-    /// handling, then emit its task spans on `lane`-prefixed lanes.
+    /// Replay one phase's tasks onto the cluster at `t_phase` with
+    /// chaos-aware crash handling — the one scheduler behind map, reduce
+    /// and PIC solve phases — then emit its task spans on `lane`-prefixed
+    /// lanes and a `retry` instant per attempt of a task in `retried`.
+    /// Returns the outcome and the phase's waited extent.
     ///
+    /// `waited` maps an outcome to the seconds the phase's caller waits
+    /// (the makespan, or a best-effort round's quorum cut-off): spans,
+    /// crash instants and recovery charges are clamped into that window.
     /// A clean schedule establishes the failure-peek window; when an armed
     /// fault plan kills nodes inside it, the phase is rescheduled with
     /// those deaths so surviving slots re-execute the lost attempts, the
-    /// crash instants are committed (clamped into the final phase window),
-    /// lost DFS replicas re-replicate in the background, and every killed
-    /// attempt charges `recovery_bytes(task)` to
-    /// [`TrafficClass::Recovery`] over the phase window. With no plan
-    /// armed this is exactly a default-options `schedule_traced` —
-    /// chaos never touches host computation, only simulated replay.
-    fn schedule_phase(
+    /// crash instants are committed, lost DFS replicas re-replicate in the
+    /// background, and every killed attempt charges `recovery_bytes(task)`
+    /// to [`TrafficClass::Recovery`]. With no plan armed this is exactly a
+    /// default-options [`SlotScheduler::schedule_with`] plus
+    /// [`ScheduleOutcome::emit_task_spans`] — chaos never touches host
+    /// computation, only simulated replay.
+    #[allow(clippy::too_many_arguments)]
+    pub fn schedule_phase(
         &self,
         tasks: &[TaskSpec],
         slots_per_node: usize,
-        group: std::ops::Range<NodeId>,
+        group: Range<NodeId>,
         t_phase: f64,
         lane: &str,
+        retried: &[usize],
         recovery_bytes: &dyn Fn(usize) -> u64,
-    ) -> ScheduleOutcome {
-        let _hp = hostprof::scope(Stage::Schedule);
+        waited: &dyn Fn(&ScheduleOutcome) -> f64,
+    ) -> (ScheduleOutcome, f64) {
         let sched = SlotScheduler::new(&self.spec);
-        let mut outcome = sched.schedule_with(
-            tasks,
-            slots_per_node,
-            group.clone(),
-            &SchedulerOptions::default(),
-        );
-        if self.chaos.is_armed() {
-            let t_peek_end = t_phase + outcome.makespan_s;
-            let failures = self.chaos.peek_failures(t_phase, t_peek_end);
-            if !failures.is_empty() {
-                outcome = sched.schedule_with(
-                    tasks,
-                    slots_per_node,
-                    group,
-                    &SchedulerOptions {
-                        node_failures: failures.relative,
-                        ..Default::default()
-                    },
-                );
+        let mut outcome = sched.schedule(tasks, slots_per_node, group.clone());
+        let mut extent = waited(&outcome);
+        let t_peek_end = t_phase + outcome.makespan_s;
+        let failures = self.chaos.peek_failures(t_phase, t_peek_end);
+        if !failures.is_empty() {
+            let opts = SchedulerOptions {
+                node_failures: failures.relative,
+                ..Default::default()
+            };
+            outcome = sched.schedule_with(tasks, slots_per_node, group, &opts);
+            extent = waited(&outcome);
+        }
+        let t_end = t_phase + extent;
+        let fresh = self.chaos.commit_failures(t_peek_end, t_phase, t_end);
+        if !fresh.is_empty() {
+            let dead: Vec<NodeId> = fresh.iter().map(|&(n, _)| n).collect();
+            for &(node, at_s) in &fresh {
+                self.dfs.rereplicate_after_crash(node, at_s, &dead);
             }
-            let fresh =
-                self.chaos
-                    .commit_failures(t_peek_end, t_phase, t_phase + outcome.makespan_s);
-            if !fresh.is_empty() {
-                let dead: Vec<NodeId> = fresh.iter().map(|&(n, _)| n).collect();
-                for &(node, at_s) in &fresh {
-                    self.dfs.rereplicate_after_crash(node, at_s, &dead);
-                }
-                for l in outcome.launches.iter().filter(|l| l.killed) {
-                    let bytes = recovery_bytes(l.task);
-                    if bytes > 0 {
-                        self.ledger.add_over(
-                            TrafficClass::Recovery,
-                            bytes,
-                            t_phase,
-                            t_phase + outcome.makespan_s,
-                        );
-                    }
+            for l in outcome.launches.iter().filter(|l| l.killed) {
+                let bytes = recovery_bytes(l.task);
+                if bytes > 0 {
+                    self.ledger
+                        .add_over(TrafficClass::Recovery, bytes, t_phase, t_end);
                 }
             }
         }
-        outcome.emit_task_spans(&self.tracer, t_phase, lane, outcome.makespan_s);
-        outcome
+        outcome.emit_task_spans(&self.tracer, t_phase, lane, extent);
+        // Injected failures re-execute blindly inside their (doubled)
+        // task span; mark each with a `retry` instant at attempt start.
+        for l in &outcome.launches {
+            if retried.contains(&l.task) && !l.speculative {
+                let args = vec![("task".to_string(), Payload::U64(l.task as u64))];
+                self.tracer
+                    .instant_at("retry", "sched", t_phase + l.start_s, args);
+            }
+        }
+        (outcome, extent)
     }
 
-    /// Emit one `counter` instant per merged job counter at the job's
-    /// end time (counters are published when the job completes).
-    fn emit_counter_events(&self, counters: &crate::counters::Counters, t: f64) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        for (name, value) in counters.iter() {
-            self.tracer.instant_at(
-                name.to_string(),
-                "counter",
-                t,
-                vec![("value".to_string(), Payload::U64(value))],
-            );
-        }
-    }
-
-    fn run_inner<M, R>(
+    /// The map stage of every job: open the job span, run the mappers for
+    /// real in parallel, and replay them as the scheduled map phase.
+    ///
+    /// Each map task hash-partitions its (combined) output into
+    /// emission-ordered buckets as it emits, so the shuffle partitioning
+    /// runs inside the parallel map tasks — no serial driver pass and no
+    /// global lock. `reducers == 0` is Hadoop's map-only job: one bucket,
+    /// and nothing is serialized to a local spill (no `raw_bytes`).
+    ///
+    /// The clock holds still until the whole job is assembled, so every
+    /// ledger charge lands at `t_job` — inside the job span, which is why
+    /// the job span opens before any charge and phase spans only bracket
+    /// their own scheduling.
+    fn map_stage<M: Mapper>(
         &self,
         cfg: &JobConfig,
         input: &Dataset<M::In>,
         mapper: &M,
         combiner: Option<&dyn DynCombiner<M::K, M::V>>,
-        reducer: &R,
-    ) -> JobResult<R::Out>
-    where
-        M: Mapper,
-        R: Reducer<K = M::K, V = M::V>,
-    {
+        reducers: usize,
+    ) -> (OpenJob, MapOuts<M>) {
         let group = cfg.node_group.clone().unwrap_or(0..self.spec.nodes);
         assert!(
             !group.is_empty() && group.end <= self.spec.nodes,
             "bad node group"
         );
-        assert!(cfg.reducers > 0, "jobs need at least one reducer");
-
         let mut stats = JobStats {
             name: cfg.name.clone(),
             map_tasks: input.splits.len(),
-            reduce_tasks: cfg.reducers,
+            reduce_tasks: reducers,
             ..Default::default()
         };
-
-        // Shuffle fully overlaps the map phase (optimized Hadoop baseline,
-        // paper §II), so the job timeline is: overhead, then map and
-        // shuffle side by side from `t_phase`, then reduce. The clock
-        // holds still until the whole job is assembled, so every ledger
-        // charge lands at `t_job` — inside the job span, which is why the
-        // job span opens before any charge and phase spans only bracket
-        // their own scheduling.
-        let overhead = if cfg.charge_job_overhead {
-            self.spec.job_overhead_s
-        } else {
-            0.0
-        };
         let t_job = self.now();
-        let t_phase = t_job + overhead;
         let job_span = self.tracer.begin(format!("job:{}", cfg.name), "job");
 
-        // ---- Map phase: real execution, measured. -----------------------
-        //
-        // Each map task hash-partitions its (combined) output into
-        // `cfg.reducers` emission-ordered buckets as it emits, so the
-        // shuffle partitioning runs inside the parallel map tasks — no
-        // serial driver pass and no global lock. Per-task shuffle volume
-        // is also accounted in-task.
-        struct MapOut<K, V> {
-            buckets: Vec<Vec<(K, V)>>,
-            counters: crate::counters::Counters,
-            host_secs: f64,
-            records: usize,
-            raw_pairs: usize,
-            raw_bytes: u64,
-            shuffle_pairs: usize,
-            shuffle_bytes: u64,
-        }
-
         let host_map = Instant::now();
-        let map_outs: Vec<MapOut<M::K, M::V>> = input
+        let outs: MapOuts<M> = input
             .splits
             .par_iter()
             .map(|split| {
-                let t0 = Instant::now();
-                let mut ctx = MapContext::partitioned(cfg.reducers);
+                let mut ctx = MapContext::partitioned(reducers.max(1));
                 {
                     let _hp = hostprof::scope_bytes(Stage::Map, split.bytes);
                     for r in &split.records {
@@ -561,23 +393,30 @@ impl Engine {
                 }
                 let (mut buckets, counters) = ctx.into_buckets();
                 let raw_pairs: usize = buckets.iter().map(Vec::len).sum();
-                let raw_bytes = kv::buckets_size(&buckets);
-                if let Some(c) = combiner {
-                    // Each key hashes to exactly one bucket, so combining
-                    // per bucket groups the same runs as combining the
-                    // task's whole output.
-                    let _hp = hostprof::scope_bytes(Stage::Combine, raw_bytes);
-                    for b in &mut buckets {
-                        *b = combine_run(c, std::mem::take(b));
+                let raw_bytes = if reducers > 0 {
+                    kv::buckets_size(&buckets)
+                } else {
+                    0
+                };
+                let (shuffle_pairs, shuffle_bytes) = match combiner {
+                    Some(c) => {
+                        // Each key hashes to exactly one bucket, so
+                        // combining per bucket groups the same runs as
+                        // combining the task's whole output.
+                        let _hp = hostprof::scope_bytes(Stage::Combine, raw_bytes);
+                        for b in &mut buckets {
+                            *b = combine_run(c, std::mem::take(b));
+                        }
+                        (
+                            buckets.iter().map(Vec::len).sum(),
+                            kv::buckets_size(&buckets),
+                        )
                     }
-                }
-                let shuffle_pairs: usize = buckets.iter().map(Vec::len).sum();
-                let shuffle_bytes = kv::buckets_size(&buckets);
+                    None => (raw_pairs, raw_bytes),
+                };
                 MapOut {
                     buckets,
                     counters,
-                    host_secs: t0.elapsed().as_secs_f64(),
-                    records: split.records.len(),
                     raw_pairs,
                     raw_bytes,
                     shuffle_pairs,
@@ -587,23 +426,20 @@ impl Engine {
             .collect();
         stats.host_map_s = host_map.elapsed().as_secs_f64();
 
-        for mo in &map_outs {
-            stats.input_records += mo.records as u64;
+        stats.input_records = input.splits.iter().map(|s| s.records.len() as u64).sum();
+        for mo in &outs {
             stats.map_output_records += mo.raw_pairs as u64;
             stats.map_output_bytes += mo.raw_bytes;
-            stats.shuffle_records += mo.shuffle_pairs as u64;
             stats.counters.merge(&mo.counters);
         }
-        // ---- Map scheduling. --------------------------------------------
-        let map_tasks: Vec<TaskSpec> = map_outs
+
+        let Timing::PerRecord { map_secs, .. } = cfg.timing;
+        let tasks: Vec<TaskSpec> = outs
             .iter()
             .zip(&input.splits)
             .enumerate()
             .map(|(i, (mo, split))| {
-                let compute = match cfg.timing {
-                    Timing::Measured { scale } => mo.host_secs * scale,
-                    Timing::PerRecord { map_secs, .. } => mo.records as f64 * map_secs,
-                };
+                let compute = split.records.len() as f64 * map_secs;
                 // Spilling raw map output to local disk is part of the
                 // map task's critical path.
                 let mut duration = compute + mo.raw_bytes as f64 / self.spec.disk_bw;
@@ -619,61 +455,103 @@ impl Engine {
             })
             .collect();
 
-        let map_span = self.tracer.begin_at("map", "phase", t_phase);
-        let map_outcome = self.schedule_phase(
-            &map_tasks,
-            self.spec.map_slots_per_node(),
-            group.clone(),
-            t_phase,
-            "map",
-            &|t| map_tasks[t].input_bytes,
-        );
-        // Injected failures re-execute blindly inside their (doubled)
-        // task span; mark each with a `retry` instant at attempt start.
+        let map_span = self.tracer.begin_at("map", "phase", t_job);
+        let (outcome, map_time_s) = {
+            let _hp = hostprof::scope(Stage::Schedule);
+            self.schedule_phase(
+                &tasks,
+                self.spec.map_slots_per_node(),
+                group.clone(),
+                t_job,
+                "map",
+                &cfg.map_failures,
+                &|t| tasks[t].input_bytes,
+                &|o| o.makespan_s,
+            )
+        };
+        self.tracer.end_at(map_span, t_job + map_time_s);
+        self.tracer
+            .set_arg(map_span, "waves", Payload::U64(outcome.waves as u64));
+        stats.map_time_s = map_time_s;
+        stats.map_waves = outcome.waves;
+        stats.node_local_tasks = outcome.node_local;
+        stats.rack_local_tasks = outcome.rack_local;
+        stats.remote_tasks = outcome.remote;
+
+        let job = OpenJob {
+            t_job,
+            span: job_span,
+            group,
+            stats,
+            locality: outcome.locality,
+        };
+        (job, outs)
+    }
+
+    /// Close a job: publish its merged counters as `counter` instants at
+    /// the job's end time, attach the host-side phase timers, close the
+    /// job span and advance the clock past the job.
+    fn finish_job<O>(&self, job: OpenJob, output: Vec<O>) -> JobResult<O> {
+        let (job_span, stats) = (job.span, job.stats);
+        let t_end = job.t_job + stats.total_time_s;
         if self.tracer.is_enabled() {
-            for l in &map_outcome.launches {
-                if cfg.map_failures.contains(&l.task) && !l.speculative {
-                    self.tracer.instant_at(
-                        "retry",
-                        "sched",
-                        t_phase + l.start_s,
-                        vec![("task".to_string(), Payload::U64(l.task as u64))],
-                    );
-                }
+            for (name, value) in stats.counters.iter() {
+                self.tracer.instant_at(
+                    name.to_string(),
+                    "counter",
+                    t_end,
+                    vec![("value".to_string(), Payload::U64(value))],
+                );
             }
         }
         self.tracer
-            .end_at(map_span, t_phase + map_outcome.makespan_s);
-        self.tracer
-            .set_arg(map_span, "waves", Payload::U64(map_outcome.waves as u64));
-        stats.map_time_s = map_outcome.makespan_s;
-        stats.map_waves = map_outcome.waves;
-        stats.node_local_tasks = map_outcome.node_local;
-        stats.rack_local_tasks = map_outcome.rack_local;
-        stats.remote_tasks = map_outcome.remote;
+            .set_arg(job_span, "host_map_s", Payload::F64(stats.host_map_s));
+        if stats.reduce_tasks > 0 {
+            self.tracer
+                .set_arg(job_span, "host_reduce_s", Payload::F64(stats.host_reduce_s));
+        }
+        self.tracer.end_at(job_span, t_end);
+        self.advance(stats.total_time_s);
+        JobResult { output, stats }
+    }
+
+    fn run_inner<M, R>(
+        &self,
+        cfg: &JobConfig,
+        input: &Dataset<M::In>,
+        mapper: &M,
+        combiner: Option<&dyn DynCombiner<M::K, M::V>>,
+        reducer: &R,
+    ) -> JobResult<R::Out>
+    where
+        M: Mapper,
+        R: Reducer<K = M::K, V = M::V>,
+    {
+        assert!(cfg.reducers > 0, "jobs need at least one reducer");
+        // Shuffle fully overlaps the map phase (optimized Hadoop baseline,
+        // paper §II), so the job timeline is: map and shuffle side by side
+        // from `t_job`, then reduce.
+        let (mut job, map_outs) = self.map_stage(cfg, input, mapper, combiner, cfg.reducers);
+        let (t_job, group, stats) = (job.t_job, &job.group, &mut job.stats);
+        stats.shuffle_records = map_outs.iter().map(|mo| mo.shuffle_pairs as u64).sum();
 
         // Raw map output is serialized and spilled to the tasks' local
         // disks before the combiner runs — Hadoop's "Map output bytes".
         // The spills happen throughout the map phase, whose extent is
         // only known once scheduling ran, so the charge is windowed here.
-        let map_window = (t_phase, t_phase + map_outcome.makespan_s);
-        self.ledger.add_over(
+        let charge =
+            |class, bytes, secs: f64| self.ledger.add_over(class, bytes, t_job, t_job + secs);
+        charge(
             TrafficClass::MapSpill,
             stats.map_output_bytes,
-            map_window.0,
-            map_window.1,
+            stats.map_time_s,
         );
 
         // Remote/rack-local map inputs travel the network: charge DfsRead,
         // spread over the map phase that issues the reads.
-        for (i, loc) in map_outcome.locality.iter().enumerate() {
-            if !input.splits[i].hosts.is_empty() && *loc != Locality::NodeLocal {
-                self.ledger.add_over(
-                    TrafficClass::DfsRead,
-                    input.splits[i].bytes,
-                    map_window.0,
-                    map_window.1,
-                );
+        for (split, loc) in input.splits.iter().zip(&job.locality) {
+            if !split.hosts.is_empty() && *loc != Locality::NodeLocal {
+                charge(TrafficClass::DfsRead, split.bytes, stats.map_time_s);
             }
         }
 
@@ -682,11 +560,11 @@ impl Engine {
         let shuffle_bytes: u64 = map_outs.iter().map(|mo| mo.shuffle_bytes).sum();
         hp_shuffle.add_bytes(shuffle_bytes);
         stats.shuffle_bytes = shuffle_bytes;
-        let shuffle_cost = transfer::shuffle(&self.spec, &group, shuffle_bytes);
+        let shuffle_cost = transfer::shuffle(&self.spec, group, shuffle_bytes);
         // An active degradation window stretches the shuffle's wire time
         // (same bytes, slower links) — the chaos model's rack/bisection
         // brown-out.
-        let degrade = self.chaos.degradation_factor(t_phase);
+        let degrade = self.chaos.degradation_factor(t_job);
         let shuffle_secs = shuffle_cost.seconds * degrade;
         // Window each split over the interval its link is actually busy:
         // local and rack bytes stream for the whole modelled shuffle,
@@ -695,24 +573,21 @@ impl Engine {
         // bound `shuffle_cost.seconds`), so during that window the
         // bisection runs at full utilization, which is what the paper's
         // saturation argument is about.
-        self.ledger.add_over(
+        charge(
             TrafficClass::ShuffleLocal,
             shuffle_cost.local_bytes,
-            t_phase,
-            t_phase + shuffle_secs,
+            shuffle_secs,
         );
-        self.ledger.add_over(
+        charge(
             TrafficClass::ShuffleRack,
             shuffle_cost.rack_bytes,
-            t_phase,
-            t_phase + shuffle_secs,
+            shuffle_secs,
         );
         let bisection_s = shuffle_cost.bisection_bytes as f64 / self.spec.bisection_bw * degrade;
-        self.ledger.add_over(
+        charge(
             TrafficClass::ShuffleBisection,
             shuffle_cost.bisection_bytes,
-            t_phase,
-            t_phase + bisection_s.min(shuffle_secs),
+            bisection_s.min(shuffle_secs),
         );
         stats.shuffle_time_s = shuffle_secs;
         // The shuffle runs concurrently with the map phase, so it gets
@@ -721,8 +596,8 @@ impl Engine {
             "shuffle",
             "shuffle",
             "phase",
-            t_phase,
-            t_phase + stats.shuffle_time_s,
+            t_job,
+            t_job + stats.shuffle_time_s,
             vec![("bytes".to_string(), Payload::U64(shuffle_bytes))],
         );
         drop(hp_shuffle);
@@ -758,7 +633,7 @@ impl Engine {
         // pass, which overlaps the shuffle tail; it contributes no
         // separate simulated time, so its span is an instant-width marker
         // at the reduce start carrying the host-side measurement.
-        let t_reduce = t_phase + stats.map_time_s.max(stats.shuffle_time_s);
+        let t_reduce = t_job + stats.map_time_s.max(stats.shuffle_time_s);
         self.tracer.span_at(
             "sort",
             "phase",
@@ -770,19 +645,12 @@ impl Engine {
             )],
         );
 
-        // ---- Reduce phase: real execution, measured. ---------------------
-        struct RedOut<O> {
-            out: Vec<O>,
-            counters: crate::counters::Counters,
-            host_secs: f64,
-            values: usize,
-        }
-
+        // ---- Reduce phase: real execution, analytic replay. --------------
+        // (output records, counters, input values) per reduce task.
         let host_reduce = Instant::now();
-        let red_outs: Vec<RedOut<R::Out>> = grouped
+        let red_outs: Vec<(Vec<R::Out>, Counters, usize)> = grouped
             .into_par_iter()
             .map(|bucket| {
-                let t0 = Instant::now();
                 let mut ctx = ReduceContext::new();
                 let mut values = 0usize;
                 {
@@ -793,24 +661,17 @@ impl Engine {
                     }
                 }
                 let (out, counters) = ctx.into_parts();
-                RedOut {
-                    out,
-                    counters,
-                    host_secs: t0.elapsed().as_secs_f64(),
-                    values,
-                }
+                (out, counters, values)
             })
             .collect();
         stats.host_reduce_s = host_reduce.elapsed().as_secs_f64();
 
+        let Timing::PerRecord { reduce_secs, .. } = cfg.timing;
         let reduce_tasks: Vec<TaskSpec> = red_outs
             .iter()
             .enumerate()
-            .map(|(i, ro)| {
-                let mut duration = match cfg.timing {
-                    Timing::Measured { scale } => ro.host_secs * scale,
-                    Timing::PerRecord { reduce_secs, .. } => ro.values as f64 * reduce_secs,
-                };
+            .map(|(i, (_, _, values))| {
+                let mut duration = *values as f64 * reduce_secs;
                 if cfg.reduce_failures.contains(&i) {
                     duration *= 2.0; // blind re-execution, same as the map side
                     stats.retried_tasks += 1;
@@ -822,54 +683,61 @@ impl Engine {
         // A killed reduce attempt re-fetches its shuffle partition from
         // the surviving map outputs — that refetch is the recovery cost.
         let reduce_recovery = stats.shuffle_bytes / cfg.reducers as u64;
-        let red_outcome = self.schedule_phase(
-            &reduce_tasks,
-            self.spec.reduce_slots_per_node(),
-            group.clone(),
-            t_reduce,
-            "red",
-            &|_| reduce_recovery,
-        );
-        if self.tracer.is_enabled() {
-            for l in &red_outcome.launches {
-                if cfg.reduce_failures.contains(&l.task) && !l.speculative {
-                    self.tracer.instant_at(
-                        "retry",
-                        "sched",
-                        t_reduce + l.start_s,
-                        vec![("task".to_string(), Payload::U64(l.task as u64))],
-                    );
-                }
-            }
-        }
-        self.tracer
-            .end_at(reduce_span, t_reduce + red_outcome.makespan_s);
+        let (red_outcome, reduce_time_s) = {
+            let _hp = hostprof::scope(Stage::Schedule);
+            self.schedule_phase(
+                &reduce_tasks,
+                self.spec.reduce_slots_per_node(),
+                group.clone(),
+                t_reduce,
+                "red",
+                &cfg.reduce_failures,
+                &|_| reduce_recovery,
+                &|o| o.makespan_s,
+            )
+        };
+        self.tracer.end_at(reduce_span, t_reduce + reduce_time_s);
         self.tracer
             .set_arg(reduce_span, "waves", Payload::U64(red_outcome.waves as u64));
-        stats.reduce_time_s = red_outcome.makespan_s;
+        stats.reduce_time_s = reduce_time_s;
         stats.reduce_waves = red_outcome.waves;
 
         // ---- Assemble output + time. -------------------------------------
-        let total_out: usize = red_outs.iter().map(|ro| ro.out.len()).sum();
+        let total_out: usize = red_outs.iter().map(|(out, _, _)| out.len()).sum();
         let mut output = Vec::with_capacity(total_out);
-        for ro in red_outs {
-            stats.output_records += ro.out.len() as u64;
-            stats.counters.merge(&ro.counters);
-            output.extend(ro.out);
+        for (out, counters, _) in red_outs {
+            stats.output_records += out.len() as u64;
+            stats.counters.merge(&counters);
+            output.extend(out);
         }
-
-        stats.total_time_s =
-            overhead + stats.map_time_s.max(stats.shuffle_time_s) + stats.reduce_time_s;
-        self.emit_counter_events(&stats.counters, t_job + stats.total_time_s);
-        self.tracer
-            .set_arg(job_span, "host_map_s", Payload::F64(stats.host_map_s));
-        self.tracer
-            .set_arg(job_span, "host_reduce_s", Payload::F64(stats.host_reduce_s));
-        self.tracer.end_at(job_span, t_job + stats.total_time_s);
-        self.advance(stats.total_time_s);
-
-        JobResult { output, stats }
+        stats.total_time_s = stats.map_time_s.max(stats.shuffle_time_s) + stats.reduce_time_s;
+        self.finish_job(job, output)
     }
+}
+
+/// What one map task produced.
+struct MapOut<K, V> {
+    /// Post-combine emissions, one emission-ordered vector per reducer.
+    buckets: Vec<Vec<(K, V)>>,
+    counters: Counters,
+    raw_pairs: usize,
+    raw_bytes: u64,
+    shuffle_pairs: usize,
+    shuffle_bytes: u64,
+}
+
+/// Every map task's output, in split order.
+type MapOuts<M> = Vec<MapOut<<M as Mapper>::K, <M as Mapper>::V>>;
+
+/// A job between its map stage and [`Engine::finish_job`].
+struct OpenJob {
+    /// Simulated start; the clock holds still until the job is finished.
+    t_job: f64,
+    span: SpanId,
+    group: Range<NodeId>,
+    stats: JobStats,
+    /// Locality class each map task achieved.
+    locality: Vec<Locality>,
 }
 
 /// One reducer's incoming shuffle: per contributing map task, that task's
@@ -1190,19 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn job_overhead_charged_when_asked() {
-        let engine = word_count_engine();
-        let ds = Dataset::create(&engine, "/o", (0..10u64).collect(), 1);
-        let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x, 1));
-        let reducer =
-            FnReducer::new(|k: &u64, _: &[u64], ctx: &mut ReduceContext<u64>| ctx.emit(*k));
-        let plain = engine.run(&analytic("p"), &ds, &mapper, &reducer);
-        let charged = engine.run(&analytic("c").with_job_overhead(), &ds, &mapper, &reducer);
-        let diff = charged.stats.total_time_s - plain.stats.total_time_s;
-        assert!((diff - engine.spec().job_overhead_s).abs() < 1e-9);
-    }
-
-    #[test]
     fn output_order_is_deterministic() {
         let engine = word_count_engine();
         let ds = Dataset::create(&engine, "/ord", (0..200u64).collect(), 8);
@@ -1220,7 +1075,7 @@ mod tests {
         let engine = word_count_engine();
         engine.write_model("/model", 1000, 0, TrafficClass::ModelUpdate);
         engine.broadcast_model(1000, &(0..6));
-        engine.gather_models(6, 500);
+        engine.gather_models_sized(&[500; 6]);
         let t = engine.traffic();
         assert_eq!(t.get(TrafficClass::ModelUpdate), 3000);
         assert_eq!(t.get(TrafficClass::Broadcast), 6000);
@@ -1254,17 +1109,6 @@ mod tests {
         let t = engine.traffic();
         assert_eq!(t.get(TrafficClass::Merge), 44);
         assert!(engine.now() > 0.0);
-
-        // Equal sizes match the fixed-size path exactly (time and bytes).
-        let a = word_count_engine();
-        let b = word_count_engine();
-        a.gather_models_sized(&[500; 6]);
-        b.gather_models(6, 500);
-        assert_eq!(
-            a.traffic().get(TrafficClass::Merge),
-            b.traffic().get(TrafficClass::Merge)
-        );
-        assert_eq!(a.now(), b.now());
     }
 
     #[test]

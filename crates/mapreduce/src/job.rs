@@ -2,18 +2,11 @@
 
 use pic_simnet::topology::NodeId;
 
-/// How simulated task durations are derived.
+/// How simulated task durations are derived. There is one time model:
+/// simulated seconds never depend on the host the simulation runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Timing {
-    /// Measure each task's real execution time on the host and scale it by
-    /// `scale` (host-core to simulated-core calibration). Faithful but not
-    /// bit-deterministic across machines; the default for benchmarks.
-    Measured {
-        /// Host-seconds → simulated-seconds factor.
-        scale: f64,
-    },
-    /// Analytic per-record costs. Fully deterministic; the default for
-    /// tests and for experiments that compare *shapes*.
+    /// Analytic per-record costs. Fully deterministic.
     PerRecord {
         /// Simulated seconds of map compute per input record.
         map_secs: f64,
@@ -35,7 +28,7 @@ impl Timing {
 
 impl Default for Timing {
     fn default() -> Self {
-        Timing::Measured { scale: 1.0 }
+        Timing::default_analytic()
     }
 }
 
@@ -50,10 +43,6 @@ pub struct JobConfig {
     /// cluster). PIC's local iterations run each sub-problem inside its own
     /// group; shuffle traffic is then charged only within the group.
     pub node_group: Option<std::ops::Range<NodeId>>,
-    /// Charge the cluster's per-job startup overhead. Defaults to `false`:
-    /// the paper's baseline subtracts repeated job-creation cost (§V.A),
-    /// so iterative drivers leave this off and charge it once per run.
-    pub charge_job_overhead: bool,
     /// Task-duration model.
     pub timing: Timing,
     /// Indices of map tasks whose first attempt fails and is re-executed
@@ -67,13 +56,14 @@ pub struct JobConfig {
 
 impl JobConfig {
     /// A job with `name`, one reducer, whole-cluster execution and
-    /// measured timing.
+    /// [`Timing::default_analytic`] timing. No per-job startup overhead is
+    /// charged: the paper's baseline subtracts repeated job-creation cost
+    /// (§V.A), so iterative drivers charge it once per run.
     pub fn new(name: impl Into<String>) -> Self {
         JobConfig {
             name: name.into(),
             reducers: 1,
             node_group: None,
-            charge_job_overhead: false,
             timing: Timing::default(),
             map_failures: Vec::new(),
             reduce_failures: Vec::new(),
@@ -99,12 +89,6 @@ impl JobConfig {
         self
     }
 
-    /// Charge per-job startup overhead.
-    pub fn with_job_overhead(mut self) -> Self {
-        self.charge_job_overhead = true;
-        self
-    }
-
     /// Inject a one-shot failure into map task `idx`.
     pub fn fail_map_task(mut self, idx: usize) -> Self {
         self.map_failures.push(idx);
@@ -127,7 +111,7 @@ mod tests {
         let c = JobConfig::new("j");
         assert_eq!(c.reducers, 1);
         assert!(c.node_group.is_none());
-        assert!(!c.charge_job_overhead);
+        assert_eq!(c.timing, Timing::default_analytic());
         assert!(c.map_failures.is_empty());
         assert!(c.reduce_failures.is_empty());
     }
@@ -137,16 +121,14 @@ mod tests {
         let c = JobConfig::new("j")
             .reducers(4)
             .on_group(2..5)
-            .with_job_overhead()
             .fail_map_task(1)
             .fail_reduce_task(2)
             .timing(Timing::default_analytic());
         assert_eq!(c.reducers, 4);
         assert_eq!(c.node_group, Some(2..5));
-        assert!(c.charge_job_overhead);
         assert_eq!(c.map_failures, vec![1]);
         assert_eq!(c.reduce_failures, vec![2]);
-        assert!(matches!(c.timing, Timing::PerRecord { .. }));
+        assert_eq!(c.timing, Timing::default_analytic());
     }
 
     #[test]

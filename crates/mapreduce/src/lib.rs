@@ -5,8 +5,8 @@
 //! `Combiner`s, partitioners and `Reducer`s run for real over real data
 //! on a rayon thread pool, producing exactly the intermediate key/value
 //! pairs and outputs a Hadoop job would — while *placement and timing* are
-//! simulated: task durations (measured on the host or given analytically)
-//! are replayed onto the cluster's map/reduce slots by the
+//! simulated: task durations (analytic per-record costs, [`Timing`]) are
+//! replayed onto the cluster's map/reduce slots by the
 //! [`pic_simnet::SlotScheduler`], and shuffle / DFS traffic is charged to
 //! the byte-exact [`pic_simnet::TrafficLedger`] through the bandwidth
 //! models in [`pic_simnet::transfer`].

@@ -24,7 +24,11 @@ impl<T: Clone + Send + Sync + ByteSize> Value for T {}
 /// keys — stable across runs and platforms for a given Rust release).
 /// This is the engine's hash partitioner; it is public so reference
 /// implementations and tests can reproduce the exact bucket layout.
+/// One bucket needs no hash: every key lands in bucket 0.
 pub fn bucket_of<K: Hash>(key: &K, reducers: usize) -> usize {
+    if reducers == 1 {
+        return 0;
+    }
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() % reducers as u64) as usize
@@ -33,18 +37,13 @@ pub fn bucket_of<K: Hash>(key: &K, reducers: usize) -> usize {
 /// Context handed to [`Mapper::map`]: collects emitted pairs and counter
 /// increments for one task.
 ///
-/// Two collection modes:
-///
-/// * **flat** ([`MapContext::new`]) — pairs accumulate in emission order;
-///   used by map-only jobs and direct mapper unit tests.
-/// * **partitioned** ([`MapContext::partitioned`]) — each pair is routed
-///   to its reduce bucket by [`bucket_of`] *as it is emitted*, so the
-///   engine's shuffle partitioning work happens inside the (parallel) map
-///   tasks instead of in a serial driver pass.
+/// Each pair is routed to its reduce bucket by [`bucket_of`] *as it is
+/// emitted*, so the engine's shuffle partitioning work happens inside the
+/// (parallel) map tasks instead of in a serial driver pass. A flat
+/// context ([`MapContext::new`], used by map-only jobs and direct mapper
+/// unit tests) is the one-bucket case: pairs accumulate in emission order.
 pub struct MapContext<K, V> {
-    /// Flat-mode emissions (unused in partitioned mode).
-    pairs: Vec<(K, V)>,
-    /// Partitioned-mode emissions; non-empty iff partitioned.
+    /// Emission-ordered pairs per reduce bucket; never empty.
     buckets: Vec<Vec<(K, V)>>,
     emitted: usize,
     counters: Counters,
@@ -57,15 +56,10 @@ impl<K, V> Default for MapContext<K, V> {
 }
 
 impl<K, V> MapContext<K, V> {
-    /// An empty flat context (exposed so applications can unit-test
-    /// mappers directly).
+    /// An empty flat (one-bucket) context (exposed so applications can
+    /// unit-test mappers directly).
     pub fn new() -> Self {
-        MapContext {
-            pairs: Vec::new(),
-            buckets: Vec::new(),
-            emitted: 0,
-            counters: Counters::new(),
-        }
+        Self::partitioned(1)
     }
 
     /// An empty context that hash-partitions emissions into `reducers`
@@ -76,7 +70,6 @@ impl<K, V> MapContext<K, V> {
     pub fn partitioned(reducers: usize) -> Self {
         assert!(reducers > 0, "partitioned context needs at least 1 bucket");
         MapContext {
-            pairs: Vec::new(),
             buckets: (0..reducers).map(|_| Vec::new()).collect(),
             emitted: 0,
             counters: Counters::new(),
@@ -90,12 +83,8 @@ impl<K, V> MapContext<K, V> {
         K: Hash,
     {
         self.emitted += 1;
-        if self.buckets.is_empty() {
-            self.pairs.push((key, value));
-        } else {
-            let b = bucket_of(&key, self.buckets.len());
-            self.buckets[b].push((key, value));
-        }
+        let b = bucket_of(&key, self.buckets.len());
+        self.buckets[b].push((key, value));
     }
 
     /// Increment a named counter (aggregated into the job's
@@ -110,31 +99,20 @@ impl<K, V> MapContext<K, V> {
     }
 
     /// Consume the context, yielding emitted pairs and counters (for
-    /// direct mapper tests). In partitioned mode the pairs come back in
-    /// bucket-major order.
+    /// direct mapper tests): emission order for a flat context,
+    /// bucket-major order for a partitioned one.
     pub fn into_parts(self) -> (Vec<(K, V)>, Counters) {
-        if self.buckets.is_empty() {
-            (self.pairs, self.counters)
-        } else {
-            let total: usize = self.buckets.iter().map(Vec::len).sum();
-            let mut pairs = Vec::with_capacity(total);
-            for b in self.buckets {
-                pairs.extend(b);
-            }
-            (pairs, self.counters)
+        let mut buckets = self.buckets.into_iter();
+        let mut pairs = buckets.next().expect("at least one bucket");
+        for b in buckets {
+            pairs.extend(b);
         }
+        (pairs, self.counters)
     }
 
-    /// Consume a partitioned context, yielding one emission-ordered pair
-    /// vector per reduce bucket plus the counters.
-    ///
-    /// # Panics
-    /// Panics on a flat context — callers choose the mode up front.
+    /// Consume the context, yielding one emission-ordered pair vector per
+    /// reduce bucket (a single one for a flat context) plus the counters.
     pub fn into_buckets(self) -> (Vec<Vec<(K, V)>>, Counters) {
-        assert!(
-            !self.buckets.is_empty(),
-            "into_buckets on a flat MapContext"
-        );
         (self.buckets, self.counters)
     }
 }
@@ -353,6 +331,21 @@ mod tests {
         let (pairs, counters) = ctx.into_parts();
         assert_eq!(pairs, vec![(1, 2.0), (3, 4.0)]);
         assert_eq!(counters.get("records"), 2);
+    }
+
+    #[test]
+    fn flat_context_is_the_one_bucket_partitioned_context() {
+        let emit_all = |mut ctx: MapContext<u64, u64>| {
+            for x in [5u64, 1, 9, 1, 3] {
+                ctx.emit(x, x * 10);
+            }
+            ctx.incr("seen", 5);
+            ctx.into_parts()
+        };
+        assert_eq!(
+            emit_all(MapContext::new()),
+            emit_all(MapContext::partitioned(1))
+        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! queued task to a slot the moment the slot frees, preferring tasks whose
 //! input data lives on that slot's node (node-local), then in the same rack
 //! (rack-local), then anything (remote, which pays a network read for its
-//! input). This module simulates exactly that, driven by per-task durations
-//! the MapReduce engine measured while running the task's computation for
-//! real on the host.
+//! input). This module simulates exactly that, driven by the per-task
+//! durations the MapReduce engine's time model assigns to the computation
+//! it ran for real on the host.
 
 use crate::event::EventQueue;
 use crate::topology::{ClusterSpec, NodeId};
@@ -60,8 +60,7 @@ impl SchedulerOptions {
 /// One task to be placed on the simulated cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
-    /// Pure compute time of the task (measured on the host, then scaled by
-    /// the caller to the simulated core speed if desired).
+    /// Pure compute time of the task, in simulated seconds.
     pub duration_s: f64,
     /// Nodes holding a replica of this task's input (empty = no locality
     /// preference, e.g. reducers).
@@ -494,28 +493,6 @@ impl<'a> SlotScheduler<'a> {
             launches,
             killed_attempts,
         }
-    }
-
-    /// [`SlotScheduler::schedule_with`] that also replays the outcome
-    /// into `tracer` as `task` spans starting at simulated time `t0`,
-    /// on lanes `{lane_prefix}-slot-N`, clamped to the round's makespan.
-    /// Callers that cut a round short (PIC's merge quorum) should use
-    /// [`SlotScheduler::schedule_with`] plus
-    /// [`ScheduleOutcome::emit_task_spans`] with their own clamp.
-    #[allow(clippy::too_many_arguments)]
-    pub fn schedule_traced(
-        &self,
-        tasks: &[TaskSpec],
-        slots_per_node: usize,
-        nodes: std::ops::Range<NodeId>,
-        opts: &SchedulerOptions,
-        tracer: &Tracer,
-        t0: f64,
-        lane_prefix: &str,
-    ) -> ScheduleOutcome {
-        let out = self.schedule_with(tasks, slots_per_node, nodes, opts);
-        out.emit_task_spans(tracer, t0, lane_prefix, out.makespan_s);
-        out
     }
 
     /// Locality class `task` would achieve running on `node`.

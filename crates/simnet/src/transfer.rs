@@ -156,16 +156,9 @@ pub fn broadcast(spec: &ClusterSpec, m: usize, bytes: u64) -> (f64, u64) {
     (seconds, network_bytes)
 }
 
-/// Time to gather `m` pieces of `bytes_each` onto one node (the PIC merge
-/// collection step). Bounded by the receiver's NIC.
-pub fn gather(spec: &ClusterSpec, m: usize, bytes_each: u64) -> (f64, u64) {
-    let total = bytes_each * m as u64;
-    (total as f64 / spec.nic_bw, total)
-}
-
-/// Gather variably-sized pieces onto one node: the receiver's NIC is the
-/// bottleneck, so time is the exact byte total over its bandwidth. Same
-/// model as [`gather`] without forcing the pieces to a common size.
+/// Gather variably-sized pieces onto one node (the PIC merge collection
+/// step): the receiver's NIC is the bottleneck, so time is the exact byte
+/// total over its bandwidth.
 pub fn gather_sized(spec: &ClusterSpec, sizes: &[u64]) -> (f64, u64) {
     let total: u64 = sizes.iter().sum();
     (total as f64 / spec.nic_bw, total)
@@ -286,7 +279,7 @@ mod tests {
     #[test]
     fn gather_is_receiver_bound() {
         let s = ClusterSpec::small();
-        let (t, b) = gather(&s, 5, 25_000_000);
+        let (t, b) = gather_sized(&s, &[25_000_000; 5]);
         assert_eq!(b, 125_000_000);
         assert!(close(t, 1.0), "receiver NIC 1 GbE (got {t})");
     }

@@ -9,6 +9,7 @@ use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::chaos::FaultPlan;
 use pic_simnet::report::fmt_f64;
+use pic_simnet::trace::check;
 use pic_simnet::ClusterSpec;
 use proptest::prelude::*;
 
@@ -174,4 +175,50 @@ fn crash_time_bisection_pins_the_effective_window() {
         assert!(crash_fires(frac * lo), "crash inside the window missed");
     }
     assert!(!crash_fires(hi * 1.5), "crash past the window fired");
+}
+
+/// Start and duration of the `rebalance` transfer an elastic resize pays
+/// under `plan`, for the IC (`pic == false`) or PIC driver.
+fn rebalance_span(pic: bool, plan: &FaultPlan) -> (f64, f64) {
+    let (app, rows, n) = app();
+    let engine = Engine::new(ClusterSpec::small());
+    let data = Dataset::create(&engine, "/props/rebalance", rows, 5);
+    engine.reset();
+    engine.arm_chaos(plan).expect("valid plan");
+    if pic {
+        let opts = PicOptions {
+            partitions: 5, // the app's fixed block count
+            ..Default::default()
+        };
+        run_pic(&engine, &app, &data, vec![0.0; n], &opts);
+    } else {
+        run_ic(&engine, &app, &data, vec![0.0; n], &IcOptions::default());
+    }
+    let trace = engine.trace();
+    check::validate(&trace, &engine.traffic()).expect("resized trace validates");
+    let span = trace
+        .spans
+        .iter()
+        .find(|s| s.cat == "transfer" && s.name == "rebalance")
+        .expect("the resize pays a rebalance transfer");
+    (span.t0, span.duration_s())
+}
+
+/// A link brown-out stretches the rebalance transfer like every other
+/// transfer: a 4× window opening exactly at the rebalance makes it take 4×
+/// the resize-only run's time, under both drivers.
+#[test]
+fn degraded_links_stretch_the_rebalance_transfer() {
+    for pic in [false, true] {
+        let resize = FaultPlan::new(3).elastic_resize(1, 5, 4);
+        let (t_rb, clean_s) = rebalance_span(pic, &resize);
+        assert!(clean_s > 0.0);
+        let degraded = resize.degrade_links(4.0, t_rb, t_rb + clean_s);
+        let (t_degraded, degraded_s) = rebalance_span(pic, &degraded);
+        assert_eq!(t_degraded, t_rb, "nothing before the window moves");
+        assert!(
+            (degraded_s - 4.0 * clean_s).abs() <= 1e-9 * degraded_s,
+            "pic={pic}: rebalance took {degraded_s} s degraded vs {clean_s} s clean"
+        );
+    }
 }

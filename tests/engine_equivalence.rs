@@ -34,6 +34,7 @@ fn map_record(r: &Rec, emit: &mut dyn FnMut(u64, u64)) {
 
 fn engine_mapper() -> impl pic_mapreduce::Mapper<In = Rec, K = u64, V = u64> {
     FnMapper::new(|r: &Rec, ctx: &mut MapContext<u64, u64>| {
+        ctx.incr("records", 1);
         map_record(r, &mut |k, v| ctx.emit(k, v));
     })
 }
@@ -130,20 +131,39 @@ fn serial_reference(splits: &[Vec<Rec>], reducers: usize, combine: bool) -> Refe
     }
 }
 
+/// The map-only form of a job on a fresh engine under a `threads`-wide
+/// pool: output, merged counters and the trace modulo `host_*` args.
+fn map_only_run(
+    records: &[Rec],
+    splits: usize,
+    cfg: &JobConfig,
+    threads: usize,
+) -> (Vec<(u64, u64)>, pic_mapreduce::Counters, pic_simnet::Trace) {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool");
+    pool.install(|| {
+        let engine = Engine::new(ClusterSpec::small());
+        let data = Dataset::create(&engine, "/eq/job", records.to_vec(), splits);
+        let r = engine.run_map_only(cfg, &data, &engine_mapper());
+        (
+            r.output,
+            r.stats.counters,
+            engine.trace().without_host_args(),
+        )
+    })
+}
+
 /// Run one job on a fresh engine and check every observable against the
-/// serial reference: output vector, stats, and ledger deltas.
+/// serial reference: output vector, stats, and ledger deltas. Then run its
+/// map-only form against the "map every split in order, concatenate"
+/// reference, under 1 and 4 worker threads.
 fn check_job(records: Vec<Rec>, splits: usize, reducers: usize, combine: bool) {
     let engine = Engine::new(ClusterSpec::small());
-    let data = Dataset::create(&engine, "/eq/job", records, splits);
-    let reference = serial_reference(
-        &data
-            .splits
-            .iter()
-            .map(|s| s.records.clone())
-            .collect::<Vec<_>>(),
-        reducers,
-        combine,
-    );
+    let data = Dataset::create(&engine, "/eq/job", records.clone(), splits);
+    let split_records: Vec<Vec<Rec>> = data.splits.iter().map(|s| s.records.clone()).collect();
+    let reference = serial_reference(&split_records, reducers, combine);
 
     let cfg = JobConfig::new("equivalence")
         .reducers(reducers)
@@ -188,6 +208,18 @@ fn check_job(records: Vec<Rec>, splits: usize, reducers: usize, combine: bool) {
         cost.bisection_bytes
     );
     assert_eq!(delta.shuffle_total(), reference.shuffle_bytes);
+
+    let mut concatenated = Vec::new();
+    for r in split_records.iter().flatten() {
+        map_record(r, &mut |k, v| concatenated.push((k, v)));
+    }
+    let (out_1, counters_1, trace_1) = map_only_run(&records, splits, &cfg, 1);
+    let (out_4, counters_4, trace_4) = map_only_run(&records, splits, &cfg, 4);
+    assert_eq!(out_1, concatenated);
+    assert_eq!(out_4, concatenated);
+    assert_eq!(counters_1.get("records"), records.len() as u64);
+    assert_eq!(counters_1, counters_4);
+    assert_eq!(trace_1, trace_4);
 }
 
 proptest! {

@@ -68,6 +68,28 @@ fn retries_cost_time_but_not_extra_traffic() {
 }
 
 #[test]
+fn failed_map_only_tasks_are_reexecuted_with_identical_results() {
+    // The map-only twin: a job with zero reducers runs the same map stage,
+    // so an injected map failure is retried, marked and paid for there too.
+    let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 5, *x));
+    let run = |cfg: &JobConfig| {
+        let engine = Engine::new(ClusterSpec::small());
+        let data = Dataset::create(&engine, "/ft/mo", (0..2_000u64).collect(), 8);
+        engine.reset();
+        let res = engine.run_map_only(cfg, &data, &mapper);
+        (res, engine.trace())
+    };
+    let (clean, clean_trace) = run(&analytic("mo"));
+    let (faulty, faulty_trace) = run(&analytic("mo").fail_map_task(2));
+    assert_eq!(clean.stats.retried_tasks, 0);
+    assert_eq!(check::sched_events(&clean_trace, "retry"), 0);
+    assert_eq!(faulty.stats.retried_tasks, 1);
+    assert_eq!(check::sched_events(&faulty_trace, "retry"), 1);
+    assert!(faulty.stats.map_time_s > clean.stats.map_time_s);
+    assert_eq!(faulty.output, clean.output);
+}
+
+#[test]
 fn multiple_failures_in_one_job() {
     let engine = Engine::new(ClusterSpec::small());
     let data = Dataset::create(&engine, "/ft/m", (0..500u64).collect(), 10);

@@ -228,8 +228,8 @@ fn speculative_launch_instants_mark_backup_attempts() {
         ..Default::default()
     };
     let tracer = Tracer::standalone();
-    let outcome =
-        SlotScheduler::new(&spec).schedule_traced(&tasks, 1, 0..6, &opts, &tracer, 0.0, "map");
+    let outcome = SlotScheduler::new(&spec).schedule_with(&tasks, 1, 0..6, &opts);
+    outcome.emit_task_spans(&tracer, 0.0, "map", outcome.makespan_s);
     let trace = tracer.trace();
     let backups = outcome.launches.iter().filter(|l| l.speculative).count();
     assert!(backups > 0, "the slow node draws speculative backups");
