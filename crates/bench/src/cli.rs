@@ -1,8 +1,8 @@
 //! The one front end (DESIGN.md §17): a static command table,
 //! one argv parser, one usage / `pic help` renderer and one artifact
-//! writer. Every `pic` command and the `event_bench` binary parse
-//! through [`parse`]; a new subcommand is one [`COMMANDS`] entry plus one
-//! handler function in `src/bin/pic.rs`.
+//! writer. Every `pic` command parses through [`parse`]; a new
+//! subcommand is one [`COMMANDS`] entry plus one handler function in
+//! `src/bin/pic.rs`.
 //!
 //! Each flag's [`Kind`] states the values it accepts, so out-of-range
 //! input is refused here, in one line naming the flag, the value and the
@@ -156,15 +156,13 @@ pub enum Group {
     /// A former stand-alone binary: the CI gate and the paper-figure
     /// regenerator.
     Tool,
-    /// A binary of its own that parses through this table.
-    Binary,
 }
 
 /// One command: everything its parser, its usage text and its `pic
 /// help` row are generated from.
 #[derive(Debug)]
 pub struct Command {
-    /// The word after `pic` (or the binary's own name).
+    /// The word after `pic`.
     pub name: &'static str,
     /// Which list it appears in.
     pub group: Group,
@@ -179,12 +177,9 @@ pub struct Command {
 }
 
 impl Command {
-    /// How the command is invoked (`pic report`, `event_bench`).
+    /// How the command is invoked (`pic report`).
     pub fn invocation(&self) -> String {
-        match self.group {
-            Group::Binary => self.name.to_string(),
-            _ => format!("pic {}", self.name),
-        }
+        format!("pic {}", self.name)
     }
 
     /// The `[tag]` its log lines carry: the former binaries keep theirs.
@@ -354,22 +349,6 @@ pub const COMMANDS: &[Command] = &[
         list("--list", experiments::ALL, "print the experiment names and exit"),
     ]),
 ];
-
-/// The `event_bench` binary: the event-core hold benchmark behind
-/// `BENCH_event_queue.csv` and the host-trend gate behind
-/// `BENCH_host.csv`.
-#[rustfmt::skip]
-pub const EVENT_BENCH: Command = command("event_bench", Group::Binary, "§13", NO_ARGS, "hold-model benchmark of the calendar-queue EventQueue against the BinaryHeap baseline; with --host-csv / --host-check, the host-profile trend (DESIGN.md §14) instead", &[
-    flag("--events", "<n>",      Kind::Count(1_000_000_000), "1000000",         "total operations per hold run"),
-    flag("--jobs",   "<a,b,..>", Kind::Counts(10_000_000),   "1024,4096,16384", "concurrent-event populations"),
-    path("--out",        "write the hold-model CSV trend file"),
-    switch("--check",    "exit 1 unless the calendar queue wins at every 1k+ population"),
-    path("--host-csv",   "profile the fixed workload and write the per-stage trend file"),
-    path("--host-check", "gate a fresh profile against this baseline (calls/bytes exact, shares within the band)"),
-    flag("--host-reps",  "<n>", Kind::Count(1_000), "5",    "repetitions behind the medians"),
-    flag("--host-scale", "<f>", SCALE_KIND,          "0.02", "host-trend workload scale"),
-    flag("--host-band",  "<f>", Kind::Positive(1.0), "0.25", "absolute band on stage time shares"),
-]);
 
 /// A parsed, validated argv: every value has passed its flag's [`Kind`].
 #[derive(Debug)]
@@ -654,17 +633,13 @@ mod tests {
     /// typed getters can never panic on an absent flag.
     #[test]
     fn every_default_passes_its_own_kind() {
-        for c in COMMANDS.iter().chain([&EVENT_BENCH]) {
+        for c in COMMANDS {
             for f in c.flags.iter().filter(|f| !f.default.is_empty()) {
                 f.kind
                     .check(f.name, Some(f.default))
                     .unwrap_or_else(|e| panic!("{}: {e}", c.invocation()));
             }
         }
-        assert_eq!(
-            EVENT_BENCH.flag("--host-band").default,
-            crate::host_trend::SHARE_BAND.to_string()
-        );
     }
 
     #[test]

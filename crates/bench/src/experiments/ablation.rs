@@ -111,10 +111,9 @@ pub fn partitioner_choice(ctx: &ExperimentCtx) -> String {
     )
 }
 
-/// Combiner on/off for the IC K-means baseline: how much of the paper's
-/// gap survives the optimization it grants the baseline.
-pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
-    let n = ctx.n(50_000, 2_000);
+/// One IC K-means iteration over `n` points run twice: with the
+/// combiner the paper grants the baseline, then without.
+fn combiner_jobs(n: usize) -> (pic_mapreduce::JobStats, pic_mapreduce::JobStats) {
     let k = 100;
     let engine = pic_mapreduce::Engine::new(ClusterSpec::small());
     let pts = gaussian_mixture(n, k, 3, 1000.0, 8.0, 71);
@@ -140,6 +139,14 @@ pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
         &AssignMapper { model: &model },
         &AverageReducer,
     );
+    (with.stats, without.stats)
+}
+
+/// Combiner on/off for the IC K-means baseline: how much of the paper's
+/// gap survives the optimization it grants the baseline.
+pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
+    let n = ctx.n(50_000, 2_000);
+    let (with, without) = combiner_jobs(n);
 
     let mut t = Table::new([
         "baseline variant",
@@ -149,15 +156,15 @@ pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
     ]);
     t.row([
         "with combiner".to_string(),
-        with.stats.shuffle_records.to_string(),
-        fmt_bytes(with.stats.shuffle_bytes),
-        fmt_secs(with.stats.total_time_s),
+        with.shuffle_records.to_string(),
+        fmt_bytes(with.shuffle_bytes),
+        fmt_secs(with.total_time_s),
     ]);
     t.row([
         "without combiner".to_string(),
-        without.stats.shuffle_records.to_string(),
-        fmt_bytes(without.stats.shuffle_bytes),
-        fmt_secs(without.stats.total_time_s),
+        without.shuffle_records.to_string(),
+        fmt_bytes(without.shuffle_bytes),
+        fmt_secs(without.total_time_s),
     ]);
     format!(
         "Ablation — combiner effect on one IC K-means iteration ({n} points)\n\n{}\n\
@@ -165,7 +172,7 @@ pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
          the combiner shrinks only what crosses the network, which is why PIC's \
          savings are additive to it (paper §II grants the baseline combiners).\n",
         t.render(),
-        fmt_bytes(with.stats.map_output_bytes),
+        fmt_bytes(with.map_output_bytes),
     )
 }
 
@@ -413,8 +420,29 @@ mod tests {
 
     #[test]
     fn combiner_shrinks_network_not_spill() {
-        let out = combiner_effect(&ExperimentCtx { scale: 0.1 });
-        assert!(out.contains("with combiner"));
+        let (with, without) = combiner_jobs(5_000);
+        assert!(with.shuffle_bytes < without.shuffle_bytes);
+        assert!(with.shuffle_records < without.shuffle_records);
+        assert_eq!(with.map_output_bytes, without.map_output_bytes);
+    }
+
+    /// Every ablation DESIGN.md §5 lists runs, and reports, under
+    /// `cargo test`.
+    #[test]
+    fn run_reports_all_seven_ablations() {
+        let out = run(&ExperimentCtx { scale: 0.02 });
+        for heading in [
+            "K-means sub-problem count",
+            "PageRank partitioner",
+            "combiner effect on one IC K-means iteration",
+            "K-means merge strategy",
+            "local-iteration cap",
+            "smart initializer vs PIC's best-effort phase",
+            "smoothing tile layout",
+        ] {
+            let heading = format!("Ablation — {heading} (");
+            assert_eq!(out.matches(&heading).count(), 1, "{heading}\n{out}");
+        }
     }
 
     #[test]

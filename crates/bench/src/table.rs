@@ -165,52 +165,6 @@ where
     doc
 }
 
-/// Parse a CSV document written by [`csv_row`] back into records,
-/// honouring RFC 4180 quoting (embedded commas, doubled quotes, and
-/// line breaks inside quoted fields). A lone trailing newline does not
-/// produce an empty record. Errors on an unterminated quoted field.
-pub fn csv_parse(doc: &str) -> Result<Vec<Vec<String>>, String> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut saw_any = false;
-    let mut chars = doc.chars().peekable();
-    while let Some(c) = chars.next() {
-        saw_any = true;
-        if in_quotes {
-            match c {
-                '"' if chars.peek() == Some(&'"') => {
-                    chars.next();
-                    field.push('"');
-                }
-                '"' => in_quotes = false,
-                _ => field.push(c),
-            }
-        } else {
-            match c {
-                '"' if field.is_empty() => in_quotes = true,
-                ',' => record.push(std::mem::take(&mut field)),
-                '\r' if chars.peek() == Some(&'\n') => {}
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                    saw_any = false;
-                }
-                _ => field.push(c),
-            }
-        }
-    }
-    if in_quotes {
-        return Err("unterminated quoted CSV field".to_string());
-    }
-    if saw_any {
-        record.push(field);
-        records.push(record);
-    }
-    Ok(records)
-}
-
 /// Format simulated seconds compactly.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 3600.0 {
@@ -237,6 +191,53 @@ pub fn fmt_x(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The round-trip reference: parse a CSV document written by
+    /// [`csv_row`] back into records, honouring RFC 4180 quoting
+    /// (embedded commas, doubled quotes, and line breaks inside quoted
+    /// fields). A lone trailing newline does not produce an empty
+    /// record. Errors on an unterminated quoted field.
+    fn csv_parse(doc: &str) -> Result<Vec<Vec<String>>, String> {
+        let mut records = Vec::new();
+        let mut record: Vec<String> = Vec::new();
+        let mut field = String::new();
+        let mut in_quotes = false;
+        let mut saw_any = false;
+        let mut chars = doc.chars().peekable();
+        while let Some(c) = chars.next() {
+            saw_any = true;
+            if in_quotes {
+                match c {
+                    '"' if chars.peek() == Some(&'"') => {
+                        chars.next();
+                        field.push('"');
+                    }
+                    '"' => in_quotes = false,
+                    _ => field.push(c),
+                }
+            } else {
+                match c {
+                    '"' if field.is_empty() => in_quotes = true,
+                    ',' => record.push(std::mem::take(&mut field)),
+                    '\r' if chars.peek() == Some(&'\n') => {}
+                    '\n' => {
+                        record.push(std::mem::take(&mut field));
+                        records.push(std::mem::take(&mut record));
+                        saw_any = false;
+                    }
+                    _ => field.push(c),
+                }
+            }
+        }
+        if in_quotes {
+            return Err("unterminated quoted CSV field".to_string());
+        }
+        if saw_any {
+            record.push(field);
+            records.push(record);
+        }
+        Ok(records)
+    }
 
     #[test]
     fn renders_aligned() {

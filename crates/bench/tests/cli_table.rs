@@ -1,26 +1,18 @@
 //! The command table is the contract (DESIGN.md §17): these
-//! tests iterate `pic_bench::cli::COMMANDS` (plus `EVENT_BENCH`) and
-//! drive the real binaries, so a table entry cannot ship with a flag
-//! that is undocumented, unparsed, or able to panic on bad input.
+//! tests iterate `pic_bench::cli::COMMANDS` and drive the real binary,
+//! so a table entry cannot ship with a flag that is undocumented,
+//! unparsed, or able to panic on bad input.
 
-use pic_bench::cli::{usage, Command, Group, Kind, COMMANDS, EVENT_BENCH};
+use pic_bench::cli::{usage, Command, Kind, COMMANDS};
 use std::process::{Command as Process, Output};
 
-fn all_commands() -> impl Iterator<Item = &'static Command> {
-    COMMANDS.iter().chain([&EVENT_BENCH])
-}
-
-/// Run `command` (through `pic`, or the binary it is) with `args`.
+/// Run `pic <command>` with `args`.
 fn invoke(command: &Command, args: &[&str]) -> Output {
-    let mut process = match command.group {
-        Group::Binary => Process::new(env!("CARGO_BIN_EXE_event_bench")),
-        _ => {
-            let mut pic = Process::new(env!("CARGO_BIN_EXE_pic"));
-            pic.arg(command.name);
-            pic
-        }
-    };
-    process.args(args).output().expect("spawn")
+    Process::new(env!("CARGO_BIN_EXE_pic"))
+        .arg(command.name)
+        .args(args)
+        .output()
+        .expect("spawn")
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -45,7 +37,7 @@ fn rejected(command: &Command, args: &[&str]) -> String {
 
 #[test]
 fn help_of_every_command_documents_every_flag() {
-    for command in all_commands() {
+    for command in COMMANDS {
         let out = invoke(command, &["--help"]);
         assert_eq!(out.status.code(), Some(0), "{}", command.invocation());
         let text = String::from_utf8(out.stdout).unwrap();
@@ -61,7 +53,7 @@ fn help_of_every_command_documents_every_flag() {
 
 #[test]
 fn unknown_flag_lists_the_commands_valid_flags() {
-    for command in all_commands() {
+    for command in COMMANDS {
         let line = rejected(command, &["--no-such-flag"]);
         assert!(line.contains("unknown flag '--no-such-flag'"), "{line}");
         assert!(line.contains(&command.invocation()), "{line}");
@@ -90,7 +82,7 @@ fn bad_values(kind: Kind) -> Vec<String> {
 
 #[test]
 fn every_value_flag_rejects_missing_garbage_and_out_of_range_values() {
-    for command in all_commands() {
+    for command in COMMANDS {
         for flag in command.flags {
             if matches!(flag.kind, Kind::Switch | Kind::List(_)) {
                 continue;

@@ -1,6 +1,6 @@
 //! Acceptance tests for the DESIGN.md §14 host profiler: the per-stage
-//! host times must reconcile with real wall-clock, the trend measurement
-//! must be deterministic in its exact-gated columns, and the disabled
+//! host times must reconcile with real wall-clock, the per-stage call
+//! and byte counts must be exact and repeatable, and the disabled
 //! profiler must record nothing.
 //!
 //! These tests flip the process-global profiler, so every test in this
@@ -10,7 +10,6 @@
 
 use pic_bench::experiments::common::{compare, cost};
 use pic_bench::experiments::{report as perf, ExperimentCtx};
-use pic_bench::host_trend;
 use pic_simnet::hostprof::{self, Stage};
 use std::sync::{Mutex, MutexGuard};
 
@@ -113,34 +112,46 @@ fn engine_stage_times_reconcile_with_wall_clock() {
     }
 }
 
-/// The trend measurement's exact-gated columns (stage set, calls, bytes)
-/// are identical across repeated measurements, so a fresh run gates
-/// cleanly against itself — the re-run half of the CI contract.
+/// Per-stage `(label, calls, bytes)` of the k-means report run at scale
+/// 0.02. Both columns are functions of the workload alone — split
+/// count, bucket count, bytes charged, events drained — so they hold on
+/// any host and any pool width; a change here is a change to what the
+/// engine does, never noise.
+const KMEANS_STAGE_COUNTS: [(&str, u64, u64); 12] = [
+    ("map", 22_528, 19_712_000),
+    ("combine", 22_528, 36_608_000),
+    ("partition", 88, 0),
+    ("sort_merge_group", 5_632, 0),
+    ("reduce", 5_632, 0),
+    ("shuffle_materialization", 88, 33_212_140),
+    ("dfs_serialization", 96, 786_776),
+    ("event_queue_ops", 128_694, 0),
+    ("schedule", 176, 0),
+    ("ic_iterate", 88, 0),
+    ("pic_solve", 384, 0),
+    ("pic_merge", 12, 0),
+];
+
+/// The profiled k-means run records exactly [`KMEANS_STAGE_COUNTS`],
+/// twice in a row.
 #[test]
-fn host_trend_rerun_passes_its_own_gate() {
+fn stage_calls_and_bytes_are_pinned_and_repeat() {
     let _g = lock();
-    let a = host_trend::measure(0.01, 2).unwrap();
-    let b = host_trend::measure(0.01, 2).unwrap();
-    let errs = host_trend::check(&a, &b, host_trend::SHARE_BAND);
-    assert!(errs.is_empty(), "{errs:?}");
-
-    // And the CSV survives a disk round-trip without losing the gate.
-    let parsed = host_trend::from_csv(&host_trend::to_csv(&a)).unwrap();
-    let errs = host_trend::check(&parsed, &b, host_trend::SHARE_BAND);
-    assert!(errs.is_empty(), "{errs:?}");
-
-    // An injected cliff (one stage's time inflated 100x) must fail it.
-    let mut cliff = b.clone();
-    let busiest = (0..cliff.len())
-        .max_by(|&x, &y| cliff[x].share.partial_cmp(&cliff[y].share).unwrap())
-        .unwrap();
-    cliff[busiest].median_total_s *= 100.0;
-    let sum: f64 = cliff.iter().map(|r| r.median_total_s).sum();
-    for r in &mut cliff {
-        r.share = r.median_total_s / sum;
-    }
-    let errs = host_trend::check(&a, &cliff, host_trend::SHARE_BAND);
-    assert!(!errs.is_empty(), "inflated stage must trip the share gate");
+    let profiled = || -> Vec<(&str, u64, u64)> {
+        hostprof::reset();
+        hostprof::enable();
+        let run = perf::collect(&ExperimentCtx { scale: 0.02 }, &["kmeans"]);
+        hostprof::disable();
+        run.unwrap();
+        let counts = |s: &hostprof::StageProfile| (s.stage.label(), s.calls, s.bytes);
+        hostprof::snapshot().stages.iter().map(counts).collect()
+    };
+    let (first, second) = (profiled(), profiled());
+    assert_eq!(first, second, "a rerun must repeat every count");
+    assert_eq!(
+        first, KMEANS_STAGE_COUNTS,
+        "measured (left) differs from the pinned table (right)"
+    );
 }
 
 /// With the profiler disabled (the default), a full suite run records

@@ -16,8 +16,8 @@
 //!   event).
 //! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept public
 //!   as the reference oracle for the differential property tests
-//!   (`tests/event_props.rs`) and as the baseline for the event-core
-//!   benchmarks (`event_bench`).
+//!   (`tests/event_props.rs`) and as the baseline of the `benchmark/`
+//!   harness's `simnet.event.heap_hold_ns_per_op` metric.
 //!
 //! Ordering in the calendar queue never compares floats across buckets:
 //! each entry carries an integer lap (`floor(time / width)` at insert
@@ -66,7 +66,7 @@ impl<T> PartialOrd for Entry<T> {
 /// This is the original `BinaryHeap`-backed implementation of
 /// [`EventQueue`]. It stays public so the differential property tests can
 /// replay arbitrary interleavings against both queues, and so the
-/// `event_bench` harness can report calendar-vs-heap host time.
+/// `benchmark/` harness can report calendar-vs-heap host time.
 #[derive(Debug)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Entry<T>>,

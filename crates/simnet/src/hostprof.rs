@@ -22,13 +22,14 @@
 //! across threads. Consequently, on a pool wider than one thread the
 //! summed stage times can legitimately *exceed* the enclosing wall-clock
 //! interval — they are CPU-seconds, not elapsed seconds. Cross-run and
-//! cross-machine comparisons should therefore gate on **call counts and
-//! bytes** (deterministic) exactly, and on **time shares** of the profile
-//! total (machine-relative) with a generous band — see DESIGN.md §14.
+//! cross-machine comparisons should therefore compare **call counts and
+//! bytes** (deterministic) exactly, and judge **times** only as A/B pairs
+//! on one host — see DESIGN.md §14.
 //!
-//! Consumers: `event_bench --host-profile` (the `BENCH_host.csv` trend
-//! gate), the `host_profile` section of `BENCH_pic.json`, and
-//! `pic diff`'s host-stage delta attribution.
+//! Consumers: the `host_profile` section of `BENCH_pic.json`, `pic
+//! diff`'s host-stage delta attribution, the pinned `(stage, calls,
+//! bytes)` table in `crates/bench/tests/host_profile.rs`, and the
+//! `hostprof.*` per-layer metrics of the `benchmark/` harness.
 
 use crate::report::nearest_rank;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -290,8 +291,7 @@ impl HostProfile {
         self.stages.iter().find(|s| s.stage == stage)
     }
 
-    /// `stage`'s share of [`HostProfile::total_s`] in `[0, 1]` — the
-    /// machine-portable quantity the trend gate compares.
+    /// `stage`'s share of [`HostProfile::total_s`] in `[0, 1]`.
     pub fn share(&self, stage: Stage) -> f64 {
         let total = self.total_s();
         match self.get(stage) {

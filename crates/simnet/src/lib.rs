@@ -33,8 +33,9 @@
 //!   ([`UtilizationReport`]).
 //! * [`hostprof`] — a host-side (wall-clock) stage profiler: RAII scope
 //!   timers over the engine/DFS/event-queue/driver hot paths with a
-//!   zero-cost disabled path, feeding the `BENCH_host.csv` trend gate
-//!   and `pic diff` host-stage attribution ([`HostProfile`]).
+//!   zero-cost disabled path, feeding the `host_profile` section of
+//!   `BENCH_pic.json` and `pic diff` host-stage attribution
+//!   ([`HostProfile`]).
 //! * [`sweep`] — the charge-sweep kernel every trace derivation shares:
 //!   `traffic` instants → charges, a link's rate steps, bytes and busy
 //!   seconds onto a bucket grid, span and lane group names.
