@@ -166,10 +166,11 @@ fn the_nine_known_bad_argvs_are_refused_by_name() {
 }
 
 /// The launcher's cross-flag checks: shapes the app constructors would
-/// panic (or, for a one-page graph, spin) on.
+/// panic (or, for a one-page graph, spin) on, and a stream whose arrival
+/// times would overflow into the event queue's finite-time assert.
 #[test]
 fn launcher_refuses_shapes_the_apps_cannot_build() {
-    let cases: [(&str, &[&str], &str); 6] = [
+    let cases: [(&str, &[&str], &str); 8] = [
         ("pagerank", &["--n", "1", "--partitions", "1"], "--n ≥ 2"),
         ("linsolve", &["--n", "5", "--partitions", "10"], "--n ≥ 10"),
         (
@@ -184,6 +185,12 @@ fn launcher_refuses_shapes_the_apps_cannot_build() {
         ),
         ("kmeans", &["--cluster", "largeX"], "unknown cluster"),
         ("kmeans", &["--cluster", "large:abc"], "got 'abc'"),
+        (
+            "tenancy",
+            &["--jobs", "4", "--arrival", "1e-320", "--scale", "0.05"],
+            "arrival rate must be finite and keep all 4 arrivals at finite times (got 1e-320)",
+        ),
+        ("tenancy", &["--mix", "kmeans=inf"], "(got inf)"),
     ];
     for (name, args, expected) in cases {
         let command = COMMANDS.iter().find(|c| c.name == name).unwrap();

@@ -2,7 +2,7 @@
 //!
 //! The trace layer and [`crate::report::PerfReport`] decompose *simulated*
 //! time; nothing in the repo measured where *host* wall-clock goes inside
-//! the MapReduce engine, the DFS, the calendar queue or the drivers. This
+//! the MapReduce engine, the DFS, the event queue or the drivers. This
 //! module is that missing layer: scoped RAII stage timers
 //! ([`ScopeGuard`]) recording into a static per-[`Stage`] registry —
 //! call counts, bytes processed (throughput), total/p50/p95/max seconds
@@ -55,7 +55,7 @@ pub enum Stage {
     DfsSerialization,
     /// DFS block deserialization: `read` over placed blocks.
     DfsDeserialization,
-    /// Calendar/heap event-queue operations (push + pop).
+    /// Event-queue operations (push + pop).
     EventQueueOps,
     /// Slot-scheduler placement of one task wave.
     Schedule,

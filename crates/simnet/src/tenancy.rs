@@ -125,6 +125,15 @@ impl WorkloadSpec {
                 self.arrival_per_s
             ));
         }
+        // A gap is `-ln(1-u)/rate` with `u` a 53-bit draw from [0, 1), so it
+        // is below `37/rate` and the last arrival below `jobs` such gaps.
+        let last_arrival_bound_s = self.jobs as f64 * 37.0 / self.arrival_per_s;
+        if !self.arrival_per_s.is_finite() || !last_arrival_bound_s.is_finite() {
+            return Err(format!(
+                "arrival rate must be finite and keep all {} arrivals at finite times (got {:e})",
+                self.jobs, self.arrival_per_s
+            ));
+        }
         if self.mix.is_empty() {
             return Err("mix must name at least one app".to_string());
         }
@@ -132,8 +141,10 @@ impl WorkloadSpec {
             if !known_apps.contains(&app.as_str()) {
                 return Err(format!("unknown app '{app}' in mix; known: {known_apps:?}"));
             }
-            if *w <= 0.0 || w.is_nan() {
-                return Err(format!("mix weight for '{app}' must be positive (got {w})"));
+            if *w <= 0.0 || !w.is_finite() {
+                return Err(format!(
+                    "mix weight for '{app}' must be positive and finite (got {w})"
+                ));
             }
         }
         if self.scales.is_empty() {
