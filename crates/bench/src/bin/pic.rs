@@ -219,7 +219,7 @@ fn diff(m: &Matches) -> Result<i32, Failure> {
         load_json(old).map_err(Input)?,
         load_json(new).map_err(Input)?,
     );
-    let report = pic_bench::diff::diff_docs(&old, &new, m.num("--epsilon")).map_err(Input)?;
+    let report = pic_bench::diff::diff_docs(&old, &new, json::EPSILON).map_err(Input)?;
     print!("{}", report.render(m.num("--top")));
     m.write("--json", || report.to_json());
     Ok(if report.is_empty() { 0 } else { 1 })
@@ -297,7 +297,7 @@ fn help(_: &Matches) -> Result<i32, Failure> {
 
 /// `pic regress`: the CI performance-regression gate. Re-runs the report
 /// suite, writes the fresh `BENCH_pic.json`, and diffs it against the
-/// committed baseline under the tolerance bands of DESIGN.md §9. Exits 0
+/// committed baseline under the one band rule of DESIGN.md §9. Exits 0
 /// on a match, 1 on any diff line, 2 on a configuration problem.
 fn regress(m: &Matches) -> Result<i32, Failure> {
     let tag = m.command.tag();
@@ -336,7 +336,7 @@ fn regress(m: &Matches) -> Result<i32, Failure> {
         )));
     }
     let fresh = json::parse(&fresh_text).expect("bench_json emits valid JSON");
-    let diffs = json::diff(&baseline, &fresh, m.num("--epsilon"));
+    let diffs = json::diff(&baseline, &fresh, json::EPSILON);
     if diffs.is_empty() {
         eprintln!("[{tag}] PASS: fresh report matches {baseline_path} within tolerance");
         return Ok(0);

@@ -304,9 +304,8 @@ pub const COMMANDS: &[Command] = &[
         path("--csv", "write the per-job rows as CSV"),
         list("--list-presets", &pic_simnet::tenancy::PRESETS, "print the valid topology presets and exit"),
     ]),
-    command("diff", Group::Subcommand, "§14", Positionals::Exactly(&["<old.json>", "<new.json>"]), "attribute the delta between two BENCH_pic.json documents", &[
-        flag("--epsilon", "<e>", Kind::NonNegative, "1e-9", "relative tolerance for simulated seconds"),
-        flag("--top",     "<n>", Kind::U64,         "15",   "rows in the ranked segment table"),
+    command("diff", Group::Subcommand, "§14", Positionals::Exactly(&["<old.json>", "<new.json>"]), "attribute the delta between two BENCH_pic.json documents under the gate's comparison", &[
+        flag("--top", "<n>", Kind::U64, "15", "rows in the ranked segment table"),
         path("--json", "write the machine-readable attribution here"),
     ]),
     command("explain", Group::Subcommand, "§15", Positionals::Names("app", APPS), "counterfactual bottleneck attribution", &[
@@ -330,11 +329,10 @@ pub const COMMANDS: &[Command] = &[
         list("--list-rules", RULES, "print the valid rule names and exit"),
     ]),
     command("help", Group::Subcommand, "", NO_ARGS, "print this command table", &[]),
-    command("regress", Group::Tool, "§9", NO_ARGS, "the CI gate: diff a fresh report suite against the committed baseline (exit 1 on regression, 2 on misconfiguration)", &[
-        flag("--baseline", "<path>", Kind::Text,        "BENCH_pic.json",              "the committed baseline to diff against"),
-        flag("--scale",    "<f>",    SCALE_KIND,        "0.05",                        "workload scale multiplier; must match the baseline's"),
-        flag("--out",      "<path>", Kind::Text,        "target/BENCH_pic.fresh.json", "where the fresh report is written"),
-        flag("--epsilon",  "<e>",    Kind::NonNegative, "1e-9",                        "relative band for *_s / *_x / *_err / *_util keys (bytes and counters exact, recovery_s and tt_quality_delta_s 100x wider, host_* ignored)"),
+    command("regress", Group::Tool, "§9", NO_ARGS, "the CI gate: diff a fresh report suite against the committed baseline under one band rule (exit 1 on regression, 2 on misconfiguration)", &[
+        flag("--baseline", "<path>", Kind::Text, "BENCH_pic.json",              "the committed baseline to diff against"),
+        flag("--scale",    "<f>",    SCALE_KIND, "0.05",                        "workload scale multiplier; must match the baseline's"),
+        flag("--out",      "<path>", Kind::Text, "target/BENCH_pic.fresh.json", "where the fresh report is written"),
         path("--csv",         "also write the convergence curves as CSV"),
         path("--util-csv",    "also write the utilization series as CSV"),
         path("--chaos-csv",   "also write the quality-under-failure campaign cells as CSV"),

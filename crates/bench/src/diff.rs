@@ -2,17 +2,19 @@
 //! `BENCH_pic.json` documents.
 //!
 //! Where the regression gate (`json::diff`) answers *whether* two reports
-//! differ, this module answers *where the time went*: per-app simulated
-//! seconds along the critical-path categories and per-phase rollups,
-//! byte deltas by traffic class, the first point at which the
-//! convergence curves diverge, and — when both documents carry a
-//! `host_profile` section — host-side stage deltas. Results come back
-//! ranked (most-regressing segment first) for the CLI table and as a
-//! machine-readable JSON document for tooling.
+//! differ, this module answers *where the time went*, from the gate's own
+//! walk and band rule ([`json::compare`]) run over the subtrees it
+//! attributes: per-app simulated seconds along the critical-path
+//! categories and per-phase rollups, byte deltas by traffic class, the
+//! first point at which the convergence curves diverge, and — when both
+//! documents carry a `host_profile` section — host-side stage deltas.
+//! Results come back ranked (most-regressing segment first) for the CLI
+//! table and as a machine-readable JSON document for tooling.
 
-use crate::json::Json;
+use crate::json::{self, Json, Step};
 use crate::table::Table;
-use pic_simnet::report::fmt_f64;
+use pic_simnet::report::{fmt_f64, JsonWriter};
+use pic_simnet::trace::json_string;
 use std::fmt::Write as _;
 
 /// One attributed delta along a single axis of the report.
@@ -42,16 +44,27 @@ impl DeltaEntry {
     /// Human-readable segment path, e.g. `kmeans/pic/phase:solve`.
     pub fn segment(&self) -> String {
         let mut s = String::new();
-        if !self.app.is_empty() {
-            s.push_str(&self.app);
-            s.push('/');
-        }
-        if !self.side.is_empty() {
-            s.push_str(&self.side);
-            s.push('/');
+        for part in [&self.app, &self.side]
+            .into_iter()
+            .filter(|p| !p.is_empty())
+        {
+            let _ = write!(s, "{part}/");
         }
         let _ = write!(s, "{}:{}", self.axis, self.label);
         s
+    }
+
+    fn new(app: &str, axis: &'static str, side: &str, moved: (&str, f64, f64)) -> Self {
+        let (label, old, new) = moved;
+        let (app, side, label) = (app.to_string(), side.to_string(), label.to_string());
+        DeltaEntry {
+            app,
+            axis,
+            side,
+            label,
+            old,
+            new,
+        }
     }
 }
 
@@ -184,343 +197,195 @@ impl DiffReport {
 
     /// Machine-readable attribution document.
     pub fn to_json(&self) -> String {
-        fn entries(out: &mut String, list: &[DeltaEntry], unit: &str) {
-            out.push_str("[\n");
-            for (i, e) in list.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    {{\"app\": \"{}\", \"axis\": \"{}\", \"side\": \"{}\", \
-                     \"label\": \"{}\", \"old_{unit}\": {}, \"new_{unit}\": {}, \
-                     \"delta_{unit}\": {}}}",
-                    e.app,
-                    e.axis,
-                    e.side,
-                    e.label,
-                    fmt_f64(e.old),
-                    fmt_f64(e.new),
-                    fmt_f64(e.delta()),
-                );
-                out.push_str(if i + 1 < list.len() { ",\n" } else { "\n" });
-            }
-            out.push_str("  ]");
-        }
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"attributed\": {},", !self.is_empty());
-        out.push_str("  \"time_deltas\": ");
-        entries(&mut out, &self.time, "s");
-        out.push_str(",\n  \"byte_deltas\": ");
-        entries(&mut out, &self.bytes, "bytes");
-        out.push_str(",\n  \"host_deltas\": ");
-        entries(&mut out, &self.host, "s");
-        out.push_str(",\n  \"quality_divergence\": [\n");
-        for (i, d) in self.divergence.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"app\": \"{}\", \"driver\": \"{}\", \"index\": {}, \
-                 \"t_s\": {}, \"old_err\": {}, \"new_err\": {}}}",
-                d.app,
-                d.driver,
-                d.index,
-                fmt_f64(d.t_s),
-                fmt_f64(d.old_err),
-                fmt_f64(d.new_err),
-            );
-            out.push_str(if i + 1 < self.divergence.len() {
-                ",\n"
-            } else {
-                "\n"
+        fn entries(w: &mut JsonWriter, key: &str, list: &[DeltaEntry], unit: &str) {
+            w.objects(key, list, |w, e| {
+                w.field_str("app", &e.app);
+                w.field_str("axis", e.axis);
+                w.field_str("side", &e.side);
+                w.field_str("label", &e.label);
+                w.field(&format!("old_{unit}"), &fmt_f64(e.old));
+                w.field(&format!("new_{unit}"), &fmt_f64(e.new));
+                w.field(&format!("delta_{unit}"), &fmt_f64(e.delta()));
             });
         }
-        out.push_str("  ],\n  \"notes\": [");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", n.replace('"', "\\\""));
-        }
-        out.push_str("]\n}\n");
-        out
+        let notes: Vec<String> = self.notes.iter().map(|n| json_string(n)).collect();
+        let mut doc = JsonWriter::document(0, |w| {
+            w.field("attributed", &(!self.is_empty()).to_string());
+            entries(w, "time_deltas", &self.time, "s");
+            entries(w, "byte_deltas", &self.bytes, "bytes");
+            entries(w, "host_deltas", &self.host, "s");
+            w.objects("quality_divergence", &self.divergence, |w, d| {
+                w.field_str("app", &d.app);
+                w.field_str("driver", &d.driver);
+                w.field("index", &d.index.to_string());
+                w.field("t_s", &fmt_f64(d.t_s));
+                w.field("old_err", &fmt_f64(d.old_err));
+                w.field("new_err", &fmt_f64(d.new_err));
+            });
+            w.field("notes", &format!("[{}]", notes.join(", ")));
+        });
+        doc.push('\n');
+        doc
     }
 }
 
-/// Does `(a, b)` differ beyond the relative band `eps` (floored at an
-/// absolute magnitude of 1.0, like the regression gate's tolerance)?
-fn exceeds(a: f64, b: f64, eps: f64) -> bool {
-    (a - b).abs() > eps * a.abs().max(b.abs()).max(1.0)
-}
-
-/// Relative noise band for host-stage wall-clock seconds: stages are
-/// only reported when they move more than 5% — host timings jitter
-/// between runs even when the simulated work is identical.
+/// Host stages are reported only when they move more than 5%: host
+/// timings jitter even when the simulated work is identical.
 const HOST_BAND: f64 = 0.05;
 
-fn num(v: Option<&Json>) -> Option<f64> {
-    v.and_then(Json::as_f64)
+/// What an absent map or total compares as, so that whatever one side
+/// has counts as 0 on the other.
+static EMPTY: Json = Json::Obj(Vec::new());
+static ZERO: Json = Json::Num(0.0, String::new());
+
+/// The value at `path` below `doc`.
+fn lookup<'a>(doc: Option<&'a Json>, path: &[&str]) -> Option<&'a Json> {
+    path.iter().try_fold(doc?, |v, k| v.get(k))
 }
 
-/// Union of object keys across two (possibly absent) objects, first
-/// document's order first, then fresh-only keys in their own order.
-fn key_union<'a>(a: Option<&'a Json>, b: Option<&'a Json>) -> Vec<&'a str> {
-    let mut keys: Vec<&str> = Vec::new();
-    for side in [a, b] {
-        if let Some(Json::Obj(fields)) = side {
-            for (k, _) in fields {
-                if !keys.contains(&k.as_str()) {
-                    keys.push(k);
-                }
+/// An attributed number: the value itself, or an object's `total_s`
+/// (phases, host stages); 0 when absent.
+fn number(v: Option<&Json>) -> f64 {
+    let v = v.map(|v| v.get("total_s").unwrap_or(v));
+    v.and_then(Json::as_f64).unwrap_or(0.0)
+}
+
+/// `(label, old, new)` for every label of the maps at `path` below `old`
+/// and `new` whose [`number`] the gate's walk finds moved.
+fn moved<'a>(
+    old: Option<&'a Json>,
+    new: Option<&'a Json>,
+    path: &[&'a str],
+    eps: f64,
+) -> Vec<(&'a str, f64, f64)> {
+    let (a, b) = (lookup(old, path), lookup(new, path));
+    let key = path[path.len() - 1];
+    let diffs = json::compare(key, a.unwrap_or(&EMPTY), b.unwrap_or(&EMPTY), eps);
+    diffs
+        .into_iter()
+        .filter_map(|d| match d.path[..] {
+            [Step::Key(label)] | [Step::Key(label), Step::Key("total_s")] => {
+                Some((label, number(d.old), number(d.new)))
             }
-        }
-    }
-    keys
+            _ => None,
+        })
+        .collect()
 }
 
 /// Attribute the differences between two parsed `BENCH_pic.json`
-/// documents. `epsilon` is the relative tolerance for simulated seconds
-/// (bytes compare exactly). Errors only on documents that are not
+/// documents: [`json::compare`] — the gate's walk and band rule at
+/// relative band `epsilon` — runs over each attributed subtree of every
+/// app both documents name. Errors only on documents that are not
 /// reports at all (no `apps` array).
 pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, String> {
-    let old_apps = match old.get("apps") {
-        Some(Json::Arr(a)) => a,
-        _ => return Err("baseline document has no 'apps' array".into()),
-    };
-    let new_apps = match new.get("apps") {
-        Some(Json::Arr(a)) => a,
-        _ => return Err("fresh document has no 'apps' array".into()),
+    let (Some(Json::Arr(old_apps)), Some(Json::Arr(new_apps))) = (old.get("apps"), new.get("apps"))
+    else {
+        let which = match old.get("apps") {
+            Some(Json::Arr(_)) => "fresh",
+            _ => "baseline",
+        };
+        return Err(format!("{which} document has no 'apps' array"));
     };
     let mut report = DiffReport::default();
+    let notes = &mut report.notes;
 
-    let (os, ns) = (num(old.get("scale")), num(new.get("scale")));
+    let scale = |doc: &Json| doc.get("scale").and_then(Json::as_f64);
+    let (os, ns) = (scale(old), scale(new));
     if os != ns {
-        report.notes.push(format!(
+        notes.push(format!(
             "scale mismatch: {os:?} vs {ns:?} — deltas span workloads"
         ));
     }
 
-    let name_of = |app: &Json| app.get("app").and_then(Json::as_str).map(str::to_string);
-
+    fn name_of(app: &Json) -> Option<&str> {
+        app.get("app").and_then(Json::as_str)
+    }
     for old_app in old_apps {
         let Some(name) = name_of(old_app) else {
             continue;
         };
-        let Some(new_app) = new_apps
-            .iter()
-            .find(|a| name_of(a).as_deref() == Some(&name))
-        else {
-            report
-                .notes
-                .push(format!("app '{name}' missing from fresh report"));
+        let Some(new_app) = new_apps.iter().find(|a| name_of(a) == Some(name)) else {
+            notes.push(format!("app '{name}' missing from fresh report"));
             continue;
         };
-        diff_app(&name, old_app, new_app, epsilon, &mut report);
+        for (key, side) in [("ic_total_s", "ic"), ("pic_total_s", "pic")] {
+            let (a, b) = (old_app.get(key), new_app.get(key));
+            if !json::compare(key, a.unwrap_or(&ZERO), b.unwrap_or(&ZERO), epsilon).is_empty() {
+                let total = DeltaEntry::new(name, "total", side, ("total_s", number(a), number(b)));
+                report.time.push(total);
+            }
+        }
+        for side in ["ic", "pic"] {
+            let (o, n) = (old_app.get(side), new_app.get(side));
+            let axes: [(_, &[&str]); 3] = [
+                ("critical-path", &["critical_path", "by_cat_s"]),
+                ("phase", &["phases"]),
+                ("traffic", &["class_bytes"]),
+            ];
+            for (axis, path) in axes {
+                let list = match axis {
+                    "traffic" => &mut report.bytes,
+                    _ => &mut report.time,
+                };
+                for m in moved(o, n, path, epsilon) {
+                    list.push(DeltaEntry::new(name, axis, side, m));
+                }
+            }
+        }
+        for (curve, driver) in [("ic_curve", "ic"), ("pic_curve", "pic")] {
+            let curve_of = |app| lookup(Some(app), &["quality", curve]);
+            let (Some(oc @ Json::Arr(op)), Some(nc @ Json::Arr(np))) =
+                (curve_of(old_app), curve_of(new_app))
+            else {
+                continue;
+            };
+            // The first moved point; a length mismatch diverges where the
+            // shorter curve ends.
+            let diffs = json::compare(curve, oc, nc, epsilon);
+            let first = diffs.iter().map(|d| match d.path[..] {
+                [Step::Index(i), ..] => i,
+                _ => op.len().min(np.len()),
+            });
+            let Some(index) = first.min() else {
+                continue;
+            };
+            let value = |p: Option<&Json>, key| lookup(p, &[key]).and_then(Json::as_f64);
+            report.divergence.push(QualityDivergence {
+                app: name.to_string(),
+                driver: driver.to_string(),
+                index,
+                t_s: value(op.get(index).or(np.get(index)), "t_s").unwrap_or(f64::NAN),
+                old_err: value(op.get(index), "err").unwrap_or(f64::NAN),
+                new_err: value(np.get(index), "err").unwrap_or(f64::NAN),
+            });
+        }
     }
-    for new_app in new_apps {
-        let Some(name) = name_of(new_app) else {
-            continue;
-        };
-        if !old_apps
-            .iter()
-            .any(|a| name_of(a).as_deref() == Some(&name))
-        {
-            report
-                .notes
-                .push(format!("app '{name}' missing from baseline"));
+    for name in new_apps.iter().filter_map(name_of) {
+        if !old_apps.iter().any(|a| name_of(a) == Some(name)) {
+            notes.push(format!("app '{name}' missing from baseline"));
         }
     }
 
-    diff_host(
-        old.get("host_profile"),
-        new.get("host_profile"),
-        &mut report,
-    );
+    // Host stages, when both sides carry a profile: every stage whose
+    // seconds moved at all, kept if beyond the host band.
+    if let (Some(o @ Json::Obj(_)), Some(n @ Json::Obj(_))) =
+        (old.get("host_profile"), new.get("host_profile"))
+    {
+        for (stage, a, b) in moved(Some(o), Some(n), &["stages"], 0.0) {
+            if (a - b).abs() > HOST_BAND * a.abs().max(b.abs()) {
+                let entry = DeltaEntry::new("", "host-stage", "", (stage, a, b));
+                report.host.push(entry);
+            }
+        }
+    }
 
     // Most-regressing first: simulated time ranks by signed delta
     // (growth is a regression), bytes by magnitude.
-    report
-        .time
-        .sort_by(|a, b| b.delta().partial_cmp(&a.delta()).expect("finite"));
-    report.bytes.sort_by(|a, b| {
-        b.delta()
-            .abs()
-            .partial_cmp(&a.delta().abs())
-            .expect("finite")
-    });
-    report.host.sort_by(|a, b| {
-        b.delta()
-            .abs()
-            .partial_cmp(&a.delta().abs())
-            .expect("finite")
-    });
+    report.time.sort_by(|a, b| b.delta().total_cmp(&a.delta()));
+    let by_size = |a: &DeltaEntry, b: &DeltaEntry| b.delta().abs().total_cmp(&a.delta().abs());
+    report.bytes.sort_by(by_size);
+    report.host.sort_by(by_size);
     Ok(report)
-}
-
-fn diff_app(name: &str, old_app: &Json, new_app: &Json, epsilon: f64, report: &mut DiffReport) {
-    for (key, side) in [("ic_total_s", "ic"), ("pic_total_s", "pic")] {
-        if let (Some(a), Some(b)) = (num(old_app.get(key)), num(new_app.get(key))) {
-            if exceeds(a, b, epsilon) {
-                report.time.push(DeltaEntry {
-                    app: name.to_string(),
-                    axis: "total",
-                    side: side.to_string(),
-                    label: "total_s".to_string(),
-                    old: a,
-                    new: b,
-                });
-            }
-        }
-    }
-
-    for side in ["ic", "pic"] {
-        let (o, n) = (old_app.get(side), new_app.get(side));
-
-        let ocp = o
-            .and_then(|v| v.get("critical_path"))
-            .and_then(|v| v.get("by_cat_s"));
-        let ncp = n
-            .and_then(|v| v.get("critical_path"))
-            .and_then(|v| v.get("by_cat_s"));
-        for cat in key_union(ocp, ncp) {
-            let a = num(ocp.and_then(|v| v.get(cat))).unwrap_or(0.0);
-            let b = num(ncp.and_then(|v| v.get(cat))).unwrap_or(0.0);
-            if exceeds(a, b, epsilon) {
-                report.time.push(DeltaEntry {
-                    app: name.to_string(),
-                    axis: "critical-path",
-                    side: side.to_string(),
-                    label: cat.to_string(),
-                    old: a,
-                    new: b,
-                });
-            }
-        }
-
-        let oph = o.and_then(|v| v.get("phases"));
-        let nph = n.and_then(|v| v.get("phases"));
-        for phase in key_union(oph, nph) {
-            let a = num(oph
-                .and_then(|v| v.get(phase))
-                .and_then(|v| v.get("total_s")))
-            .unwrap_or(0.0);
-            let b = num(nph
-                .and_then(|v| v.get(phase))
-                .and_then(|v| v.get("total_s")))
-            .unwrap_or(0.0);
-            if exceeds(a, b, epsilon) {
-                report.time.push(DeltaEntry {
-                    app: name.to_string(),
-                    axis: "phase",
-                    side: side.to_string(),
-                    label: phase.to_string(),
-                    old: a,
-                    new: b,
-                });
-            }
-        }
-
-        let ocb = o.and_then(|v| v.get("class_bytes"));
-        let ncb = n.and_then(|v| v.get("class_bytes"));
-        for class in key_union(ocb, ncb) {
-            let a = num(ocb.and_then(|v| v.get(class))).unwrap_or(0.0);
-            let b = num(ncb.and_then(|v| v.get(class))).unwrap_or(0.0);
-            if a != b {
-                report.bytes.push(DeltaEntry {
-                    app: name.to_string(),
-                    axis: "traffic",
-                    side: side.to_string(),
-                    label: class.to_string(),
-                    old: a,
-                    new: b,
-                });
-            }
-        }
-    }
-
-    for (curve_key, driver) in [("ic_curve", "ic"), ("pic_curve", "pic")] {
-        let oc = old_app.get("quality").and_then(|q| q.get(curve_key));
-        let nc = new_app.get("quality").and_then(|q| q.get(curve_key));
-        if let (Some(Json::Arr(oc)), Some(Json::Arr(nc))) = (oc, nc) {
-            if let Some(d) = curve_divergence(name, driver, oc, nc, epsilon) {
-                report.divergence.push(d);
-            }
-        }
-    }
-}
-
-/// First index at which two convergence curves part ways (error or
-/// timestamp beyond `epsilon`, or one curve simply ending early).
-fn curve_divergence(
-    app: &str,
-    driver: &str,
-    old: &[Json],
-    new: &[Json],
-    epsilon: f64,
-) -> Option<QualityDivergence> {
-    for (i, (op, np)) in old.iter().zip(new.iter()).enumerate() {
-        let (oe, ne) = (num(op.get("err")), num(np.get("err")));
-        let (ot, nt) = (num(op.get("t_s")), num(np.get("t_s")));
-        let moved = match ((oe, ne), (ot, nt)) {
-            ((Some(a), Some(b)), (Some(ta), Some(tb))) => {
-                exceeds(a, b, epsilon) || exceeds(ta, tb, epsilon)
-            }
-            _ => true,
-        };
-        if moved {
-            return Some(QualityDivergence {
-                app: app.to_string(),
-                driver: driver.to_string(),
-                index: i,
-                t_s: ot.unwrap_or(f64::NAN),
-                old_err: oe.unwrap_or(f64::NAN),
-                new_err: ne.unwrap_or(f64::NAN),
-            });
-        }
-    }
-    if old.len() != new.len() {
-        let i = old.len().min(new.len());
-        let longer = if old.len() > new.len() { old } else { new };
-        return Some(QualityDivergence {
-            app: app.to_string(),
-            driver: driver.to_string(),
-            index: i,
-            t_s: num(longer[i].get("t_s")).unwrap_or(f64::NAN),
-            old_err: if old.len() > i {
-                num(old[i].get("err")).unwrap_or(f64::NAN)
-            } else {
-                f64::NAN
-            },
-            new_err: if new.len() > i {
-                num(new[i].get("err")).unwrap_or(f64::NAN)
-            } else {
-                f64::NAN
-            },
-        });
-    }
-    None
-}
-
-/// Host-stage deltas when both documents carry a profile. Missing or
-/// null profiles on either side attribute nothing — host data is
-/// opportunistic, not required.
-fn diff_host(old: Option<&Json>, new: Option<&Json>, report: &mut DiffReport) {
-    // A side without a profile is `null` (or absent entirely) — either
-    // way there is nothing to compare against.
-    let (Some(o @ Json::Obj(_)), Some(n @ Json::Obj(_))) = (old, new) else {
-        return;
-    };
-    let (os, ns) = (o.get("stages"), n.get("stages"));
-    for stage in key_union(os, ns) {
-        let a = num(os.and_then(|v| v.get(stage)).and_then(|v| v.get("total_s"))).unwrap_or(0.0);
-        let b = num(ns.and_then(|v| v.get(stage)).and_then(|v| v.get("total_s"))).unwrap_or(0.0);
-        if (a - b).abs() > HOST_BAND * a.abs().max(b.abs()) {
-            report.host.push(DeltaEntry {
-                app: String::new(),
-                axis: "host-stage",
-                side: String::new(),
-                label: stage.to_string(),
-                old: a,
-                new: b,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -697,5 +562,90 @@ mod tests {
         assert!(!report.is_empty());
         assert_eq!(report.notes.len(), 2, "{:?}", report.notes);
         assert!(diff_docs(&Json::Null, &b, 1e-9).is_err());
+    }
+
+    /// Notes and labels come from the documents' own strings; the JSON
+    /// document escapes them and parses back to the same text.
+    #[test]
+    fn notes_and_labels_round_trip_through_the_json_document() {
+        let a = json::parse(
+            r#"{"scale": 1, "apps": [{"app": "x\\y"}, {"app": "k", "ic": {"class_bytes": {"q\"uote": 1}}}]}"#,
+        )
+        .unwrap();
+        let b = json::parse(
+            r#"{"scale": 1, "apps": [{"app": "k", "ic": {"class_bytes": {"q\"uote": 2}}}]}"#,
+        )
+        .unwrap();
+        let report = diff_docs(&a, &b, json::EPSILON).unwrap();
+        let doc = json::parse(&report.to_json()).expect("to_json writes valid JSON");
+        let Some(Json::Arr(notes)) = doc.get("notes") else {
+            panic!("no notes array: {doc:?}");
+        };
+        assert_eq!(
+            notes[0].as_str(),
+            Some("app 'x\\y' missing from fresh report")
+        );
+        let Some(Json::Arr(bytes)) = doc.get("byte_deltas") else {
+            panic!("no byte_deltas array: {doc:?}");
+        };
+        assert_eq!(
+            bytes[0].get("label").and_then(Json::as_str),
+            Some("q\"uote")
+        );
+    }
+
+    /// The gate and the attribution are two views of one comparison: for
+    /// every number `diff_docs` attributes, nudged by one ulp or by +1.0,
+    /// `json::diff` passes exactly when `diff_docs` attributes nothing.
+    #[test]
+    fn gate_and_attribution_agree_on_every_attributed_number() {
+        fn numbers(v: &Json, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+            let mut descend = |seg: String, v: &Json| {
+                path.push(seg);
+                numbers(v, path, out);
+                path.pop();
+            };
+            match v {
+                Json::Num(..) => out.push(path.clone()),
+                Json::Obj(fields) => fields.iter().for_each(|(k, v)| descend(k.clone(), v)),
+                Json::Arr(items) => items
+                    .iter()
+                    .enumerate()
+                    .for_each(|(i, v)| descend(i.to_string(), v)),
+                _ => {}
+            }
+        }
+        let old = json::parse(&linsolve_doc()).unwrap();
+        let mut paths = Vec::new();
+        numbers(&old, &mut Vec::new(), &mut paths);
+        paths.retain(|p| {
+            let p: Vec<&str> = p.iter().map(String::as_str).collect();
+            matches!(
+                p[..],
+                ["apps", _, "ic_total_s" | "pic_total_s"]
+                    | ["apps", _, "ic" | "pic", "critical_path", "by_cat_s", _]
+                    | ["apps", _, "ic" | "pic", "phases", _, "total_s"]
+                    | ["apps", _, "ic" | "pic", "class_bytes", _]
+                    | ["apps", _, "quality", "ic_curve" | "pic_curve", _, _]
+            )
+        });
+        assert!(paths.len() > 20, "{paths:?}");
+
+        let mut new = old.clone();
+        for path in &paths {
+            let path: Vec<&str> = path.iter().map(String::as_str).collect();
+            let original = at(&mut new, &path).clone();
+            for nudge in [f64::next_up, |v: f64| v + 1.0] {
+                set_num(&mut new, &path, nudge);
+                let gate_passes = json::diff(&old, &new, json::EPSILON).is_empty();
+                let report = diff_docs(&old, &new, json::EPSILON).unwrap();
+                assert_eq!(
+                    gate_passes,
+                    report.is_empty(),
+                    "{path:?}: gate {gate_passes}, attribution {report:?}"
+                );
+                *at(&mut new, &path) = original.clone();
+            }
+        }
     }
 }

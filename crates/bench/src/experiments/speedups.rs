@@ -11,39 +11,6 @@ use pic_apps::pagerank::{block_local_graph, PageRankApp, PartitionMode};
 use pic_apps::smoothing::{noisy_image, SmoothingApp};
 use pic_simnet::ClusterSpec;
 
-/// First simulated time at which a trajectory reaches `target` error, if
-/// it ever does. Used by analyses comparing time-to-equal-quality instead
-/// of time-to-budget (e.g. Fig. 12 post-processing).
-pub fn time_to_error(traj: &[pic_core::report::TrajectoryPoint], target: f64) -> Option<f64> {
-    traj.iter().find(|p| p.error <= target).map(|p| p.t_s)
-}
-
-#[cfg(test)]
-mod time_to_error_tests {
-    use super::time_to_error;
-    use pic_core::report::TrajectoryPoint;
-
-    #[test]
-    fn finds_first_crossing() {
-        let traj = vec![
-            TrajectoryPoint {
-                t_s: 0.0,
-                error: 1.0,
-            },
-            TrajectoryPoint {
-                t_s: 5.0,
-                error: 0.4,
-            },
-            TrajectoryPoint {
-                t_s: 10.0,
-                error: 0.1,
-            },
-        ];
-        assert_eq!(time_to_error(&traj, 0.5), Some(5.0));
-        assert_eq!(time_to_error(&traj, 0.05), None);
-    }
-}
-
 fn speedup_row<M>(t: &mut Table, name: &str, cmp: &Comparison<M>) {
     t.row([
         name,

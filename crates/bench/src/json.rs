@@ -1,14 +1,13 @@
-//! Minimal JSON parsing and tolerance-band diffing for the regression
-//! gate.
+//! Minimal JSON parsing and the one comparison behind the regression
+//! gate (`pic regress`) and the attribution (`pic diff`).
 //!
 //! `BENCH_pic.json` is both written (by `experiments::report`) and read
 //! (here) by hand — the workspace has no serialization dependency. The
 //! parser keeps each number's **raw literal** alongside its parsed value so that
 //! byte counts and counters can be compared exactly, while simulated
-//! seconds (keys ending `_s`) and ratios (keys ending `_x`) are compared
-//! with a relative epsilon — the tolerance bands DESIGN.md §9 documents.
-//! Keys starting with `host_` carry wall-clock measurements and are
-//! skipped entirely.
+//! seconds, ratios, errors and utilizations are compared with a relative
+//! epsilon — the one band rule of [`compare`], DESIGN.md §9. Keys starting
+//! with `host_` carry wall-clock measurements and are skipped entirely.
 
 use std::fmt::Write as _;
 
@@ -99,8 +98,7 @@ fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String>
             "nesting deeper than {MAX_DEPTH} at byte {pos}",
             pos = *pos
         )),
-        Some(b'{') => parse_object(src, pos, depth + 1),
-        Some(b'[') => parse_array(src, pos, depth + 1),
+        Some(b'{' | b'[') => parse_container(src, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(src, pos)?)),
         Some(b't') => parse_keyword(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(b, pos, "false", Json::Bool(false)),
@@ -179,170 +177,212 @@ fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".to_string())
 }
 
-fn parse_array(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+/// Parse the array or object whose opening bracket is at `pos`; its
+/// members sit inside `depth` open containers.
+fn parse_container(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let b = src.as_bytes();
-    *pos += 1; // '['
-    let mut items = Vec::new();
+    let close = if b[*pos] == b'{' { b'}' } else { b']' };
+    *pos += 1;
+    let (mut items, mut fields) = (Vec::new(), Vec::new());
+    let expected = |pos| format!("expected ',' or '{}' at byte {pos}", close as char);
     skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(src, pos, depth)?);
+    let mut more = b.get(*pos) != Some(&close);
+    while more {
+        if close == b']' {
+            items.push(parse_value(src, pos, depth)?);
+        } else {
+            skip_ws(b, pos);
+            if b.get(*pos) != Some(&b'"') {
+                return Err(format!("expected key string at byte {pos}", pos = *pos));
+            }
+            let key = parse_string(src, pos)?;
+            skip_ws(b, pos);
+            if b.get(*pos) != Some(&b':') {
+                return Err(format!("expected ':' at byte {pos}", pos = *pos));
+            }
+            *pos += 1;
+            fields.push((key, parse_value(src, pos, depth)?));
+        }
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+            Some(&c) if c == close => more = false,
+            _ => return Err(expected(*pos)),
         }
+    }
+    *pos += 1;
+    Ok(match close {
+        b']' => Json::Arr(items),
+        _ => Json::Obj(fields),
+    })
+}
+
+/// The relative band `pic regress` and `pic diff` compare with.
+pub const EPSILON: f64 = 1e-9;
+
+/// One step of a path into a document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step<'a> {
+    /// An object field.
+    Key(&'a str),
+    /// An array element.
+    Index(usize),
+}
+
+/// What [`compare`] found at one path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffKind {
+    /// A baseline key the fresh document lacks.
+    Missing,
+    /// A fresh key the baseline lacks.
+    Extra,
+    /// Arrays of different lengths (their common prefix is still compared).
+    Length,
+    /// A banded number beyond `eps·max(|a|,|b|,1)`.
+    Band,
+    /// An unbanded number whose raw literal and value both differ.
+    Exact,
+    /// Different types, or unequal strings, booleans or nulls.
+    Value,
+}
+
+/// One difference between two documents.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Difference<'a> {
+    /// Where, relative to the compared root.
+    pub path: Vec<Step<'a>>,
+    /// The key that decides the band: the value's own key, or the nearest
+    /// enclosing key when only that one is banded.
+    pub key: &'a str,
+    /// The baseline's value (none for [`DiffKind::Extra`]).
+    pub old: Option<&'a Json>,
+    /// The fresh value (none for [`DiffKind::Missing`]).
+    pub new: Option<&'a Json>,
+    /// What differs.
+    pub kind: DiffKind,
+}
+
+/// Key suffixes of simulated seconds, ratios, error metrics and
+/// utilization fractions — with curve points' `err`, the banded keys.
+const BANDED: [&str; 4] = ["_s", "_x", "_err", "_util"];
+
+fn banded(key: &str) -> bool {
+    key == "err" || BANDED.iter().any(|s| key.ends_with(s))
+}
+
+/// The one comparison behind `pic regress` and `pic diff`: every
+/// difference between two values found under `key` (empty at a document's
+/// root; array elements sit under their array's key), in document order.
+/// Keys starting `host_` (wall clock) are skipped. A number is banded —
+/// equal within `eps·max(|a|,|b|,1)` — when its own key, or else the
+/// nearest enclosing key, is [`banded`]; every other number must match by
+/// raw literal, then by value. Everything else must match exactly.
+pub fn compare<'a>(key: &'a str, old: &'a Json, new: &'a Json, eps: f64) -> Vec<Difference<'a>> {
+    let mut walk = Walk {
+        path: Vec::new(),
+        eps,
+        out: Vec::new(),
+    };
+    walk.visit(key, "", Some(old), Some(new));
+    walk.out
+}
+
+struct Walk<'a> {
+    path: Vec<Step<'a>>,
+    eps: f64,
+    out: Vec<Difference<'a>>,
+}
+
+impl<'a> Walk<'a> {
+    fn visit(&mut self, key: &'a str, parent: &'a str, a: Option<&'a Json>, b: Option<&'a Json>) {
+        let band = [key, parent].into_iter().find(|k| banded(k));
+        let kind = match (a, b) {
+            (Some(a @ Json::Obj(af)), Some(b @ Json::Obj(bf))) => {
+                let pairs = af.iter().map(|(k, v)| (k, Some(v), b.get(k)));
+                let fresh_only = bf.iter().filter(|(k, _)| a.get(k).is_none());
+                for (k, av, bv) in pairs.chain(fresh_only.map(|(k, v)| (k, None, Some(v)))) {
+                    if !k.starts_with("host_") {
+                        self.path.push(Step::Key(k));
+                        self.visit(k, key, av, bv);
+                        self.path.pop();
+                    }
+                }
+                return;
+            }
+            (Some(Json::Arr(ai)), Some(Json::Arr(bi))) => {
+                if ai.len() != bi.len() {
+                    self.found(DiffKind::Length, key, a, b);
+                }
+                for (i, (av, bv)) in ai.iter().zip(bi).enumerate() {
+                    self.path.push(Step::Index(i));
+                    self.visit(key, parent, Some(av), Some(bv));
+                    self.path.pop();
+                }
+                return;
+            }
+            (Some(Json::Num(x, x_raw)), Some(Json::Num(y, y_raw))) => match band {
+                Some(_) if (x - y).abs() > self.eps * x.abs().max(y.abs()).max(1.0) => {
+                    DiffKind::Band
+                }
+                None if x_raw != y_raw && x != y => DiffKind::Exact,
+                _ => return,
+            },
+            (Some(x), Some(y)) if x == y => return,
+            (Some(_), Some(_)) => DiffKind::Value,
+            (Some(_), None) => DiffKind::Missing,
+            (None, _) => DiffKind::Extra,
+        };
+        self.found(kind, band.unwrap_or(key), a, b);
+    }
+
+    fn found(&mut self, kind: DiffKind, key: &'a str, a: Option<&'a Json>, b: Option<&'a Json>) {
+        let (path, old, new) = (self.path.clone(), a, b);
+        self.out.push(Difference {
+            path,
+            key,
+            old,
+            new,
+            kind,
+        });
     }
 }
 
-fn parse_object(src: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
-    let b = src.as_bytes();
-    *pos += 1; // '{'
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected key string at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(src, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        fields.push((key, parse_value(src, pos, depth)?));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-/// Compare `fresh` against `baseline` under the report tolerance bands:
-///
-/// * keys starting `host_` — skipped (wall-clock, legitimately varies);
-/// * numbers under keys ending `_s`, `_x`, `_err` (or `err`), or
-///   `_util` — relative epsilon (`recovery_s` / `tt_quality_delta_s`
-///   get a 100x-wider band, see [`band_multiplier`]);
-/// * every other number — exact (raw literal, then parsed value);
-/// * strings / bools / nulls / structure — exact; missing or extra keys
-///   and length mismatches are regressions.
-///
-/// Returns human-readable regression lines (empty = pass).
+/// [`compare`] two whole documents; one human-readable regression line
+/// per difference (empty = pass).
 pub fn diff(baseline: &Json, fresh: &Json, epsilon: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    walk("$", "", baseline, fresh, epsilon, &mut out);
-    out
+    let diffs = compare("", baseline, fresh, epsilon);
+    diffs.iter().map(|d| line(d, epsilon)).collect()
 }
 
-/// True when the innermost object key puts a number under the relative-
-/// epsilon band (simulated seconds `_s`, ratios `_x`, error metrics
-/// `_err` / curve-point `err` — DESIGN.md §10's tolerance-band policy —
-/// and utilization fractions `_util`, DESIGN.md §11). Byte totals,
-/// interval counts and slot counts stay exact.
-fn is_toleranced(key: &str) -> bool {
-    key.ends_with("_s")
-        || key.ends_with("_x")
-        || key.ends_with("_err")
-        || key == "err"
-        || key.ends_with("_util")
-}
-
-/// Extra multiplier on the relative epsilon for a toleranced key.
-/// Recovery cost and the time-to-quality penalty are *differences* of
-/// two run durations, so legitimate timing jitter that cancels out of
-/// either total is amplified in them; DESIGN.md §12 gives these keys a
-/// 100x-wider band. The counterfactual `sensitivity` deltas (schema v7,
-/// DESIGN.md §15) are the same shape — a projected duration minus a
-/// recorded one — so they share it. The monitor's incident durations
-/// (schema v8, DESIGN.md §16) are differences between an alert's open
-/// and close thresholds crossing, equally jitter-amplified, so they
-/// take the wide band too — while incident *counts* stay exact.
-/// Everything else keeps the base epsilon.
-fn band_multiplier(key: &str) -> f64 {
-    match key {
-        "recovery_s" | "tt_quality_delta_s" | "delta_makespan_s" => 100.0,
-        "incident_s" | "longest_incident_s" => 100.0,
-        k if k.starts_with("delta_tt_") && k.ends_with("pct_s") => 100.0,
-        _ => 1.0,
+fn line(d: &Difference, eps: f64) -> String {
+    let mut path = String::from("$");
+    for step in &d.path {
+        let _ = match step {
+            Step::Key(k) => write!(path, ".{k}"),
+            Step::Index(i) => write!(path, "[{i}]"),
+        };
     }
-}
-
-fn walk(path: &str, key: &str, a: &Json, b: &Json, eps: f64, out: &mut Vec<String>) {
-    match (a, b) {
-        (Json::Obj(af), Json::Obj(bf)) => {
-            for (k, av) in af {
-                if k.starts_with("host_") {
-                    continue;
-                }
-                let child = format!("{path}.{k}");
-                match b.get(k) {
-                    Some(bv) => walk(&child, k, av, bv, eps, out),
-                    None => out.push(format!("{child}: missing from fresh report")),
-                }
-            }
-            for (k, _) in bf {
-                if !k.starts_with("host_") && a.get(k).is_none() {
-                    out.push(format!("{path}.{k}: not present in baseline"));
-                }
-            }
+    let (a, b) = (d.old.unwrap_or(&Json::Null), d.new.unwrap_or(&Json::Null));
+    let what = match (d.kind, a, b) {
+        (DiffKind::Missing, ..) => "missing from fresh report".to_string(),
+        (DiffKind::Extra, ..) => "not present in baseline".to_string(),
+        (DiffKind::Length, Json::Arr(x), Json::Arr(y)) => {
+            format!("length {} in baseline vs {} fresh", x.len(), y.len())
         }
-        (Json::Arr(ai), Json::Arr(bi)) => {
-            if ai.len() != bi.len() {
-                out.push(format!(
-                    "{path}: length {} in baseline vs {} fresh",
-                    ai.len(),
-                    bi.len()
-                ));
-            }
-            for (i, (av, bv)) in ai.iter().zip(bi).enumerate() {
-                let child = format!("{path}[{i}]");
-                walk(&child, key, av, bv, eps, out);
-            }
+        (DiffKind::Band, Json::Num(x, _), Json::Num(y, _)) => {
+            let delta = (x - y).abs();
+            format!("{x} -> {y} (|Δ| = {delta:e} beyond relative epsilon {eps:e})")
         }
-        (Json::Num(av, araw), Json::Num(bv, braw)) => {
-            if is_toleranced(key) {
-                let band = eps * band_multiplier(key);
-                let tol = band * av.abs().max(bv.abs()).max(1.0);
-                if (av - bv).abs() > tol {
-                    let mut line = String::new();
-                    let _ = write!(
-                        line,
-                        "{path}: {av} -> {bv} (|Δ| = {:e} beyond relative epsilon {band:e})",
-                        (av - bv).abs()
-                    );
-                    out.push(line);
-                }
-            } else if araw != braw && av != bv {
-                out.push(format!("{path}: {araw} -> {braw} (exact comparison)"));
-            }
+        (DiffKind::Exact, Json::Num(_, x), Json::Num(_, y)) => {
+            format!("{x} -> {y} (exact comparison)")
         }
-        _ if a == b => {}
-        _ => out.push(format!(
-            "{path}: baseline {} {:?} vs fresh {} {:?}",
-            a.type_name(),
-            summarize(a),
-            b.type_name(),
-            summarize(b)
-        )),
-    }
+        _ => {
+            let (x, y) = (summarize(a), summarize(b));
+            let (ta, tb) = (a.type_name(), b.type_name());
+            format!("baseline {ta} {x:?} vs fresh {tb} {y:?}")
+        }
+    };
+    format!("{path}: {what}")
 }
 
 fn summarize(v: &Json) -> String {
@@ -459,71 +499,62 @@ mod tests {
         assert_eq!(diff(&e1, &e2, 1e-9).len(), 1, "plain 'stderr' is exact");
     }
 
+    /// One rule for every key: a number is banded when its own key or
+    /// else its enclosing key is, so `by_cat_s` / `phase_time_s` children
+    /// are seconds too; no key is wider than the rest, so a 5e-8 relative
+    /// drift of `recovery_s` / `delta_makespan_s` / `incident_s` is
+    /// flagged. Counts stay exact.
     #[test]
-    fn recovery_keys_get_the_wider_band() {
-        // recovery_s sits in a 100x-wider band: a drift that would flag
-        // an ordinary `_s` key passes, and a drift past the wide band
-        // still fails.
-        let a = obj(r#"{"recovery_s": 100.0, "tt_quality_delta_s": 10.0}"#);
-        let mild = obj(r#"{"recovery_s": 100.000005, "tt_quality_delta_s": 10.0000005}"#);
-        assert!(diff(&a, &mild, 1e-9).is_empty(), "inside the 100x band");
-        let plain = obj(r#"{"time_s": 100.0}"#);
-        let plain_mild = obj(r#"{"time_s": 100.000005}"#);
-        assert_eq!(
-            diff(&plain, &plain_mild, 1e-9).len(),
-            1,
-            "same drift on an ordinary _s key is flagged"
+    fn one_band_rule_covers_children_and_widens_nothing() {
+        let a = obj(
+            r#"{"by_cat_s": {"task": 30.503265727999995}, "phase_time_s": {"be": 2.5}, "class_bytes": {"shuffle": 10}}"#,
         );
-        let wild = obj(r#"{"recovery_s": 100.1, "tt_quality_delta_s": 10.0}"#);
-        let d = diff(&a, &wild, 1e-9);
+        let ulp = obj(
+            r#"{"by_cat_s": {"task": 30.503265728000001}, "phase_time_s": {"be": 2.5000000000000004}, "class_bytes": {"shuffle": 10}}"#,
+        );
+        assert!(
+            diff(&a, &ulp, EPSILON).is_empty(),
+            "an ulp is inside the band"
+        );
+        let moved = obj(
+            r#"{"by_cat_s": {"task": 31.5}, "phase_time_s": {"be": 2.5}, "class_bytes": {"shuffle": 11}}"#,
+        );
+        let d = compare("", &a, &moved, EPSILON);
+        let found: Vec<_> = d.iter().map(|d| (d.path.clone(), d.key, d.kind)).collect();
+        assert_eq!(
+            found,
+            [
+                (
+                    vec![Step::Key("by_cat_s"), Step::Key("task")],
+                    "by_cat_s",
+                    DiffKind::Band
+                ),
+                (
+                    vec![Step::Key("class_bytes"), Step::Key("shuffle")],
+                    "shuffle",
+                    DiffKind::Exact
+                ),
+            ]
+        );
+
+        for key in ["recovery_s", "delta_makespan_s", "incident_s"] {
+            let a = obj(&format!(r#"{{"{key}": 100.0, "incidents": 3}}"#));
+            let mild = obj(&format!(r#"{{"{key}": 100.000005, "incidents": 3}}"#));
+            let d = diff(&a, &mild, EPSILON);
+            assert_eq!(d.len(), 1, "{key}: {d:?}");
+            assert!(
+                d[0].contains(&format!("$.{key}")) && d[0].contains("epsilon"),
+                "{d:?}"
+            );
+        }
+        let a = obj(r#"{"incidents": 3, "incident_s": 12.0}"#);
+        let count = obj(r#"{"incidents": 4, "incident_s": 12.0}"#);
+        let d = diff(&a, &count, EPSILON);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(
-            d[0].contains("$.recovery_s") && d[0].contains("epsilon"),
+            d[0].contains("$.incidents") && d[0].contains("exact"),
             "{d:?}"
         );
-    }
-
-    #[test]
-    fn sensitivity_delta_keys_get_the_wider_band() {
-        // Counterfactual deltas are duration differences like recovery
-        // cost; they share the 100x band. Projected absolutes do not.
-        for key in ["delta_makespan_s", "delta_tt_1pct_s", "delta_tt_10pct_s"] {
-            assert!(is_toleranced(key), "{key} must be banded");
-            assert_eq!(band_multiplier(key), 100.0, "{key} gets the wide band");
-        }
-        for key in ["projected_makespan_s", "tt_10pct_s", "lower_bound_s"] {
-            assert!(is_toleranced(key), "{key} must be banded");
-            assert_eq!(band_multiplier(key), 1.0, "{key} gets the base band");
-        }
-        let a = obj(r#"{"delta_makespan_s": 2.0, "projected_makespan_s": 30.0}"#);
-        let mild = obj(r#"{"delta_makespan_s": 2.0000002, "projected_makespan_s": 30.0}"#);
-        assert!(diff(&a, &mild, 1e-9).is_empty(), "inside the 100x band");
-        let wild = obj(r#"{"delta_makespan_s": 2.1, "projected_makespan_s": 30.0}"#);
-        let d = diff(&a, &wild, 1e-9);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].contains("$.delta_makespan_s"), "{d:?}");
-    }
-
-    #[test]
-    fn monitor_incident_durations_get_the_wider_band_but_counts_stay_exact() {
-        // Incident open durations are threshold-crossing differences
-        // (schema v8); they share the 100x band. Counts are integers
-        // under the exact gate.
-        for key in ["incident_s", "longest_incident_s"] {
-            assert!(is_toleranced(key), "{key} must be banded");
-            assert_eq!(band_multiplier(key), 100.0, "{key} gets the wide band");
-        }
-        let a = obj(r#"{"incidents": 3, "incident_s": 12.0, "longest_incident_s": 7.0}"#);
-        let mild = obj(r#"{"incidents": 3, "incident_s": 12.0000006, "longest_incident_s": 7.0}"#);
-        assert!(diff(&a, &mild, 1e-9).is_empty(), "inside the 100x band");
-        let wild = obj(r#"{"incidents": 3, "incident_s": 12.1, "longest_incident_s": 7.0}"#);
-        let d = diff(&a, &wild, 1e-9);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].contains("$.incident_s"), "{d:?}");
-        let count = obj(r#"{"incidents": 4, "incident_s": 12.0, "longest_incident_s": 7.0}"#);
-        let d = diff(&a, &count, 1e-9);
-        assert_eq!(d.len(), 1, "incident count drift is exact-gated: {d:?}");
-        assert!(d[0].contains("$.incidents"), "{d:?}");
     }
 
     /// The Chrome trace export (spans, instants, counter tracks,
@@ -677,11 +708,10 @@ mod tests {
             "packing_x",
             "makespan_s",
         ] {
-            assert!(is_toleranced(key), "{key} must be banded");
-            assert_eq!(band_multiplier(key), 1.0, "{key} gets the base band");
+            assert!(banded(key), "{key} must be banded");
         }
         for key in ["jobs", "preemption_total", "granted_nodes", "cluster_nodes"] {
-            assert!(!is_toleranced(key), "{key} must compare exactly");
+            assert!(!banded(key), "{key} must compare exactly");
         }
         // End to end: a within-band drift of a tenancy percentile passes,
         // an exact-gated counter drift does not.

@@ -104,11 +104,6 @@ impl Stage {
         }
     }
 
-    /// Parse a [`Stage::label`] back into a stage.
-    pub fn from_label(label: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.label() == label)
-    }
-
     fn index(self) -> usize {
         self as usize
     }
@@ -261,17 +256,6 @@ pub struct StageProfile {
     pub max_s: f64,
 }
 
-impl StageProfile {
-    /// Throughput in bytes per summed host second (0 when untimed).
-    pub fn bytes_per_s(&self) -> f64 {
-        if self.total_s > 0.0 {
-            self.bytes as f64 / self.total_s
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A point-in-time copy of the whole registry: every stage with at least
 /// one recorded call, in [`Stage::ALL`] order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -300,35 +284,12 @@ impl HostProfile {
         }
     }
 
-    /// Deterministically ordered JSON object (stage label → stats). The
-    /// embedding key in `BENCH_pic.json` is `host_profile`, which the
-    /// regression differ skips wholesale like every `host_`-prefixed
-    /// key, so host jitter never fails the simulated-time gate.
-    pub fn to_json(&self, indent: usize) -> String {
-        use crate::report::{fmt_f64, JsonWriter};
-        let mut w = JsonWriter::new(indent);
-        w.open("{");
-        w.field("total_s", &fmt_f64(self.total_s()));
-        w.open_key("stages", "{");
-        for s in &self.stages {
-            w.open_key(s.stage.label(), "{");
-            w.field("calls", &s.calls.to_string());
-            w.field("bytes", &s.bytes.to_string());
-            w.field("total_s", &fmt_f64(s.total_s));
-            w.field("share", &fmt_f64(self.share(s.stage)));
-            w.field("p50_s", &fmt_f64(s.p50_s));
-            w.field("p95_s", &fmt_f64(s.p95_s));
-            w.field("max_s", &fmt_f64(s.max_s));
-            w.close("}");
-        }
-        w.close("}");
-        w.close("}");
-        w.finish()
-    }
-
-    /// Single-line compact form of [`HostProfile::to_json`], for embedding
-    /// as one physical line inside a larger report so line-oriented
-    /// consumers (determinism checks that strip `host_` lines) stay intact.
+    /// Deterministically ordered JSON object (stage label → stats) on one
+    /// physical line, so line-oriented consumers (determinism checks that
+    /// strip `host_` lines) stay intact. The embedding key in
+    /// `BENCH_pic.json` is `host_profile`, which the regression differ
+    /// skips like every `host_`-prefixed key, so host jitter never fails
+    /// the simulated-time gate.
     pub fn to_json_line(&self) -> String {
         use crate::report::fmt_f64;
         use std::fmt::Write as _;
@@ -505,14 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip() {
-        for s in Stage::ALL {
-            assert_eq!(Stage::from_label(s.label()), Some(s));
-        }
-        assert_eq!(Stage::from_label("nope"), None);
-    }
-
-    #[test]
     fn json_is_balanced_and_render_lists_stages() {
         let _l = test_lock();
         enable();
@@ -520,7 +473,7 @@ mod tests {
         drop(scope_bytes(Stage::DfsSerialization, 4096));
         let prof = snapshot();
         disable();
-        let json = prof.to_json(2);
+        let json = prof.to_json_line();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"dfs_serialization\""));
         assert!(json.contains("\"share\""));

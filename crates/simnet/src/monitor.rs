@@ -748,7 +748,7 @@ impl MonitorReport {
     }
 
     /// The scalar summary the regression gate diffs (`BENCH_pic.json`
-    /// schema v8): incident counts exact, durations under the 100× band.
+    /// schema v8): incident counts exact, durations banded seconds.
     pub fn to_json_summary(&self, indent: usize) -> String {
         JsonWriter::document(indent, |w| self.write_json_summary(w))
     }

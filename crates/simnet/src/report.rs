@@ -44,8 +44,8 @@ use std::fmt::Write as _;
 /// (DESIGN.md §14); version 7 added the per-app `sensitivity` section —
 /// the ranked counterfactual bottleneck table from [`crate::whatif`]
 /// (DESIGN.md §15); version 8 added the per-app `monitor` section —
-/// online incident counts (exact) and open durations (100× recovery
-/// band) from [`crate::monitor`], plus per-cell `incidents` /
+/// online incident counts (exact) and open durations (banded seconds)
+/// from [`crate::monitor`], plus per-cell `incidents` /
 /// `clean_incidents` in `quality_under_failure` (DESIGN.md §16).
 pub const REPORT_SCHEMA_VERSION: u64 = 8;
 

@@ -584,8 +584,9 @@ impl Trace {
     }
 }
 
-/// Escape and quote a string for JSON (shared with [`crate::report`]).
-pub(crate) fn json_string(s: &str) -> String {
+/// Escape and quote a string for JSON (shared with [`crate::report`] and
+/// `pic diff`'s notes).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -890,16 +891,6 @@ pub mod check {
             .iter()
             .filter(|i| i.cat == "sched" && i.name == name)
             .count()
-    }
-
-    /// Sum one traced job counter across all `counter` instants.
-    pub fn counter_total(trace: &Trace, name: &str) -> u64 {
-        trace
-            .instants
-            .iter()
-            .filter(|i| i.cat == "counter" && i.name == name)
-            .map(|i| i.arg_u64("value").unwrap_or(0))
-            .sum()
     }
 
     /// The monitor's sliding-window series reconcile **exactly** with

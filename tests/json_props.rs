@@ -1,9 +1,15 @@
 //! `json::parse` reads files users hand to `pic diff` and
 //! `pic regress --baseline`: whatever the bytes, it must answer `Ok` or
-//! `Err` — never unwind, overflow the stack or loop.
+//! `Err` — never unwind, overflow the stack or loop. Whatever parses then
+//! goes through both views of the comparison, `json::diff` and
+//! `diff::diff_docs`, which must return without panicking and whose
+//! attribution document must parse back.
 
-use pic_bench::json;
+use pic_bench::diff;
+use pic_bench::json::{self, Json};
 use proptest::prelude::*;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The characters JSON gives meaning to, so random text keeps reaching
 /// the string, escape, number, keyword and container paths.
@@ -22,6 +28,52 @@ fn byteish_text(picks: Vec<(bool, usize, u8)>) -> String {
 /// The committed baseline: a real `bench_json` document (ASCII, 689 KB).
 const BENCH: &str = include_str!("../BENCH_pic.json");
 
+fn bench() -> &'static Json {
+    static DOC: OnceLock<Json> = OnceLock::new();
+    DOC.get_or_init(|| json::parse(BENCH).expect("the baseline parses"))
+}
+
+/// The byte ranges of the baseline's number literals.
+fn number_literals() -> &'static [Range<usize>] {
+    static SPANS: OnceLock<Vec<Range<usize>>> = OnceLock::new();
+    SPANS.get_or_init(|| {
+        let b = BENCH.as_bytes();
+        let (mut spans, mut i, mut in_string) = (Vec::new(), 0, false);
+        while i < b.len() {
+            match b[i] {
+                b'\\' if in_string => i += 1,
+                b'"' => in_string = !in_string,
+                b'-' | b'0'..=b'9' if !in_string => {
+                    let start = i;
+                    while i < b.len()
+                        && matches!(b[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+                    {
+                        i += 1;
+                    }
+                    spans.push(start..i);
+                    continue;
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        spans
+    })
+}
+
+/// Both views of the comparison, both ways round.
+fn compare_both(a: &Json, b: &Json) -> Result<(), TestCaseError> {
+    for (old, new) in [(a, b), (b, a)] {
+        let _ = json::diff(old, new, json::EPSILON);
+        if let Ok(report) = diff::diff_docs(old, new, json::EPSILON) {
+            let _ = report.render(0);
+            let doc = report.to_json();
+            prop_assert!(json::parse(&doc).is_ok());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -32,7 +84,10 @@ proptest! {
             0..200,
         ),
     ) {
-        let _ = json::parse(&byteish_text(picks));
+        if let Ok(doc) = json::parse(&byteish_text(picks)) {
+            compare_both(&doc, &doc)?;
+            compare_both(&doc, bench())?;
+        }
     }
 
     #[test]
@@ -51,7 +106,64 @@ proptest! {
                 bytes.insert(at, byte);
             }
         }
-        let _ = json::parse(&String::from_utf8_lossy(&bytes));
+        if let Ok(doc) = json::parse(&String::from_utf8_lossy(&bytes)) {
+            compare_both(&doc, bench())?;
+        }
+    }
+}
+
+proptest! {
+    // Each case parses and compares the whole 689 KB document.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Digits rewritten inside number literals move values; lowercase
+    /// letters rewritten anywhere rename keys, apps and labels (and now
+    /// and then break a keyword).
+    #[test]
+    fn mutated_copies_of_a_real_document_compare_without_panicking(
+        edits in proptest::collection::vec((any::<usize>(), any::<bool>(), 0u8..26), 1..8),
+    ) {
+        let mut bytes = BENCH.as_bytes().to_vec();
+        let spans = number_literals();
+        for (at, in_number, c) in edits {
+            let i = if in_number {
+                let span = &spans[at % spans.len()];
+                span.start + at % span.len()
+            } else {
+                at % bytes.len()
+            };
+            match bytes[i] {
+                b'0'..=b'9' if in_number => bytes[i] = b'0' + c % 10,
+                b'a'..=b'z' if !in_number => bytes[i] = b'a' + c,
+                _ => {}
+            }
+        }
+        if let Ok(doc) = json::parse(&String::from_utf8_lossy(&bytes)) {
+            compare_both(bench(), &doc)?;
+        }
+    }
+
+    /// `1e999` parses to infinity: every `stride`-th number literal from
+    /// `offset` on becomes `±1e999`, and the comparison must still rank,
+    /// render and write its attribution.
+    #[test]
+    fn numbers_rewritten_to_infinity_compare_without_panicking(
+        stride in 1usize..8,
+        offset in 0usize..8,
+        negative_every in 1usize..4,
+    ) {
+        let mut text = String::with_capacity(BENCH.len());
+        let mut copied = 0;
+        let spans = number_literals().iter().skip(offset).step_by(stride);
+        for (n, span) in spans.enumerate() {
+            text.push_str(&BENCH[copied..span.start]);
+            text.push_str(if n % negative_every == 0 { "-1e999" } else { "1e999" });
+            copied = span.end;
+        }
+        text.push_str(&BENCH[copied..]);
+        let doc = json::parse(&text).map_err(TestCaseError::fail)?;
+        compare_both(bench(), &doc)?;
+        compare_both(&doc, &doc)?;
     }
 }
 
