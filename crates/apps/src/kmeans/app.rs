@@ -119,7 +119,7 @@ impl IterativeApp for KMeansApp {
         model: &Centroids,
         scope: &IterScope,
     ) -> Centroids {
-        let mapper = AssignMapper { model };
+        let mapper = AssignMapper::new(model);
         let res = engine.run_with_combiner(
             &scope.job("assign"),
             data,

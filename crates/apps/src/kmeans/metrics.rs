@@ -1,7 +1,7 @@
 //! Clustering quality metrics used in the paper's §VI.
 
 use super::data::Point;
-use super::mr::Centroids;
+use super::mr::{CentroidTable, Centroids};
 
 /// The Jagota index the paper uses to compare BE-phase and IC models
 /// (its eq. in §VI.A): `Q = Σ_i (1/|C_i|) Σ_{x∈C_i} d(x, μ_i)` — mean
@@ -11,8 +11,9 @@ pub fn jagota_index(points: &[Point], model: &Centroids) -> f64 {
     let k = model.k();
     let mut dist_sum = vec![0.0; k];
     let mut counts = vec![0u64; k];
+    let table = CentroidTable::new(model);
     for p in points {
-        let c = model.nearest(p);
+        let c = table.nearest(&p.coords);
         dist_sum[c] += p.dist2(&model.coords[c]).sqrt();
         counts[c] += 1;
     }
@@ -26,9 +27,10 @@ pub fn jagota_index(points: &[Point], model: &Centroids) -> f64 {
 
 /// Sum of squared errors (within-cluster): the classic K-means objective.
 pub fn sse(points: &[Point], model: &Centroids) -> f64 {
+    let table = CentroidTable::new(model);
     points
         .iter()
-        .map(|p| p.dist2(&model.coords[model.nearest(p)]))
+        .map(|p| p.dist2(&model.coords[table.nearest(&p.coords)]))
         .sum()
 }
 
@@ -37,15 +39,16 @@ pub fn sse(points: &[Point], model: &Centroids) -> f64 {
 /// Fig. 12(b). Nearest-matching keeps the metric permutation-invariant.
 pub fn centroid_displacement(model: &Centroids, reference: &Centroids) -> f64 {
     assert!(!reference.coords.is_empty(), "empty reference");
+    let table = CentroidTable::new(reference);
     let total: f64 = model
         .coords
         .iter()
         .map(|c| {
-            reference
-                .coords
-                .iter()
-                .map(|r| c.iter().zip(r).map(|(a, b)| (a - b) * (a - b)).sum::<f64>())
-                .fold(f64::INFINITY, f64::min)
+            let r = &reference.coords[table.nearest(c)];
+            c.iter()
+                .zip(r)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
                 .sqrt()
         })
         .sum();

@@ -30,25 +30,6 @@ impl Centroids {
         self.coords.len()
     }
 
-    /// Index of the centroid nearest to `p`.
-    ///
-    /// # Panics
-    /// Panics if the model has no centroids.
-    #[inline]
-    pub fn nearest(&self, p: &Point) -> usize {
-        assert!(!self.coords.is_empty(), "model has no centroids");
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (i, c) in self.coords.iter().enumerate() {
-            let d = p.dist2(c);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Largest per-centroid displacement between two models — the paper's
     /// convergence quantity.
     pub fn max_displacement(&self, other: &Centroids) -> f64 {
@@ -79,6 +60,92 @@ impl ByteSize for Centroids {
     }
 }
 
+/// Centroids per block of the nearest-centroid scan.
+const LANES: usize = 8;
+
+/// A model's centroids laid out for the one nearest-centroid kernel every
+/// assignment goes through (mapper, [`lloyd_step`], the quality metrics).
+///
+/// Coordinate-major: `cols[d * kp + i]` is coordinate `d` of centroid `i`,
+/// where `kp` is `k` rounded up to a multiple of [`LANES`]; the padding
+/// slots hold `+∞`. One block of eight centroids is then eight adjacent
+/// doubles per coordinate, contiguous for every block.
+pub(crate) struct CentroidTable {
+    cols: Vec<f64>,
+    kp: usize,
+    dim: usize,
+}
+
+impl CentroidTable {
+    /// Lay out `model`'s centroids; built once per model.
+    ///
+    /// # Panics
+    /// Panics if the centroids do not all have the same dimension.
+    pub(crate) fn new(model: &Centroids) -> Self {
+        let k = model.k();
+        let dim = model.coords.first().map_or(0, Vec::len);
+        let kp = k.div_ceil(LANES) * LANES;
+        let mut cols = vec![f64::INFINITY; dim * kp];
+        for (i, c) in model.coords.iter().enumerate() {
+            assert_eq!(
+                c.len(),
+                dim,
+                "centroid {i} has dimension {} but centroid 0 has dimension {dim}",
+                c.len()
+            );
+            for (d, &x) in c.iter().enumerate() {
+                cols[d * kp + i] = x;
+            }
+        }
+        CentroidTable { cols, kp, dim }
+    }
+
+    /// Index of the centroid nearest to `p` by squared Euclidean distance.
+    ///
+    /// Each block of eight centroids sums `(x_d − c_d)²` over `d = 0..dim`
+    /// in that order into its own lane — the operation order of
+    /// [`Point::dist2`], no fused multiply-add — so every distance is the
+    /// one `dist2` computes, bit for bit. The scan is strict-`<` in index
+    /// order: the first minimum wins, NaN never wins, and when no distance
+    /// is below `+∞` the answer is 0. Padding is `+∞` or NaN and never wins.
+    ///
+    /// # Panics
+    /// Panics if the model has no centroids or `p`'s dimension is not the
+    /// model's.
+    ///
+    /// Never inlined: the kernel keeps one symbol of its own, so the
+    /// 64-byte function alignment pins where its loop sits (DESIGN.md §14).
+    #[inline(never)]
+    pub(crate) fn nearest(&self, p: &[f64]) -> usize {
+        assert!(self.kp > 0, "model has no centroids");
+        assert_eq!(
+            p.len(),
+            self.dim,
+            "point has dimension {} but the model has dimension {}",
+            p.len(),
+            self.dim
+        );
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for b in (0..self.kp).step_by(LANES) {
+            let mut acc = [0.0f64; LANES];
+            for (&x, col) in p.iter().zip(self.cols.chunks_exact(self.kp)) {
+                let c: &[f64; LANES] = col[b..b + LANES].try_into().expect("one block");
+                for (a, &y) in acc.iter_mut().zip(c) {
+                    *a += (x - y) * (x - y);
+                }
+            }
+            for (j, &d) in acc.iter().enumerate() {
+                if d < best_d {
+                    best_d = d;
+                    best = b + j;
+                }
+            }
+        }
+        best
+    }
+}
+
 /// Partial aggregate shuffled from map to reduce: coordinate sums plus a
 /// count (the classic K-means combiner-friendly value).
 pub type PartialSum = (Vec<f64>, u64);
@@ -86,18 +153,26 @@ pub type PartialSum = (Vec<f64>, u64);
 /// Mapper: assign each point to its nearest centroid, emit
 /// `(cluster, (coords, 1))` — Fig. 1(b)'s
 /// `emit(closest_centroid(d_i, m), d_i)` in pre-aggregated form.
-pub struct AssignMapper<'a> {
-    /// Current model.
-    pub model: &'a Centroids,
+pub struct AssignMapper {
+    table: CentroidTable,
 }
 
-impl Mapper for AssignMapper<'_> {
+impl AssignMapper {
+    /// A mapper assigning against `model`.
+    pub fn new(model: &Centroids) -> Self {
+        AssignMapper {
+            table: CentroidTable::new(model),
+        }
+    }
+}
+
+impl Mapper for AssignMapper {
     type In = Point;
     type K = u64;
     type V = PartialSum;
 
     fn map(&self, p: &Point, ctx: &mut MapContext<u64, PartialSum>) {
-        let c = self.model.nearest(p);
+        let c = self.table.nearest(&p.coords);
         ctx.emit(c as u64, (p.coords.clone(), 1));
     }
 }
@@ -171,8 +246,9 @@ pub fn lloyd_step(points: &[Point], model: &Centroids) -> Centroids {
     let dim = model.coords.first().map_or(0, Vec::len);
     let mut sums = vec![vec![0.0; dim]; k];
     let mut counts = vec![0u64; k];
+    let table = CentroidTable::new(model);
     for p in points {
-        let c = model.nearest(p);
+        let c = table.nearest(&p.coords);
         for (s, x) in sums[c].iter_mut().zip(&p.coords) {
             *s += x;
         }
@@ -205,9 +281,154 @@ mod tests {
 
     #[test]
     fn nearest_picks_closest() {
-        let m = Centroids::new(vec![vec![0.0, 0.0], vec![10.0, 10.0]]);
-        assert_eq!(m.nearest(&Point::new(vec![1.0, 1.0])), 0);
-        assert_eq!(m.nearest(&Point::new(vec![9.0, 9.0])), 1);
+        let t = CentroidTable::new(&Centroids::new(vec![vec![0.0, 0.0], vec![10.0, 10.0]]));
+        assert_eq!(t.nearest(&[1.0, 1.0]), 0);
+        assert_eq!(t.nearest(&[9.0, 9.0]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "point has dimension 2 but the model has dimension 3")]
+    fn lloyd_step_rejects_a_point_of_another_dimension() {
+        lloyd_step(
+            &[Point::new(vec![1.0, 2.0])],
+            &Centroids::new(vec![vec![0.0; 3]]),
+        );
+    }
+
+    /// The nearest-centroid scan as it was before [`CentroidTable`]: one
+    /// `Point::dist2` per centroid over `Vec<Vec<f64>>`, strict `<`.
+    fn nested_nearest(coords: &[Vec<f64>], p: &Point) -> usize {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (i, c) in coords.iter().enumerate() {
+            let d = p.dist2(c);
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// `lloyd_step` as it was before [`CentroidTable`].
+    fn nested_lloyd_step(points: &[Point], model: &Centroids) -> Centroids {
+        let k = model.k();
+        let dim = model.coords.first().map_or(0, Vec::len);
+        let mut sums = vec![vec![0.0; dim]; k];
+        let mut counts = vec![0u64; k];
+        for p in points {
+            let c = nested_nearest(&model.coords, p);
+            for (s, x) in sums[c].iter_mut().zip(&p.coords) {
+                *s += x;
+            }
+            counts[c] += 1;
+        }
+        let coords = sums
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut s)| {
+                if counts[i] == 0 {
+                    model.coords[i].clone()
+                } else {
+                    for x in &mut s {
+                        *x /= counts[i] as f64;
+                    }
+                    s
+                }
+            })
+            .collect();
+        Centroids { coords, counts }
+    }
+
+    fn bits(m: &Centroids) -> (Vec<Vec<u64>>, Vec<u64>) {
+        let coords = m
+            .coords
+            .iter()
+            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        (coords, m.counts.clone())
+    }
+
+    mod kernel_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A coordinate: mostly small whole numbers (so distances tie),
+        /// sometimes ±0.0, ±1e200 (squared distances overflow to +∞) or
+        /// NaN, otherwise an arbitrary double in ±100.
+        fn coord() -> impl Strategy<Value = f64> {
+            (0u8..40, -3i32..4, -100.0f64..100.0).prop_map(|(kind, int, x)| match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 | 3 => 1e200,
+                4 => -1e200,
+                5 => f64::NAN,
+                6..=25 => int as f64,
+                _ => x,
+            })
+        }
+
+        /// Centroids (`k ∈ 1..=37`, `dim ∈ 1..=6`, about a quarter of
+        /// them repeating an earlier centroid) and 16 points, some of them
+        /// copies of a centroid.
+        fn case() -> impl Strategy<Value = (Centroids, Vec<Point>)> {
+            (
+                1usize..38,
+                1usize..7,
+                proptest::collection::vec(coord(), 37 * 6),
+                proptest::collection::vec(0usize..74, 37),
+                proptest::collection::vec(coord(), 16 * 6),
+                proptest::collection::vec(0usize..80, 16),
+            )
+                .prop_map(|(k, dim, pool, repeat, point_pool, copy)| {
+                    let mut coords: Vec<Vec<f64>> = Vec::with_capacity(k);
+                    for i in 0..k {
+                        let c = if repeat[i] < i {
+                            coords[repeat[i]].clone()
+                        } else {
+                            pool[i * dim..(i + 1) * dim].to_vec()
+                        };
+                        coords.push(c);
+                    }
+                    let points = (0..16)
+                        .map(|j| {
+                            Point::new(if copy[j] < k {
+                                coords[copy[j]].clone()
+                            } else {
+                                point_pool[j * dim..(j + 1) * dim].to_vec()
+                            })
+                        })
+                        .collect();
+                    (Centroids::new(coords), points)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn table_nearest_equals_the_nested_scan(case in case()) {
+                let (model, points) = case;
+                let table = CentroidTable::new(&model);
+                for p in &points {
+                    prop_assert_eq!(
+                        table.nearest(&p.coords),
+                        nested_nearest(&model.coords, p),
+                        "point {:?}",
+                        p.coords
+                    );
+                }
+            }
+
+            #[test]
+            fn lloyd_step_equals_the_nested_lloyd_step_bit_for_bit(case in case()) {
+                let (model, points) = case;
+                prop_assert_eq!(
+                    bits(&lloyd_step(&points, &model)),
+                    bits(&nested_lloyd_step(&points, &model))
+                );
+            }
+        }
     }
 
     #[test]

@@ -121,22 +121,17 @@ fn combiner_jobs(n: usize) -> (pic_mapreduce::JobStats, pic_mapreduce::JobStats)
     let data = pic_mapreduce::Dataset::create(&engine, "/abl/comb", pts, 24);
 
     use pic_apps::kmeans::{AssignMapper, AverageReducer, SumCombiner};
+    let mapper = AssignMapper::new(&model);
     let cfg = pic_mapreduce::JobConfig::new("with")
         .timing(cost::kmeans().timing)
         .reducers(6);
-    let with = engine.run_with_combiner(
-        &cfg,
-        &data,
-        &AssignMapper { model: &model },
-        &SumCombiner,
-        &AverageReducer,
-    );
+    let with = engine.run_with_combiner(&cfg, &data, &mapper, &SumCombiner, &AverageReducer);
     let without = engine.run(
         &pic_mapreduce::JobConfig::new("without")
             .timing(cost::kmeans().timing)
             .reducers(6),
         &data,
-        &AssignMapper { model: &model },
+        &mapper,
         &AverageReducer,
     );
     (with.stats, without.stats)
