@@ -196,17 +196,6 @@ impl Mlp {
             .count();
         wrong as f64 / samples.len() as f64
     }
-
-    /// Largest absolute parameter difference to `other` (the convergence
-    /// quantity for gradient-descent training).
-    pub fn max_param_diff(&self, other: &Mlp) -> f64 {
-        assert_eq!(self.params.len(), other.params.len(), "shape mismatch");
-        self.params
-            .iter()
-            .zip(&other.params)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -291,14 +280,6 @@ mod tests {
     fn param_count_layout() {
         assert_eq!(Mlp::param_count(4, 3, 2), 12 + 3 + 6 + 2);
         assert_eq!(tiny().params.len(), 23);
-    }
-
-    #[test]
-    fn max_param_diff() {
-        let a = tiny();
-        let mut b = a.clone();
-        b.params[5] += 0.25;
-        assert!((a.max_param_diff(&b) - 0.25).abs() < 1e-12);
     }
 
     #[test]

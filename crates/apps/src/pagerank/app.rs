@@ -141,12 +141,6 @@ impl PageRankApp {
         &self.graph
     }
 
-    /// Number of cross-partition edges (the paper reports `18² = 324`
-    /// cross-edge *sets*; the set count here is at most `parts²`).
-    pub fn cross_edge_count(&self) -> usize {
-        self.cross_edges.len()
-    }
-
     /// Fraction of edges that cross partitions — the "coupling" the
     /// paper's §VI.B wants partitioning to minimize.
     pub fn cut_fraction(&self) -> f64 {

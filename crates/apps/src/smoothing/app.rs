@@ -126,11 +126,6 @@ impl SmoothingApp {
         self
     }
 
-    /// Rows owned by strip `p` (strip layout view of [`Self::tile_rect`]).
-    pub fn strip_range(&self, p: usize) -> std::ops::Range<usize> {
-        self.tile_rect(p).1
-    }
-
     /// The pixel rectangle owned by tile `p`: `(x range, y range)`.
     pub fn tile_rect(&self, p: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
         assert!(p < self.parts, "tile out of range");

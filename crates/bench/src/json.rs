@@ -275,7 +275,7 @@ fn banded(key: &str) -> bool {
 /// root; array elements sit under their array's key), in document order.
 /// Keys starting `host_` (wall clock) are skipped. A number is banded —
 /// equal within `eps·max(|a|,|b|,1)` — when its own key, or else the
-/// nearest enclosing key, is [`banded`]; every other number must match by
+/// nearest enclosing key, is `banded`; every other number must match by
 /// raw literal, then by value. Everything else must match exactly.
 pub fn compare<'a>(key: &'a str, old: &'a Json, new: &'a Json, eps: f64) -> Vec<Difference<'a>> {
     let mut walk = Walk {

@@ -18,22 +18,19 @@ use crate::scope::IterScope;
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::hostprof::{self, Stage};
-use pic_simnet::topology::NodeId;
 use pic_simnet::trace::Payload;
 use pic_simnet::traffic::TrafficClass;
 use pic_simnet::transfer;
 
-/// Options for an IC run.
+/// Options for an IC run. The run starts on the whole cluster (an elastic
+/// resize shrinks or grows its node group) and every job has one reduce
+/// task per node of the current group.
 #[derive(Debug, Clone)]
 pub struct IcOptions {
     /// Iteration cap; `None` defers to [`IterativeApp::max_iterations`].
     pub max_iterations: Option<usize>,
     /// Task-duration model.
     pub timing: Timing,
-    /// Node group to run on (`None` = whole cluster).
-    pub group: Option<std::ops::Range<NodeId>>,
-    /// Reduce tasks per job; `0` = one per group node.
-    pub reducers: usize,
     /// Phase label in job names and reports ("ic" or "topoff").
     pub phase: &'static str,
     /// Charge the one-time job-chain startup overhead at the beginning.
@@ -45,8 +42,6 @@ impl Default for IcOptions {
         IcOptions {
             max_iterations: None,
             timing: Timing::default_analytic(),
-            group: None,
-            reducers: 0,
             phase: "ic",
             charge_startup: true,
         }
@@ -63,16 +58,6 @@ pub fn run_ic<A: IterativeApp + QualityProbe>(
     opts: &IcOptions,
 ) -> IcReport<A::Model> {
     let spec = engine.spec();
-    let group = opts.group.clone().unwrap_or(0..spec.nodes);
-    assert!(
-        !group.is_empty() && group.end <= spec.nodes,
-        "bad node group"
-    );
-    let reducers = if opts.reducers == 0 {
-        group.len()
-    } else {
-        opts.reducers
-    };
 
     // Driver-side trace: a root span for the whole run, one span per
     // iteration (category = the phase label, so best-effort vs top-off
@@ -94,11 +79,8 @@ pub fn run_ic<A: IterativeApp + QualityProbe>(
     assert!(max_iterations > 0, "need at least one iteration");
 
     let mut scope = IterScope {
-        group: group.clone(),
-        timing: opts.timing.clone(),
-        iteration: 1,
         phase: opts.phase,
-        reducers,
+        ..IterScope::cluster(spec.nodes, opts.timing.clone(), spec.nodes)
     };
 
     let mut model = init;
@@ -176,19 +158,16 @@ pub fn run_ic<A: IterativeApp + QualityProbe>(
         // group as recovery traffic (the data itself stays in the DFS, so
         // joining nodes read it through the normal remote-read path).
         if let Some((_, new_nodes)) = chaos.resize_after(iterations) {
-            let n = new_nodes.clamp(1, spec.nodes - scope.group.start);
-            scope.group = scope.group.start..scope.group.start + n;
-            if opts.reducers == 0 {
-                scope.reducers = scope.group.len();
-            }
-            let (secs, net) = transfer::broadcast(spec, scope.group.len(), model.byte_size());
-            let nodes = scope.group.len() as u64;
+            let n = new_nodes.clamp(1, spec.nodes);
+            scope.group = 0..n;
+            scope.reducers = n;
+            let (secs, net) = transfer::broadcast(spec, n, model.byte_size());
             engine.transfer(
                 "rebalance",
                 TrafficClass::Recovery,
                 net,
                 secs,
-                &[("nodes", nodes)],
+                &[("nodes", n as u64)],
             );
         }
     }

@@ -42,8 +42,6 @@ pub struct PicOptions {
     pub partitions: usize,
     /// Task-duration model (shared by both phases).
     pub timing: Timing,
-    /// Reduce tasks per top-off job; `0` = one per node.
-    pub reducers: usize,
     /// Cap on local iterations; `None` defers to
     /// [`PicApp::local_iteration_cap`].
     pub local_cap: Option<usize>,
@@ -80,7 +78,6 @@ impl Default for PicOptions {
         PicOptions {
             partitions: 8,
             timing: Timing::default_analytic(),
-            reducers: 0,
             local_cap: None,
             max_be_iterations: None,
             max_topoff_iterations: None,
@@ -364,8 +361,6 @@ pub fn run_pic<A: PicApp + QualityProbe>(
                 .unwrap_or_else(|| app.max_topoff_iterations()),
         ),
         timing: opts.timing.clone(),
-        group: None,
-        reducers: opts.reducers,
         phase: "topoff",
         charge_startup: false, // same job chain continues
     };

@@ -5,7 +5,7 @@
 //! (in which case the programmer can simply use the default partitioner
 //! classes provided by PIC), to sophisticated partitioning schemes such as
 //! min-cut graph partitioning." This module provides those defaults:
-//! random, contiguous-chunk and hash partitioners for record sets, plus a
+//! random and contiguous-chunk partitioners for record sets, plus a
 //! greedy BFS grower for graphs (the METIS stand-in used by the PageRank
 //! ablation).
 
@@ -31,23 +31,6 @@ pub fn chunked<R>(records: impl IntoIterator<Item = R>, parts: usize) -> Vec<Vec
     assert!(parts > 0, "need at least one partition");
     let records: Vec<R> = records.into_iter().collect();
     chunks(records, parts)
-}
-
-/// Partition by a key function: records with equal `key(r) % parts` land
-/// together. Right when sub-problem membership is semantic (e.g. PageRank
-/// vertices pre-labelled with a group).
-pub fn by_key<R>(
-    records: impl IntoIterator<Item = R>,
-    parts: usize,
-    key: impl Fn(&R) -> u64,
-) -> Vec<Vec<R>> {
-    assert!(parts > 0, "need at least one partition");
-    let mut out: Vec<Vec<R>> = (0..parts).map(|_| Vec::new()).collect();
-    for r in records {
-        let p = (key(&r) % parts as u64) as usize;
-        out[p].push(r);
-    }
-    out
 }
 
 /// Split `records` into `parts` near-equal contiguous chunks.
@@ -168,16 +151,6 @@ mod tests {
     fn chunked_preserves_order() {
         let parts = chunked(0..10u32, 3);
         assert_eq!(parts, vec![vec![0, 1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]]);
-    }
-
-    #[test]
-    fn by_key_groups() {
-        let parts = by_key(0..12u64, 3, |r| *r);
-        for (p, group) in parts.iter().enumerate() {
-            for r in group {
-                assert_eq!(*r as usize % 3, p);
-            }
-        }
     }
 
     #[test]

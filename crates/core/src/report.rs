@@ -39,16 +39,6 @@ pub struct IcReport<M> {
     pub trajectory: Vec<TrajectoryPoint>,
 }
 
-impl<M> IcReport<M> {
-    /// Mean time of one iteration.
-    pub fn mean_iteration_time_s(&self) -> f64 {
-        if self.per_iteration.is_empty() {
-            return 0.0;
-        }
-        self.per_iteration.iter().map(|i| i.time_s).sum::<f64>() / self.per_iteration.len() as f64
-    }
-}
-
 /// Result of a PIC run ([`crate::driver::run_pic`]): best-effort phase
 /// followed by top-off phase.
 #[derive(Debug, Clone)]
@@ -154,28 +144,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_pic_time_panics() {
         speedup(1.0, 0.0);
-    }
-
-    #[test]
-    fn mean_iteration_time() {
-        let r = IcReport {
-            final_model: (),
-            iterations: 2,
-            converged: true,
-            total_time_s: 6.0,
-            traffic: snap(),
-            per_iteration: vec![
-                IterationStats {
-                    time_s: 2.0,
-                    traffic: snap(),
-                },
-                IterationStats {
-                    time_s: 4.0,
-                    traffic: snap(),
-                },
-            ],
-            trajectory: vec![],
-        };
-        assert!((r.mean_iteration_time_s() - 3.0).abs() < 1e-12);
     }
 }

@@ -5,11 +5,11 @@ use pic_simnet::topology::NodeId;
 
 /// Where and how one iteration's MapReduce jobs run.
 ///
-/// The same [`crate::app::IterativeApp::iterate`] code serves three roles:
-/// the IC baseline (whole cluster), a PIC local iteration (confined to a
-/// sub-problem's node group — this is the paper's point that "the original
-/// implementation is fully re-used to solve the sub-problems"), and the
-/// top-off phase (whole cluster again). The scope carries the difference.
+/// The same [`crate::app::IterativeApp::iterate`] code serves two roles:
+/// the IC baseline and the PIC top-off phase, both on the whole cluster
+/// until an elastic resize changes the group. The scope carries the
+/// difference. PIC local iterations do not go through `iterate`; they run
+/// in memory in [`crate::app::PicApp::solve_local`].
 #[derive(Debug, Clone)]
 pub struct IterScope {
     /// Node group the iteration's jobs are confined to.

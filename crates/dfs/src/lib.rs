@@ -10,12 +10,13 @@
 //! * **replica placement** following the HDFS default policy (first replica
 //!   on the writer's node, second on a different node in the same rack,
 //!   third in a different rack), deterministic per path;
-//! * byte-exact **traffic accounting** into a shared
+//! * byte-exact **write accounting** into a shared
 //!   [`pic_simnet::TrafficLedger`] (writes cost `replication ×` bytes of
-//!   which `replication − 1` cross the network; reads are free when
-//!   node-local);
+//!   which `replication − 1` cross the network);
 //! * **input splits** with replica host lists, which the MapReduce engine
-//!   feeds to the slot scheduler for locality-aware placement.
+//!   feeds to the slot scheduler for locality-aware placement. Reads have
+//!   no path here: the scheduler prices a non-local read's time and the
+//!   engine charges its bytes.
 //!
 //! File *contents* are not stored — application data lives in typed memory
 //! inside the engine. The DFS tracks sizes and placement, which is all the

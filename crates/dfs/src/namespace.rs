@@ -1,4 +1,9 @@
-//! The DFS namespace: files, blocks, reads, writes, and their cost.
+//! The DFS namespace: files, blocks, writes, and their cost.
+//!
+//! There is no read path. A map task's non-local input read is priced by
+//! the slot scheduler's locality penalty (time) and charged by the engine
+//! to [`TrafficClass::DfsRead`] (bytes); the namespace only supplies the
+//! split host lists both of them work from.
 
 use crate::placement::BlockPlacement;
 use crate::split::{even_ranges, InputSplit};
@@ -93,9 +98,8 @@ impl Dfs {
     }
 
     /// The same DFS consulting `chaos` for link-degradation windows
-    /// (writes and remote reads started inside a window take its factor
-    /// longer). The handle is shared, so a plan armed later is seen here
-    /// too.
+    /// (writes started inside a window take its factor longer). The handle
+    /// is shared, so a plan armed later is seen here too.
     pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
         self.chaos = chaos;
         self
@@ -172,38 +176,6 @@ impl Dfs {
             .expect("create after remove cannot collide")
     }
 
-    /// Read the whole of `path` from `reader`. Node-local replicas cost
-    /// disk time only; otherwise the read crosses the network and is
-    /// charged to [`TrafficClass::DfsRead`]. Returns simulated seconds.
-    pub fn read(&self, path: &str, reader: NodeId) -> Result<f64, DfsError> {
-        let mut _hp = hostprof::scope(Stage::DfsDeserialization);
-        let files = self.files.read();
-        let meta = files
-            .get(path)
-            .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
-        _hp.add_bytes(meta.size);
-        let mut secs = 0.0;
-        let mut remaining = meta.size;
-        for replicas in &meta.blocks {
-            let blk = remaining.min(self.block_size);
-            remaining -= blk;
-            if replicas.contains(&reader) {
-                secs += transfer::local_disk_s(&self.spec, blk);
-            } else {
-                let src = replicas.first().copied().unwrap_or(reader);
-                // Blocks stream back to back, so block `i`'s transfer
-                // occupies the window right after its predecessors'.
-                let t0 = self.tracer.now() + secs;
-                let blk_s = transfer::point_to_point_s(&self.spec, src, reader, blk)
-                    * self.chaos.degradation_factor(t0);
-                self.ledger
-                    .add_over(TrafficClass::DfsRead, blk, t0, t0 + blk_s);
-                secs += blk_s;
-            }
-        }
-        Ok(secs)
-    }
-
     /// Logical size of `path`.
     pub fn len(&self, path: &str) -> Result<u64, DfsError> {
         self.files
@@ -216,17 +188,6 @@ impl Dfs {
     /// True if `path` exists.
     pub fn exists(&self, path: &str) -> bool {
         self.files.read().contains_key(path)
-    }
-
-    /// Remove `path`; `Ok` even if it did not exist is deliberate (HDFS
-    /// `delete` semantics with `recursive=false` on a file).
-    pub fn delete(&self, path: &str) {
-        self.files.write().remove(path);
-    }
-
-    /// Number of files in the namespace.
-    pub fn file_count(&self) -> usize {
-        self.files.read().len()
     }
 
     /// Compute `n` input splits for `path`, each annotated with the hosts
@@ -326,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn create_read_roundtrip() {
+    fn create_roundtrip() {
         let (dfs, _l) = mk(ClusterSpec::small());
         let secs = dfs
             .create("/in/points", 1_000_000, 0, TrafficClass::DfsWrite)
@@ -334,8 +295,6 @@ mod tests {
         assert!(secs > 0.0);
         assert!(dfs.exists("/in/points"));
         assert_eq!(dfs.len("/in/points").unwrap(), 1_000_000);
-        let rsecs = dfs.read("/in/points", 0).unwrap();
-        assert!(rsecs > 0.0);
     }
 
     #[test]
@@ -346,12 +305,6 @@ mod tests {
             dfs.create("/f", 10, 0, TrafficClass::DfsWrite),
             Err(DfsError::AlreadyExists("/f".into()))
         );
-    }
-
-    #[test]
-    fn missing_read_errors() {
-        let (dfs, _l) = mk(ClusterSpec::small());
-        assert!(matches!(dfs.read("/nope", 0), Err(DfsError::NotFound(_))));
     }
 
     #[test]
@@ -368,27 +321,6 @@ mod tests {
             .unwrap();
         assert_eq!(l.get(TrafficClass::ModelUpdate), 1500);
         assert_eq!(l.get(TrafficClass::DfsWrite), 0);
-    }
-
-    #[test]
-    fn local_read_is_free_of_network() {
-        let (dfs, l) = mk(ClusterSpec::small());
-        dfs.create("/f", 1000, 3, TrafficClass::DfsWrite).unwrap();
-        // Node 3 holds the first replica of every block.
-        dfs.read("/f", 3).unwrap();
-        assert_eq!(l.get(TrafficClass::DfsRead), 0);
-    }
-
-    #[test]
-    fn remote_read_charges_network() {
-        let (dfs, l) = mk(ClusterSpec::small());
-        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite).unwrap();
-        // Find a node holding no replica of block 0.
-        let meta = dfs.stat("/f").unwrap();
-        let holder: Vec<NodeId> = meta.blocks[0].clone();
-        let outsider = (0..6).find(|n| !holder.contains(n)).unwrap();
-        dfs.read("/f", outsider).unwrap();
-        assert_eq!(l.get(TrafficClass::DfsRead), 1000);
     }
 
     #[test]
@@ -437,7 +369,6 @@ mod tests {
         dfs.create("/empty", 0, 0, TrafficClass::DfsWrite).unwrap();
         let meta = dfs.stat("/empty").unwrap();
         assert_eq!(meta.blocks.len(), 1);
-        assert_eq!(dfs.read("/empty", 1).unwrap(), 0.0);
     }
 
     #[test]
@@ -496,14 +427,5 @@ mod tests {
             3_000_000,
             "bytes unchanged"
         );
-    }
-
-    #[test]
-    fn delete_then_exists_false() {
-        let (dfs, _l) = mk(ClusterSpec::small());
-        dfs.create("/f", 10, 0, TrafficClass::DfsWrite).unwrap();
-        dfs.delete("/f");
-        assert!(!dfs.exists("/f"));
-        dfs.delete("/f"); // idempotent
     }
 }

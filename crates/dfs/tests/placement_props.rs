@@ -70,22 +70,4 @@ proptest! {
             prop_assert!(!s.hosts.is_empty());
         }
     }
-
-    /// Reading never charges more network bytes than the file size, and a
-    /// reader holding every block's first replica is free.
-    #[test]
-    fn read_accounting_bounded(bytes in 1u64..10_000_000, reader in 0usize..6) {
-        let spec = ClusterSpec::small();
-        let ledger = Arc::new(TrafficLedger::new());
-        let dfs = Dfs::new(Arc::new(spec), Arc::clone(&ledger));
-        dfs.create("/prop/r", bytes, reader, TrafficClass::DfsWrite).unwrap();
-        let before = ledger.get(TrafficClass::DfsRead);
-        // The writer holds the first replica of every block: local read.
-        dfs.read("/prop/r", reader).unwrap();
-        prop_assert_eq!(ledger.get(TrafficClass::DfsRead), before);
-        // Any other reader pays at most the file size.
-        let other = (reader + 1) % 6;
-        dfs.read("/prop/r", other).unwrap();
-        prop_assert!(ledger.get(TrafficClass::DfsRead) <= bytes);
-    }
 }

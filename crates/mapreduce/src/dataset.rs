@@ -111,17 +111,6 @@ impl<I: Value> Dataset<I> {
         }
     }
 
-    /// Build a dataset directly from pre-carved splits (used by drivers
-    /// that re-split in memory without re-registering files).
-    pub fn from_splits(name: &str, splits: Vec<Split<I>>) -> Self {
-        let total_bytes = splits.iter().map(|s| s.bytes).sum();
-        Dataset {
-            name: name.to_string(),
-            splits,
-            total_bytes,
-        }
-    }
-
     /// Total record count.
     pub fn total_records(&self) -> usize {
         self.splits.iter().map(|s| s.records.len()).sum()

@@ -78,14 +78,6 @@ impl JobStats {
         }
         1.0 - self.shuffle_records as f64 / self.map_output_records as f64
     }
-
-    /// Fraction of map tasks that achieved node-locality.
-    pub fn locality_ratio(&self) -> f64 {
-        if self.map_tasks == 0 {
-            return 1.0;
-        }
-        self.node_local_tasks as f64 / self.map_tasks as f64
-    }
 }
 
 #[cfg(test)]
@@ -105,16 +97,5 @@ mod tests {
     #[test]
     fn combine_ratio_empty_job() {
         assert_eq!(JobStats::default().combine_ratio(), 0.0);
-    }
-
-    #[test]
-    fn locality_ratio() {
-        let s = JobStats {
-            map_tasks: 4,
-            node_local_tasks: 3,
-            ..Default::default()
-        };
-        assert!((s.locality_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(JobStats::default().locality_ratio(), 1.0);
     }
 }

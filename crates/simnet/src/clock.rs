@@ -35,16 +35,6 @@ impl SimClock {
         self.now += dt;
     }
 
-    /// Advance to an absolute time `t`, which must not be in the past.
-    pub fn advance_to(&mut self, t: f64) {
-        assert!(
-            t.is_finite() && t >= self.now,
-            "cannot move clock backwards ({} -> {t})",
-            self.now
-        );
-        self.now = t;
-    }
-
     /// Reset to t = 0 (used between independent experiment runs).
     pub fn reset(&mut self) {
         self.now = 0.0;
@@ -66,26 +56,9 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_jumps_forward() {
-        let mut c = SimClock::new();
-        c.advance_to(10.0);
-        assert_eq!(c.now(), 10.0);
-        c.advance_to(10.0); // idempotent at same instant
-        assert_eq!(c.now(), 10.0);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_advance_panics() {
         SimClock::new().advance(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn backwards_advance_to_panics() {
-        let mut c = SimClock::new();
-        c.advance(5.0);
-        c.advance_to(1.0);
     }
 
     #[test]

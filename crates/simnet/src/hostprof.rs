@@ -53,7 +53,9 @@ pub enum Stage {
     ShuffleMaterialization,
     /// DFS block serialization: `create`/`overwrite` placement + write.
     DfsSerialization,
-    /// DFS block deserialization: `read` over placed blocks.
+    /// DFS block deserialization. The DFS has no read path, so no live
+    /// scope records this stage and its time is always 0; it stays in
+    /// [`Stage::ALL`] because the benchmark harness reports every stage.
     DfsDeserialization,
     /// Event-queue operations (push + pop).
     EventQueueOps,

@@ -73,8 +73,9 @@ impl Severity {
     }
 }
 
-/// What an [`AlertRule`] watches. The `threshold` and `window_s` fields
-/// of the rule parameterize each kind as documented per variant.
+/// What an [`AlertRule`] watches. The rule's `threshold` and the
+/// monitor's [`MonitorConfig::window_s`] parameterize each kind as
+/// documented per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleKind {
     /// No quality improvement for more than `window_s` simulated
@@ -109,9 +110,6 @@ pub struct AlertRule {
     /// Kind-specific threshold (utilization fraction, duration ratio,
     /// bytes/second, …). Must be finite and positive.
     pub threshold: f64,
-    /// Kind-specific sustain/gap window, simulated seconds. Must be
-    /// finite and positive.
-    pub window_s: f64,
     /// Severity stamped on incidents this rule opens.
     pub severity: Severity,
 }
@@ -125,12 +123,6 @@ impl AlertRule {
         if !(self.threshold.is_finite() && self.threshold > 0.0) {
             return Err(format!(
                 "alert rule '{}': threshold must be finite and positive",
-                self.name
-            ));
-        }
-        if !(self.window_s.is_finite() && self.window_s > 0.0) {
-            return Err(format!(
-                "alert rule '{}': window_s must be finite and positive",
                 self.name
             ));
         }
@@ -163,7 +155,6 @@ pub fn catalog_rule(name: &str) -> Option<AlertRule> {
         name: name.to_string(),
         kind,
         threshold,
-        window_s: DEFAULT_WINDOW_S,
         severity,
     })
 }
@@ -522,6 +513,7 @@ fn evaluate_rules(
 ) -> Vec<Incident> {
     let dt = report.bucket_s;
     let horizon = report.horizon_s;
+    let window = cfg.window_s;
     let mut incidents = Vec::new();
     let mut push = |rule: &AlertRule, series: String, open: f64, close: f64, peak: f64| {
         incidents.push(Incident {
@@ -574,14 +566,8 @@ fn evaluate_rules(
                 marks.push(horizon);
                 for pair in marks.windows(2) {
                     let gap = pair[1] - pair[0];
-                    if gap > rule.window_s {
-                        push(
-                            rule,
-                            "quality".to_string(),
-                            pair[0] + rule.window_s,
-                            pair[1],
-                            gap,
-                        );
+                    if gap > window {
+                        push(rule, "quality".to_string(), pair[0] + window, pair[1], gap);
                     }
                 }
             }
@@ -597,7 +583,7 @@ fn evaluate_rules(
                         }
                         let (t0, o0) = q[start];
                         let (t1, o1) = q[i];
-                        if t1 - t0 >= rule.window_s {
+                        if t1 - t0 >= window {
                             push(rule, "quality".to_string(), t0, t1, o1 - o0);
                         }
                     } else {
@@ -611,7 +597,7 @@ fn evaluate_rules(
                     let hot = |i: usize| s.util[i] >= rule.threshold;
                     for (a, b) in runs(&hot, s.util.len()) {
                         let dur = (b - a + 1) as f64 * dt;
-                        if dur >= rule.window_s {
+                        if dur >= window {
                             let peak = s.util[a..=b].iter().copied().fold(0.0, f64::max);
                             push(
                                 rule,
@@ -1096,12 +1082,6 @@ mod tests {
             r.validate().unwrap_err(),
             "alert rule 'saturation': threshold must be finite and positive"
         );
-        let mut r = catalog_rule("stall").unwrap();
-        r.window_s = f64::NAN;
-        assert_eq!(
-            r.validate().unwrap_err(),
-            "alert rule 'stall': window_s must be finite and positive"
-        );
         let mut c = cfg();
         c.window_s = -1.0;
         assert_eq!(
@@ -1187,6 +1167,25 @@ mod tests {
         assert_eq!(stalls[0].close_s, 20.0);
         assert_eq!(stalls[0].peak, 18.0);
         assert_eq!(stalls[0].span, "run", "nested in the live span tree");
+    }
+
+    /// The rules read the configured window: a 10 s quality gap stalls
+    /// under the default 5 s window but not under a 20 s one.
+    #[test]
+    fn stall_gap_is_measured_against_the_configured_window() {
+        let t = tracer();
+        let root = t.begin_at("run", "driver", 0.0);
+        quality_at(&t, 1.0, 10.0);
+        quality_at(&t, 11.0, 9.0); // 10 s without improvement
+        t.end_at(root, 12.0);
+        let stalls = |window_s: f64| {
+            let mut c = cfg();
+            c.window_s = window_s;
+            c.rules = vec![catalog_rule("stall").unwrap()];
+            Monitor::replay(c, &t.trace()).unwrap().incidents.len()
+        };
+        assert_eq!(stalls(DEFAULT_WINDOW_S), 1);
+        assert_eq!(stalls(20.0), 0, "a gap shorter than the window is no stall");
     }
 
     #[test]

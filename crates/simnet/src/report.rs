@@ -762,7 +762,7 @@ impl QualityReport {
         curve.iter().find(|p| p.err <= target).map(|p| p.t_s)
     }
 
-    /// Header line of [`Self::csv_rows`].
+    /// Header line of [`Self::csv_records`].
     pub fn csv_header() -> &'static str {
         "app,driver,point,t_s,err"
     }

@@ -27,7 +27,7 @@
 //!   computation.
 //!
 //! Everything is simulated and seeded, so a stream's
-//! [`TenancyReport`](crate::report::TenancyReport) JSON is byte-identical
+//! [`TenancyReport`] JSON is byte-identical
 //! across rayon pool widths.
 
 use crate::event::EventQueue;

@@ -187,11 +187,6 @@ impl ClusterSpec {
         spec
     }
 
-    /// Total physical cores in the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node
-    }
-
     /// The cluster's oversubscription ratio: aggregate NIC bandwidth of
     /// half the nodes over the bisection — how contended an all-to-all
     /// shuffle is (1.0 = non-blocking).

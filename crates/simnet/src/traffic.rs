@@ -5,8 +5,10 @@
 //! run. Those numbers are the heart of its argument, so this ledger counts
 //! them exactly as the engine moves real data, rather than estimating them.
 //!
-//! The ledger is lock-free (`AtomicU64` per class) because map tasks
-//! running on the rayon pool account their emitted bytes concurrently.
+//! The counters are atomics (`AtomicU64` per class), so the DFS, the
+//! engine and the drivers can share one ledger through an `Arc` without a
+//! lock. No charge happens inside a parallel closure: every one runs on the
+//! driver thread, after the host work it accounts for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

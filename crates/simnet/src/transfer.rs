@@ -8,42 +8,9 @@
 
 use crate::topology::{ClusterSpec, NodeId};
 
-/// Time for a point-to-point transfer of `bytes` between two specific
-/// nodes: limited by the slower NIC and, if the nodes are in different
-/// racks, the rack uplinks.
-pub fn point_to_point_s(spec: &ClusterSpec, from: NodeId, to: NodeId, bytes: u64) -> f64 {
-    if bytes == 0 || from == to {
-        return local_disk_s(spec, bytes);
-    }
-    let mut bw = spec.nic_bw;
-    if !spec.same_rack(from, to) {
-        bw = bw.min(spec.rack_uplink_bw);
-    }
-    bytes as f64 / bw
-}
-
 /// Time to read or write `bytes` on a node's local disk.
 pub fn local_disk_s(spec: &ClusterSpec, bytes: u64) -> f64 {
     bytes as f64 / spec.disk_bw
-}
-
-/// Effective bandwidth for an all-to-all exchange among `m` nodes, where
-/// the node group spans `racks_spanned` racks of the cluster.
-///
-/// Model: each of the `m` senders serialises its share out of its NIC, so
-/// aggregate egress is `m * nic`. If the group spans more than one rack,
-/// roughly half the cross-node bytes must cross the bisection (even spread
-/// assumption), which caps throughput at `2 * bisection` for those bytes.
-/// Within a single rack the switch is non-blocking.
-pub fn all_to_all_bw(spec: &ClusterSpec, m: usize, racks_spanned: usize) -> f64 {
-    assert!(m > 0, "all_to_all_bw needs at least one node");
-    let egress = m as f64 * spec.nic_bw;
-    if racks_spanned <= 1 {
-        egress
-    } else {
-        // Half the traffic crosses the bisection in each direction.
-        egress.min(2.0 * spec.bisection_bw)
-    }
 }
 
 /// Time for an all-to-all shuffle of `total_bytes` among the node group
@@ -170,20 +137,6 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * b.abs().max(1.0)
-    }
-
-    #[test]
-    fn p2p_same_rack_uses_nic() {
-        let s = ClusterSpec::small();
-        let t = point_to_point_s(&s, 0, 1, 125_000_000);
-        assert!(close(t, 1.0), "1 GbE moves 125 MB in 1 s (got {t})");
-    }
-
-    #[test]
-    fn p2p_same_node_is_disk() {
-        let s = ClusterSpec::small();
-        let t = point_to_point_s(&s, 2, 2, 100_000_000);
-        assert!(close(t, 1.0), "disk at 100 MB/s (got {t})");
     }
 
     #[test]

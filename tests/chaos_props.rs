@@ -9,9 +9,10 @@ use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::chaos::FaultPlan;
 use pic_simnet::report::fmt_f64;
-use pic_simnet::trace::check;
+use pic_simnet::trace::{check, Span, SpanId};
 use pic_simnet::ClusterSpec;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn app() -> (LinSolveApp, Vec<pic_apps::linsolve::Row>, usize) {
     let n = 60;
@@ -202,6 +203,55 @@ fn rebalance_span(pic: bool, plan: &FaultPlan) -> (f64, f64) {
         .find(|s| s.cat == "transfer" && s.name == "rebalance")
         .expect("the resize pays a rebalance transfer");
     (span.t0, span.duration_s())
+}
+
+/// An IC run shrunk from 6 to 4 nodes after its first iteration gives
+/// every later job one reduce task per remaining node, all of them on the
+/// remaining nodes.
+#[test]
+fn resized_ic_jobs_reduce_on_one_task_per_remaining_node() {
+    let (app, rows, n) = app();
+    let engine = Engine::new(ClusterSpec::small());
+    let data = Dataset::create(&engine, "/props/reducers", rows, 5);
+    engine.reset();
+    engine
+        .arm_chaos(&FaultPlan::new(3).elastic_resize(1, 5, 4))
+        .expect("valid plan");
+    run_ic(&engine, &app, &data, vec![0.0; n], &IcOptions::default());
+    let trace = engine.trace();
+    let by_id: HashMap<SpanId, &Span> = trace.spans.iter().map(|s| (s.id, s)).collect();
+    let job_of = |s: &Span| {
+        let mut at = s.parent;
+        while let Some(p) = at.map(|id| by_id[&id]) {
+            if p.cat == "job" {
+                return Some(p.id);
+            }
+            at = p.parent;
+        }
+        None
+    };
+    let rebalance = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "rebalance")
+        .expect("the resize pays a rebalance transfer");
+    let jobs: Vec<SpanId> = trace
+        .spans
+        .iter()
+        .filter(|s| s.cat == "job" && s.t0 >= rebalance.t1)
+        .map(|s| s.id)
+        .collect();
+    assert!(!jobs.is_empty(), "the run continues after the resize");
+    for job in jobs {
+        let nodes: Vec<u64> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("red-task-") && job_of(s) == Some(job))
+            .map(|s| s.arg_u64("node").expect("task spans carry their node"))
+            .collect();
+        assert_eq!(nodes.len(), 4, "{}: {nodes:?}", by_id[&job].name);
+        assert!(nodes.iter().all(|&node| node < 4), "{nodes:?}");
+    }
 }
 
 /// A link brown-out stretches the rebalance transfer like every other
