@@ -157,22 +157,6 @@ impl IterativeApp for KMeansApp {
     }
 }
 
-impl QualityProbe for KMeansApp {
-    /// WCSS (the K-means objective, paper Fig. 12(b)) and the Jagota
-    /// index (Table III) over the evaluation sample, when one is set.
-    fn quality(&self, model: &Centroids) -> QualitySample {
-        let mut indices = Vec::new();
-        if let Some((sample, _)) = &self.eval_sample {
-            indices.push(("wcss", super::metrics::sse(sample, model)));
-            indices.push(("jagota", super::metrics::jagota_index(sample, model)));
-        }
-        QualitySample {
-            objective: self.error(model),
-            indices,
-        }
-    }
-}
-
 impl PicApp for KMeansApp {
     fn partition_data(&self, data: &Dataset<Point>, parts: usize) -> Vec<Vec<Point>> {
         partition::random(data.iter_records().cloned(), parts, self.partition_seed)

@@ -1,6 +1,6 @@
 //! The linear-solver [`IterativeApp`] / [`PicApp`] implementation.
 
-use super::system::{jacobi_row, residual_l2, Row};
+use super::system::{jacobi_row, Row};
 use pic_core::convergence::max_abs_diff;
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, MapContext, Mapper, ReduceContext, Reducer};
@@ -59,8 +59,6 @@ pub struct LinSolveApp {
     pub max_iterations: usize,
     /// Exact solution for the error metric (`None` disables it).
     pub exact: Option<Vec<f64>>,
-    /// System rows for the `‖Ax − b‖₂` quality index (`None` disables it).
-    pub rows: Option<Vec<Row>>,
     /// Local sweep kernel for the best-effort phase.
     pub local_solver: LocalSolver,
     /// Per-partition contiguous row ranges, fixed at construction (block
@@ -77,7 +75,6 @@ impl LinSolveApp {
             threshold,
             max_iterations: 500,
             exact: None,
-            rows: None,
             local_solver: LocalSolver::default(),
             parts,
         }
@@ -87,13 +84,6 @@ impl LinSolveApp {
     pub fn with_exact(mut self, exact: Vec<f64>) -> Self {
         assert_eq!(exact.len(), self.n, "solution length mismatch");
         self.exact = Some(exact);
-        self
-    }
-
-    /// Attach the system rows, enabling the `‖Ax − b‖₂` quality index.
-    pub fn with_rows(mut self, rows: Vec<Row>) -> Self {
-        assert_eq!(rows.len(), self.n, "row count mismatch");
-        self.rows = Some(rows);
         self
     }
 
@@ -147,21 +137,6 @@ impl IterativeApp for LinSolveApp {
 
     fn max_iterations(&self) -> usize {
         self.max_iterations
-    }
-}
-
-impl QualityProbe for LinSolveApp {
-    /// The system residual `‖Ax − b‖₂` when the rows are attached — the
-    /// solver's quality metric that needs no golden solution.
-    fn quality(&self, model: &Vec<f64>) -> QualitySample {
-        let mut indices = Vec::new();
-        if let Some(rows) = &self.rows {
-            indices.push(("residual_l2", residual_l2(rows, model)));
-        }
-        QualitySample {
-            objective: self.error(model),
-            indices,
-        }
     }
 }
 

@@ -25,4 +25,4 @@ mod app;
 mod system;
 
 pub use app::{LinSolveApp, LocalSolver};
-pub use system::{diag_dominant_system, LinSystem, Row};
+pub use system::{diag_dominant_system, residual_l2, LinSystem, Row};

@@ -109,21 +109,6 @@ impl IterativeApp for NeuralNetApp {
     }
 }
 
-impl QualityProbe for NeuralNetApp {
-    /// Held-out cross-entropy loss on the validation set, a smoother
-    /// quality signal than the (stepwise) misclassification objective.
-    fn quality(&self, model: &Mlp) -> QualitySample {
-        let mut indices = Vec::new();
-        if !self.validation.is_empty() {
-            indices.push(("heldout_loss", model.loss(&self.validation)));
-        }
-        QualitySample {
-            objective: self.error(model),
-            indices,
-        }
-    }
-}
-
 impl PicApp for NeuralNetApp {
     fn partition_data(&self, data: &Dataset<Sample>, parts: usize) -> Vec<Vec<Sample>> {
         partition::random(data.iter_records().cloned(), parts, self.partition_seed)
@@ -137,18 +122,11 @@ impl PicApp for NeuralNetApp {
         // Model averaging: sub-networks started from the same weights, so
         // corresponding parameters are aligned and their average is
         // meaningful (the paper's vector-average default merge).
-        assert!(!subs.is_empty(), "no sub-models to merge");
-        let mut params = vec![0.0; subs[0].params.len()];
-        for sub in subs {
-            assert_eq!(sub.params.len(), params.len(), "shape mismatch");
-            for (a, b) in params.iter_mut().zip(&sub.params) {
-                *a += b;
-            }
+        let params: Vec<Vec<f64>> = subs.iter().map(|s| s.params.clone()).collect();
+        Mlp {
+            params: merge::average(&params),
+            ..subs[0]
         }
-        for p in &mut params {
-            *p /= subs.len() as f64;
-        }
-        Mlp { params, ..subs[0] }
     }
 
     fn solve_local(
@@ -166,7 +144,6 @@ impl PicApp for NeuralNetApp {
         // early plateau dip.
         let mut m = model.clone();
         let mut prev_loss = m.loss(records);
-        let cap = cap.min(self.local_cap);
         for it in 1..=cap {
             let (grad, count) = Self::batch_gradient(records, &m);
             m = m.apply_gradient(&grad, count, self.lr);
@@ -300,6 +277,16 @@ mod tests {
         let (m, iters) = app.solve_local(0, &train[..100], &model, 30);
         assert!((1..=30).contains(&iters));
         assert!(m.loss(&train[..100]) < model.loss(&train[..100]));
+    }
+
+    #[test]
+    fn solve_local_honours_a_cap_above_the_default() {
+        let (train, valid, model) = setup();
+        let mut app = NeuralNetApp::new(valid);
+        app.local_rel_threshold = f64::NEG_INFINITY;
+        assert!(app.local_iteration_cap() < 80);
+        let (_, iters) = app.solve_local(0, &train, &model, 80);
+        assert_eq!(iters, 80, "the driver's cap is the cap");
     }
 
     #[test]

@@ -277,25 +277,6 @@ impl IterativeApp for PageRankApp {
     }
 }
 
-impl QualityProbe for PageRankApp {
-    /// The L1 residual of one full PageRank step, `‖P(r) − r‖₁` — the
-    /// distance from the power iteration's fixed point, which needs no
-    /// reference solution to compute.
-    fn quality(&self, model: &PrModel) -> QualitySample {
-        let next = self.sequential_step(model);
-        let l1: f64 = next
-            .ranks
-            .iter()
-            .zip(&model.ranks)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        QualitySample {
-            objective: self.error(model),
-            indices: vec![("l1_residual", l1)],
-        }
-    }
-}
-
 impl PicApp for PageRankApp {
     fn partition_data(&self, data: &Dataset<VertexRec>, parts: usize) -> Vec<Vec<VertexRec>> {
         assert_eq!(

@@ -61,7 +61,7 @@ pub struct SmoothingApp {
     /// Reference (fully converged) image for the error metric.
     pub reference: Option<Image>,
     /// Observed (noisy) input image `f`; enables the sweep-residual
-    /// quality probe and the error fallback when no reference is set.
+    /// error metric when no reference is set.
     pub observed: Option<Image>,
     parts: usize,
     /// Tile columns; 1 = horizontal strips (the default), >1 = a 2-D
@@ -120,7 +120,7 @@ impl SmoothingApp {
     }
 
     /// Attach the observed input image `f`, enabling the sweep-residual
-    /// quality indices (and the error metric when no reference is set).
+    /// error metric when no reference is set.
     pub fn with_observed(mut self, observed: Image) -> Self {
         self.observed = Some(observed);
         self
@@ -232,23 +232,6 @@ impl IterativeApp for SmoothingApp {
     fn model_fanout(&self) -> pic_core::app::ModelFanout {
         // Each stencil mapper needs only its rows ± one halo row.
         pic_core::app::ModelFanout::Partitioned
-    }
-}
-
-impl QualityProbe for SmoothingApp {
-    /// Per-pixel delta of one sweep — max and RMS of `|u' − u|` — the
-    /// distance from the fixed point, computable without a reference.
-    fn quality(&self, model: &Image) -> QualitySample {
-        let mut indices = Vec::new();
-        if let Some(f) = &self.observed {
-            let next = self.sequential_sweep(model, f);
-            indices.push(("pixel_delta_max", next.max_diff(model)));
-            indices.push(("pixel_delta_rms", next.rms_diff(model)));
-        }
-        QualitySample {
-            objective: self.error(model),
-            indices,
-        }
     }
 }
 

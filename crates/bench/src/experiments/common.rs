@@ -151,8 +151,8 @@ pub struct Run<M> {
 }
 
 /// The bounds every runner needs of an app, stated once.
-pub trait BenchApp: PicApp<Record: Clone, Model: Clone + PartialEq> + QualityProbe {}
-impl<A: PicApp<Record: Clone, Model: Clone + PartialEq> + QualityProbe> BenchApp for A {}
+pub trait BenchApp: PicApp<Record: Clone, Model: Clone + PartialEq> {}
+impl<A: PicApp<Record: Clone, Model: Clone + PartialEq>> BenchApp for A {}
 
 /// One app over one dataset on one cluster — the single definition of
 /// "IC or PIC on a fresh engine over a fresh [`Dataset`]" that the
@@ -344,9 +344,7 @@ pub fn small_suite(
         use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
         let n = 100; // the paper's exact size
         let sys = diag_dominant_system(n, 0.05, 11);
-        let app = LinSolveApp::new(n, 5, 1e-8)
-            .with_exact(sys.exact.clone())
-            .with_rows(sys.rows.clone());
+        let app = LinSolveApp::new(n, 5, 1e-8).with_exact(sys.exact.clone());
         visitor.visit(&Workload {
             name: "linsolve",
             dfs_path,

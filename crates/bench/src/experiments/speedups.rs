@@ -79,9 +79,7 @@ pub fn pagerank_cmp(
 /// diagonally dominant).
 pub fn linsolve_cmp(spec: &ClusterSpec, n: usize, partitions: usize) -> Comparison<Vec<f64>> {
     let sys = diag_dominant_system(n, 0.05, 29);
-    let app = LinSolveApp::new(n, partitions, 1e-8)
-        .with_exact(sys.exact.clone())
-        .with_rows(sys.rows.clone());
+    let app = LinSolveApp::new(n, partitions, 1e-8).with_exact(sys.exact.clone());
     compare(
         spec,
         &app,

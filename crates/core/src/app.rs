@@ -19,6 +19,13 @@ pub enum ModelFanout {
     Partitioned,
 }
 
+/// One quality sample of a model, as [`IterativeApp::quality`] returns it.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct QualitySample {
+    /// [`IterativeApp::error`] of the model.
+    pub objective: Option<f64>,
+}
+
 /// A conventional iterative-convergence application, per the template of
 /// the paper's Fig. 1(a): repeat `model = iterate(data, model)` until
 /// `converged(prev, next)`.
@@ -49,9 +56,21 @@ pub trait IterativeApp: Send + Sync {
     fn converged(&self, prev: &Self::Model, next: &Self::Model) -> bool;
 
     /// Optional application-specific error metric for error-vs-time
-    /// trajectories (paper Fig. 12). `None` disables trajectory tracking.
+    /// trajectories (paper Fig. 12) and the trace's `quality` instants —
+    /// the one quality signal the drivers evaluate, once per model.
+    /// `None` disables trajectory tracking.
     fn error(&self, _model: &Self::Model) -> Option<f64> {
         None
+    }
+
+    /// [`IterativeApp::error`] wrapped in a [`QualitySample`]. Exists only
+    /// for `benchmark/src/workloads/kmeans_fig2.rs`, until a
+    /// `benchmark`-archetype issue switches it to `error`; the drivers
+    /// call `error` directly.
+    fn quality(&self, model: &Self::Model) -> QualitySample {
+        QualitySample {
+            objective: self.error(model),
+        }
     }
 
     /// Hard iteration cap (PageRank-style fixed-iteration algorithms set

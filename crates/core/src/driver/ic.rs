@@ -12,7 +12,6 @@
 //! replicated DFS — the two model-movement costs the paper identifies.
 
 use crate::app::IterativeApp;
-use crate::quality::QualityProbe;
 use crate::report::{IcReport, IterationStats, TrajectoryPoint};
 use crate::scope::IterScope;
 use pic_mapreduce::kv::ByteSize;
@@ -50,7 +49,7 @@ impl Default for IcOptions {
 
 /// Run the conventional IC computation of `app` over `data` from the
 /// starting model `init`.
-pub fn run_ic<A: IterativeApp + QualityProbe>(
+pub fn run_ic<A: IterativeApp>(
     engine: &Engine,
     app: &A,
     data: &Dataset<A::Record>,
@@ -130,15 +129,17 @@ pub fn run_ic<A: IterativeApp + QualityProbe>(
         );
 
         iterations += 1;
-        // Probe the refined model while the iteration span is still open,
-        // so the quality sample parents to (and lands inside) it.
-        super::record_quality(&tracer, app, &next, scope.iteration, Vec::new());
+        // Evaluate the refined model once; record it while the iteration
+        // span is still open, so the quality sample parents to (and lands
+        // inside) it.
+        let error = app.error(&next);
+        super::record_quality(&tracer, error, scope.iteration, Vec::new());
         tracer.end(it_span);
         per_iteration.push(IterationStats {
             time_s: engine.now() - it_t0,
             traffic: engine.traffic().delta_since(&it_traffic0),
         });
-        if let Some(e) = app.error(&next) {
+        if let Some(e) = error {
             trajectory.push(TrajectoryPoint {
                 t_s: engine.now() - run_t0,
                 error: e,

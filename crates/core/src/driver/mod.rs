@@ -6,35 +6,30 @@ mod pic;
 pub use ic::{run_ic, IcOptions};
 pub use pic::{run_pic, PicOptions};
 
-use crate::quality::QualityProbe;
 use pic_simnet::trace::{Args, Payload, Tracer};
 
 /// DFS path prefix for the drivers' model files.
 const MODEL_PATH: &str = "/pic/model";
 
-/// Sample `app`'s quality of `model` and record it as a `quality`
-/// instant — rendered as a Chrome *counter* event by
-/// [`pic_simnet::trace::Trace::to_chrome_json`]. Called inside the open
-/// iteration span so the sample parents to it; `trace::check` verifies
-/// that containment and that sample times are strictly monotone.
-pub(crate) fn record_quality<A: QualityProbe>(
+/// Record a model's `objective` (its [`crate::IterativeApp::error`],
+/// evaluated once by the caller) as a `quality` instant — rendered as a
+/// Chrome *counter* event by [`pic_simnet::trace::Trace::to_chrome_json`].
+/// Called inside the open iteration span so the sample parents to it;
+/// `trace::check` verifies that containment and that sample times are
+/// strictly monotone.
+pub(crate) fn record_quality(
     tracer: &Tracer,
-    app: &A,
-    model: &A::Model,
+    objective: Option<f64>,
     iteration: usize,
     mut extra: Args,
 ) {
     if !tracer.is_enabled() {
         return;
     }
-    let sample = app.quality(model);
     let mut args: Args = vec![("iteration".into(), Payload::U64(iteration as u64))];
     args.append(&mut extra);
-    if let Some(v) = sample.objective {
+    if let Some(v) = objective {
         args.push(("objective".into(), Payload::F64(v)));
-    }
-    for (name, v) in sample.indices {
-        args.push((name.into(), Payload::F64(v)));
     }
     tracer.instant("sample", "quality", args);
 }

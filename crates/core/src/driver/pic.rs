@@ -22,7 +22,6 @@
 
 use crate::app::PicApp;
 use crate::driver::ic::{run_ic, IcOptions};
-use crate::quality::QualityProbe;
 use crate::report::{PicReport, TrajectoryPoint};
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
@@ -106,7 +105,7 @@ fn subgroup(nodes: usize, g: usize, groups: usize) -> std::ops::Range<usize> {
 }
 
 /// Run the two-phase PIC computation of `app` over `data` from `init`.
-pub fn run_pic<A: PicApp + QualityProbe>(
+pub fn run_pic<A: PicApp>(
     engine: &Engine,
     app: &A,
     data: &Dataset<A::Record>,
@@ -153,7 +152,9 @@ pub fn run_pic<A: PicApp + QualityProbe>(
 
     let mut model = init;
     let mut trajectory = Vec::new();
-    if let Some(e) = app.error(&model) {
+    // The error of the current unified model, evaluated once per model.
+    let mut error = app.error(&model);
+    if let Some(e) = error {
         trajectory.push(TrajectoryPoint { t_s: 0.0, error: e });
     }
     let mut local_iterations: Vec<Vec<usize>> = Vec::new();
@@ -300,18 +301,18 @@ pub fn run_pic<A: PicApp + QualityProbe>(
 
         local_iterations.push(solved.iter().map(|(_, iters)| *iters).collect());
         be_iterations += 1;
-        // Probe the merged model while the best-effort span is still
-        // open; the round's local-iteration batch total rides along.
+        // Record the merged model's error while the best-effort span is
+        // still open; the round's local-iteration batch total rides along.
+        error = app.error(&merged);
         let batch_locals: usize = solved.iter().map(|(_, iters)| *iters).sum();
         super::record_quality(
             &tracer,
-            app,
-            &merged,
+            error,
             be_iterations,
             vec![("local_iterations".into(), Payload::U64(batch_locals as u64))],
         );
         tracer.end(be_span);
-        if let Some(e) = app.error(&merged) {
+        if let Some(e) = error {
             trajectory.push(TrajectoryPoint {
                 t_s: engine.now() - run_t0,
                 error: e,
@@ -351,7 +352,7 @@ pub fn run_pic<A: PicApp + QualityProbe>(
 
     let be_time_s = engine.now() - run_t0;
     let be_traffic = engine.traffic().delta_since(&be_traffic0);
-    let be_final_error = app.error(&model);
+    let be_final_error = error;
     let be_model = model.clone();
 
     // ---- Top-off phase: the unmodified IC computation. ------------------

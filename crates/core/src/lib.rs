@@ -41,7 +41,6 @@
 //! // moved 50% of the way toward the true mean each iteration.
 //! struct MeanApp;
 //!
-//! impl QualityProbe for MeanApp {}
 //! impl IterativeApp for MeanApp {
 //!     type Record = f64;
 //!     type Model = f64;
@@ -72,13 +71,11 @@ pub mod convergence;
 pub mod driver;
 pub mod merge;
 pub mod partition;
-pub mod quality;
 pub mod report;
 pub mod scope;
 
 pub use app::{IterativeApp, PicApp};
 pub use driver::{run_ic, run_pic, IcOptions, PicOptions};
-pub use quality::{QualityProbe, QualitySample};
 pub use report::{IcReport, PicReport, TrajectoryPoint};
 pub use scope::IterScope;
 
@@ -89,7 +86,6 @@ pub mod prelude {
     pub use crate::driver::{self, run_ic, run_pic, IcOptions, PicOptions};
     pub use crate::merge;
     pub use crate::partition;
-    pub use crate::quality::{QualityProbe, QualitySample};
     pub use crate::report::{IcReport, PicReport, TrajectoryPoint};
     pub use crate::scope::IterScope;
 }

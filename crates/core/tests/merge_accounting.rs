@@ -44,8 +44,6 @@ impl IterativeApp for UnevenModelApp {
     }
 }
 
-impl QualityProbe for UnevenModelApp {}
-
 impl PicApp for UnevenModelApp {
     fn partition_data(&self, data: &Dataset<f64>, parts: usize) -> Vec<Vec<f64>> {
         partition::chunked(data.iter_records().copied(), parts)
@@ -132,7 +130,6 @@ fn equal_sized_sub_models_unchanged() {
             3
         }
     }
-    impl QualityProbe for EqualApp {}
 
     impl PicApp for EqualApp {
         fn partition_data(&self, data: &Dataset<f64>, parts: usize) -> Vec<Vec<f64>> {

@@ -10,8 +10,19 @@
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine};
 use pic_simnet::ClusterSpec;
+use std::cell::Cell;
 
 struct MeanApp;
+
+thread_local! {
+    /// `MeanApp::error` calls made on this thread. Each test runs on its
+    /// own thread and the drivers evaluate the metric on the caller's.
+    static ERROR_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn error_calls() -> usize {
+    ERROR_CALLS.with(Cell::get)
+}
 
 const THRESHOLD: f64 = 1e-6;
 
@@ -47,6 +58,7 @@ impl IterativeApp for MeanApp {
     }
 
     fn error(&self, model: &f64) -> Option<f64> {
+        ERROR_CALLS.with(|c| c.set(c.get() + 1));
         Some((model - 10.0).abs()) // data is constructed with mean 10
     }
 
@@ -54,8 +66,6 @@ impl IterativeApp for MeanApp {
         100
     }
 }
-
-impl QualityProbe for MeanApp {}
 
 impl PicApp for MeanApp {
     fn partition_data(&self, data: &Dataset<f64>, parts: usize) -> Vec<Vec<f64>> {
@@ -257,4 +267,50 @@ fn trajectory_time_is_monotonic_across_phases() {
     for w in r.trajectory.windows(2) {
         assert!(w[1].t_s >= w[0].t_s, "trajectory time went backwards");
     }
+}
+
+#[test]
+fn drivers_evaluate_each_model_once() {
+    // A traced engine: the trajectory and the `quality` instant of each
+    // model share one `error` call.
+    let e = engine();
+    let data = Dataset::create(&e, "/toy/evals", symmetric_data(1000), 6);
+
+    let before = error_calls();
+    let ic = run_ic(&e, &MeanApp, &data, 0.0, &IcOptions::default());
+    assert_eq!(
+        error_calls() - before,
+        ic.iterations + 1,
+        "IC: the initial model plus one call per iteration"
+    );
+
+    let before = error_calls();
+    let pic = run_pic(
+        &e,
+        &MeanApp,
+        &data,
+        0.0,
+        &PicOptions {
+            partitions: 4,
+            ..Default::default()
+        },
+    );
+    let calls = error_calls() - before;
+    assert!(
+        calls <= 3 + pic.be_iterations + pic.topoff_iterations,
+        "PIC: {calls} error calls for {} BE + {} top-off iterations",
+        pic.be_iterations,
+        pic.topoff_iterations
+    );
+
+    let samples = e
+        .trace()
+        .instants
+        .iter()
+        .filter(|i| i.cat == "quality")
+        .count();
+    assert_eq!(
+        samples,
+        ic.iterations + pic.be_iterations + pic.topoff_iterations
+    );
 }

@@ -40,8 +40,10 @@ pub struct JobConfig {
     /// Number of reduce tasks. Must be ≥ 1.
     pub reducers: usize,
     /// Restrict execution to this contiguous node group (`None` = whole
-    /// cluster). PIC's local iterations run each sub-problem inside its own
-    /// group; shuffle traffic is then charged only within the group.
+    /// cluster); shuffle traffic is then charged only within the group.
+    /// IC and top-off jobs get the driver's active group (the whole
+    /// cluster until an elastic resize). PIC's local iterations run no
+    /// jobs: they run in memory in `PicApp::solve_local`.
     pub node_group: Option<std::ops::Range<NodeId>>,
     /// Task-duration model.
     pub timing: Timing,

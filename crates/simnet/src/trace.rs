@@ -128,8 +128,8 @@ impl InstantEvent {
         arg_u64(&self.args, key)
     }
 
-    /// The `F64` payload stored under `key`, if any (`objective` and the
-    /// app-specific indices on `quality` instants).
+    /// The `F64` payload stored under `key`, if any (`objective` on
+    /// `quality` instants).
     pub fn arg_f64(&self, key: &str) -> Option<f64> {
         self.args.iter().find_map(|(k, v)| match v {
             Payload::F64(f) if k == key => Some(*f),

@@ -17,9 +17,7 @@ use std::collections::HashMap;
 fn app() -> (LinSolveApp, Vec<pic_apps::linsolve::Row>, usize) {
     let n = 60;
     let sys = diag_dominant_system(n, 0.05, 11);
-    let app = LinSolveApp::new(n, 5, 1e-8)
-        .with_exact(sys.exact.clone())
-        .with_rows(sys.rows.clone());
+    let app = LinSolveApp::new(n, 5, 1e-8).with_exact(sys.exact.clone());
     (app, sys.rows, n)
 }
 

@@ -226,9 +226,7 @@ fn injected_crash_preserves_quality_trajectories_and_reconciles_recovery() {
     use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
     let n = 100;
     let sys = diag_dominant_system(n, 0.05, 11);
-    let app = LinSolveApp::new(n, 5, 1e-8)
-        .with_exact(sys.exact.clone())
-        .with_rows(sys.rows.clone());
+    let app = LinSolveApp::new(n, 5, 1e-8).with_exact(sys.exact.clone());
     let timing = Timing::default_analytic();
 
     let clean_engine = Engine::new(ClusterSpec::small());

@@ -5,11 +5,15 @@
 //!   lands at a later simulated instant than the previous one, in both
 //!   drivers (the PIC curve spans the BE → top-off handoff);
 //! * the last trajectory point's error equals the converged model's
-//!   probe value **exactly** (`==`) — the curve ends where the probe of
+//!   `error` **exactly** (`==`) — the curve ends where the metric of
 //!   the returned model says it does, so report, trace and driver all
 //!   describe the same run;
 //! * `be_final_error` is populated whenever the app defines an error
-//!   metric, and equals the probe of the handoff model.
+//!   metric, and equals the `error` of the handoff model;
+//! * every `quality` instant carries only `iteration`, `objective` and
+//!   `local_iterations` — the error is the one quality signal;
+//! * converged linsolve and smoothing runs are fixed points of the
+//!   app's sequential reference (`residual_l2`, `sequential_sweep`).
 
 use pic_core::prelude::*;
 use pic_core::report::{IcReport, PicReport, TrajectoryPoint};
@@ -33,9 +37,9 @@ fn assert_strictly_monotone_t(name: &str, traj: &[TrajectoryPoint]) {
 }
 
 /// The shared contract: both curves strictly monotone, both final points
-/// reconciling exactly with a fresh probe of the returned models, and
+/// reconciling exactly with a fresh `error` of the returned models, and
 /// the BE handoff error recorded and reconciling with the BE model.
-fn assert_quality_invariants<A: QualityProbe>(
+fn assert_quality_invariants<A: IterativeApp>(
     name: &str,
     app: &A,
     ic: &IcReport<A::Model>,
@@ -45,19 +49,18 @@ fn assert_quality_invariants<A: QualityProbe>(
     assert_strictly_monotone_t(&format!("{name}/pic"), &pic.trajectory);
 
     let probe = |m: &A::Model| -> f64 {
-        app.quality(m)
-            .objective
-            .unwrap_or_else(|| panic!("{name}: probe objective is None"))
+        app.error(m)
+            .unwrap_or_else(|| panic!("{name}: error metric is None"))
     };
     assert_eq!(
         ic.trajectory.last().unwrap().error,
         probe(&ic.final_model),
-        "{name}/ic: last trajectory error != probe of final model"
+        "{name}/ic: last trajectory error != error of final model"
     );
     assert_eq!(
         pic.trajectory.last().unwrap().error,
         probe(&pic.final_model),
-        "{name}/pic: last trajectory error != probe of final model"
+        "{name}/pic: last trajectory error != error of final model"
     );
     let be_err = pic
         .be_final_error
@@ -65,11 +68,13 @@ fn assert_quality_invariants<A: QualityProbe>(
     assert_eq!(
         be_err,
         probe(&pic.be_model),
-        "{name}: be_final_error != probe of BE handoff model"
+        "{name}: be_final_error != error of BE handoff model"
     );
 }
 
-fn run_both<A: PicApp + QualityProbe>(
+/// Run IC then PIC on one traced engine and check that every `quality`
+/// instant either driver recorded carries only the allowed args.
+fn run_both<A: PicApp>(
     app: &A,
     records: Vec<A::Record>,
     init: A::Model,
@@ -99,6 +104,26 @@ fn run_both<A: PicApp + QualityProbe>(
             ..Default::default()
         },
     );
+    let trace = e.trace();
+    let samples: Vec<_> = trace
+        .instants
+        .iter()
+        .filter(|i| i.cat == "quality")
+        .collect();
+    assert_eq!(
+        samples.len(),
+        ic.iterations + pic.be_iterations + pic.topoff_iterations,
+        "one quality instant per iteration"
+    );
+    for i in samples {
+        for (key, _) in &i.args {
+            assert!(
+                ["iteration", "objective", "local_iterations"].contains(&key.as_str()),
+                "{}: unexpected quality arg {key:?}",
+                app.name()
+            );
+        }
+    }
     (ic, pic)
 }
 
@@ -140,13 +165,30 @@ fn neuralnet_quality_invariants() {
 
 #[test]
 fn linsolve_quality_invariants() {
-    use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
-    let sys = diag_dominant_system(60, 0.3, 9);
-    let app = LinSolveApp::new(60, 4, 1e-9)
-        .with_exact(sys.exact.clone())
-        .with_rows(sys.rows.clone());
-    let (ic, pic) = run_both(&app, sys.rows.clone(), vec![0.0; 60], 6, 4);
+    use pic_apps::linsolve::{diag_dominant_system, residual_l2, LinSolveApp};
+    let n = 60;
+    let sys = diag_dominant_system(n, 0.3, 9);
+    let app = LinSolveApp::new(n, 4, 1e-9).with_exact(sys.exact.clone());
+    let (ic, pic) = run_both(&app, sys.rows.clone(), vec![0.0; n], 6, 4);
     assert_quality_invariants("linsolve", &app, &ic, &pic);
+
+    // Fixed-point oracle: for Jacobi, b − Ax_k = D(x_{k+1} − x_k), and the
+    // sweep is a sup-norm contraction, so a model whose last step moved no
+    // unknown by `threshold` has ‖Ax − b‖₂ ≤ √n · max|a_ii| · threshold.
+    let max_diag = sys
+        .rows
+        .iter()
+        .map(|r| r.a[r.i as usize].abs())
+        .fold(0.0, f64::max);
+    let bound = (n as f64).sqrt() * max_diag * app.threshold;
+    for (driver, converged, x) in [
+        ("ic", ic.converged, &ic.final_model),
+        ("pic", pic.topoff_converged, &pic.final_model),
+    ] {
+        assert!(converged, "linsolve/{driver} did not converge");
+        let r = residual_l2(&sys.rows, x);
+        assert!(r <= bound, "linsolve/{driver}: ‖Ax−b‖₂ = {r:e} > {bound:e}");
+    }
 }
 
 #[test]
@@ -156,4 +198,19 @@ fn smoothing_quality_invariants() {
     let app = SmoothingApp::new(16, 16, 4, 1e-5).with_observed(f.clone());
     let (ic, pic) = run_both(&app, f.rows(), f.clone(), 8, 4);
     assert_quality_invariants("smoothing", &app, &ic, &pic);
+
+    // Fixed-point oracle: the sweep is a sup-norm contraction with factor
+    // 1 − μ, so one more sweep of a converged image moves no pixel by
+    // `threshold` or more.
+    for (driver, converged, u) in [
+        ("ic", ic.converged, &ic.final_model),
+        ("pic", pic.topoff_converged, &pic.final_model),
+    ] {
+        assert!(converged, "smoothing/{driver} did not converge");
+        let moved = app.sequential_sweep(u, &f).max_diff(u);
+        assert!(
+            moved < app.threshold,
+            "smoothing/{driver}: one more sweep moves a pixel by {moved:e}"
+        );
+    }
 }
