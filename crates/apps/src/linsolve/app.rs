@@ -35,20 +35,6 @@ impl Reducer for IdentityReducer {
     }
 }
 
-/// The sweep kernel used inside a sub-problem's local iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LocalSolver {
-    /// Synchronous Jacobi — identical to the global iteration (what the
-    /// paper's "fully re-used" implementation gives you).
-    #[default]
-    Jacobi,
-    /// Gauss–Seidel — uses updates within the sweep immediately;
-    /// converges roughly twice as fast on dominant systems. Legitimate
-    /// inside a sub-problem because local iterations are single-task and
-    /// sequential anyway (an ablation on the local-solver choice).
-    GaussSeidel,
-}
-
 /// Jacobi solver for `A x = b`; the model is the solution vector `x`.
 pub struct LinSolveApp {
     /// Number of unknowns.
@@ -59,8 +45,6 @@ pub struct LinSolveApp {
     pub max_iterations: usize,
     /// Exact solution for the error metric (`None` disables it).
     pub exact: Option<Vec<f64>>,
-    /// Local sweep kernel for the best-effort phase.
-    pub local_solver: LocalSolver,
     /// Per-partition contiguous row ranges, fixed at construction (block
     /// Jacobi structure).
     parts: usize,
@@ -75,7 +59,6 @@ impl LinSolveApp {
             threshold,
             max_iterations: 500,
             exact: None,
-            local_solver: LocalSolver::default(),
             parts,
         }
     }
@@ -190,32 +173,19 @@ impl PicApp for LinSolveApp {
         model: &Vec<f64>,
         cap: usize,
     ) -> (Vec<f64>, usize) {
-        // Block relaxation: sweep only this block's rows; off-block
-        // unknowns stay frozen at the best-effort iteration's starting
-        // values.
+        // Block relaxation: synchronous Jacobi sweeps over this block's
+        // rows only; off-block unknowns stay frozen at the best-effort
+        // iteration's starting values.
         let range = self.block_range(part);
         let mut x = model.clone();
         for it in 1..=cap {
             let mut max_change = 0.0f64;
-            match self.local_solver {
-                LocalSolver::Jacobi => {
-                    let updates: Vec<f64> = records.iter().map(|r| jacobi_row(r, &x)).collect();
-                    for (r, v) in records.iter().zip(updates) {
-                        let i = r.i as usize;
-                        debug_assert!(range.contains(&i));
-                        max_change = max_change.max((x[i] - v).abs());
-                        x[i] = v;
-                    }
-                }
-                LocalSolver::GaussSeidel => {
-                    for r in records {
-                        let i = r.i as usize;
-                        debug_assert!(range.contains(&i));
-                        let v = jacobi_row(r, &x);
-                        max_change = max_change.max((x[i] - v).abs());
-                        x[i] = v;
-                    }
-                }
+            let updates: Vec<f64> = records.iter().map(|r| jacobi_row(r, &x)).collect();
+            for (r, v) in records.iter().zip(updates) {
+                let i = r.i as usize;
+                debug_assert!(range.contains(&i));
+                max_change = max_change.max((x[i] - v).abs());
+                x[i] = v;
             }
             if max_change < self.threshold {
                 return (x, it);
@@ -350,45 +320,5 @@ mod tests {
         let t = &r.trajectory;
         assert!(t.len() >= 3);
         assert!(t.last().unwrap().error <= t[0].error);
-    }
-}
-
-#[cfg(test)]
-mod gauss_seidel_tests {
-    use super::*;
-    use crate::linsolve::system::diag_dominant_system;
-
-    #[test]
-    fn gauss_seidel_local_converges_faster_than_jacobi() {
-        let sys = diag_dominant_system(60, 0.1, 41);
-        let mut jacobi = LinSolveApp::new(60, 3, 1e-9);
-        jacobi.local_solver = LocalSolver::Jacobi;
-        let mut gs = LinSolveApp::new(60, 3, 1e-9);
-        gs.local_solver = LocalSolver::GaussSeidel;
-
-        let rows: Vec<Row> = sys.rows[jacobi.block_range(0)].to_vec();
-        let x0 = vec![0.0; 60];
-        let (_, it_j) = jacobi.solve_local(0, &rows, &x0, 500);
-        let (_, it_gs) = gs.solve_local(0, &rows, &x0, 500);
-        assert!(
-            it_gs < it_j,
-            "Gauss-Seidel ({it_gs}) should beat Jacobi ({it_j}) locally"
-        );
-    }
-
-    #[test]
-    fn both_local_solvers_land_on_the_same_block_solution() {
-        let sys = diag_dominant_system(40, 0.2, 43);
-        let mut jacobi = LinSolveApp::new(40, 4, 1e-12);
-        jacobi.local_solver = LocalSolver::Jacobi;
-        let mut gs = LinSolveApp::new(40, 4, 1e-12);
-        gs.local_solver = LocalSolver::GaussSeidel;
-        let rows: Vec<Row> = sys.rows[jacobi.block_range(1)].to_vec();
-        let x0 = vec![0.1; 40];
-        let (xj, _) = jacobi.solve_local(1, &rows, &x0, 5000);
-        let (xg, _) = gs.solve_local(1, &rows, &x0, 5000);
-        for (a, b) in xj.iter().zip(&xg) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
     }
 }

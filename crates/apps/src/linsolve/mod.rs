@@ -24,5 +24,5 @@
 mod app;
 mod system;
 
-pub use app::{LinSolveApp, LocalSolver};
+pub use app::LinSolveApp;
 pub use system::{diag_dominant_system, residual_l2, LinSystem, Row};

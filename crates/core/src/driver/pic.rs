@@ -26,7 +26,7 @@ use crate::report::{PicReport, TrajectoryPoint};
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::hostprof::{self, Stage};
-use pic_simnet::scheduler::{ScheduleOutcome, TaskSpec};
+use pic_simnet::scheduler::TaskSpec;
 use pic_simnet::trace::Payload;
 use pic_simnet::traffic::TrafficClass;
 use pic_simnet::transfer;
@@ -58,18 +58,6 @@ pub struct PicOptions {
     /// conservatively falls back to the framework `map_secs` of
     /// [`PicOptions::timing`].
     pub local_secs_per_record: Option<f64>,
-    /// Best-effort straggler tolerance: the fraction of sub-problems a
-    /// best-effort iteration waits for (`1.0` = all, the paper's
-    /// behaviour). With `q < 1`, each round advances the clock only to the
-    /// ⌈q·parts⌉-th task completion; sub-problems still running at that
-    /// point contribute their *starting* sub-model to the merge (their
-    /// round's work is discarded). This generalizes the "forgiving nature"
-    /// the paper exploits from numerical slack to timing slack.
-    pub merge_quorum: f64,
-    /// Duration multipliers for specific sub-problems (`(partition,
-    /// factor)`, factor > 1 = slower) — fault/straggler injection for
-    /// experiments.
-    pub slow_partitions: Vec<(usize, f64)>,
 }
 
 impl Default for PicOptions {
@@ -81,8 +69,6 @@ impl Default for PicOptions {
             max_be_iterations: None,
             max_topoff_iterations: None,
             local_secs_per_record: None,
-            merge_quorum: 1.0,
-            slow_partitions: Vec::new(),
         }
     }
 }
@@ -117,10 +103,6 @@ pub fn run_pic<A: PicApp>(
     let mut parts = opts.partitions;
     let mut active_nodes = spec.nodes;
     assert!(parts > 0, "need at least one partition");
-    assert!(
-        opts.merge_quorum > 0.0 && opts.merge_quorum <= 1.0,
-        "merge_quorum must be in (0, 1]"
-    );
 
     // Root span for the whole two-phase run; the best-effort rounds and the
     // top-off's "topoff:*" driver span nest inside it.
@@ -159,7 +141,6 @@ pub fn run_pic<A: PicApp>(
     }
     let mut local_iterations: Vec<Vec<usize>> = Vec::new();
     let mut be_iterations = 0;
-    let mut straggler_drops = 0usize;
 
     while be_iterations < max_be {
         let be_span = tracer.begin(format!("be-{}", be_iterations + 1), "be-iteration");
@@ -222,63 +203,30 @@ pub fn run_pic<A: PicApp>(
             .enumerate()
             .map(|(p, (_, iters))| {
                 let records = parts_records[p].len() as f64;
-                let mut duration = records * map_secs + records * *iters as f64 * local;
-                if let Some((_, factor)) = opts.slow_partitions.iter().find(|(sp, _)| *sp == p) {
-                    duration *= factor;
-                }
                 TaskSpec {
-                    duration_s: duration,
+                    duration_s: records * map_secs + records * *iters as f64 * local,
                     preferred_nodes: groups[p].clone().collect(),
                     input_bytes: 0, // sub-problem data is group-local
                 }
             })
             .collect();
 
-        // Quorum wait: advance only to the ⌈q·parts⌉-th completion;
-        // sub-problems still running then are stragglers whose round is
-        // discarded (they contribute their starting sub-model).
-        let quorum = ((opts.merge_quorum * parts as f64).ceil() as usize).clamp(1, parts);
-        let quorum_finish = |o: &ScheduleOutcome| {
-            let mut finish_sorted = o.finish_times.clone();
-            finish_sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            finish_sorted[quorum - 1]
-        };
         // Chaos: nodes dying inside this round's window kill their running
         // solve attempts; surviving slots re-execute them (identical host
         // results — the replay only pays the time and recovery traffic,
-        // each killed attempt's lost sub-model broadcast). Task spans are
-        // clamped to the quorum wait so straggler spans do not escape
-        // this round.
-        let (outcome, quorum_time) = engine.schedule_phase(
+        // each killed attempt's lost sub-model broadcast).
+        let outcome = engine.schedule_phase(
             &tasks,
             spec.map_slots_per_node(),
             0..active_nodes,
             engine.now(),
             "solve",
-            &[],
             &|t| sub_models[t].byte_size(),
-            &quorum_finish,
         );
-        engine.advance(quorum_time);
+        engine.advance(outcome.makespan_s);
 
         // Collect sub-models and merge (paper `merge`).
-        let sub_results: Vec<A::Model> = solved
-            .iter()
-            .enumerate()
-            .map(|(p, (m, _))| {
-                if outcome.finish_times[p] <= quorum_time {
-                    m.clone()
-                } else {
-                    straggler_drops += 1;
-                    tracer.instant(
-                        "straggler-drop",
-                        "sched",
-                        vec![("partition".into(), Payload::U64(p as u64))],
-                    );
-                    sub_models[p].clone()
-                }
-            })
-            .collect();
+        let (sub_results, iters): (Vec<A::Model>, Vec<usize>) = solved.into_iter().unzip();
         // Charge the exact per-sub-model sizes: a mean rounded down to a
         // common size undercounts the merge traffic by up to `parts - 1`
         // bytes per round whenever sub-model sizes are uneven.
@@ -299,12 +247,12 @@ pub fn run_pic<A: PicApp>(
         );
         tracer.end(merge_span);
 
-        local_iterations.push(solved.iter().map(|(_, iters)| *iters).collect());
+        let batch_locals: usize = iters.iter().sum();
+        local_iterations.push(iters);
         be_iterations += 1;
         // Record the merged model's error while the best-effort span is
         // still open; the round's local-iteration batch total rides along.
         error = app.error(&merged);
-        let batch_locals: usize = solved.iter().map(|(_, iters)| *iters).sum();
         super::record_quality(
             &tracer,
             error,
@@ -396,6 +344,5 @@ pub fn run_pic<A: PicApp>(
         topoff_traffic: topoff.traffic,
         trajectory,
         be_final_error,
-        straggler_drops,
     }
 }

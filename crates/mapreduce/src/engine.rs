@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use pic_dfs::Dfs;
 use pic_simnet::chaos::{ChaosInjector, FaultPlan};
 use pic_simnet::hostprof::{self, Stage};
-use pic_simnet::scheduler::{Locality, ScheduleOutcome, SchedulerOptions, SlotScheduler, TaskSpec};
+use pic_simnet::scheduler::{Locality, ScheduleOutcome, SlotScheduler, TaskSpec};
 use pic_simnet::topology::{ClusterSpec, NodeId};
 use pic_simnet::trace::{Args, Payload, SpanId, Trace, Tracer};
 use pic_simnet::traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};
@@ -276,22 +276,17 @@ impl Engine {
     /// Replay one phase's tasks onto the cluster at `t_phase` with
     /// chaos-aware crash handling — the one scheduler behind map, reduce
     /// and PIC solve phases — then emit its task spans on `lane`-prefixed
-    /// lanes and a `retry` instant per attempt of a task in `retried`.
-    /// Returns the outcome and the phase's waited extent.
+    /// lanes. Every caller waits for the returned outcome's makespan.
     ///
-    /// `waited` maps an outcome to the seconds the phase's caller waits
-    /// (the makespan, or a best-effort round's quorum cut-off): spans,
-    /// crash instants and recovery charges are clamped into that window.
     /// A clean schedule establishes the failure-peek window; when an armed
     /// fault plan kills nodes inside it, the phase is rescheduled with
     /// those deaths so surviving slots re-execute the lost attempts, the
     /// crash instants are committed, lost DFS replicas re-replicate in the
     /// background, and every killed attempt charges `recovery_bytes(task)`
-    /// to [`TrafficClass::Recovery`]. With no plan armed this is exactly a
-    /// default-options [`SlotScheduler::schedule_with`] plus
+    /// to [`TrafficClass::Recovery`] over the phase. With no plan armed
+    /// this is exactly a [`SlotScheduler::schedule`] plus
     /// [`ScheduleOutcome::emit_task_spans`] — chaos never touches host
     /// computation, only simulated replay.
-    #[allow(clippy::too_many_arguments)]
     pub fn schedule_phase(
         &self,
         tasks: &[TaskSpec],
@@ -299,24 +294,16 @@ impl Engine {
         group: Range<NodeId>,
         t_phase: f64,
         lane: &str,
-        retried: &[usize],
         recovery_bytes: &dyn Fn(usize) -> u64,
-        waited: &dyn Fn(&ScheduleOutcome) -> f64,
-    ) -> (ScheduleOutcome, f64) {
+    ) -> ScheduleOutcome {
         let sched = SlotScheduler::new(&self.spec);
         let mut outcome = sched.schedule(tasks, slots_per_node, group.clone());
-        let mut extent = waited(&outcome);
         let t_peek_end = t_phase + outcome.makespan_s;
-        let failures = self.chaos.peek_failures(t_phase, t_peek_end);
-        if !failures.is_empty() {
-            let opts = SchedulerOptions {
-                node_failures: failures.relative,
-                ..Default::default()
-            };
-            outcome = sched.schedule_with(tasks, slots_per_node, group, &opts);
-            extent = waited(&outcome);
+        let deaths = self.chaos.peek_failures(t_phase, t_peek_end);
+        if !deaths.is_empty() {
+            outcome = sched.schedule_with(tasks, slots_per_node, group, &deaths);
         }
-        let t_end = t_phase + extent;
+        let t_end = t_phase + outcome.makespan_s;
         let fresh = self.chaos.commit_failures(t_peek_end, t_phase, t_end);
         if !fresh.is_empty() {
             let dead: Vec<NodeId> = fresh.iter().map(|&(n, _)| n).collect();
@@ -331,17 +318,8 @@ impl Engine {
                 }
             }
         }
-        outcome.emit_task_spans(&self.tracer, t_phase, lane, extent);
-        // Injected failures re-execute blindly inside their (doubled)
-        // task span; mark each with a `retry` instant at attempt start.
-        for l in &outcome.launches {
-            if retried.contains(&l.task) && !l.speculative {
-                let args = vec![("task".to_string(), Payload::U64(l.task as u64))];
-                self.tracer
-                    .instant_at("retry", "sched", t_phase + l.start_s, args);
-            }
-        }
-        (outcome, extent)
+        outcome.emit_task_spans(&self.tracer, t_phase, lane);
+        outcome
     }
 
     /// The map stage of every job: open the job span, run the mappers for
@@ -437,18 +415,12 @@ impl Engine {
         let tasks: Vec<TaskSpec> = outs
             .iter()
             .zip(&input.splits)
-            .enumerate()
-            .map(|(i, (mo, split))| {
+            .map(|(mo, split)| {
                 let compute = split.records.len() as f64 * map_secs;
                 // Spilling raw map output to local disk is part of the
                 // map task's critical path.
-                let mut duration = compute + mo.raw_bytes as f64 / self.spec.disk_bw;
-                if cfg.map_failures.contains(&i) {
-                    duration *= 2.0; // blind re-execution of the attempt
-                    stats.retried_tasks += 1;
-                }
                 TaskSpec {
-                    duration_s: duration,
+                    duration_s: compute + mo.raw_bytes as f64 / self.spec.disk_bw,
                     preferred_nodes: split.hosts.clone(),
                     input_bytes: split.bytes,
                 }
@@ -456,7 +428,7 @@ impl Engine {
             .collect();
 
         let map_span = self.tracer.begin_at("map", "phase", t_job);
-        let (outcome, map_time_s) = {
+        let outcome = {
             let _hp = hostprof::scope(Stage::Schedule);
             self.schedule_phase(
                 &tasks,
@@ -464,11 +436,10 @@ impl Engine {
                 group.clone(),
                 t_job,
                 "map",
-                &cfg.map_failures,
                 &|t| tasks[t].input_bytes,
-                &|o| o.makespan_s,
             )
         };
+        let map_time_s = outcome.makespan_s;
         self.tracer.end_at(map_span, t_job + map_time_s);
         self.tracer
             .set_arg(map_span, "waves", Payload::U64(outcome.waves as u64));
@@ -669,21 +640,13 @@ impl Engine {
         let Timing::PerRecord { reduce_secs, .. } = cfg.timing;
         let reduce_tasks: Vec<TaskSpec> = red_outs
             .iter()
-            .enumerate()
-            .map(|(i, (_, _, values))| {
-                let mut duration = *values as f64 * reduce_secs;
-                if cfg.reduce_failures.contains(&i) {
-                    duration *= 2.0; // blind re-execution, same as the map side
-                    stats.retried_tasks += 1;
-                }
-                TaskSpec::compute(duration)
-            })
+            .map(|(_, _, values)| TaskSpec::compute(*values as f64 * reduce_secs))
             .collect();
         let reduce_span = self.tracer.begin_at("reduce", "phase", t_reduce);
         // A killed reduce attempt re-fetches its shuffle partition from
         // the surviving map outputs — that refetch is the recovery cost.
         let reduce_recovery = stats.shuffle_bytes / cfg.reducers as u64;
-        let (red_outcome, reduce_time_s) = {
+        let red_outcome = {
             let _hp = hostprof::scope(Stage::Schedule);
             self.schedule_phase(
                 &reduce_tasks,
@@ -691,11 +654,10 @@ impl Engine {
                 group.clone(),
                 t_reduce,
                 "red",
-                &cfg.reduce_failures,
                 &|_| reduce_recovery,
-                &|o| o.makespan_s,
             )
         };
+        let reduce_time_s = red_outcome.makespan_s;
         self.tracer.end_at(reduce_span, t_reduce + reduce_time_s);
         self.tracer
             .set_arg(reduce_span, "waves", Payload::U64(red_outcome.waves as u64));
@@ -955,47 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_failure_retries_and_slows() {
-        let engine = word_count_engine();
-        let ds = Dataset::create(&engine, "/f", (0..100u64).collect(), 4);
-        let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 2, 1));
-        let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
-            ctx.emit((*k, vs.iter().sum()))
-        });
-        let ok = engine.run(&analytic("ok"), &ds, &mapper, &reducer);
-        let failed = engine.run(&analytic("fail").fail_map_task(0), &ds, &mapper, &reducer);
-        assert_eq!(failed.stats.retried_tasks, 1);
-        // Same output despite the failure.
-        let mut a = ok.output;
-        let mut b = failed.output;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn injected_reduce_failure_retries_and_matches() {
-        let engine = word_count_engine();
-        let ds = Dataset::create(&engine, "/rf", (0..100u64).collect(), 4);
-        let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 5, 1));
-        let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
-            ctx.emit((*k, vs.iter().sum()))
-        });
-        let ok = engine.run(&analytic("ok").reducers(3), &ds, &mapper, &reducer);
-        let failed = engine.run(
-            &analytic("fail").reducers(3).fail_reduce_task(1),
-            &ds,
-            &mapper,
-            &reducer,
-        );
-        assert_eq!(failed.stats.retried_tasks, 1);
-        assert!(failed.stats.reduce_time_s > ok.stats.reduce_time_s);
-        assert_eq!(failed.stats.shuffle_bytes, ok.stats.shuffle_bytes);
-        // Re-execution is blind: identical output, identical order.
-        assert_eq!(failed.output, ok.output);
-    }
-
-    #[test]
     fn armed_crash_preserves_results_and_charges_recovery() {
         use pic_simnet::chaos::FaultPlan;
         let slow = Timing::PerRecord {
@@ -1031,6 +952,60 @@ mod tests {
             .iter()
             .any(|i| i.cat == "chaos" && i.name == "node-crash"));
         pic_simnet::trace::check::validate(&trace, &t).expect("faulty trace still validates");
+    }
+
+    #[test]
+    fn crash_inside_the_reduce_phase_charges_each_lost_partition_refetch() {
+        use pic_simnet::chaos::FaultPlan;
+        let cfg = analytic("rc").reducers(4);
+        let run = |plan: &FaultPlan| {
+            let engine = word_count_engine();
+            let ds = Dataset::create(&engine, "/rc", (0..2000u64).collect(), 12);
+            engine.reset();
+            engine.arm_chaos(plan).unwrap();
+            let res = engine.run(&cfg, &ds, &mapper_mod(), &reducer_sum());
+            (res, engine.trace(), engine.traffic())
+        };
+        let (clean, clean_trace, _) = run(&FaultPlan::new(7));
+        // Crash a node that ran a reduce attempt halfway through the
+        // attempts' startup overhead: after the map phase, mid-reduce.
+        let node = clean_trace
+            .spans
+            .iter()
+            .find(|s| s.lane.starts_with("red-slot-"))
+            .and_then(|s| s.arg_u64("node"))
+            .expect("a reduce attempt ran") as NodeId;
+        let t_reduce = clean.stats.map_time_s.max(clean.stats.shuffle_time_s);
+        let at_s = t_reduce + 0.5 * ClusterSpec::small().task_overhead_s;
+        let (faulty, trace, traffic) = run(&FaultPlan::new(7).node_crash(node, at_s));
+
+        // Chaos touches only the simulated replay: the answer is bit-equal.
+        assert_eq!(faulty.output, clean.output);
+        assert_eq!(faulty.stats.map_time_s, clean.stats.map_time_s);
+        assert!(faulty.stats.reduce_time_s > clean.stats.reduce_time_s);
+        let killed_on = |lane: &str| {
+            trace
+                .instants
+                .iter()
+                .filter(|i| i.name == "task-killed" && i.lane.starts_with(lane))
+                .count() as u64
+        };
+        assert_eq!(killed_on("map-slot-"), 0, "the map phase ran clean");
+        let killed_reducers = killed_on("red-slot-");
+        assert!(killed_reducers >= 1, "the crash killed no reduce attempt");
+        // Recovery is the dead node's re-replicated blocks plus one
+        // shuffle partition re-fetched per killed reduce attempt.
+        let rereplicated: u64 = trace
+            .instants
+            .iter()
+            .filter(|i| i.name == "re-replicate")
+            .filter_map(|i| i.arg_u64("bytes"))
+            .sum();
+        assert_eq!(
+            traffic.recovery_total(),
+            rereplicated + killed_reducers * (faulty.stats.shuffle_bytes / 4)
+        );
+        pic_simnet::trace::check::validate(&trace, &traffic).expect("faulty trace still validates");
     }
 
     fn mapper_mod() -> impl Mapper<In = u64, K = u64, V = u64> {

@@ -47,13 +47,6 @@ pub struct JobConfig {
     pub node_group: Option<std::ops::Range<NodeId>>,
     /// Task-duration model.
     pub timing: Timing,
-    /// Indices of map tasks whose first attempt fails and is re-executed
-    /// (fault-injection hook; each costs one extra execution).
-    pub map_failures: Vec<usize>,
-    /// Indices of reduce tasks whose first attempt fails and is
-    /// re-executed, mirroring [`JobConfig::map_failures`] on the reduce
-    /// side: the attempt re-runs blindly, doubling that task's duration.
-    pub reduce_failures: Vec<usize>,
 }
 
 impl JobConfig {
@@ -67,8 +60,6 @@ impl JobConfig {
             reducers: 1,
             node_group: None,
             timing: Timing::default(),
-            map_failures: Vec::new(),
-            reduce_failures: Vec::new(),
         }
     }
 
@@ -90,18 +81,6 @@ impl JobConfig {
         self.timing = t;
         self
     }
-
-    /// Inject a one-shot failure into map task `idx`.
-    pub fn fail_map_task(mut self, idx: usize) -> Self {
-        self.map_failures.push(idx);
-        self
-    }
-
-    /// Inject a one-shot failure into reduce task `idx`.
-    pub fn fail_reduce_task(mut self, idx: usize) -> Self {
-        self.reduce_failures.push(idx);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -114,8 +93,6 @@ mod tests {
         assert_eq!(c.reducers, 1);
         assert!(c.node_group.is_none());
         assert_eq!(c.timing, Timing::default_analytic());
-        assert!(c.map_failures.is_empty());
-        assert!(c.reduce_failures.is_empty());
     }
 
     #[test]
@@ -123,13 +100,9 @@ mod tests {
         let c = JobConfig::new("j")
             .reducers(4)
             .on_group(2..5)
-            .fail_map_task(1)
-            .fail_reduce_task(2)
             .timing(Timing::default_analytic());
         assert_eq!(c.reducers, 4);
         assert_eq!(c.node_group, Some(2..5));
-        assert_eq!(c.map_failures, vec![1]);
-        assert_eq!(c.reduce_failures, vec![2]);
         assert_eq!(c.timing, Timing::default_analytic());
     }
 

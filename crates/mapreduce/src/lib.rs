@@ -22,7 +22,8 @@
 //!   this optimization, §II);
 //! * speculative-free, slot-based wave execution with per-task startup
 //!   overhead;
-//! * blind task re-execution on injected task failure.
+//! * re-execution on surviving nodes of the task attempts an injected
+//!   node crash (`pic_simnet::chaos::FaultPlan`) kills.
 //!
 //! What is deliberately *not* modelled: JVM details and disk spill
 //! merge-sort passes. The paper's argument is about traffic volume and

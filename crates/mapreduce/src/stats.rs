@@ -53,8 +53,6 @@ pub struct JobStats {
     pub rack_local_tasks: usize,
     /// Map tasks that fetched input across racks.
     pub remote_tasks: usize,
-    /// Map tasks re-executed after injected failure.
-    pub retried_tasks: usize,
     /// Merged user counters from all tasks.
     pub counters: Counters,
 }

@@ -15,9 +15,8 @@
 //! Chaos only perturbs the *simulated* replay — task placement, timing and
 //! traffic. Host-side computation is never killed, so a run under crashes
 //! or degradation produces byte-identical results to the clean run; only
-//! elastic resize (which changes the partitioning) and quorum drops may
-//! change the numbers, and then only within merge-quorum tolerance. The
-//! scenario suite in `tests/fault_tolerance.rs` pins these invariants.
+//! elastic resize (which changes the partitioning) may change the numbers.
+//! The scenario suite in `tests/fault_tolerance.rs` pins these invariants.
 
 use std::sync::Arc;
 
@@ -202,7 +201,7 @@ impl FaultPlan {
                             "preemption time {at_s} must be finite and non-negative"
                         ));
                     }
-                    wave_kills += k;
+                    wave_kills = wave_kills.saturating_add(*k);
                 }
                 FaultEvent::ElasticResize {
                     partitions, nodes, ..
@@ -222,7 +221,7 @@ impl FaultPlan {
                 }
             }
         }
-        if killed.len() + wave_kills >= spec.nodes && spec.nodes > 0 {
+        if killed.len().saturating_add(wave_kills) >= spec.nodes && spec.nodes > 0 {
             errs.push(format!(
                 "fault plan kills every node: {} crashes + {} wave victims >= {} nodes",
                 killed.len(),
@@ -289,23 +288,6 @@ struct Armed {
 #[derive(Debug, Clone, Default)]
 pub struct ChaosInjector {
     inner: Arc<Mutex<Option<Armed>>>,
-}
-
-/// The crash schedule relevant to one scheduling round, split into the
-/// form the slot scheduler wants and the bookkeeping the engine wants.
-#[derive(Debug, Clone, Default)]
-pub struct RoundFailures {
-    /// `(node, seconds relative to the round start)`; `<= 0` means the
-    /// node is already dead when the round begins. Feed this to
-    /// `SchedulerOptions::node_failures`.
-    pub relative: Vec<(NodeId, f64)>,
-}
-
-impl RoundFailures {
-    /// True if no crash affects the round.
-    pub fn is_empty(&self) -> bool {
-        self.relative.is_empty()
-    }
 }
 
 impl ChaosInjector {
@@ -421,23 +403,23 @@ impl ChaosInjector {
     }
 
     /// The crash schedule a scheduling round starting at `t0` must
-    /// honour, considering every crash at `at_s < t1`. Pure query — call
+    /// honour, considering every crash at `at_s < t1`: `(node, seconds
+    /// relative to the round start)`, the deaths
+    /// [`crate::scheduler::SlotScheduler::schedule_with`] takes.
+    /// Already-dead nodes come back with relative time `<= 0` (dead from
+    /// the round's start). Pure query — call
     /// [`ChaosInjector::commit_failures`] after the round is final to
-    /// fire instants. Already-dead nodes come back with relative time
-    /// `<= 0` (dead from the round's start).
-    pub fn peek_failures(&self, t0: f64, t1: f64) -> RoundFailures {
+    /// fire instants.
+    pub fn peek_failures(&self, t0: f64, t1: f64) -> Vec<(NodeId, f64)> {
         let g = self.inner.lock();
         let Some(a) = g.as_ref() else {
-            return RoundFailures::default();
+            return Vec::new();
         };
-        RoundFailures {
-            relative: a
-                .crashes
-                .iter()
-                .filter(|c| c.at_s < t1)
-                .map(|c| (c.node, c.at_s - t0))
-                .collect(),
-        }
+        a.crashes
+            .iter()
+            .filter(|c| c.at_s < t1)
+            .map(|c| (c.node, c.at_s - t0))
+            .collect()
     }
 
     /// Fire every not-yet-fired crash with `at_s < t1`: emit its
@@ -679,12 +661,7 @@ mod tests {
                 Tracer::disabled(),
             )
             .unwrap();
-            let mut v: Vec<NodeId> = c
-                .peek_failures(0.0, 10.0)
-                .relative
-                .iter()
-                .map(|(n, _)| *n)
-                .collect();
+            let mut v: Vec<NodeId> = c.peek_failures(0.0, 10.0).iter().map(|(n, _)| *n).collect();
             v.sort();
             v
         };
@@ -714,16 +691,16 @@ mod tests {
         assert!(c.peek_failures(0.0, 4.0).is_empty());
         // Covering the crash: relative time.
         let f = c.peek_failures(2.0, 10.0);
-        assert_eq!(f.relative, vec![(3, 3.0)]);
+        assert_eq!(f, vec![(3, 3.0)]);
         // Peek twice — pure.
-        assert_eq!(c.peek_failures(2.0, 10.0).relative, vec![(3, 3.0)]);
+        assert_eq!(c.peek_failures(2.0, 10.0), vec![(3, 3.0)]);
         assert_eq!(c.injected_events(), 0);
 
         let fresh = c.commit_failures(10.0, 2.0, 10.0);
         assert_eq!(fresh, vec![(3, 5.0)]);
         assert_eq!(c.injected_events(), 1);
         // Fired crashes stay visible to later rounds (dead from start)…
-        assert_eq!(c.peek_failures(20.0, 30.0).relative, vec![(3, -15.0)]);
+        assert_eq!(c.peek_failures(20.0, 30.0), vec![(3, -15.0)]);
         // …but never re-fire.
         assert!(c.commit_failures(30.0, 20.0, 30.0).is_empty());
 

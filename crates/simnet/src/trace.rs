@@ -12,8 +12,8 @@
 //!   the driver side `pic run → best-effort iteration → local solves /
 //!   merge → top-off iteration → job …`. Spans nest: every child lies
 //!   inside its parent's `[t0, t1]` window.
-//! * **Instants** — point events for retries, speculative launches,
-//!   straggler drops, DFS writes, counter rollups, and *every*
+//! * **Instants** — point events for killed task attempts, injected
+//!   faults, DFS writes, counter rollups, and *every*
 //!   [`crate::traffic::TrafficLedger`] charge (class + bytes). Because
 //!   the ledger itself emits the traffic events, the bytes attributed in
 //!   a trace reconcile **exactly** (`==`) with the ledger's totals.
@@ -102,8 +102,8 @@ impl Span {
 pub struct InstantEvent {
     /// Enclosing span at the moment of emission, if any.
     pub parent: Option<SpanId>,
-    /// Event name (`retry`, `speculative-launch`, `straggler-drop`,
-    /// a traffic-class label, a counter name, …).
+    /// Event name (`task-killed`, `node-crash`, a traffic-class label,
+    /// a counter name, …).
     pub name: String,
     /// Category: `traffic`, `sched`, `counter`, `dfs`.
     pub cat: &'static str,
@@ -883,16 +883,6 @@ pub mod check {
         verdict(errs)
     }
 
-    /// Count the `sched` instants named `name` (retry /
-    /// speculative-launch / straggler-drop).
-    pub fn sched_events(trace: &Trace, name: &str) -> usize {
-        trace
-            .instants
-            .iter()
-            .filter(|i| i.cat == "sched" && i.name == name)
-            .count()
-    }
-
     /// The monitor's sliding-window series reconcile **exactly** with
     /// the ledger: replaying the trace through a telemetry-only
     /// [`crate::monitor::Monitor`] yields per-link window integrals
@@ -1129,7 +1119,11 @@ mod tests {
         let (t, clock) = tracer();
         let job = t.begin("job:\"quoted\"\n", "job");
         t.span_at_in("map-slot-0", "task-0", "task", 0.0, 0.5, Vec::new());
-        t.instant("retry", "sched", vec![("task".into(), Payload::U64(3))]);
+        t.instant(
+            "task-killed",
+            "sched",
+            vec![("task".into(), Payload::U64(3))],
+        );
         clock.lock().advance(1.0);
         t.end(job);
         let json = t.trace().to_chrome_json();
@@ -1225,16 +1219,16 @@ mod tests {
             "counter",
             vec![("value".into(), Payload::U64(42))],
         );
-        t.instant("retry", "sched", Vec::new());
-        t.instant("retry", "sched", Vec::new());
+        t.instant("task-killed", "sched", Vec::new());
+        t.instant("task-killed", "sched", Vec::new());
         let m = MetricsRegistry::from_trace(&t.trace());
         assert_eq!(m.phase_time_s.get("phase/map").copied(), Some(3.0));
         assert_eq!(m.class_bytes.get("map-spill").copied(), Some(10));
         assert_eq!(m.counters.get("points").copied(), Some(42));
-        assert_eq!(m.counters.get("sched.retry").copied(), Some(2));
+        assert_eq!(m.counters.get("sched.task-killed").copied(), Some(2));
         let rendered = m.render();
         assert!(rendered.contains("phase/map"));
         assert!(rendered.contains("map-spill"));
-        assert!(rendered.contains("sched.retry"));
+        assert!(rendered.contains("sched.task-killed"));
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the slot scheduler: classic makespan bounds
 //! and determinism, for arbitrary task sets.
 
-use pic_simnet::scheduler::{SchedulerOptions, SlotScheduler, TaskSpec};
+use pic_simnet::scheduler::{SlotScheduler, TaskSpec};
 use pic_simnet::ClusterSpec;
 use proptest::prelude::*;
 
@@ -81,46 +81,18 @@ proptest! {
         );
     }
 
-    /// Scheduling is a pure function of its inputs.
+    /// Scheduling is a pure function of its inputs, injected crashes
+    /// included (at most two of the six nodes die, so every task can
+    /// still run somewhere).
     #[test]
     fn scheduling_is_deterministic(
         tasks in proptest::collection::vec(task_strategy(6), 0..40),
-        speculative in any::<bool>(),
+        deaths in proptest::collection::vec((0usize..6, -1.0f64..20.0), 0..3),
     ) {
         let spec = ClusterSpec::small();
-        let opts = SchedulerOptions { node_speed: vec![(1, 3.0)], speculative, ..Default::default() };
         let s = SlotScheduler::new(&spec);
-        let a = s.schedule_with(&tasks, 2, 0..6, &opts);
-        let b = s.schedule_with(&tasks, 2, 0..6, &opts);
+        let a = s.schedule_with(&tasks, 2, 0..6, &deaths);
+        let b = s.schedule_with(&tasks, 2, 0..6, &deaths);
         prop_assert_eq!(a, b);
-    }
-
-    /// Speculation never makes the makespan worse.
-    #[test]
-    fn speculation_never_hurts(
-        tasks in proptest::collection::vec(task_strategy(6), 1..30),
-        slow_node in 0usize..6,
-        slow_factor in 1.0f64..20.0,
-    ) {
-        let spec = ClusterSpec::small();
-        let s = SlotScheduler::new(&spec);
-        let base = SchedulerOptions {
-            node_speed: vec![(slow_node, slow_factor)],
-            speculative: false,
-            ..Default::default()
-        };
-        let spec_on = SchedulerOptions {
-            node_speed: vec![(slow_node, slow_factor)],
-            speculative: true,
-            ..Default::default()
-        };
-        let without = s.schedule_with(&tasks, 1, 0..6, &base);
-        let with = s.schedule_with(&tasks, 1, 0..6, &spec_on);
-        prop_assert!(
-            with.makespan_s <= without.makespan_s + 1e-9,
-            "speculation regressed: {} -> {}",
-            without.makespan_s,
-            with.makespan_s
-        );
     }
 }

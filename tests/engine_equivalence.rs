@@ -294,12 +294,7 @@ fn deterministic_stats(s: &JobStats) -> impl PartialEq + std::fmt::Debug {
             s.shuffle_bytes,
             s.output_records,
         ),
-        (
-            s.node_local_tasks,
-            s.rack_local_tasks,
-            s.remote_tasks,
-            s.retried_tasks,
-        ),
+        (s.node_local_tasks, s.rack_local_tasks, s.remote_tasks),
     )
 }
 

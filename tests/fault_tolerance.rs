@@ -1,143 +1,179 @@
 //! Fault-tolerance behaviour: PIC rides on the engine's task re-execution
 //! ("if a node running a best-effort phase fails, Hadoop will
-//! automatically restart it", paper §VII), plus the chaos & elasticity
-//! scenario matrix (DESIGN.md §12): every fault scenario × app × driver
-//! cell must uphold the chaos invariants — crash/degrade/preemption
-//! leave the converged answer bit-identical to the clean run, recovery
-//! bytes reconcile exactly with the ledger, and every injected event is
-//! visible as a trace instant.
+//! automatically restart it", paper §VII), injected through the one fault
+//! model, [`FaultPlan`], plus the chaos & elasticity scenario matrix
+//! (DESIGN.md §12): every fault scenario × app × driver cell must uphold
+//! the chaos invariants — crash/degrade/preemption leave the converged
+//! answer bit-identical to the clean run, recovery bytes reconcile exactly
+//! with the ledger, and every injected event is visible as a trace
+//! instant.
 
 use pic_bench::experiments::chaos::{campaign, ChaosCell, CHAOS_APPS, SCENARIOS};
 use pic_bench::experiments::ExperimentCtx;
 use pic_core::prelude::*;
 use pic_mapreduce::traits::{FnMapper, FnReducer};
-use pic_mapreduce::{Dataset, Engine, JobConfig, MapContext, ReduceContext, Timing};
+use pic_mapreduce::{Dataset, Engine, JobConfig, JobResult, MapContext, ReduceContext, Timing};
 use pic_simnet::chaos::FaultPlan;
-use pic_simnet::trace::check;
-use pic_simnet::ClusterSpec;
+use pic_simnet::trace::{check, Trace};
+use pic_simnet::{ClusterSpec, NodeId};
 
 fn analytic(name: &str) -> JobConfig {
     JobConfig::new(name).timing(Timing::default_analytic())
 }
 
-fn sum_by_mod(engine: &Engine, data: &Dataset<u64>, cfg: &JobConfig) -> Vec<(u64, u64)> {
-    let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| {
-        ctx.emit(*x % 5, *x);
-    });
-    let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
-        ctx.emit((*k, vs.iter().sum()));
-    });
-    let mut out = engine.run(cfg, data, &mapper, &reducer).output;
-    out.sort();
-    out
+/// Half a task's startup overhead: a crash this long after a round
+/// starts finds every first-wave attempt still in flight.
+fn mid_startup_s() -> f64 {
+    0.5 * ClusterSpec::small().task_overhead_s
 }
 
-#[test]
-fn failed_tasks_are_reexecuted_with_identical_results() {
+/// The sum-by-residue job over 2 000 records in 8 splits, on a fresh
+/// small-cluster engine with `plan` armed after the input is loaded (an
+/// empty plan is the clean run). Returns the job and its validated trace.
+fn sum_by_mod(cfg: &JobConfig, plan: &FaultPlan) -> (JobResult<(u64, u64)>, Trace) {
     let engine = Engine::new(ClusterSpec::small());
     let data = Dataset::create(&engine, "/ft/d", (0..2_000u64).collect(), 8);
-    let clean = sum_by_mod(&engine, &data, &analytic("clean"));
-    for failing_task in [0usize, 3, 7] {
-        let faulty = sum_by_mod(
-            &engine,
-            &data,
-            &analytic("faulty").fail_map_task(failing_task),
-        );
-        assert_eq!(
-            clean, faulty,
-            "failure of task {failing_task} changed the answer"
-        );
-    }
-}
-
-#[test]
-fn retries_cost_time_but_not_extra_traffic() {
-    let engine = Engine::new(ClusterSpec::small());
-    let data = Dataset::create(&engine, "/ft/t", (0..2_000u64).collect(), 8);
-
+    engine.reset();
+    engine.arm_chaos(plan).expect("valid plan");
     let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 5, *x));
     let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
         ctx.emit((*k, vs.iter().sum()));
     });
+    let result = engine.run(cfg, &data, &mapper, &reducer);
+    let trace = engine.trace();
+    check::validate(&trace, &engine.traffic()).expect("trace passes the structural suite");
+    (result, trace)
+}
 
-    let clean = engine.run(&analytic("c"), &data, &mapper, &reducer);
-    let faulty = engine.run(&analytic("f").fail_map_task(2), &data, &mapper, &reducer);
-    assert_eq!(faulty.stats.retried_tasks, 1);
-    assert!(faulty.stats.map_time_s >= clean.stats.map_time_s);
-    assert_eq!(faulty.stats.shuffle_bytes, clean.stats.shuffle_bytes);
+/// Nodes that ran an attempt on a `{phase}-slot-*` lane, ascending.
+fn nodes_on(trace: &Trace, phase: &str) -> Vec<NodeId> {
+    let lane = format!("{phase}-slot-");
+    let mut nodes: Vec<NodeId> = trace
+        .spans
+        .iter()
+        .filter(|s| s.cat == "task" && s.lane.starts_with(&lane))
+        .filter_map(|s| s.arg_u64("node"))
+        .map(|n| n as NodeId)
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
+}
+
+/// Attempts a node crash killed on `{phase}-slot-*` lanes.
+fn killed_on(trace: &Trace, phase: &str) -> usize {
+    let lane = format!("{phase}-slot-");
+    trace
+        .instants
+        .iter()
+        .filter(|i| i.name == "task-killed" && i.lane.starts_with(&lane))
+        .count()
+}
+
+#[test]
+fn failed_tasks_are_reexecuted_with_identical_results() {
+    // Crash, in turn, each node that runs a map attempt while the attempt
+    // is in flight: the lost work re-runs elsewhere, which costs map time
+    // and changes nothing in the answer.
+    let cfg = analytic("m");
+    let (clean, clean_trace) = sum_by_mod(&cfg, &FaultPlan::new(0));
+    let nodes = nodes_on(&clean_trace, "map");
+    assert!(nodes.len() > 1, "map attempts ran on {nodes:?}");
+    for node in nodes {
+        let plan = FaultPlan::new(0).node_crash(node, mid_startup_s());
+        let (faulty, trace) = sum_by_mod(&cfg, &plan);
+        assert!(
+            killed_on(&trace, "map") >= 1,
+            "crash of node {node} killed nothing"
+        );
+        assert_eq!(
+            faulty.output, clean.output,
+            "crash of node {node} changed the answer"
+        );
+        assert!(faulty.stats.map_time_s > clean.stats.map_time_s);
+    }
 }
 
 #[test]
 fn failed_map_only_tasks_are_reexecuted_with_identical_results() {
     // The map-only twin: a job with zero reducers runs the same map stage,
-    // so an injected map failure is retried, marked and paid for there too.
+    // so a crash re-executes the lost attempts there too, and recovery is
+    // the DFS re-replication plus each killed attempt's split.
     let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 5, *x));
-    let run = |cfg: &JobConfig| {
+    let run = |plan: &FaultPlan| {
         let engine = Engine::new(ClusterSpec::small());
         let data = Dataset::create(&engine, "/ft/mo", (0..2_000u64).collect(), 8);
         engine.reset();
-        let res = engine.run_map_only(cfg, &data, &mapper);
-        (res, engine.trace())
+        engine.arm_chaos(plan).expect("valid plan");
+        let result = engine.run_map_only(&analytic("mo"), &data, &mapper);
+        let (trace, traffic) = (engine.trace(), engine.traffic());
+        check::validate(&trace, &traffic).expect("trace passes the structural suite");
+        (result, trace, traffic.recovery_total(), data)
     };
-    let (clean, clean_trace) = run(&analytic("mo"));
-    let (faulty, faulty_trace) = run(&analytic("mo").fail_map_task(2));
-    assert_eq!(clean.stats.retried_tasks, 0);
-    assert_eq!(check::sched_events(&clean_trace, "retry"), 0);
-    assert_eq!(faulty.stats.retried_tasks, 1);
-    assert_eq!(check::sched_events(&faulty_trace, "retry"), 1);
-    assert!(faulty.stats.map_time_s > clean.stats.map_time_s);
+    let (clean, clean_trace, clean_recovery, _) = run(&FaultPlan::new(0));
+    assert_eq!(clean_recovery, 0);
+    let node = nodes_on(&clean_trace, "map")[0];
+    let (faulty, trace, recovery, data) = run(&FaultPlan::new(0).node_crash(node, mid_startup_s()));
+
     assert_eq!(faulty.output, clean.output);
+    assert!(faulty.stats.map_time_s > clean.stats.map_time_s);
+    let killed: Vec<usize> = trace
+        .instants
+        .iter()
+        .filter(|i| i.name == "task-killed")
+        .filter_map(|i| i.arg_u64("task"))
+        .map(|t| t as usize)
+        .collect();
+    assert!(!killed.is_empty(), "the crash killed no attempt");
+    let rereplicated: u64 = trace
+        .instants
+        .iter()
+        .filter(|i| i.name == "re-replicate")
+        .filter_map(|i| i.arg_u64("bytes"))
+        .sum();
+    let lost_splits: u64 = killed.iter().map(|&t| data.splits[t].bytes).sum();
+    assert_eq!(recovery, rereplicated + lost_splits);
 }
 
 #[test]
 fn multiple_failures_in_one_job() {
-    let engine = Engine::new(ClusterSpec::small());
-    let data = Dataset::create(&engine, "/ft/m", (0..500u64).collect(), 10);
-    let cfg = analytic("multi")
-        .fail_map_task(1)
-        .fail_map_task(4)
-        .fail_map_task(9);
-    let out = sum_by_mod(&engine, &data, &cfg);
-    let clean = sum_by_mod(&engine, &data, &analytic("ref"));
-    assert_eq!(out, clean);
+    // Two nodes die at different moments of the same map phase.
+    let cfg = analytic("multi");
+    let (clean, clean_trace) = sum_by_mod(&cfg, &FaultPlan::new(0));
+    let nodes = nodes_on(&clean_trace, "map");
+    let plan = FaultPlan::new(0)
+        .node_crash(nodes[0], 0.5 * mid_startup_s())
+        .node_crash(nodes[1], mid_startup_s());
+    let (faulty, trace) = sum_by_mod(&cfg, &plan);
+    assert!(killed_on(&trace, "map") >= 2);
+    assert_eq!(faulty.output, clean.output);
 }
 
 #[test]
 fn failed_reduce_tasks_are_reexecuted_with_identical_results() {
-    // The reduce-side mirror of the map-failure equivalence: the first
-    // attempt of the named reduce task fails and re-runs, costing time
-    // but changing neither the answer nor the shuffle volume.
-    let engine = Engine::new(ClusterSpec::small());
-    let data = Dataset::create(&engine, "/ft/r", (0..2_000u64).collect(), 8);
-    let clean = sum_by_mod(&engine, &data, &analytic("clean").reducers(4));
-    for failing_task in [0usize, 2, 3] {
-        let faulty = sum_by_mod(
-            &engine,
-            &data,
-            &analytic("faulty")
-                .reducers(4)
-                .fail_reduce_task(failing_task),
+    // The reduce-side mirror: each node running a reduce attempt crashes
+    // after the map phase, while that attempt is in flight. The reduce
+    // phase pays the re-execution; the map phase, the shuffle volume and
+    // the answer are untouched.
+    let cfg = analytic("r").reducers(4);
+    let (clean, clean_trace) = sum_by_mod(&cfg, &FaultPlan::new(0));
+    let t_reduce = clean.stats.map_time_s.max(clean.stats.shuffle_time_s);
+    for node in nodes_on(&clean_trace, "red") {
+        let plan = FaultPlan::new(0).node_crash(node, t_reduce + mid_startup_s());
+        let (faulty, trace) = sum_by_mod(&cfg, &plan);
+        assert!(
+            killed_on(&trace, "red") >= 1,
+            "crash of node {node} killed nothing"
         );
+        assert_eq!(killed_on(&trace, "map"), 0);
         assert_eq!(
-            clean, faulty,
-            "failure of reduce task {failing_task} changed the answer"
+            faulty.output, clean.output,
+            "crash of node {node} changed the answer"
         );
+        assert_eq!(faulty.stats.map_time_s, clean.stats.map_time_s);
+        assert!(faulty.stats.reduce_time_s > clean.stats.reduce_time_s);
+        assert_eq!(faulty.stats.shuffle_bytes, clean.stats.shuffle_bytes);
     }
-
-    let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 5, *x));
-    let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
-        ctx.emit((*k, vs.iter().sum()));
-    });
-    let clean = engine.run(&analytic("c").reducers(4), &data, &mapper, &reducer);
-    let faulty = engine.run(
-        &analytic("f").reducers(4).fail_reduce_task(1),
-        &data,
-        &mapper,
-        &reducer,
-    );
-    assert_eq!(faulty.stats.retried_tasks, 1);
-    assert!(faulty.stats.reduce_time_s > clean.stats.reduce_time_s);
-    assert_eq!(faulty.stats.shuffle_bytes, clean.stats.shuffle_bytes);
 }
 
 // --- the chaos & elasticity scenario matrix (DESIGN.md §12) ---

@@ -2,17 +2,15 @@
 //!
 //! A k-means PIC run records a span tree (pic → best-effort iteration →
 //! solves/merge → top-off iteration → job → phase → task) plus instant
-//! events for every ledger charge, retry, and straggler drop. These tests
+//! events for every ledger charge and counter rollup. These tests
 //! pin the structural properties the trace must satisfy — nesting, phase
 //! ordering, per-slot exclusivity, exact byte attribution — and that the
 //! trace itself is deterministic across rayon pool widths.
 
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_core::prelude::*;
-use pic_mapreduce::traits::{FnMapper, FnReducer};
-use pic_mapreduce::{Dataset, Engine, JobConfig, MapContext, ReduceContext, Timing};
-use pic_simnet::scheduler::{SchedulerOptions, SlotScheduler, TaskSpec};
-use pic_simnet::trace::{check, MetricsRegistry, Span, Trace, Tracer};
+use pic_mapreduce::{Dataset, Engine, Timing};
+use pic_simnet::trace::{check, MetricsRegistry, Span, Trace};
 use pic_simnet::{ClusterSpec, TrafficSnapshot};
 
 fn pic_timing() -> Timing {
@@ -138,103 +136,6 @@ fn traced_bytes_reconcile_exactly_with_the_ledger() {
     // And the run actually moved bytes in the classes the paper tracks.
     assert!(traffic.model_update_total() > 0);
     assert!(traffic.shuffle_total() > 0);
-}
-
-#[test]
-fn retry_instants_agree_with_retried_tasks() {
-    let engine = Engine::new(ClusterSpec::small());
-    let records: Vec<(u8, u32)> = (0..600u32).map(|i| ((i % 11) as u8, i)).collect();
-    let data = Dataset::create(&engine, "/tr/retry", records, 6);
-    engine.reset();
-    let mapper = FnMapper::new(|r: &(u8, u32), ctx: &mut MapContext<u64, u64>| {
-        ctx.emit(r.0 as u64, r.1 as u64);
-    });
-    let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
-        ctx.emit((*k, vs.iter().sum()));
-    });
-    let cfg = JobConfig::new("retry")
-        .reducers(3)
-        .timing(Timing::default_analytic())
-        .fail_map_task(0)
-        .fail_map_task(2);
-    let result = engine.run(&cfg, &data, &mapper, &reducer);
-    let trace = engine.trace();
-    assert_eq!(result.stats.retried_tasks, 2);
-    assert_eq!(
-        check::sched_events(&trace, "retry"),
-        result.stats.retried_tasks,
-        "one retry instant per retried task"
-    );
-    check::validate(&trace, &engine.traffic()).unwrap();
-
-    // A clean job records no retry instants.
-    let engine2 = Engine::new(ClusterSpec::small());
-    let records2: Vec<(u8, u32)> = (0..600u32).map(|i| ((i % 11) as u8, i)).collect();
-    let data2 = Dataset::create(&engine2, "/tr/clean", records2, 6);
-    engine2.reset();
-    let clean = engine2.run(
-        &JobConfig::new("clean")
-            .reducers(3)
-            .timing(Timing::default_analytic()),
-        &data2,
-        &mapper,
-        &reducer,
-    );
-    assert_eq!(clean.stats.retried_tasks, 0);
-    assert_eq!(check::sched_events(&engine2.trace(), "retry"), 0);
-}
-
-#[test]
-fn straggler_drop_instants_agree_with_the_report() {
-    let pts = gaussian_mixture(5_000, 20, 3, 1000.0, 8.0, 7);
-    let init = Centroids::new(init_random_centroids(20, 3, 1000.0, 8));
-    let app = KMeansApp::new(20, 3, 1.0);
-    let engine = Engine::new(ClusterSpec::small());
-    let data = Dataset::create(&engine, "/tr/strag", pts, 24);
-    engine.reset();
-    let report = run_pic(
-        &engine,
-        &app,
-        &data,
-        init,
-        &PicOptions {
-            merge_quorum: 0.85,
-            slow_partitions: vec![(3, 50.0)],
-            ..pic_opts(8)
-        },
-    );
-    let trace = engine.trace();
-    assert!(report.straggler_drops > 0, "the slow partition is dropped");
-    assert_eq!(
-        check::sched_events(&trace, "straggler-drop"),
-        report.straggler_drops
-    );
-    check::validate(&trace, &engine.traffic()).unwrap();
-    // The full-quorum std run never drops, and its trace agrees.
-    let (std_trace, _, std_report) = std_run();
-    assert_eq!(std_report.straggler_drops, 0);
-    assert_eq!(check::sched_events(std_trace, "straggler-drop"), 0);
-}
-
-#[test]
-fn speculative_launch_instants_mark_backup_attempts() {
-    // Directly replay a heterogeneous schedule: node 2 runs 20× slower,
-    // speculation launches backups for its tasks.
-    let spec = ClusterSpec::small();
-    let tasks: Vec<TaskSpec> = (0..6).map(|_| TaskSpec::compute(10.0)).collect();
-    let opts = SchedulerOptions {
-        node_speed: vec![(2, 20.0)],
-        speculative: true,
-        ..Default::default()
-    };
-    let tracer = Tracer::standalone();
-    let outcome = SlotScheduler::new(&spec).schedule_with(&tasks, 1, 0..6, &opts);
-    outcome.emit_task_spans(&tracer, 0.0, "map", outcome.makespan_s);
-    let trace = tracer.trace();
-    let backups = outcome.launches.iter().filter(|l| l.speculative).count();
-    assert!(backups > 0, "the slow node draws speculative backups");
-    assert_eq!(check::sched_events(&trace, "speculative-launch"), backups);
-    check::no_overlap_per_slot(&trace).unwrap();
 }
 
 #[test]
