@@ -295,7 +295,7 @@ mod tests {
         let (pts, init) = well_separated(300);
         let data = Dataset::create(&engine, "/km/eq", pts.clone(), 5);
         let app = KMeansApp::new(4, 2, 1e-3);
-        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic(), 4);
+        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic());
         let via_mr = app.iterate(&engine, &data, &init, &scope);
         let via_seq = lloyd_step(&pts, &init);
         for (a, b) in via_mr.coords.iter().zip(&via_seq.coords) {

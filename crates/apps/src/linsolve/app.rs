@@ -212,7 +212,7 @@ mod tests {
         let (app, sys) = setup(60, 4);
         let engine = Engine::new(ClusterSpec::small());
         let data = Dataset::create(&engine, "/ls/eq", sys.rows.clone(), 6);
-        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic(), 4);
+        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic());
         let x0 = vec![0.0; 60];
         let via_mr = app.iterate(&engine, &data, &x0, &scope);
         let via_seq = sys.jacobi_sweep(&x0);

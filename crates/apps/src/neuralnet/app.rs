@@ -193,7 +193,7 @@ mod tests {
         let engine = Engine::new(ClusterSpec::small());
         let data = Dataset::create(&engine, "/nn/eq", train.clone(), 4);
         let app = NeuralNetApp::new(valid);
-        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic(), 2);
+        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic());
         let via_mr = app.iterate(&engine, &data, &model, &scope);
         let (grad, count) = NeuralNetApp::batch_gradient(&train, &model);
         let via_seq = model.apply_gradient(&grad, count, app.lr);

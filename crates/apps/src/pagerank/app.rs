@@ -417,7 +417,7 @@ mod tests {
         let app = PageRankApp::new(g.clone(), 4, PartitionMode::Random, 1);
         let engine = Engine::new(ClusterSpec::small());
         let data = Dataset::create(&engine, "/pr/eq", g.records(), 6);
-        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic(), 4);
+        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic());
         let m0 = app.initial_model();
         let via_mr = app.iterate(&engine, &data, &m0, &scope);
         let via_seq = app.sequential_step(&m0);

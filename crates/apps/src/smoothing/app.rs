@@ -358,7 +358,7 @@ mod tests {
         let (app, f) = setup(24, 18, 3);
         let engine = Engine::new(ClusterSpec::small());
         let data = Dataset::create(&engine, "/sm/eq", f.rows(), 6);
-        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic(), 4);
+        let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic());
         let via_mr = app.iterate(&engine, &data, &f, &scope);
         let via_seq = app.sequential_sweep(&f, &f);
         assert!(via_mr.max_diff(&via_seq) < 1e-12);

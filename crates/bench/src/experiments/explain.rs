@@ -11,7 +11,7 @@
 
 use super::report::AppRun;
 use super::ExperimentCtx;
-use crate::table::{csv_doc, Align, RowLayout};
+use crate::table::csv_doc;
 use pic_simnet::report::{fmt_f64, JsonWriter};
 use pic_simnet::whatif::{Scenario, SensitivityReport};
 use std::fmt::Write as _;
@@ -69,26 +69,15 @@ pub fn render_side_by_side(section: &ExplainSection, top: usize) -> String {
         "=== {} — bottleneck attribution (baseline IC {:.6} s, PIC {:.6} s) ===",
         section.app, section.ic.baseline_makespan_s, section.pic.baseline_makespan_s
     );
-    // One shared fixed-width grid (see `crate::table`) for the header
-    // and every body row.
-    let layout = RowLayout::new("  ")
-        .col(24, Align::Left)
-        .col(15, Align::Right)
-        .col(15, Align::Right)
-        .col(12, Align::Right)
-        .col(12, Align::Right)
-        .col_gap(2, 20, Align::Left);
     let _ = writeln!(
         out,
-        "{}",
-        layout.row([
-            "scenario",
-            "IC Δmakespan(s)",
-            "PIC Δmakespan(s)",
-            "IC Δtt10(s)",
-            "PIC Δtt10(s)",
-            "binding (ic/pic)",
-        ])
+        "  {:<24} {:>15} {:>15} {:>12} {:>12}  {:<20}",
+        "scenario",
+        "IC Δmakespan(s)",
+        "PIC Δmakespan(s)",
+        "IC Δtt10(s)",
+        "PIC Δtt10(s)",
+        "binding (ic/pic)"
     );
     let dtt10 = |report: &SensitivityReport, name: &str| -> String {
         report
@@ -108,15 +97,13 @@ pub fn render_side_by_side(section: &ExplainSection, top: usize) -> String {
         let pic_row = section.pic.rows.iter().find(|r| r.scenario.name == name);
         let _ = writeln!(
             out,
-            "{}",
-            layout.row([
-                name.to_string(),
-                format!("{:.6}", row.delta_makespan_s),
-                pic_row.map_or("-".to_string(), |r| format!("{:.6}", r.delta_makespan_s)),
-                dtt10(&section.ic, name),
-                dtt10(&section.pic, name),
-                format!("{}/{}", row.binding, pic_row.map_or("-", |r| r.binding)),
-            ])
+            "  {:<24} {:>15.6} {:>15} {:>12} {:>12}  {:<20}",
+            name,
+            row.delta_makespan_s,
+            pic_row.map_or("-".to_string(), |r| format!("{:.6}", r.delta_makespan_s)),
+            dtt10(&section.ic, name),
+            dtt10(&section.pic, name),
+            format!("{}/{}", row.binding, pic_row.map_or("-", |r| r.binding)),
         );
     }
     if shown < section.ic.rows.len() {
@@ -194,59 +181,17 @@ mod tests {
         );
     }
 
-    /// Pinned byte-for-byte: migrating the side-by-side renderer onto
-    /// the shared [`RowLayout`] grid must reproduce the hand-rolled
-    /// `format!` output exactly — header, numeric rows, `-` fallbacks,
-    /// trailing padding and all.
+    /// The side-by-side header line, pinned literally.
     #[test]
-    fn side_by_side_is_byte_identical_to_the_hand_rolled_format() {
-        let s = &kmeans_sections()[0];
-        let rendered = render_side_by_side(s, 2);
-        let mut expected = String::new();
-        let _ = writeln!(
-            expected,
-            "=== {} — bottleneck attribution (baseline IC {:.6} s, PIC {:.6} s) ===",
-            s.app, s.ic.baseline_makespan_s, s.pic.baseline_makespan_s
+    fn side_by_side_header_is_pinned() {
+        let rendered = render_side_by_side(&kmeans_sections()[0], 2);
+        assert_eq!(
+            rendered.lines().nth(1),
+            Some(
+                "  scenario                 IC Δmakespan(s) PIC Δmakespan(s)  IC Δtt10(s) \
+                 PIC Δtt10(s)  binding (ic/pic)    "
+            )
         );
-        let _ = writeln!(
-            expected,
-            "  {:<24} {:>15} {:>15} {:>12} {:>12}  {:<20}",
-            "scenario",
-            "IC Δmakespan(s)",
-            "PIC Δmakespan(s)",
-            "IC Δtt10(s)",
-            "PIC Δtt10(s)",
-            "binding (ic/pic)"
-        );
-        let dtt10 = |report: &SensitivityReport, name: &str| -> String {
-            report
-                .rows
-                .iter()
-                .find(|r| r.scenario.name == name)
-                .and_then(|r| {
-                    r.delta_tt_s
-                        .iter()
-                        .find(|(l, _)| *l == "10pct")
-                        .and_then(|(_, v)| *v)
-                })
-                .map_or("-".to_string(), |v| format!("{v:.6}"))
-        };
-        for row in &s.ic.rows[..2] {
-            let name = row.scenario.name;
-            let pic_row = s.pic.rows.iter().find(|r| r.scenario.name == name);
-            let _ = writeln!(
-                expected,
-                "  {:<24} {:>15.6} {:>15} {:>12} {:>12}  {:<20}",
-                name,
-                row.delta_makespan_s,
-                pic_row.map_or("-".to_string(), |r| format!("{:.6}", r.delta_makespan_s)),
-                dtt10(&s.ic, name),
-                dtt10(&s.pic, name),
-                format!("{}/{}", row.binding, pic_row.map_or("-", |r| r.binding)),
-            );
-        }
-        let _ = writeln!(expected, "  … {} more scenarios", s.ic.rows.len() - 2);
-        assert_eq!(rendered, expected);
     }
 
     /// Identity projects exactly zero delta on every reported field,

@@ -257,9 +257,10 @@ mod tests {
         let r = &secs[0].pic;
         // Beyond the horizon every series is fully visible, so the frame
         // rows equal the final dashboard rows exactly.
-        assert_eq!(r.rows_at(r.horizon_s + 1.0, 32), r.dashboard_rows(32));
+        let full = r.rows_at(f64::INFINITY, 32);
+        assert_eq!(r.rows_at(r.horizon_s + 1.0, 32), full);
         // An early frame shows no more buckets than the full view.
         let early = r.rows_at(r.horizon_s / 3.0, 32);
-        assert_eq!(early.len(), r.dashboard_rows(32).len());
+        assert_eq!(early.len(), full.len());
     }
 }

@@ -1,75 +1,9 @@
-//! ASCII table rendering for experiment output.
-//!
-//! Two renderers share the padding helpers here: [`Table`] auto-sizes
-//! columns to content (the `pic report` / `pic diff` tables) and
-//! [`RowLayout`] keeps caller-fixed widths (the `pic explain`
-//! side-by-side view, whose column grid must not move when values
-//! change between runs). CSV escaping is unified in [`csv_row`].
+//! ASCII table rendering for experiment output: [`Table`] auto-sizes
+//! columns to content (the `pic report` / `pic diff` tables). CSV
+//! escaping is unified in [`csv_row`].
 
 use pic_simnet::traffic::human_bytes;
-
-/// Column alignment for [`pad`] and [`RowLayout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Pad on the right (labels).
-    Left,
-    /// Pad on the left (numbers).
-    Right,
-}
-
-/// Pad `text` to `width` with `align`; content longer than `width`
-/// passes through unpadded (same semantics as `format!` width specs).
-pub fn pad(text: &str, width: usize, align: Align) -> String {
-    match align {
-        Align::Left => format!("{text:<width$}"),
-        Align::Right => format!("{text:>width$}"),
-    }
-}
-
-/// A reusable fixed-width row layout: a line prefix plus per-column
-/// width, alignment and leading gap. Header and body rows render
-/// through the same layout, so the grid is declared once instead of
-/// repeating `format!` templates at every call site.
-#[derive(Debug, Clone, Default)]
-pub struct RowLayout {
-    prefix: String,
-    cols: Vec<(usize, Align, usize)>,
-}
-
-impl RowLayout {
-    /// A layout whose every row starts with `prefix`.
-    pub fn new(prefix: &str) -> Self {
-        RowLayout {
-            prefix: prefix.to_string(),
-            cols: Vec::new(),
-        }
-    }
-
-    /// Append a column separated from the previous one by one space.
-    pub fn col(self, width: usize, align: Align) -> Self {
-        let gap = usize::from(!self.cols.is_empty());
-        self.col_gap(gap, width, align)
-    }
-
-    /// Append a column with an explicit leading gap of `gap` spaces.
-    pub fn col_gap(mut self, gap: usize, width: usize, align: Align) -> Self {
-        self.cols.push((width, align, gap));
-        self
-    }
-
-    /// Render one row (no trailing newline; cell count must match the
-    /// column count).
-    pub fn row<S: AsRef<str>>(&self, cells: impl IntoIterator<Item = S>) -> String {
-        let cells: Vec<String> = cells.into_iter().map(|c| c.as_ref().to_string()).collect();
-        assert_eq!(cells.len(), self.cols.len(), "row/layout arity mismatch");
-        let mut line = self.prefix.clone();
-        for (cell, &(width, align, gap)) in cells.iter().zip(&self.cols) {
-            line.push_str(&" ".repeat(gap));
-            line.push_str(&pad(cell, width, align));
-        }
-        line
-    }
-}
+use std::fmt::Write as _;
 
 /// A simple fixed-layout table: headers plus rows, auto-sized columns.
 #[derive(Debug, Clone, Default)]
@@ -111,7 +45,7 @@ impl Table {
                 if i > 0 {
                     line.push_str("  ");
                 }
-                line.push_str(&pad(&cells[i], widths[i], Align::Left));
+                let _ = write!(line, "{:<w$}", cells[i], w = widths[i]);
             }
             line.trim_end().to_string()
         };
@@ -257,11 +191,10 @@ mod tests {
         Table::new(["a", "b"]).row(["only one"]);
     }
 
-    /// Pinned byte-for-byte: routing `Table::render` through the shared
-    /// [`pad`] helper must not move a single character of an existing
-    /// table (every `pic report` / `pic diff` table rides this path).
+    /// Pinned byte-for-byte: every `pic report` / `pic diff` table rides
+    /// this path, so no change may move a single character.
     #[test]
-    fn render_is_byte_identical_to_the_pre_align_output() {
+    fn render_is_pinned_byte_for_byte() {
         let mut t = Table::new(["#", "segment", "old (s)", "new (s)", "delta (s)"]);
         t.row([
             "1",
@@ -278,29 +211,6 @@ mod tests {
              1  kmeans/pic/shuffle  12.500000  13.250000  +0.750000\n\
              2  pr/ic/merge         1.000000   1.100000   +0.100000\n"
         );
-    }
-
-    #[test]
-    fn row_layout_matches_format_width_specs() {
-        // The layout reproduces `format!` padding exactly, including
-        // overflow pass-through and custom gaps.
-        assert_eq!(pad("ab", 4, Align::Left), format!("{:<4}", "ab"));
-        assert_eq!(pad("ab", 4, Align::Right), format!("{:>4}", "ab"));
-        assert_eq!(pad("overflowing", 4, Align::Left), "overflowing");
-        let layout = RowLayout::new("  ")
-            .col(6, Align::Left)
-            .col(8, Align::Right)
-            .col_gap(2, 5, Align::Left);
-        assert_eq!(
-            layout.row(["name", "3.14", "ok"]),
-            format!("  {:<6} {:>8}  {:<5}", "name", "3.14", "ok")
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn row_layout_arity_checked() {
-        RowLayout::new("").col(4, Align::Left).row(["a", "b"]);
     }
 
     #[test]

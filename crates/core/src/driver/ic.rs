@@ -79,7 +79,7 @@ pub fn run_ic<A: IterativeApp>(
 
     let mut scope = IterScope {
         phase: opts.phase,
-        ..IterScope::cluster(spec.nodes, opts.timing.clone(), spec.nodes)
+        ..IterScope::cluster(spec.nodes, opts.timing.clone())
     };
 
     let mut model = init;
@@ -161,7 +161,6 @@ pub fn run_ic<A: IterativeApp>(
         if let Some((_, new_nodes)) = chaos.resize_after(iterations) {
             let n = new_nodes.clamp(1, spec.nodes);
             scope.group = 0..n;
-            scope.reducers = n;
             let (secs, net) = transfer::broadcast(spec, n, model.byte_size());
             engine.transfer(
                 "rebalance",

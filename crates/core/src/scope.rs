@@ -20,29 +20,27 @@ pub struct IterScope {
     pub iteration: usize,
     /// Phase label for job names ("ic", "be", "topoff").
     pub phase: &'static str,
-    /// Reduce-task count hint for the app's jobs.
-    pub reducers: usize,
 }
 
 impl IterScope {
     /// Scope for a whole-cluster run.
-    pub fn cluster(nodes: usize, timing: Timing, reducers: usize) -> Self {
+    pub fn cluster(nodes: usize, timing: Timing) -> Self {
         IterScope {
             group: 0..nodes,
             timing,
             iteration: 1,
             phase: "ic",
-            reducers,
         }
     }
 
-    /// A [`JobConfig`] pre-filled with this scope's group, timing and a
-    /// name of the form `<phase>-it<N>-<suffix>`.
+    /// A [`JobConfig`] pre-filled with this scope's group, timing, one
+    /// reduce task per group node and a name of the form
+    /// `<phase>-it<N>-<suffix>`.
     pub fn job(&self, suffix: &str) -> JobConfig {
         JobConfig::new(format!("{}-it{}-{}", self.phase, self.iteration, suffix))
             .on_group(self.group.clone())
             .timing(self.timing.clone())
-            .reducers(self.reducers)
+            .reducers(self.group.len())
     }
 
     /// Derive the scope for the next iteration.
@@ -64,18 +62,17 @@ mod tests {
             timing: Timing::default_analytic(),
             iteration: 3,
             phase: "be",
-            reducers: 7,
         };
         let cfg = s.job("agg");
         assert_eq!(cfg.name, "be-it3-agg");
         assert_eq!(cfg.node_group, Some(2..5));
-        assert_eq!(cfg.reducers, 7);
+        assert_eq!(cfg.reducers, 3, "one reduce task per group node");
         assert_eq!(cfg.timing, Timing::default_analytic());
     }
 
     #[test]
     fn next_iteration_increments() {
-        let s = IterScope::cluster(6, Timing::default_analytic(), 4);
+        let s = IterScope::cluster(6, Timing::default_analytic());
         let n = s.next_iteration();
         assert_eq!(n.iteration, 2);
         assert_eq!(n.group, 0..6);

@@ -460,8 +460,8 @@ impl Engine {
     }
 
     /// Close a job: publish its merged counters as `counter` instants at
-    /// the job's end time, attach the host-side phase timers, close the
-    /// job span and advance the clock past the job.
+    /// the job's end time, close the job span and advance the clock past
+    /// the job.
     fn finish_job<O>(&self, job: OpenJob, output: Vec<O>) -> JobResult<O> {
         let (job_span, stats) = (job.span, job.stats);
         let t_end = job.t_job + stats.total_time_s;
@@ -474,12 +474,6 @@ impl Engine {
                     vec![("value".to_string(), Payload::U64(value))],
                 );
             }
-        }
-        self.tracer
-            .set_arg(job_span, "host_map_s", Payload::F64(stats.host_map_s));
-        if stats.reduce_tasks > 0 {
-            self.tracer
-                .set_arg(job_span, "host_reduce_s", Payload::F64(stats.host_reduce_s));
         }
         self.tracer.end_at(job_span, t_end);
         self.advance(stats.total_time_s);
@@ -603,18 +597,10 @@ impl Engine {
         // Simulated time charges the sort/group to the reducers' merge
         // pass, which overlaps the shuffle tail; it contributes no
         // separate simulated time, so its span is an instant-width marker
-        // at the reduce start carrying the host-side measurement.
+        // at the reduce start.
         let t_reduce = t_job + stats.map_time_s.max(stats.shuffle_time_s);
-        self.tracer.span_at(
-            "sort",
-            "phase",
-            t_reduce,
-            t_reduce,
-            vec![(
-                "host_partition_s".to_string(),
-                Payload::F64(stats.host_partition_s),
-            )],
-        );
+        self.tracer
+            .span_at("sort", "phase", t_reduce, t_reduce, Vec::new());
 
         // ---- Reduce phase: real execution, analytic replay. --------------
         // (output records, counters, input values) per reduce task.

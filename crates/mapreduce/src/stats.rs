@@ -26,8 +26,8 @@ pub struct JobStats {
     pub total_time_s: f64,
     /// Measured host wall-clock seconds of the parallel map phase (real
     /// mapper + combiner + emit-side partitioning work on the rayon pool).
-    /// Host times are diagnostics for the engine's own pipeline; they
-    /// never feed the simulated clock.
+    /// Host times are diagnostics for the engine's own pipeline: they
+    /// never feed the simulated clock or the trace, and live only here.
     pub host_map_s: f64,
     /// Measured host wall-clock seconds of the parallel partition/group
     /// step (per-reducer concatenation + stable sort + run grouping).

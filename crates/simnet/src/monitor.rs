@@ -821,13 +821,9 @@ impl MonitorReport {
     }
 
     /// `(label, sparkline, last, peak)` dashboard rows for every series,
-    /// `width` cells each — what `pic watch` renders.
-    pub fn dashboard_rows(&self, width: usize) -> Vec<(String, String, f64, f64)> {
-        self.rows_at(f64::INFINITY, width)
-    }
-
-    /// Dashboard rows for the run's prefix up to simulated time `t_s` —
-    /// the frame a live dashboard shows mid-run. Every bucketed series
+    /// `width` cells each, for the run's prefix up to simulated time
+    /// `t_s` — the frame a live dashboard shows mid-run
+    /// (`f64::INFINITY` for the whole run). Every bucketed series
     /// is causal (a bucket depends only on events at or before its own
     /// end, and the EWMA runs forward), so slicing the finished series
     /// reproduces the live view exactly.
@@ -1374,7 +1370,7 @@ mod tests {
             2.300001,
         );
         ledger.add_over(crate::traffic::TrafficClass::Recovery, 13, 4.0, 4.0);
-        ledger.add(crate::traffic::TrafficClass::DfsRead, 999);
+        ledger.add_over(crate::traffic::TrafficClass::DfsRead, 999, 0.0, 0.0);
         t.end_at(root, 12.0);
         let r = Monitor::replay(cfg(), &t.trace()).unwrap();
         r.reconcile(&ledger.snapshot()).expect("exact reconcile");

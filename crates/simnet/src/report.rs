@@ -26,7 +26,7 @@
 //!   JSON contains no host wall-clock values, so it is byte-identical
 //!   across rayon pool widths. DESIGN.md §9 documents the schema.
 
-use crate::sweep::{phase_key, slot_group};
+use crate::sweep::{collect_charges, phase_key, slot_group};
 use crate::trace::{check, json_string, MetricsRegistry, Span, SpanId, Trace};
 use crate::traffic::{human_bytes, TrafficClass, TrafficSnapshot};
 use std::collections::BTreeMap;
@@ -469,7 +469,7 @@ impl PerfReport {
             );
         }
 
-        // Per-iteration byte attribution: walk each traffic instant's
+        // Per-iteration byte attribution: walk each ledger charge's
         // parent chain to the nearest iteration span.
         let mut iterations: Vec<IterationRollup> = Vec::new();
         let mut slot_of_span: BTreeMap<usize, usize> = BTreeMap::new();
@@ -493,12 +493,8 @@ impl PerfReport {
             }
         }
         let mut outside_bytes = TrafficSnapshot::default();
-        for i in trace.instants.iter().filter(|i| i.cat == "traffic") {
-            let Some(class) = TrafficClass::from_label(&i.name) else {
-                continue;
-            };
-            let bytes = i.arg_u64("bytes").unwrap_or(0);
-            let mut cur = i.parent;
+        for charge in collect_charges(trace).0 {
+            let mut cur = charge.parent;
             let mut slot = None;
             while let Some(pid) = cur {
                 if let Some(&s) = slot_of_span.get(&pid.index()) {
@@ -511,7 +507,7 @@ impl PerfReport {
                 Some(s) => &mut iterations[s].bytes,
                 None => &mut outside_bytes,
             };
-            target.set(class, target.get(class) + bytes);
+            target.set(charge.class, target.get(charge.class) + charge.bytes);
         }
 
         PerfReport {
@@ -1614,16 +1610,16 @@ mod tests {
     fn iteration_attribution_reconciles_exactly() {
         let (t, clock) = tracer();
         let root = t.begin("pic:app", "driver");
-        t.traffic_event(TrafficClass::DfsRead, 1000); // outside any iteration
+        t.traffic_event_over(TrafficClass::DfsRead, 1000, 0.0, 0.0); // outside any iteration
         let be = t.begin("be-1", "be-iteration");
         t.set_arg(be, "iteration", Payload::U64(1));
-        t.traffic_event(TrafficClass::Broadcast, 10);
-        t.traffic_event(TrafficClass::Merge, 20);
+        t.traffic_event_over(TrafficClass::Broadcast, 10, 0.0, 0.0);
+        t.traffic_event_over(TrafficClass::Merge, 20, 0.0, 1.0);
         clock.lock().advance(1.0);
         t.end(be);
         let top = t.begin("topoff-1", "topoff");
-        t.traffic_event(TrafficClass::ShuffleRack, 30);
-        t.traffic_event(TrafficClass::ModelUpdate, 40);
+        t.traffic_event_over(TrafficClass::ShuffleRack, 30, 1.0, 3.0);
+        t.traffic_event_over(TrafficClass::ModelUpdate, 40, 1.0, 1.0);
         clock.lock().advance(2.0);
         t.end(top);
         t.end(root);
@@ -1695,7 +1691,7 @@ mod tests {
         let (t, clock) = tracer();
         let root = t.begin("pic:app", "driver");
         let be = t.begin("be-1", "be-iteration");
-        t.traffic_event(TrafficClass::Broadcast, 10);
+        t.traffic_event_over(TrafficClass::Broadcast, 10, 0.0, 0.0);
         clock.lock().advance(1.0);
         t.end(be);
         t.end(root);

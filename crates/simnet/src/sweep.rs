@@ -5,7 +5,10 @@
 //!
 //! * [`collect_charges`] turns `traffic` instants (with the `w0`/`w1`
 //!   windows [`crate::traffic::TrafficLedger::add_over`] records) into
-//!   [`Charge`]s and the timeline horizon;
+//!   [`Charge`]s and the timeline horizon — the one decoder of those
+//!   instants, also behind [`Trace::traffic_totals`],
+//!   [`crate::trace::MetricsRegistry::from_trace`] and
+//!   [`crate::report::PerfReport::from_trace`];
 //! * [`rate_steps`] cuts one [`LinkClass`]'s charge windows into the
 //!   elementary steps of its piecewise-constant byte rate — the
 //!   saturation sweep and the what-if warps are filters over those steps;
@@ -18,7 +21,7 @@
 //!   task lane's slot group.
 
 use crate::topology::ClusterSpec;
-use crate::trace::{Span, Trace};
+use crate::trace::{Span, SpanId, Trace};
 use crate::traffic::TrafficClass;
 
 /// The four link classes the topology prices, each aggregating the
@@ -98,6 +101,8 @@ pub struct Charge {
     pub w0: f64,
     /// Window end, simulated seconds (`== w0` for impulses).
     pub w1: f64,
+    /// The span enclosing the charge when it was recorded, if any.
+    pub parent: Option<SpanId>,
 }
 
 /// Extract every ledger charge from `trace` (the `traffic` instants
@@ -130,6 +135,7 @@ pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
             bytes,
             w0,
             w1,
+            parent: i.parent,
         });
     }
     (charges, horizon)
@@ -290,6 +296,7 @@ mod tests {
                     bytes,
                     w0,
                     w1: if kind == 0 { w0 } else { w1 },
+                    parent: None,
                 }
             });
         proptest::collection::vec(charge, 0..80)

@@ -34,7 +34,7 @@ use crate::event::EventQueue;
 use crate::report::{TenancyReport, TenancyRow};
 use crate::scheduler::{SlotScheduler, TaskSpec};
 use crate::topology::{ClusterSpec, NodeId};
-use crate::trace::{Payload, Tracer};
+use crate::trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -238,16 +238,6 @@ pub enum IterKind {
 }
 
 impl IterKind {
-    /// The trace category, matching the driver span categories so
-    /// tenancy timelines reuse the report's iteration buckets.
-    pub fn cat(&self) -> &'static str {
-        match self {
-            IterKind::Be => "be-iteration",
-            IterKind::Ic => "ic",
-            IterKind::Topoff => "topoff",
-        }
-    }
-
     /// Whether a running iteration of this kind may be killed to admit
     /// a queued job.
     pub fn preemptible(&self) -> bool {
@@ -392,25 +382,23 @@ impl NodePool {
     }
 }
 
+/// Each job may lose its best-effort iteration to an arrival at most
+/// this many times (bounds re-queue churn; preempted jobs become immune
+/// once they hit the cap).
+const PREEMPTION_CAP: usize = 1;
+
 /// Cluster-level scheduler: FIFO admission with weighted fair grants and
 /// best-effort preemption, layered over [`SlotScheduler`] for intra-job
 /// packing.
 #[derive(Debug)]
 pub struct ClusterScheduler<'a> {
     spec: &'a ClusterSpec,
-    /// Each job may lose its best-effort iteration to an arrival at most
-    /// this many times (bounds re-queue churn; preempted jobs become
-    /// immune once they hit the cap).
-    pub preemption_cap: usize,
 }
 
 impl<'a> ClusterScheduler<'a> {
-    /// A scheduler for `spec` with the default preemption cap of 1.
+    /// A scheduler for `spec`.
     pub fn new(spec: &'a ClusterSpec) -> Self {
-        ClusterScheduler {
-            spec,
-            preemption_cap: 1,
-        }
+        ClusterScheduler { spec }
     }
 
     /// Weighted fair node grant for `job` given the weights of currently
@@ -421,9 +409,8 @@ impl<'a> ClusterScheduler<'a> {
         requested.min(share.max(1))
     }
 
-    /// Run the stream to completion; `tracer` gets one `job` span per
-    /// tenant plus per-iteration spans on `tenant-<id>` lanes.
-    pub fn run(&self, jobs: &[TenancyJob], tracer: &Tracer) -> TenancyOutcome {
+    /// Run the stream to completion.
+    pub fn run(&self, jobs: &[TenancyJob]) -> TenancyOutcome {
         for j in jobs {
             j.profile
                 .validate()
@@ -449,7 +436,6 @@ impl<'a> ClusterScheduler<'a> {
             .collect();
         let mut pool = NodePool::new(self.spec.nodes);
         let mut queue: VecDeque<usize> = VecDeque::new();
-        let slots_per_node = self.spec.map_slots_per_node().max(1);
         for (i, j) in jobs.iter().enumerate() {
             q.push(j.arrival.arrival_s, Ev::Arrive(i));
         }
@@ -457,26 +443,8 @@ impl<'a> ClusterScheduler<'a> {
         while let Some((now, ev)) = q.pop() {
             match ev {
                 Ev::Arrive(i) => {
-                    tracer.instant_at_in(
-                        &lane(i),
-                        format!("arrive:{}", jobs[i].arrival.app),
-                        "sched",
-                        now,
-                        vec![(
-                            "scale".to_string(),
-                            Payload::U64(jobs[i].arrival.scale as u64),
-                        )],
-                    );
                     queue.push_back(i);
-                    self.admit_loop(
-                        now,
-                        jobs,
-                        &mut states,
-                        &mut pool,
-                        &mut queue,
-                        &mut q,
-                        tracer,
-                    );
+                    self.admit_loop(now, jobs, &mut states, &mut pool, &mut queue, &mut q);
                 }
                 Ev::IterDone { job, epoch } => {
                     if states[job].epoch != epoch || states[job].done {
@@ -494,39 +462,9 @@ impl<'a> ClusterScheduler<'a> {
                         if let Some(g) = st.group.take() {
                             pool.release(g);
                         }
-                        tracer.span_at_in(
-                            &lane(job),
-                            format!(
-                                "job-{}:{}/{}",
-                                job, jobs[job].arrival.app, jobs[job].arrival.driver
-                            ),
-                            "job",
-                            jobs[job].arrival.arrival_s,
-                            now,
-                            vec![(
-                                "preemptions".to_string(),
-                                Payload::U64(states[job].preemptions as u64),
-                            )],
-                        );
-                        self.admit_loop(
-                            now,
-                            jobs,
-                            &mut states,
-                            &mut pool,
-                            &mut queue,
-                            &mut q,
-                            tracer,
-                        );
+                        self.admit_loop(now, jobs, &mut states, &mut pool, &mut queue, &mut q);
                     } else {
-                        self.start_iteration(
-                            job,
-                            now,
-                            jobs,
-                            &mut states,
-                            &mut q,
-                            tracer,
-                            slots_per_node,
-                        );
+                        self.start_iteration(job, now, jobs, &mut states, &mut q);
                     }
                 }
             }
@@ -558,7 +496,6 @@ impl<'a> ClusterScheduler<'a> {
 
     /// Admit queued jobs FIFO while grants fit; preempt a best-effort
     /// iteration when the head cannot fit and a victim exists.
-    #[allow(clippy::too_many_arguments)]
     fn admit_loop(
         &self,
         now: f64,
@@ -567,9 +504,7 @@ impl<'a> ClusterScheduler<'a> {
         pool: &mut NodePool,
         queue: &mut VecDeque<usize>,
         q: &mut EventQueue<Ev>,
-        tracer: &Tracer,
     ) {
-        let slots_per_node = self.spec.map_slots_per_node().max(1);
         while let Some(&head) = queue.front() {
             let running_weight: f64 = states
                 .iter()
@@ -591,14 +526,7 @@ impl<'a> ClusterScheduler<'a> {
                 }
                 st.group = Some(g);
                 st.grant = grant;
-                tracer.instant_at_in(
-                    &lane(head),
-                    "admit",
-                    "sched",
-                    now,
-                    vec![("granted_nodes".to_string(), Payload::U64(grant as u64))],
-                );
-                self.start_iteration(head, now, jobs, states, q, tracer, slots_per_node);
+                self.start_iteration(head, now, jobs, states, q);
                 continue;
             }
             // Head does not fit: look for a preemptible victim — the
@@ -610,7 +538,7 @@ impl<'a> ClusterScheduler<'a> {
                 .filter(|(i, s)| {
                     s.group.is_some()
                         && !s.done
-                        && s.preemptions < self.preemption_cap
+                        && s.preemptions < PREEMPTION_CAP
                         && jobs[*i].profile.iterations[s.next_iter].kind.preemptible()
                 })
                 .max_by(|(i, a), (j, b)| {
@@ -628,16 +556,6 @@ impl<'a> ClusterScheduler<'a> {
             if let Some(g) = st.group.take() {
                 pool.release(g);
             }
-            tracer.instant_at_in(
-                &lane(v),
-                "preempt",
-                "sched",
-                now,
-                vec![(
-                    "iteration".to_string(),
-                    Payload::U64(states[v].next_iter as u64),
-                )],
-            );
             queue.push_back(v);
         }
     }
@@ -645,7 +563,6 @@ impl<'a> ClusterScheduler<'a> {
     /// Schedule iteration `states[job].next_iter` on the job's granted
     /// group: pack tasks with [`SlotScheduler`], then push the bisection
     /// bytes across the core.
-    #[allow(clippy::too_many_arguments)]
     fn start_iteration(
         &self,
         job: usize,
@@ -653,9 +570,8 @@ impl<'a> ClusterScheduler<'a> {
         jobs: &[TenancyJob],
         states: &mut [JobState],
         q: &mut EventQueue<Ev>,
-        tracer: &Tracer,
-        slots_per_node: usize,
     ) {
+        let slots_per_node = self.spec.map_slots_per_node().max(1);
         let st = &mut states[job];
         let it = &jobs[job].profile.iterations[st.next_iter];
         let group = st.group.clone().expect("iteration started while queued");
@@ -670,21 +586,6 @@ impl<'a> ClusterScheduler<'a> {
         if it.bisection_bytes > 0 {
             st.windows.push((now + out.makespan_s, end));
         }
-        tracer.span_at_in(
-            &lane(job),
-            format!("{}-{}", it.kind.cat(), st.next_iter),
-            it.kind.cat(),
-            now,
-            end,
-            vec![
-                ("tasks".to_string(), Payload::U64(it.tasks as u64)),
-                ("waves".to_string(), Payload::U64(out.waves as u64)),
-                (
-                    "bisection_bytes".to_string(),
-                    Payload::U64(it.bisection_bytes),
-                ),
-            ],
-        );
         q.push(
             end,
             Ev::IterDone {
@@ -693,10 +594,6 @@ impl<'a> ClusterScheduler<'a> {
             },
         );
     }
-}
-
-fn lane(job: usize) -> String {
-    format!("tenant-{job}")
 }
 
 /// Fill `contention_s`: for each job, the measure of its bisection
@@ -736,14 +633,15 @@ fn attribute_contention(mut rows: Vec<TenancyRow>, states: &[JobState]) -> Vec<T
 }
 
 /// Convenience: run a stream and wrap the outcome in a
-/// [`TenancyReport`].
+/// [`TenancyReport`]. The scheduler records no trace; `_tracer` is unused
+/// and stays in the signature only for existing callers.
 pub fn run_stream(
     preset_name: &str,
     spec: &ClusterSpec,
     jobs: &[TenancyJob],
-    tracer: &Tracer,
+    _tracer: &Tracer,
 ) -> TenancyReport {
-    let out = ClusterScheduler::new(spec).run(jobs, tracer);
+    let out = ClusterScheduler::new(spec).run(jobs);
     TenancyReport {
         preset: preset_name.to_string(),
         cluster_nodes: spec.nodes,
@@ -755,7 +653,6 @@ pub fn run_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
 
     fn profile(kind: IterKind, iters: usize, tasks: usize, dur: f64, bytes: u64) -> JobProfile {
         JobProfile {
@@ -829,8 +726,7 @@ mod tests {
     fn solo_job_has_no_queueing() {
         let spec = ClusterSpec::medium();
         let jobs = [job(0, 1.0, 8, profile(IterKind::Ic, 3, 16, 2.0, 1_000_000))];
-        let tracer = Tracer::standalone();
-        let out = ClusterScheduler::new(&spec).run(&jobs, &tracer);
+        let out = ClusterScheduler::new(&spec).run(&jobs);
         let r = &out.rows[0];
         assert_eq!(r.queue_delay_s, 0.0);
         assert_eq!(r.admitted_s, 1.0);
@@ -851,8 +747,7 @@ mod tests {
             job(0, 0.0, 8, profile(IterKind::Ic, 2, 8, 5.0, 0)),
             job(1, 1.0, 8, profile(IterKind::Ic, 1, 8, 5.0, 0)),
         ];
-        let tracer = Tracer::standalone();
-        let out = ClusterScheduler::new(&spec).run(&jobs, &tracer);
+        let out = ClusterScheduler::new(&spec).run(&jobs);
         assert_eq!(out.rows[0].queue_delay_s, 0.0);
         assert!(out.rows[1].queue_delay_s > 0.0);
         assert_eq!(out.rows[1].admitted_s, out.rows[0].finish_s);
@@ -866,8 +761,7 @@ mod tests {
             job(0, 0.0, 8, profile(IterKind::Be, 2, 8, 100.0, 0)),
             job(1, 1.0, 8, profile(IterKind::Ic, 1, 8, 1.0, 0)),
         ];
-        let tracer = Tracer::standalone();
-        let out = ClusterScheduler::new(&spec).run(&jobs, &tracer);
+        let out = ClusterScheduler::new(&spec).run(&jobs);
         assert_eq!(out.rows[0].preemptions, 1, "BE job should lose its slot");
         assert!(out.rows[1].admitted_s < out.rows[0].finish_s);
         // The preempted BE iteration re-runs: job 0 still completes.
@@ -899,8 +793,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let tracer = Tracer::standalone();
-            ClusterScheduler::new(&spec).run(&jobs, &tracer)
+            ClusterScheduler::new(&spec).run(&jobs)
         };
         assert_eq!(mk(), mk());
     }
@@ -915,8 +808,7 @@ mod tests {
             job(0, 0.0, 8, profile(IterKind::Ic, 2, 8, 1.0, big)),
             job(1, 0.0, 8, profile(IterKind::Ic, 2, 8, 1.0, big)),
         ];
-        let tracer = Tracer::standalone();
-        let out = ClusterScheduler::new(&spec).run(&jobs, &tracer);
+        let out = ClusterScheduler::new(&spec).run(&jobs);
         assert!(out.rows[0].contention_s > 0.0);
         assert!(out.rows[1].contention_s > 0.0);
     }

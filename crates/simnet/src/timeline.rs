@@ -626,6 +626,7 @@ mod tests {
             bytes: 7,
             w0: 1.3,
             w1: 4.8,
+            parent: None,
         };
         apportion(&mut series, &charge, 1.0);
         assert_eq!(series.iter().sum::<u64>(), 7, "{series:?}");
@@ -641,6 +642,7 @@ mod tests {
             bytes: 100,
             w0: 2.5,
             w1: 2.5,
+            parent: None,
         };
         apportion(&mut series, &charge, 1.0);
         assert_eq!(series, vec![0, 0, 100, 0]);
@@ -652,7 +654,7 @@ mod tests {
         let root = tracer.begin_at("root", "job", 0.0);
         // Saturate the single-rack bisection (3 GbE = 375 MB/s) for 4 s.
         ledger.add_over(TrafficClass::ShuffleBisection, 1_500_000_000, 2.0, 6.0);
-        ledger.add(TrafficClass::Merge, 1234); // impulse at t = 0
+        ledger.add_over(TrafficClass::Merge, 1234, 0.0, 0.0); // impulse at t = 0
         tracer.end_at(root, 10.0);
         let spec = ClusterSpec::small();
         let report = UtilizationReport::with_intervals(&tracer.trace(), &spec, 10);

@@ -14,23 +14,26 @@
 //!   inside its parent's `[t0, t1]` window.
 //! * **Instants** — point events for killed task attempts, injected
 //!   faults, DFS writes, counter rollups, and *every*
-//!   [`crate::traffic::TrafficLedger`] charge (class + bytes). Because
-//!   the ledger itself emits the traffic events, the bytes attributed in
-//!   a trace reconcile **exactly** (`==`) with the ledger's totals.
+//!   [`crate::traffic::TrafficLedger`] charge (class, bytes and window).
+//!   Every charge goes through [`crate::traffic::TrafficLedger::add_over`],
+//!   which records its own `traffic` instant, so the bytes attributed in a
+//!   trace reconcile **exactly** (`==`) with the ledger's totals. The one
+//!   decoder of those instants is [`crate::sweep::collect_charges`].
 //!
-//! Two time bases coexist: span boundaries are simulated seconds, while
-//! host-side wall-clock measurements ride along as args whose key starts
-//! with `host_`. [`Trace::without_host_args`] strips the latter, leaving a
-//! trace that is bit-identical across rayon pool widths — the property
-//! `tests/trace_invariants.rs` pins.
+//! The trace has one time base, simulated seconds, and records only what
+//! the simulated run did: host wall-clock timers live in the engine's
+//! `JobStats` and in [`crate::hostprof`], never in span args. A trace is
+//! therefore bit-identical across rayon pool widths — the property
+//! `tests/trace_invariants.rs` pins with `==`.
 //!
-//! [`Trace::to_chrome_json`] exports the Chrome `about:tracing` /
-//! Perfetto JSON format, rendered by hand so the bytes are a pinned
-//! function of the trace. [`MetricsRegistry::from_trace`] derives per-phase
-//! time, per-class bytes and counter rollups, and [`check`] holds the
-//! reusable trace invariants the test suite asserts.
+//! [`Trace::to_chrome_json_with_counters`] exports the Chrome
+//! `about:tracing` / Perfetto JSON format, rendered by hand so the bytes
+//! are a pinned function of the trace. [`MetricsRegistry::from_trace`]
+//! derives per-phase time, per-class bytes and counter rollups, and
+//! [`check`] holds the reusable trace invariants the test suite asserts.
 
 use crate::clock::SimClock;
+use crate::sweep::collect_charges;
 use crate::traffic::{TrafficClass, TrafficSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -391,27 +394,13 @@ impl Tracer {
         });
     }
 
-    /// Record one ledger charge: an instant named after the traffic
-    /// class, category `traffic`, carrying the byte payload. Called by
-    /// [`crate::traffic::TrafficLedger::add`] on traced ledgers, which
-    /// is what makes traced bytes reconcile exactly with ledger totals.
-    pub fn traffic_event(&self, class: TrafficClass, bytes: u64) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.instant(
-            class.label(),
-            "traffic",
-            vec![("bytes".to_string(), Payload::U64(bytes))],
-        );
-    }
-
-    /// [`Tracer::traffic_event`] for a charge whose transfer occupies the
-    /// simulated window `[w0, w1]`. The window rides along as `w0`/`w1`
-    /// args so `crate::timeline` can spread the bytes over the interval
-    /// they actually moved in; byte reconciliation is untouched because
-    /// [`Trace::traffic_totals`] only reads the `bytes` payload. Called by
-    /// [`crate::traffic::TrafficLedger::add_over`].
+    /// Record one ledger charge whose transfer occupies the simulated
+    /// window `[w0, w1]` (`w1 == w0` for an impulse): an instant named
+    /// after the traffic class, category `traffic`, carrying `bytes` and
+    /// the window as `w0`/`w1` args so `crate::timeline` can spread the
+    /// bytes over the interval they actually moved in. Called only by
+    /// [`crate::traffic::TrafficLedger::add_over`], which is what makes
+    /// traced bytes reconcile exactly with ledger totals.
     /// The instant is stamped at `w0` — the moment the transfer starts —
     /// not at the emission clock: the engine assembles whole jobs with
     /// the clock parked at the job start, so a charge committed while a
@@ -455,64 +444,23 @@ impl Tracer {
 }
 
 impl Trace {
-    /// The same trace with every `host_*` argument removed — the
-    /// wall-clock measurements that legitimately differ run to run.
-    /// What remains must be identical across rayon pool widths.
-    pub fn without_host_args(&self) -> Trace {
-        let strip = |args: &Args| -> Args {
-            args.iter()
-                .filter(|(k, _)| !k.starts_with("host_"))
-                .cloned()
-                .collect()
-        };
-        Trace {
-            spans: self
-                .spans
-                .iter()
-                .map(|s| Span {
-                    args: strip(&s.args),
-                    ..s.clone()
-                })
-                .collect(),
-            instants: self
-                .instants
-                .iter()
-                .map(|i| InstantEvent {
-                    args: strip(&i.args),
-                    ..i.clone()
-                })
-                .collect(),
-        }
-    }
-
-    /// Sum of traced bytes per traffic class (from `traffic` instants).
+    /// Sum of traced bytes per traffic class (from the ledger charges
+    /// [`collect_charges`] decodes).
     pub fn traffic_totals(&self) -> TrafficSnapshot {
-        let mut by_label: BTreeMap<&str, u64> = BTreeMap::new();
-        for i in &self.instants {
-            if i.cat != "traffic" {
-                continue;
-            }
-            *by_label.entry(i.name.as_str()).or_insert(0) += i.arg_u64("bytes").unwrap_or(0);
-        }
         let mut snap = TrafficSnapshot::default();
-        for c in TrafficClass::ALL {
-            snap.set(c, by_label.get(c.label()).copied().unwrap_or(0));
+        for c in collect_charges(self).0 {
+            snap.set(c.class, snap.get(c.class) + c.bytes);
         }
         snap
     }
 
     /// Export in the Chrome `about:tracing` / Perfetto JSON format:
     /// complete (`X`) events for spans, instant (`i`) events, and
-    /// `thread_name` metadata naming each lane. Timestamps are
-    /// microseconds of simulated time.
-    pub fn to_chrome_json(&self) -> String {
-        self.to_chrome_json_with_counters(&[])
-    }
-
-    /// [`Trace::to_chrome_json`] plus derived counter tracks: each
-    /// [`CounterTrack`] sample becomes a `"ph":"C"` event on the
-    /// [`COUNTER_LANE`] lane, so utilization/occupancy series plot as
-    /// counter graphs under the trace.
+    /// `thread_name` metadata naming each lane, plus derived counter
+    /// tracks: each [`CounterTrack`] sample becomes a `"ph":"C"` event on
+    /// the [`COUNTER_LANE`] lane, so utilization/occupancy series plot as
+    /// counter graphs under the trace (pass `&[]` for none). Timestamps
+    /// are microseconds of simulated time.
     pub fn to_chrome_json_with_counters(&self, counters: &[CounterTrack]) -> String {
         // Intern lanes in first-appearance order; the driver lane is tid 0.
         fn tid_of(lanes: &mut Vec<String>, lane: &str) -> usize {
@@ -662,12 +610,13 @@ impl MetricsRegistry {
                     .or_insert(0.0) += (s.t1 - s.t0).max(0.0);
             }
         }
+        for c in collect_charges(trace).0 {
+            *m.class_bytes
+                .entry(c.class.label().to_string())
+                .or_insert(0) += c.bytes;
+        }
         for i in &trace.instants {
             match i.cat {
-                "traffic" => {
-                    *m.class_bytes.entry(i.name.clone()).or_insert(0) +=
-                        i.arg_u64("bytes").unwrap_or(0);
-                }
                 "counter" => {
                     *m.counters.entry(i.name.clone()).or_insert(0) +=
                         i.arg_u64("value").unwrap_or(0);
@@ -943,7 +892,6 @@ mod tests {
         t.instant_at_in("lane", "e3", "dfs", 0.5, Vec::new());
         t.span_at("s", "phase", 0.0, 1.0, Vec::new());
         t.span_at_in("lane", "s2", "task", 0.0, 1.0, Vec::new());
-        t.traffic_event(TrafficClass::Broadcast, 99);
         t.traffic_event_over(TrafficClass::Merge, 99, 0.0, 1.0);
         t.end(id2);
         t.end_at(id, 2.0);
@@ -1044,9 +992,9 @@ mod tests {
     #[test]
     fn traffic_events_reconcile_exactly() {
         let (t, _clock) = tracer();
-        t.traffic_event(TrafficClass::Broadcast, 100);
-        t.traffic_event(TrafficClass::Broadcast, 23);
-        t.traffic_event(TrafficClass::Merge, 7);
+        t.traffic_event_over(TrafficClass::Broadcast, 100, 0.0, 0.0);
+        t.traffic_event_over(TrafficClass::Broadcast, 23, 0.5, 1.5);
+        t.traffic_event_over(TrafficClass::Merge, 7, 1.0, 1.0);
         let tr = t.trace();
         let mut expect = TrafficSnapshot::default();
         expect.set(TrafficClass::Broadcast, 123);
@@ -1097,24 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn without_host_args_strips_only_host_keys() {
-        let (t, _clock) = tracer();
-        t.span_at(
-            "sort",
-            "phase",
-            0.0,
-            0.0,
-            vec![
-                ("host_partition_s".into(), Payload::F64(0.001)),
-                ("records".into(), Payload::U64(5)),
-            ],
-        );
-        let tr = t.trace().without_host_args();
-        assert_eq!(tr.spans[0].args.len(), 1);
-        assert_eq!(tr.spans[0].args[0].0, "records");
-    }
-
-    #[test]
     fn chrome_json_is_well_formed() {
         let (t, clock) = tracer();
         let job = t.begin("job:\"quoted\"\n", "job");
@@ -1126,7 +1056,7 @@ mod tests {
         );
         clock.lock().advance(1.0);
         t.end(job);
-        let json = t.trace().to_chrome_json();
+        let json = t.trace().to_chrome_json_with_counters(&[]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
@@ -1157,11 +1087,9 @@ mod tests {
         assert!(json.contains("\"args\":{\"value\":0.5}"));
         assert!(json.contains("\"args\":{\"value\":null}"), "NaN -> null");
         assert!(json.contains(&format!("\"name\":{}", json_string(COUNTER_LANE))));
-        // The no-counter export is byte-identical to plain to_chrome_json.
-        assert_eq!(
-            t.trace().to_chrome_json(),
-            t.trace().to_chrome_json_with_counters(&[])
-        );
+        // Without tracks there is no counter lane.
+        let plain = t.trace().to_chrome_json_with_counters(&[]);
+        assert!(!plain.contains(&format!("\"name\":{}", json_string(COUNTER_LANE))));
     }
 
     #[test]
@@ -1182,7 +1110,7 @@ mod tests {
         let tr = t.trace();
         assert_eq!(tr.instants[0].arg_f64("objective"), Some(0.25));
         assert_eq!(tr.instants[0].arg_f64("iteration"), None, "U64 is not F64");
-        let json = tr.to_chrome_json();
+        let json = tr.to_chrome_json_with_counters(&[]);
         assert!(json.contains("\"ph\":\"C\""), "{json}");
         assert!(
             !json.contains("\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":1000000.000,\"s\""),
@@ -1213,7 +1141,7 @@ mod tests {
         let (t, _clock) = tracer();
         t.span_at("map", "phase", 0.0, 2.0, Vec::new());
         t.span_at("map", "phase", 2.0, 3.0, Vec::new());
-        t.traffic_event(TrafficClass::MapSpill, 10);
+        t.traffic_event_over(TrafficClass::MapSpill, 10, 0.0, 3.0);
         t.instant(
             "points",
             "counter",

@@ -120,17 +120,10 @@ impl TrafficLedger {
         }
     }
 
-    /// Add `bytes` to `class`.
-    pub fn add(&self, class: TrafficClass, bytes: u64) {
-        self.bytes[class.index()].fetch_add(bytes, Ordering::Relaxed);
-        self.tracer.traffic_event(class, bytes);
-    }
-
     /// Add `bytes` to `class`, recording that the transfer occupied the
-    /// simulated window `[w0, w1]`. Totals are identical to [`Self::add`];
-    /// the window only refines *when* the bytes count against a link in
-    /// `crate::timeline`. Charges without a window are attributed as an
-    /// impulse at their emission time.
+    /// simulated window `[w0, w1]` — the one charge path. The window only
+    /// refines *when* the bytes count against a link in `crate::timeline`;
+    /// `w1 == w0` charges an impulse at `w0`.
     pub fn add_over(&self, class: TrafficClass, bytes: u64, w0: f64, w1: f64) {
         self.bytes[class.index()].fetch_add(bytes, Ordering::Relaxed);
         self.tracer.traffic_event_over(class, bytes, w0, w1);
@@ -250,9 +243,9 @@ mod tests {
     #[test]
     fn add_and_get_roundtrip() {
         let l = TrafficLedger::new();
-        l.add(TrafficClass::ShuffleRack, 100);
-        l.add(TrafficClass::ShuffleRack, 23);
-        l.add(TrafficClass::ModelUpdate, 7);
+        l.add_over(TrafficClass::ShuffleRack, 100, 0.0, 0.0);
+        l.add_over(TrafficClass::ShuffleRack, 23, 0.0, 0.0);
+        l.add_over(TrafficClass::ModelUpdate, 7, 0.0, 0.0);
         assert_eq!(l.get(TrafficClass::ShuffleRack), 123);
         assert_eq!(l.get(TrafficClass::ModelUpdate), 7);
         assert_eq!(l.get(TrafficClass::DfsRead), 0);
@@ -261,10 +254,10 @@ mod tests {
     #[test]
     fn snapshot_totals() {
         let l = TrafficLedger::new();
-        l.add(TrafficClass::ShuffleLocal, 10);
-        l.add(TrafficClass::ShuffleRack, 20);
-        l.add(TrafficClass::ShuffleBisection, 30);
-        l.add(TrafficClass::ModelUpdate, 5);
+        l.add_over(TrafficClass::ShuffleLocal, 10, 0.0, 0.0);
+        l.add_over(TrafficClass::ShuffleRack, 20, 0.0, 0.0);
+        l.add_over(TrafficClass::ShuffleBisection, 30, 0.0, 0.0);
+        l.add_over(TrafficClass::ModelUpdate, 5, 0.0, 0.0);
         let s = l.snapshot();
         assert_eq!(s.shuffle_total(), 60);
         assert_eq!(s.shuffle_network(), 50);
@@ -275,10 +268,10 @@ mod tests {
     #[test]
     fn delta_between_snapshots() {
         let l = TrafficLedger::new();
-        l.add(TrafficClass::DfsRead, 100);
+        l.add_over(TrafficClass::DfsRead, 100, 0.0, 0.0);
         let a = l.snapshot();
-        l.add(TrafficClass::DfsRead, 50);
-        l.add(TrafficClass::Merge, 9);
+        l.add_over(TrafficClass::DfsRead, 50, 0.0, 0.0);
+        l.add_over(TrafficClass::Merge, 9, 0.0, 0.0);
         let b = l.snapshot();
         let d = b.delta_since(&a);
         assert_eq!(d.get(TrafficClass::DfsRead), 50);
@@ -288,10 +281,10 @@ mod tests {
     #[test]
     fn delta_saturates_after_reset() {
         let l = TrafficLedger::new();
-        l.add(TrafficClass::DfsRead, 100);
+        l.add_over(TrafficClass::DfsRead, 100, 0.0, 0.0);
         let a = l.snapshot();
         l.reset();
-        l.add(TrafficClass::DfsRead, 10);
+        l.add_over(TrafficClass::DfsRead, 10, 0.0, 0.0);
         let b = l.snapshot();
         assert_eq!(b.delta_since(&a).get(TrafficClass::DfsRead), 0);
     }
@@ -305,7 +298,7 @@ mod tests {
             let l = Arc::clone(&l);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..10_000 {
-                    l.add(TrafficClass::ShuffleBisection, 1);
+                    l.add_over(TrafficClass::ShuffleBisection, 1, 0.0, 0.0);
                 }
             }));
         }

@@ -98,7 +98,7 @@ fn byte_attribution_mismatch_is_reported_per_class() {
     let tracer = Tracer::standalone();
     let root = tracer.begin_at("root", "job", 0.0);
     let traced = TrafficLedger::traced(tracer.clone());
-    traced.add(TrafficClass::Merge, 100);
+    traced.add_over(TrafficClass::Merge, 100, 1.0, 1.0);
     tracer.end_at(root, 10.0);
     let trace = tracer.trace();
 
@@ -106,8 +106,8 @@ fn byte_attribution_mismatch_is_reported_per_class() {
     // merge was recorded as 37 (trace says 100) and dfs-read as 50
     // (trace has no such instant at all).
     let wrong = TrafficLedger::new();
-    wrong.add(TrafficClass::Merge, 37);
-    wrong.add(TrafficClass::DfsRead, 50);
+    wrong.add_over(TrafficClass::Merge, 37, 0.0, 0.0);
+    wrong.add_over(TrafficClass::DfsRead, 50, 0.0, 0.0);
     let errs = check::bytes_attributed(&trace, &wrong.snapshot()).unwrap_err();
     assert_eq!(errs.len(), 2, "{errs:#?}");
     assert_violation(
@@ -204,7 +204,7 @@ fn validate_aggregates_violations_from_every_checker() {
     tracer.span_at_in("red-slot-2", "r2", "task", 2.0, 5.0, vec![]);
     tracer.end_at(root, 10.0);
     let ledger = TrafficLedger::new();
-    ledger.add(TrafficClass::ModelUpdate, 9);
+    ledger.add_over(TrafficClass::ModelUpdate, 9, 0.0, 0.0);
     let errs = check::validate(&tracer.trace(), &ledger.snapshot()).unwrap_err();
     assert_violation(&errs, &["span escapes parent"]);
     assert_violation(&errs, &["slot lane red-slot-2 runs two tasks at once"]);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// One random charge: a class, a byte count small enough that even
 /// hundreds of charges cannot overflow `u64`, and an optional window
-/// (`add_over`) instead of an impulse (`add`).
+/// instead of an impulse at `t = 0`.
 type RandomCharge = (usize, u64, Option<(f64, f64)>);
 
 fn charge_strategy() -> impl Strategy<Value = RandomCharge> {
@@ -36,7 +36,7 @@ fn traced_run(charges: &[RandomCharge]) -> (Tracer, TrafficLedger) {
         let class = TrafficClass::ALL[class_idx];
         match window {
             Some((w0, w1)) => ledger.add_over(class, bytes, w0, w1),
-            None => ledger.add(class, bytes),
+            None => ledger.add_over(class, bytes, 0.0, 0.0),
         }
     }
     tracer.end_at(root, 500.0);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 /// One random charge: a class, a byte count small enough that even
 /// hundreds of charges cannot overflow `u64`, and an optional window
-/// (`add_over`) instead of an impulse (`add`).
+/// instead of an impulse at `t = 0`.
 fn charge_strategy() -> impl Strategy<Value = (usize, u64, Option<(f64, f64)>)> {
     (
         0..TrafficClass::ALL.len(),
@@ -37,7 +37,7 @@ proptest! {
             let class = TrafficClass::ALL[class_idx];
             match window {
                 Some((w0, w1)) => ledger.add_over(class, bytes, w0, w1),
-                None => ledger.add(class, bytes),
+                None => ledger.add_over(class, bytes, 0.0, 0.0),
             }
             expected[class_idx] += bytes;
         }
@@ -74,11 +74,11 @@ proptest! {
     ) {
         let ledger = TrafficLedger::new();
         for &(class_idx, bytes, _) in &first {
-            ledger.add(TrafficClass::ALL[class_idx], bytes);
+            ledger.add_over(TrafficClass::ALL[class_idx], bytes, 0.0, 0.0);
         }
         let early = ledger.snapshot();
         for &(class_idx, bytes, _) in &second {
-            ledger.add(TrafficClass::ALL[class_idx], bytes);
+            ledger.add_over(TrafficClass::ALL[class_idx], bytes, 0.0, 0.0);
         }
         let late = ledger.snapshot();
 

@@ -147,11 +147,7 @@ fn map_only_run(
         let engine = Engine::new(ClusterSpec::small());
         let data = Dataset::create(&engine, "/eq/job", records.to_vec(), splits);
         let r = engine.run_map_only(cfg, &data, &engine_mapper());
-        (
-            r.output,
-            r.stats.counters,
-            engine.trace().without_host_args(),
-        )
+        (r.output, r.stats.counters, engine.trace())
     })
 }
 
@@ -316,9 +312,8 @@ fn pipeline_is_deterministic_across_pool_widths() {
             &engine_reducer(),
         );
         let delta = engine.traffic().delta_since(&before);
-        // Host wall-clock measurements ride along as `host_*` args and
-        // legitimately vary; everything else in the trace must not.
-        let trace = engine.trace().without_host_args();
+        // The trace records simulated time only, so it must not vary.
+        let trace = engine.trace();
         (result.output, result.stats, delta, trace)
     };
 

@@ -13,7 +13,7 @@ fn simulated_time_only_moves_forward() {
     let app = KMeansApp::new(5, 2, 1e-3);
     let mut last = engine.now();
     for _ in 0..3 {
-        let scope = IterScope::cluster(6, Timing::default_analytic(), 4);
+        let scope = IterScope::cluster(6, Timing::default_analytic());
         let init = Centroids::new(init_random_centroids(5, 2, 100.0, 3));
         let _ = app.iterate(&engine, &data, &init, &scope);
         let now = engine.now();

@@ -153,8 +153,8 @@ fn pic_trace_is_identical_across_pool_widths() {
     check::span_order(&trace_1, "be-iteration", "topoff").unwrap();
     check::span_order(&trace_n, "be-iteration", "topoff").unwrap();
 
-    // …and modulo host wall-clock args the traces are bit-identical.
-    assert_eq!(trace_1.without_host_args(), trace_n.without_host_args());
+    // …and the traces are bit-identical: they carry no host wall clock.
+    assert_eq!(trace_1, trace_n);
     assert_eq!(traffic_1, traffic_n);
     assert_eq!(report_1.be_iterations, report_n.be_iterations);
     assert_eq!(report_1.total_time_s, report_n.total_time_s);
@@ -196,7 +196,7 @@ fn metrics_registry_reflects_the_run() {
 #[test]
 fn chrome_export_carries_the_run_structure() {
     let (trace, _, _) = std_run();
-    let json = trace.to_chrome_json();
+    let json = trace.to_chrome_json_with_counters(&[]);
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("pic:kmeans"));
     assert!(json.contains("\"be-1\""));
