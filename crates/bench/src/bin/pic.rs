@@ -21,7 +21,7 @@ use pic_bench::experiments::report::{self as perf, SuiteOutputs};
 use pic_bench::experiments::{self, chaos, explain, tenancy, watch, ExperimentCtx};
 use pic_bench::json;
 use pic_bench::table::{fmt_bytes, fmt_secs, fmt_x, Table};
-use pic_simnet::{ClusterSpec, TrafficClass};
+use pic_simnet::{ClusterSpec, Rule, TrafficClass};
 
 fn ctx_of(m: &Matches) -> ExperimentCtx {
     ExperimentCtx {
@@ -268,15 +268,20 @@ fn explain(m: &Matches) -> Result<i32, Failure> {
 /// render the dashboard plus the JSON, incident-CSV and OpenMetrics
 /// exports. Pure trace post-processing.
 fn watch(m: &Matches) -> Result<i32, Failure> {
-    let mut opts = watch::WatchOptions {
+    // The table validated every `--rules` name against `CATALOG_RULES`,
+    // the names of `Rule::ALL`.
+    let rule = |name: &str| {
+        Rule::ALL
+            .into_iter()
+            .find(|r| r.name() == name)
+            .expect("a rule")
+    };
+    let opts = watch::WatchOptions {
         window_s: m.num("--window"),
+        rules: m.names("--rules").into_iter().map(rule).collect(),
         interval_s: m.num("--interval"),
         width: m.num("--width"),
-        ..Default::default()
     };
-    if let Some(list) = m.get("--rules") {
-        opts.rules = pic_simnet::monitor::parse_rules(list)?;
-    }
     let ctx = ctx_of(m);
     let runs = perf::collect(&ctx, &m.positional_names())?;
     let sections = watch::sections(&runs, &opts)?;

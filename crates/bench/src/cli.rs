@@ -76,8 +76,8 @@ impl Kind {
 }
 
 /// The catalog's own `'static` spelling of `name`, or the enumerating
-/// error (`unknown rule 'x'; valid rules: a, b` — the format the
-/// monitor's `parse_rules` pins).
+/// error (`unknown rule 'x'; valid rules: a, b`, pinned by the
+/// `pic watch --rules` tests).
 fn canonical(
     what: &str,
     catalog: &'static [&'static str],

@@ -240,7 +240,6 @@ pub fn local_cap(ctx: &ExperimentCtx) -> String {
                 timing: cost::kmeans().timing,
                 local_secs_per_record: Some(cost::kmeans().local_secs),
                 local_cap: Some(cap),
-                ..Default::default()
             },
         );
         t.row([
@@ -462,7 +461,6 @@ mod tests {
                     timing: cost::kmeans().timing,
                     local_secs_per_record: Some(cost::kmeans().local_secs),
                     local_cap: Some(cap),
-                    ..Default::default()
                 },
             );
             rounds.push(r.be_iterations);

@@ -10,7 +10,7 @@
 
 use super::report::AppRun;
 use crate::table::csv_doc;
-use pic_simnet::monitor::{self, openmetrics, AlertRule, DEFAULT_WINDOW_S};
+use pic_simnet::monitor::{openmetrics, Rule, DEFAULT_WINDOW_S, MAX_BUCKETS};
 use pic_simnet::report::{fmt_f64, JsonWriter};
 use pic_simnet::{Monitor, MonitorConfig, MonitorReport};
 use std::fmt::Write as _;
@@ -21,7 +21,7 @@ pub struct WatchOptions {
     /// Sliding-window length, simulated seconds (`--window`).
     pub window_s: f64,
     /// Alert rules to evaluate (`--rules`, default the full catalog).
-    pub rules: Vec<AlertRule>,
+    pub rules: Vec<Rule>,
     /// Dashboard frame spacing, simulated seconds (`--interval`);
     /// `0` renders only the final frame.
     pub interval_s: f64,
@@ -33,7 +33,7 @@ impl Default for WatchOptions {
     fn default() -> Self {
         WatchOptions {
             window_s: DEFAULT_WINDOW_S,
-            rules: monitor::default_rules(),
+            rules: Rule::ALL.to_vec(),
             interval_s: 0.0,
             width: 48,
         }
@@ -60,16 +60,13 @@ fn cfg_for(run: &AppRun, opts: &WatchOptions) -> MonitorConfig {
     cfg
 }
 
-/// Most buckets (a quarter-window each) one replayed run may span.
-const MAX_BUCKETS: f64 = 1e6;
-
 /// Replay every collected run through the monitor with the given
 /// options. Errors carry the monitor's pinned validation messages.
 pub fn sections(runs: &[AppRun], opts: &WatchOptions) -> Result<Vec<WatchSection>, String> {
     runs.iter()
         .map(|run| {
-            // The monitor keeps every bucket of every series: refuse a
-            // window so fine that the replay could not be allocated.
+            // The monitor refuses a window finer than its bucket limit;
+            // name the app before any replay starts.
             let buckets = run.ic_time_s.max(run.pic_time_s) / cfg_for(run, opts).bucket_s();
             if buckets > MAX_BUCKETS {
                 let (window, app) = (opts.window_s, run.app);
@@ -132,7 +129,7 @@ pub fn watch_json(scale: f64, opts: &WatchOptions, sections: &[WatchSection]) ->
     let rules: Vec<String> = opts
         .rules
         .iter()
-        .map(|r| format!("\"{}\"", r.name))
+        .map(|r| format!("\"{}\"", r.name()))
         .collect();
     let doc = JsonWriter::document(0, |w| {
         w.field_str("suite", "pic-watch");

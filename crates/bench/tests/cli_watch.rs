@@ -19,7 +19,7 @@ const SUBCOMMANDS: [&str; 8] = [
 /// The monitor replay is pure trace post-processing on the simulated
 /// clock: the same app at the same scale on a 1-thread and a 4-thread
 /// rayon pool must produce byte-identical `--json` and `--csv`
-/// artifacts (instants carry a deterministic `(t, seq)` order).
+/// artifacts (instants keep recording order at equal times).
 #[test]
 fn watch_json_is_byte_identical_across_pool_widths() {
     let dir = std::env::temp_dir().join(format!("pic-watch-{}", std::process::id()));
@@ -75,7 +75,7 @@ fn watch_json_is_byte_identical_across_pool_widths() {
 }
 
 /// An unknown rule name exits 2 and the error enumerates the catalog —
-/// the monitor's pinned `parse_rules` message, verbatim.
+/// the command table's `--rules` check, verbatim.
 #[test]
 fn unknown_rule_lists_the_catalog() {
     let out = pic()

@@ -27,6 +27,7 @@ use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::hostprof::{self, Stage};
 use pic_simnet::scheduler::TaskSpec;
+use pic_simnet::topology::node_group;
 use pic_simnet::trace::Payload;
 use pic_simnet::traffic::TrafficClass;
 use pic_simnet::transfer;
@@ -44,12 +45,6 @@ pub struct PicOptions {
     /// Cap on local iterations; `None` defers to
     /// [`PicApp::local_iteration_cap`].
     pub local_cap: Option<usize>,
-    /// Cap on best-effort iterations; `None` defers to
-    /// [`PicApp::max_be_iterations`].
-    pub max_be_iterations: Option<usize>,
-    /// Cap on top-off iterations; `None` defers to
-    /// [`crate::app::IterativeApp::max_iterations`].
-    pub max_topoff_iterations: Option<usize>,
     /// Simulated seconds one record costs inside a local iteration.
     /// Local iterations execute *inside one long-running task* over
     /// deserialized in-memory data, so they do not pay the per-record
@@ -66,27 +61,8 @@ impl Default for PicOptions {
             partitions: 8,
             timing: Timing::default_analytic(),
             local_cap: None,
-            max_be_iterations: None,
-            max_topoff_iterations: None,
             local_secs_per_record: None,
         }
-    }
-}
-
-/// [`pic_simnet::topology::ClusterSpec::node_group`] generalized to an
-/// elastic active-node count: split `nodes` front-loaded into `groups`
-/// contiguous ranges; degenerate (more groups than nodes) groups share
-/// nodes round-robin.
-fn subgroup(nodes: usize, g: usize, groups: usize) -> std::ops::Range<usize> {
-    let base = nodes / groups;
-    let rem = nodes % groups;
-    let len = base + usize::from(g < rem);
-    if len == 0 {
-        let n = g % nodes;
-        n..n + 1
-    } else {
-        let start = g * base + g.min(rem);
-        start..start + len
     }
 }
 
@@ -122,14 +98,14 @@ pub fn run_pic<A: PicApp>(
         parts,
         "partition_data must return `parts` groups"
     );
-    let mut groups: Vec<std::ops::Range<usize>> =
-        (0..parts).map(|p| spec.node_group(p, parts)).collect();
+    // Sub-problem `p` of `parts` runs on node group `p` of the active
+    // nodes — the whole cluster until an elastic resize.
+    let split = |nodes, parts| (0..parts).map(|p| node_group(nodes, p, parts)).collect();
+    let mut groups: Vec<std::ops::Range<usize>> = split(active_nodes, parts);
 
     // ---- Best-effort iterations. ----------------------------------------
     let cap = opts.local_cap.unwrap_or_else(|| app.local_iteration_cap());
-    let max_be = opts
-        .max_be_iterations
-        .unwrap_or_else(|| app.max_be_iterations());
+    let max_be = app.max_be_iterations();
     let model_file = format!("{}/{}.be.model", super::MODEL_PATH, app.name());
 
     let mut model = init;
@@ -284,9 +260,7 @@ pub fn run_pic<A: PicApp>(
             active_nodes = new_nodes.min(spec.nodes).max(1);
             parts_records = app.partition_data(data, parts);
             assert_eq!(parts_records.len(), parts, "partition_data on resize");
-            groups = (0..parts)
-                .map(|p| subgroup(active_nodes, p, parts))
-                .collect();
+            groups = split(active_nodes, parts);
             let cost = transfer::shuffle(spec, &(0..active_nodes), data.total_bytes);
             engine.transfer(
                 "rebalance",
@@ -305,10 +279,7 @@ pub fn run_pic<A: PicApp>(
 
     // ---- Top-off phase: the unmodified IC computation. ------------------
     let topoff_opts = IcOptions {
-        max_iterations: Some(
-            opts.max_topoff_iterations
-                .unwrap_or_else(|| app.max_topoff_iterations()),
-        ),
+        max_iterations: Some(app.max_topoff_iterations()),
         timing: opts.timing.clone(),
         phase: "topoff",
         charge_startup: false, // same job chain continues

@@ -57,6 +57,10 @@ impl PicApp for UnevenModelApp {
         subs.concat()
     }
 
+    fn max_be_iterations(&self) -> usize {
+        1
+    }
+
     fn solve_local(
         &self,
         part: usize,
@@ -81,7 +85,6 @@ fn merge_gather_charges_exact_byte_sum() {
         vec![0.0],
         &PicOptions {
             partitions: 3,
-            max_be_iterations: Some(1),
             ..Default::default()
         },
     );
@@ -141,6 +144,9 @@ fn equal_sized_sub_models_unchanged() {
         fn merge(&self, subs: &[Vec<f64>], _prev: &Vec<f64>) -> Vec<f64> {
             subs[0].clone()
         }
+        fn max_be_iterations(&self) -> usize {
+            1
+        }
         fn solve_local(
             &self,
             part: usize,
@@ -162,7 +168,6 @@ fn equal_sized_sub_models_unchanged() {
         vec![0.0],
         &PicOptions {
             partitions: 4,
-            max_be_iterations: Some(1),
             ..Default::default()
         },
     );

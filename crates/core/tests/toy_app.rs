@@ -12,7 +12,13 @@ use pic_mapreduce::{Dataset, Engine};
 use pic_simnet::ClusterSpec;
 use std::cell::Cell;
 
-struct MeanApp;
+/// The toy app; `max_be` caps its best-effort rounds.
+struct MeanApp {
+    max_be: usize,
+}
+
+/// The toy app under the trait's default cap of 20 best-effort rounds.
+const MEAN: MeanApp = MeanApp { max_be: 20 };
 
 thread_local! {
     /// `MeanApp::error` calls made on this thread. Each test runs on its
@@ -80,6 +86,10 @@ impl PicApp for MeanApp {
         subs.iter().sum::<f64>() / subs.len() as f64
     }
 
+    fn max_be_iterations(&self) -> usize {
+        self.max_be
+    }
+
     fn solve_local(&self, _part: usize, records: &[f64], model: &f64, cap: usize) -> (f64, usize) {
         let mut m = *model;
         for it in 1..=cap {
@@ -112,7 +122,7 @@ fn engine() -> Engine {
 fn ic_converges_to_mean() {
     let e = engine();
     let data = Dataset::create(&e, "/toy/ic", symmetric_data(1000), 6);
-    let r = run_ic(&e, &MeanApp, &data, 0.0, &IcOptions::default());
+    let r = run_ic(&e, &MEAN, &data, 0.0, &IcOptions::default());
     assert!(r.converged, "should converge within cap");
     assert!(
         (r.final_model - 10.0).abs() < 1e-4,
@@ -142,7 +152,7 @@ fn pic_reaches_same_answer() {
         partitions: 4,
         ..Default::default()
     };
-    let r = run_pic(&e, &MeanApp, &data, 0.0, &opts);
+    let r = run_pic(&e, &MEAN, &data, 0.0, &opts);
     assert!(r.topoff_converged);
     assert!(
         (r.final_model - 10.0).abs() < 1e-4,
@@ -162,10 +172,10 @@ fn pic_reaches_same_answer() {
 fn pic_topoff_needs_fewer_iterations_than_ic() {
     let e = engine();
     let data = Dataset::create(&e, "/toy/cmp", symmetric_data(1000), 6);
-    let ic = run_ic(&e, &MeanApp, &data, 0.0, &IcOptions::default());
+    let ic = run_ic(&e, &MEAN, &data, 0.0, &IcOptions::default());
     let pic = run_pic(
         &e,
-        &MeanApp,
+        &MEAN,
         &data,
         0.0,
         &PicOptions {
@@ -189,7 +199,7 @@ fn pic_first_be_iteration_does_most_local_work() {
     let data = Dataset::create(&e, "/toy/t1", symmetric_data(2000), 6);
     let r = run_pic(
         &e,
-        &MeanApp,
+        &MEAN,
         &data,
         0.0,
         &PicOptions {
@@ -212,10 +222,9 @@ fn single_partition_pic_degenerates_to_ic_quality() {
     let data = Dataset::create(&e, "/toy/deg", symmetric_data(500), 6);
     let opts = PicOptions {
         partitions: 1,
-        max_be_iterations: Some(1),
         ..Default::default()
     };
-    let r = run_pic(&e, &MeanApp, &data, 0.0, &opts);
+    let r = run_pic(&e, &MeanApp { max_be: 1 }, &data, 0.0, &opts);
     assert_eq!(r.be_iterations, 1);
     assert_eq!(r.local_iterations[0].len(), 1);
     assert!((r.final_model - 10.0).abs() < 1e-4);
@@ -225,13 +234,13 @@ fn single_partition_pic_degenerates_to_ic_quality() {
 fn be_phase_traffic_is_far_below_ic() {
     let e1 = engine();
     let data1 = Dataset::create(&e1, "/toy/tr", symmetric_data(1000), 6);
-    let ic = run_ic(&e1, &MeanApp, &data1, 0.0, &IcOptions::default());
+    let ic = run_ic(&e1, &MEAN, &data1, 0.0, &IcOptions::default());
 
     let e2 = engine();
     let data2 = Dataset::create(&e2, "/toy/tr", symmetric_data(1000), 6);
     let pic = run_pic(
         &e2,
-        &MeanApp,
+        &MEAN,
         &data2,
         0.0,
         &PicOptions {
@@ -256,7 +265,7 @@ fn trajectory_time_is_monotonic_across_phases() {
     let data = Dataset::create(&e, "/toy/traj", symmetric_data(1000), 6);
     let r = run_pic(
         &e,
-        &MeanApp,
+        &MEAN,
         &data,
         0.0,
         &PicOptions {
@@ -277,7 +286,7 @@ fn drivers_evaluate_each_model_once() {
     let data = Dataset::create(&e, "/toy/evals", symmetric_data(1000), 6);
 
     let before = error_calls();
-    let ic = run_ic(&e, &MeanApp, &data, 0.0, &IcOptions::default());
+    let ic = run_ic(&e, &MEAN, &data, 0.0, &IcOptions::default());
     assert_eq!(
         error_calls() - before,
         ic.iterations + 1,
@@ -287,7 +296,7 @@ fn drivers_evaluate_each_model_once() {
     let before = error_calls();
     let pic = run_pic(
         &e,
-        &MeanApp,
+        &MEAN,
         &data,
         0.0,
         &PicOptions {

@@ -41,7 +41,7 @@
 //!   seconds onto a bucket grid, span and lane group names.
 //! * [`monitor`] — run monitoring: [`Monitor::replay`] turns a recorded
 //!   trace into sliding-window series on the simulated clock, evaluates
-//!   a declarative [`AlertRule`] catalog, and keeps an incident log
+//!   the closed [`monitor::Rule`] catalog, and keeps an incident log
 //!   whose window integrals reconcile exactly with the
 //!   [`TrafficLedger`] (the `pic watch` subcommand and the BENCH
 //!   `monitor` section).
@@ -82,7 +82,7 @@ pub mod whatif;
 pub use chaos::{ChaosInjector, FaultEvent, FaultPlan};
 pub use clock::SimClock;
 pub use hostprof::{HostProfile, Stage, StageProfile};
-pub use monitor::{AlertRule, Incident, Monitor, MonitorConfig, MonitorReport, RuleKind, Severity};
+pub use monitor::{Incident, Monitor, MonitorConfig, MonitorReport, Rule};
 pub use report::{
     CriticalPath, CriticalSegment, IterationRollup, PerfReport, QualityPoint, QualityReport,
     TenancyReport, TenancyRow,

@@ -11,12 +11,14 @@
 //! * the task-queue depth (mean concurrent tasks per bucket),
 //! * the recovery-byte rate under chaos.
 //!
-//! A validated, declarative [`AlertRule`] catalog evaluates those series
-//! into an incident log: `stall`, `divergence`, `saturation`,
-//! `straggler-tail`, `recovery-storm` and `fault`. Each [`Incident`]
-//! records its rule, severity, open/close times, the peak value that
-//! tripped it, and the deepest trace span enclosing its open time — the
-//! span tree gives incidents the same nesting the other views have.
+//! The closed [`Rule`] catalog evaluates those series into an incident
+//! log: `stall`, `divergence`, `saturation`, `straggler-tail`,
+//! `recovery-storm` and `fault`. The only free value is the window;
+//! `saturation` reads §11's [`SATURATION_THRESHOLD`]. Each [`Incident`]
+//! records its rule (and through it the severity), open/close times, the
+//! peak value that tripped it, and the deepest trace span enclosing its
+//! open time — the span tree gives incidents the same nesting the other
+//! views have.
 //!
 //! Every bucketed series is **causal** — a bucket depends only on events
 //! at or before its own end, and the EWMA runs forward — so the frame a
@@ -31,14 +33,15 @@
 //! **exactly** (`==`), and the recovery series integrates to
 //! `recovery_total()`. [`crate::trace::check::monitor_reconciles`]
 //! enforces this for every validated run. Bytes land in fixed
-//! simulated-time buckets and point series are sorted by `(t, seq)`, so
-//! the report is byte-identical across rayon pool widths.
+//! simulated-time buckets and point series are stably sorted by time
+//! (equal times keep recording order), so the report is byte-identical
+//! across rayon pool widths.
 //!
 //! [`TrafficLedger`]: crate::traffic::TrafficLedger
 
 use crate::report::{csv_record, fmt_f64, json_f64s, nearest_rank, peak, Column, JsonWriter};
 use crate::sweep::{apportion, collect_charges, spread_busy, utilization, LinkClass};
-use crate::timeline::heat_bar;
+use crate::timeline::{heat_bar, SATURATION_THRESHOLD};
 use crate::topology::ClusterSpec;
 use crate::trace::{check, Span, Trace};
 use crate::traffic::{TrafficClass, TrafficSnapshot};
@@ -51,86 +54,13 @@ pub const DEFAULT_WINDOW_S: f64 = 5.0;
 /// Buckets per window: the bucket width is `window_s / BUCKETS_PER_WINDOW`.
 pub const BUCKETS_PER_WINDOW: usize = 4;
 
-/// Incident severity, in escalation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational: worth a ticker line, not a page.
-    Info,
-    /// Degraded but progressing.
-    Warn,
-    /// Someone should look now.
-    Page,
-}
+/// Most buckets one replay may span: the monitor keeps every bucket of
+/// every series, so a window too fine for the run's horizon is refused
+/// instead of allocated.
+pub const MAX_BUCKETS: f64 = 1e6;
 
-impl Severity {
-    /// Short label for reports and CSV.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warn => "warn",
-            Severity::Page => "page",
-        }
-    }
-}
-
-/// What an [`AlertRule`] watches. The rule's `threshold` and the
-/// monitor's [`MonitorConfig::window_s`] parameterize each kind as
-/// documented per variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleKind {
-    /// No quality improvement for more than `window_s` simulated
-    /// seconds (measured between strict improvements of the
-    /// best-so-far objective; the gap to the run's end counts).
-    Stall,
-    /// The objective rises across consecutive quality samples for at
-    /// least `window_s` simulated seconds.
-    Divergence,
-    /// Some link's bucket utilization stays at or above `threshold`
-    /// for at least `window_s` consecutive simulated seconds.
-    Saturation,
-    /// A scheduler wave's p-max/p50 task-duration ratio reaches
-    /// `threshold`.
-    StragglerTail,
-    /// The recovery-byte rate in any bucket reaches `threshold`
-    /// bytes/second (contiguous storm buckets merge into one incident).
-    RecoveryStorm,
-    /// Any injected `chaos`-category fault instant.
-    Fault,
-}
-
-/// One declarative alert rule. Construct via [`catalog_rule`] (the
-/// default catalog) or literally, then [`AlertRule::validate`] before
-/// use — [`Monitor::replay`] refuses invalid rules with pinned messages.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertRule {
-    /// Rule name — the incident-log and catalog key.
-    pub name: String,
-    /// What the rule watches.
-    pub kind: RuleKind,
-    /// Kind-specific threshold (utilization fraction, duration ratio,
-    /// bytes/second, …). Must be finite and positive.
-    pub threshold: f64,
-    /// Severity stamped on incidents this rule opens.
-    pub severity: Severity,
-}
-
-impl AlertRule {
-    /// Check the rule is well-formed. Error strings are pinned by tests.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() {
-            return Err("alert rule: name must be non-empty".to_string());
-        }
-        if !(self.threshold.is_finite() && self.threshold > 0.0) {
-            return Err(format!(
-                "alert rule '{}': threshold must be finite and positive",
-                self.name
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Names in the default rule catalog, in evaluation order.
+/// Names of the alert-rule catalog, in [`Rule::ALL`] order — the
+/// incident-log keys and the `pic watch --rules` vocabulary.
 pub const CATALOG_RULES: [&str; 6] = [
     "stall",
     "divergence",
@@ -140,50 +70,56 @@ pub const CATALOG_RULES: [&str; 6] = [
     "fault",
 ];
 
-/// The default catalog entry for `name`, or `None` for unknown names.
-pub fn catalog_rule(name: &str) -> Option<AlertRule> {
-    let (kind, threshold, severity) = match name {
-        "stall" => (RuleKind::Stall, 1.0, Severity::Warn),
-        "divergence" => (RuleKind::Divergence, 1.0, Severity::Page),
-        "saturation" => (RuleKind::Saturation, 0.95, Severity::Warn),
-        "straggler-tail" => (RuleKind::StragglerTail, 4.0, Severity::Warn),
-        "recovery-storm" => (RuleKind::RecoveryStorm, 1.0, Severity::Page),
-        "fault" => (RuleKind::Fault, 1.0, Severity::Page),
-        _ => return None,
-    };
-    Some(AlertRule {
-        name: name.to_string(),
-        kind,
-        threshold,
-        severity,
-    })
+/// One alert rule of the closed catalog. Every sustain or gap test reads
+/// the monitor's one window ([`MonitorConfig::window_s`]); the fixed
+/// thresholds are documented per variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// No quality improvement for more than `window_s` simulated
+    /// seconds (measured between strict improvements of the
+    /// best-so-far objective; the gap to the run's end counts).
+    Stall,
+    /// The objective rises across consecutive quality samples for at
+    /// least `window_s` simulated seconds.
+    Divergence,
+    /// Some link's bucket utilization stays at or above §11's
+    /// [`SATURATION_THRESHOLD`] for at least `window_s` consecutive
+    /// simulated seconds.
+    Saturation,
+    /// A scheduler wave's p-max/p50 task-duration ratio reaches 4.
+    StragglerTail,
+    /// The recovery-byte rate in any bucket reaches 1 byte/second
+    /// (contiguous storm buckets merge into one incident).
+    RecoveryStorm,
+    /// Any injected `chaos`-category fault instant.
+    Fault,
 }
 
-/// The full default catalog, in [`CATALOG_RULES`] order.
-pub fn default_rules() -> Vec<AlertRule> {
-    CATALOG_RULES
-        .iter()
-        .map(|n| catalog_rule(n).expect("catalog names resolve"))
-        .collect()
-}
+impl Rule {
+    /// The whole catalog, in evaluation order.
+    pub const ALL: [Rule; 6] = [
+        Rule::Stall,
+        Rule::Divergence,
+        Rule::Saturation,
+        Rule::StragglerTail,
+        Rule::RecoveryStorm,
+        Rule::Fault,
+    ];
 
-/// Resolve a comma-separated rule-name list against the catalog. An
-/// unknown name is an error enumerating the valid set (pinned by the
-/// `pic watch --rules` tests).
-pub fn parse_rules(list: &str) -> Result<Vec<AlertRule>, String> {
-    let mut rules = Vec::new();
-    for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match catalog_rule(name) {
-            Some(r) => rules.push(r),
-            None => {
-                return Err(format!(
-                    "unknown rule '{name}'; valid rules: {}",
-                    CATALOG_RULES.join(", ")
-                ))
-            }
+    /// The rule's name, its [`CATALOG_RULES`] entry.
+    pub fn name(self) -> &'static str {
+        CATALOG_RULES[self as usize]
+    }
+
+    /// The `severity` column of the rule's incidents: `page` when
+    /// someone should look now, `warn` when the run is degraded but
+    /// progressing.
+    pub fn severity(self) -> &'static str {
+        match self {
+            Rule::Divergence | Rule::RecoveryStorm | Rule::Fault => "page",
+            Rule::Stall | Rule::Saturation | Rule::StragglerTail => "warn",
         }
     }
-    Ok(rules)
 }
 
 /// Monitor configuration: the cluster whose capacities utilization is
@@ -195,17 +131,17 @@ pub struct MonitorConfig {
     /// Sliding-window length, simulated seconds.
     pub window_s: f64,
     /// Alert rules to evaluate (empty = telemetry only).
-    pub rules: Vec<AlertRule>,
+    pub rules: Vec<Rule>,
 }
 
 impl MonitorConfig {
     /// The default configuration on `spec`: [`DEFAULT_WINDOW_S`] and the
-    /// full default catalog.
+    /// whole catalog.
     pub fn new(spec: ClusterSpec) -> MonitorConfig {
         MonitorConfig {
             spec,
             window_s: DEFAULT_WINDOW_S,
-            rules: default_rules(),
+            rules: Rule::ALL.to_vec(),
         }
     }
 
@@ -224,16 +160,15 @@ impl MonitorConfig {
         self.window_s / BUCKETS_PER_WINDOW as f64
     }
 
-    /// Check the window and every rule; duplicate rule names are
-    /// rejected. Error strings are pinned by tests.
+    /// Check the window and reject duplicate rules. Error strings are
+    /// pinned by tests.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.window_s.is_finite() && self.window_s > 0.0) {
             return Err("monitor: window_s must be finite and positive".to_string());
         }
         for (i, rule) in self.rules.iter().enumerate() {
-            rule.validate()?;
-            if self.rules[..i].iter().any(|r| r.name == rule.name) {
-                return Err(format!("monitor: duplicate rule '{}'", rule.name));
+            if self.rules[..i].contains(rule) {
+                return Err(format!("monitor: duplicate rule '{}'", rule.name()));
             }
         }
         Ok(())
@@ -244,10 +179,8 @@ impl MonitorConfig {
 /// inside the span tree via `span`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
-    /// The [`AlertRule::name`] that fired.
-    pub rule: String,
-    /// Severity inherited from the rule.
-    pub severity: Severity,
+    /// The rule that fired; its [`Rule::severity`] is the incident's.
+    pub rule: Rule,
     /// Which series tripped it (`quality`, `util:bisection`, `wave:3`,
     /// `recovery`, `fault:node-crash`).
     pub series: String,
@@ -273,8 +206,8 @@ impl Incident {
     /// `incidents` JSON objects and the incident CSV records.
     fn columns(&self) -> Vec<Column> {
         vec![
-            Column::text("rule", &self.rule),
-            Column::text("severity", self.severity.label()),
+            Column::text("rule", self.rule.name()),
+            Column::text("severity", self.rule.severity()),
             Column::text("series", &self.series),
             Column::num("open_s", fmt_f64(self.open_s)),
             Column::num("close_s", fmt_f64(self.close_s)),
@@ -333,7 +266,8 @@ pub struct MonitorReport {
     pub buckets: usize,
     /// Per-link-class series, keyed by [`LinkClass::label`].
     pub links: BTreeMap<&'static str, MonitorSeries>,
-    /// Quality samples `(t, objective)`, ordered by `(t, seq)`.
+    /// Quality samples `(t, objective)`, ordered by time, equal times in
+    /// recording order.
     pub quality: Vec<(f64, f64)>,
     /// Best-so-far objective improvement per second, per bucket.
     pub quality_rate: Vec<f64>,
@@ -372,16 +306,26 @@ impl Monitor {
     /// and fault on a grid of `cfg.bucket_s()` buckets covering the
     /// run's horizon, compute EWMAs and rates, evaluate the rule set
     /// into the incident log, and anchor each incident to the deepest
-    /// span enclosing it.
+    /// span enclosing it. A window so fine that the grid would exceed
+    /// [`MAX_BUCKETS`] is refused.
     pub fn replay(cfg: MonitorConfig, trace: &Trace) -> Result<MonitorReport, String> {
         cfg.validate()?;
         let dt = cfg.bucket_s();
         let (charges, horizon) = collect_charges(trace);
-        let buckets = if horizon > 0.0 {
-            bucket_of(horizon, dt) + 1
+        // Counted in f64 first: a fine window's bucket count overflows
+        // `usize` long before it fails the limit.
+        let grid = if horizon > 0.0 {
+            (horizon / dt).floor() + 1.0
         } else {
-            0
+            0.0
         };
+        if grid > MAX_BUCKETS {
+            return Err(format!(
+                "monitor: window_s {} s is too fine for a {horizon} s run: over {MAX_BUCKETS} buckets",
+                cfg.window_s
+            ));
+        }
+        let buckets = grid as usize;
 
         // Per-link byte series (exact apportionment), utilization, EWMA.
         let series_of = |member: &dyn Fn(TrafficClass) -> bool| {
@@ -453,20 +397,19 @@ impl Monitor {
             })
             .collect();
 
-        // Quality samples and fault instants in deterministic (t, seq)
-        // order.
-        let mut quality_raw: Vec<(f64, u64, f64)> = Vec::new();
-        let mut faults: Vec<(f64, u64, String)> = Vec::new();
+        // Quality samples and fault instants in time order; the stable
+        // sorts keep equal times in recording order.
+        let mut quality: Vec<(f64, f64)> = Vec::new();
+        let mut faults: Vec<(f64, String)> = Vec::new();
         for ev in &trace.instants {
             match ev.cat {
-                "quality" => quality_raw.extend(ev.arg_f64("objective").map(|o| (ev.t, ev.seq, o))),
-                "chaos" => faults.push((ev.t, ev.seq, ev.name.clone())),
+                "quality" => quality.extend(ev.arg_f64("objective").map(|o| (ev.t, o))),
+                "chaos" => faults.push((ev.t, ev.name.clone())),
                 _ => {}
             }
         }
-        quality_raw.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite times"));
-        faults.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite times"));
-        let quality: Vec<(f64, f64)> = quality_raw.iter().map(|&(t, _, o)| (t, o)).collect();
+        quality.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+        faults.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
 
         // Best-so-far improvement rate per bucket.
         let mut quality_rate = vec![0.0; buckets];
@@ -508,17 +451,16 @@ impl Monitor {
 fn evaluate_rules(
     cfg: &MonitorConfig,
     report: &MonitorReport,
-    faults: &[(f64, u64, String)],
+    faults: &[(f64, String)],
     trace: &Trace,
 ) -> Vec<Incident> {
     let dt = report.bucket_s;
     let horizon = report.horizon_s;
     let window = cfg.window_s;
     let mut incidents = Vec::new();
-    let mut push = |rule: &AlertRule, series: String, open: f64, close: f64, peak: f64| {
+    let mut push = |rule: Rule, series: String, open: f64, close: f64, peak: f64| {
         incidents.push(Incident {
-            rule: rule.name.clone(),
-            severity: rule.severity,
+            rule,
             series,
             open_s: open,
             close_s: close,
@@ -548,9 +490,9 @@ fn evaluate_rules(
         out
     };
 
-    for rule in &cfg.rules {
-        match rule.kind {
-            RuleKind::Stall => {
+    for &rule in &cfg.rules {
+        match rule {
+            Rule::Stall => {
                 if report.quality.is_empty() {
                     continue;
                 }
@@ -571,7 +513,7 @@ fn evaluate_rules(
                     }
                 }
             }
-            RuleKind::Divergence => {
+            Rule::Divergence => {
                 // Maximal strictly-rising sample runs lasting a window.
                 let q = &report.quality;
                 let mut i = 0;
@@ -591,10 +533,10 @@ fn evaluate_rules(
                     }
                 }
             }
-            RuleKind::Saturation => {
+            Rule::Saturation => {
                 for link in LinkClass::ALL {
                     let s = &report.links[link.label()];
-                    let hot = |i: usize| s.util[i] >= rule.threshold;
+                    let hot = |i: usize| s.util[i] >= SATURATION_THRESHOLD;
                     for (a, b) in runs(&hot, s.util.len()) {
                         let dur = (b - a + 1) as f64 * dt;
                         if dur >= window {
@@ -610,9 +552,9 @@ fn evaluate_rules(
                     }
                 }
             }
-            RuleKind::StragglerTail => {
+            Rule::StragglerTail => {
                 for w in &report.waves {
-                    if w.tail_x >= rule.threshold {
+                    if w.tail_x >= 4.0 {
                         push(
                             rule,
                             format!("wave:{}", w.wave),
@@ -623,8 +565,8 @@ fn evaluate_rules(
                     }
                 }
             }
-            RuleKind::RecoveryStorm => {
-                let hot = |i: usize| report.recovery_rate[i] >= rule.threshold;
+            Rule::RecoveryStorm => {
+                let hot = |i: usize| report.recovery_rate[i] >= 1.0;
                 for (a, b) in runs(&hot, report.recovery_rate.len()) {
                     let peak = report.recovery_rate[a..=b]
                         .iter()
@@ -639,8 +581,8 @@ fn evaluate_rules(
                     );
                 }
             }
-            RuleKind::Fault => {
-                for (t, _, name) in faults {
+            Rule::Fault => {
+                for (t, name) in faults {
                     push(rule, format!("fault:{name}"), *t, *t, 1.0);
                 }
             }
@@ -677,8 +619,8 @@ fn evaluate_rules(
     }
 
     incidents.sort_by(|a, b| {
-        (a.open_s, a.close_s, &a.rule, &a.series)
-            .partial_cmp(&(b.open_s, b.close_s, &b.rule, &b.series))
+        (a.open_s, a.close_s, a.rule.name(), &a.series)
+            .partial_cmp(&(b.open_s, b.close_s, b.rule.name(), &b.series))
             .expect("finite incident times")
     });
     incidents
@@ -699,7 +641,7 @@ impl MonitorReport {
     }
 
     /// Incidents opened by `rule`.
-    pub fn count(&self, rule: &str) -> usize {
+    pub fn count(&self, rule: Rule) -> usize {
         self.incidents.iter().filter(|i| i.rule == rule).count()
     }
 
@@ -746,8 +688,8 @@ impl MonitorReport {
         w.field("incident_s", &fmt_f64(self.incident_s()));
         w.field("longest_incident_s", &fmt_f64(self.longest_incident_s()));
         w.open_key("by_rule", "{");
-        for name in CATALOG_RULES {
-            w.field(name, &self.count(name).to_string());
+        for rule in Rule::ALL {
+            w.field(rule.name(), &self.count(rule).to_string());
         }
         w.close("}");
         w.field("quality_samples", &self.quality.len().to_string());
@@ -920,8 +862,8 @@ impl MonitorReport {
             let _ = writeln!(
                 out,
                 "    [{}] {:<14} {:<18} open {:>9.3} close {close} peak {:>10.4} in {}",
-                inc.severity.label(),
-                inc.rule,
+                inc.rule.severity(),
+                inc.rule.name(),
                 inc.series,
                 inc.open_s,
                 inc.peak,
@@ -981,9 +923,9 @@ const FAMILIES: [Family; 7] = [
         "counter",
         "Incidents opened per alert rule.",
         |r| {
-            let rules = CATALOG_RULES.iter();
+            let rules = Rule::ALL.into_iter();
             rules
-                .map(|rule| (Some(("rule", *rule)), r.count(rule).to_string()))
+                .map(|rule| (Some(("rule", rule.name())), r.count(rule).to_string()))
                 .collect()
         },
     ),
@@ -1054,30 +996,21 @@ mod tests {
     }
 
     #[test]
-    fn catalog_resolves_and_validates() {
-        for name in CATALOG_RULES {
-            let rule = catalog_rule(name).expect("catalog entry");
-            assert_eq!(rule.name, name);
-            rule.validate().expect("catalog rules are valid");
-        }
-        assert!(catalog_rule("nope").is_none());
-        assert_eq!(default_rules().len(), CATALOG_RULES.len());
+    fn catalog_names_and_severities() {
+        let names: Vec<&str> = Rule::ALL.iter().map(|r| r.name()).collect();
+        assert_eq!(names, CATALOG_RULES);
+        let pages: Vec<Rule> = Rule::ALL
+            .into_iter()
+            .filter(|r| r.severity() == "page")
+            .collect();
+        assert_eq!(pages, [Rule::Divergence, Rule::RecoveryStorm, Rule::Fault]);
+        assert!(Rule::ALL
+            .iter()
+            .all(|r| matches!(r.severity(), "warn" | "page")));
     }
 
     #[test]
-    fn rule_validation_messages_are_pinned() {
-        let mut r = catalog_rule("stall").unwrap();
-        r.name = String::new();
-        assert_eq!(
-            r.validate().unwrap_err(),
-            "alert rule: name must be non-empty"
-        );
-        let mut r = catalog_rule("saturation").unwrap();
-        r.threshold = 0.0;
-        assert_eq!(
-            r.validate().unwrap_err(),
-            "alert rule 'saturation': threshold must be finite and positive"
-        );
+    fn config_validation_messages_are_pinned() {
         let mut c = cfg();
         c.window_s = -1.0;
         assert_eq!(
@@ -1085,20 +1018,46 @@ mod tests {
             "monitor: window_s must be finite and positive"
         );
         let mut c = cfg();
-        c.rules.push(catalog_rule("stall").unwrap());
+        c.rules.push(Rule::Stall);
         assert_eq!(c.validate().unwrap_err(), "monitor: duplicate rule 'stall'");
     }
 
+    /// A window so fine that the bucket count overflows `usize` is
+    /// refused with an error, not an overflow or an empty report.
     #[test]
-    fn parse_rules_rejects_unknown_names_with_the_catalog() {
-        let rules = parse_rules("stall, saturation").unwrap();
-        assert_eq!(rules.len(), 2);
-        let err = parse_rules("stall,bogus").unwrap_err();
-        assert_eq!(
-            err,
-            "unknown rule 'bogus'; valid rules: stall, divergence, saturation, \
-             straggler-tail, recovery-storm, fault"
-        );
+    fn a_window_finer_than_the_bucket_limit_is_refused() {
+        let t = tracer();
+        let root = t.begin_at("run", "driver", 0.0);
+        quality_at(&t, 0.5, 10.0);
+        t.end_at(root, 10.0);
+        let subnormal = f64::MIN_POSITIVE / 1024.0;
+        assert!(subnormal > 0.0 && !subnormal.is_normal());
+        for window_s in [1e-300, f64::MIN_POSITIVE, subnormal] {
+            let mut c = cfg();
+            c.window_s = window_s;
+            let err = Monitor::replay(c, &t.trace()).unwrap_err();
+            assert!(err.contains("too fine"), "{window_s:e}: {err}");
+        }
+    }
+
+    /// Quality samples and faults stamped at one simulated time keep the
+    /// order they were recorded in; earlier times still sort first.
+    #[test]
+    fn equal_time_instants_keep_recording_order() {
+        let t = tracer();
+        let root = t.begin_at("run", "driver", 0.0);
+        for obj in [3.0, 2.0, 1.0] {
+            quality_at(&t, 1.0, obj);
+        }
+        quality_at(&t, 0.5, 9.0);
+        for name in ["b-fault", "a-fault"] {
+            t.instant_at_in(crate::chaos::CHAOS_LANE, name, "chaos", 1.0, Vec::new());
+        }
+        t.end_at(root, 2.0);
+        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
+        assert_eq!(r.quality, [(0.5, 9.0), (1.0, 3.0), (1.0, 2.0), (1.0, 1.0)]);
+        assert_eq!(r.faults, 2);
+        assert_eq!(r.count(Rule::Fault), 2);
     }
 
     /// Satellite edge case: an empty run yields an empty report and no
@@ -1140,10 +1099,7 @@ mod tests {
         }
         t.end_at(root, 100.0);
         let mut c = cfg();
-        c.rules = vec![
-            catalog_rule("stall").unwrap(),
-            catalog_rule("divergence").unwrap(),
-        ];
+        c.rules = vec![Rule::Stall, Rule::Divergence];
         let r = Monitor::replay(c, &t.trace()).unwrap();
         assert!(r.incidents.is_empty(), "{:?}", r.incidents);
     }
@@ -1157,7 +1113,11 @@ mod tests {
         quality_at(&t, 20.0, 8.0); // 18 s without improvement
         t.end_at(root, 21.0);
         let r = Monitor::replay(cfg(), &t.trace()).unwrap();
-        let stalls: Vec<&Incident> = r.incidents.iter().filter(|i| i.rule == "stall").collect();
+        let stalls: Vec<&Incident> = r
+            .incidents
+            .iter()
+            .filter(|i| i.rule == Rule::Stall)
+            .collect();
         assert_eq!(stalls.len(), 1, "{:?}", r.incidents);
         assert_eq!(stalls[0].open_s, 2.0 + DEFAULT_WINDOW_S);
         assert_eq!(stalls[0].close_s, 20.0);
@@ -1177,7 +1137,7 @@ mod tests {
         let stalls = |window_s: f64| {
             let mut c = cfg();
             c.window_s = window_s;
-            c.rules = vec![catalog_rule("stall").unwrap()];
+            c.rules = vec![Rule::Stall];
             Monitor::replay(c, &t.trace()).unwrap().incidents.len()
         };
         assert_eq!(stalls(DEFAULT_WINDOW_S), 1);
@@ -1198,7 +1158,7 @@ mod tests {
         let div: Vec<&Incident> = r
             .incidents
             .iter()
-            .filter(|i| i.rule == "divergence")
+            .filter(|i| i.rule == Rule::Divergence)
             .collect();
         assert_eq!(div.len(), 1, "{:?}", r.incidents);
         assert_eq!(div[0].open_s, 0.0);
@@ -1225,11 +1185,11 @@ mod tests {
         let sat: Vec<&Incident> = r
             .incidents
             .iter()
-            .filter(|i| i.rule == "saturation")
+            .filter(|i| i.rule == Rule::Saturation)
             .collect();
         assert_eq!(sat.len(), 1, "{:?}", r.incidents);
         assert_eq!(sat[0].series, "util:bisection");
-        assert!(sat[0].peak >= 0.95);
+        assert!(sat[0].peak >= SATURATION_THRESHOLD);
         assert!(r.reconcile(&ledger.snapshot()).is_ok());
 
         // A sub-window burst stays quiet.
@@ -1245,7 +1205,7 @@ mod tests {
         t.end_at(root, 20.0);
         let r = Monitor::replay(cfg(), &t.trace()).unwrap();
         assert!(
-            r.incidents.iter().all(|i| i.rule != "saturation"),
+            r.incidents.iter().all(|i| i.rule != Rule::Saturation),
             "{:?}",
             r.incidents
         );
@@ -1283,7 +1243,7 @@ mod tests {
         let tails: Vec<&Incident> = r
             .incidents
             .iter()
-            .filter(|i| i.rule == "straggler-tail")
+            .filter(|i| i.rule == Rule::StragglerTail)
             .collect();
         assert_eq!(tails.len(), 1, "{:?}", r.incidents);
         assert_eq!(tails[0].series, "wave:1");
@@ -1307,10 +1267,10 @@ mod tests {
         ledger.add_over(crate::traffic::TrafficClass::Recovery, 4096, 3.0, 4.0);
         t.end_at(root, 10.0);
         let r = Monitor::replay(cfg(), &t.trace()).unwrap();
-        assert_eq!(r.count("recovery-storm"), 1, "{:?}", r.incidents);
-        assert_eq!(r.count("fault"), 1);
+        assert_eq!(r.count(Rule::RecoveryStorm), 1, "{:?}", r.incidents);
+        assert_eq!(r.count(Rule::Fault), 1);
         assert_eq!(r.faults, 1);
-        let fault = r.incidents.iter().find(|i| i.rule == "fault").unwrap();
+        let fault = r.incidents.iter().find(|i| i.rule == Rule::Fault).unwrap();
         assert_eq!(fault.series, "fault:node-crash");
         assert_eq!(fault.open_s, fault.close_s);
         assert!(r.reconcile(&ledger.snapshot()).is_ok());
@@ -1345,10 +1305,11 @@ mod tests {
         let closing: Vec<&Incident> = r.incidents.iter().filter(|i| i.close_s == 2.5).collect();
         assert_eq!(closing.len(), 2, "{:?}", r.incidents);
         assert_eq!(
-            closing[0].rule, "recovery-storm",
+            closing[0].rule,
+            Rule::RecoveryStorm,
             "opened earlier sorts first"
         );
-        assert_eq!(closing[1].rule, "fault");
+        assert_eq!(closing[1].rule, Rule::Fault);
         assert!(
             closing[0].open_s <= closing[1].open_s,
             "deterministic (open, close, rule) order"

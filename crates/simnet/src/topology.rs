@@ -276,28 +276,6 @@ impl ClusterSpec {
         Ok(())
     }
 
-    /// A contiguous group of nodes for sub-problem `g` of `groups`,
-    /// splitting the cluster as evenly as possible. Used by the PIC driver
-    /// to confine each best-effort sub-problem to a (preferably rack-local)
-    /// node group.
-    pub fn node_group(&self, g: usize, groups: usize) -> std::ops::Range<NodeId> {
-        assert!(
-            groups > 0 && g < groups,
-            "group {g} out of range 0..{groups}"
-        );
-        // Spread remainder over the first `rem` groups.
-        let base = self.nodes / groups;
-        let rem = self.nodes % groups;
-        let start = g * base + g.min(rem);
-        let len = base + usize::from(g < rem);
-        // Degenerate case: more groups than nodes — groups share nodes.
-        if len == 0 {
-            let n = g % self.nodes;
-            return n..n + 1;
-        }
-        start..start + len
-    }
-
     /// True when every node of `range` lies within a single rack — such a
     /// group's internal traffic never touches a rack uplink or the
     /// bisection.
@@ -307,6 +285,29 @@ impl ClusterSpec {
         }
         self.rack_of(range.start) == self.rack_of(range.end - 1)
     }
+}
+
+/// A contiguous group of nodes `0..nodes` for sub-problem `g` of
+/// `groups`, splitting them as evenly as possible. The PIC driver
+/// confines each best-effort sub-problem to one such (preferably
+/// rack-local) group, over the whole cluster and again over the active
+/// nodes after an elastic resize.
+pub fn node_group(nodes: usize, g: usize, groups: usize) -> std::ops::Range<NodeId> {
+    assert!(
+        groups > 0 && g < groups,
+        "group {g} out of range 0..{groups}"
+    );
+    // Spread remainder over the first `rem` groups.
+    let base = nodes / groups;
+    let rem = nodes % groups;
+    let start = g * base + g.min(rem);
+    let len = base + usize::from(g < rem);
+    // Degenerate case: more groups than nodes — groups share nodes.
+    if len == 0 {
+        let n = g % nodes;
+        return n..n + 1;
+    }
+    start..start + len
 }
 
 #[cfg(test)]
@@ -508,7 +509,7 @@ mod tests {
             let mut covered = 0usize;
             let mut next = 0usize;
             for g in 0..groups {
-                let r = m.node_group(g, groups);
+                let r = node_group(m.nodes, g, groups);
                 assert_eq!(r.start, next, "groups are contiguous and ordered");
                 assert!(!r.is_empty());
                 covered += r.len();
@@ -522,7 +523,7 @@ mod tests {
     fn more_groups_than_nodes_share_nodes() {
         let s = ClusterSpec::small(); // 6 nodes
         for g in 0..18 {
-            let r = s.node_group(g, 18);
+            let r = node_group(s.nodes, g, 18);
             assert_eq!(r.len(), 1);
             assert!(r.start < s.nodes);
         }
@@ -532,10 +533,10 @@ mod tests {
     fn rack_local_groups_detected() {
         let m = ClusterSpec::medium(); // 64 nodes, 6 racks => 11 per rack
                                        // 8 groups of 8 nodes: group 0 = nodes 0..8 all in rack 0.
-        let g0 = m.node_group(0, 8);
+        let g0 = node_group(m.nodes, 0, 8);
         assert!(m.group_is_rack_local(&g0));
         // 2 groups of 32 span racks.
-        let h = m.node_group(0, 2);
+        let h = node_group(m.nodes, 0, 2);
         assert!(!m.group_is_rack_local(&h));
     }
 

@@ -19,6 +19,9 @@
 //!   which records its own `traffic` instant, so the bytes attributed in a
 //!   trace reconcile **exactly** (`==`) with the ledger's totals. The one
 //!   decoder of those instants is [`crate::sweep::collect_charges`].
+//!   Instants are kept in recording order; a consumer that orders them
+//!   by time (the monitor replay) sorts stably, so instants stamped at
+//!   one simulated time keep that order.
 //!
 //! The trace has one time base, simulated seconds, and records only what
 //! the simulated run did: host wall-clock timers live in the engine's
@@ -114,12 +117,6 @@ pub struct InstantEvent {
     pub lane: String,
     /// Timestamp, simulated seconds.
     pub t: f64,
-    /// Recording index within the tracer — the deterministic tiebreak
-    /// for instants stamped at identical simulated times. Consumers
-    /// that sort instants by time (the monitor replay, `pic watch`)
-    /// order by `(t, seq)` so their output does not depend on `Vec`
-    /// iteration accidents.
-    pub seq: u64,
     /// Attached arguments.
     pub args: Args,
 }
@@ -382,14 +379,12 @@ impl Tracer {
         let Some(sh) = &self.inner else { return };
         let mut st = sh.state.lock();
         let parent = st.stack.last().copied();
-        let seq = st.instants.len() as u64;
         st.instants.push(InstantEvent {
             parent,
             name: name.into(),
             cat,
             lane: lane.to_string(),
             t,
-            seq,
             args,
         });
     }
@@ -900,22 +895,6 @@ mod tests {
         assert!(tr.spans.is_empty());
         assert!(tr.instants.is_empty());
         assert_eq!(tr.traffic_totals(), TrafficSnapshot::default());
-    }
-
-    #[test]
-    fn instants_carry_a_deterministic_sequence_tiebreak() {
-        let (t, _clock) = tracer();
-        // Three instants at the identical timestamp: seq is the
-        // recording index, so (t, seq) is a total order.
-        for name in ["a", "b", "c"] {
-            t.instant_at(name, "sched", 1.0, Vec::new());
-        }
-        let tr = t.trace();
-        let seqs: Vec<u64> = tr.instants.iter().map(|i| i.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        t.clear();
-        t.instant("fresh", "sched", Vec::new());
-        assert_eq!(t.trace().instants[0].seq, 0, "clear() resets the sequence");
     }
 
     #[test]

@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn rack_local_group_shuffle_avoids_bisection() {
         let m = ClusterSpec::medium();
-        let g = m.node_group(0, 8); // 8 nodes, inside rack 0
+        let g = crate::topology::node_group(m.nodes, 0, 8); // 8 nodes, inside rack 0
         assert!(m.group_is_rack_local(&g));
         let c = shuffle(&m, &g, 1_000_000_000);
         assert_eq!(c.bisection_bytes, 0);

@@ -15,6 +15,66 @@ use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::ClusterSpec;
 
+/// `A` capped at one best-effort round and one top-off iteration: the
+/// degenerate configuration. Everything the models depend on is
+/// delegated; error tracking is off and the fanout is the default.
+struct OneRound<A>(A);
+
+impl<A: PicApp> IterativeApp for OneRound<A> {
+    type Record = A::Record;
+    type Model = A::Model;
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn iterate(
+        &self,
+        engine: &Engine,
+        data: &Dataset<A::Record>,
+        model: &A::Model,
+        scope: &IterScope,
+    ) -> A::Model {
+        self.0.iterate(engine, data, model, scope)
+    }
+
+    fn converged(&self, prev: &A::Model, next: &A::Model) -> bool {
+        self.0.converged(prev, next)
+    }
+}
+
+impl<A: PicApp> PicApp for OneRound<A> {
+    fn partition_data(&self, data: &Dataset<A::Record>, parts: usize) -> Vec<Vec<A::Record>> {
+        self.0.partition_data(data, parts)
+    }
+
+    fn split_model(&self, model: &A::Model, parts: usize) -> Vec<A::Model> {
+        self.0.split_model(model, parts)
+    }
+
+    fn merge(&self, subs: &[A::Model], prev: &A::Model) -> A::Model {
+        self.0.merge(subs, prev)
+    }
+
+    fn solve_local(
+        &self,
+        part: usize,
+        records: &[A::Record],
+        model: &A::Model,
+        cap: usize,
+    ) -> (A::Model, usize) {
+        self.0.solve_local(part, records, model, cap)
+    }
+
+    fn max_be_iterations(&self) -> usize {
+        1
+    }
+
+    fn max_topoff_iterations(&self) -> usize {
+        1
+    }
+}
+
 #[test]
 fn linsolve_one_partition_one_local_iteration_equals_one_ic_iteration() {
     let n = 40;
@@ -43,14 +103,12 @@ fn linsolve_one_partition_one_local_iteration_equals_one_ic_iteration() {
     let data = Dataset::create(&engine, "/deg/ls", sys.rows.clone(), 4);
     let pic = run_pic(
         &engine,
-        &app,
+        &OneRound(app),
         &data,
         x0,
         &PicOptions {
             partitions: 1,
             local_cap: Some(1),
-            max_be_iterations: Some(1),
-            max_topoff_iterations: Some(1),
             timing: Timing::default_analytic(),
             ..Default::default()
         },
@@ -76,14 +134,12 @@ fn smoothing_one_partition_one_local_iteration_equals_one_sweep() {
     let data = Dataset::create(&engine, "/deg/sm", f.rows(), 4);
     let pic = run_pic(
         &engine,
-        &app,
+        &OneRound(app),
         &data,
         f.clone(),
         &PicOptions {
             partitions: 1,
             local_cap: Some(1),
-            max_be_iterations: Some(1),
-            max_topoff_iterations: Some(1),
             timing: Timing::default_analytic(),
             ..Default::default()
         },
