@@ -1,7 +1,7 @@
 //! The K-means model and its MapReduce step (paper Fig. 1(b)).
 
 use super::data::Point;
-use pic_mapreduce::{ByteSize, Combiner, MapContext, Mapper, ReduceContext, Reducer};
+use pic_mapreduce::{kv, ByteSize, Combiner, MapContext, Mapper, ReduceContext, Reducer};
 
 /// The K-means model: `k` centroids plus the point count last assigned to
 /// each (counts ride along so the weighted-merge ablation has them; the
@@ -72,6 +72,7 @@ const LANES: usize = 8;
 /// doubles per coordinate, contiguous for every block.
 pub(crate) struct CentroidTable {
     cols: Vec<f64>,
+    k: usize,
     kp: usize,
     dim: usize,
 }
@@ -97,7 +98,7 @@ impl CentroidTable {
                 cols[d * kp + i] = x;
             }
         }
-        CentroidTable { cols, kp, dim }
+        CentroidTable { cols, k, kp, dim }
     }
 
     /// Index of the centroid nearest to `p` by squared Euclidean distance.
@@ -146,6 +147,52 @@ impl CentroidTable {
     }
 }
 
+/// Per-cluster coordinate sums and point counts of one assignment pass —
+/// the accumulator behind both [`lloyd_step`] and
+/// [`AssignMapper::map_combined`].
+///
+/// Row `c` of `sums` starts at `+0.0` and adds the coordinates of each
+/// point assigned to `c` in point order, the order [`SumCombiner`] adds a
+/// cluster's values in.
+struct ClusterSums {
+    dim: usize,
+    /// `k × dim`, row-major.
+    sums: Vec<f64>,
+    counts: Vec<u64>,
+    /// Index of the last point assigned to each cluster (the only one
+    /// when its count is 1).
+    last: Vec<usize>,
+}
+
+impl ClusterSums {
+    /// Assign every point through `table` and sum per cluster.
+    fn assign(table: &CentroidTable, points: &[Point]) -> Self {
+        let (k, dim) = (table.k, table.dim);
+        let mut sums = vec![0.0; k * dim];
+        let mut counts = vec![0u64; k];
+        let mut last = vec![0; k];
+        for (i, p) in points.iter().enumerate() {
+            let c = table.nearest(&p.coords);
+            for (s, x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(&p.coords) {
+                *s += x;
+            }
+            counts[c] += 1;
+            last[c] = i;
+        }
+        ClusterSums {
+            dim,
+            sums,
+            counts,
+            last,
+        }
+    }
+
+    /// Cluster `c`'s coordinate sum.
+    fn row(&self, c: usize) -> &[f64] {
+        &self.sums[c * self.dim..(c + 1) * self.dim]
+    }
+}
+
 /// Partial aggregate shuffled from map to reduce: coordinate sums plus a
 /// count (the classic K-means combiner-friendly value).
 pub type PartialSum = (Vec<f64>, u64);
@@ -153,6 +200,10 @@ pub type PartialSum = (Vec<f64>, u64);
 /// Mapper: assign each point to its nearest centroid, emit
 /// `(cluster, (coords, 1))` — Fig. 1(b)'s
 /// `emit(closest_centroid(d_i, m), d_i)` in pre-aggregated form.
+///
+/// With a combiner the engine runs [`AssignMapper::map_combined`], which
+/// sums per cluster as it assigns and emits one pair per hit cluster —
+/// exactly what [`SumCombiner`] makes of the per-point pairs.
 pub struct AssignMapper {
     table: CentroidTable,
 }
@@ -174,6 +225,26 @@ impl Mapper for AssignMapper {
     fn map(&self, p: &Point, ctx: &mut MapContext<u64, PartialSum>) {
         let c = self.table.nearest(&p.coords);
         ctx.emit(c as u64, (p.coords.clone(), 1));
+    }
+
+    /// One pair per hit cluster, in ascending cluster order. A cluster
+    /// hit once ships its point's coordinates untouched, as the combiner
+    /// (a no-op on one value) would.
+    fn map_combined(&self, points: &[Point], ctx: &mut MapContext<u64, PartialSum>) {
+        let acc = ClusterSums::assign(&self.table, points);
+        for (c, &count) in acc.counts.iter().enumerate() {
+            let coords = match count {
+                0 => continue,
+                1 => points[acc.last[c]].coords.clone(),
+                _ => acc.row(c).to_vec(),
+            };
+            let (key, value) = (c as u64, (coords, count));
+            // Every per-point pair of this cluster has the folded pair's
+            // size: same key, a coordinate vector of the same length and
+            // a fixed-width count.
+            let bytes = count * kv::record_size(&key, &value);
+            ctx.emit_folded(key, value, count as usize, bytes);
+        }
     }
 }
 
@@ -242,33 +313,17 @@ impl Reducer for AverageReducer {
 /// [`super::KMeansApp`]'s `solve_local` runs for PIC's local iterations —
 /// numerically identical to one MapReduce iteration.
 pub fn lloyd_step(points: &[Point], model: &Centroids) -> Centroids {
-    let k = model.k();
-    let dim = model.coords.first().map_or(0, Vec::len);
-    let mut sums = vec![vec![0.0; dim]; k];
-    let mut counts = vec![0u64; k];
-    let table = CentroidTable::new(model);
-    for p in points {
-        let c = table.nearest(&p.coords);
-        for (s, x) in sums[c].iter_mut().zip(&p.coords) {
-            *s += x;
-        }
-        counts[c] += 1;
-    }
-    let coords = sums
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut s)| {
-            if counts[i] == 0 {
-                model.coords[i].clone()
-            } else {
-                for x in &mut s {
-                    *x /= counts[i] as f64;
-                }
-                s
-            }
+    let acc = ClusterSums::assign(&CentroidTable::new(model), points);
+    let coords = (0..model.k())
+        .map(|i| match acc.counts[i] {
+            0 => model.coords[i].clone(),
+            n => acc.row(i).iter().map(|s| s / n as f64).collect(),
         })
         .collect();
-    Centroids { coords, counts }
+    Centroids {
+        coords,
+        counts: acc.counts,
+    }
 }
 
 #[cfg(test)]

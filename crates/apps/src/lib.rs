@@ -20,6 +20,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod fold_oracle;
 pub mod kmeans;
 pub mod linsolve;
 pub mod neuralnet;

@@ -25,7 +25,7 @@
 mod app;
 pub mod data;
 mod mlp;
-mod mr;
+pub(crate) mod mr;
 
 pub use app::NeuralNetApp;
 pub use data::{ocr_like, ocr_like_split, Sample};

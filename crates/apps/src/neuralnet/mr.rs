@@ -2,7 +2,7 @@
 
 use super::data::Sample;
 use super::mlp::Mlp;
-use pic_mapreduce::{Combiner, MapContext, Mapper, ReduceContext, Reducer};
+use pic_mapreduce::{kv, Combiner, MapContext, Mapper, ReduceContext, Reducer};
 
 /// Shuffle value: a flattened gradient sum plus the sample count it covers.
 pub type GradSum = (Vec<f64>, u64);
@@ -10,7 +10,9 @@ pub type GradSum = (Vec<f64>, u64);
 /// Mapper: back-propagate one sample through the current model and emit
 /// its gradient under a single key. Without the combiner this ships one
 /// full parameter-sized vector per sample — the paper's
-/// large-intermediate-data regime.
+/// large-intermediate-data regime. With the combiner the engine runs
+/// [`GradMapper::map_combined`], which sums the task's gradients as it
+/// computes them and ships one vector per task.
 pub struct GradMapper<'a> {
     /// Current model.
     pub model: &'a Mlp,
@@ -23,6 +25,25 @@ impl Mapper for GradMapper<'_> {
 
     fn map(&self, s: &Sample, ctx: &mut MapContext<u8, GradSum>) {
         ctx.emit(0, (self.model.gradient(s), 1));
+    }
+
+    /// One pair for the whole task, summed in [`GradCombiner`]'s order:
+    /// the last sample's gradient first, then the others in split order.
+    fn map_combined(&self, samples: &[Sample], ctx: &mut MapContext<u8, GradSum>) {
+        let Some((last, rest)) = samples.split_last() else {
+            return;
+        };
+        let mut sum = self.model.gradient(last);
+        for s in rest {
+            for (a, b) in sum.iter_mut().zip(&self.model.gradient(s)) {
+                *a += b;
+            }
+        }
+        let value = (sum, samples.len() as u64);
+        // Every per-sample pair has the folded pair's size: one key, a
+        // parameter-sized vector and a fixed-width count.
+        let bytes = value.1 * kv::record_size(&0u8, &value);
+        ctx.emit_folded(0, value, samples.len(), bytes);
     }
 }
 

@@ -414,10 +414,18 @@ mod tests {
 
     #[test]
     fn combiner_shrinks_network_not_spill() {
-        let (with, without) = combiner_jobs(5_000);
+        let n = 5_000;
+        let (with, without) = combiner_jobs(n);
+        // Without the combiner every point ships as its own record; with
+        // it (folded in the mapper or not) the spill still counts one raw
+        // record per point and the network sees far fewer.
+        assert_eq!(without.shuffle_records, n as u64);
+        assert_eq!(without.map_output_records, n as u64);
+        assert_eq!(with.map_output_records, n as u64);
+        assert_eq!(with.map_output_bytes, without.map_output_bytes);
+        assert_eq!(without.shuffle_bytes, without.map_output_bytes);
         assert!(with.shuffle_bytes < without.shuffle_bytes);
         assert!(with.shuffle_records < without.shuffle_records);
-        assert_eq!(with.map_output_bytes, without.map_output_bytes);
     }
 
     /// Every ablation DESIGN.md §5 lists runs, and reports, under

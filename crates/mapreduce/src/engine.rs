@@ -325,11 +325,15 @@ impl Engine {
     /// The map stage of every job: open the job span, run the mappers for
     /// real in parallel, and replay them as the scheduled map phase.
     ///
-    /// Each map task hash-partitions its (combined) output into
-    /// emission-ordered buckets as it emits, so the shuffle partitioning
-    /// runs inside the parallel map tasks — no serial driver pass and no
-    /// global lock. `reducers == 0` is Hadoop's map-only job: one bucket,
-    /// and nothing is serialized to a local spill (no `raw_bytes`).
+    /// Each map task hash-partitions its output into emission-ordered
+    /// buckets as it emits, so the shuffle partitioning runs inside the
+    /// parallel map tasks — no serial driver pass and no global lock. The
+    /// raw (pre-combiner) pair and byte counts are taken as pairs are
+    /// emitted. With a combiner the task runs [`Mapper::map_combined`],
+    /// which may fold its output in the mapper; the combiner then runs
+    /// over whatever the task emitted. `reducers == 0` is Hadoop's
+    /// map-only job: one bucket, and nothing is serialized to a local
+    /// spill (no `raw_bytes`).
     ///
     /// The clock holds still until the whole job is assembled, so every
     /// ledger charge lands at `t_job` — inside the job span, which is why
@@ -365,17 +369,17 @@ impl Engine {
                 let mut ctx = MapContext::partitioned(reducers.max(1));
                 {
                     let _hp = hostprof::scope_bytes(Stage::Map, split.bytes);
-                    for r in &split.records {
-                        mapper.map(r, &mut ctx);
+                    if combiner.is_some() {
+                        mapper.map_combined(&split.records, &mut ctx);
+                    } else {
+                        for r in &split.records {
+                            mapper.map(r, &mut ctx);
+                        }
                     }
                 }
+                let raw_pairs = ctx.emitted();
+                let raw_bytes = if reducers > 0 { ctx.emitted_bytes() } else { 0 };
                 let (mut buckets, counters) = ctx.into_buckets();
-                let raw_pairs: usize = buckets.iter().map(Vec::len).sum();
-                let raw_bytes = if reducers > 0 {
-                    kv::buckets_size(&buckets)
-                } else {
-                    0
-                };
                 let (shuffle_pairs, shuffle_bytes) = match combiner {
                     Some(c) => {
                         // Each key hashes to exactly one bucket, so
@@ -830,15 +834,9 @@ mod tests {
         let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
             ctx.emit((*k, vs.iter().sum()));
         });
-        let combiner = FnCombiner::new(|_k: &u64, vs: &mut Vec<u64>| {
-            let s: u64 = vs.iter().sum();
-            vs.clear();
-            vs.push(s);
-        });
-
         let plain = engine.run(&analytic("plain"), &ds, &mapper, &reducer);
         let combined =
-            engine.run_with_combiner(&analytic("comb"), &ds, &mapper, &combiner, &reducer);
+            engine.run_with_combiner(&analytic("comb"), &ds, &mapper, &sum_combiner(), &reducer);
 
         assert_eq!(plain.stats.shuffle_records, 1000);
         assert_eq!(combined.stats.shuffle_records, 40, "10 keys × 4 map tasks");
@@ -850,6 +848,89 @@ mod tests {
         b.sort();
         assert_eq!(a, b);
         assert!((combined.stats.combine_ratio() - 0.96).abs() < 1e-9);
+    }
+
+    /// Counts records per key `x % 10`. Folding, one task emits one
+    /// `(key, count)` pair per key it saw, standing for `count` raw
+    /// `(key, 1)` pairs; with `folds == false` folding panics.
+    struct CountMapper {
+        folds: bool,
+    }
+
+    impl Mapper for CountMapper {
+        type In = u64;
+        type K = u64;
+        type V = u64;
+
+        fn map(&self, x: &u64, ctx: &mut MapContext<u64, u64>) {
+            ctx.emit(*x % 10, 1);
+        }
+
+        fn map_combined(&self, xs: &[u64], ctx: &mut MapContext<u64, u64>) {
+            assert!(self.folds, "map_combined ran in a job without a combiner");
+            let mut counts = [0u64; 10];
+            for x in xs {
+                counts[(*x % 10) as usize] += 1;
+            }
+            for (key, n) in (0u64..).zip(counts).filter(|&(_, n)| n > 0) {
+                ctx.emit_folded(key, n, n as usize, n * kv::record_size(&key, &1u64));
+            }
+        }
+    }
+
+    fn sum_combiner() -> impl Combiner<K = u64, V = u64> {
+        FnCombiner::new(|_k: &u64, vs: &mut Vec<u64>| {
+            let s: u64 = vs.iter().sum();
+            vs.clear();
+            vs.push(s);
+        })
+    }
+
+    #[test]
+    fn a_job_without_a_combiner_maps_record_by_record() {
+        let engine = word_count_engine();
+        let ds = Dataset::create(&engine, "/nums", (0..1000u64).collect(), 4);
+        let res = engine.run(
+            &analytic("plain"),
+            &ds,
+            &CountMapper { folds: false },
+            &reducer_sum(),
+        );
+        assert_eq!(res.stats.map_output_records, 1000);
+        assert_eq!(res.stats.shuffle_records, 1000);
+    }
+
+    #[test]
+    fn folded_pairs_count_as_the_raw_pairs_they_declare() {
+        /// Output, stats without their wall-clock fields, and ledger.
+        fn counted<M: Mapper<In = u64, K = u64, V = u64>>(
+            mapper: &M,
+        ) -> (Vec<(u64, u64)>, JobStats, TrafficSnapshot) {
+            let engine = word_count_engine();
+            let ds = Dataset::create(&engine, "/nums", (0..1000u64).collect(), 4);
+            let cfg = analytic("comb").reducers(3);
+            let res = engine.run_with_combiner(&cfg, &ds, mapper, &sum_combiner(), &reducer_sum());
+            let stats = JobStats {
+                host_map_s: 0.0,
+                host_partition_s: 0.0,
+                host_reduce_s: 0.0,
+                ..res.stats
+            };
+            (res.output, stats, engine.traffic())
+        }
+        let (out, stats, traffic) = counted(&CountMapper { folds: true });
+        assert_eq!(stats.map_output_records, 1000);
+        assert_eq!(stats.map_output_bytes, 1000 * (8 + 8 + kv::RECORD_OVERHEAD));
+        assert_eq!(stats.shuffle_records, 40, "10 keys × 4 map tasks");
+
+        // The same job through the default `map_combined`, one pair per record.
+        let (raw_out, raw_stats, raw_traffic) =
+            counted(&FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| {
+                ctx.emit(*x % 10, 1)
+            }));
+        assert_eq!(out, raw_out);
+        assert_eq!(format!("{stats:?}"), format!("{raw_stats:?}"));
+        assert_eq!(traffic, raw_traffic);
     }
 
     #[test]

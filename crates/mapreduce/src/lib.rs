@@ -17,7 +17,9 @@
 //! * data locality: splits carry replica hosts, the scheduler prefers
 //!   node-local, then rack-local placement, and remote tasks pay a network
 //!   fetch;
-//! * combiners shrink shuffle volume before it is charged;
+//! * combiners shrink shuffle volume before it is charged; a mapper may
+//!   fold its own output first ([`Mapper::map_combined`], Hadoop's
+//!   `Mapper.run`) without moving the pre-combiner output counts;
 //! * the shuffle overlaps the map phase (the paper grants the baseline
 //!   this optimization, §II);
 //! * speculative-free, slot-based wave execution with per-task startup

@@ -6,7 +6,7 @@
 //! combiner that pre-aggregates map output before it is shuffled.
 
 use crate::counters::Counters;
-use crate::kv::ByteSize;
+use crate::kv::{self, ByteSize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -34,18 +34,25 @@ pub fn bucket_of<K: Hash>(key: &K, reducers: usize) -> usize {
     (h.finish() % reducers as u64) as usize
 }
 
-/// Context handed to [`Mapper::map`]: collects emitted pairs and counter
-/// increments for one task.
+/// Context handed to [`Mapper::map`] and [`Mapper::map_combined`]:
+/// collects emitted pairs and counter increments for one task.
 ///
 /// Each pair is routed to its reduce bucket by [`bucket_of`] *as it is
 /// emitted*, so the engine's shuffle partitioning work happens inside the
 /// (parallel) map tasks instead of in a serial driver pass. A flat
 /// context ([`MapContext::new`], used by map-only jobs and direct mapper
 /// unit tests) is the one-bucket case: pairs accumulate in emission order.
+///
+/// The context also counts the task's *raw* output as it is emitted —
+/// pairs and serialized bytes ([`kv::record_size`]) — which is Hadoop's
+/// "Map output records/bytes" before any combiner. A pair emitted with
+/// [`MapContext::emit_folded`] counts as the per-record emissions it
+/// stands for.
 pub struct MapContext<K, V> {
     /// Emission-ordered pairs per reduce bucket; never empty.
     buckets: Vec<Vec<(K, V)>>,
     emitted: usize,
+    emitted_bytes: u64,
     counters: Counters,
 }
 
@@ -72,6 +79,7 @@ impl<K, V> MapContext<K, V> {
         MapContext {
             buckets: (0..reducers).map(|_| Vec::new()).collect(),
             emitted: 0,
+            emitted_bytes: 0,
             counters: Counters::new(),
         }
     }
@@ -80,9 +88,25 @@ impl<K, V> MapContext<K, V> {
     #[inline]
     pub fn emit(&mut self, key: K, value: V)
     where
+        K: Hash + ByteSize,
+        V: ByteSize,
+    {
+        let bytes = kv::record_size(&key, &value);
+        self.emit_folded(key, value, 1, bytes);
+    }
+
+    /// Emit one pair that stands for `raw_pairs` per-record emissions of
+    /// `raw_bytes` serialized bytes in all — a mapper's own pre-aggregate
+    /// of pairs a combiner would fold ([`Mapper::map_combined`]). The pair
+    /// itself is routed and shipped like any other; only the raw counts
+    /// (Hadoop's "Map output records/bytes") take the declared figures.
+    #[inline]
+    pub fn emit_folded(&mut self, key: K, value: V, raw_pairs: usize, raw_bytes: u64)
+    where
         K: Hash,
     {
-        self.emitted += 1;
+        self.emitted += raw_pairs;
+        self.emitted_bytes += raw_bytes;
         let b = bucket_of(&key, self.buckets.len());
         self.buckets[b].push((key, value));
     }
@@ -93,9 +117,16 @@ impl<K, V> MapContext<K, V> {
         self.counters.incr(counter, by);
     }
 
-    /// Number of pairs emitted so far by this task.
+    /// Number of raw pairs emitted so far by this task (a folded pair
+    /// counts as the emissions it stands for).
     pub fn emitted(&self) -> usize {
         self.emitted
+    }
+
+    /// Serialized bytes of the raw pairs emitted so far by this task, at
+    /// [`kv::record_size`] per pair.
+    pub fn emitted_bytes(&self) -> u64 {
+        self.emitted_bytes
     }
 
     /// Consume the context, yielding emitted pairs and counters (for
@@ -175,6 +206,23 @@ pub trait Mapper: Send + Sync {
 
     /// Process one input record, emitting zero or more pairs.
     fn map(&self, record: &Self::In, ctx: &mut MapContext<Self::K, Self::V>);
+
+    /// Process one map task's whole split, in order — Hadoop's
+    /// `Mapper.run`. The engine calls this instead of [`Mapper::map`]
+    /// only when the job has a combiner; the default maps each record in
+    /// turn.
+    ///
+    /// An override may fold its own output before emitting it (Lin's
+    /// in-mapper combining): it must emit, per key, what the job's
+    /// combiner would make of the per-record emissions, bit for bit, and
+    /// declare the raw pairs and bytes each folded pair stands for with
+    /// [`MapContext::emit_folded`]. The combiner still runs over the
+    /// folded output, so it must leave a folded pair as it is.
+    fn map_combined(&self, records: &[Self::In], ctx: &mut MapContext<Self::K, Self::V>) {
+        for r in records {
+            self.map(r, ctx);
+        }
+    }
 }
 
 /// A reduce function over grouped intermediate pairs.
@@ -331,6 +379,19 @@ mod tests {
         let (pairs, counters) = ctx.into_parts();
         assert_eq!(pairs, vec![(1, 2.0), (3, 4.0)]);
         assert_eq!(counters.get("records"), 2);
+    }
+
+    #[test]
+    fn emit_counts_record_bytes_and_emit_folded_counts_what_it_declares() {
+        let mut ctx: MapContext<u64, Vec<f64>> = MapContext::partitioned(3);
+        ctx.emit(1, vec![1.0, 2.0]);
+        assert_eq!(ctx.emitted(), 1);
+        assert_eq!(ctx.emitted_bytes(), 8 + (4 + 16) + kv::RECORD_OVERHEAD);
+        ctx.emit_folded(2, vec![5.0, 6.0], 7, 250);
+        assert_eq!(ctx.emitted(), 8);
+        assert_eq!(ctx.emitted_bytes(), 8 + 20 + kv::RECORD_OVERHEAD + 250);
+        let (pairs, _) = ctx.into_parts();
+        assert_eq!(pairs.len(), 2, "a folded pair is one pair");
     }
 
     #[test]
