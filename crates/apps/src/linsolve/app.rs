@@ -319,6 +319,6 @@ mod tests {
         // (contraction), modulo the final few stagnant points.
         let t = &r.trajectory;
         assert!(t.len() >= 3);
-        assert!(t.last().unwrap().error <= t[0].error);
+        assert!(t.last().unwrap().err <= t[0].err);
     }
 }

@@ -446,8 +446,8 @@ fn compare_and_print<A: BenchApp>(
     if let (Some(a), Some(b)) = (ic.trajectory.last(), pic.trajectory.last()) {
         t.row([
             "final error",
-            &format!("{:.4}", a.error),
-            &format!("{:.4}", b.error),
+            &format!("{:.4}", a.err),
+            &format!("{:.4}", b.err),
         ]);
     }
     println!("{}", t.render());

@@ -15,9 +15,8 @@ use super::common::{
     small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload, SMALL_SUITE_APPS,
 };
 use super::ExperimentCtx;
-use pic_core::prelude::*;
 use pic_simnet::chaos::FaultPlan;
-use pic_simnet::report::{csv_record, fmt_f64, Column};
+use pic_simnet::report::{csv_record, fmt_f64, Column, QualityPoint, QualityReport};
 use pic_simnet::trace::check;
 use pic_simnet::{ClusterSpec, Monitor, MonitorConfig};
 
@@ -93,17 +92,15 @@ pub fn plan_for(
 }
 
 /// First trajectory time at which `target` quality is reached.
-fn time_to_quality(traj: &[TrajectoryPoint], target: f64, fallback: f64) -> f64 {
-    traj.iter()
-        .find(|p| p.error <= target)
-        .map_or(fallback, |p| p.t_s)
+fn time_to_quality(traj: &[QualityPoint], target: f64, fallback: f64) -> f64 {
+    QualityReport::first_at_or_below(traj, target).map_or(fallback, |i| traj[i].t_s)
 }
 
 /// Final trajectory error (every campaign app defines one).
-fn final_error(traj: &[TrajectoryPoint], who: &str) -> f64 {
+fn final_error(traj: &[QualityPoint], who: &str) -> f64 {
     traj.last()
         .unwrap_or_else(|| panic!("{who}: empty trajectory"))
-        .error
+        .err
 }
 
 /// What a cell keeps of one run, clean or faulty. The trace is checked

@@ -4,7 +4,7 @@ use super::ExperimentCtx;
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine};
 use pic_simnet::chaos::FaultPlan;
-use pic_simnet::{ClusterSpec, Trace, TrafficSnapshot};
+use pic_simnet::{ClusterSpec, QualityPoint, Trace, TrafficSnapshot};
 
 /// Deterministic per-record costs per application.
 ///
@@ -127,7 +127,7 @@ pub enum DriverReport<M> {
 impl<M> DriverReport<M> {
     /// What both drivers report alike: total simulated seconds, the
     /// error-vs-time trajectory, and the converged model.
-    pub fn outcome(&self) -> (f64, &[TrajectoryPoint], &M) {
+    pub fn outcome(&self) -> (f64, &[QualityPoint], &M) {
         match self {
             DriverReport::Ic(r) => (r.total_time_s, &r.trajectory, &r.final_model),
             DriverReport::Pic(r) => (r.total_time_s, &r.trajectory, &r.final_model),

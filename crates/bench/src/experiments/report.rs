@@ -13,10 +13,7 @@
 use super::common::Comparison;
 use super::{fig2, speedups, ExperimentCtx};
 use crate::table::csv_doc;
-use pic_core::report::TrajectoryPoint;
-use pic_simnet::report::{
-    fmt_f64, JsonWriter, PerfReport, QualityPoint, QualityReport, REPORT_SCHEMA_VERSION,
-};
+use pic_simnet::report::{fmt_f64, JsonWriter, PerfReport, QualityReport, REPORT_SCHEMA_VERSION};
 use pic_simnet::trace::check;
 use pic_simnet::{
     ClusterSpec, Monitor, MonitorConfig, MonitorReport, Trace, TrafficSnapshot, UtilizationReport,
@@ -55,16 +52,6 @@ pub struct AppRun {
     pub quality: QualityReport,
 }
 
-/// Driver trajectory → report curve.
-fn curve(traj: &[TrajectoryPoint]) -> Vec<QualityPoint> {
-    traj.iter()
-        .map(|p| QualityPoint {
-            t_s: p.t_s,
-            err: p.error,
-        })
-        .collect()
-}
-
 impl AppRun {
     fn from_cmp<M>(
         app: &'static str,
@@ -84,8 +71,8 @@ impl AppRun {
         );
         let quality = QualityReport {
             app: app.to_string(),
-            ic_curve: curve(&cmp.ic.trajectory),
-            pic_curve: curve(&cmp.pic.trajectory),
+            ic_curve: cmp.ic.trajectory,
+            pic_curve: cmp.pic.trajectory,
             ic_iterations: cmp.ic.iterations,
             be_iterations: cmp.pic.be_iterations,
             topoff_iterations: cmp.pic.topoff_iterations,

@@ -164,13 +164,8 @@ pub fn fig10(ctx: &ExperimentCtx) -> String {
     speedup_row(&mut t, "neural network", &nn);
     speedup_row(&mut t, "image smoothing", &sm);
 
-    let nn_ic_err = nn.ic.trajectory.last().map(|p| p.error).unwrap_or(f64::NAN);
-    let nn_pic_err = nn
-        .pic
-        .trajectory
-        .last()
-        .map(|p| p.error)
-        .unwrap_or(f64::NAN);
+    let nn_ic_err = nn.ic.trajectory.last().map(|p| p.err).unwrap_or(f64::NAN);
+    let nn_pic_err = nn.pic.trajectory.last().map(|p| p.err).unwrap_or(f64::NAN);
     format!(
         "Figure 10 — speedups on the medium (64-node) cluster\n\n{}\n\
          (neural-net budgets: IC trains 60 epochs; PIC fine-tunes 10 after the \

@@ -17,8 +17,7 @@ use super::common::{
     small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload, SMALL_SUITE_APPS,
 };
 use super::ExperimentCtx;
-use pic_core::prelude::*;
-use pic_simnet::report::{fmt_f64, JsonWriter, TenancyReport};
+use pic_simnet::report::{fmt_f64, JsonWriter, QualityPoint, QualityReport, TenancyReport};
 use pic_simnet::tenancy::{
     preset, DriverMix, IterKind, IterationDemand, JobProfile, TenancyJob, WorkloadSpec,
 };
@@ -77,16 +76,14 @@ pub fn default_workload() -> WorkloadSpec {
 /// First index (1-based, over the last `total_iters` trajectory points)
 /// at which the run is within 5% of its own final error — the same
 /// within-5% target the chaos campaign uses.
-fn quality_index(traj: &[TrajectoryPoint], total_iters: usize) -> usize {
+fn quality_index(traj: &[QualityPoint], total_iters: usize) -> usize {
     if traj.is_empty() || total_iters == 0 {
         return total_iters.max(1);
     }
-    let fin = traj.last().expect("non-empty").error;
+    let fin = traj.last().expect("non-empty").err;
     let target = fin * 1.05 + 1e-12;
     let skip = traj.len().saturating_sub(total_iters);
-    traj[skip..]
-        .iter()
-        .position(|p| p.error <= target)
+    QualityReport::first_at_or_below(&traj[skip..], target)
         .map(|i| i + 1)
         .unwrap_or(total_iters)
         .clamp(1, total_iters)

@@ -7,24 +7,23 @@ use crate::table::Table;
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
 use pic_apps::neuralnet::{ocr_like_split, Mlp, NeuralNetApp};
-use pic_core::report::TrajectoryPoint;
-use pic_simnet::ClusterSpec;
+use pic_simnet::{ClusterSpec, QualityPoint};
 
 /// Render two trajectories side by side as `(time, error)` rows.
 fn render_trajectories(
     title: &str,
-    ic: &[TrajectoryPoint],
-    pic: &[TrajectoryPoint],
+    ic: &[QualityPoint],
+    pic: &[QualityPoint],
     expectation: &str,
 ) -> String {
     let mut t = Table::new(["series", "t (s)", "error"]);
     // Long runs produce hundreds of points; subsample for readability but
     // always keep the last point of each series.
-    let add = |t: &mut Table, name: &str, series: &[TrajectoryPoint]| {
+    let add = |t: &mut Table, name: &str, series: &[QualityPoint]| {
         let step = series.len().div_ceil(30).max(1);
         for (i, p) in series.iter().enumerate() {
             if i % step == 0 || i + 1 == series.len() {
-                t.row([name, &format!("{:.1}", p.t_s), &format!("{:.6}", p.error)]);
+                t.row([name, &format!("{:.1}", p.t_s), &format!("{:.6}", p.err)]);
             }
         }
     };
@@ -35,18 +34,8 @@ fn render_trajectories(
 
 /// Shared shape checks on a pair of trajectories; returns a summary line.
 pub fn trajectory_summary<M>(cmp: &Comparison<M>) -> String {
-    let ic_final = cmp
-        .ic
-        .trajectory
-        .last()
-        .map(|p| p.error)
-        .unwrap_or(f64::NAN);
-    let pic_final = cmp
-        .pic
-        .trajectory
-        .last()
-        .map(|p| p.error)
-        .unwrap_or(f64::NAN);
+    let ic_final = cmp.ic.trajectory.last().map(|p| p.err).unwrap_or(f64::NAN);
+    let pic_final = cmp.pic.trajectory.last().map(|p| p.err).unwrap_or(f64::NAN);
     let ic_t = cmp.ic.total_time_s;
     let be_t = cmp.pic.be_time_s;
     format!(
@@ -205,7 +194,7 @@ mod tests {
         for traj in [&cmp.ic.trajectory, &cmp.pic.trajectory] {
             assert!(traj.len() >= 2);
             assert!(
-                traj.last().unwrap().error <= traj.first().unwrap().error,
+                traj.last().unwrap().err <= traj.first().unwrap().err,
                 "error should decrease overall"
             );
         }

@@ -105,16 +105,16 @@ pub fn render_section(s: &WatchSection, opts: &WatchOptions) -> String {
     for (side, r) in [("ic", &s.ic), ("pic", &s.pic)] {
         let _ = writeln!(out, "\n--- {side} ---");
         if opts.interval_s > 0.0 && r.horizon_s > 0.0 {
+            // The frame count saturates for a tiny interval, so the
+            // frame index, not the time, bounds the loop.
             let frames = (r.horizon_s / opts.interval_s).ceil() as usize;
             let stride = frames.div_ceil(MAX_FRAMES).max(1);
-            let mut k = stride;
-            while (k as f64) * opts.interval_s < r.horizon_s {
-                let _ = write!(
-                    out,
-                    "{}",
-                    r.render_at(k as f64 * opts.interval_s, opts.width)
-                );
-                k += stride;
+            for j in 1..=MAX_FRAMES {
+                let t = j.saturating_mul(stride) as f64 * opts.interval_s;
+                if t >= r.horizon_s {
+                    break;
+                }
+                let _ = write!(out, "{}", r.render_at(t, opts.width));
             }
         }
         let _ = write!(out, "{}", r.render(opts.width));
@@ -212,15 +212,16 @@ mod tests {
         let text = render_section(s, &framed);
         let frames = text.matches("  t = ").count();
         assert!(frames >= 2, "expected intermediate frames:\n{text}");
-        let tiny = WatchOptions {
-            interval_s: s.ic.horizon_s / 10_000.0,
-            ..WatchOptions::default()
-        };
-        let text = render_section(s, &tiny);
-        assert!(
-            text.matches("  t = ").count() <= 2 * MAX_FRAMES,
-            "frame cap breached"
-        );
+        // Down to the smallest positive interval, where the frame count
+        // saturates.
+        for interval_s in [s.ic.horizon_s / 10_000.0, 1e-300, 5e-324] {
+            let tiny = WatchOptions {
+                interval_s,
+                ..WatchOptions::default()
+            };
+            let frames = render_section(s, &tiny).matches("  t = ").count();
+            assert!(frames <= 2 * MAX_FRAMES, "{interval_s}: {frames} frames");
+        }
 
         // JSON carries the suite header, the rule set and both sides.
         let doc = watch_json(0.01, &opts, &secs);

@@ -12,7 +12,7 @@
 //! replicated DFS — the two model-movement costs the paper identifies.
 
 use crate::app::IterativeApp;
-use crate::report::{IcReport, IterationStats, TrajectoryPoint};
+use crate::report::{IcReport, IterationStats};
 use crate::scope::IterScope;
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
@@ -20,6 +20,7 @@ use pic_simnet::hostprof::{self, Stage};
 use pic_simnet::trace::Payload;
 use pic_simnet::traffic::TrafficClass;
 use pic_simnet::transfer;
+use pic_simnet::QualityPoint;
 
 /// Options for an IC run. The run starts on the whole cluster (an elastic
 /// resize shrinks or grows its node group) and every job has one reduce
@@ -85,9 +86,9 @@ pub fn run_ic<A: IterativeApp>(
     let mut model = init;
     let mut trajectory = Vec::new();
     if let Some(e) = app.error(&model) {
-        trajectory.push(TrajectoryPoint {
+        trajectory.push(QualityPoint {
             t_s: engine.now() - run_t0,
-            error: e,
+            err: e,
         });
     }
 
@@ -140,9 +141,9 @@ pub fn run_ic<A: IterativeApp>(
             traffic: engine.traffic().delta_since(&it_traffic0),
         });
         if let Some(e) = error {
-            trajectory.push(TrajectoryPoint {
+            trajectory.push(QualityPoint {
                 t_s: engine.now() - run_t0,
-                error: e,
+                err: e,
             });
         }
 

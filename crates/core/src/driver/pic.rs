@@ -22,7 +22,7 @@
 
 use crate::app::PicApp;
 use crate::driver::ic::{run_ic, IcOptions};
-use crate::report::{PicReport, TrajectoryPoint};
+use crate::report::PicReport;
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::hostprof::{self, Stage};
@@ -31,6 +31,7 @@ use pic_simnet::topology::node_group;
 use pic_simnet::trace::Payload;
 use pic_simnet::traffic::TrafficClass;
 use pic_simnet::transfer;
+use pic_simnet::QualityPoint;
 use rayon::prelude::*;
 
 /// Options for a PIC run.
@@ -113,7 +114,7 @@ pub fn run_pic<A: PicApp>(
     // The error of the current unified model, evaluated once per model.
     let mut error = app.error(&model);
     if let Some(e) = error {
-        trajectory.push(TrajectoryPoint { t_s: 0.0, error: e });
+        trajectory.push(QualityPoint { t_s: 0.0, err: e });
     }
     let mut local_iterations: Vec<Vec<usize>> = Vec::new();
     let mut be_iterations = 0;
@@ -237,9 +238,9 @@ pub fn run_pic<A: PicApp>(
         );
         tracer.end(be_span);
         if let Some(e) = error {
-            trajectory.push(TrajectoryPoint {
+            trajectory.push(QualityPoint {
                 t_s: engine.now() - run_t0,
-                error: e,
+                err: e,
             });
         }
 
@@ -295,10 +296,7 @@ pub fn run_pic<A: PicApp>(
         if trajectory.last().is_some_and(|l| t_s <= l.t_s) {
             continue;
         }
-        trajectory.push(TrajectoryPoint {
-            t_s,
-            error: p.error,
-        });
+        trajectory.push(QualityPoint { t_s, err: p.err });
     }
 
     PicReport {

@@ -76,7 +76,7 @@ pub mod scope;
 
 pub use app::{IterativeApp, PicApp};
 pub use driver::{run_ic, run_pic, IcOptions, PicOptions};
-pub use report::{IcReport, PicReport, TrajectoryPoint};
+pub use report::{IcReport, PicReport};
 pub use scope::IterScope;
 
 /// One-stop imports for applications.
@@ -86,6 +86,6 @@ pub mod prelude {
     pub use crate::driver::{self, run_ic, run_pic, IcOptions, PicOptions};
     pub use crate::merge;
     pub use crate::partition;
-    pub use crate::report::{IcReport, PicReport, TrajectoryPoint};
+    pub use crate::report::{IcReport, PicReport};
     pub use crate::scope::IterScope;
 }

@@ -139,8 +139,8 @@ fn ic_converges_to_mean() {
     // Every iteration pays a model update to the replicated DFS.
     assert!(r.traffic.model_update_total() >= 3 * 8 * r.iterations as u64);
     // Trajectory is error-decreasing overall.
-    let first = r.trajectory.first().unwrap().error;
-    let last = r.trajectory.last().unwrap().error;
+    let first = r.trajectory.first().unwrap().err;
+    let last = r.trajectory.last().unwrap().err;
     assert!(last < first);
 }
 

@@ -47,62 +47,39 @@ pub struct FileMeta {
     pub blocks: Vec<Vec<NodeId>>,
 }
 
+/// The replica placement every DFS uses (seed 0).
+const PLACEMENT: BlockPlacement = BlockPlacement::new(0);
+
 /// The simulated file system. Cheap to clone handles around the engine:
 /// state is behind an `Arc<RwLock>`.
 #[derive(Debug, Clone)]
 pub struct Dfs {
     spec: Arc<ClusterSpec>,
     ledger: Arc<TrafficLedger>,
-    block_size: u64,
-    placement: BlockPlacement,
     files: Arc<RwLock<HashMap<String, FileMeta>>>,
     tracer: Tracer,
     chaos: ChaosInjector,
 }
 
 impl Dfs {
-    /// A DFS over `spec`, accounting into `ledger`, with the default 64 MiB
-    /// block size and placement seed 0.
-    pub fn new(spec: Arc<ClusterSpec>, ledger: Arc<TrafficLedger>) -> Self {
-        Self::with_block_size(spec, ledger, DEFAULT_BLOCK_SIZE, 0)
-    }
-
-    /// A DFS with explicit block size and placement seed.
-    ///
-    /// # Panics
-    /// Panics if `block_size == 0`.
-    pub fn with_block_size(
+    /// A DFS over `spec` with [`DEFAULT_BLOCK_SIZE`] blocks, accounting
+    /// into `ledger`. Every write emits a `dfs` `write` instant on
+    /// `tracer`, and writes started inside one of `chaos`'s
+    /// link-degradation windows take its factor longer (the handle is
+    /// shared, so a plan armed later is seen here too).
+    pub fn new(
         spec: Arc<ClusterSpec>,
         ledger: Arc<TrafficLedger>,
-        block_size: u64,
-        seed: u64,
+        tracer: Tracer,
+        chaos: ChaosInjector,
     ) -> Self {
-        assert!(block_size > 0, "block size must be positive");
         Dfs {
             spec,
             ledger,
-            block_size,
-            placement: BlockPlacement::new(seed),
             files: Arc::new(RwLock::new(HashMap::new())),
-            tracer: Tracer::disabled(),
-            chaos: ChaosInjector::idle(),
+            tracer,
+            chaos,
         }
-    }
-
-    /// The same DFS with `tracer` attached: every write emits a
-    /// `dfs-write` instant event (path, logical bytes, replicated bytes)
-    /// keyed to simulated time.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// The same DFS consulting `chaos` for link-degradation windows
-    /// (writes started inside a window take its factor longer). The handle
-    /// is shared, so a plan armed later is seen here too.
-    pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
-        self.chaos = chaos;
-        self
     }
 
     /// The cluster this DFS runs on.
@@ -134,10 +111,10 @@ impl Dfs {
                 return Err(DfsError::AlreadyExists(path.to_string()));
             }
         }
-        let n_blocks = bytes.div_ceil(self.block_size).max(1);
+        let n_blocks = bytes.div_ceil(DEFAULT_BLOCK_SIZE).max(1);
         let mut blocks = Vec::with_capacity(n_blocks as usize);
         for b in 0..n_blocks {
-            blocks.push(self.placement.place(&self.spec, path, b, writer));
+            blocks.push(PLACEMENT.place(&self.spec, path, b, writer));
         }
         // Traffic: every byte is written replication× (1 local + the rest
         // over the network, HDFS pipeline). The ledger class receives the
@@ -202,7 +179,7 @@ impl Dfs {
             .into_iter()
             .map(|(offset, len)| {
                 let mid = offset + len / 2;
-                let block = (mid / self.block_size) as usize;
+                let block = (mid / DEFAULT_BLOCK_SIZE) as usize;
                 let hosts = meta
                     .blocks
                     .get(block.min(meta.blocks.len().saturating_sub(1)))
@@ -228,7 +205,7 @@ impl Dfs {
         for meta in files.values_mut() {
             let mut remaining = meta.size;
             for replicas in &mut meta.blocks {
-                let blk = remaining.min(self.block_size);
+                let blk = remaining.min(DEFAULT_BLOCK_SIZE);
                 remaining -= blk;
                 let Some(pos) = replicas.iter().position(|&r| r == node) else {
                     continue;
@@ -283,7 +260,13 @@ mod tests {
 
     fn mk(spec: ClusterSpec) -> (Dfs, Arc<TrafficLedger>) {
         let ledger = Arc::new(TrafficLedger::new());
-        (Dfs::new(Arc::new(spec), Arc::clone(&ledger)), ledger)
+        let dfs = Dfs::new(
+            Arc::new(spec),
+            Arc::clone(&ledger),
+            Tracer::disabled(),
+            ChaosInjector::idle(),
+        );
+        (dfs, ledger)
     }
 
     #[test]
@@ -333,14 +316,9 @@ mod tests {
 
     #[test]
     fn multi_block_files_place_every_block() {
-        let ledger = Arc::new(TrafficLedger::new());
-        let dfs = Dfs::with_block_size(
-            Arc::new(ClusterSpec::medium()),
-            ledger,
-            1024, // tiny blocks to force many
-            7,
-        );
-        dfs.create("/big", 10_000, 0, TrafficClass::DfsWrite)
+        let (dfs, _l) = mk(ClusterSpec::medium());
+        let bytes = 9 * DEFAULT_BLOCK_SIZE + 1;
+        dfs.create("/big", bytes, 0, TrafficClass::DfsWrite)
             .unwrap();
         let meta = dfs.stat("/big").unwrap();
         assert_eq!(meta.blocks.len(), 10);
@@ -397,8 +375,7 @@ mod tests {
 
     #[test]
     fn degradation_stretches_writes_but_not_bytes() {
-        use pic_simnet::chaos::{ChaosInjector, FaultPlan};
-        use pic_simnet::trace::Tracer;
+        use pic_simnet::chaos::FaultPlan;
 
         let spec = ClusterSpec::small();
         let ledger = Arc::new(TrafficLedger::new());
@@ -411,7 +388,12 @@ mod tests {
             )
             .unwrap();
         let clean = mk(ClusterSpec::small()).0;
-        let slow = Dfs::new(Arc::new(spec), Arc::clone(&ledger)).with_chaos(chaos);
+        let slow = Dfs::new(
+            Arc::new(spec),
+            Arc::clone(&ledger),
+            Tracer::disabled(),
+            chaos,
+        );
         let s_clean = clean
             .create("/f", 1_000_000, 0, TrafficClass::DfsWrite)
             .unwrap();

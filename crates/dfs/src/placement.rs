@@ -23,7 +23,7 @@ pub struct BlockPlacement {
 
 impl BlockPlacement {
     /// A placement policy with the given determinism seed.
-    pub fn new(seed: u64) -> Self {
+    pub const fn new(seed: u64) -> Self {
         BlockPlacement { seed }
     }
 

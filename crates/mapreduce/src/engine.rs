@@ -58,9 +58,12 @@ impl Engine {
         let tracer = tracer(Arc::clone(&clock));
         let ledger = Arc::new(TrafficLedger::traced(tracer.clone()));
         let chaos = ChaosInjector::idle();
-        let dfs = Dfs::new(Arc::clone(&spec), Arc::clone(&ledger))
-            .with_tracer(tracer.clone())
-            .with_chaos(chaos.clone());
+        let dfs = Dfs::new(
+            Arc::clone(&spec),
+            Arc::clone(&ledger),
+            tracer.clone(),
+            chaos.clone(),
+        );
         Engine {
             spec,
             ledger,
@@ -449,16 +452,25 @@ impl Engine {
             .set_arg(map_span, "waves", Payload::U64(outcome.waves as u64));
         stats.map_time_s = map_time_s;
         stats.map_waves = outcome.waves;
-        stats.node_local_tasks = outcome.node_local;
-        stats.rack_local_tasks = outcome.rack_local;
-        stats.remote_tasks = outcome.remote;
+        // A task's locality is that of its one completed attempt.
+        let mut locality = vec![Locality::Remote; tasks.len()];
+        for l in outcome.launches.iter().filter(|l| !l.killed) {
+            locality[l.task] = l.locality;
+        }
+        for loc in &locality {
+            *match loc {
+                Locality::NodeLocal => &mut stats.node_local_tasks,
+                Locality::RackLocal => &mut stats.rack_local_tasks,
+                Locality::Remote => &mut stats.remote_tasks,
+            } += 1;
+        }
 
         let job = OpenJob {
             t_job,
             span: job_span,
             group,
             stats,
-            locality: outcome.locality,
+            locality,
         };
         (job, outs)
     }

@@ -755,7 +755,13 @@ impl QualityReport {
     /// always qualifies, so a non-empty curve always yields a time.
     pub fn time_to_within(curve: &[QualityPoint], x: f64) -> Option<f64> {
         let target = curve.last()?.err * (1.0 + x);
-        curve.iter().find(|p| p.err <= target).map(|p| p.t_s)
+        Self::first_at_or_below(curve, target).map(|i| curve[i].t_s)
+    }
+
+    /// Index of the first point of `curve` whose error is at or below
+    /// `target` — the one scan behind every time-to-quality reading.
+    pub fn first_at_or_below(curve: &[QualityPoint], target: f64) -> Option<usize> {
+        curve.iter().position(|p| p.err <= target)
     }
 
     /// Header line of [`Self::csv_records`].

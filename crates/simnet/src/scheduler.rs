@@ -8,11 +8,17 @@
 //! input). This module simulates exactly that, driven by the per-task
 //! durations the MapReduce engine's time model assigns to the computation
 //! it ran for real on the host.
+//!
+//! A round's one record is its launch log ([`ScheduleOutcome::launches`]):
+//! every attempt in assignment order with its slot, node, locality, times
+//! and per-slot wave index. A task's last launch is its one completed
+//! attempt (a killed attempt re-queues the task, so nothing of it can be
+//! in flight again until the kill), which is where callers read a task's
+//! placement, locality and finish time.
 
 use crate::event::EventQueue;
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::{Payload, Tracer};
-use std::collections::BTreeMap;
 
 /// When `node` dies in a round with crash schedule `deaths`, if ever
 /// (earliest listed time).
@@ -80,6 +86,9 @@ pub struct TaskLaunch {
     pub killed: bool,
     /// Locality class of this attempt's placement.
     pub locality: Locality,
+    /// Per-slot launch index: how many earlier attempts ran on `slot`
+    /// this round (0 for the slot's first wave).
+    pub wave: usize,
 }
 
 /// Result of scheduling one batch of tasks.
@@ -90,23 +99,9 @@ pub struct ScheduleOutcome {
     /// Number of scheduling waves (ceil(tasks / slots) for equal tasks; in
     /// general the max number of tasks any single slot executed).
     pub waves: usize,
-    /// Node each task ran on, indexed like the input slice.
-    pub placements: Vec<NodeId>,
-    /// Locality class achieved per task.
-    pub locality: Vec<Locality>,
-    /// Completion time of each task.
-    pub finish_times: Vec<f64>,
-    /// Count of node-local placements.
-    pub node_local: usize,
-    /// Count of rack-local placements.
-    pub rack_local: usize,
-    /// Count of remote placements.
-    pub remote: usize,
     /// Every task attempt in assignment order, including attempts killed
     /// by node failures.
     pub launches: Vec<TaskLaunch>,
-    /// Attempts killed by injected node failures.
-    pub killed_attempts: usize,
 }
 
 impl ScheduleOutcome {
@@ -117,23 +112,15 @@ impl ScheduleOutcome {
     /// failure emit a `task-killed` sched instant at the kill time and
     /// are labelled ` (lost)`.
     ///
-    /// Each span carries a `wave` arg: the attempt's per-slot launch
-    /// index (how many earlier attempts ran on the same slot), matching
-    /// the wave count in waves-style accounting — the straggler
-    /// projection in [`crate::whatif`] clamps task durations to their
-    /// wave's p50 using this arg.
+    /// Each span carries a `wave` arg: the attempt's
+    /// [`TaskLaunch::wave`] — the straggler projection in
+    /// [`crate::whatif`] clamps task durations to their wave's p50 using
+    /// this arg.
     pub fn emit_task_spans(&self, tracer: &Tracer, t0: f64, lane_prefix: &str) {
         if !tracer.is_enabled() {
             return;
         }
-        let mut per_slot: BTreeMap<usize, u64> = BTreeMap::new();
         for l in &self.launches {
-            let wave = {
-                let n = per_slot.entry(l.slot).or_insert(0);
-                let w = *n;
-                *n += 1;
-                w
-            };
             let lane = format!("{lane_prefix}-slot-{}", l.slot);
             let s0 = t0 + l.start_s;
             let s1 = t0 + l.finish_s;
@@ -160,7 +147,7 @@ impl ScheduleOutcome {
                 vec![
                     ("task".to_string(), Payload::U64(l.task as u64)),
                     ("node".to_string(), Payload::U64(l.node as u64)),
-                    ("wave".to_string(), Payload::U64(wave)),
+                    ("wave".to_string(), Payload::U64(l.wave as u64)),
                     (
                         "locality".to_string(),
                         Payload::Str(format!("{:?}", l.locality)),
@@ -246,10 +233,7 @@ impl<'a> SlotScheduler<'a> {
         let n_slots = n_nodes * slots_per_node;
         let n_tasks = tasks.len();
         let mut pending: Vec<usize> = (0..n_tasks).collect();
-        let mut placements = vec![0usize; n_tasks];
-        let mut locality = vec![Locality::Remote; n_tasks];
         let mut per_slot_count = vec![0usize; n_slots];
-        let mut finish_times = vec![0.0f64; n_tasks];
         let mut completed = vec![false; n_tasks];
         let mut launches: Vec<TaskLaunch> = Vec::with_capacity(n_tasks);
         // Node-failure bookkeeping: which slots have gone idle (so a
@@ -257,7 +241,6 @@ impl<'a> SlotScheduler<'a> {
         // (so a wake-up event arriving mid-attempt is ignored).
         let mut idle = vec![false; n_slots];
         let mut busy_until = vec![0.0f64; n_slots];
-        let mut killed_attempts = 0usize;
 
         // The launch cost of task `task_idx` placed at locality `loc`.
         let launch = |task_idx: usize, loc: Locality| -> f64 {
@@ -295,10 +278,7 @@ impl<'a> SlotScheduler<'a> {
                         continue;
                     }
                 }
-                SlotWake::Finished { task } => {
-                    completed[task] = true;
-                    finish_times[task] = now;
-                }
+                SlotWake::Finished { task } => completed[task] = true,
                 SlotWake::Killed { task } => {
                     // The node hosting this slot died at `now`, taking
                     // the in-flight attempt with it. The task goes back
@@ -332,15 +312,11 @@ impl<'a> SlotScheduler<'a> {
             let (idx_in_pending, loc) = Self::pick_task(self.spec, tasks, &pending, node);
             let task_idx = pending.swap_remove(idx_in_pending);
             let finish = now + launch(task_idx, loc);
-            placements[task_idx] = node;
-            locality[task_idx] = loc;
+            let wave = per_slot_count[slot];
             per_slot_count[slot] += 1;
             idle[slot] = false;
             let (end, wake) = match death {
-                Some(d) if d < finish => {
-                    killed_attempts += 1;
-                    (d, SlotWake::Killed { task: task_idx })
-                }
+                Some(d) if d < finish => (d, SlotWake::Killed { task: task_idx }),
                 _ => (finish, SlotWake::Finished { task: task_idx }),
             };
             busy_until[slot] = end;
@@ -352,6 +328,7 @@ impl<'a> SlotScheduler<'a> {
                 finish_s: end,
                 killed: matches!(wake, SlotWake::Killed { .. }),
                 locality: loc,
+                wave,
             });
             q.push(end, (slot, wake));
         }
@@ -363,29 +340,15 @@ impl<'a> SlotScheduler<'a> {
             );
         }
 
-        let makespan = finish_times.iter().copied().fold(0.0f64, f64::max);
-        let waves = per_slot_count.iter().copied().max().unwrap_or(0);
-        let node_local = locality
+        let makespan_s = launches
             .iter()
-            .filter(|l| **l == Locality::NodeLocal)
-            .count();
-        let rack_local = locality
-            .iter()
-            .filter(|l| **l == Locality::RackLocal)
-            .count();
-        let remote = locality.len() - node_local - rack_local;
-
+            .filter(|l| !l.killed)
+            .map(|l| l.finish_s)
+            .fold(0.0f64, f64::max);
         ScheduleOutcome {
-            makespan_s: makespan,
-            waves,
-            placements,
-            locality,
-            finish_times,
-            node_local,
-            rack_local,
-            remote,
+            makespan_s,
+            waves: per_slot_count.iter().copied().max().unwrap_or(0),
             launches,
-            killed_attempts,
         }
     }
 
@@ -424,6 +387,28 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+    }
+
+    /// Each task's completed attempt — its last launch — by task index.
+    fn completed(out: &ScheduleOutcome, n_tasks: usize) -> Vec<&TaskLaunch> {
+        let mut last = vec![None; n_tasks];
+        for l in &out.launches {
+            last[l.task] = Some(l);
+        }
+        last.into_iter()
+            .map(|l| l.expect("every task launches"))
+            .collect()
+    }
+
+    fn count(out: &ScheduleOutcome, loc: Locality) -> usize {
+        out.launches
+            .iter()
+            .filter(|l| !l.killed && l.locality == loc)
+            .count()
+    }
+
+    fn killed(out: &ScheduleOutcome) -> usize {
+        out.launches.iter().filter(|l| l.killed).count()
     }
 
     #[test]
@@ -466,9 +451,13 @@ mod tests {
             })
             .collect();
         let out = SlotScheduler::new(&spec).schedule(&tasks, 1, 0..6);
-        assert_eq!(out.node_local, 6, "every task should run on its data");
-        for (i, &node) in out.placements.iter().enumerate() {
-            assert_eq!(node, i);
+        assert_eq!(
+            count(&out, Locality::NodeLocal),
+            6,
+            "every task should run on its data"
+        );
+        for (i, l) in completed(&out, 6).into_iter().enumerate() {
+            assert_eq!(l.node, i);
         }
     }
 
@@ -484,7 +473,7 @@ mod tests {
         }];
         let out = SlotScheduler::new(&spec).schedule(&tasks, 1, 0..1);
         // small cluster is one rack, so this is rack-local: +1 s fetch.
-        assert_eq!(out.rack_local, 1);
+        assert_eq!(count(&out, Locality::RackLocal), 1);
         assert!(close(out.makespan_s, 2.0), "{}", out.makespan_s);
     }
 
@@ -499,7 +488,7 @@ mod tests {
         }];
         let out = SlotScheduler::new(&spec).schedule(&tasks, 1, 0..6);
         assert!(close(out.makespan_s, 2.0), "{}", out.makespan_s);
-        assert_eq!(out.remote, 1);
+        assert_eq!(count(&out, Locality::Remote), 1);
     }
 
     #[test]
@@ -516,8 +505,8 @@ mod tests {
         let tasks: Vec<_> = (0..32).map(|_| TaskSpec::compute(1.0)).collect();
         let group = 8..16;
         let out = SlotScheduler::new(&spec).schedule(&tasks, 2, group.clone());
-        for &n in &out.placements {
-            assert!(group.contains(&n));
+        for l in &out.launches {
+            assert!(group.contains(&l.node));
         }
     }
 
@@ -526,30 +515,6 @@ mod tests {
     fn empty_group_panics() {
         let spec = ClusterSpec::small();
         SlotScheduler::new(&spec).schedule(&[TaskSpec::compute(1.0)], 1, 3..3);
-    }
-
-    #[test]
-    fn launches_record_every_attempt() {
-        let spec = ClusterSpec::small();
-        let tasks: Vec<_> = (0..48).map(|i| TaskSpec::compute(1.0 + i as f64)).collect();
-        let out = SlotScheduler::new(&spec).schedule(&tasks, 4, 0..6);
-        // No failures: exactly one launch per task, consistent with the
-        // per-task outcome fields.
-        assert_eq!(out.launches.len(), 48);
-        let mut seen = [false; 48];
-        for l in &out.launches {
-            assert!(!seen[l.task], "task {} launched twice", l.task);
-            seen[l.task] = true;
-            assert_eq!(l.node, out.placements[l.task]);
-            assert_eq!(l.locality, out.locality[l.task]);
-            assert_eq!(l.node, l.slot / 4, "slot lives on its node");
-            assert!(l.start_s < l.finish_s);
-            assert!(close(l.finish_s, out.finish_times[l.task]));
-        }
-        // Launches come out in assignment order: start times ascend.
-        for w in out.launches.windows(2) {
-            assert!(w[0].start_s <= w[1].start_s + 1e-12);
-        }
     }
 
     #[test]
@@ -579,11 +544,9 @@ mod tests {
         let tasks: Vec<_> = (0..12).map(|_| TaskSpec::compute(5.0)).collect();
         let deaths = vec![(2, 0.0)];
         let out = SlotScheduler::new(&spec).schedule_with(&tasks, 2, 0..6, &deaths);
-        assert_eq!(out.killed_attempts, 0, "nothing was in flight to kill");
-        assert!(out.placements.iter().all(|&n| n != 2));
+        assert_eq!(killed(&out), 0, "nothing was in flight to kill");
         assert!(out.launches.iter().all(|l| l.node != 2 && !l.killed));
-        assert_eq!(out.finish_times.len(), 12);
-        assert!(out.finish_times.iter().all(|&t| t > 0.0));
+        assert!(completed(&out, 12).iter().all(|l| l.finish_s > 0.0));
     }
 
     #[test]
@@ -594,7 +557,7 @@ mod tests {
         // dies at t = 4.
         let deaths = vec![(3, 4.0)];
         let out = SlotScheduler::new(&spec).schedule_with(&tasks, 1, 0..6, &deaths);
-        assert_eq!(out.killed_attempts, 1);
+        assert_eq!(killed(&out), 1);
         let killed: Vec<_> = out.launches.iter().filter(|l| l.killed).collect();
         assert_eq!(killed.len(), 1);
         assert_eq!(killed[0].node, 3);
@@ -603,12 +566,9 @@ mod tests {
         // The victim completes on a surviving node. Every live slot is
         // busy until 10.5, so the re-execution starts then:
         // 10.5 + 0.5 overhead + 10.0 compute = 21.
-        assert!(out.placements[victim] != 3);
-        assert!(
-            close(out.finish_times[victim], 21.0),
-            "{}",
-            out.finish_times[victim]
-        );
+        let redo = completed(&out, 6)[victim];
+        assert!(redo.node != 3);
+        assert!(close(redo.finish_s, 21.0), "{}", redo.finish_s);
         assert!(close(out.makespan_s, 21.0), "{}", out.makespan_s);
         // 6 primary attempts + 1 re-execution.
         assert_eq!(out.launches.len(), 7);
@@ -624,9 +584,7 @@ mod tests {
         // A failure scheduled after the round ends changes nothing.
         let deaths = vec![(1, clean.makespan_s + 100.0)];
         let late = SlotScheduler::new(&spec).schedule_with(&tasks, 4, 0..6, &deaths);
-        assert_eq!(clean.makespan_s, late.makespan_s);
-        assert_eq!(clean.finish_times, late.finish_times);
-        assert_eq!(late.killed_attempts, 0);
+        assert_eq!(clean, late);
     }
 
     #[test]
@@ -680,7 +638,7 @@ mod tests {
         let a = SlotScheduler::new(&spec).schedule_with(&tasks, 4, 0..spec.nodes, &deaths);
         let b = SlotScheduler::new(&spec).schedule_with(&tasks, 4, 0..spec.nodes, &deaths);
         assert_eq!(a, b);
-        assert!(a.killed_attempts >= 1);
+        assert!(killed(&a) >= 1);
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub struct ClusterSpec {
     pub name: String,
     /// Number of worker nodes.
     pub nodes: usize,
-    /// Physical cores per node.
-    pub cores_per_node: usize,
     /// Number of racks; nodes are assigned to racks in contiguous blocks.
     pub racks: usize,
     /// Cluster-wide map task slots.
@@ -66,7 +64,6 @@ impl ClusterSpec {
         ClusterSpec {
             name: "small".into(),
             nodes: 6,
-            cores_per_node: 8,
             racks: 1,
             map_slots: 24,
             reduce_slots: 24,
@@ -91,7 +88,6 @@ impl ClusterSpec {
         ClusterSpec {
             name: "medium".into(),
             nodes: 64,
-            cores_per_node: 8,
             racks: 6,
             map_slots: 330,
             reduce_slots: 110,
@@ -120,7 +116,6 @@ impl ClusterSpec {
         ClusterSpec {
             name: format!("large-{n}"),
             nodes: n,
-            cores_per_node: cores,
             racks,
             map_slots: n * cores,
             reduce_slots: n * cores / 2,
@@ -139,7 +134,6 @@ impl ClusterSpec {
         ClusterSpec {
             name: "single".into(),
             nodes: 1,
-            cores_per_node: 8,
             racks: 1,
             map_slots: 8,
             reduce_slots: 8,
@@ -153,7 +147,7 @@ impl ClusterSpec {
         }
     }
 
-    /// A custom cluster: `nodes` × `cores_per_node` over `racks` racks of
+    /// A custom cluster: `nodes` × `cores` over `racks` racks of
     /// GbE nodes, with `oversubscription : 1` at the core (bisection =
     /// aggregate NIC of half the nodes, divided by the factor). Slots
     /// default to one map slot per core and half as many reduce slots —
@@ -161,20 +155,14 @@ impl ClusterSpec {
     ///
     /// # Panics
     /// Panics if the resulting spec fails validation.
-    pub fn custom(
-        nodes: usize,
-        cores_per_node: usize,
-        racks: usize,
-        oversubscription: f64,
-    ) -> Self {
+    pub fn custom(nodes: usize, cores: usize, racks: usize, oversubscription: f64) -> Self {
         assert!(oversubscription >= 1.0, "oversubscription is a ratio >= 1");
         let spec = ClusterSpec {
-            name: format!("custom-{nodes}x{cores_per_node}"),
+            name: format!("custom-{nodes}x{cores}"),
             nodes,
-            cores_per_node,
             racks,
-            map_slots: nodes * cores_per_node,
-            reduce_slots: (nodes * cores_per_node / 2).max(1),
+            map_slots: nodes * cores,
+            reduce_slots: (nodes * cores / 2).max(1),
             nic_bw: GBE,
             rack_uplink_bw: TEN_GBE,
             bisection_bw: (nodes as f64 / 2.0) * GBE / oversubscription,
@@ -250,9 +238,6 @@ impl ClusterSpec {
                 "racks must be in 1..={} (got {})",
                 self.nodes, self.racks
             ));
-        }
-        if self.cores_per_node == 0 {
-            return Err("cores_per_node must be > 0".into());
         }
         if self.map_slots == 0 || self.reduce_slots == 0 {
             return Err("slot counts must be > 0".into());
@@ -332,7 +317,6 @@ mod tests {
     fn small_matches_paper() {
         let s = ClusterSpec::small();
         assert_eq!(s.nodes, 6);
-        assert_eq!(s.cores_per_node, 8);
         assert_eq!(s.map_slots, 24);
         assert_eq!(s.reduce_slots, 24);
         assert_eq!(s.racks, 1);
@@ -351,7 +335,7 @@ mod tests {
     fn large_matches_paper_instances() {
         let l = ClusterSpec::large(256);
         assert_eq!(l.nodes, 256);
-        assert_eq!(l.cores_per_node, 4, "EMR extra-large = 4 virtual cores");
+        assert_eq!(l.map_slots, 256 * 4, "EMR extra-large = 4 virtual cores");
     }
 
     #[test]
@@ -442,10 +426,6 @@ mod tests {
         let mut s = ClusterSpec::small();
         s.nodes = 0;
         assert_rejected(&s, &["nodes must be > 0"]);
-
-        let mut s = ClusterSpec::small();
-        s.cores_per_node = 0;
-        assert_rejected(&s, &["cores_per_node must be > 0"]);
 
         let mut s = ClusterSpec::small();
         s.replication = 0;

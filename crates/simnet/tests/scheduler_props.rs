@@ -60,25 +60,58 @@ proptest! {
         );
     }
 
-    /// Every task gets exactly one completion time, after its possible
-    /// start.
+    /// Every task completes exactly once, after its possible start.
     #[test]
     fn finish_times_are_complete_and_positive(
         tasks in proptest::collection::vec(task_strategy(6), 0..40),
     ) {
         let spec = ClusterSpec::small();
         let out = SlotScheduler::new(&spec).schedule(&tasks, 2, 0..6);
-        prop_assert_eq!(out.finish_times.len(), tasks.len());
-        for (i, &f) in out.finish_times.iter().enumerate() {
+        prop_assert_eq!(out.launches.len(), tasks.len());
+        for l in &out.launches {
+            let t = &tasks[l.task];
             prop_assert!(
-                f + 1e-12 >= tasks[i].duration_s + spec.task_overhead_s,
-                "task {i} finished at {f} before it could run"
+                l.finish_s + 1e-12 >= t.duration_s + spec.task_overhead_s,
+                "task {} finished at {} before it could run",
+                l.task,
+                l.finish_s
             );
         }
-        prop_assert_eq!(
-            out.node_local + out.rack_local + out.remote,
-            tasks.len()
-        );
+    }
+
+    /// The launch log is the round's one record, with or without
+    /// injected crashes: each task's last launch is its only completed
+    /// one, the makespan is the latest completion, and each slot's waves
+    /// count up from 0 in launch order to `waves - 1` at most.
+    #[test]
+    fn launch_log_is_the_whole_record(
+        tasks in proptest::collection::vec(task_strategy(6), 0..40),
+        slots_per_node in 1usize..4,
+        deaths in proptest::collection::vec((0usize..6, -1.0f64..20.0), 0..3),
+    ) {
+        let spec = ClusterSpec::small();
+        let out = SlotScheduler::new(&spec).schedule_with(&tasks, slots_per_node, 0..6, &deaths);
+        for task in 0..tasks.len() {
+            let mine: Vec<_> = out.launches.iter().filter(|l| l.task == task).collect();
+            let done: Vec<_> = mine.iter().filter(|l| !l.killed).collect();
+            prop_assert_eq!(done.len(), 1, "task {} completed {} times", task, done.len());
+            prop_assert!(!mine.last().unwrap().killed, "task {} ends killed", task);
+        }
+        let latest = out
+            .launches
+            .iter()
+            .filter(|l| !l.killed)
+            .map(|l| l.finish_s)
+            .fold(0.0f64, f64::max);
+        prop_assert_eq!(out.makespan_s, latest);
+        prop_assert!(out.launches.iter().all(|l| l.finish_s <= out.makespan_s));
+        let mut next_wave = vec![0usize; 6 * slots_per_node];
+        for l in &out.launches {
+            prop_assert_eq!(l.wave, next_wave[l.slot], "slot {} out of order", l.slot);
+            next_wave[l.slot] += 1;
+        }
+        let top = out.launches.iter().map(|l| l.wave + 1).max().unwrap_or(0);
+        prop_assert_eq!(out.waves, top);
     }
 
     /// Scheduling is a pure function of its inputs, injected crashes

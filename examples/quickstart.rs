@@ -16,8 +16,8 @@ fn main() {
     //    cores, gigabit Ethernet, 24 map + 24 reduce slots).
     let spec = ClusterSpec::small();
     println!(
-        "cluster: {} nodes × {} cores, {} map slots",
-        spec.nodes, spec.cores_per_node, spec.map_slots
+        "cluster: {} nodes, {} map slots",
+        spec.nodes, spec.map_slots
     );
 
     // 2. A workload: 50k points from a 100-component Gaussian mixture.

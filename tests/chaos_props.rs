@@ -52,7 +52,7 @@ fn replay(plan: Option<&FaultPlan>) -> (Vec<f64>, String) {
         fmt_f64(r.total_time_s)
     ));
     for p in &r.trajectory {
-        s.push_str(&format!("t={} err={}\n", fmt_f64(p.t_s), fmt_f64(p.error)));
+        s.push_str(&format!("t={} err={}\n", fmt_f64(p.t_s), fmt_f64(p.err)));
     }
     s.push_str(&format!(
         "traffic={:?}\nspans={} instants={} injected={}\n",

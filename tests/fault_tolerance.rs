@@ -300,8 +300,8 @@ fn injected_crash_preserves_quality_trajectories_and_reconciles_recovery() {
     // the crash only re-runs work, it never changes it. Only the clock
     // moves.
     assert_eq!(faulty.final_model, clean.final_model);
-    let clean_errs: Vec<f64> = clean.trajectory.iter().map(|p| p.error).collect();
-    let faulty_errs: Vec<f64> = faulty.trajectory.iter().map(|p| p.error).collect();
+    let clean_errs: Vec<f64> = clean.trajectory.iter().map(|p| p.err).collect();
+    let faulty_errs: Vec<f64> = faulty.trajectory.iter().map(|p| p.err).collect();
     assert_eq!(
         clean_errs, faulty_errs,
         "crash perturbed the quality sequence"

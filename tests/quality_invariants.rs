@@ -16,15 +16,15 @@
 //!   app's sequential reference (`residual_l2`, `sequential_sweep`).
 
 use pic_core::prelude::*;
-use pic_core::report::{IcReport, PicReport, TrajectoryPoint};
+use pic_core::report::{IcReport, PicReport};
 use pic_mapreduce::{Dataset, Engine, Timing};
-use pic_simnet::ClusterSpec;
+use pic_simnet::{ClusterSpec, QualityPoint};
 
 fn timing() -> Timing {
     Timing::default_analytic()
 }
 
-fn assert_strictly_monotone_t(name: &str, traj: &[TrajectoryPoint]) {
+fn assert_strictly_monotone_t(name: &str, traj: &[QualityPoint]) {
     assert!(!traj.is_empty(), "{name}: empty trajectory");
     for pair in traj.windows(2) {
         assert!(
@@ -53,12 +53,12 @@ fn assert_quality_invariants<A: IterativeApp>(
             .unwrap_or_else(|| panic!("{name}: error metric is None"))
     };
     assert_eq!(
-        ic.trajectory.last().unwrap().error,
+        ic.trajectory.last().unwrap().err,
         probe(&ic.final_model),
         "{name}/ic: last trajectory error != error of final model"
     );
     assert_eq!(
-        pic.trajectory.last().unwrap().error,
+        pic.trajectory.last().unwrap().err,
         probe(&pic.final_model),
         "{name}/pic: last trajectory error != error of final model"
     );
