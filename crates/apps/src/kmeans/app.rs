@@ -2,7 +2,7 @@
 
 use super::data::Point;
 use super::metrics::centroid_displacement;
-use super::mr::{lloyd_step, AssignMapper, AverageReducer, Centroids, SumCombiner};
+use super::mr::{bounded_lloyd, AssignMapper, AverageReducer, Centroids, SumCombiner};
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine};
 
@@ -91,16 +91,7 @@ impl KMeansApp {
     /// Solve sequentially to convergence — the "sequential implementation"
     /// the paper uses as the reference for its error metric (§VI.A).
     pub fn solve_reference(&self, points: &[Point], init: &Centroids, cap: usize) -> Centroids {
-        let mut m = init.clone();
-        for _ in 0..cap {
-            let next = lloyd_step(points, &m);
-            let done = next.max_displacement(&m) < self.threshold;
-            m = next;
-            if done {
-                break;
-            }
-        }
-        m
+        bounded_lloyd(points, init, cap, self.threshold).0
     }
 }
 
@@ -247,16 +238,8 @@ impl PicApp for KMeansApp {
         // "Each sub-problem performs as many local iterations as necessary
         // to obtain a converged partial model. The convergence criterion
         // ... is the same as the criterion used in the IC implementation."
-        let mut m = model.clone();
-        for it in 1..=cap {
-            let next = lloyd_step(records, &m);
-            let done = next.max_displacement(&m) < self.threshold;
-            m = next;
-            if done {
-                return (m, it);
-            }
-        }
-        (m, cap)
+        let (m, iterations, _) = bounded_lloyd(records, model, cap, self.threshold);
+        (m, iterations)
     }
 }
 
@@ -264,6 +247,7 @@ impl PicApp for KMeansApp {
 mod tests {
     use super::*;
     use crate::kmeans::data::gaussian_mixture;
+    use crate::kmeans::lloyd_step;
     use pic_simnet::ClusterSpec;
 
     fn well_separated(n: usize) -> (Vec<Point>, Centroids) {

@@ -37,13 +37,7 @@ impl Centroids {
         self.coords
             .iter()
             .zip(&other.coords)
-            .map(|(a, b)| {
-                a.iter()
-                    .zip(b)
-                    .map(|(x, y)| (x - y) * (x - y))
-                    .sum::<f64>()
-                    .sqrt()
-            })
+            .map(|(a, b)| dist2(a, b).sqrt())
             .fold(0.0, f64::max)
     }
 }
@@ -60,11 +54,18 @@ impl ByteSize for Centroids {
     }
 }
 
+/// Squared Euclidean distance between two centroids, in
+/// [`Point::dist2`]'s operation order.
+fn dist2(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
 /// Centroids per block of the nearest-centroid scan.
 const LANES: usize = 8;
 
-/// A model's centroids laid out for the one nearest-centroid kernel every
-/// assignment goes through (mapper, [`lloyd_step`], the quality metrics).
+/// A model's centroids laid out for the nearest-centroid kernels every
+/// assignment goes through (mapper, [`lloyd_step`], [`bounded_lloyd`], the
+/// quality metrics).
 ///
 /// Coordinate-major: `cols[d * kp + i]` is coordinate `d` of centroid `i`,
 /// where `kp` is `k` rounded up to a multiple of [`LANES`]; the padding
@@ -118,25 +119,11 @@ impl CentroidTable {
     /// 64-byte function alignment pins where its loop sits (DESIGN.md §14).
     #[inline(never)]
     pub(crate) fn nearest(&self, p: &[f64]) -> usize {
-        assert!(self.kp > 0, "model has no centroids");
-        assert_eq!(
-            p.len(),
-            self.dim,
-            "point has dimension {} but the model has dimension {}",
-            p.len(),
-            self.dim
-        );
+        self.check(p);
         let mut best = 0;
         let mut best_d = f64::INFINITY;
         for b in (0..self.kp).step_by(LANES) {
-            let mut acc = [0.0f64; LANES];
-            for (&x, col) in p.iter().zip(self.cols.chunks_exact(self.kp)) {
-                let c: &[f64; LANES] = col[b..b + LANES].try_into().expect("one block");
-                for (a, &y) in acc.iter_mut().zip(c) {
-                    *a += (x - y) * (x - y);
-                }
-            }
-            for (j, &d) in acc.iter().enumerate() {
+            for (j, d) in self.block(p, b).into_iter().enumerate() {
                 if d < best_d {
                     best_d = d;
                     best = b + j;
@@ -145,10 +132,60 @@ impl CentroidTable {
         }
         best
     }
+
+    /// [`CentroidTable::nearest`]'s index plus the two smallest squared
+    /// distances: the winner's, and the smallest among the other
+    /// centroids (equal to the winner's on a tie). Same distances, same
+    /// order, same strict-`<` first-minimum rule, so the index is the one
+    /// `nearest` returns; NaN never enters either distance, and a
+    /// distance nothing beats is `+∞`. The second kernel of the bounded
+    /// local solve ([`bounded_lloyd`]); never inlined, like `nearest`.
+    #[inline(never)]
+    pub(crate) fn nearest_two(&self, p: &[f64]) -> (usize, f64, f64) {
+        self.check(p);
+        let mut best = 0;
+        let (mut best_d, mut second_d) = (f64::INFINITY, f64::INFINITY);
+        for b in (0..self.kp).step_by(LANES) {
+            for (j, d) in self.block(p, b).into_iter().enumerate() {
+                if d < best_d {
+                    second_d = best_d;
+                    best_d = d;
+                    best = b + j;
+                } else if d < second_d {
+                    second_d = d;
+                }
+            }
+        }
+        (best, best_d, second_d)
+    }
+
+    fn check(&self, p: &[f64]) {
+        assert!(self.kp > 0, "model has no centroids");
+        assert_eq!(
+            p.len(),
+            self.dim,
+            "point has dimension {} but the model has dimension {}",
+            p.len(),
+            self.dim
+        );
+    }
+
+    /// Squared distances from `p` to centroids `b..b + LANES`.
+    #[inline(always)]
+    fn block(&self, p: &[f64], b: usize) -> [f64; LANES] {
+        let mut acc = [0.0f64; LANES];
+        for (&x, col) in p.iter().zip(self.cols.chunks_exact(self.kp)) {
+            let c: &[f64; LANES] = col[b..b + LANES].try_into().expect("one block");
+            for (a, &y) in acc.iter_mut().zip(c) {
+                *a += (x - y) * (x - y);
+            }
+        }
+        acc
+    }
 }
 
 /// Per-cluster coordinate sums and point counts of one assignment pass —
-/// the accumulator behind both [`lloyd_step`] and
+/// the accumulator behind [`lloyd_step`], [`bounded_lloyd`] and
 /// [`AssignMapper::map_combined`].
 ///
 /// Row `c` of `sums` starts at `+0.0` and adds the coordinates of each
@@ -165,31 +202,54 @@ struct ClusterSums {
 }
 
 impl ClusterSums {
-    /// Assign every point through `table` and sum per cluster.
-    fn assign(table: &CentroidTable, points: &[Point]) -> Self {
+    fn new(table: &CentroidTable) -> Self {
         let (k, dim) = (table.k, table.dim);
-        let mut sums = vec![0.0; k * dim];
-        let mut counts = vec![0u64; k];
-        let mut last = vec![0; k];
-        for (i, p) in points.iter().enumerate() {
-            let c = table.nearest(&p.coords);
-            for (s, x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(&p.coords) {
-                *s += x;
-            }
-            counts[c] += 1;
-            last[c] = i;
-        }
         ClusterSums {
             dim,
-            sums,
-            counts,
-            last,
+            sums: vec![0.0; k * dim],
+            counts: vec![0; k],
+            last: vec![0; k],
         }
+    }
+
+    /// Assign every point through `table` and sum per cluster.
+    fn assign(table: &CentroidTable, points: &[Point]) -> Self {
+        let mut acc = ClusterSums::new(table);
+        for (i, p) in points.iter().enumerate() {
+            acc.add(table.nearest(&p.coords), i, p);
+        }
+        acc
+    }
+
+    /// Add point `i`, `p`, to cluster `c`.
+    fn add(&mut self, c: usize, i: usize, p: &Point) {
+        let dim = self.dim;
+        for (s, x) in self.sums[c * dim..(c + 1) * dim].iter_mut().zip(&p.coords) {
+            *s += x;
+        }
+        self.counts[c] += 1;
+        self.last[c] = i;
     }
 
     /// Cluster `c`'s coordinate sum.
     fn row(&self, c: usize) -> &[f64] {
         &self.sums[c * self.dim..(c + 1) * self.dim]
+    }
+
+    /// The Lloyd update: each cluster's mean, or `prev`'s centroid for a
+    /// cluster that attracted no point (standard practice; keeps `k`
+    /// stable).
+    fn into_model(self, prev: &Centroids) -> Centroids {
+        let coords = (0..prev.k())
+            .map(|i| match self.counts[i] {
+                0 => prev.coords[i].clone(),
+                n => self.row(i).iter().map(|s| s / n as f64).collect(),
+            })
+            .collect();
+        Centroids {
+            coords,
+            counts: self.counts,
+        }
     }
 }
 
@@ -308,22 +368,183 @@ impl Reducer for AverageReducer {
 }
 
 /// One sequential Lloyd iteration over `points`: returns the refined
-/// model. Clusters that attract no points keep their previous centroid
-/// (standard practice; keeps `k` stable). This is the kernel
-/// [`super::KMeansApp`]'s `solve_local` runs for PIC's local iterations —
-/// numerically identical to one MapReduce iteration.
+/// model. Clusters that attract no points keep their previous centroid.
+/// Numerically identical to one MapReduce iteration.
 pub fn lloyd_step(points: &[Point], model: &Centroids) -> Centroids {
-    let acc = ClusterSums::assign(&CentroidTable::new(model), points);
-    let coords = (0..model.k())
-        .map(|i| match acc.counts[i] {
-            0 => model.coords[i].clone(),
-            n => acc.row(i).iter().map(|s| s / n as f64).collect(),
-        })
-        .collect();
-    Centroids {
-        coords,
-        counts: acc.counts,
+    ClusterSums::assign(&CentroidTable::new(model), points).into_model(model)
+}
+
+/// Relative slack every bound update of [`bounded_lloyd`] widens by: far
+/// above the `(dim + 2)·2⁻⁵³` relative rounding of a computed distance.
+const SLACK: f64 = 1e-9;
+/// A point skips its scan only against a lower bound in
+/// `[MIN_BOUND, MAX_BOUND]`: every squared distance the skip relies on is
+/// then a normal double, so the relative slack covers its rounding.
+const MIN_BOUND: f64 = 1e-100;
+const MAX_BOUND: f64 = 1e100;
+/// Past this dimension a distance's rounding nears [`SLACK`]; every point
+/// scans.
+const MAX_PRUNED_DIM: usize = 1 << 20;
+
+/// A distance at least the true one (for `d2` a computed squared
+/// distance), with the relative margin the skip test needs.
+fn above(d2: f64) -> f64 {
+    d2.sqrt() * (1.0 + SLACK)
+}
+
+/// A distance at most the true one, with the same margin.
+fn below(d2: f64) -> f64 {
+    d2.sqrt() * (1.0 - SLACK)
+}
+
+/// One point's state in [`bounded_lloyd`] (Hamerly's bounds): its
+/// cluster, an upper bound on its distance to that centroid and a lower
+/// bound on its distance to every other centroid.
+struct Bound {
+    cluster: usize,
+    upper: f64,
+    lower: f64,
+}
+
+impl Bound {
+    fn scan(table: &CentroidTable, p: &Point) -> Self {
+        let (cluster, d1, d2) = table.nearest_two(&p.coords);
+        Bound {
+            cluster,
+            upper: above(d1),
+            lower: below(d2),
+        }
     }
+}
+
+/// Whether a point whose centroid is at most `upper` away, and every
+/// other at least `nearest_other`, provably keeps its centroid: false for
+/// every NaN, infinite or out-of-range bound.
+fn separated(upper: f64, nearest_other: f64) -> bool {
+    (MIN_BOUND..=MAX_BOUND).contains(&nearest_other) && upper < nearest_other
+}
+
+/// How far each centroid moved between two models (an upper bound, +∞
+/// when undefined), and the largest move by anyone but the mover itself.
+#[derive(Default)]
+struct Drift {
+    of: Vec<f64>,
+    /// The centroid that moved most, its move and the runner-up's.
+    far: (usize, f64, f64),
+}
+
+impl Drift {
+    fn between(prev: &Centroids, next: &Centroids) -> Self {
+        let of: Vec<f64> = prev
+            .coords
+            .iter()
+            .zip(&next.coords)
+            .map(|(a, b)| match above(dist2(a, b)) {
+                d if d.is_nan() => f64::INFINITY,
+                d => d,
+            })
+            .collect();
+        let mut far = (0, 0.0, 0.0);
+        for (i, &d) in of.iter().enumerate() {
+            if d > far.1 {
+                far = (i, d, far.1);
+            } else if d > far.2 {
+                far.2 = d;
+            }
+        }
+        Drift { of, far }
+    }
+
+    /// The largest move of a centroid other than `c`.
+    fn others(&self, c: usize) -> f64 {
+        if c == self.far.0 {
+            self.far.2
+        } else {
+            self.far.1
+        }
+    }
+}
+
+/// Half of each centroid's distance to its nearest other centroid, a
+/// lower bound. The centroid's own distance is 0 (or NaN, when it is
+/// not finite), so `nearest_two`'s runner-up is the nearest other
+/// centroid, or 0 when it has a duplicate. A centroid with a NaN
+/// coordinate is ignored: it never wins a point.
+fn half_gaps(table: &CentroidTable, model: &Centroids) -> Vec<f64> {
+    model
+        .coords
+        .iter()
+        .map(|c| below(table.nearest_two(c).2) / 2.0)
+        .collect()
+}
+
+/// Up to `cap` Lloyd iterations over `points` from `model`, stopping after
+/// the first whose largest centroid displacement is below `threshold`.
+/// Returns the model, the iterations run and the full nearest-centroid
+/// scans made — PIC's local solve (DESIGN.md §7).
+///
+/// Bit for bit the model and iteration count of `lloyd_step` run in that
+/// loop. The points' cluster sums are rebuilt every iteration in point
+/// order through the same accumulator; what changes is how a point finds
+/// its cluster. After a first full scan each point keeps Hamerly's bounds
+/// ([`Bound`]); each iteration widens them by the centroids' drifts, and
+/// the point keeps its cluster while its upper bound is strictly below
+/// the larger of its lower bound and half its centroid's distance to the
+/// nearest other centroid. Otherwise the upper bound is first tightened
+/// to the exact distance, and only then does the point scan through
+/// [`CentroidTable::nearest_two`]. Every bound update widens by [`SLACK`],
+/// so a kept point's computed squared distance to its centroid is
+/// strictly below every other one that is not NaN, and `nearest` would
+/// return it; NaN, infinite and out-of-range bounds always scan.
+///
+/// Never inlined: it keeps a symbol of its own for the 64-byte alignment
+/// pin (DESIGN.md §14).
+#[inline(never)]
+pub(crate) fn bounded_lloyd(
+    points: &[Point],
+    model: &Centroids,
+    cap: usize,
+    threshold: f64,
+) -> (Centroids, usize, usize) {
+    let mut m = model.clone();
+    let mut bounds = Vec::with_capacity(points.len());
+    let mut drift = Drift::default();
+    let mut scans = 0;
+    for it in 1..=cap {
+        let table = CentroidTable::new(&m);
+        let mut acc = ClusterSums::new(&table);
+        if it == 1 {
+            for (i, p) in points.iter().enumerate() {
+                let b = Bound::scan(&table, p);
+                acc.add(b.cluster, i, p);
+                bounds.push(b);
+            }
+            scans += points.len();
+        } else {
+            let gaps = half_gaps(&table, &m);
+            let prune = table.dim <= MAX_PRUNED_DIM;
+            for (i, (p, b)) in points.iter().zip(&mut bounds).enumerate() {
+                b.upper = (b.upper + drift.of[b.cluster]) * (1.0 + SLACK);
+                b.lower = (b.lower - drift.others(b.cluster)) * (1.0 - SLACK);
+                let nearest_other = b.lower.max(gaps[b.cluster]);
+                if !(prune && separated(b.upper, nearest_other)) {
+                    b.upper = above(p.dist2(&m.coords[b.cluster]));
+                    if !(prune && separated(b.upper, nearest_other)) {
+                        *b = Bound::scan(&table, p);
+                        scans += 1;
+                    }
+                }
+                acc.add(b.cluster, i, p);
+            }
+        }
+        let next = acc.into_model(&m);
+        if next.max_displacement(&m) < threshold {
+            return (next, it, scans);
+        }
+        drift = Drift::between(&m, &next);
+        m = next;
+    }
+    (m, cap, scans)
 }
 
 #[cfg(test)]
@@ -395,6 +616,26 @@ mod tests {
         Centroids { coords, counts }
     }
 
+    /// PIC's local solve as it was before [`bounded_lloyd`]: `lloyd_step`
+    /// until the displacement falls below `threshold` or `cap` steps.
+    fn lloyd_loop(
+        points: &[Point],
+        model: &Centroids,
+        cap: usize,
+        threshold: f64,
+    ) -> (Centroids, usize) {
+        let mut m = model.clone();
+        for it in 1..=cap {
+            let next = lloyd_step(points, &m);
+            let done = next.max_displacement(&m) < threshold;
+            m = next;
+            if done {
+                return (m, it);
+            }
+        }
+        (m, cap)
+    }
+
     fn bits(m: &Centroids) -> (Vec<Vec<u64>>, Vec<u64>) {
         let coords = m
             .coords
@@ -458,8 +699,36 @@ mod tests {
                 })
         }
 
+        /// A convergence threshold: 0 (never met), +∞ (met at once), NaN,
+        /// or a distance on the scale of the coordinates.
+        fn threshold() -> impl Strategy<Value = f64> {
+            (0u8..6, 0.0f64..4.0).prop_map(|(kind, x)| match kind {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2 => f64::NAN,
+                _ => x,
+            })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn bounded_lloyd_equals_the_lloyd_step_loop_bit_for_bit(
+                case in case(),
+                cap in 0usize..8,
+                threshold in threshold(),
+            ) {
+                let (model, points) = case;
+                let (m, iterations, _) = bounded_lloyd(&points, &model, cap, threshold);
+                let (want, want_iterations) = lloyd_loop(&points, &model, cap, threshold);
+                prop_assert_eq!(bits(&m), bits(&want));
+                prop_assert_eq!(iterations, want_iterations);
+                let table = CentroidTable::new(&model);
+                for p in &points {
+                    prop_assert_eq!(table.nearest_two(&p.coords).0, table.nearest(&p.coords));
+                }
+            }
 
             #[test]
             fn table_nearest_equals_the_nested_scan(case in case()) {
@@ -484,6 +753,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn nearest_two_reports_the_runner_up_and_ties() {
+        let t = CentroidTable::new(&Centroids::new(vec![
+            vec![0.0],
+            vec![3.0],
+            vec![1.0],
+            vec![3.0],
+        ]));
+        assert_eq!(t.nearest_two(&[0.5]), (0, 0.25, 0.25));
+        assert_eq!(t.nearest_two(&[3.0]), (1, 0.0, 0.0));
+        assert_eq!(t.nearest_two(&[-1.0]), (0, 1.0, 4.0));
+    }
+
+    /// On well-separated clusters most points never rescan, and the
+    /// model is still the `lloyd_step` loop's.
+    #[test]
+    fn bounded_lloyd_skips_most_scans_on_separated_clusters() {
+        use crate::kmeans::data::{gaussian_mixture, init_random_centroids};
+        let points = gaussian_mixture(3_000, 30, 3, 1000.0, 30.0, 1);
+        let init = Centroids::new(init_random_centroids(30, 3, 1000.0, 101));
+        let (m, iterations, scans) = bounded_lloyd(&points, &init, 100, 1e-3);
+        let (want, want_iterations) = lloyd_loop(&points, &init, 100, 1e-3);
+        assert_eq!(bits(&m), bits(&want));
+        assert_eq!(iterations, want_iterations);
+        assert!(iterations >= 4, "{iterations} iterations");
+        let point_iterations = points.len() * iterations;
+        assert!(
+            2 * scans < point_iterations,
+            "{scans} full scans in {point_iterations} point-iterations"
+        );
     }
 
     #[test]

@@ -507,6 +507,16 @@ fn launch(m: &Matches) -> Result<i32, Failure> {
         "linsolve" => {
             use pic_apps::linsolve::{diag_dominant_system, LinSolveApp};
             need("--n", n, partitions)?;
+            // The system is a dense n × n matrix of doubles.
+            const MAX_MATRIX_MIB: usize = 256;
+            let max_n = ((MAX_MATRIX_MIB << 20) / 8).isqrt();
+            if n > max_n {
+                return Err(format!(
+                    "linsolve wants --n ≤ {max_n} (its dense n × n matrix must fit in \
+                     {MAX_MATRIX_MIB} MiB), got '{n}'"
+                )
+                .into());
+            }
             let sys = diag_dominant_system(n, 0.05, seed);
             let app = LinSolveApp::new(n, partitions, 1e-8).with_exact(sys.exact.clone());
             let init = vec![0.0; n];

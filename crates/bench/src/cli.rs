@@ -236,15 +236,15 @@ const fn command(
     }
 }
 
-const fn app(name: &'static str, summary: &'static str) -> Command {
-    command(name, Group::App, "", NO_ARGS, summary, APP_FLAGS)
+const fn app(name: &'static str, summary: &'static str, flags: &'static [Flag]) -> Command {
+    command(name, Group::App, "", NO_ARGS, summary, flags)
 }
 
 // The tables are one row per flag, aligned by hand: rustfmt would spread
 // every row over seven lines and bury the columns.
 
 #[rustfmt::skip]
-const APP_FLAGS: &[Flag] = &[
+const APP_FLAGS: [Flag; 6] = [
     flag("--n",          "<records>",  Kind::Count(10_000_000), "50000", "dataset size (points/pages/samples/unknowns)"),
     flag("--k",          "<clusters>", Kind::Count(10_000),     "100",   "K-means cluster count"),
     flag("--side",       "<pixels>",   Kind::Count(4_096),      "256",   "smoothing image side"),
@@ -252,6 +252,14 @@ const APP_FLAGS: &[Flag] = &[
     flag("--cluster",    "<c>",        Kind::Text,              "small", "small | medium | large:N"),
     flag("--seed",       "<s>",        Kind::U64,               "42",    "workload seed"),
 ];
+
+/// `pic linsolve` defaults to the paper's 100 unknowns (DESIGN.md §4):
+/// its system is a dense `n × n` matrix.
+const LINSOLVE_FLAGS: [Flag; 6] = {
+    let mut flags = APP_FLAGS;
+    flags[0].default = "100";
+    flags
+};
 
 #[rustfmt::skip]
 const SCALE: Flag = flag("--scale", "<f>", SCALE_KIND, "1.0", "workload scale multiplier");
@@ -263,11 +271,11 @@ const PROFILE_HOST: Flag = switch("--profile-host", "record host-side stage timi
 /// Every `pic` command, in `pic help` order.
 #[rustfmt::skip]
 pub const COMMANDS: &[Command] = &[
-    app("kmeans",    "K-means clustering, IC vs PIC"),
-    app("pagerank",  "PageRank on a block-local web graph, IC vs PIC"),
-    app("neuralnet", "MLP training on OCR-like vectors, IC vs PIC"),
-    app("linsolve",  "Jacobi linear solver, IC vs PIC"),
-    app("smoothing", "image smoothing, IC vs PIC"),
+    app("kmeans",    "K-means clustering, IC vs PIC",                  &APP_FLAGS),
+    app("pagerank",  "PageRank on a block-local web graph, IC vs PIC", &APP_FLAGS),
+    app("neuralnet", "MLP training on OCR-like vectors, IC vs PIC",    &APP_FLAGS),
+    app("linsolve",  "Jacobi linear solver, IC vs PIC",                &LINSOLVE_FLAGS),
+    app("smoothing", "image smoothing, IC vs PIC",                     &APP_FLAGS),
     command("report", Group::Subcommand, "§9", NO_ARGS, "trace-driven perf analysis and BENCH_pic.json", &[
         SCALE,
         APP_SUBSET,

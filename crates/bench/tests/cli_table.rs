@@ -199,6 +199,22 @@ fn launcher_refuses_shapes_the_apps_cannot_build() {
     }
 }
 
+/// `pic linsolve` runs on its own defaults (the paper's 100 unknowns),
+/// and a system whose dense matrix would pass the memory bound is
+/// refused by name instead of being allocated until the process dies.
+#[test]
+fn linsolve_runs_on_its_defaults_and_refuses_a_matrix_past_the_bound() {
+    let linsolve = COMMANDS.iter().find(|c| c.name == "linsolve").unwrap();
+    let out = invoke(linsolve, &[]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("speedup: "));
+    assert_eq!(
+        rejected(linsolve, &["--n", "50000"]),
+        "error: linsolve wants --n ≤ 5792 (its dense n × n matrix must fit in 256 MiB), \
+         got '50000'"
+    );
+}
+
 /// `pic watch --window` so fine that the replay could not be allocated
 /// is refused after the (cheap) run, not by an allocation abort.
 #[test]
