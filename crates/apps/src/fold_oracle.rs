@@ -3,9 +3,12 @@
 //! combiner makes of its per-record pairs, with the same raw counts, and
 //! runs a combined job exactly as the same mapper emitting one pair per
 //! record does — output bits, every simulated [`JobStats`] count, byte and
-//! time, the traffic ledger and the trace.
+//! time, the traffic ledger and the trace. So are the Hamerly bounds a
+//! k-means mapper keeps from one job of a run to the next.
 
-use crate::kmeans::{AssignMapper, AverageReducer, Centroids, Point, SumCombiner};
+use crate::kmeans::{
+    lloyd_step, AssignMapper, AverageReducer, Centroids, Point, RunBounds, SumCombiner,
+};
 use crate::neuralnet::mr::{GradCombiner, GradMapper, GradReducer};
 use crate::neuralnet::{Mlp, Sample};
 use pic_mapreduce::{Combiner, Dataset, Engine, JobConfig, JobStats, MapContext, Mapper, Reducer};
@@ -180,6 +183,86 @@ fn kmeans_case() -> impl Strategy<Value = (Centroids, Vec<Point>, usize, usize)>
         )
 }
 
+/// A coordinate as the bounded assignment's own kernel tests draw it:
+/// mostly small whole numbers (so distances tie), sometimes `±0.0`,
+/// `±1e200` (squared distances overflow to `+∞`) or NaN, otherwise an
+/// arbitrary double in ±100.
+fn wild_coord() -> impl Strategy<Value = f64> {
+    (0u8..40, -3i32..4, -100.0f64..100.0).prop_map(|(kind, int, x)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 | 3 => 1e200,
+        4 => -1e200,
+        5 => f64::NAN,
+        6..=25 => int as f64,
+        _ => x,
+    })
+}
+
+/// One run of k-means jobs over the same points, splits and reducers:
+/// 2–5 models of `dim ∈ 1..=3`. The first has `k ∈ 1..=9` centroids,
+/// some repeated; each later one is the Lloyd successor of the one
+/// before (what IC would run next), that model with one centroid moved
+/// by a little, or a fresh draw of its own `k`. Up to 60 points, some
+/// sitting on a centroid of the first model.
+#[allow(clippy::type_complexity)]
+fn kmeans_run_case() -> impl Strategy<Value = (Vec<Centroids>, Vec<Point>, usize, usize)> {
+    /// Model `i` of a run, from its raw draw.
+    fn model((k, pool, repeat): &(usize, Vec<f64>, Vec<usize>), dim: usize) -> Centroids {
+        let mut coords: Vec<Vec<f64>> = Vec::with_capacity(*k);
+        for i in 0..*k {
+            let c = if repeat[i] < i {
+                coords[repeat[i]].clone()
+            } else {
+                pool[i * 3..i * 3 + dim].to_vec()
+            };
+            coords.push(c);
+        }
+        Centroids::new(coords)
+    }
+    let raw_model = (
+        1usize..10,
+        proptest::collection::vec(wild_coord(), 9 * 3),
+        proptest::collection::vec(0usize..18, 9),
+    );
+    (
+        (1usize..4, 0usize..61, 1usize..7, 1usize..5, 1usize..5),
+        proptest::collection::vec(raw_model, 5),
+        proptest::collection::vec((0u8..3, 0usize..9, -1e-3f64..1e-3), 4),
+        proptest::collection::vec(wild_coord(), 60 * 3),
+        proptest::collection::vec(0usize..18, 60),
+    )
+        .prop_map(
+            |((dim, n, splits, reducers, later), drawn, moves, pool, on_centroid)| {
+                let first = model(&drawn[0], dim);
+                let points: Vec<Point> = (0..n)
+                    .map(|j| {
+                        Point::new(match first.coords.get(on_centroid[j]) {
+                            Some(c) => c.clone(),
+                            None => pool[j * 3..j * 3 + dim].to_vec(),
+                        })
+                    })
+                    .collect();
+                let mut models = vec![first];
+                for (i, (kind, c, by)) in moves.into_iter().take(later).enumerate() {
+                    let prev = models.last().unwrap();
+                    let next = match kind {
+                        0 => lloyd_step(&points, prev),
+                        1 => {
+                            let mut m = prev.clone();
+                            let c = c % m.k();
+                            m.coords[c][0] += by;
+                            m
+                        }
+                        _ => model(&drawn[i + 1], dim),
+                    };
+                    models.push(next);
+                }
+                (models, points, splits, reducers)
+            },
+        )
+}
+
 /// A neural-net case: a small random model, up to 30 samples (some
 /// repeated), splits and reducers.
 fn neuralnet_case() -> impl Strategy<Value = (Mlp, Vec<Sample>, usize, usize)> {
@@ -230,6 +313,43 @@ proptest! {
         prop_assert_eq!(out_bits(&out), out_bits(&ref_out));
         prop_assert_eq!(stats, ref_stats);
         prop_assert_eq!(sim, ref_sim);
+    }
+
+    #[test]
+    fn bounded_assign_mapper_is_invisible_across_jobs(case in kmeans_run_case()) {
+        let (models, points, splits, reducers) = case;
+        let lens: Vec<usize> = Dataset::create(
+            &Engine::new(ClusterSpec::small()),
+            "/fold",
+            points.clone(),
+            splits,
+        )
+        .splits
+        .iter()
+        .map(|s| s.records.len())
+        .collect();
+        let out_bits = |o: &[(u64, Vec<f64>, u64)]| -> Vec<(u64, Vec<u64>, u64)> {
+            o.iter().map(|(k, c, n)| (*k, bits(c), *n)).collect()
+        };
+        let mut run = RunBounds::default();
+        for model in &models {
+            let mapper = AssignMapper::bounded(model, run, lens.iter().copied());
+            let (out, stats, sim) = run_on_fresh_engine(
+                &points, splits, reducers, &mapper, &SumCombiner, &AverageReducer,
+            );
+            run = mapper.into_bounds().expect("a bounded mapper").0;
+            let (ref_out, ref_stats, ref_sim) = run_on_fresh_engine(
+                &points,
+                splits,
+                reducers,
+                &PerRecord(AssignMapper::new(model)),
+                &SumCombiner,
+                &AverageReducer,
+            );
+            prop_assert_eq!(out_bits(&out), out_bits(&ref_out));
+            prop_assert_eq!(stats, ref_stats);
+            prop_assert_eq!(sim, ref_sim);
+        }
     }
 
     #[test]

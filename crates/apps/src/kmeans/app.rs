@@ -88,6 +88,52 @@ impl KMeansApp {
         self
     }
 
+    /// One IC iteration ([`IterativeApp::iterate`]) plus the full
+    /// nearest-centroid scans its map tasks made. With the run's memo
+    /// (`scope.memo()`, armed by `run_ic`) the map tasks keep Hamerly's
+    /// bounds from job to job ([`AssignMapper::bounded`]); without one
+    /// they map statelessly and every point scans.
+    pub(crate) fn iterate_counting_scans(
+        &self,
+        engine: &Engine,
+        data: &Dataset<Point>,
+        model: &Centroids,
+        scope: &IterScope,
+    ) -> (Centroids, usize) {
+        let mapper = match scope.memo() {
+            Some(memo) => AssignMapper::bounded(
+                model,
+                memo.take().unwrap_or_default(),
+                data.splits.iter().map(|s| s.records.len()),
+            ),
+            None => AssignMapper::new(model),
+        };
+        let res = engine.run_with_combiner(
+            &scope.job("assign"),
+            data,
+            &mapper,
+            &SumCombiner,
+            &AverageReducer,
+        );
+        let scans = match (scope.memo(), mapper.into_bounds()) {
+            (Some(memo), Some((bounds, scans))) => {
+                memo.put(bounds);
+                scans
+            }
+            _ => res.stats.input_records as usize,
+        };
+        // Fold reducer output into the next model; clusters that received
+        // no points keep their previous centroid.
+        let mut next = Centroids::new(model.coords.clone());
+        for (cluster, coords, count) in res.output {
+            let c = cluster as usize;
+            assert!(c < self.k, "cluster id out of range");
+            next.coords[c] = coords;
+            next.counts[c] = count;
+        }
+        (next, scans)
+    }
+
     /// Solve sequentially to convergence — the "sequential implementation"
     /// the paper uses as the reference for its error metric (§VI.A).
     pub fn solve_reference(&self, points: &[Point], init: &Centroids, cap: usize) -> Centroids {
@@ -110,24 +156,7 @@ impl IterativeApp for KMeansApp {
         model: &Centroids,
         scope: &IterScope,
     ) -> Centroids {
-        let mapper = AssignMapper::new(model);
-        let res = engine.run_with_combiner(
-            &scope.job("assign"),
-            data,
-            &mapper,
-            &SumCombiner,
-            &AverageReducer,
-        );
-        // Fold reducer output into the next model; clusters that received
-        // no points keep their previous centroid.
-        let mut next = Centroids::new(model.coords.clone());
-        for (cluster, coords, count) in res.output {
-            let c = cluster as usize;
-            assert!(c < self.k, "cluster id out of range");
-            next.coords[c] = coords;
-            next.counts[c] = count;
-        }
-        next
+        self.iterate_counting_scans(engine, data, model, scope).0
     }
 
     fn converged(&self, prev: &Centroids, next: &Centroids) -> bool {
@@ -348,6 +377,133 @@ mod tests {
         };
         let merged = app.merge(&[a, b], &prev);
         assert!((merged.coords[0][0] - 7.5).abs() < 1e-12);
+    }
+
+    /// `KMeansApp` under `run_ic`, either as it is or with every
+    /// iteration on a scope of its own from [`IterScope::cluster`], so
+    /// that it maps statelessly; either way it records each iteration's
+    /// full scans.
+    struct Probe {
+        app: KMeansApp,
+        stateless: bool,
+        scans: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl Probe {
+        fn new(app: KMeansApp, stateless: bool) -> Self {
+            Probe {
+                app,
+                stateless,
+                scans: Default::default(),
+            }
+        }
+    }
+
+    impl IterativeApp for Probe {
+        type Record = Point;
+        type Model = Centroids;
+
+        fn name(&self) -> &str {
+            self.app.name()
+        }
+
+        fn iterate(
+            &self,
+            engine: &Engine,
+            data: &Dataset<Point>,
+            model: &Centroids,
+            scope: &IterScope,
+        ) -> Centroids {
+            let mut own = IterScope::cluster(engine.spec().nodes, scope.timing.clone());
+            own.group = scope.group.clone();
+            own.iteration = scope.iteration;
+            own.phase = scope.phase;
+            let scope = if self.stateless { &own } else { scope };
+            let (next, scans) = self.app.iterate_counting_scans(engine, data, model, scope);
+            self.scans.lock().unwrap().push(scans);
+            next
+        }
+
+        fn converged(&self, prev: &Centroids, next: &Centroids) -> bool {
+            self.app.converged(prev, next)
+        }
+
+        fn error(&self, model: &Centroids) -> Option<f64> {
+            self.app.error(model)
+        }
+    }
+
+    /// A seeded, well-separated mixture on 8 splits and its start.
+    fn mixture(engine: &Engine) -> (Dataset<Point>, Centroids) {
+        use crate::kmeans::data::init_random_centroids;
+        let points = gaussian_mixture(4_000, 12, 3, 1000.0, 30.0, 7);
+        let data = Dataset::create(engine, "/km/bounded", points, 8);
+        (
+            data,
+            Centroids::new(init_random_centroids(12, 3, 1000.0, 8)),
+        )
+    }
+
+    fn model_bits(m: &Centroids) -> (Vec<Vec<u64>>, Vec<u64>) {
+        let coords = m
+            .coords
+            .iter()
+            .map(|c| c.iter().map(|x| x.to_bits()).collect());
+        (coords.collect(), m.counts.clone())
+    }
+
+    /// The run's memo changes how map tasks find each point's cluster and
+    /// nothing else: `run_ic` is the loop of stateless iterations, model
+    /// bits, iteration count, per-iteration stats, trace and ledger.
+    #[test]
+    fn run_ic_equals_a_loop_of_stateless_iterations() {
+        let run = |stateless: bool| {
+            let engine = Engine::new(ClusterSpec::small());
+            let (data, init) = mixture(&engine);
+            let probe = Probe::new(KMeansApp::new(12, 3, 1e-3), stateless);
+            let r = run_ic(&engine, &probe, &data, init, &IcOptions::default());
+            let scans = probe.scans.into_inner().unwrap();
+            (r, engine.trace(), engine.traffic(), scans)
+        };
+        let (bounded, trace, traffic, scans) = run(false);
+        let (stateless, ref_trace, ref_traffic, ref_scans) = run(true);
+        assert!(bounded.converged && bounded.iterations >= 4);
+        assert_eq!(
+            model_bits(&bounded.final_model),
+            model_bits(&stateless.final_model)
+        );
+        assert_eq!(bounded.iterations, stateless.iterations);
+        assert_eq!(
+            format!("{:?}", bounded.per_iteration),
+            format!("{:?}", stateless.per_iteration)
+        );
+        assert_eq!(
+            format!("{:?}", bounded.trajectory),
+            format!("{:?}", stateless.trajectory)
+        );
+        assert!(trace == ref_trace, "traces differ");
+        assert_eq!(traffic, ref_traffic);
+        assert!(ref_scans.iter().all(|&n| n == 4_000), "{ref_scans:?}");
+        assert_eq!(scans[0], 4_000, "the first job seeds every bound");
+    }
+
+    /// On well-separated clusters most of IC's point assignments after the
+    /// first job skip the scan.
+    #[test]
+    fn ic_map_tasks_skip_most_scans_on_separated_clusters() {
+        let engine = Engine::new(ClusterSpec::small());
+        let (data, init) = mixture(&engine);
+        let probe = Probe::new(KMeansApp::new(12, 3, 1e-3), false);
+        let r = run_ic(&engine, &probe, &data, init, &IcOptions::default());
+        let scans = probe.scans.into_inner().unwrap();
+        assert_eq!(scans.len(), r.iterations);
+        assert!(r.iterations >= 4, "{} iterations", r.iterations);
+        let later: usize = scans[1..].iter().sum();
+        let point_iterations = 4_000 * (r.iterations - 1);
+        assert!(
+            2 * later < point_iterations,
+            "{later} full scans in {point_iterations} point-iterations after the first job"
+        );
     }
 
     #[test]

@@ -25,4 +25,6 @@ mod mr;
 pub use app::{KMeansApp, MergeStrategy};
 pub use data::{gaussian_mixture, init_kmeanspp, init_random_centroids, Point};
 pub use metrics::{centroid_displacement, jagota_index, match_centroids, sse};
+#[cfg(test)]
+pub(crate) use mr::RunBounds;
 pub use mr::{lloyd_step, AssignMapper, AverageReducer, Centroids, SumCombiner};

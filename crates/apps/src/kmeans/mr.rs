@@ -2,6 +2,8 @@
 
 use super::data::Point;
 use pic_mapreduce::{kv, ByteSize, Combiner, MapContext, Mapper, ReduceContext, Reducer};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The K-means model: `k` centroids plus the point count last assigned to
 /// each (counts ride along so the weighted-merge ablation has them; the
@@ -139,7 +141,7 @@ impl CentroidTable {
     /// order, same strict-`<` first-minimum rule, so the index is the one
     /// `nearest` returns; NaN never enters either distance, and a
     /// distance nothing beats is `+∞`. The second kernel of the bounded
-    /// local solve ([`bounded_lloyd`]); never inlined, like `nearest`.
+    /// assignment ([`bounded_assign`]); never inlined, like `nearest`.
     #[inline(never)]
     pub(crate) fn nearest_two(&self, p: &[f64]) -> (usize, f64, f64) {
         self.check(p);
@@ -263,9 +265,34 @@ pub type PartialSum = (Vec<f64>, u64);
 ///
 /// With a combiner the engine runs [`AssignMapper::map_combined`], which
 /// sums per cluster as it assigns and emits one pair per hit cluster —
-/// exactly what [`SumCombiner`] makes of the per-point pairs.
+/// exactly what [`SumCombiner`] makes of the per-point pairs. Within one
+/// IC run the map tasks keep Hamerly's bounds from job to job and skip
+/// most nearest-centroid scans there (DESIGN.md §7); what they emit is
+/// the same, bit for bit.
 pub struct AssignMapper {
     table: CentroidTable,
+    run: Option<BoundedJob>,
+}
+
+/// What a bounded mapper carries through one job: its model, the step
+/// from the model the run's bounds were made for (`None`: every point
+/// scans) and each split's bounds, marked once a task has mapped it.
+struct BoundedJob {
+    model: Centroids,
+    step: Option<Step>,
+    splits: Vec<Mutex<(Vec<Bound>, bool)>>,
+    scans: AtomicUsize,
+}
+
+const POISONED: &str = "a map task panicked holding its split's bounds";
+
+/// The Hamerly bounds one IC run keeps from job to job in its memo
+/// (DESIGN.md §7): the model they were made for and, per split, one
+/// [`Bound`] per point.
+#[derive(Default)]
+pub(crate) struct RunBounds {
+    model: Option<Centroids>,
+    splits: Vec<Vec<Bound>>,
 }
 
 impl AssignMapper {
@@ -273,7 +300,55 @@ impl AssignMapper {
     pub fn new(model: &Centroids) -> Self {
         AssignMapper {
             table: CentroidTable::new(model),
+            run: None,
         }
+    }
+
+    /// A mapper assigning against `model` that carries `run`'s bounds
+    /// through one job over splits of `split_lens` points. Bounds for
+    /// another split layout are dropped, and each split's bound vector is
+    /// allocated here, on the calling thread, so map tasks only write
+    /// into it.
+    pub(crate) fn bounded(
+        model: &Centroids,
+        run: RunBounds,
+        split_lens: impl ExactSizeIterator<Item = usize>,
+    ) -> Self {
+        let table = CentroidTable::new(model);
+        let step = run.model.and_then(|prev| Step::new(&prev, model, &table));
+        let mut splits = run.splits;
+        if splits.len() != split_lens.len() {
+            splits = split_lens.map(Vec::with_capacity).collect();
+        }
+        AssignMapper {
+            table,
+            run: Some(BoundedJob {
+                model: model.clone(),
+                step,
+                splits: splits.into_iter().map(|b| Mutex::new((b, false))).collect(),
+                scans: AtomicUsize::new(0),
+            }),
+        }
+    }
+
+    /// A bounded mapper's bounds after its job, made for its model, and
+    /// the full scans its tasks made; `None` for a stateless mapper. A
+    /// split no task mapped keeps no bounds.
+    pub(crate) fn into_bounds(self) -> Option<(RunBounds, usize)> {
+        let run = self.run?;
+        let splits = run
+            .splits
+            .into_iter()
+            .map(|m| match m.into_inner().expect(POISONED) {
+                (bounds, true) => bounds,
+                (_, false) => Vec::new(),
+            })
+            .collect();
+        let bounds = RunBounds {
+            model: Some(run.model),
+            splits,
+        };
+        Some((bounds, run.scans.into_inner()))
     }
 }
 
@@ -291,7 +366,23 @@ impl Mapper for AssignMapper {
     /// hit once ships its point's coordinates untouched, as the combiner
     /// (a no-op on one value) would.
     fn map_combined(&self, points: &[Point], ctx: &mut MapContext<u64, PartialSum>) {
-        let acc = ClusterSums::assign(&self.table, points);
+        let bounded = self
+            .run
+            .as_ref()
+            .and_then(|run| Some((run, run.splits.get(ctx.split())?)));
+        let acc = match bounded {
+            None => ClusterSums::assign(&self.table, points),
+            Some((run, slot)) => {
+                let mut slot = slot.lock().expect(POISONED);
+                let (bounds, mapped) = &mut *slot;
+                let mut acc = ClusterSums::new(&self.table);
+                let step = run.step.as_ref();
+                let scans = bounded_assign(&self.table, &run.model, step, points, bounds, &mut acc);
+                *mapped = true;
+                run.scans.fetch_add(scans, Ordering::Relaxed);
+                acc
+            }
+        };
         for (c, &count) in acc.counts.iter().enumerate() {
             let coords = match count {
                 0 => continue,
@@ -397,7 +488,7 @@ fn below(d2: f64) -> f64 {
     d2.sqrt() * (1.0 - SLACK)
 }
 
-/// One point's state in [`bounded_lloyd`] (Hamerly's bounds): its
+/// One point's state in [`bounded_assign`] (Hamerly's bounds): its
 /// cluster, an upper bound on its distance to that centroid and a lower
 /// bound on its distance to every other centroid.
 struct Bound {
@@ -426,7 +517,6 @@ fn separated(upper: f64, nearest_other: f64) -> bool {
 
 /// How far each centroid moved between two models (an upper bound, +∞
 /// when undefined), and the largest move by anyone but the mover itself.
-#[derive(Default)]
 struct Drift {
     of: Vec<f64>,
     /// The centroid that moved most, its move and the runner-up's.
@@ -434,6 +524,8 @@ struct Drift {
 }
 
 impl Drift {
+    /// Both models must have the same `k`: the moves pair centroids up by
+    /// index.
     fn between(prev: &Centroids, next: &Centroids) -> Self {
         let of: Vec<f64> = prev
             .coords
@@ -465,17 +557,91 @@ impl Drift {
     }
 }
 
-/// Half of each centroid's distance to its nearest other centroid, a
-/// lower bound. The centroid's own distance is 0 (or NaN, when it is
-/// not finite), so `nearest_two`'s runner-up is the nearest other
-/// centroid, or 0 when it has a duplicate. A centroid with a NaN
-/// coordinate is ignored: it never wins a point.
-fn half_gaps(table: &CentroidTable, model: &Centroids) -> Vec<f64> {
-    model
-        .coords
-        .iter()
-        .map(|c| below(table.nearest_two(c).2) / 2.0)
-        .collect()
+/// What [`bounded_assign`] needs to carry bounds made for one model over
+/// to the next: the centroids' drifts and half of each new centroid's
+/// distance to its nearest other centroid, a lower bound. A centroid's
+/// own distance is 0 (or NaN, when it is not finite), so `nearest_two`'s
+/// runner-up is the nearest other centroid, or 0 when it has a
+/// duplicate; a centroid with a NaN coordinate never wins a point.
+struct Step {
+    drift: Drift,
+    half_gaps: Vec<f64>,
+}
+
+impl Step {
+    /// The step from `prev` to `next`, laid out as `table`; `None` when
+    /// the two differ in `k` or dimension, or the dimension is past
+    /// [`MAX_PRUNED_DIM`].
+    fn new(prev: &Centroids, next: &Centroids, table: &CentroidTable) -> Option<Self> {
+        let prev_dim = prev.coords.first().map_or(0, Vec::len);
+        if prev.k() != table.k || prev_dim != table.dim || table.dim > MAX_PRUNED_DIM {
+            return None;
+        }
+        Some(Step {
+            drift: Drift::between(prev, next),
+            half_gaps: next
+                .coords
+                .iter()
+                .map(|c| below(table.nearest_two(c).2) / 2.0)
+                .collect(),
+        })
+    }
+}
+
+/// Assign each point of `points` to its nearest centroid of `model`, laid
+/// out as `table`, into `acc`, keeping each point's [`Bound`] in
+/// `bounds`; returns the full scans made. Point for point the assignment
+/// is [`CentroidTable::nearest`]'s — the one pass behind [`bounded_lloyd`]
+/// and a bounded [`AssignMapper`].
+///
+/// Given a `step` from the model `bounds` were made for, and one bound
+/// per point, each bound widens by the drifts and the point keeps its
+/// cluster while its upper bound is strictly below the larger of its
+/// lower bound and half its centroid's distance to the nearest other
+/// centroid. Otherwise the upper bound is first tightened to the exact
+/// distance, and only then does the point scan through
+/// [`CentroidTable::nearest_two`]. Every bound update widens by [`SLACK`],
+/// so a kept point's computed squared distance to its centroid is
+/// strictly below every other one that is not NaN, and `nearest` would
+/// return it; NaN, infinite and out-of-range bounds always scan. Without
+/// a step, or with bounds for another number of points, every point
+/// scans and its bound is made afresh.
+///
+/// Never inlined: it keeps a symbol of its own for the 64-byte alignment
+/// pin (DESIGN.md §14).
+#[inline(never)]
+fn bounded_assign(
+    table: &CentroidTable,
+    model: &Centroids,
+    step: Option<&Step>,
+    points: &[Point],
+    bounds: &mut Vec<Bound>,
+    acc: &mut ClusterSums,
+) -> usize {
+    let Some(step) = step.filter(|_| bounds.len() == points.len()) else {
+        bounds.clear();
+        for (i, p) in points.iter().enumerate() {
+            let b = Bound::scan(table, p);
+            acc.add(b.cluster, i, p);
+            bounds.push(b);
+        }
+        return points.len();
+    };
+    let mut scans = 0;
+    for (i, (p, b)) in points.iter().zip(bounds).enumerate() {
+        b.upper = (b.upper + step.drift.of[b.cluster]) * (1.0 + SLACK);
+        b.lower = (b.lower - step.drift.others(b.cluster)) * (1.0 - SLACK);
+        let nearest_other = b.lower.max(step.half_gaps[b.cluster]);
+        if !separated(b.upper, nearest_other) {
+            b.upper = above(p.dist2(&model.coords[b.cluster]));
+            if !separated(b.upper, nearest_other) {
+                *b = Bound::scan(table, p);
+                scans += 1;
+            }
+        }
+        acc.add(b.cluster, i, p);
+    }
+    scans
 }
 
 /// Up to `cap` Lloyd iterations over `points` from `model`, stopping after
@@ -484,18 +650,9 @@ fn half_gaps(table: &CentroidTable, model: &Centroids) -> Vec<f64> {
 /// scans made — PIC's local solve (DESIGN.md §7).
 ///
 /// Bit for bit the model and iteration count of `lloyd_step` run in that
-/// loop. The points' cluster sums are rebuilt every iteration in point
-/// order through the same accumulator; what changes is how a point finds
-/// its cluster. After a first full scan each point keeps Hamerly's bounds
-/// ([`Bound`]); each iteration widens them by the centroids' drifts, and
-/// the point keeps its cluster while its upper bound is strictly below
-/// the larger of its lower bound and half its centroid's distance to the
-/// nearest other centroid. Otherwise the upper bound is first tightened
-/// to the exact distance, and only then does the point scan through
-/// [`CentroidTable::nearest_two`]. Every bound update widens by [`SLACK`],
-/// so a kept point's computed squared distance to its centroid is
-/// strictly below every other one that is not NaN, and `nearest` would
-/// return it; NaN, infinite and out-of-range bounds always scan.
+/// loop: the points' cluster sums are rebuilt every iteration in point
+/// order through the same accumulator, and [`bounded_assign`] finds each
+/// point's cluster, keeping its bounds from one iteration to the next.
 ///
 /// Never inlined: it keeps a symbol of its own for the 64-byte alignment
 /// pin (DESIGN.md §14).
@@ -507,42 +664,19 @@ pub(crate) fn bounded_lloyd(
     threshold: f64,
 ) -> (Centroids, usize, usize) {
     let mut m = model.clone();
+    let mut prev: Option<Centroids> = None;
     let mut bounds = Vec::with_capacity(points.len());
-    let mut drift = Drift::default();
     let mut scans = 0;
     for it in 1..=cap {
         let table = CentroidTable::new(&m);
+        let step = prev.and_then(|prev| Step::new(&prev, &m, &table));
         let mut acc = ClusterSums::new(&table);
-        if it == 1 {
-            for (i, p) in points.iter().enumerate() {
-                let b = Bound::scan(&table, p);
-                acc.add(b.cluster, i, p);
-                bounds.push(b);
-            }
-            scans += points.len();
-        } else {
-            let gaps = half_gaps(&table, &m);
-            let prune = table.dim <= MAX_PRUNED_DIM;
-            for (i, (p, b)) in points.iter().zip(&mut bounds).enumerate() {
-                b.upper = (b.upper + drift.of[b.cluster]) * (1.0 + SLACK);
-                b.lower = (b.lower - drift.others(b.cluster)) * (1.0 - SLACK);
-                let nearest_other = b.lower.max(gaps[b.cluster]);
-                if !(prune && separated(b.upper, nearest_other)) {
-                    b.upper = above(p.dist2(&m.coords[b.cluster]));
-                    if !(prune && separated(b.upper, nearest_other)) {
-                        *b = Bound::scan(&table, p);
-                        scans += 1;
-                    }
-                }
-                acc.add(b.cluster, i, p);
-            }
-        }
+        scans += bounded_assign(&table, &m, step.as_ref(), points, &mut bounds, &mut acc);
         let next = acc.into_model(&m);
         if next.max_displacement(&m) < threshold {
             return (next, it, scans);
         }
-        drift = Drift::between(&m, &next);
-        m = next;
+        prev = Some(std::mem::replace(&mut m, next));
     }
     (m, cap, scans)
 }

@@ -4,7 +4,7 @@
 //! unparsed, or able to panic on bad input.
 
 use pic_bench::cli::{usage, Command, Kind, COMMANDS};
-use std::process::{Command as Process, Output};
+use std::process::{Command as Process, Output, Stdio};
 
 /// Run `pic <command>` with `args`.
 fn invoke(command: &Command, args: &[&str]) -> Output {
@@ -213,6 +213,31 @@ fn linsolve_runs_on_its_defaults_and_refuses_a_matrix_past_the_bound() {
         "error: linsolve wants --n ≤ 5792 (its dense n × n matrix must fit in 256 MiB), \
          got '50000'"
     );
+}
+
+/// `pic kmeans`, `pic pagerank` and `pic smoothing` finish on their
+/// defaults, side by side. `pic linsolve` has its own test above; `pic
+/// neuralnet` on its defaults runs for minutes and has none.
+#[test]
+fn apps_run_on_their_defaults() {
+    let runs: Vec<_> = ["kmeans", "pagerank", "smoothing"]
+        .into_iter()
+        .map(|app| {
+            let child = Process::new(env!("CARGO_BIN_EXE_pic"))
+                .arg(app)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn");
+            (app, child)
+        })
+        .collect();
+    for (app, child) in runs {
+        let out = child.wait_with_output().expect("wait");
+        assert_eq!(out.status.code(), Some(0), "pic {app}: {}", stderr_of(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("speedup: "), "pic {app}: {stdout}");
+    }
 }
 
 /// `pic watch --window` so fine that the replay could not be allocated

@@ -13,7 +13,7 @@
 
 use crate::app::IterativeApp;
 use crate::report::{IcReport, IterationStats};
-use crate::scope::IterScope;
+use crate::scope::{IterScope, Memo};
 use pic_mapreduce::kv::ByteSize;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::hostprof::{self, Stage};
@@ -78,8 +78,10 @@ pub fn run_ic<A: IterativeApp>(
     let max_iterations = opts.max_iterations.unwrap_or_else(|| app.max_iterations());
     assert!(max_iterations > 0, "need at least one iteration");
 
+    // The run's memo lives as long as this call, which holds `data`.
     let mut scope = IterScope {
         phase: opts.phase,
+        memo: Some(Memo::default()),
         ..IterScope::cluster(spec.nodes, opts.timing.clone())
     };
 

@@ -277,6 +277,9 @@ pub fn run_pic<A: PicApp>(
     let be_traffic = engine.traffic().delta_since(&be_traffic0);
     let be_final_error = error;
     let be_model = model.clone();
+    // The sub-problems' copies of the records are done with; the top-off
+    // maps `data` itself.
+    drop(parts_records);
 
     // ---- Top-off phase: the unmodified IC computation. ------------------
     let topoff_opts = IcOptions {

@@ -368,8 +368,10 @@ impl Engine {
         let outs: MapOuts<M> = input
             .splits
             .par_iter()
-            .map(|split| {
+            .enumerate()
+            .map(|(i, split)| {
                 let mut ctx = MapContext::partitioned(reducers.max(1));
+                ctx.split = i;
                 {
                     let _hp = hostprof::scope_bytes(Stage::Map, split.bytes);
                     if combiner.is_some() {
@@ -896,6 +898,30 @@ mod tests {
             vs.clear();
             vs.push(s);
         })
+    }
+
+    /// Every map task sees the index of the split it maps, with and
+    /// without a combiner; a context built outside the engine maps split 0.
+    #[test]
+    fn each_map_task_knows_its_split() {
+        let engine = word_count_engine();
+        let ds = Dataset::create(&engine, "/nums", (0..1000u64).collect(), 4);
+        let want: Vec<(u64, u64)> = (0u64..)
+            .zip(ds.splits.iter().map(|s| s.records.len() as u64))
+            .collect();
+        let mapper = FnMapper::new(|_: &u64, ctx: &mut MapContext<u64, u64>| {
+            ctx.emit(ctx.split() as u64, 1)
+        });
+        let cfg = analytic("split").reducers(3);
+        let mut plain = engine.run(&cfg, &ds, &mapper, &reducer_sum()).output;
+        let mut combined = engine
+            .run_with_combiner(&cfg, &ds, &mapper, &sum_combiner(), &reducer_sum())
+            .output;
+        plain.sort();
+        combined.sort();
+        assert_eq!(plain, want);
+        assert_eq!(combined, want);
+        assert_eq!(MapContext::<u64, u64>::new().split(), 0);
     }
 
     #[test]

@@ -54,6 +54,8 @@ pub struct MapContext<K, V> {
     emitted: usize,
     emitted_bytes: u64,
     counters: Counters,
+    /// Index of the split the task maps; set by the engine.
+    pub(crate) split: usize,
 }
 
 impl<K, V> Default for MapContext<K, V> {
@@ -81,7 +83,15 @@ impl<K, V> MapContext<K, V> {
             emitted: 0,
             emitted_bytes: 0,
             counters: Counters::new(),
+            split: 0,
         }
+    }
+
+    /// Index, within the job's input, of the split this task maps —
+    /// Hadoop's `context.getInputSplit()`. A context built outside the
+    /// engine maps split 0.
+    pub fn split(&self) -> usize {
+        self.split
     }
 
     /// Emit one intermediate key/value pair.
