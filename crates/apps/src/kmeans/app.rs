@@ -6,20 +6,6 @@ use super::mr::{bounded_lloyd, AssignMapper, AverageReducer, Centroids, SumCombi
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine};
 
-/// How sub-problem centroid sets are merged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeStrategy {
-    /// Plain average of corresponding centroids — what the paper's case
-    /// study uses ("Our merge function identifies corresponding centroid
-    /// values from each partition and averages them").
-    #[default]
-    Average,
-    /// Average weighted by each partition's assigned point count — the
-    /// ablation variant (exactly recovers the global Lloyd update when
-    /// assignments agree).
-    WeightedAverage,
-}
-
 /// K-means clustering with `k` centroids over points of dimension `dim`.
 pub struct KMeansApp {
     /// Number of clusters.
@@ -35,8 +21,6 @@ pub struct KMeansApp {
     /// the tight criterion would waste best-effort rounds polishing what
     /// the top-off phase polishes anyway.
     pub be_threshold: f64,
-    /// Merge strategy for the PIC best-effort phase.
-    pub merge_strategy: MergeStrategy,
     /// Seed for the random data partitioner.
     pub partition_seed: u64,
     /// Reference model for error trajectories (usually the converged
@@ -59,7 +43,6 @@ impl KMeansApp {
             dim,
             threshold,
             be_threshold: threshold * 10.0,
-            merge_strategy: MergeStrategy::Average,
             partition_seed: 0x5eed,
             reference: None,
             eval_sample: None,
@@ -70,12 +53,6 @@ impl KMeansApp {
     /// Attach a reference solution for error tracking.
     pub fn with_reference(mut self, reference: Centroids) -> Self {
         self.reference = Some(reference);
-        self
-    }
-
-    /// Use a specific merge strategy.
-    pub fn with_merge(mut self, s: MergeStrategy) -> Self {
-        self.merge_strategy = s;
         self
     }
 
@@ -198,34 +175,25 @@ impl PicApp for KMeansApp {
         // correspondence the paper's merge "identifies". (Greedy
         // re-matching by distance is available in
         // `metrics::match_centroids` but mis-pairs drifted centroids and
-        // corrupts the average, so the merge does not use it.)
+        // corrupts the average, so the merge does not use it.) The merge
+        // is the paper's plain average, over the sub-problems whose
+        // cluster i is non-empty: the others kept the incoming centroid,
+        // and averaging them in would drag the merged centroid back toward
+        // the stale value.
         let mut sums = vec![vec![0.0; dim]; k];
         let mut weights = vec![0.0; k];
         let mut counts = vec![0u64; k];
         for sub in subs {
             assert_eq!(sub.k(), k, "sub-model size mismatch");
             for i in 0..k {
-                let w = match self.merge_strategy {
-                    MergeStrategy::Average => {
-                        // Sub-problems whose cluster i is empty kept the
-                        // incoming centroid; averaging them in would drag
-                        // the merged centroid back toward the stale value.
-                        if sub.counts[i] == 0 {
-                            0.0
-                        } else {
-                            1.0
-                        }
-                    }
-                    MergeStrategy::WeightedAverage => sub.counts[i] as f64,
-                };
                 counts[i] += sub.counts[i];
-                if w == 0.0 {
+                if sub.counts[i] == 0 {
                     continue;
                 }
                 for (s, x) in sums[i].iter_mut().zip(&sub.coords[i]) {
-                    *s += w * x;
+                    *s += x;
                 }
-                weights[i] += w;
+                weights[i] += 1.0;
             }
         }
         let coords = sums
@@ -361,22 +329,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn weighted_merge_respects_counts() {
-        let app = KMeansApp::new(1, 1, 1e-3).with_merge(MergeStrategy::WeightedAverage);
-        let prev = Centroids::new(vec![vec![0.0]]);
-        let a = Centroids {
-            coords: vec![vec![0.0]],
-            counts: vec![1],
-        };
-        let b = Centroids {
-            coords: vec![vec![10.0]],
-            counts: vec![3],
-        };
-        let merged = app.merge(&[a, b], &prev);
-        assert!((merged.coords[0][0] - 7.5).abs() < 1e-12);
     }
 
     /// `KMeansApp` under `run_ic`, either as it is or with every

@@ -22,7 +22,7 @@ pub mod data;
 mod metrics;
 mod mr;
 
-pub use app::{KMeansApp, MergeStrategy};
+pub use app::KMeansApp;
 pub use data::{gaussian_mixture, init_kmeanspp, init_random_centroids, Point};
 pub use metrics::{centroid_displacement, jagota_index, match_centroids, sse};
 #[cfg(test)]

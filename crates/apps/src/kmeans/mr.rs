@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The K-means model: `k` centroids plus the point count last assigned to
-/// each (counts ride along so the weighted-merge ablation has them; the
+/// each (counts ride along so the merge can skip empty sub-centroids; the
 /// paper's model is the centroid set).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Centroids {

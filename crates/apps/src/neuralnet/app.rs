@@ -42,7 +42,7 @@ impl NeuralNetApp {
     pub fn new(validation: Vec<Sample>) -> Self {
         NeuralNetApp {
             lr: 1.0,
-            max_iterations: 100,
+            max_iterations: 60,
             topoff_epochs: 10,
             local_cap: 60,
             be_cap: 8,

@@ -499,8 +499,7 @@ fn launch(m: &Matches) -> Result<i32, Failure> {
         "neuralnet" => {
             use pic_apps::neuralnet::{ocr_like_split, Mlp, NeuralNetApp};
             let (train, valid) = ocr_like_split(n, n / 10, 10, 64, 0.2, seed);
-            let mut app = NeuralNetApp::new(valid);
-            app.max_iterations = 60;
+            let app = NeuralNetApp::new(valid);
             let init = Mlp::random(64, 32, 10, seed.wrapping_add(1));
             compare_and_print(spec, &app, train, init, partitions, cost::neuralnet());
         }

@@ -4,9 +4,7 @@
 use super::common::{compare, cost};
 use super::ExperimentCtx;
 use crate::table::{fmt_bytes, fmt_secs, fmt_x, Table};
-use pic_apps::kmeans::{
-    gaussian_mixture, init_random_centroids, Centroids, KMeansApp, MergeStrategy,
-};
+use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_apps::pagerank::{block_local_graph, PageRankApp, PartitionMode};
 use pic_simnet::ClusterSpec;
 
@@ -54,28 +52,36 @@ pub fn partition_count(ctx: &ExperimentCtx) -> String {
     )
 }
 
+/// One partitioner's row of the PageRank ablation.
+struct PartitionerRow {
+    name: &'static str,
+    /// Fraction of the graph's edges that cross partitions.
+    cut: f64,
+    /// Mean absolute rank error of PIC's model against a 10-iteration
+    /// reference solve.
+    rank_error: f64,
+    speedup: f64,
+}
+
+/// Partitions of the PageRank partitioner ablation.
+const PAGERANK_PARTS: usize = 8;
+
 /// Partitioner choice for PageRank (random vs id-blocks vs BFS growth —
-/// the paper's METIS discussion, §VI.B).
-pub fn partitioner_choice(ctx: &ExperimentCtx) -> String {
+/// the paper's METIS discussion, §VI.B): the page count and one row per
+/// partitioner.
+fn partitioner_sweep(ctx: &ExperimentCtx) -> (usize, [PartitionerRow; 3]) {
     let n = ctx.n(20_000, 1_000);
-    let parts = 8;
+    let parts = PAGERANK_PARTS;
     let spec = ClusterSpec::small();
     let graph = block_local_graph(n, parts, 2, 8, 0.9, 67);
-
-    let mut t = Table::new([
-        "partitioner",
-        "edges cut",
-        "rank error vs 10-it ref",
-        "speedup",
-    ]);
-    for (name, mode) in [
+    let rows = [
         ("random", PartitionMode::Random),
         ("block", PartitionMode::Block),
         ("bfs", PartitionMode::Bfs),
-    ] {
+    ]
+    .map(|(name, mode)| {
         let app = PageRankApp::new(graph.clone(), parts, mode, 3);
         let reference = app.solve_reference(10);
-        let cut = format!("{:.1}%", 100.0 * app.cut_fraction());
         let cmp = compare(
             &spec,
             &app,
@@ -85,7 +91,7 @@ pub fn partitioner_choice(ctx: &ExperimentCtx) -> String {
             parts,
             cost::pagerank(),
         );
-        let err: f64 = cmp
+        let rank_error = cmp
             .pic
             .final_model
             .ranks
@@ -94,16 +100,36 @@ pub fn partitioner_choice(ctx: &ExperimentCtx) -> String {
             .map(|(a, b)| (a - b).abs())
             .sum::<f64>()
             / reference.len() as f64;
+        PartitionerRow {
+            name,
+            cut: app.cut_fraction(),
+            rank_error,
+            speedup: cmp.speedup(),
+        }
+    });
+    (n, rows)
+}
+
+/// Renders the rows of `partitioner_sweep`.
+pub fn partitioner_choice(ctx: &ExperimentCtx) -> String {
+    let (n, rows) = partitioner_sweep(ctx);
+    let mut t = Table::new([
+        "partitioner",
+        "edges cut",
+        "rank error vs 10-it ref",
+        "speedup",
+    ]);
+    for r in rows {
         t.row([
-            name.to_string(),
-            cut,
-            format!("{err:.4}"),
-            fmt_x(cmp.speedup()),
+            r.name.to_string(),
+            format!("{:.1}%", 100.0 * r.cut),
+            format!("{:.4}", r.rank_error),
+            fmt_x(r.speedup),
         ]);
     }
     format!(
         "Ablation — PageRank partitioner ({n}-page block-local web graph, \
-         {parts} partitions)\n\n{}\n\
+         {PAGERANK_PARTS} partitions)\n\n{}\n\
          expectation: locality-aware partitioning (block/BFS ≈ METIS) cuts far \
          fewer edges, making sub-problems more independent and the merged model \
          closer to the reference.\n",
@@ -171,93 +197,6 @@ pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
     )
 }
 
-/// Merge strategy: plain vs count-weighted centroid averaging.
-pub fn merge_strategy(ctx: &ExperimentCtx) -> String {
-    let n = ctx.n(50_000, 2_000);
-    let k = 100;
-    let spec = ClusterSpec::small();
-    let pts = gaussian_mixture(n, k, 3, 1000.0, 8.0, 73);
-    let init = Centroids::new(init_random_centroids(k, 3, 1000.0, 19));
-
-    let mut t = Table::new(["merge", "BE iterations", "top-off iterations", "final SSE"]);
-    for (name, strategy) in [
-        ("average", MergeStrategy::Average),
-        ("weighted", MergeStrategy::WeightedAverage),
-    ] {
-        let app = KMeansApp::new(k, 3, 1.0).with_merge(strategy);
-        let cmp = compare(
-            &spec,
-            &app,
-            pts.clone(),
-            init.clone(),
-            24,
-            24,
-            cost::kmeans(),
-        );
-        let sse = pic_apps::kmeans::sse(&pts, &cmp.pic.final_model);
-        t.row([
-            name.to_string(),
-            cmp.pic.be_iterations.to_string(),
-            cmp.pic.topoff_iterations.to_string(),
-            format!("{sse:.3e}"),
-        ]);
-    }
-    format!(
-        "Ablation — K-means merge strategy ({n} points, 24 partitions)\n\n{}\n\
-         expectation: count-weighted averaging recovers the exact global Lloyd \
-         update when partition assignments agree, typically trimming an \
-         iteration or two; the paper's case study uses the plain average.\n",
-        t.render()
-    )
-}
-
-/// Local-iteration cap: ∞ (run to local convergence) vs tight caps.
-pub fn local_cap(ctx: &ExperimentCtx) -> String {
-    let n = ctx.n(50_000, 2_000);
-    let k = 100;
-    let spec = ClusterSpec::small();
-    let pts = gaussian_mixture(n, k, 3, 1000.0, 8.0, 79);
-    let init = Centroids::new(init_random_centroids(k, 3, 1000.0, 23));
-
-    let mut t = Table::new([
-        "local cap",
-        "BE iterations",
-        "top-off iterations",
-        "PIC time",
-    ]);
-    for cap in [1usize, 3, 10, 50] {
-        let app = KMeansApp::new(k, 3, 1.0);
-        let ic_engine = pic_mapreduce::Engine::new(spec.clone());
-        let data = pic_mapreduce::Dataset::create(&ic_engine, "/abl/lc", pts.clone(), 24);
-        ic_engine.reset();
-        let r = pic_core::driver::run_pic(
-            &ic_engine,
-            &app,
-            &data,
-            init.clone(),
-            &pic_core::driver::PicOptions {
-                partitions: 24,
-                timing: cost::kmeans().timing,
-                local_secs_per_record: Some(cost::kmeans().local_secs),
-                local_cap: Some(cap),
-            },
-        );
-        t.row([
-            cap.to_string(),
-            r.be_iterations.to_string(),
-            r.topoff_iterations.to_string(),
-            fmt_secs(r.total_time_s),
-        ]);
-    }
-    format!(
-        "Ablation — local-iteration cap ({n} points, 24 partitions)\n\n{}\n\
-         expectation: cap=1 degenerates toward per-iteration synchronization \
-         (more best-effort rounds); running to local convergence concentrates \
-         work in the cheap local phase.\n",
-        t.render()
-    )
-}
-
 /// Smart initialization vs PIC's best-effort phase. The paper argues that
 /// "determining a good initial model, in general, can be as difficult as
 /// finding the solution in the first place" and offers the best-effort
@@ -291,7 +230,7 @@ pub fn initializer_vs_pic(ctx: &ExperimentCtx) -> String {
     engine.reset();
     let pp_init = Centroids::new(init_kmeanspp(&pts, k, 31));
     let passes = 5.0;
-    let pic_mapreduce::Timing::PerRecord { map_secs, .. } = cost::kmeans().timing;
+    let map_secs = cost::kmeans().timing.map_secs;
     engine.advance(passes * n as f64 * map_secs / spec.map_slots as f64);
     let pp_ic = pic_core::driver::run_ic(
         &engine,
@@ -343,27 +282,33 @@ pub fn initializer_vs_pic(ctx: &ExperimentCtx) -> String {
     )
 }
 
+/// One layout's row of the tile-layout ablation.
+struct TileRow {
+    name: &'static str,
+    /// Bytes of all sub-models together, frozen halo included.
+    sub_bytes: u64,
+    be_iterations: usize,
+    topoff_iterations: usize,
+    pic_time_s: f64,
+}
+
+/// Tiles of the smoothing tile-layout ablation.
+const TILES: usize = 16;
+
 /// Strips vs 2-D grid tiles for the image smoother: tile shape controls
-/// how much frozen halo every sub-problem carries.
-pub fn tile_layout(ctx: &ExperimentCtx) -> String {
+/// how much frozen halo every sub-problem carries. Returns the image side
+/// and one row per layout.
+fn tile_sweep(ctx: &ExperimentCtx) -> (usize, [TileRow; 2]) {
+    let parts = TILES;
     use pic_apps::smoothing::{noisy_image, SmoothingApp};
     use pic_core::app::PicApp;
     use pic_mapreduce::ByteSize;
     let side = (256.0 * ctx.scale.sqrt()).max(64.0) as usize;
-    let parts = 16;
     let f = noisy_image(side, side, 0.08, 3);
     let spec = ClusterSpec::medium();
-
-    let mut t = Table::new([
-        "layout",
-        "sub-model bytes (halo incl.)",
-        "BE iterations",
-        "top-off iterations",
-        "PIC time",
-    ]);
-    for (name, cols) in [("strips", 1usize), ("4x4 grid", 4)] {
+    let rows = [("strips", 1usize), ("4x4 grid", 4)].map(|(name, cols)| {
         let app = SmoothingApp::new_grid(side, side, parts, cols, 1e-6);
-        let sub_bytes: u64 = app
+        let sub_bytes = app
             .split_model(&f, parts)
             .iter()
             .map(|m| m.byte_size())
@@ -377,16 +322,38 @@ pub fn tile_layout(ctx: &ExperimentCtx) -> String {
             parts,
             cost::smoothing(side),
         );
+        TileRow {
+            name,
+            sub_bytes,
+            be_iterations: cmp.pic.be_iterations,
+            topoff_iterations: cmp.pic.topoff_iterations,
+            pic_time_s: cmp.pic.total_time_s,
+        }
+    });
+    (side, rows)
+}
+
+/// Renders the rows of `tile_sweep`.
+pub fn tile_layout(ctx: &ExperimentCtx) -> String {
+    let (side, rows) = tile_sweep(ctx);
+    let mut t = Table::new([
+        "layout",
+        "sub-model bytes (halo incl.)",
+        "BE iterations",
+        "top-off iterations",
+        "PIC time",
+    ]);
+    for r in rows {
         t.row([
-            name.to_string(),
-            fmt_bytes(sub_bytes),
-            cmp.pic.be_iterations.to_string(),
-            cmp.pic.topoff_iterations.to_string(),
-            fmt_secs(cmp.pic.total_time_s),
+            r.name.to_string(),
+            fmt_bytes(r.sub_bytes),
+            r.be_iterations.to_string(),
+            r.topoff_iterations.to_string(),
+            fmt_secs(r.pic_time_s),
         ]);
     }
     format!(
-        "Ablation — smoothing tile layout ({side}x{side} image, {parts} tiles)\n\n{}\n\
+        "Ablation — smoothing tile layout ({side}x{side} image, {TILES} tiles)\n\n{}\n\
          expectation: square tiles carry less total halo than strips, but cut \
          both axes, so boundary information crosses more frozen seams per \
          round; both layouts converge to the same unique image.\n",
@@ -400,8 +367,6 @@ pub fn run(ctx: &ExperimentCtx) -> String {
         partition_count(ctx),
         partitioner_choice(ctx),
         combiner_effect(ctx),
-        merge_strategy(ctx),
-        local_cap(ctx),
         initializer_vs_pic(ctx),
         tile_layout(ctx),
     ]
@@ -431,14 +396,12 @@ mod tests {
     /// Every ablation DESIGN.md §5 lists runs, and reports, under
     /// `cargo test`.
     #[test]
-    fn run_reports_all_seven_ablations() {
+    fn run_reports_all_five_ablations() {
         let out = run(&ExperimentCtx { scale: 0.02 });
         for heading in [
             "K-means sub-problem count",
             "PageRank partitioner",
             "combiner effect on one IC K-means iteration",
-            "K-means merge strategy",
-            "local-iteration cap",
             "smart initializer vs PIC's best-effort phase",
             "smoothing tile layout",
         ] {
@@ -447,35 +410,21 @@ mod tests {
         }
     }
 
+    /// At 1 000 pages: edges cut 8.8 % (block) < 47.6 % (BFS) < 88.1 %
+    /// (random), rank error 0.2036 < 0.3990 < 0.4665.
     #[test]
-    fn local_cap_one_needs_more_be_rounds() {
-        let n = 5_000;
-        let k = 20;
-        let pts = gaussian_mixture(n, k, 3, 1000.0, 8.0, 79);
-        let init = Centroids::new(init_random_centroids(k, 3, 1000.0, 23));
-        let app = KMeansApp::new(k, 3, 1.0);
-        let mut rounds = Vec::new();
-        for cap in [1usize, 50] {
-            let engine = pic_mapreduce::Engine::new(ClusterSpec::small());
-            let data = pic_mapreduce::Dataset::create(&engine, "/abl/t", pts.clone(), 12);
-            engine.reset();
-            let r = pic_core::driver::run_pic(
-                &engine,
-                &app,
-                &data,
-                init.clone(),
-                &pic_core::driver::PicOptions {
-                    partitions: 12,
-                    timing: cost::kmeans().timing,
-                    local_secs_per_record: Some(cost::kmeans().local_secs),
-                    local_cap: Some(cap),
-                },
-            );
-            rounds.push(r.be_iterations);
-        }
-        assert!(
-            rounds[0] >= rounds[1],
-            "cap=1 should need at least as many BE rounds: {rounds:?}"
-        );
+    fn locality_aware_partitioners_cut_fewer_edges_and_land_closer() {
+        let (_, [random, block, bfs]) = partitioner_sweep(&ExperimentCtx { scale: 0.02 });
+        assert!(block.cut < bfs.cut && bfs.cut < random.cut);
+        assert!(block.rank_error < bfs.rank_error && bfs.rank_error < random.rank_error);
+    }
+
+    /// At 64×64: the 4×4 grid carries 38.59 KB of sub-models against the
+    /// strips' 47.31 KB, and needs 20 best-effort rounds to their 16.
+    #[test]
+    fn grid_tiles_carry_less_halo_but_need_more_rounds() {
+        let (_, [strips, grid]) = tile_sweep(&ExperimentCtx { scale: 0.02 });
+        assert!(grid.sub_bytes < strips.sub_bytes);
+        assert!(grid.be_iterations >= strips.be_iterations);
     }
 }

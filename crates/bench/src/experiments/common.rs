@@ -40,7 +40,7 @@ pub mod cost {
     /// ~560 µs per record.
     pub fn kmeans() -> AppCost {
         AppCost {
-            timing: Timing::PerRecord {
+            timing: Timing {
                 map_secs: 5.6e-4,
                 reduce_secs: 5e-5,
             },
@@ -51,7 +51,7 @@ pub mod cost {
     /// PageRank over Nutch-style page records (heavy: URLs + link lists).
     pub fn pagerank() -> AppCost {
         AppCost {
-            timing: Timing::PerRecord {
+            timing: Timing {
                 map_secs: 1e-3,
                 reduce_secs: 5e-5,
             },
@@ -62,7 +62,7 @@ pub mod cost {
     /// MLP backprop, d=64 h=32 o=10: kernel ≈ 9k flops per sample.
     pub fn neuralnet() -> AppCost {
         AppCost {
-            timing: Timing::PerRecord {
+            timing: Timing {
                 map_secs: 1e-3,
                 reduce_secs: 1e-4,
             },
@@ -73,7 +73,7 @@ pub mod cost {
     /// Dense Jacobi row of n=100: kernel ≈ 200 flops per row.
     pub fn linsolve() -> AppCost {
         AppCost {
-            timing: Timing::PerRecord {
+            timing: Timing {
                 map_secs: 5e-4,
                 reduce_secs: 5e-5,
             },
@@ -84,7 +84,7 @@ pub mod cost {
     /// Stencil row of `w` pixels: kernel ≈ 8 flops per pixel.
     pub fn smoothing(w: usize) -> AppCost {
         AppCost {
-            timing: Timing::PerRecord {
+            timing: Timing {
                 map_secs: 2e-4 + 8e-9 * w as f64,
                 reduce_secs: 5e-5,
             },
@@ -216,7 +216,6 @@ impl<A: BenchApp> Workload<'_, A> {
                     partitions: self.partitions,
                     timing,
                     local_secs_per_record: Some(self.cost.local_secs),
-                    ..Default::default()
                 },
             )),
         };

@@ -6,7 +6,7 @@
 //! K-means runs the paper's Figure 2 configuration (medium cluster) —
 //! the run the acceptance criteria name; the other four apps run their
 //! Fig. 9/10 small-cluster configurations at sizes that stay meaningful
-//! down to smoke scales. Every comparison uses `Timing::PerRecord`, so
+//! down to smoke scales. Every comparison uses analytic `Timing`, so
 //! the simulated results — and therefore the whole JSON apart from
 //! `host_*` keys — are byte-identical across rayon pool widths.
 

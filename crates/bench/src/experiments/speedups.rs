@@ -94,8 +94,7 @@ pub fn linsolve_cmp(spec: &ClusterSpec, n: usize, partitions: usize) -> Comparis
 /// Neural-net comparison (Fig. 10; paper: ~210k OCR vectors).
 pub fn neuralnet_cmp(spec: &ClusterSpec, n: usize, partitions: usize) -> Comparison<Mlp> {
     let (train, valid) = ocr_like_split(n, n / 10, 10, 64, 0.2, 41);
-    let mut app = NeuralNetApp::new(valid);
-    app.max_iterations = 60;
+    let app = NeuralNetApp::new(valid);
     let init = Mlp::random(64, 32, 10, 13);
     compare(
         spec,

@@ -51,8 +51,7 @@ pub fn trajectory_summary<M>(cmp: &Comparison<M>) -> String {
 pub fn fig12a(ctx: &ExperimentCtx) -> String {
     let n = ctx.n(10_000, 500);
     let (train, valid) = ocr_like_split(n, n / 10, 10, 64, 0.2, 71);
-    let mut app = NeuralNetApp::new(valid);
-    app.max_iterations = 60;
+    let app = NeuralNetApp::new(valid);
     let init = Mlp::random(64, 32, 10, 19);
     let cmp = compare(
         &ClusterSpec::small(),

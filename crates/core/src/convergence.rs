@@ -25,28 +25,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// L1 distance (sum of absolute differences).
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Relative change `‖a − b‖₂ / max(‖b‖₂, ε)`, robust near zero.
-pub fn rel_change(a: &[f64], b: &[f64]) -> f64 {
-    let denom = b.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-30);
-    l2_distance(a, b) / denom
-}
-
-/// True when every element moved less than `threshold` — the paper's
-/// K-means criterion ("if the change in the value of all the K centroids
-/// is within a pre-specified threshold").
-pub fn all_within(a: &[f64], b: &[f64], threshold: f64) -> bool {
-    max_abs_diff(a, b) < threshold
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,21 +36,8 @@ mod tests {
     }
 
     #[test]
-    fn linf_and_l1() {
+    fn linf_basics() {
         assert_eq!(max_abs_diff(&[1.0, 5.0], &[2.0, 2.0]), 3.0);
-        assert_eq!(l1_distance(&[1.0, 5.0], &[2.0, 2.0]), 4.0);
-    }
-
-    #[test]
-    fn rel_change_handles_zero_reference() {
-        let r = rel_change(&[1.0], &[0.0]);
-        assert!(r.is_finite() && r > 0.0);
-    }
-
-    #[test]
-    fn all_within_threshold() {
-        assert!(all_within(&[1.0, 2.0], &[1.05, 2.05], 0.1));
-        assert!(!all_within(&[1.0, 2.0], &[1.2, 2.0], 0.1));
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub struct PicOptions {
     pub partitions: usize,
     /// Task-duration model (shared by both phases).
     pub timing: Timing,
-    /// Cap on local iterations; `None` defers to
-    /// [`PicApp::local_iteration_cap`].
-    pub local_cap: Option<usize>,
     /// Simulated seconds one record costs inside a local iteration.
     /// Local iterations execute *inside one long-running task* over
     /// deserialized in-memory data, so they do not pay the per-record
@@ -61,7 +58,6 @@ impl Default for PicOptions {
         PicOptions {
             partitions: 8,
             timing: Timing::default_analytic(),
-            local_cap: None,
             local_secs_per_record: None,
         }
     }
@@ -105,7 +101,7 @@ pub fn run_pic<A: PicApp>(
     let mut groups: Vec<std::ops::Range<usize>> = split(active_nodes, parts);
 
     // ---- Best-effort iterations. ----------------------------------------
-    let cap = opts.local_cap.unwrap_or_else(|| app.local_iteration_cap());
+    let cap = app.local_iteration_cap();
     let max_be = app.max_be_iterations();
     let model_file = format!("{}/{}.be.model", super::MODEL_PATH, app.name());
 
@@ -173,7 +169,7 @@ pub fn run_pic<A: PicApp>(
         // best-effort round, the task re-reads and deserializes its shard
         // once at the framework rate, then runs its local iterations over
         // the in-memory records at the local rate.
-        let Timing::PerRecord { map_secs, .. } = opts.timing;
+        let map_secs = opts.timing.map_secs;
         let local = opts.local_secs_per_record.unwrap_or(map_secs);
         let tasks: Vec<TaskSpec> = solved
             .iter()

@@ -3,8 +3,9 @@
 //! The paper: "For models that can be represented as vectors, the default
 //! merge functions can concatenate the vectors from sub-problems into a
 //! single vector, sum the vectors, or average the respective entries in
-//! the vectors." These are those defaults, plus the weighted average the
-//! K-means ablation compares against.
+//! the vectors." The sum and the average are here, plus a weighted
+//! average; apps whose `split_model` cuts the model into disjoint parts
+//! piece it back together in their own `merge`.
 
 /// Average corresponding entries across sub-model vectors. All sub-models
 /// must have equal length.
@@ -57,18 +58,6 @@ pub fn sum(subs: &[Vec<f64>]) -> Vec<f64> {
     out
 }
 
-/// Concatenate sub-model vectors in partition order — the merge for
-/// disjointly-split models (paper: "if the `partition` function divides
-/// the model into disjoint parts ... the `merge` function may simply piece
-/// them back together").
-pub fn concat(subs: &[Vec<f64>]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(subs.iter().map(Vec::len).sum());
-    for sub in subs {
-        out.extend_from_slice(sub);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_preserves_order() {
-        assert_eq!(
-            concat(&[vec![1.0], vec![2.0, 3.0], vec![]]),
-            vec![1.0, 2.0, 3.0]
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         average(&[vec![1.0], vec![1.0, 2.0]]);
@@ -121,6 +102,5 @@ mod tests {
         // The paper's degenerate case: one partition makes merge identity.
         let m = vec![4.0, 2.0];
         assert_eq!(average(std::slice::from_ref(&m)), m);
-        assert_eq!(concat(std::slice::from_ref(&m)), m);
     }
 }

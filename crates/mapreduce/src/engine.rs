@@ -2,7 +2,7 @@
 
 use crate::counters::Counters;
 use crate::dataset::Dataset;
-use crate::job::{JobConfig, Timing};
+use crate::job::JobConfig;
 use crate::kv;
 use crate::stats::{JobResult, JobStats};
 use crate::traits::{Combiner, DynCombiner, MapContext, Mapper, ReduceContext, Reducer};
@@ -420,7 +420,7 @@ impl Engine {
             stats.counters.merge(&mo.counters);
         }
 
-        let Timing::PerRecord { map_secs, .. } = cfg.timing;
+        let map_secs = cfg.timing.map_secs;
         let tasks: Vec<TaskSpec> = outs
             .iter()
             .zip(&input.splits)
@@ -641,7 +641,7 @@ impl Engine {
             .collect();
         stats.host_reduce_s = host_reduce.elapsed().as_secs_f64();
 
-        let Timing::PerRecord { reduce_secs, .. } = cfg.timing;
+        let reduce_secs = cfg.timing.reduce_secs;
         let reduce_tasks: Vec<TaskSpec> = red_outs
             .iter()
             .map(|(_, _, values)| TaskSpec::compute(*values as f64 * reduce_secs))
@@ -780,6 +780,7 @@ fn combine_run<K: Ord + Clone, V>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Timing;
     use crate::traits::{FnCombiner, FnMapper, FnReducer};
 
     fn word_count_engine() -> Engine {
@@ -1024,7 +1025,7 @@ mod tests {
     #[test]
     fn armed_crash_preserves_results_and_charges_recovery() {
         use pic_simnet::chaos::FaultPlan;
-        let slow = Timing::PerRecord {
+        let slow = Timing {
             map_secs: 1e-3,
             reduce_secs: 1e-3,
         };

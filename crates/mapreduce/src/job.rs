@@ -2,24 +2,22 @@
 
 use pic_simnet::topology::NodeId;
 
-/// How simulated task durations are derived. There is one time model:
-/// simulated seconds never depend on the host the simulation runs on.
+/// Analytic per-record costs from which simulated task durations are
+/// derived. There is one time model: simulated seconds never depend on the
+/// host the simulation runs on.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Timing {
-    /// Analytic per-record costs. Fully deterministic.
-    PerRecord {
-        /// Simulated seconds of map compute per input record.
-        map_secs: f64,
-        /// Simulated seconds of reduce compute per input value.
-        reduce_secs: f64,
-    },
+pub struct Timing {
+    /// Simulated seconds of map compute per input record.
+    pub map_secs: f64,
+    /// Simulated seconds of reduce compute per input value.
+    pub reduce_secs: f64,
 }
 
 impl Timing {
     /// Deterministic timing with costs typical of a lightweight record op
     /// on 2012 hardware (a few microseconds).
     pub fn default_analytic() -> Self {
-        Timing::PerRecord {
+        Timing {
             map_secs: 5e-6,
             reduce_secs: 2e-6,
         }

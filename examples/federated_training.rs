@@ -20,8 +20,7 @@ fn main() {
         valid.len()
     );
 
-    let mut app = NeuralNetApp::new(valid.clone());
-    app.max_iterations = 60;
+    let app = NeuralNetApp::new(valid.clone());
     let init = Mlp::random(64, 32, 10, 1);
     println!(
         "network: 64-32-10 MLP, {} parameters; initial validation error {:.1}%",
@@ -30,7 +29,7 @@ fn main() {
     );
 
     // Backprop through the framework: ~1 ms/sample; in-memory: ~20 µs.
-    let timing = Timing::PerRecord {
+    let timing = Timing {
         map_secs: 1e-3,
         reduce_secs: 1e-4,
     };
@@ -68,7 +67,6 @@ fn main() {
             partitions: 12,
             timing,
             local_secs_per_record: Some(2e-5),
-            ..Default::default()
         },
     );
     println!(

@@ -22,7 +22,7 @@ fn main() {
         human_bytes(f.byte_size())
     );
 
-    let timing = Timing::PerRecord {
+    let timing = Timing {
         map_secs: 2e-4 + 8e-9 * side as f64,
         reduce_secs: 5e-5,
     };
@@ -60,7 +60,6 @@ fn main() {
             partitions: strips,
             timing,
             local_secs_per_record: Some(8e-9 * side as f64),
-            ..Default::default()
         },
     );
     println!(

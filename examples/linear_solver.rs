@@ -18,7 +18,7 @@ fn main() {
     println!("system: {n} unknowns, weakly diagonally dominant (margin 5%)");
 
     let app = LinSolveApp::new(n, 5, 1e-8).with_exact(sys.exact.clone());
-    let timing = Timing::PerRecord {
+    let timing = Timing {
         map_secs: 5e-4,
         reduce_secs: 5e-5,
     };
@@ -56,7 +56,6 @@ fn main() {
             partitions: 5,
             timing,
             local_secs_per_record: Some(0.2e-6),
-            ..Default::default()
         },
     );
     println!(

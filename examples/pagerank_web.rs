@@ -25,7 +25,7 @@ fn main() {
 
     // Nutch-style page records are heavy: ~1 ms per page through the
     // framework; ~1 µs per page inside a local iteration.
-    let timing = Timing::PerRecord {
+    let timing = Timing {
         map_secs: 1e-3,
         reduce_secs: 5e-5,
     };
@@ -64,7 +64,6 @@ fn main() {
             partitions,
             timing,
             local_secs_per_record: Some(1e-6),
-            ..Default::default()
         },
     );
     println!(

@@ -29,7 +29,7 @@ fn main() {
     // Two-rate cost model (DESIGN.md §6): a Hadoop-era framework pass
     // costs ~560 µs/record; the same record inside an in-memory local
     // iteration costs its raw kernel flops (~0.6 µs).
-    let timing = Timing::PerRecord {
+    let timing = Timing {
         map_secs: 5.6e-4,
         reduce_secs: 5e-5,
     };
@@ -68,7 +68,6 @@ fn main() {
             partitions: 24,
             timing,
             local_secs_per_record: Some(0.6e-6),
-            ..Default::default()
         },
     );
     println!(

@@ -15,9 +15,10 @@ use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::ClusterSpec;
 
-/// `A` capped at one best-effort round and one top-off iteration: the
-/// degenerate configuration. Everything the models depend on is
-/// delegated; error tracking is off and the fanout is the default.
+/// `A` capped at one local iteration, one best-effort round and one
+/// top-off iteration: the degenerate configuration. Everything the models
+/// depend on is delegated; error tracking is off and the fanout is the
+/// default.
 struct OneRound<A>(A);
 
 impl<A: PicApp> IterativeApp for OneRound<A> {
@@ -66,6 +67,10 @@ impl<A: PicApp> PicApp for OneRound<A> {
         self.0.solve_local(part, records, model, cap)
     }
 
+    fn local_iteration_cap(&self) -> usize {
+        1
+    }
+
     fn max_be_iterations(&self) -> usize {
         1
     }
@@ -108,7 +113,6 @@ fn linsolve_one_partition_one_local_iteration_equals_one_ic_iteration() {
         x0,
         &PicOptions {
             partitions: 1,
-            local_cap: Some(1),
             timing: Timing::default_analytic(),
             ..Default::default()
         },
@@ -139,7 +143,6 @@ fn smoothing_one_partition_one_local_iteration_equals_one_sweep() {
         f.clone(),
         &PicOptions {
             partitions: 1,
-            local_cap: Some(1),
             timing: Timing::default_analytic(),
             ..Default::default()
         },

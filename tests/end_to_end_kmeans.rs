@@ -8,7 +8,7 @@ use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::{ClusterSpec, TrafficClass};
 
 fn timing() -> Timing {
-    Timing::PerRecord {
+    Timing {
         map_secs: 2e-4,
         reduce_secs: 5e-5,
     }
@@ -61,7 +61,6 @@ fn run_pair(n: usize, k: usize, partitions: usize) -> (IcReport<Centroids>, PicR
             partitions,
             timing: timing(),
             local_secs_per_record: Some(0.6e-6),
-            ..Default::default()
         },
     );
     (ic, pic)

@@ -15,7 +15,7 @@ use pic_simnet::trace::check;
 use pic_simnet::{ClusterSpec, Trace, TrafficSnapshot};
 
 fn pic_timing() -> Timing {
-    Timing::PerRecord {
+    Timing {
         map_secs: 5.6e-4,
         reduce_secs: 5e-5,
     }
@@ -26,7 +26,6 @@ fn pic_opts(partitions: usize) -> PicOptions {
         partitions,
         timing: pic_timing(),
         local_secs_per_record: Some(0.6e-6),
-        ..Default::default()
     }
 }
 

@@ -29,7 +29,7 @@ const SPLITS: usize = 256;
 const PARTITIONS: usize = 64;
 
 fn fig2_timing() -> Timing {
-    Timing::PerRecord {
+    Timing {
         map_secs: 5.6e-4,
         reduce_secs: 5e-5,
     }
@@ -68,7 +68,6 @@ fn run_fig2() -> ((Trace, TrafficSnapshot), (Trace, TrafficSnapshot)) {
             partitions: PARTITIONS,
             timing: fig2_timing(),
             local_secs_per_record: Some(0.6e-6),
-            ..Default::default()
         },
     );
     (ic, (pic_engine.trace(), pic_engine.traffic()))

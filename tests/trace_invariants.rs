@@ -14,7 +14,7 @@ use pic_simnet::trace::{check, MetricsRegistry, Span, Trace};
 use pic_simnet::{ClusterSpec, TrafficSnapshot};
 
 fn pic_timing() -> Timing {
-    Timing::PerRecord {
+    Timing {
         map_secs: 5.6e-4,
         reduce_secs: 5e-5,
     }
@@ -25,7 +25,6 @@ fn pic_opts(partitions: usize) -> PicOptions {
         partitions,
         timing: pic_timing(),
         local_secs_per_record: Some(0.6e-6),
-        ..Default::default()
     }
 }
 
