@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! pic kmeans    --n 100000 --k 100 --partitions 24 --cluster small
-//! pic report    --scale 0.05 --check --json target/BENCH_pic.json --traces target/traces
+//! pic report    --scale 0.05 --check --traces target/traces
 //! pic timeline  --scale 0.05 --apps kmeans --width 48
 //! pic explain   kmeans --scale 0.05 --top 8
 //! pic watch     kmeans --scale 0.05 --interval 10 --rules stall,saturation
@@ -34,24 +34,19 @@ fn text<'m>(m: &'m Matches, flag: &str) -> &'m str {
     m.get(flag).expect("the table gives this flag a default")
 }
 
-/// `pic report`: run the suite, print the perf reports, optionally
+/// `pic report`: collect the runs, print the perf reports, optionally
 /// export traces and validate every invariant (exit 1 on violation).
 fn report(m: &Matches) -> Result<i32, Failure> {
     let tag = m.command.tag();
-    let outputs = SuiteOutputs {
-        json: m.get("--json"),
-        csv: m.get("--csv"),
-        util_csv: m.get("--util-csv"),
-        chaos_csv: m.get("--chaos-csv"),
-        ..Default::default()
-    };
     let apps = m.names("--apps");
-    let suite = perf::run_suite(&tag, &ctx_of(m), &apps, m.on("--profile-host"), &outputs)?;
+    let (runs, profile) =
+        perf::profiled(m.on("--profile-host"), || perf::collect(&ctx_of(m), &apps));
+    let runs = runs?;
 
-    if let Some(profile) = &suite.host_profile {
+    if let Some(profile) = &profile {
         println!("{}", profile.render());
     }
-    for run in &suite.runs {
+    for run in &runs {
         if m.on("--quality") {
             println!("{}", run.quality.render());
         } else {
@@ -59,7 +54,7 @@ fn report(m: &Matches) -> Result<i32, Failure> {
         }
     }
     if let Some(dir) = m.get("--traces") {
-        for run in &suite.runs {
+        for run in &runs {
             // Counter tracks ride along so the Chrome view plots link
             // utilization and slot occupancy under the span timeline.
             let sides = [
@@ -77,7 +72,7 @@ fn report(m: &Matches) -> Result<i32, Failure> {
         return Ok(0);
     }
     let mut failures = 0;
-    for run in &suite.runs {
+    for run in &runs {
         let errs = run.validate();
         for e in &errs {
             eprintln!("[{tag}] violation: {e}");
@@ -226,15 +221,11 @@ fn diff(m: &Matches) -> Result<i32, Failure> {
 }
 
 /// `pic explain`: replay the recorded runs under counterfactual edits
-/// and print the ranked bottleneck-attribution tables. Pure trace
-/// post-processing, so the output is a deterministic function of the
-/// runs.
+/// and print the IC-vs-PIC bottleneck-attribution table per app. Pure
+/// trace post-processing, so the output is a deterministic function of
+/// the runs.
 fn explain(m: &Matches) -> Result<i32, Failure> {
     use pic_simnet::whatif::Scenario;
-    let side = text(m, "--side");
-    if !["ic", "pic", "both"].contains(&side) {
-        return Err(Usage(format!("--side wants ic | pic | both, got '{side}'")));
-    }
     let scenarios: Vec<Scenario> = m
         .names("--scenarios")
         .iter()
@@ -246,27 +237,16 @@ fn explain(m: &Matches) -> Result<i32, Failure> {
     let top = m.num("--top");
 
     for s in &sections {
-        for (label, table) in [("ic", &s.ic), ("pic", &s.pic)] {
-            if side == label {
-                println!("=== {} ({label}) — bottleneck attribution ===", s.app);
-                print!("{}", table.render(top));
-            }
-        }
-        if side == "both" {
-            print!("{}", explain::render_side_by_side(s, top));
-        }
+        print!("{}", explain::render_side_by_side(s, top));
         println!();
     }
-    // The JSON artifact always carries both sides with phase breakdowns
-    // — `--side` narrows the printed tables and the CSV only.
     m.write("--json", || explain::explain_json(&ctx, &sections));
-    m.write("--csv", || explain::explain_csv_for(&sections, side));
     Ok(0)
 }
 
 /// `pic watch`: replay the recorded runs through the online monitor and
-/// render the dashboard plus the JSON, incident-CSV and OpenMetrics
-/// exports. Pure trace post-processing.
+/// render the dashboard plus the optional JSON document. Pure trace
+/// post-processing.
 fn watch(m: &Matches) -> Result<i32, Failure> {
     // The table validated every `--rules` name against `CATALOG_RULES`,
     // the names of `Rule::ALL`.
@@ -290,8 +270,6 @@ fn watch(m: &Matches) -> Result<i32, Failure> {
         println!();
     }
     m.write("--json", || watch::watch_json(ctx.scale, &opts, &sections));
-    m.write("--csv", || watch::watch_csv(&sections));
-    m.write("--metrics", || watch::watch_metrics(&sections));
     Ok(0)
 }
 
@@ -309,15 +287,14 @@ fn regress(m: &Matches) -> Result<i32, Failure> {
     let ctx = ctx_of(m);
     let baseline_path = text(m, "--baseline");
     let outputs = SuiteOutputs {
-        json: m.get("--out"),
+        json: text(m, "--out"),
         csv: m.get("--csv"),
         util_csv: m.get("--util-csv"),
         chaos_csv: m.get("--chaos-csv"),
         tenancy_csv: m.get("--tenancy-csv"),
         explain_csv: m.get("--explain-csv"),
     };
-    let suite = perf::run_suite(&tag, &ctx, &perf::APPS, m.on("--profile-host"), &outputs)?;
-    let fresh_text = suite.json.expect("--out has a default");
+    let fresh_text = perf::run_suite(&tag, &ctx, m.on("--profile-host"), &outputs)?;
 
     if m.on("--update") {
         write_artifact(&tag, baseline_path, &fresh_text);

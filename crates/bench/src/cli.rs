@@ -66,30 +66,37 @@ impl Kind {
             Kind::Counts(max) => v.split(',').all(|s| count(s, max)),
             Kind::U64 => v.parse::<u64>().is_ok(),
             Kind::Names(what, catalog) => {
-                return v
-                    .split(',')
-                    .try_for_each(|n| canonical(what, catalog, n).map(drop))
+                let names: Vec<&str> = v.split(',').collect();
+                return canonical(flag, what, catalog, &names).map(drop);
             }
         };
         ok.then_some(()).ok_or_else(bad)
     }
 }
 
-/// The catalog's own `'static` spelling of `name`, or the enumerating
-/// error (`unknown rule 'x'; valid rules: a, b`, pinned by the
-/// `pic watch --rules` tests).
+/// Each of `names` in the catalog's own `'static` spelling. An unknown
+/// name gets the enumerating error (`unknown rule 'x'; valid rules: a,
+/// b`, pinned by the `pic watch --rules` tests); a repeated one is
+/// refused naming `source`, the flag or command that listed it.
 fn canonical(
+    source: &str,
     what: &str,
     catalog: &'static [&'static str],
-    name: &str,
-) -> Result<&'static str, String> {
-    let name = name.trim();
-    catalog.iter().copied().find(|c| *c == name).ok_or_else(|| {
-        format!(
-            "unknown {what} '{name}'; valid {what}s: {}",
-            catalog.join(", ")
-        )
-    })
+    names: &[&str],
+) -> Result<Vec<&'static str>, String> {
+    let mut found: Vec<&'static str> = Vec::new();
+    for name in names {
+        let name = name.trim();
+        let Some(known) = catalog.iter().copied().find(|c| *c == name) else {
+            let valid = catalog.join(", ");
+            return Err(format!("unknown {what} '{name}'; valid {what}s: {valid}"));
+        };
+        if found.contains(&known) {
+            return Err(format!("{source} lists {what} '{known}' twice"));
+        }
+        found.push(known);
+    }
+    Ok(found)
 }
 
 /// One flag of one command.
@@ -265,8 +272,6 @@ const LINSOLVE_FLAGS: [Flag; 6] = {
 const SCALE: Flag = flag("--scale", "<f>", SCALE_KIND, "1.0", "workload scale multiplier");
 #[rustfmt::skip]
 const APP_SUBSET: Flag = flag("--apps", "<a,b,..>", Kind::Names("app", APPS), "", "subset of the apps");
-#[rustfmt::skip]
-const PROFILE_HOST: Flag = switch("--profile-host", "record host-side stage timings (DESIGN.md §14); embedded as host_profile in the JSON");
 
 /// Every `pic` command, in `pic help` order.
 #[rustfmt::skip]
@@ -276,18 +281,14 @@ pub const COMMANDS: &[Command] = &[
     app("neuralnet", "MLP training on OCR-like vectors, IC vs PIC",    &APP_FLAGS),
     app("linsolve",  "Jacobi linear solver, IC vs PIC",                &LINSOLVE_FLAGS),
     app("smoothing", "image smoothing, IC vs PIC",                     &APP_FLAGS),
-    command("report", Group::Subcommand, "§9", NO_ARGS, "trace-driven perf analysis and BENCH_pic.json", &[
+    command("report", Group::Subcommand, "§9", NO_ARGS, "trace-driven perf analysis of the recorded runs", &[
         SCALE,
         APP_SUBSET,
-        path("--json",         "write the schema-versioned BENCH_pic.json here"),
         flag("--traces",       "<dir>", Kind::Text, "",   "export Chrome about:tracing JSON per app/run"),
         flag("--path-limit",   "<n>",   Kind::U64,  "40", "critical-path lines to print (0 = all)"),
         switch("--check",      "validate every trace invariant; exit 1 on violation"),
         switch("--quality",    "print only the quality-of-convergence sections"),
-        path("--csv",          "write the per-app convergence curves as CSV"),
-        path("--util-csv",     "write the utilization/occupancy series as CSV"),
-        path("--chaos-csv",    "write the quality-under-failure campaign as CSV"),
-        PROFILE_HOST,
+        switch("--profile-host", "print host-side stage timings (DESIGN.md §14)"),
     ]),
     command("timeline", Group::Subcommand, "§11", NO_ARGS, "utilization heatmaps, IC vs PIC", &[
         SCALE,
@@ -318,11 +319,9 @@ pub const COMMANDS: &[Command] = &[
     ]),
     command("explain", Group::Subcommand, "§15", Positionals::Names("app", APPS), "counterfactual bottleneck attribution", &[
         SCALE,
-        flag("--side",      "<s>",      Kind::Text,                            "both", "ic | pic | both — tables and CSV rows to print"),
-        flag("--scenarios", "<a,b,..>", Kind::Names("scenario", &WHATIF_NAMES), "",     "subset of the scenario catalog"),
-        flag("--top",       "<n>",      Kind::U64,                             "10",   "rows per ranked table (0 = all)"),
+        flag("--scenarios", "<a,b,..>", Kind::Names("scenario", &WHATIF_NAMES), "",   "subset of the scenario catalog"),
+        flag("--top",       "<n>",      Kind::U64,                             "10", "rows per ranked table (0 = all)"),
         path("--json", "write the full projection document (both sides, with phases)"),
-        path("--csv",  "write the ranked tables as CSV"),
         list("--list-scenarios", &WHATIF_NAMES, "print the valid scenario names and exit"),
     ]),
     command("watch", Group::Subcommand, "§16", Positionals::Names("app", APPS), "online monitor replay: dashboard, alert rules, incident log", &[
@@ -331,9 +330,7 @@ pub const COMMANDS: &[Command] = &[
         flag("--window",   "<s>",      Kind::Positive(1e6),        "5",  "sliding-window length, simulated seconds"),
         flag("--interval", "<s>",      Kind::NonNegative,          "0",  "render a dashboard frame every <s> simulated seconds (0 = final frame only)"),
         flag("--width",    "<n>",      WIDTH,                      "48", "sparkline cells per series"),
-        path("--json",    "write the full monitor document (series + incidents)"),
-        path("--csv",     "write the incident log as CSV"),
-        path("--metrics", "write an OpenMetrics-style text snapshot"),
+        path("--json", "write the full monitor document (series + incidents)"),
         list("--list-rules", RULES, "print the valid rule names and exit"),
     ]),
     command("help", Group::Subcommand, "", NO_ARGS, "print this command table", &[]),
@@ -347,7 +344,7 @@ pub const COMMANDS: &[Command] = &[
         path("--tenancy-csv", "also write the per-job rows of the mixed tenancy stream as CSV"),
         path("--explain-csv", "also write the ranked counterfactual bottleneck tables as CSV (DESIGN.md §15)"),
         switch("--update",    "rewrite the baseline from the fresh run instead of diffing"),
-        PROFILE_HOST,
+        switch("--profile-host", "record host-side stage timings (DESIGN.md §14) as host_profile in the JSON"),
     ]),
     command("repro", Group::Tool, "§4", NO_ARGS, "regenerate the paper's tables and figures", &[
         flag("--exp",   "<name[,name..]|all>", Kind::Text,     "",    "experiments to run (see --list)"),
@@ -414,7 +411,7 @@ impl Matches {
         let given = self
             .get(flag)
             .map_or(Vec::new(), |list| list.split(',').collect());
-        resolve(what, catalog, &given)
+        resolve(flag, what, catalog, &given)
     }
 
     /// [`Positionals::Names`] arguments in the catalog's own spelling;
@@ -424,17 +421,21 @@ impl Matches {
             panic!("{} takes no names", self.command.invocation());
         };
         let given: Vec<&str> = self.positionals.iter().map(String::as_str).collect();
-        resolve(what, catalog, &given)
+        resolve(&self.command.invocation(), what, catalog, &given)
     }
 }
 
 /// Validated names in the catalog's spelling; none given means all.
-fn resolve(what: &str, catalog: &'static [&'static str], given: &[&str]) -> Vec<&'static str> {
+fn resolve(
+    source: &str,
+    what: &str,
+    catalog: &'static [&'static str],
+    given: &[&str],
+) -> Vec<&'static str> {
     if given.is_empty() {
         return catalog.to_vec();
     }
-    let known = |name: &&str| canonical(what, catalog, name).expect(VALIDATED);
-    given.iter().map(known).collect()
+    canonical(source, what, catalog, given).expect(VALIDATED)
 }
 
 /// Parse `argv` (without the program and command words) against
@@ -482,9 +483,8 @@ pub fn parse(argv: &[String], command: &'static Command) -> Result<Matches, Stri
             }
         }
         Positionals::Names(what, catalog) => {
-            for name in &positionals {
-                canonical(what, catalog, name)?;
-            }
+            let names: Vec<&str> = positionals.iter().map(String::as_str).collect();
+            canonical(&inv, what, catalog, &names)?;
         }
     }
     Ok(Matches {
@@ -711,5 +711,41 @@ mod tests {
         let e = err("chaos", &["--bogus"]);
         assert!(e.starts_with("unknown flag '--bogus' for pic chaos"), "{e}");
         assert!(e.contains("--list-scenarios"), "{e}");
+    }
+
+    /// The suite documents are `pic regress`'s to write, and the views
+    /// export one JSON document each: anything else is an unknown flag.
+    #[test]
+    fn removed_exports_are_unknown_flags() {
+        let removed: [(&str, &[&str]); 3] = [
+            ("report", &["--json", "--csv", "--util-csv", "--chaos-csv"]),
+            ("explain", &["--side", "--csv"]),
+            ("watch", &["--csv", "--metrics"]),
+        ];
+        for (name, flags) in removed {
+            for flag in flags {
+                let e = parse(&argv(&[flag, "x"]), cmd(name)).unwrap_err();
+                assert!(e.starts_with(&format!("unknown flag '{flag}' for pic {name}")));
+            }
+        }
+    }
+
+    /// A catalog name listed twice is refused at the table, before any
+    /// run, by flag and by positional alike.
+    #[test]
+    fn a_repeated_catalog_name_is_refused() {
+        let err = |name: &str, words: &[&str]| parse(&argv(words), cmd(name)).unwrap_err();
+        assert_eq!(
+            err("watch", &["--rules", "stall,stall"]),
+            "--rules lists rule 'stall' twice"
+        );
+        assert_eq!(
+            err("timeline", &["--apps", "kmeans, kmeans"]),
+            "--apps lists app 'kmeans' twice"
+        );
+        assert_eq!(
+            err("explain", &["linsolve", "linsolve"]),
+            "pic explain lists app 'linsolve' twice"
+        );
     }
 }

@@ -4,10 +4,10 @@
 //! [`crate::experiments::report::collect`] produces the recorded runs;
 //! this module projects the scenario catalog (or a user-selected
 //! subset) over both traces with [`pic_simnet::whatif`] and renders the
-//! result three ways: an IC-vs-PIC side-by-side terminal table, a
+//! result as an IC-vs-PIC side-by-side terminal table and a
 //! deterministic JSON document (byte-identical across rayon pool
-//! widths — everything is a pure function of the simulated traces), and
-//! the ranked-table CSV artifact CI uploads.
+//! widths — everything is a pure function of the simulated traces).
+//! `pic regress --explain-csv` writes the ranked tables as CSV.
 
 use super::report::AppRun;
 use super::ExperimentCtx;
@@ -133,16 +133,9 @@ pub fn explain_json(ctx: &ExperimentCtx, sections: &[ExplainSection]) -> String 
 /// tt_10pct_s,delta_tt_10pct_s,binding,clamped`), both sides of every
 /// app.
 pub fn explain_csv(sections: &[ExplainSection]) -> String {
-    explain_csv_for(sections, "both")
-}
-
-/// [`explain_csv`] narrowed to one side (`"ic"` / `"pic"`; `"both"`
-/// keeps both) — what `pic explain --side` writes.
-pub fn explain_csv_for(sections: &[ExplainSection], only: &str) -> String {
     let sides = sections
         .iter()
-        .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)])
-        .filter(|(side, ..)| only == "both" || only == *side);
+        .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)]);
     let records = sides.flat_map(|(side, s, report)| report.csv_records(&s.app, side));
     csv_doc(SensitivityReport::csv_header(), records)
 }
@@ -249,6 +242,11 @@ mod tests {
             };
             assert_eq!(rows.len(), CATALOG.len());
             assert!(rows[0].get("phases").is_some(), "explain JSON keeps phases");
+            // The terminal table omits these two; every row carries them.
+            for row in rows {
+                assert!(row.get("projected_makespan_s").unwrap().as_f64().is_some());
+                assert!(row.get("clamped").is_some(), "{side}: {row:?}");
+            }
         }
 
         let csv = explain_csv(&secs);

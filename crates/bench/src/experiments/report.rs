@@ -1,7 +1,8 @@
-//! The `pic report` pipeline: run every app's IC-vs-PIC comparison,
-//! analyse both traces with [`PerfReport`], validate the structural
-//! invariants, and assemble the schema-versioned `BENCH_pic.json` the
-//! regression gate diffs (DESIGN.md §9 documents the schema).
+//! The report suite: run every app's IC-vs-PIC comparison, analyse
+//! both traces with [`PerfReport`], validate the structural invariants
+//! (`pic report`), and assemble the schema-versioned `BENCH_pic.json`
+//! the regression gate writes and diffs (`pic regress`; DESIGN.md §9
+//! documents the schema).
 //!
 //! K-means runs the paper's Figure 2 configuration (medium cluster) —
 //! the run the acceptance criteria name; the other four apps run their
@@ -244,12 +245,12 @@ pub fn collect(ctx: &ExperimentCtx, apps: &[&str]) -> Result<Vec<AppRun>, String
     Ok(runs)
 }
 
-/// Where one suite run writes its artifacts, by the flag that asks for
-/// each; `None` skips the artifact.
-#[derive(Debug, Clone, Copy, Default)]
+/// Where one `pic regress` run writes its artifacts: `BENCH_pic.json`
+/// always (`--out`), each CSV when its flag asks for it.
+#[derive(Debug, Clone, Copy)]
 pub struct SuiteOutputs<'a> {
-    /// `BENCH_pic.json` (`pic report --json`, `pic regress --out`).
-    pub json: Option<&'a str>,
+    /// `BENCH_pic.json` (`--out`).
+    pub json: &'a str,
     /// Convergence curves (`--csv`).
     pub csv: Option<&'a str>,
     /// Utilization/occupancy series (`--util-csv`).
@@ -262,83 +263,66 @@ pub struct SuiteOutputs<'a> {
     pub explain_csv: Option<&'a str>,
 }
 
-/// What [`run_suite`] hands back for the caller's own rendering.
-#[derive(Debug)]
-pub struct Suite {
-    /// The collected comparisons.
-    pub runs: Vec<AppRun>,
-    /// The host-side stage profile, when requested.
-    pub host_profile: Option<pic_simnet::HostProfile>,
-    /// The `BENCH_pic.json` text, when `outputs.json` asked for it.
-    pub json: Option<String>,
-}
-
-/// The one suite pipeline behind `pic report` and `pic regress`: collect
-/// the comparisons, run the chaos campaign and the tenancy section only
-/// if an output needs them (24 cells and 12 solo profile runs are not
-/// free), snapshot the host profile, then write `BENCH_pic.json` and the
-/// CSV artifacts, logging under `[tag]`.
-pub fn run_suite(
-    tag: &str,
-    ctx: &ExperimentCtx,
-    apps: &[&str],
-    profile_host: bool,
-    outputs: &SuiteOutputs<'_>,
-) -> Result<Suite, String> {
-    use super::{chaos, explain, tenancy};
-    use crate::cli::write_artifact;
+/// Run `work` under the host profiler when `on` (DESIGN.md §14):
+/// reset, enable, run, disable, snapshot. The one bracket behind `pic
+/// report --profile-host` and `pic regress --profile-host`.
+pub fn profiled<T>(on: bool, work: impl FnOnce() -> T) -> (T, Option<pic_simnet::HostProfile>) {
     use pic_simnet::hostprof;
-
-    let t0 = std::time::Instant::now();
-    if profile_host {
+    if on {
         hostprof::reset();
         hostprof::enable();
     }
-    let runs = collect(ctx, apps)?;
-    let wanted = |csv: Option<&str>| outputs.json.or(csv).is_some();
-    let cells = wanted(outputs.chaos_csv)
-        .then(|| chaos::campaign(ctx, &chaos::SCENARIOS))
-        .transpose()?
-        .unwrap_or_default();
-    let tenancy = wanted(outputs.tenancy_csv)
-        .then(|| tenancy::section(ctx))
-        .transpose()?;
-    let host_profile = profile_host.then(|| {
+    let out = work();
+    let profile = on.then(|| {
         hostprof::disable();
         hostprof::snapshot()
     });
+    (out, profile)
+}
+
+/// The `pic regress` pipeline: collect all five comparisons, run the
+/// chaos campaign and the tenancy section, then write `BENCH_pic.json`
+/// and the requested CSV artifacts, logging under `[tag]`. Returns the
+/// `BENCH_pic.json` text.
+pub fn run_suite(
+    tag: &str,
+    ctx: &ExperimentCtx,
+    profile_host: bool,
+    outputs: &SuiteOutputs<'_>,
+) -> Result<String, String> {
+    use super::{chaos, explain, tenancy};
+    use crate::cli::write_artifact;
+
+    let t0 = std::time::Instant::now();
+    let (suite, host_profile) = profiled(profile_host, || -> Result<_, String> {
+        let runs = collect(ctx, &APPS)?;
+        let cells = chaos::campaign(ctx, &chaos::SCENARIOS)?;
+        Ok((runs, cells, tenancy::section(ctx)?))
+    });
+    let (runs, cells, tenancy) = suite?;
     eprintln!(
         "[{tag}] suite ran in {:.1}s (host time) at scale {}",
         t0.elapsed().as_secs_f64(),
         ctx.scale
     );
 
+    let json = bench_json(ctx, &runs, &cells, Some(&tenancy), host_profile.as_ref());
+    write_artifact(tag, outputs.json, &json);
     let write = |path: Option<&str>, doc: &dyn Fn() -> String| {
-        path.map(|path| {
-            let doc = doc();
-            write_artifact(tag, path, &doc);
-            doc
-        })
+        if let Some(path) = path {
+            write_artifact(tag, path, &doc());
+        }
     };
-    let json = write(outputs.json, &|| {
-        bench_json(ctx, &runs, &cells, tenancy.as_ref(), host_profile.as_ref())
-    });
     write(outputs.csv, &|| quality_csv(&runs));
     write(outputs.util_csv, &|| utilization_csv(&runs));
     write(outputs.chaos_csv, &|| chaos::chaos_csv(&cells));
-    if let Some(section) = &tenancy {
-        write(outputs.tenancy_csv, &|| {
-            tenancy::tenancy_csv(&section.mixed)
-        });
-    }
+    write(outputs.tenancy_csv, &|| {
+        tenancy::tenancy_csv(&tenancy.mixed)
+    });
     write(outputs.explain_csv, &|| {
         explain::explain_csv(&explain::sections(&runs, &pic_simnet::whatif::CATALOG))
     });
-    Ok(Suite {
-        runs,
-        host_profile,
-        json,
-    })
+    Ok(json)
 }
 
 /// Assemble the top-level `BENCH_pic.json` document. Every `host_*` key

@@ -1,16 +1,14 @@
 //! The `pic watch` pipeline: replay recorded runs through the run
-//! monitor (DESIGN.md §16) and render the dashboard plus the
-//! machine-readable exports — the full monitor JSON document, the
-//! incident-log CSV, and an OpenMetrics-style text snapshot for the
-//! five apps × ic/pic.
+//! monitor (DESIGN.md §16) and render the dashboard plus the one
+//! machine-readable export, the full monitor JSON document for the five
+//! apps × ic/pic.
 //!
 //! Everything here is pure trace post-processing: the monitor's series
-//! live on the simulated clock, so every artifact is byte-identical
-//! across rayon pool widths (pinned by `tests/cli_watch.rs`).
+//! live on the simulated clock, so the document is byte-identical across
+//! rayon pool widths (pinned by `tests/cli_watch.rs`).
 
 use super::report::AppRun;
-use crate::table::csv_doc;
-use pic_simnet::monitor::{openmetrics, Rule, DEFAULT_WINDOW_S, MAX_BUCKETS};
+use pic_simnet::monitor::{Rule, DEFAULT_WINDOW_S, MAX_BUCKETS};
 use pic_simnet::report::{fmt_f64, JsonWriter};
 use pic_simnet::{Monitor, MonitorConfig, MonitorReport};
 use std::fmt::Write as _;
@@ -146,29 +144,6 @@ pub fn watch_json(scale: f64, opts: &WatchOptions, sections: &[WatchSection]) ->
     doc + "\n"
 }
 
-/// The incident log as CSV, one record per incident across every app
-/// and side (the CI artifact).
-pub fn watch_csv(sections: &[WatchSection]) -> String {
-    let sides = sections
-        .iter()
-        .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)]);
-    let records = sides.flat_map(|(side, s, report)| report.csv_records(s.app, side));
-    csv_doc(MonitorReport::csv_header(), records)
-}
-
-/// The OpenMetrics-style text snapshot: every report labelled by
-/// `app`/`side`, families grouped, ending with `# EOF`.
-pub fn watch_metrics(sections: &[WatchSection]) -> String {
-    let label = |key: &str, value: &str| (key.to_string(), value.to_string());
-    let sides = sections
-        .iter()
-        .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)]);
-    let labelled: Vec<(Vec<(String, String)>, &MonitorReport)> = sides
-        .map(|(side, s, report)| (vec![label("app", s.app), label("side", side)], report))
-        .collect();
-    openmetrics(&labelled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,21 +206,65 @@ mod tests {
             "{doc}"
         );
         assert!(doc.contains("\"ic\": {") && doc.contains("\"pic\": {"));
-        pic_bench_json_parses(&doc);
-
-        // CSV header is the pinned incident schema; metrics end in EOF.
-        let csv = watch_csv(&secs);
-        assert!(csv.starts_with("app,side,rule,severity,series,open_s,close_s,peak,span\n"));
-        let metrics = watch_metrics(&secs);
-        assert!(metrics.ends_with("# EOF\n"));
-        assert!(
-            metrics.contains("app=\"linsolve\",side=\"pic\""),
-            "{metrics}"
-        );
+        crate::json::parse(&doc).expect("watch --json must be valid JSON");
     }
 
-    fn pic_bench_json_parses(doc: &str) {
-        crate::json::parse(doc).expect("watch --json must be valid JSON");
+    /// The JSON document is the monitor's whole machine-readable record:
+    /// per-link byte totals and peaks, the per-run scalars and every
+    /// incident's seven columns, per app and side (incidents per rule
+    /// are a count over the `incidents` array).
+    #[test]
+    fn watch_json_carries_every_exported_value() {
+        use crate::json::Json;
+        // A window far shorter than linsolve's quality gaps opens stall
+        // incidents, so the per-incident check is not vacuous.
+        let opts = WatchOptions {
+            window_s: 0.5,
+            ..WatchOptions::default()
+        };
+        let doc = watch_json(0.01, &opts, &small_sections(&opts));
+        let doc = crate::json::parse(&doc).unwrap();
+        let Some(Json::Arr(apps)) = doc.get("apps") else {
+            panic!("apps is an array")
+        };
+        let mut incidents = 0;
+        for app in apps {
+            for side in ["ic", "pic"] {
+                let r = app.get(side).unwrap();
+                let Some(Json::Obj(links)) = r.get("links") else {
+                    panic!("{side}: links is an object")
+                };
+                assert_eq!(links.len(), 4, "{side}");
+                for (link, series) in links {
+                    for key in ["total_bytes", "peak_util"] {
+                        assert!(series.get(key).unwrap().as_f64().is_some(), "{link}.{key}");
+                    }
+                }
+                for key in [
+                    "quality_samples",
+                    "peak_depth",
+                    "recovery_bytes_total",
+                    "incident_s",
+                ] {
+                    assert!(r.get(key).unwrap().as_f64().is_some(), "{side}.{key}");
+                }
+                let Some(Json::Arr(log)) = r.get("incidents") else {
+                    panic!("{side}: incidents is an array")
+                };
+                for inc in log {
+                    let Json::Obj(fields) = inc else {
+                        panic!("an incident is an object")
+                    };
+                    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(
+                        keys,
+                        ["rule", "severity", "series", "open_s", "close_s", "peak", "span"]
+                    );
+                }
+                incidents += log.len();
+            }
+        }
+        assert!(incidents > 0, "no incident to check");
     }
 
     #[test]

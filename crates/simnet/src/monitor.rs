@@ -39,7 +39,7 @@
 //!
 //! [`TrafficLedger`]: crate::traffic::TrafficLedger
 
-use crate::report::{csv_record, fmt_f64, json_f64s, nearest_rank, peak, Column, JsonWriter};
+use crate::report::{fmt_f64, json_f64s, nearest_rank, peak, Column, JsonWriter};
 use crate::sweep::{apportion, collect_charges, spread_busy, utilization, LinkClass};
 use crate::timeline::{heat_bar, SATURATION_THRESHOLD};
 use crate::topology::ClusterSpec;
@@ -202,8 +202,8 @@ impl Incident {
         (self.close_s - self.open_s).max(0.0)
     }
 
-    /// The incident in schema order — the one definition behind the
-    /// `incidents` JSON objects and the incident CSV records.
+    /// The incident in schema order — the `incidents` objects of the
+    /// full JSON document.
     fn columns(&self) -> Vec<Column> {
         vec![
             Column::text("rule", self.rule.name()),
@@ -745,23 +745,6 @@ impl MonitorReport {
         });
     }
 
-    /// Header of the incident CSV artifact.
-    pub fn csv_header() -> &'static str {
-        "app,side,rule,severity,series,open_s,close_s,peak,span"
-    }
-
-    /// One CSV record per incident, prefixed by `app`/`side`.
-    pub fn csv_records(&self, app: &str, side: &str) -> Vec<Vec<String>> {
-        self.incidents
-            .iter()
-            .map(|i| {
-                let mut rec = vec![app.to_string(), side.to_string()];
-                rec.extend(csv_record(i.columns()));
-                rec
-            })
-            .collect()
-    }
-
     /// `(label, sparkline, last, peak)` dashboard rows for every series,
     /// `width` cells each, for the run's prefix up to simulated time
     /// `t_s` — the frame a live dashboard shows mid-run
@@ -872,101 +855,6 @@ impl MonitorReport {
         }
         out
     }
-}
-
-/// What one report contributes to a family: `(extra label, value)`
-/// samples.
-type Samples = Vec<(Option<(&'static str, &'static str)>, String)>;
-
-/// One OpenMetrics family: name, type, help text, sample extractor.
-type Family = (
-    &'static str,
-    &'static str,
-    &'static str,
-    fn(&MonitorReport) -> Samples,
-);
-
-/// The `pic watch --metrics` families, in export order.
-const FAMILIES: [Family; 7] = [
-    (
-        "pic_link_bytes_total",
-        "counter",
-        "Bytes moved per link class (reconciles exactly with the ledger).",
-        |r| per_link(r, |s| s.total_bytes.to_string()),
-    ),
-    (
-        "pic_link_util_peak",
-        "gauge",
-        "Peak bucket utilization per link class.",
-        |r| per_link(r, |s| fmt_f64(s.peak_util)),
-    ),
-    (
-        "pic_quality_samples_total",
-        "counter",
-        "Quality probes observed.",
-        |r| vec![(None, r.quality.len().to_string())],
-    ),
-    (
-        "pic_queue_depth_peak",
-        "gauge",
-        "Peak mean concurrent tasks per bucket.",
-        |r| vec![(None, fmt_f64(r.peak_depth))],
-    ),
-    (
-        "pic_recovery_bytes_total",
-        "counter",
-        "Recovery bytes observed under chaos.",
-        |r| vec![(None, r.recovery_bytes.iter().sum::<u64>().to_string())],
-    ),
-    (
-        "pic_incidents_total",
-        "counter",
-        "Incidents opened per alert rule.",
-        |r| {
-            let rules = Rule::ALL.into_iter();
-            rules
-                .map(|rule| (Some(("rule", rule.name())), r.count(rule).to_string()))
-                .collect()
-        },
-    ),
-    (
-        "pic_incident_seconds_total",
-        "counter",
-        "Total open-incident simulated seconds.",
-        |r| vec![(None, fmt_f64(r.incident_s()))],
-    ),
-];
-
-/// One `link`-labelled sample per link class.
-fn per_link(r: &MonitorReport, value: fn(&MonitorSeries) -> String) -> Samples {
-    let links = r.links.iter();
-    links
-        .map(|(link, s)| (Some(("link", *link)), value(s)))
-        .collect()
-}
-
-/// Render an OpenMetrics-style text snapshot for a set of labelled
-/// monitor reports (the `pic watch --metrics` export: five apps ×
-/// ic/pic). Families are grouped as the format requires; the document
-/// ends with `# EOF`.
-pub fn openmetrics(entries: &[(Vec<(String, String)>, &MonitorReport)]) -> String {
-    let mut out = String::new();
-    for (name, kind, help, samples) in FAMILIES {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "# HELP {name} {help}");
-        for (labels, report) in entries {
-            for (extra, value) in samples(report) {
-                let labels = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-                let parts: Vec<String> = labels
-                    .chain(extra)
-                    .map(|(k, v)| format!("{k}=\"{v}\""))
-                    .collect();
-                let _ = writeln!(out, "{name}{{{}}} {value}", parts.join(","));
-            }
-        }
-    }
-    out.push_str("# EOF\n");
-    out
 }
 
 #[cfg(test)]
@@ -1343,31 +1231,7 @@ mod tests {
     }
 
     #[test]
-    fn openmetrics_snapshot_has_grouped_families() {
-        let t = tracer();
-        let root = t.begin_at("run", "driver", 0.0);
-        quality_at(&t, 1.0, 10.0);
-        t.end_at(root, 2.0);
-        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
-        let labels = vec![
-            ("app".to_string(), "kmeans".to_string()),
-            ("side".to_string(), "ic".to_string()),
-        ];
-        let doc = openmetrics(&[(labels, &r)]);
-        assert!(doc.starts_with("# TYPE pic_link_bytes_total counter\n"));
-        assert!(
-            doc.contains("pic_link_bytes_total{app=\"kmeans\",side=\"ic\",link=\"bisection\"} 0")
-        );
-        assert!(doc.contains("pic_quality_samples_total{app=\"kmeans\",side=\"ic\"} 1"));
-        assert!(doc.contains("# TYPE pic_incidents_total counter"));
-        assert!(doc.ends_with("# EOF\n"));
-        // One TYPE line per family, no interleaving.
-        let type_lines = doc.lines().filter(|l| l.starts_with("# TYPE")).count();
-        assert_eq!(type_lines, 7);
-    }
-
-    #[test]
-    fn summary_json_and_csv_serialize() {
+    fn summary_and_full_json_serialize() {
         let t = tracer();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
@@ -1386,12 +1250,5 @@ mod tests {
         assert!(doc.contains("\"fault\": 1"), "{doc}");
         let full = r.to_json(0);
         assert!(full.contains("\"incidents\": ["), "{full}");
-        let recs = r.csv_records("kmeans", "ic");
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0][0], "kmeans");
-        assert_eq!(
-            MonitorReport::csv_header(),
-            "app,side,rule,severity,series,open_s,close_s,peak,span"
-        );
     }
 }

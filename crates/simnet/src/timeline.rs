@@ -441,31 +441,10 @@ impl UtilizationReport {
         w.field("bisection_util", &json_f64s(&bisection.util));
     }
 
-    /// ASCII utilization heatmap for one run: a bar per link class and
-    /// slot group, `width` cells wide, darkness ∝ utilization.
-    pub fn render(&self, width: usize) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "horizon {:.1}s · {} intervals · bisection saturated {:.1}s \
-             (be {:.1}s, ic {:.1}s, topoff {:.1}s)",
-            self.horizon_s,
-            self.intervals,
-            self.bisection_saturation.total_s,
-            self.bisection_saturation.be_s,
-            self.bisection_saturation.ic_s,
-            self.bisection_saturation.topoff_s,
-        );
-        for (label, row) in self.heat_rows(width) {
-            let _ = writeln!(out, "  {label:<12} |{row}|");
-        }
-        out
-    }
-
-    /// `(label, cells)` heat rows shared by [`UtilizationReport::render`]
-    /// and the side-by-side view: every link's utilization then every
+    /// `(label, cells)` heat rows of the side-by-side view
+    /// ([`render_side_by_side`]): every link's utilization then every
     /// slot group's occupancy fraction.
-    pub fn heat_rows(&self, width: usize) -> Vec<(String, String)> {
+    fn heat_rows(&self, width: usize) -> Vec<(String, String)> {
         let mut rows = Vec::new();
         for link in LinkClass::ALL {
             rows.push((
@@ -748,8 +727,7 @@ mod tests {
         assert_eq!(r.links["bisection"].total_bytes, 0);
         assert_eq!(r.bisection_saturation.total_s, 0.0);
         r.reconcile(&TrafficSnapshot::default()).unwrap();
-        // Degenerate reports still render and serialize.
-        assert!(r.render(20).contains("bisection"));
+        // Degenerate reports still serialize.
         assert!(r.to_json(0).contains("\"horizon_s\""));
     }
 

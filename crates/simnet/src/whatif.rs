@@ -49,7 +49,6 @@ use crate::topology::ClusterSpec;
 use crate::trace::{Span, Trace};
 use crate::traffic::TrafficClass;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One-ulp-scale slack used when comparing a recorded rate against a
 /// capacity threshold (mirrors the saturation sweep in `timeline`).
@@ -708,49 +707,6 @@ impl SensitivityReport {
         })
     }
 
-    /// Plain-text ranked table; at most `top` rows (0 = all).
-    pub fn render(&self, top: usize) -> String {
-        let shown = if top == 0 {
-            self.rows.len()
-        } else {
-            top.min(self.rows.len())
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "sensitivity — baseline makespan {:.6} s ({} scenarios)",
-            self.baseline_makespan_s,
-            self.rows.len()
-        );
-        let _ = writeln!(
-            out,
-            "  {:>4} {:<24} {:>14} {:>14} {:>14} {:<12}",
-            "rank", "scenario", "Δmakespan (s)", "projected (s)", "Δtt10% (s)", "binding"
-        );
-        for (i, row) in self.rows[..shown].iter().enumerate() {
-            let dtt = row
-                .delta_tt_s
-                .iter()
-                .find(|(l, _)| *l == "10pct")
-                .and_then(|(_, v)| *v);
-            let _ = writeln!(
-                out,
-                "  {:>4} {:<24} {:>14.6} {:>14.6} {:>14} {:<12}{}",
-                i + 1,
-                row.scenario.name,
-                row.delta_makespan_s,
-                row.makespan_s,
-                dtt.map_or("-".to_string(), |v| format!("{v:.6}")),
-                row.binding,
-                if row.clamped { "  (clamped)" } else { "" },
-            );
-        }
-        if shown < self.rows.len() {
-            let _ = writeln!(out, "  … {} more scenarios", self.rows.len() - shown);
-        }
-        out
-    }
-
     /// Deterministic JSON rendering matching the tolerance-band key
     /// conventions (`_s` suffixes are banded by the regression gate;
     /// projected deltas get the wide band, see DESIGN.md §15). Phase
@@ -992,9 +948,6 @@ mod tests {
         );
         assert_eq!(records.len(), CATALOG.len());
         assert_eq!(records[0][2], "1");
-        let text = report.render(3);
-        assert!(text.contains("bisection-xinf"));
-        assert!(text.contains("… 15 more scenarios"));
     }
 
     #[test]
