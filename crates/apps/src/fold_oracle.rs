@@ -86,7 +86,7 @@ where
     }
     let finish = |ctx: MapContext<M::K, M::V>| {
         let (n, bytes) = (ctx.emitted(), ctx.emitted_bytes());
-        let (mut pairs, _) = ctx.into_parts();
+        let mut pairs = ctx.into_parts();
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
         (pairs, n, bytes)
     };

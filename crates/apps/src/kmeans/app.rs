@@ -173,13 +173,11 @@ impl PicApp for KMeansApp {
         // best-effort round from the same model copy, so centroid i in
         // each sub-model descends from prev's centroid i — exactly the
         // correspondence the paper's merge "identifies". (Greedy
-        // re-matching by distance is available in
-        // `metrics::match_centroids` but mis-pairs drifted centroids and
-        // corrupts the average, so the merge does not use it.) The merge
-        // is the paper's plain average, over the sub-problems whose
-        // cluster i is non-empty: the others kept the incoming centroid,
-        // and averaging them in would drag the merged centroid back toward
-        // the stale value.
+        // re-matching by distance would mis-pair drifted centroids and
+        // corrupt the average.) The merge is the paper's plain average,
+        // over the sub-problems whose cluster i is non-empty: the others
+        // kept the incoming centroid, and averaging them in would drag the
+        // merged centroid back toward the stale value.
         let mut sums = vec![vec![0.0; dim]; k];
         let mut weights = vec![0.0; k];
         let mut counts = vec![0u64; k];

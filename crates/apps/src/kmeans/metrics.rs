@@ -55,32 +55,6 @@ pub fn centroid_displacement(model: &Centroids, reference: &Centroids) -> f64 {
     total / model.k() as f64
 }
 
-/// Greedy one-to-one matching of `a`'s centroids onto `b`'s by distance;
-/// returns for each centroid of `a` the index of its match in `b`. Used by
-/// merge strategies that must "establish the correspondence of elements in
-/// the two models" (paper §III.C).
-pub fn match_centroids(a: &Centroids, b: &Centroids) -> Vec<usize> {
-    let k = a.k();
-    assert_eq!(k, b.k(), "model size mismatch");
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(k * k);
-    for (i, ca) in a.coords.iter().enumerate() {
-        for (j, cb) in b.coords.iter().enumerate() {
-            let d: f64 = ca.iter().zip(cb).map(|(x, y)| (x - y) * (x - y)).sum();
-            pairs.push((d, i, j));
-        }
-    }
-    pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("distances are never NaN"));
-    let mut out = vec![usize::MAX; k];
-    let mut used = vec![false; k];
-    for (_, i, j) in pairs {
-        if out[i] == usize::MAX && !used[j] {
-            out[i] = j;
-            used[j] = true;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,13 +97,5 @@ mod tests {
         let a = Centroids::new(vec![vec![1.0], vec![5.0]]);
         let b = Centroids::new(vec![vec![5.0], vec![1.0]]);
         assert_eq!(centroid_displacement(&a, &b), 0.0);
-    }
-
-    #[test]
-    fn match_centroids_is_a_bijection() {
-        let a = Centroids::new(vec![vec![0.0], vec![10.0], vec![20.0]]);
-        let b = Centroids::new(vec![vec![19.0], vec![1.0], vec![9.0]]);
-        let m = match_centroids(&a, &b);
-        assert_eq!(m, vec![1, 2, 0]);
     }
 }

@@ -24,7 +24,7 @@ mod mr;
 
 pub use app::KMeansApp;
 pub use data::{gaussian_mixture, init_kmeanspp, init_random_centroids, Point};
-pub use metrics::{centroid_displacement, jagota_index, match_centroids, sse};
+pub use metrics::{centroid_displacement, jagota_index, sse};
 #[cfg(test)]
 pub(crate) use mr::RunBounds;
 pub use mr::{lloyd_step, AssignMapper, AverageReducer, Centroids, SumCombiner};

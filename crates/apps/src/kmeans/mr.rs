@@ -965,7 +965,7 @@ mod tests {
         let r = AverageReducer;
         let mut ctx = ReduceContext::new();
         r.reduce(&3, &[(vec![2.0, 4.0], 2), (vec![4.0, 0.0], 2)], &mut ctx);
-        let (out, _) = ctx.into_parts();
+        let out = ctx.into_parts();
         assert_eq!(out, vec![(3, vec![1.5, 1.0], 4)]);
     }
 

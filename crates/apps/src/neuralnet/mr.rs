@@ -114,7 +114,7 @@ mod tests {
         let r = GradReducer;
         let mut ctx = ReduceContext::new();
         r.reduce(&0, &[(vec![1.0], 2), (vec![2.0], 3)], &mut ctx);
-        let (out, _) = ctx.into_parts();
+        let out = ctx.into_parts();
         assert_eq!(out, vec![(vec![3.0], 5)]);
     }
 
@@ -130,7 +130,7 @@ mod tests {
             },
             &mut ctx,
         );
-        let (pairs, _) = ctx.into_parts();
+        let pairs = ctx.into_parts();
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].1 .0.len(), m.params.len());
         assert_eq!(pairs[0].1 .1, 1);

@@ -149,7 +149,7 @@ mod tests {
             },
             &mut ctx,
         );
-        let (pairs, _) = ctx.into_parts();
+        let pairs = ctx.into_parts();
         assert_eq!(pairs, vec![(1, 0.3), (2, 0.7)]);
     }
 
@@ -158,7 +158,7 @@ mod tests {
         let r = RankReducer { damping: 0.85 };
         let mut ctx = ReduceContext::new();
         r.reduce(&5, &[0.2, 0.3], &mut ctx);
-        let (out, _) = ctx.into_parts();
+        let out = ctx.into_parts();
         assert_eq!(out.len(), 1);
         let (v, rank) = out[0];
         assert_eq!(v, 5);
@@ -181,7 +181,7 @@ mod tests {
             },
             &mut ctx,
         );
-        let (pairs, _) = ctx.into_parts();
+        let pairs = ctx.into_parts();
         assert_eq!(pairs, vec![(0, 1.0), (1, 1.0)]);
     }
 

@@ -475,6 +475,7 @@ fn launch(m: &Matches) -> Result<i32, Failure> {
         }
         "neuralnet" => {
             use pic_apps::neuralnet::{ocr_like_split, Mlp, NeuralNetApp};
+            need("--n", n, 10)?; // a tenth of the points is the validation split
             let (train, valid) = ocr_like_split(n, n / 10, 10, 64, 0.2, seed);
             let app = NeuralNetApp::new(valid);
             let init = Mlp::random(64, 32, 10, seed.wrapping_add(1));

@@ -166,11 +166,13 @@ fn the_nine_known_bad_argvs_are_refused_by_name() {
 }
 
 /// The launcher's cross-flag checks: shapes the app constructors would
-/// panic (or, for a one-page graph, spin) on, and a stream whose arrival
-/// times would overflow into the event queue's finite-time assert.
+/// panic (or, for a one-page graph, spin) on, a neural net too small to
+/// hold out a validation point, a stream whose arrival times would
+/// overflow into the event queue's finite-time assert, and a mix that
+/// names an app twice or whose weights overflow when summed.
 #[test]
 fn launcher_refuses_shapes_the_apps_cannot_build() {
-    let cases: [(&str, &[&str], &str); 8] = [
+    let cases: [(&str, &[&str], &str); 11] = [
         ("pagerank", &["--n", "1", "--partitions", "1"], "--n ≥ 2"),
         ("linsolve", &["--n", "5", "--partitions", "10"], "--n ≥ 10"),
         (
@@ -191,11 +193,45 @@ fn launcher_refuses_shapes_the_apps_cannot_build() {
             "arrival rate must be finite and keep all 4 arrivals at finite times (got 1e-320)",
         ),
         ("tenancy", &["--mix", "kmeans=inf"], "(got inf)"),
+        (
+            "tenancy",
+            &["--mix", "kmeans=1,kmeans=1,linsolve=1"],
+            "lists app 'kmeans' twice",
+        ),
+        (
+            "tenancy",
+            &["--mix", "kmeans=1e308,linsolve=1e308"],
+            "finite total (got inf)",
+        ),
+        ("neuralnet", &["--n", "9"], "--n ≥ 10"),
     ];
     for (name, args, expected) in cases {
         let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
         let line = rejected(command, args);
         assert!(line.contains(expected), "{line}");
+    }
+}
+
+/// README's `pic tenancy` example, at a small scale: one CSV row per
+/// job, every one driven by PIC and drawn from the mix.
+#[test]
+fn readme_tenancy_example_runs() {
+    let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("readme_tenancy.csv");
+    let flags = "--scale 0.05 --preset 4k --jobs 32 --mix kmeans=2,linsolve=1 --drivers pic --csv";
+    let mut args: Vec<&str> = flags.split(' ').collect();
+    args.push(csv.to_str().unwrap());
+    let out = invoke(
+        COMMANDS.iter().find(|c| c.name == "tenancy").unwrap(),
+        &args,
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let doc = std::fs::read_to_string(&csv).unwrap();
+    let rows: Vec<Vec<&str>> = doc.lines().map(|l| l.split(',').collect()).collect();
+    assert_eq!(rows[0][1..3], ["app", "driver"], "{doc}");
+    assert_eq!(rows.len(), 1 + 32, "{doc}");
+    for row in &rows[1..] {
+        assert!(["kmeans", "linsolve"].contains(&row[1]), "{doc}");
+        assert_eq!(row[2], "pic", "{doc}");
     }
 }
 

@@ -73,44 +73,6 @@ impl<I: Value> Dataset<I> {
         }
     }
 
-    /// Register `records` confined to the node group `group`, hosts
-    /// assigned round-robin within the group. This is how PIC's best-effort
-    /// phase pins a sub-problem's data to its node group so that local
-    /// iterations never leave it.
-    pub fn create_in_group(
-        engine: &Engine,
-        name: &str,
-        records: Vec<I>,
-        n_splits: usize,
-        group: std::ops::Range<NodeId>,
-    ) -> Self {
-        assert!(n_splits > 0, "need at least one split");
-        assert!(!group.is_empty(), "node group must be non-empty");
-        assert!(group.end <= engine.spec().nodes, "group exceeds cluster");
-        let total_bytes: u64 = records.iter().map(ByteSize::byte_size).sum();
-        engine
-            .dfs()
-            .overwrite(name, total_bytes, group.start, TrafficClass::DfsWrite);
-        let group_nodes: Vec<NodeId> = group.collect();
-        let splits = carve(records, n_splits)
-            .into_iter()
-            .enumerate()
-            .map(|(i, records)| {
-                let bytes: u64 = records.iter().map(ByteSize::byte_size).sum();
-                Split {
-                    records,
-                    hosts: vec![group_nodes[i % group_nodes.len()]],
-                    bytes,
-                }
-            })
-            .collect();
-        Dataset {
-            name: name.to_string(),
-            splits,
-            total_bytes,
-        }
-    }
-
     /// Total record count.
     pub fn total_records(&self) -> usize {
         self.splits.iter().map(|s| s.records.len()).sum()
@@ -170,18 +132,6 @@ mod tests {
             assert!(!s.hosts.is_empty());
         }
         assert!(engine.dfs().exists("/in/u64s"));
-    }
-
-    #[test]
-    fn create_in_group_pins_hosts() {
-        let engine = Engine::new(ClusterSpec::medium());
-        let data: Vec<u64> = (0..40).collect();
-        let group = 8..12;
-        let ds = Dataset::create_in_group(&engine, "/part/3", data, 8, group.clone());
-        for s in &ds.splits {
-            assert_eq!(s.hosts.len(), 1);
-            assert!(group.contains(&s.hosts[0]));
-        }
     }
 
     #[test]

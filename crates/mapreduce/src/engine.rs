@@ -1,6 +1,5 @@
 //! The MapReduce execution engine.
 
-use crate::counters::Counters;
 use crate::dataset::Dataset;
 use crate::job::JobConfig;
 use crate::kv;
@@ -384,7 +383,7 @@ impl Engine {
                 }
                 let raw_pairs = ctx.emitted();
                 let raw_bytes = if reducers > 0 { ctx.emitted_bytes() } else { 0 };
-                let (mut buckets, counters) = ctx.into_buckets();
+                let mut buckets = ctx.into_buckets();
                 let (shuffle_pairs, shuffle_bytes) = match combiner {
                     Some(c) => {
                         // Each key hashes to exactly one bucket, so
@@ -403,7 +402,6 @@ impl Engine {
                 };
                 MapOut {
                     buckets,
-                    counters,
                     raw_pairs,
                     raw_bytes,
                     shuffle_pairs,
@@ -417,7 +415,6 @@ impl Engine {
         for mo in &outs {
             stats.map_output_records += mo.raw_pairs as u64;
             stats.map_output_bytes += mo.raw_bytes;
-            stats.counters.merge(&mo.counters);
         }
 
         let map_secs = cfg.timing.map_secs;
@@ -477,23 +474,11 @@ impl Engine {
         (job, outs)
     }
 
-    /// Close a job: publish its merged counters as `counter` instants at
-    /// the job's end time, close the job span and advance the clock past
-    /// the job.
+    /// Close a job: close the job span at the job's end time and advance
+    /// the clock past the job.
     fn finish_job<O>(&self, job: OpenJob, output: Vec<O>) -> JobResult<O> {
         let (job_span, stats) = (job.span, job.stats);
-        let t_end = job.t_job + stats.total_time_s;
-        if self.tracer.is_enabled() {
-            for (name, value) in stats.counters.iter() {
-                self.tracer.instant_at(
-                    name.to_string(),
-                    "counter",
-                    t_end,
-                    vec![("value".to_string(), Payload::U64(value))],
-                );
-            }
-        }
-        self.tracer.end_at(job_span, t_end);
+        self.tracer.end_at(job_span, job.t_job + stats.total_time_s);
         self.advance(stats.total_time_s);
         JobResult { output, stats }
     }
@@ -621,9 +606,9 @@ impl Engine {
             .span_at("sort", "phase", t_reduce, t_reduce, Vec::new());
 
         // ---- Reduce phase: real execution, analytic replay. --------------
-        // (output records, counters, input values) per reduce task.
+        // (output records, input values) per reduce task.
         let host_reduce = Instant::now();
-        let red_outs: Vec<(Vec<R::Out>, Counters, usize)> = grouped
+        let red_outs: Vec<(Vec<R::Out>, usize)> = grouped
             .into_par_iter()
             .map(|bucket| {
                 let mut ctx = ReduceContext::new();
@@ -635,8 +620,7 @@ impl Engine {
                         reducer.reduce(k, vs, &mut ctx);
                     }
                 }
-                let (out, counters) = ctx.into_parts();
-                (out, counters, values)
+                (ctx.into_parts(), values)
             })
             .collect();
         stats.host_reduce_s = host_reduce.elapsed().as_secs_f64();
@@ -644,7 +628,7 @@ impl Engine {
         let reduce_secs = cfg.timing.reduce_secs;
         let reduce_tasks: Vec<TaskSpec> = red_outs
             .iter()
-            .map(|(_, _, values)| TaskSpec::compute(*values as f64 * reduce_secs))
+            .map(|(_, values)| TaskSpec::compute(*values as f64 * reduce_secs))
             .collect();
         let reduce_span = self.tracer.begin_at("reduce", "phase", t_reduce);
         // A killed reduce attempt re-fetches its shuffle partition from
@@ -669,11 +653,10 @@ impl Engine {
         stats.reduce_waves = red_outcome.waves;
 
         // ---- Assemble output + time. -------------------------------------
-        let total_out: usize = red_outs.iter().map(|(out, _, _)| out.len()).sum();
+        let total_out: usize = red_outs.iter().map(|(out, _)| out.len()).sum();
         let mut output = Vec::with_capacity(total_out);
-        for (out, counters, _) in red_outs {
+        for (out, _) in red_outs {
             stats.output_records += out.len() as u64;
-            stats.counters.merge(&counters);
             output.extend(out);
         }
         stats.total_time_s = stats.map_time_s.max(stats.shuffle_time_s) + stats.reduce_time_s;
@@ -685,7 +668,6 @@ impl Engine {
 struct MapOut<K, V> {
     /// Post-combine emissions, one emission-ordered vector per reducer.
     buckets: Vec<Vec<(K, V)>>,
-    counters: Counters,
     raw_pairs: usize,
     raw_bytes: u64,
     shuffle_pairs: usize,
@@ -995,7 +977,7 @@ mod tests {
     fn node_group_confines_placement() {
         let engine = Engine::new(ClusterSpec::medium());
         let group = 0..8; // rack-local: medium cluster has 11 nodes per rack
-        let ds = Dataset::create_in_group(&engine, "/g", (0..64u64).collect(), 16, group.clone());
+        let ds = Dataset::create(&engine, "/g", (0..64u64).collect(), 16);
         let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*x % 4, 1));
         let reducer = FnReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64)>| {
             ctx.emit((*k, vs.iter().sum()))

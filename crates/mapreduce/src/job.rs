@@ -33,7 +33,7 @@ impl Default for Timing {
 /// Configuration for one MapReduce job.
 #[derive(Debug, Clone)]
 pub struct JobConfig {
-    /// Job name (prefixes counters in reports).
+    /// Job name (the job's trace span is `job:<name>`).
     pub name: String,
     /// Number of reduce tasks. Must be ≥ 1.
     pub reducers: usize,

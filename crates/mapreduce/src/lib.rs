@@ -64,7 +64,6 @@
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod dataset;
 pub mod engine;
 pub mod job;
@@ -72,7 +71,6 @@ pub mod kv;
 pub mod stats;
 pub mod traits;
 
-pub use counters::Counters;
 pub use dataset::{Dataset, Split};
 pub use engine::Engine;
 pub use job::{JobConfig, Timing};

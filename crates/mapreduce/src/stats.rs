@@ -1,7 +1,5 @@
 //! Per-job execution statistics.
 
-use crate::counters::Counters;
-
 /// Everything the engine learned while executing one job.
 #[derive(Debug, Clone, Default)]
 pub struct JobStats {
@@ -53,8 +51,6 @@ pub struct JobStats {
     pub rack_local_tasks: usize,
     /// Map tasks that fetched input across racks.
     pub remote_tasks: usize,
-    /// Merged user counters from all tasks.
-    pub counters: Counters,
 }
 
 /// A job's outputs plus its stats.

@@ -5,7 +5,6 @@
 //! and `reduce(key, iterator<values>) -> output*`, with an optional
 //! combiner that pre-aggregates map output before it is shuffled.
 
-use crate::counters::Counters;
 use crate::kv::{self, ByteSize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -35,7 +34,7 @@ pub fn bucket_of<K: Hash>(key: &K, reducers: usize) -> usize {
 }
 
 /// Context handed to [`Mapper::map`] and [`Mapper::map_combined`]:
-/// collects emitted pairs and counter increments for one task.
+/// collects emitted pairs for one task.
 ///
 /// Each pair is routed to its reduce bucket by [`bucket_of`] *as it is
 /// emitted*, so the engine's shuffle partitioning work happens inside the
@@ -53,7 +52,6 @@ pub struct MapContext<K, V> {
     buckets: Vec<Vec<(K, V)>>,
     emitted: usize,
     emitted_bytes: u64,
-    counters: Counters,
     /// Index of the split the task maps; set by the engine.
     pub(crate) split: usize,
 }
@@ -82,7 +80,6 @@ impl<K, V> MapContext<K, V> {
             buckets: (0..reducers).map(|_| Vec::new()).collect(),
             emitted: 0,
             emitted_bytes: 0,
-            counters: Counters::new(),
             split: 0,
         }
     }
@@ -121,12 +118,6 @@ impl<K, V> MapContext<K, V> {
         self.buckets[b].push((key, value));
     }
 
-    /// Increment a named counter (aggregated into the job's
-    /// [`crate::stats::JobStats`]).
-    pub fn incr(&mut self, counter: &str, by: u64) {
-        self.counters.incr(counter, by);
-    }
-
     /// Number of raw pairs emitted so far by this task (a folded pair
     /// counts as the emissions it stands for).
     pub fn emitted(&self) -> usize {
@@ -139,30 +130,29 @@ impl<K, V> MapContext<K, V> {
         self.emitted_bytes
     }
 
-    /// Consume the context, yielding emitted pairs and counters (for
-    /// direct mapper tests): emission order for a flat context,
-    /// bucket-major order for a partitioned one.
-    pub fn into_parts(self) -> (Vec<(K, V)>, Counters) {
+    /// Consume the context, yielding the emitted pairs (for direct
+    /// mapper tests): emission order for a flat context, bucket-major
+    /// order for a partitioned one.
+    pub fn into_parts(self) -> Vec<(K, V)> {
         let mut buckets = self.buckets.into_iter();
         let mut pairs = buckets.next().expect("at least one bucket");
         for b in buckets {
             pairs.extend(b);
         }
-        (pairs, self.counters)
+        pairs
     }
 
     /// Consume the context, yielding one emission-ordered pair vector per
-    /// reduce bucket (a single one for a flat context) plus the counters.
-    pub fn into_buckets(self) -> (Vec<Vec<(K, V)>>, Counters) {
-        (self.buckets, self.counters)
+    /// reduce bucket (a single one for a flat context).
+    pub fn into_buckets(self) -> Vec<Vec<(K, V)>> {
+        self.buckets
     }
 }
 
-/// Context handed to [`Reducer::reduce`]: collects output records and
-/// counters for one reduce task.
+/// Context handed to [`Reducer::reduce`]: collects output records for
+/// one reduce task.
 pub struct ReduceContext<O> {
     out: Vec<O>,
-    counters: Counters,
 }
 
 impl<O> Default for ReduceContext<O> {
@@ -175,10 +165,7 @@ impl<O> ReduceContext<O> {
     /// An empty context (exposed so applications can unit-test reducers
     /// directly).
     pub fn new() -> Self {
-        ReduceContext {
-            out: Vec::new(),
-            counters: Counters::new(),
-        }
+        ReduceContext { out: Vec::new() }
     }
 
     /// Emit one output record.
@@ -187,15 +174,10 @@ impl<O> ReduceContext<O> {
         self.out.push(record);
     }
 
-    /// Increment a named counter.
-    pub fn incr(&mut self, counter: &str, by: u64) {
-        self.counters.incr(counter, by);
-    }
-
-    /// Consume the context, yielding emitted records and counters (for
-    /// direct reducer tests).
-    pub fn into_parts(self) -> (Vec<O>, Counters) {
-        (self.out, self.counters)
+    /// Consume the context, yielding the emitted records (for direct
+    /// reducer tests).
+    pub fn into_parts(self) -> Vec<O> {
+        self.out
     }
 }
 
@@ -384,11 +366,8 @@ mod tests {
         let mut ctx: MapContext<u64, f64> = MapContext::new();
         ctx.emit(1, 2.0);
         ctx.emit(3, 4.0);
-        ctx.incr("records", 2);
         assert_eq!(ctx.emitted(), 2);
-        let (pairs, counters) = ctx.into_parts();
-        assert_eq!(pairs, vec![(1, 2.0), (3, 4.0)]);
-        assert_eq!(counters.get("records"), 2);
+        assert_eq!(ctx.into_parts(), vec![(1, 2.0), (3, 4.0)]);
     }
 
     #[test]
@@ -400,8 +379,7 @@ mod tests {
         ctx.emit_folded(2, vec![5.0, 6.0], 7, 250);
         assert_eq!(ctx.emitted(), 8);
         assert_eq!(ctx.emitted_bytes(), 8 + 20 + kv::RECORD_OVERHEAD + 250);
-        let (pairs, _) = ctx.into_parts();
-        assert_eq!(pairs.len(), 2, "a folded pair is one pair");
+        assert_eq!(ctx.into_parts().len(), 2, "a folded pair is one pair");
     }
 
     #[test]
@@ -410,7 +388,6 @@ mod tests {
             for x in [5u64, 1, 9, 1, 3] {
                 ctx.emit(x, x * 10);
             }
-            ctx.incr("seen", 5);
             ctx.into_parts()
         };
         assert_eq!(
@@ -426,7 +403,7 @@ mod tests {
         });
         let mut ctx = MapContext::new();
         m.map(&7, &mut ctx);
-        assert_eq!(ctx.into_parts().0, vec![(1, 7)]);
+        assert_eq!(ctx.into_parts(), vec![(1, 7)]);
     }
 
     #[test]
@@ -436,7 +413,7 @@ mod tests {
         });
         let mut ctx = ReduceContext::new();
         r.reduce(&3, &[1, 2, 3], &mut ctx);
-        assert_eq!(ctx.into_parts().0, vec![(3, 6)]);
+        assert_eq!(ctx.into_parts(), vec![(3, 6)]);
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl WorkloadSpec {
         if self.mix.is_empty() {
             return Err("mix must name at least one app".to_string());
         }
-        for (app, w) in &self.mix {
+        for (i, (app, w)) in self.mix.iter().enumerate() {
             if !known_apps.contains(&app.as_str()) {
                 return Err(format!("unknown app '{app}' in mix; known: {known_apps:?}"));
             }
@@ -146,6 +146,16 @@ impl WorkloadSpec {
                     "mix weight for '{app}' must be positive and finite (got {w})"
                 ));
             }
+            if self.mix[..i].iter().any(|(a, _)| a == app) {
+                return Err(format!("mix lists app '{app}' twice"));
+            }
+        }
+        // `arrivals` draws against the total: an infinite one picks the first app every time.
+        let total_w: f64 = self.mix.iter().map(|(_, w)| w).sum();
+        if !total_w.is_finite() {
+            return Err(format!(
+                "mix weights must sum to a finite total (got {total_w})"
+            ));
         }
         if self.scales.is_empty() {
             return Err("scales must name at least one node count".to_string());

@@ -13,7 +13,7 @@
 //!   merge → top-off iteration → job …`. Spans nest: every child lies
 //!   inside its parent's `[t0, t1]` window.
 //! * **Instants** — point events for killed task attempts, injected
-//!   faults, DFS writes, counter rollups, and *every*
+//!   faults, DFS writes, quality samples, and *every*
 //!   [`crate::traffic::TrafficLedger`] charge (class, bytes and window).
 //!   Every charge goes through [`crate::traffic::TrafficLedger::add_over`],
 //!   which records its own `traffic` instant, so the bytes attributed in a
@@ -32,7 +32,7 @@
 //! [`Trace::to_chrome_json_with_counters`] exports the Chrome
 //! `about:tracing` / Perfetto JSON format, rendered by hand so the bytes
 //! are a pinned function of the trace. [`MetricsRegistry::from_trace`]
-//! derives per-phase time, per-class bytes and counter rollups, and
+//! derives per-phase time, per-class bytes and event counts, and
 //! [`check`] holds the reusable trace invariants the test suite asserts.
 
 use crate::clock::SimClock;
@@ -57,7 +57,7 @@ impl SpanId {
 /// A typed argument value attached to a span or instant event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
-    /// Unsigned integer (byte counts, task indices, counter values).
+    /// Unsigned integer (byte counts, task indices, wave numbers).
     U64(u64),
     /// Floating point (seconds, ratios).
     F64(f64),
@@ -108,10 +108,9 @@ impl Span {
 pub struct InstantEvent {
     /// Enclosing span at the moment of emission, if any.
     pub parent: Option<SpanId>,
-    /// Event name (`task-killed`, `node-crash`, a traffic-class label,
-    /// a counter name, …).
+    /// Event name (`task-killed`, `node-crash`, a traffic-class label, …).
     pub name: String,
-    /// Category: `traffic`, `sched`, `counter`, `dfs`.
+    /// Category: `traffic`, `sched`, `dfs`, `chaos`, `quality`.
     pub cat: &'static str,
     /// Display lane.
     pub lane: String,
@@ -123,7 +122,7 @@ pub struct InstantEvent {
 
 impl InstantEvent {
     /// The `U64` payload stored under `key`, if any — the lookup every
-    /// rollup shares (`bytes` on traffic instants, `value` on counters).
+    /// rollup shares (`bytes` on traffic instants).
     pub fn arg_u64(&self, key: &str) -> Option<u64> {
         arg_u64(&self.args, key)
     }
@@ -577,7 +576,7 @@ fn json_args(args: &Args) -> String {
 }
 
 /// Metrics derived from one [`Trace`]: per-phase simulated time,
-/// per-class bytes, and counter/scheduler-event rollups.
+/// per-class bytes, and scheduler/DFS event counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsRegistry {
     /// Total simulated seconds per `cat/name` of every phase-like span
@@ -585,8 +584,7 @@ pub struct MetricsRegistry {
     pub phase_time_s: BTreeMap<String, f64>,
     /// Traced bytes per traffic-class label.
     pub class_bytes: BTreeMap<String, u64>,
-    /// Counter rollups: traced job counters plus `sched.*` / `dfs.*`
-    /// event counts.
+    /// Event counts per `sched.*` / `dfs.*` instant name.
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -612,10 +610,6 @@ impl MetricsRegistry {
         }
         for i in &trace.instants {
             match i.cat {
-                "counter" => {
-                    *m.counters.entry(i.name.clone()).or_insert(0) +=
-                        i.arg_u64("value").unwrap_or(0);
-                }
                 "sched" => {
                     *m.counters.entry(format!("sched.{}", i.name)).or_insert(0) += 1;
                 }
@@ -911,7 +905,7 @@ mod tests {
                 ("bytes".into(), Payload::U64(77)),
             ],
         );
-        t.instant("c", "counter", vec![("value".into(), Payload::U64(3))]);
+        t.instant("c", "sched", vec![("value".into(), Payload::U64(3))]);
         let tr = t.trace();
         assert_eq!(tr.spans[0].arg_u64("bytes"), Some(77));
         assert_eq!(tr.spans[0].arg_u64("ratio"), None, "F64 is not U64");
@@ -1121,17 +1115,11 @@ mod tests {
         t.span_at("map", "phase", 0.0, 2.0, Vec::new());
         t.span_at("map", "phase", 2.0, 3.0, Vec::new());
         t.traffic_event_over(TrafficClass::MapSpill, 10, 0.0, 3.0);
-        t.instant(
-            "points",
-            "counter",
-            vec![("value".into(), Payload::U64(42))],
-        );
         t.instant("task-killed", "sched", Vec::new());
         t.instant("task-killed", "sched", Vec::new());
         let m = MetricsRegistry::from_trace(&t.trace());
         assert_eq!(m.phase_time_s.get("phase/map").copied(), Some(3.0));
         assert_eq!(m.class_bytes.get("map-spill").copied(), Some(10));
-        assert_eq!(m.counters.get("points").copied(), Some(42));
         assert_eq!(m.counters.get("sched.task-killed").copied(), Some(2));
         let rendered = m.render();
         assert!(rendered.contains("phase/map"));

@@ -164,6 +164,26 @@ fn non_positive_or_non_finite_mix_weight_rejected() {
     }
 }
 
+/// An app named twice would silently skew the mix, and weights that
+/// overflow when summed would make every arrival the first app.
+#[test]
+fn repeated_app_and_overflowing_total_weight_rejected() {
+    for (mix, expected) in [
+        (
+            &[("kmeans", 1.0), ("linsolve", 1.0), ("kmeans", 1.0)][..],
+            "mix lists app 'kmeans' twice",
+        ),
+        (
+            &[("kmeans", 1e308), ("linsolve", 1e308)],
+            "mix weights must sum to a finite total (got inf)",
+        ),
+    ] {
+        let mix = mix.iter().map(|&(a, w)| (a.to_string(), w)).collect();
+        let spec = WorkloadSpec { mix, ..ok_spec() };
+        assert_eq!(spec.validate(&KNOWN, &cluster()).unwrap_err(), expected);
+    }
+}
+
 #[test]
 fn unknown_preset_and_driver_mix_name_the_valid_sets() {
     let err = preset("huge").unwrap_err();

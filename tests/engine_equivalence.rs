@@ -34,7 +34,6 @@ fn map_record(r: &Rec, emit: &mut dyn FnMut(u64, u64)) {
 
 fn engine_mapper() -> impl pic_mapreduce::Mapper<In = Rec, K = u64, V = u64> {
     FnMapper::new(|r: &Rec, ctx: &mut MapContext<u64, u64>| {
-        ctx.incr("records", 1);
         map_record(r, &mut |k, v| ctx.emit(k, v));
     })
 }
@@ -132,13 +131,13 @@ fn serial_reference(splits: &[Vec<Rec>], reducers: usize, combine: bool) -> Refe
 }
 
 /// The map-only form of a job on a fresh engine under a `threads`-wide
-/// pool: output, merged counters and the trace modulo `host_*` args.
+/// pool: output, input records read and the trace.
 fn map_only_run(
     records: &[Rec],
     splits: usize,
     cfg: &JobConfig,
     threads: usize,
-) -> (Vec<(u64, u64)>, pic_mapreduce::Counters, pic_simnet::Trace) {
+) -> (Vec<(u64, u64)>, u64, pic_simnet::Trace) {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -147,7 +146,7 @@ fn map_only_run(
         let engine = Engine::new(ClusterSpec::small());
         let data = Dataset::create(&engine, "/eq/job", records.to_vec(), splits);
         let r = engine.run_map_only(cfg, &data, &engine_mapper());
-        (r.output, r.stats.counters, engine.trace())
+        (r.output, r.stats.input_records, engine.trace())
     })
 }
 
@@ -209,12 +208,12 @@ fn check_job(records: Vec<Rec>, splits: usize, reducers: usize, combine: bool) {
     for r in split_records.iter().flatten() {
         map_record(r, &mut |k, v| concatenated.push((k, v)));
     }
-    let (out_1, counters_1, trace_1) = map_only_run(&records, splits, &cfg, 1);
-    let (out_4, counters_4, trace_4) = map_only_run(&records, splits, &cfg, 4);
+    let (out_1, inputs_1, trace_1) = map_only_run(&records, splits, &cfg, 1);
+    let (out_4, inputs_4, trace_4) = map_only_run(&records, splits, &cfg, 4);
     assert_eq!(out_1, concatenated);
     assert_eq!(out_4, concatenated);
-    assert_eq!(counters_1.get("records"), records.len() as u64);
-    assert_eq!(counters_1, counters_4);
+    assert_eq!(inputs_1, records.len() as u64);
+    assert_eq!(inputs_1, inputs_4);
     assert_eq!(trace_1, trace_4);
 }
 

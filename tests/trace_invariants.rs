@@ -2,7 +2,7 @@
 //!
 //! A k-means PIC run records a span tree (pic → best-effort iteration →
 //! solves/merge → top-off iteration → job → phase → task) plus instant
-//! events for every ledger charge and counter rollup. These tests
+//! events for every ledger charge, DFS write and quality sample. These tests
 //! pin the structural properties the trace must satisfy — nesting, phase
 //! ordering, per-slot exclusivity, exact byte attribution — and that the
 //! trace itself is deterministic across rayon pool widths.
@@ -182,10 +182,10 @@ fn metrics_registry_reflects_the_run() {
             .expect("known class label");
         assert_eq!(*bytes, ledger_bytes, "class {label}");
     }
-    // The engine's job counters surfaced as counter rollups.
+    // The run's DFS writes surfaced as `dfs.*` event counts.
     assert!(
-        m.counters.keys().any(|k| !k.starts_with("sched.")),
-        "job counters present: {:?}",
+        m.counters.keys().any(|k| k.starts_with("dfs.")),
+        "dfs.* event counts present: {:?}",
         m.counters.keys().collect::<Vec<_>>()
     );
     let rendered = m.render();
