@@ -69,7 +69,7 @@ pub fn sections(runs: &[AppRun], opts: &WatchOptions) -> Result<Vec<WatchSection
             if buckets > MAX_BUCKETS {
                 let (window, app) = (opts.window_s, run.app);
                 return Err(format!(
-                    "--window {window} s is too fine for {app}: {buckets:.0} buckets, limit {MAX_BUCKETS}"
+                    "--window {window:e} s is too fine for {app}: {buckets:.1e} buckets, limit {MAX_BUCKETS}"
                 ));
             }
             let ic = Monitor::replay(cfg_for(run, opts), &run.ic_trace)?;

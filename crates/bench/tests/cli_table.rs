@@ -281,11 +281,12 @@ fn apps_run_on_their_defaults() {
 #[test]
 fn a_window_too_fine_to_allocate_is_refused() {
     let watch = COMMANDS.iter().find(|c| c.name == "watch").unwrap();
-    let line = rejected(
-        watch,
-        &["linsolve", "--scale", "0.01", "--window", "0.000000001"],
-    );
-    assert!(line.contains("too fine for linsolve"), "{line}");
+    for (given, shown) in [("1e-300", "1e-300"), ("0.000000001", "1e-9")] {
+        let line = rejected(watch, &["linsolve", "--scale", "0.01", "--window", given]);
+        assert!(line.contains("too fine for linsolve"), "{line}");
+        assert!(line.contains(&format!("--window {shown} s")), "{line}");
+        assert!(line.len() < 160, "{} characters: {line}", line.len());
+    }
 }
 
 /// A BENCH file nested past the parser's limit is an unusable input

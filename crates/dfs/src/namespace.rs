@@ -8,7 +8,6 @@
 use crate::placement::BlockPlacement;
 use crate::split::{even_ranges, InputSplit};
 use crate::DEFAULT_BLOCK_SIZE;
-use parking_lot::RwLock;
 use pic_simnet::chaos::ChaosInjector;
 use pic_simnet::hostprof::{self, Stage};
 use pic_simnet::topology::{ClusterSpec, NodeId};
@@ -16,7 +15,7 @@ use pic_simnet::trace::{Payload, Tracer};
 use pic_simnet::traffic::{TrafficClass, TrafficLedger};
 use pic_simnet::transfer;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors from namespace operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,13 +49,13 @@ pub struct FileMeta {
 /// The replica placement every DFS uses (seed 0).
 const PLACEMENT: BlockPlacement = BlockPlacement::new(0);
 
-/// The simulated file system. Cheap to clone handles around the engine:
-/// state is behind an `Arc<RwLock>`.
-#[derive(Debug, Clone)]
+/// The simulated file system. The engine owns the one instance; every
+/// call comes from the thread driving it.
+#[derive(Debug)]
 pub struct Dfs {
     spec: Arc<ClusterSpec>,
     ledger: Arc<TrafficLedger>,
-    files: Arc<RwLock<HashMap<String, FileMeta>>>,
+    files: Mutex<HashMap<String, FileMeta>>,
     tracer: Tracer,
     chaos: ChaosInjector,
 }
@@ -76,10 +75,17 @@ impl Dfs {
         Dfs {
             spec,
             ledger,
-            files: Arc::new(RwLock::new(HashMap::new())),
+            files: Mutex::default(),
             tracer,
             chaos,
         }
+    }
+
+    /// The namespace. Every update inserts, removes or swaps one entry and
+    /// leaves it valid, so a poisoned lock is recovered: a panic in one
+    /// call must not wedge every later one.
+    fn files(&self) -> MutexGuard<'_, HashMap<String, FileMeta>> {
+        self.files.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The cluster this DFS runs on.
@@ -95,21 +101,22 @@ impl Dfs {
     /// Create `path` with `bytes` of content written from `writer`,
     /// charged to traffic class `class` (use [`TrafficClass::DfsWrite`] for
     /// job output, [`TrafficClass::ModelUpdate`] for model writes —
-    /// distinguishing them is how Table II gets its two rows). Returns the
-    /// simulated seconds the write pipeline takes.
+    /// distinguishing them is how Table II gets its two rows). The write
+    /// starts at simulated time `t0`, the caller's clock: the charge is
+    /// windowed from there and a degradation window covering `t0`
+    /// stretches it. Returns the simulated seconds the write pipeline
+    /// takes.
     pub fn create(
         &self,
         path: &str,
         bytes: u64,
         writer: NodeId,
         class: TrafficClass,
+        t0: f64,
     ) -> Result<f64, DfsError> {
         let _hp = hostprof::scope_bytes(Stage::DfsSerialization, bytes);
-        {
-            let files = self.files.read();
-            if files.contains_key(path) {
-                return Err(DfsError::AlreadyExists(path.to_string()));
-            }
+        if self.files().contains_key(path) {
+            return Err(DfsError::AlreadyExists(path.to_string()));
         }
         let n_blocks = bytes.div_ceil(DEFAULT_BLOCK_SIZE).max(1);
         let mut blocks = Vec::with_capacity(n_blocks as usize);
@@ -122,7 +129,6 @@ impl Dfs {
         // "bytes written".
         let copies = self.spec.replication.min(self.spec.nodes) as u64;
         let (mut secs, _net) = transfer::dfs_write(&self.spec, bytes);
-        let t0 = self.tracer.now();
         secs *= self.chaos.degradation_factor(t0);
         self.ledger.add_over(class, bytes * copies, t0, t0 + secs);
         self.tracer.instant(
@@ -135,7 +141,7 @@ impl Dfs {
                 ("class".to_string(), Payload::Str(class.label().to_string())),
             ],
         );
-        self.files.write().insert(
+        self.files().insert(
             path.to_string(),
             FileMeta {
                 size: bytes,
@@ -145,18 +151,25 @@ impl Dfs {
         Ok(secs)
     }
 
-    /// Replace `path` (delete + create). Model files are overwritten every
-    /// iteration, so this is the common write path for drivers.
-    pub fn overwrite(&self, path: &str, bytes: u64, writer: NodeId, class: TrafficClass) -> f64 {
-        self.files.write().remove(path);
-        self.create(path, bytes, writer, class)
+    /// Replace `path` (delete + create, starting at `t0`). Model files are
+    /// overwritten every iteration, so this is the common write path for
+    /// drivers.
+    pub fn overwrite(
+        &self,
+        path: &str,
+        bytes: u64,
+        writer: NodeId,
+        class: TrafficClass,
+        t0: f64,
+    ) -> f64 {
+        self.files().remove(path);
+        self.create(path, bytes, writer, class, t0)
             .expect("create after remove cannot collide")
     }
 
     /// Logical size of `path`.
     pub fn len(&self, path: &str) -> Result<u64, DfsError> {
-        self.files
-            .read()
+        self.files()
             .get(path)
             .map(|m| m.size)
             .ok_or_else(|| DfsError::NotFound(path.to_string()))
@@ -164,13 +177,13 @@ impl Dfs {
 
     /// True if `path` exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.read().contains_key(path)
+        self.files().contains_key(path)
     }
 
     /// Compute `n` input splits for `path`, each annotated with the hosts
     /// of the block its midpoint falls in.
     pub fn splits(&self, path: &str, n: usize) -> Result<Vec<InputSplit>, DfsError> {
-        let files = self.files.read();
+        let files = self.files();
         let meta = files
             .get(path)
             .ok_or_else(|| DfsError::NotFound(path.to_string()))?;
@@ -201,7 +214,7 @@ impl Dfs {
     /// not placed on other casualties.
     pub fn rereplicate_after_crash(&self, node: NodeId, at_s: f64, dead: &[NodeId]) -> u64 {
         let mut moved = 0u64;
-        let mut files = self.files.write();
+        let mut files = self.files();
         for meta in files.values_mut() {
             let mut remaining = meta.size;
             for replicas in &mut meta.blocks {
@@ -246,8 +259,7 @@ impl Dfs {
 
     /// Full metadata for `path` (used by tests and reports).
     pub fn stat(&self, path: &str) -> Result<FileMeta, DfsError> {
-        self.files
-            .read()
+        self.files()
             .get(path)
             .cloned()
             .ok_or_else(|| DfsError::NotFound(path.to_string()))
@@ -273,7 +285,7 @@ mod tests {
     fn create_roundtrip() {
         let (dfs, _l) = mk(ClusterSpec::small());
         let secs = dfs
-            .create("/in/points", 1_000_000, 0, TrafficClass::DfsWrite)
+            .create("/in/points", 1_000_000, 0, TrafficClass::DfsWrite, 0.0)
             .unwrap();
         assert!(secs > 0.0);
         assert!(dfs.exists("/in/points"));
@@ -283,9 +295,10 @@ mod tests {
     #[test]
     fn duplicate_create_rejected() {
         let (dfs, _l) = mk(ClusterSpec::small());
-        dfs.create("/f", 10, 0, TrafficClass::DfsWrite).unwrap();
+        dfs.create("/f", 10, 0, TrafficClass::DfsWrite, 0.0)
+            .unwrap();
         assert_eq!(
-            dfs.create("/f", 10, 0, TrafficClass::DfsWrite),
+            dfs.create("/f", 10, 0, TrafficClass::DfsWrite, 0.0),
             Err(DfsError::AlreadyExists("/f".into()))
         );
     }
@@ -293,14 +306,15 @@ mod tests {
     #[test]
     fn write_charges_replicated_bytes() {
         let (dfs, l) = mk(ClusterSpec::small()); // replication 3
-        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite).unwrap();
+        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite, 0.0)
+            .unwrap();
         assert_eq!(l.get(TrafficClass::DfsWrite), 3000);
     }
 
     #[test]
     fn model_write_charges_model_class() {
         let (dfs, l) = mk(ClusterSpec::small());
-        dfs.create("/model", 500, 2, TrafficClass::ModelUpdate)
+        dfs.create("/model", 500, 2, TrafficClass::ModelUpdate, 0.0)
             .unwrap();
         assert_eq!(l.get(TrafficClass::ModelUpdate), 1500);
         assert_eq!(l.get(TrafficClass::DfsWrite), 0);
@@ -309,8 +323,9 @@ mod tests {
     #[test]
     fn overwrite_replaces() {
         let (dfs, _l) = mk(ClusterSpec::small());
-        dfs.create("/m", 100, 0, TrafficClass::ModelUpdate).unwrap();
-        dfs.overwrite("/m", 250, 1, TrafficClass::ModelUpdate);
+        dfs.create("/m", 100, 0, TrafficClass::ModelUpdate, 0.0)
+            .unwrap();
+        dfs.overwrite("/m", 250, 1, TrafficClass::ModelUpdate, 0.0);
         assert_eq!(dfs.len("/m").unwrap(), 250);
     }
 
@@ -318,7 +333,7 @@ mod tests {
     fn multi_block_files_place_every_block() {
         let (dfs, _l) = mk(ClusterSpec::medium());
         let bytes = 9 * DEFAULT_BLOCK_SIZE + 1;
-        dfs.create("/big", bytes, 0, TrafficClass::DfsWrite)
+        dfs.create("/big", bytes, 0, TrafficClass::DfsWrite, 0.0)
             .unwrap();
         let meta = dfs.stat("/big").unwrap();
         assert_eq!(meta.blocks.len(), 10);
@@ -330,7 +345,7 @@ mod tests {
     #[test]
     fn splits_cover_file_and_carry_hosts() {
         let (dfs, _l) = mk(ClusterSpec::medium());
-        dfs.create("/in", 1_000_000, 5, TrafficClass::DfsWrite)
+        dfs.create("/in", 1_000_000, 5, TrafficClass::DfsWrite, 0.0)
             .unwrap();
         let splits = dfs.splits("/in", 8).unwrap();
         assert_eq!(splits.len(), 8);
@@ -344,7 +359,8 @@ mod tests {
     #[test]
     fn empty_file_still_has_one_block() {
         let (dfs, _l) = mk(ClusterSpec::small());
-        dfs.create("/empty", 0, 0, TrafficClass::DfsWrite).unwrap();
+        dfs.create("/empty", 0, 0, TrafficClass::DfsWrite, 0.0)
+            .unwrap();
         let meta = dfs.stat("/empty").unwrap();
         assert_eq!(meta.blocks.len(), 1);
     }
@@ -352,7 +368,8 @@ mod tests {
     #[test]
     fn rereplication_restores_copies_and_charges_recovery() {
         let (dfs, l) = mk(ClusterSpec::small()); // replication 3
-        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite).unwrap();
+        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite, 0.0)
+            .unwrap();
         let before = dfs.stat("/f").unwrap();
         let victim = before.blocks[0][0];
         let moved = dfs.rereplicate_after_crash(victim, 5.0, &[victim]);
@@ -366,7 +383,8 @@ mod tests {
     #[test]
     fn rereplication_skips_nodes_without_replicas() {
         let (dfs, l) = mk(ClusterSpec::small());
-        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite).unwrap();
+        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite, 0.0)
+            .unwrap();
         let holders = dfs.stat("/f").unwrap().blocks[0].clone();
         let outsider = (0..6).find(|n| !holders.contains(n)).unwrap();
         assert_eq!(dfs.rereplicate_after_crash(outsider, 1.0, &[outsider]), 0);
@@ -395,10 +413,10 @@ mod tests {
             chaos,
         );
         let s_clean = clean
-            .create("/f", 1_000_000, 0, TrafficClass::DfsWrite)
+            .create("/f", 1_000_000, 0, TrafficClass::DfsWrite, 0.0)
             .unwrap();
         let s_slow = slow
-            .create("/f", 1_000_000, 0, TrafficClass::DfsWrite)
+            .create("/f", 1_000_000, 0, TrafficClass::DfsWrite, 0.0)
             .unwrap();
         assert!(
             (s_slow - s_clean * 4.0).abs() < 1e-9,

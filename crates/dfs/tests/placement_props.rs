@@ -67,7 +67,7 @@ proptest! {
             Tracer::disabled(),
             ChaosInjector::idle(),
         );
-        dfs.create("/prop/w", bytes, writer, TrafficClass::ModelUpdate).unwrap();
+        dfs.create("/prop/w", bytes, writer, TrafficClass::ModelUpdate, 0.0).unwrap();
         prop_assert_eq!(ledger.get(TrafficClass::ModelUpdate), bytes * 3);
         let splits = dfs.splits("/prop/w", n_splits).unwrap();
         prop_assert_eq!(splits.len(), n_splits);

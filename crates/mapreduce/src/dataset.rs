@@ -48,7 +48,7 @@ impl<I: Value> Dataset<I> {
         let total_bytes: u64 = records.iter().map(ByteSize::byte_size).sum();
         engine
             .dfs()
-            .create(name, total_bytes, 0, TrafficClass::DfsWrite)
+            .create(name, total_bytes, 0, TrafficClass::DfsWrite, engine.now())
             .unwrap_or_else(|e| panic!("dataset create failed: {e}"));
         let file_splits = engine
             .dfs()

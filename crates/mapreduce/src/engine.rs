@@ -5,7 +5,6 @@ use crate::job::JobConfig;
 use crate::kv;
 use crate::stats::{JobResult, JobStats};
 use crate::traits::{Combiner, DynCombiner, MapContext, Mapper, ReduceContext, Reducer};
-use parking_lot::Mutex;
 use pic_dfs::Dfs;
 use pic_simnet::chaos::{ChaosInjector, FaultPlan};
 use pic_simnet::hostprof::{self, Stage};
@@ -27,7 +26,7 @@ pub struct Engine {
     spec: Arc<ClusterSpec>,
     ledger: Arc<TrafficLedger>,
     dfs: Dfs,
-    clock: Arc<Mutex<SimClock>>,
+    clock: Arc<SimClock>,
     tracer: Tracer,
     chaos: ChaosInjector,
 }
@@ -50,10 +49,10 @@ impl Engine {
         Self::build(spec, |_| Tracer::disabled())
     }
 
-    fn build(spec: ClusterSpec, tracer: impl FnOnce(Arc<Mutex<SimClock>>) -> Tracer) -> Self {
+    fn build(spec: ClusterSpec, tracer: impl FnOnce(Arc<SimClock>) -> Tracer) -> Self {
         spec.validate().expect("invalid cluster spec");
         let spec = Arc::new(spec);
-        let clock = Arc::new(Mutex::new(SimClock::new()));
+        let clock = Arc::new(SimClock::new());
         let tracer = tracer(Arc::clone(&clock));
         let ledger = Arc::new(TrafficLedger::traced(tracer.clone()));
         let chaos = ChaosInjector::idle();
@@ -90,18 +89,18 @@ impl Engine {
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        self.clock.lock().now()
+        self.clock.now()
     }
 
     /// Advance simulated time (drivers use this for driver-side work).
     pub fn advance(&self, dt: f64) {
-        self.clock.lock().advance(dt);
+        self.clock.advance(dt);
     }
 
     /// Reset clock, ledger, trace and any armed fault plan (between
     /// independent experiments).
     pub fn reset(&self) {
-        self.clock.lock().reset();
+        self.clock.reset();
         self.ledger.reset();
         self.tracer.clear();
         self.chaos.disarm();
@@ -174,7 +173,7 @@ impl Engine {
     /// charge itself.
     pub fn write_model(&self, path: &str, bytes: u64, writer: NodeId, class: TrafficClass) {
         let t0 = self.now();
-        let secs = self.dfs.overwrite(path, bytes, writer, class);
+        let secs = self.dfs.overwrite(path, bytes, writer, class, t0);
         let args = vec![
             ("bytes".to_string(), Payload::U64(bytes)),
             ("class".to_string(), Payload::Str(class.label().to_string())),
@@ -773,6 +772,16 @@ mod tests {
         JobConfig::new(name).timing(Timing::default_analytic())
     }
 
+    /// `stats` without their host wall-clock fields.
+    fn simulated(stats: JobStats) -> JobStats {
+        JobStats {
+            host_map_s: 0.0,
+            host_partition_s: 0.0,
+            host_reduce_s: 0.0,
+            ..stats
+        }
+    }
+
     #[test]
     fn untraced_engine_counts_bytes_but_records_nothing() {
         let engine = Engine::untraced(ClusterSpec::small());
@@ -791,6 +800,25 @@ mod tests {
         assert!(trace.instants.is_empty());
         // The ledger still counts, trace or no trace.
         assert!(engine.traffic().get(TrafficClass::MapSpill) > 0);
+    }
+
+    #[test]
+    fn tracing_only_observes_the_simulation() {
+        /// Clock, stats without their wall-clock fields, and ledger after
+        /// a job and a model write inside a link-degradation window.
+        fn degraded_run(engine: Engine) -> (f64, String, TrafficSnapshot) {
+            let plan = FaultPlan::new(0).degrade_links(4.0, 1.0, 1e9);
+            engine.arm_chaos(&plan).unwrap();
+            engine.advance(2.0);
+            let ds = Dataset::create(&engine, "/in", (0u64..100).collect(), 4);
+            let r = engine.run(&analytic("job"), &ds, &mapper_mod(), &reducer_sum());
+            engine.write_model("/model", 10_000_000, 0, TrafficClass::ModelUpdate);
+            let stats = simulated(r.stats);
+            (engine.now(), format!("{stats:?}"), engine.traffic())
+        }
+        let traced = degraded_run(Engine::new(ClusterSpec::small()));
+        let untraced = degraded_run(Engine::untraced(ClusterSpec::small()));
+        assert_eq!(traced, untraced);
     }
 
     #[test]
@@ -931,13 +959,7 @@ mod tests {
             let ds = Dataset::create(&engine, "/nums", (0..1000u64).collect(), 4);
             let cfg = analytic("comb").reducers(3);
             let res = engine.run_with_combiner(&cfg, &ds, mapper, &sum_combiner(), &reducer_sum());
-            let stats = JobStats {
-                host_map_s: 0.0,
-                host_partition_s: 0.0,
-                host_reduce_s: 0.0,
-                ..res.stats
-            };
-            (res.output, stats, engine.traffic())
+            (res.output, simulated(res.stats), engine.traffic())
         }
         let (out, stats, traffic) = counted(&CountMapper { folds: true });
         assert_eq!(stats.map_output_records, 1000);

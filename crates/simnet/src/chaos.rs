@@ -18,9 +18,7 @@
 //! elastic resize (which changes the partitioning) may change the numbers.
 //! The scenario suite in `tests/fault_tolerance.rs` pins these invariants.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::{check, Payload, Trace, Tracer};
@@ -282,8 +280,9 @@ struct Armed {
 
 /// Runtime handle consulted by the engine, DFS and drivers during replay.
 ///
-/// Cloning shares state: the engine hands clones to the DFS and drivers so
-/// one armed plan is seen consistently everywhere. An unarmed injector is
+/// Cloning shares state — one `Mutex` over the armed plan: the engine
+/// hands clones to the DFS and drivers so one armed plan is seen
+/// consistently everywhere. An unarmed injector is
 /// free to query — every method takes its fast path and reports "no fault".
 #[derive(Debug, Clone, Default)]
 pub struct ChaosInjector {
@@ -294,6 +293,13 @@ impl ChaosInjector {
     /// An injector with no plan armed — all queries are no-ops.
     pub fn idle() -> Self {
         Self::default()
+    }
+
+    /// The armed plan. Every update is a flag or counter write that leaves
+    /// it valid, so a poisoned lock is recovered: a panic while one clone
+    /// held it must not wedge the others.
+    fn armed(&self) -> MutexGuard<'_, Option<Armed>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Arm `plan` against `spec`, validating it first and resolving
@@ -376,7 +382,7 @@ impl ChaosInjector {
                 .expect("crash times are finite")
                 .then(a.node.cmp(&b.node))
         });
-        *self.inner.lock() = Some(Armed {
+        *self.armed() = Some(Armed {
             crashes,
             windows,
             resizes,
@@ -388,18 +394,18 @@ impl ChaosInjector {
 
     /// Drop the armed plan; subsequent queries are no-ops.
     pub fn disarm(&self) {
-        *self.inner.lock() = None;
+        *self.armed() = None;
     }
 
     /// True if a plan is armed.
     pub fn is_armed(&self) -> bool {
-        self.inner.lock().is_some()
+        self.armed().is_some()
     }
 
     /// How many fault events have actually been injected so far (crash
     /// instants fired, windows announced, resizes applied).
     pub fn injected_events(&self) -> usize {
-        self.inner.lock().as_ref().map_or(0, |a| a.injected)
+        self.armed().as_ref().map_or(0, |a| a.injected)
     }
 
     /// The crash schedule a scheduling round starting at `t0` must
@@ -411,7 +417,7 @@ impl ChaosInjector {
     /// [`ChaosInjector::commit_failures`] after the round is final to
     /// fire instants.
     pub fn peek_failures(&self, t0: f64, t1: f64) -> Vec<(NodeId, f64)> {
-        let g = self.inner.lock();
+        let g = self.armed();
         let Some(a) = g.as_ref() else {
             return Vec::new();
         };
@@ -430,7 +436,7 @@ impl ChaosInjector {
     /// instants must not escape the enclosing span either. The true
     /// crash time survives as the instant's `at_s` arg.
     pub fn commit_failures(&self, t1: f64, emit_t0: f64, emit_t1: f64) -> Vec<(NodeId, f64)> {
-        let mut g = self.inner.lock();
+        let mut g = self.armed();
         let Some(a) = g.as_mut() else {
             return Vec::new();
         };
@@ -461,7 +467,7 @@ impl ChaosInjector {
     /// `link-degraded` instant at the query time (emitting at the
     /// window edge could escape the enclosing span).
     pub fn degradation_factor(&self, t: f64) -> f64 {
-        let mut g = self.inner.lock();
+        let mut g = self.armed();
         let Some(a) = g.as_mut() else {
             return 1.0;
         };
@@ -494,7 +500,7 @@ impl ChaosInjector {
     /// `(partitions, nodes)`. Emits an `elastic-resize` instant at the
     /// tracer's current time.
     pub fn resize_after(&self, iteration: usize) -> Option<(usize, usize)> {
-        let mut g = self.inner.lock();
+        let mut g = self.armed();
         let a = g.as_mut()?;
         let r = a
             .resizes

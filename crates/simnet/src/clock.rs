@@ -4,21 +4,29 @@
 //! only ever moves forward; phases advance it by the makespan the
 //! [`crate::scheduler`] or the [`crate::transfer`] models compute.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// A monotonically non-decreasing simulated clock, in seconds.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Lock-free: the seconds live in an [`AtomicU64`] as `f64` bits, so the
+/// engine and its tracer share one `Arc<SimClock>` and every method takes
+/// `&self`. [`SimClock::advance`] is a load then a store, so the clock
+/// has one writer: the thread driving the engine. `Relaxed` suffices, as
+/// the seconds publish no other data.
+#[derive(Debug, Default)]
 pub struct SimClock {
-    now: f64,
+    bits: AtomicU64,
 }
 
 impl SimClock {
     /// A clock at t = 0.
     pub fn new() -> Self {
-        SimClock { now: 0.0 }
+        Self::default()
     }
 
     /// Current simulated time in seconds since the clock was created.
     pub fn now(&self) -> f64 {
-        self.now
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
     /// Advance by `dt` seconds.
@@ -27,17 +35,18 @@ impl SimClock {
     /// Panics if `dt` is negative or not finite — a negative advance always
     /// indicates a bug in a time model, and silently clamping would corrupt
     /// every downstream report.
-    pub fn advance(&mut self, dt: f64) {
+    pub fn advance(&self, dt: f64) {
         assert!(
             dt.is_finite() && dt >= 0.0,
             "clock advance must be finite and non-negative (got {dt})"
         );
-        self.now += dt;
+        self.bits
+            .store((self.now() + dt).to_bits(), Ordering::Relaxed);
     }
 
     /// Reset to t = 0 (used between independent experiment runs).
-    pub fn reset(&mut self) {
-        self.now = 0.0;
+    pub fn reset(&self) {
+        self.bits.store(0.0f64.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -47,7 +56,7 @@ mod tests {
 
     #[test]
     fn starts_at_zero_and_accumulates() {
-        let mut c = SimClock::new();
+        let c = SimClock::new();
         assert_eq!(c.now(), 0.0);
         c.advance(1.5);
         c.advance(0.0);
@@ -63,7 +72,7 @@ mod tests {
 
     #[test]
     fn reset_returns_to_zero() {
-        let mut c = SimClock::new();
+        let c = SimClock::new();
         c.advance(3.0);
         c.reset();
         assert_eq!(c.now(), 0.0);

@@ -321,7 +321,7 @@ impl Monitor {
         };
         if grid > MAX_BUCKETS {
             return Err(format!(
-                "monitor: window_s {} s is too fine for a {horizon} s run: over {MAX_BUCKETS} buckets",
+                "monitor: window_s {:e} s is too fine for a {horizon} s run: {grid:.1e} buckets, over {MAX_BUCKETS}",
                 cfg.window_s
             ));
         }
@@ -860,15 +860,8 @@ impl MonitorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
     use crate::trace::{Payload, Tracer};
     use crate::traffic::TrafficLedger;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-
-    fn tracer() -> Tracer {
-        Tracer::new(Arc::new(Mutex::new(SimClock::new())))
-    }
 
     fn cfg() -> MonitorConfig {
         MonitorConfig::new(ClusterSpec::small())
@@ -914,7 +907,7 @@ mod tests {
     /// refused with an error, not an overflow or an empty report.
     #[test]
     fn a_window_finer_than_the_bucket_limit_is_refused() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         quality_at(&t, 0.5, 10.0);
         t.end_at(root, 10.0);
@@ -925,6 +918,8 @@ mod tests {
             c.window_s = window_s;
             let err = Monitor::replay(c, &t.trace()).unwrap_err();
             assert!(err.contains("too fine"), "{window_s:e}: {err}");
+            assert!(err.contains(&format!("window_s {window_s:e} s")), "{err}");
+            assert!(err.len() < 160, "{} characters: {err}", err.len());
         }
     }
 
@@ -932,7 +927,7 @@ mod tests {
     /// order they were recorded in; earlier times still sort first.
     #[test]
     fn equal_time_instants_keep_recording_order() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         for obj in [3.0, 2.0, 1.0] {
             quality_at(&t, 1.0, obj);
@@ -952,7 +947,7 @@ mod tests {
     /// incidents.
     #[test]
     fn empty_run_is_quiet() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let r = Monitor::replay(cfg(), &t.trace()).unwrap();
         assert_eq!(r.buckets, 0);
         assert!(r.incidents.is_empty());
@@ -964,7 +959,7 @@ mod tests {
     /// than the run fires nothing.
     #[test]
     fn single_sample_and_window_longer_than_run() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         quality_at(&t, 0.5, 10.0);
         t.end_at(root, 1.0);
@@ -980,7 +975,7 @@ mod tests {
     /// incidents even on a long run.
     #[test]
     fn rule_that_never_fires_stays_quiet() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         for i in 0..100 {
             quality_at(&t, i as f64, 100.0 - i as f64); // steady improvement
@@ -994,7 +989,7 @@ mod tests {
 
     #[test]
     fn stall_fires_on_a_quality_gap_and_reports_the_gap() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         quality_at(&t, 1.0, 10.0);
         quality_at(&t, 2.0, 9.0);
@@ -1017,7 +1012,7 @@ mod tests {
     /// under the default 5 s window but not under a 20 s one.
     #[test]
     fn stall_gap_is_measured_against_the_configured_window() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         quality_at(&t, 1.0, 10.0);
         quality_at(&t, 11.0, 9.0); // 10 s without improvement
@@ -1034,7 +1029,7 @@ mod tests {
 
     #[test]
     fn divergence_fires_on_a_sustained_rise() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         quality_at(&t, 0.0, 5.0);
         for i in 0..8 {
@@ -1056,7 +1051,7 @@ mod tests {
 
     #[test]
     fn saturation_fires_only_when_sustained() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
         let spec = ClusterSpec::small();
@@ -1081,7 +1076,7 @@ mod tests {
         assert!(r.reconcile(&ledger.snapshot()).is_ok());
 
         // A sub-window burst stays quiet.
-        let t = tracer();
+        let t = Tracer::standalone();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
         ledger.add_over(
@@ -1101,7 +1096,7 @@ mod tests {
 
     #[test]
     fn straggler_tail_fires_per_wave() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         let wave_arg = |w: u64| vec![("wave".to_string(), Payload::U64(w))];
         // Wave 0: balanced. Wave 1: one task 5× the p50.
@@ -1142,7 +1137,7 @@ mod tests {
 
     #[test]
     fn recovery_storm_and_fault_fire_under_chaos() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
         t.instant_at_in(
@@ -1164,7 +1159,7 @@ mod tests {
         assert!(r.reconcile(&ledger.snapshot()).is_ok());
 
         // The clean twin of the same run opens nothing.
-        let t = tracer();
+        let t = Tracer::standalone();
         let _ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
         t.end_at(root, 10.0);
@@ -1176,7 +1171,7 @@ mod tests {
     /// deterministically (by rule name) and both survive.
     #[test]
     fn two_rules_closing_at_the_same_instant() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
         t.instant_at_in(
@@ -1208,7 +1203,7 @@ mod tests {
     /// class, on awkward windows.
     #[test]
     fn window_integrals_reconcile_exactly() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
         ledger.add_over(crate::traffic::TrafficClass::ShuffleBisection, 7, 0.1, 9.7);
@@ -1232,7 +1227,7 @@ mod tests {
 
     #[test]
     fn summary_and_full_json_serialize() {
-        let t = tracer();
+        let t = Tracer::standalone();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
         t.instant_at_in(

@@ -1272,11 +1272,10 @@ mod tests {
     use super::*;
     use crate::clock::SimClock;
     use crate::trace::{Payload, Tracer};
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
-    fn tracer() -> (Tracer, Arc<Mutex<SimClock>>) {
-        let clock = Arc::new(Mutex::new(SimClock::new()));
+    fn tracer() -> (Tracer, Arc<SimClock>) {
+        let clock = Arc::new(SimClock::new());
         (Tracer::new(Arc::clone(&clock)), clock)
     }
 
@@ -1298,7 +1297,7 @@ mod tests {
         let b = t.begin_at("b", "phase", 4.0);
         t.span_at_in("x-slot-0", "b1", "task", 5.0, 8.0, Vec::new());
         t.end_at(b, 9.0);
-        clock.lock().advance(10.0);
+        clock.advance(10.0);
         t.end(root);
         t.trace()
     }
@@ -1354,7 +1353,7 @@ mod tests {
         let root = t.begin("root", "job");
         t.span_at("sort", "phase", 1.0, 1.0, Vec::new());
         t.span_at("sort2", "phase", 1.0, 1.0, Vec::new());
-        clock.lock().advance(2.0);
+        clock.advance(2.0);
         t.end(root);
         let cp = CriticalPath::from_trace(&t.trace()).unwrap();
         assert!((cp.total_s - 2.0).abs() < 1e-12);
@@ -1369,7 +1368,7 @@ mod tests {
         let root = t.begin("root", "job");
         t.span_at("c1", "phase", 0.0, 6.0, Vec::new());
         t.span_at("c2", "phase", 2.0, 5.0, Vec::new());
-        clock.lock().advance(6.0);
+        clock.advance(6.0);
         t.end(root);
         let cp = CriticalPath::from_trace(&t.trace()).unwrap();
         assert!((cp.total_s - 6.0).abs() < 1e-12);
@@ -1391,7 +1390,7 @@ mod tests {
         t.span_at_in("x-slot-0", "t1", "task", 3.0, 6.0, Vec::new());
         t.span_at_in("x-slot-1", "t2", "task", 3.0, 6.0, Vec::new());
         t.end_at(tied, 6.0);
-        clock.lock().advance(6.0);
+        clock.advance(6.0);
         t.end(root);
         let cp = CriticalPath::from_trace(&t.trace()).unwrap();
         let only = cp.segments.iter().find(|s| s.name == "only").unwrap();
@@ -1434,7 +1433,7 @@ mod tests {
             t.span_at_in("x-slot-0", first, "task", 0.0, 2.0, Vec::new());
             t.span_at_in("x-slot-1", second, "task", 0.0, 4.0, Vec::new());
             t.end_at(a, 4.0);
-            clock.lock().advance(5.0);
+            clock.advance(5.0);
             t.end(root);
             CriticalPath::from_trace(&t.trace()).unwrap().by_cat_s()
         };
@@ -1621,12 +1620,12 @@ mod tests {
         t.set_arg(be, "iteration", Payload::U64(1));
         t.traffic_event_over(TrafficClass::Broadcast, 10, 0.0, 0.0);
         t.traffic_event_over(TrafficClass::Merge, 20, 0.0, 1.0);
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(be);
         let top = t.begin("topoff-1", "topoff");
         t.traffic_event_over(TrafficClass::ShuffleRack, 30, 1.0, 3.0);
         t.traffic_event_over(TrafficClass::ModelUpdate, 40, 1.0, 1.0);
-        clock.lock().advance(2.0);
+        clock.advance(2.0);
         t.end(top);
         t.end(root);
         let tr = t.trace();
@@ -1653,7 +1652,7 @@ mod tests {
     fn iteration_index_falls_back_to_name_suffix() {
         let (t, clock) = tracer();
         let it = t.begin("topoff-7", "topoff");
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(it);
         let r = PerfReport::from_trace(&t.trace());
         assert_eq!(r.iterations[0].index, 7);
@@ -1698,7 +1697,7 @@ mod tests {
         let root = t.begin("pic:app", "driver");
         let be = t.begin("be-1", "be-iteration");
         t.traffic_event_over(TrafficClass::Broadcast, 10, 0.0, 0.0);
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(be);
         t.end(root);
         let r = PerfReport::from_trace(&t.trace());

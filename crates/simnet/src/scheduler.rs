@@ -519,15 +519,12 @@ mod tests {
 
     #[test]
     fn emit_task_spans_labels_slot_lanes() {
-        use crate::clock::SimClock;
         use crate::trace::{check, Tracer};
-        use parking_lot::Mutex;
-        use std::sync::Arc;
 
         let spec = ClusterSpec::single();
         let tasks = vec![TaskSpec::compute(1.0), TaskSpec::compute(2.0)];
         let out = SlotScheduler::new(&spec).schedule(&tasks, 1, 0..1);
-        let tracer = Tracer::new(Arc::new(Mutex::new(SimClock::new())));
+        let tracer = Tracer::standalone();
         out.emit_task_spans(&tracer, 5.0, "map");
         let trace = tracer.trace();
         assert_eq!(trace.spans.len(), 2);

@@ -38,10 +38,9 @@
 use crate::clock::SimClock;
 use crate::sweep::collect_charges;
 use crate::traffic::{TrafficClass, TrafficSnapshot};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a recorded span, unique within one [`Tracer`] epoch
 /// (i.e. until [`Tracer::clear`]).
@@ -184,8 +183,17 @@ struct State {
 
 #[derive(Debug)]
 struct Shared {
-    clock: Arc<Mutex<SimClock>>,
+    clock: Arc<SimClock>,
     state: Mutex<State>,
+}
+
+impl Shared {
+    /// The recorded state. Every update is a push or a field write that
+    /// leaves it valid, so a poisoned lock is recovered: a panic in one
+    /// traced call must not wedge every later one.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A cloneable handle recording spans and events against a shared
@@ -198,8 +206,9 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer recording against `clock`.
-    pub fn new(clock: Arc<Mutex<SimClock>>) -> Self {
+    /// A tracer stamping with `clock`, the engine's shared simulated
+    /// clock (the tracer only reads it).
+    pub fn new(clock: Arc<SimClock>) -> Self {
         Tracer {
             inner: Some(Arc::new(Shared {
                 clock,
@@ -217,7 +226,7 @@ impl Tracer {
     /// standalone scheduler replays and tests where no engine clock
     /// exists (all explicit-time methods still work).
     pub fn standalone() -> Self {
-        Tracer::new(Arc::new(Mutex::new(SimClock::new())))
+        Tracer::new(Arc::default())
     }
 
     /// True when this handle records.
@@ -225,15 +234,16 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Current simulated time (0.0 when disabled).
-    pub fn now(&self) -> f64 {
-        self.inner.as_ref().map_or(0.0, |sh| sh.clock.lock().now())
+    /// Current simulated time (0.0 when disabled) — a stamp for records,
+    /// never an input to the simulation: that reads the engine's clock.
+    pub(crate) fn now(&self) -> f64 {
+        self.inner.as_ref().map_or(0.0, |sh| sh.clock.now())
     }
 
     /// Drop everything recorded so far (between independent runs).
     pub fn clear(&self) {
         if let Some(sh) = &self.inner {
-            *sh.state.lock() = State::default();
+            *sh.state() = State::default();
         }
     }
 
@@ -241,7 +251,7 @@ impl Tracer {
     /// span stack; subsequent spans/instants become its children until
     /// [`Tracer::end`].
     pub fn begin(&self, name: impl Into<String>, cat: &'static str) -> SpanId {
-        // Early-out before touching the clock lock or converting `name`:
+        // Early-out before reading the clock or converting `name`:
         // this path is hot in benches that run with tracing disabled.
         if self.inner.is_none() {
             return SpanId(0);
@@ -255,7 +265,7 @@ impl Tracer {
         let Some(sh) = &self.inner else {
             return SpanId(0);
         };
-        let mut st = sh.state.lock();
+        let mut st = sh.state();
         let id = SpanId(st.spans.len() as u64);
         let parent = st.stack.last().copied();
         st.spans.push(Span {
@@ -285,7 +295,7 @@ impl Tracer {
     /// `id` and still open are closed at the same instant.
     pub fn end_at(&self, id: SpanId, t1: f64) {
         let Some(sh) = &self.inner else { return };
-        let mut st = sh.state.lock();
+        let mut st = sh.state();
         let Some(pos) = st.stack.iter().rposition(|s| *s == id) else {
             return;
         };
@@ -301,7 +311,7 @@ impl Tracer {
     /// Attach an argument to an already-recorded span.
     pub fn set_arg(&self, id: SpanId, key: impl Into<String>, value: Payload) {
         let Some(sh) = &self.inner else { return };
-        let mut st = sh.state.lock();
+        let mut st = sh.state();
         if let Some(span) = st.spans.get_mut(id.index()) {
             span.args.push((key.into(), value));
         }
@@ -334,7 +344,7 @@ impl Tracer {
         let Some(sh) = &self.inner else {
             return SpanId(0);
         };
-        let mut st = sh.state.lock();
+        let mut st = sh.state();
         let id = SpanId(st.spans.len() as u64);
         let parent = st.stack.last().copied();
         st.spans.push(Span {
@@ -376,7 +386,7 @@ impl Tracer {
         args: Args,
     ) {
         let Some(sh) = &self.inner else { return };
-        let mut st = sh.state.lock();
+        let mut st = sh.state();
         let parent = st.stack.last().copied();
         st.instants.push(InstantEvent {
             parent,
@@ -422,8 +432,8 @@ impl Tracer {
         let Some(sh) = &self.inner else {
             return Trace::default();
         };
-        let now = sh.clock.lock().now();
-        let st = sh.state.lock();
+        let now = sh.clock.now();
+        let st = sh.state();
         let mut spans = st.spans.clone();
         for s in &mut spans {
             if s.t1.is_nan() {
@@ -861,8 +871,8 @@ pub mod check {
 mod tests {
     use super::*;
 
-    fn tracer() -> (Tracer, Arc<Mutex<SimClock>>) {
-        let clock = Arc::new(Mutex::new(SimClock::new()));
+    fn tracer() -> (Tracer, Arc<SimClock>) {
+        let clock = Arc::new(SimClock::new());
         (Tracer::new(Arc::clone(&clock)), clock)
     }
 
@@ -918,12 +928,12 @@ mod tests {
     fn spans_nest_and_parent_links() {
         let (t, clock) = tracer();
         let outer = t.begin("outer", "job");
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         let inner = t.begin("inner", "phase");
         t.instant("tick", "sched", Vec::new());
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(inner);
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(outer);
         let tr = t.trace();
         assert_eq!(tr.spans.len(), 2);
@@ -942,7 +952,7 @@ mod tests {
         let (t, clock) = tracer();
         let outer = t.begin("outer", "job");
         let _inner = t.begin("inner", "phase");
-        clock.lock().advance(2.0);
+        clock.advance(2.0);
         t.end(outer); // inner never ended explicitly
         let tr = t.trace();
         assert_eq!(tr.spans[1].t1, 2.0);
@@ -955,10 +965,10 @@ mod tests {
     fn open_spans_close_in_snapshot_only() {
         let (t, clock) = tracer();
         t.begin("open", "job");
-        clock.lock().advance(5.0);
+        clock.advance(5.0);
         let tr = t.trace();
         assert_eq!(tr.spans[0].t1, 5.0);
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         assert_eq!(t.trace().spans[0].t1, 6.0, "still open in the tracer");
     }
 
@@ -984,7 +994,7 @@ mod tests {
         let outer = t.begin("outer", "job");
         // Child claims to run past its parent's end.
         t.span_at("escapee", "phase", 0.5, 9.0, Vec::new());
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(outer);
         let errs = check::spans_nest(&t.trace()).unwrap_err();
         assert_eq!(errs.len(), 1);
@@ -1027,7 +1037,7 @@ mod tests {
             "sched",
             vec![("task".into(), Payload::U64(3))],
         );
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(job);
         let json = t.trace().to_chrome_json_with_counters(&[]);
         assert!(json.starts_with("{\"traceEvents\":["));
@@ -1049,7 +1059,7 @@ mod tests {
     fn counter_tracks_export_on_their_own_lane() {
         let (t, clock) = tracer();
         let job = t.begin("job", "job");
-        clock.lock().advance(2.0);
+        clock.advance(2.0);
         t.end(job);
         let tracks = vec![CounterTrack {
             name: "util:bisection".to_string(),
@@ -1069,7 +1079,7 @@ mod tests {
     fn quality_instants_export_as_counter_events() {
         let (t, clock) = tracer();
         let it = t.begin("ic-1", "ic");
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.instant(
             "sample",
             "quality",
@@ -1078,7 +1088,7 @@ mod tests {
                 ("objective".into(), Payload::F64(0.25)),
             ],
         );
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(it);
         let tr = t.trace();
         assert_eq!(tr.instants[0].arg_f64("objective"), Some(0.25));
@@ -1096,14 +1106,14 @@ mod tests {
     fn quality_samples_accepts_monotone_in_window_sequences() {
         let (t, clock) = tracer();
         let be = t.begin("be-1", "be-iteration");
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.instant("sample", "quality", Vec::new());
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(be);
         let ic = t.begin("topoff-1", "topoff");
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.instant("sample", "quality", Vec::new());
-        clock.lock().advance(1.0);
+        clock.advance(1.0);
         t.end(ic);
         check::quality_samples(&t.trace()).unwrap();
         check::validate(&t.trace(), &TrafficSnapshot::default()).unwrap();

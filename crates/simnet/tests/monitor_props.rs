@@ -6,11 +6,8 @@
 
 use pic_simnet::monitor::{Monitor, MonitorConfig};
 use pic_simnet::trace::check;
-use pic_simnet::{
-    ClusterSpec, LinkClass, SimClock, Tracer, TrafficClass, TrafficLedger, UtilizationReport,
-};
+use pic_simnet::{ClusterSpec, LinkClass, Tracer, TrafficClass, TrafficLedger, UtilizationReport};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// One random charge: a class, a byte count small enough that even
 /// hundreds of charges cannot overflow `u64`, and an optional window
@@ -29,7 +26,7 @@ fn charge_strategy() -> impl Strategy<Value = RandomCharge> {
 }
 
 fn traced_run(charges: &[RandomCharge]) -> (Tracer, TrafficLedger) {
-    let tracer = Tracer::new(Arc::new(parking_lot::Mutex::new(SimClock::new())));
+    let tracer = Tracer::standalone();
     let ledger = TrafficLedger::traced(tracer.clone());
     let root = tracer.begin_at("run", "driver", 0.0);
     for &(class_idx, bytes, window) in charges {
