@@ -18,7 +18,7 @@ use pic_bench::cli::Failure::{Input, Usage};
 use pic_bench::cli::{self, write_artifact, Command, Failure, Group, Handler, Matches};
 use pic_bench::experiments::common::{cost, BenchApp, Comparison, Workload};
 use pic_bench::experiments::report::{self as perf, SuiteOutputs};
-use pic_bench::experiments::{self, chaos, explain, tenancy, watch, ExperimentCtx};
+use pic_bench::experiments::{self, chaos, explain, watch, ExperimentCtx};
 use pic_bench::json;
 use pic_bench::table::{fmt_bytes, fmt_secs, fmt_x, Table};
 use pic_simnet::{ClusterSpec, Rule, TrafficClass};
@@ -141,63 +141,6 @@ fn chaos(m: &Matches) -> Result<i32, Failure> {
     Ok(0)
 }
 
-/// `--mix a=w,b=w`; `WorkloadSpec::validate` range-checks the weights.
-fn parse_mix(list: &str) -> Result<Vec<(String, f64)>, String> {
-    list.split(',')
-        .map(|pair| {
-            let (app, w) = pair
-                .split_once('=')
-                .ok_or_else(|| "--mix wants app=weight,app=weight".to_string())?;
-            let weight = w
-                .trim()
-                .parse()
-                .map_err(|_| format!("--mix weight '{w}' is not a number"))?;
-            Ok((app.trim().to_string(), weight))
-        })
-        .collect()
-}
-
-/// `pic tenancy`: a seeded multi-tenant stream through the cluster
-/// scheduler; per-job rows plus the time-to-quality percentiles.
-fn tenancy(m: &Matches) -> Result<i32, Failure> {
-    let wl = pic_simnet::tenancy::WorkloadSpec {
-        jobs: m.num("--jobs"),
-        arrival_per_s: m.num("--arrival"),
-        mix: match m.get("--mix") {
-            Some(list) => parse_mix(list)?,
-            None => tenancy::default_workload().mix,
-        },
-        drivers: pic_simnet::tenancy::DriverMix::parse(text(m, "--drivers"))?,
-        scales: m.counts("--scales"),
-        seed: m.num("--seed"),
-    };
-    let report = tenancy::stream(&ctx_of(m), text(m, "--preset"), &wl)?;
-
-    let mut t = Table::new([
-        "job", "app", "driver", "arrive", "admit", "finish", "queued", "tt-qual", "contend",
-        "nodes", "preempt",
-    ]);
-    for r in &report.rows {
-        t.row([
-            &r.id.to_string(),
-            &r.app,
-            &r.driver,
-            &fmt_secs(r.arrival_s),
-            &fmt_secs(r.admitted_s),
-            &fmt_secs(r.finish_s),
-            &fmt_secs(r.queue_delay_s),
-            &fmt_secs(r.tt_quality_s),
-            &fmt_secs(r.contention_s),
-            &format!("{}/{}", r.granted_nodes, r.requested_nodes),
-            &r.preemptions.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("{}", report.render());
-    m.write("--csv", || tenancy::tenancy_csv(&report));
-    Ok(0)
-}
-
 fn load_json(path: &str) -> Result<json::Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
@@ -281,11 +224,18 @@ fn help(_: &Matches) -> Result<i32, Failure> {
 /// `pic regress`: the CI performance-regression gate. Re-runs the report
 /// suite, writes the fresh `BENCH_pic.json`, and diffs it against the
 /// committed baseline under the one band rule of DESIGN.md §9. Exits 0
-/// on a match, 1 on any diff line, 2 on a configuration problem.
+/// on a match, 1 on any diff line, 2 on a configuration problem — a
+/// missing, malformed or other-scale baseline is refused before the
+/// suite runs or anything is written.
 fn regress(m: &Matches) -> Result<i32, Failure> {
     let tag = m.command.tag();
     let ctx = ctx_of(m);
     let baseline_path = text(m, "--baseline");
+    let baseline = if m.on("--update") {
+        None
+    } else {
+        Some(load_baseline(&tag, baseline_path, ctx.scale)?)
+    };
     let outputs = SuiteOutputs {
         json: text(m, "--out"),
         csv: m.get("--csv"),
@@ -296,27 +246,11 @@ fn regress(m: &Matches) -> Result<i32, Failure> {
     };
     let fresh_text = perf::run_suite(&tag, &ctx, m.on("--profile-host"), &outputs)?;
 
-    if m.on("--update") {
+    let Some(baseline) = baseline else {
         write_artifact(&tag, baseline_path, &fresh_text);
         eprintln!("[{tag}] baseline {baseline_path} updated");
         return Ok(0);
-    }
-    let baseline = load_json(baseline_path).map_err(|e| {
-        let scale = ctx.scale;
-        Input(format!(
-            "baseline: {e}\n[{tag}] generate it with: pic regress --update --scale {scale}"
-        ))
-    })?;
-    // A baseline recorded at a different scale would diff everywhere;
-    // refuse up front with a clear message instead.
-    let baseline_scale = baseline.get("scale").and_then(|v| v.as_f64());
-    if baseline_scale != Some(ctx.scale) {
-        return Err(Input(format!(
-            "baseline {baseline_path} was recorded at scale {baseline_scale:?}, this run is at {} \
-             — pass a matching --scale or refresh with --update",
-            ctx.scale
-        )));
-    }
+    };
     let fresh = json::parse(&fresh_text).expect("bench_json emits valid JSON");
     let diffs = json::diff(&baseline, &fresh, json::EPSILON);
     if diffs.is_empty() {
@@ -333,12 +267,37 @@ fn regress(m: &Matches) -> Result<i32, Failure> {
     Ok(1)
 }
 
+/// The baseline `pic regress` diffs against, refused when it cannot be
+/// read or parsed, or was recorded at another scale than `scale`.
+fn load_baseline(tag: &str, path: &str, scale: f64) -> Result<json::Json, Failure> {
+    let baseline = load_json(path).map_err(|e| {
+        Input(format!(
+            "baseline: {e}\n[{tag}] generate it with: pic regress --update --scale {scale}"
+        ))
+    })?;
+    // A baseline recorded at a different scale would diff everywhere;
+    // refuse up front with a clear message instead.
+    let baseline_scale = baseline.get("scale").and_then(|v| v.as_f64());
+    if baseline_scale != Some(scale) {
+        return Err(Input(format!(
+            "baseline {path} was recorded at scale {baseline_scale:?}, this run is at {scale} \
+             — pass a matching --scale or refresh with --update"
+        )));
+    }
+    Ok(baseline)
+}
+
 /// `pic repro`: regenerate the paper's tables and figures.
 fn repro(m: &Matches) -> Result<i32, Failure> {
-    let exps: Vec<&str> = match m.get("--exp") {
+    // The whole list is checked, like every catalog flag, before the
+    // first experiment runs.
+    let exps = match m.get("--exp") {
         None => return Err(Usage("no experiments selected".to_string())),
         Some("all") => experiments::ALL.to_vec(),
-        Some(list) => list.split(',').collect(),
+        Some(list) => {
+            let names: Vec<&str> = list.split(',').collect();
+            cli::canonical("--exp", "experiment", experiments::ALL, &names)?
+        }
     };
     let ctx = ctx_of(m);
     for (idx, name) in exps.iter().enumerate() {
@@ -357,7 +316,7 @@ fn repro(m: &Matches) -> Result<i32, Failure> {
 
 /// `--cluster small | medium | large[:N]`.
 fn cluster_spec(name: &str) -> Result<ClusterSpec, String> {
-    const MAX_NODES: usize = 10_000; // the largest tenancy preset
+    const MAX_NODES: usize = 10_000;
     match name.split_once(':') {
         None if name == "small" => Ok(ClusterSpec::small()),
         None if name == "medium" => Ok(ClusterSpec::medium()),
@@ -520,7 +479,6 @@ fn handler(command: &Command) -> Handler {
         (_, "report") => report,
         (_, "timeline") => timeline,
         (_, "chaos") => chaos,
-        (_, "tenancy") => tenancy,
         (_, "diff") => diff,
         (_, "explain") => explain,
         (_, "watch") => watch,

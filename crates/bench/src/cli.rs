@@ -26,12 +26,10 @@ pub enum Kind {
     NonNegative,
     /// An integer in `1..=max`.
     Count(usize),
-    /// A comma-separated list of integers, each in `1..=max`.
-    Counts(usize),
     /// An integer ≥ 0 (seeds; row limits where 0 means "all").
     U64,
-    /// A path, or a string the command's own constructor validates
-    /// (`--cluster large:N`, `--mix a=w,b=w`).
+    /// A path, or a string the command's own handler validates
+    /// (`--cluster large:N`, `--exp a,b|all`).
     Text,
     /// Comma-separated names of this noun from this catalog; absent
     /// means the whole catalog.
@@ -45,7 +43,6 @@ impl Kind {
             Kind::Positive(max) => format!("a number in (0, {max}]"),
             Kind::NonNegative => "a finite number ≥ 0".into(),
             Kind::Count(max) => format!("an integer in 1..={max}"),
-            Kind::Counts(max) => format!("a comma-separated list of integers in 1..={max}"),
             Kind::U64 => "an integer ≥ 0".into(),
             Kind::Switch | Kind::List(_) | Kind::Text => "a value".into(),
             Kind::Names(what, _) => format!("a comma-separated list of {what}s"),
@@ -57,13 +54,11 @@ impl Kind {
         let bad = || format!("{flag} wants {}, got {got}", self.wants());
         let v = value.ok_or_else(bad)?;
         let number = |ok: &dyn Fn(f64) -> bool| v.parse::<f64>().is_ok_and(ok);
-        let count = |s: &str, max| s.trim().parse::<usize>().is_ok_and(|n| 1 <= n && n <= max);
         let ok = match self {
             Kind::Switch | Kind::List(_) | Kind::Text => true,
             Kind::Positive(max) => number(&|x| 0.0 < x && x <= max),
             Kind::NonNegative => number(&|x| x.is_finite() && x >= 0.0),
-            Kind::Count(max) => count(v, max),
-            Kind::Counts(max) => v.split(',').all(|s| count(s, max)),
+            Kind::Count(max) => v.parse().is_ok_and(|n| (1..=max).contains(&n)),
             Kind::U64 => v.parse::<u64>().is_ok(),
             Kind::Names(what, catalog) => {
                 let names: Vec<&str> = v.split(',').collect();
@@ -78,7 +73,7 @@ impl Kind {
 /// name gets the enumerating error (`unknown rule 'x'; valid rules: a,
 /// b`, pinned by the `pic watch --rules` tests); a repeated one is
 /// refused naming `source`, the flag or command that listed it.
-fn canonical(
+pub fn canonical(
     source: &str,
     what: &str,
     catalog: &'static [&'static str],
@@ -301,18 +296,6 @@ pub const COMMANDS: &[Command] = &[
         path("--csv", "write the campaign cells as CSV"),
         list("--list-scenarios", &chaos::SCENARIOS, "print the valid scenario names and exit"),
     ]),
-    command("tenancy", Group::Subcommand, "§13", NO_ARGS, "multi-tenant job stream through the cluster scheduler", &[
-        flag("--preset",  "<p>",          Kind::Text,           "1k",         "topology preset: 1k | 2k | 4k | 10k"),
-        flag("--jobs",    "<n>",          Kind::Count(10_000),  "16",         "concurrent jobs in the stream"),
-        flag("--arrival", "<r>",          Kind::Positive(1e6),  "0.02",       "mean arrivals per second"),
-        flag("--mix",     "<a=w,b=w,..>", Kind::Text,           "",           "app mix weights (default kmeans,linsolve,smoothing at 1)"),
-        flag("--drivers", "<d>",          Kind::Text,           "mixed",      "mixed | ic | pic"),
-        flag("--scales",  "<n,n,..>",     Kind::Counts(10_000), "64,128,256", "node counts jobs request"),
-        flag("--seed",    "<s>",          Kind::U64,            "32330",      "stream seed (0x7E4A)"),
-        flag("--scale",   "<f>",          SCALE_KIND,           "1.0",        "profile-run workload scale multiplier"),
-        path("--csv", "write the per-job rows as CSV"),
-        list("--list-presets", &pic_simnet::tenancy::PRESETS, "print the valid topology presets and exit"),
-    ]),
     command("diff", Group::Subcommand, "§14", Positionals::Exactly(&["<old.json>", "<new.json>"]), "attribute the delta between two BENCH_pic.json documents under the gate's comparison", &[
         flag("--top", "<n>", Kind::U64, "15", "rows in the ranked segment table"),
         path("--json", "write the machine-readable attribution here"),
@@ -392,14 +375,6 @@ impl Matches {
     pub fn num<T: std::str::FromStr>(&self, flag: &str) -> T {
         let v = self.get(flag).expect("numeric flags have a default");
         v.parse().ok().expect(VALIDATED)
-    }
-
-    /// A [`Kind::Counts`] flag's values.
-    pub fn counts(&self, flag: &str) -> Vec<usize> {
-        let list = self.get(flag).expect("Counts flags have a default");
-        list.split(',')
-            .map(|s| s.trim().parse().expect(VALIDATED))
-            .collect()
     }
 
     /// A [`Kind::Names`] flag's names in the catalog's own spelling; the
@@ -660,22 +635,12 @@ mod tests {
         assert_eq!(m.names("--apps"), ["linsolve"]);
         let m = parse(&[], cmd("timeline")).unwrap();
         assert_eq!(m.names("--apps"), report::APPS);
-        let m = parse(&argv(&["--scales", "64, 128"]), cmd("tenancy")).unwrap();
-        assert_eq!(m.counts("--scales"), [64, 128]);
-        assert_eq!(m.get("--mix"), None);
-        assert_eq!(m.num::<u64>("--seed"), 0x7E4A);
     }
 
-    /// The table's defaults are the library's: `pic tenancy` with no
-    /// flags is the BENCH stream, `pic watch` the default monitor.
+    /// The table's defaults are the library's: `pic watch` with no flags
+    /// is the default monitor.
     #[test]
     fn table_defaults_match_the_library_defaults() {
-        let wl = experiments::tenancy::default_workload();
-        let m = parse(&[], cmd("tenancy")).unwrap();
-        assert_eq!(m.num::<usize>("--jobs"), wl.jobs);
-        assert_eq!(m.num::<f64>("--arrival"), wl.arrival_per_s);
-        assert_eq!(m.counts("--scales"), wl.scales);
-        assert_eq!(m.num::<u64>("--seed"), wl.seed);
         let opts = experiments::watch::WatchOptions::default();
         let m = parse(&[], cmd("watch")).unwrap();
         assert_eq!(m.num::<f64>("--window"), opts.window_s);
@@ -703,8 +668,8 @@ mod tests {
             "--interval wants a finite number ≥ 0, got nothing"
         );
         assert_eq!(
-            err("tenancy", &["--scales", "64,0"]),
-            "--scales wants a comma-separated list of integers in 1..=10000, got '64,0'"
+            err("timeline", &["--width", " 12"]),
+            "--width wants an integer in 1..=4096, got ' 12'"
         );
         assert!(err("diff", &["one.json"]).contains("takes 2 positional arguments"));
         assert!(err("report", &["stray"]).contains("takes 0 positional arguments"));

@@ -1,6 +1,6 @@
-//! Multi-tenant packing experiment (DESIGN.md §13): generate a seeded
-//! stream of concurrent IC/PIC jobs against a 1k–10k-node preset, run it
-//! through `pic_simnet::tenancy`'s cluster scheduler, and report per-job
+//! Multi-tenant packing experiment (DESIGN.md §13): replay one seeded
+//! 16-job stream of concurrent IC/PIC jobs on the 1k-node preset through
+//! `pic_simnet::tenancy`'s cluster scheduler, and report per-job
 //! time-to-quality percentiles plus the packing-density headline (PIC
 //! p99 vs IC p99 at the same arrival stream).
 //!
@@ -18,18 +18,73 @@ use super::common::{
 };
 use super::ExperimentCtx;
 use pic_simnet::report::{fmt_f64, JsonWriter, QualityPoint, QualityReport, TenancyReport};
-use pic_simnet::tenancy::{
-    preset, DriverMix, IterKind, IterationDemand, JobProfile, TenancyJob, WorkloadSpec,
-};
+use pic_simnet::tenancy::{preset, IterKind, IterationDemand, JobArrival, JobProfile, TenancyJob};
 use pic_simnet::{Tracer, TrafficClass};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// The apps the tenancy stream draws from: [`small_suite`]'s, the same
 /// representative subset as the chaos campaign.
 pub const TENANCY_APPS: [&str; 3] = SMALL_SUITE_APPS;
 
-/// Seed of the default workload (arrivals, app picks, scale picks).
+/// Seed of the gated stream (arrivals, app picks, scale picks).
 pub const STREAM_SEED: u64 = 0x7E4A;
+
+/// Jobs in the gated stream.
+pub const STREAM_JOBS: usize = 16;
+
+/// Poisson arrival rate of the gated stream, jobs per simulated second:
+/// inter-arrival gaps are `-ln(1-u)/rate`.
+const ARRIVALS_PER_S: f64 = 0.02;
+
+/// Node counts a job of the gated stream requests (uniform draw).
+const SCALES: [usize; 3] = [64, 128, 256];
+
+/// The topology preset the gated stream runs on.
+const PRESET: &str = "1k";
+
+/// Which drivers the stream's jobs use: the one setting `section`
+/// varies between its three replays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DriverMix {
+    /// IC or PIC by a seeded coin flip per job.
+    Mixed,
+    /// Only classic iterative-convergence jobs.
+    IcOnly,
+    /// Only partitioned (best-effort + top-off) jobs.
+    PicOnly,
+}
+
+/// The gated stream's arrivals under `drivers`: [`STREAM_JOBS`] jobs with
+/// exponential gaps, each an equally likely app of [`TENANCY_APPS`] and
+/// scale, all drawn from [`STREAM_SEED`]. Only [`DriverMix::Mixed`] draws
+/// a coin per job, so the IC-only and PIC-only replays share every
+/// arrival time, app and scale.
+fn arrivals(drivers: DriverMix) -> Vec<JobArrival> {
+    let mut rng = StdRng::seed_from_u64(STREAM_SEED);
+    let mut t = 0.0_f64;
+    (0..STREAM_JOBS)
+        .map(|id| {
+            let u: f64 = rng.gen();
+            t += -(1.0 - u).ln() / ARRIVALS_PER_S;
+            let app = TENANCY_APPS[(rng.gen::<f64>() * TENANCY_APPS.len() as f64) as usize];
+            let driver = match drivers {
+                DriverMix::IcOnly => "ic",
+                DriverMix::PicOnly => "pic",
+                DriverMix::Mixed if rng.gen_bool(0.5) => "pic",
+                DriverMix::Mixed => "ic",
+            };
+            JobArrival {
+                id,
+                app: app.to_string(),
+                driver,
+                arrival_s: t,
+                scale: SCALES[rng.gen_range(0..SCALES.len())],
+            }
+        })
+        .collect()
+}
 
 /// One derived profile: how the job runs, plus whether a second fresh
 /// solo run converged to the bit-identical model.
@@ -59,18 +114,6 @@ pub struct TenancySection {
     pub packing_x: f64,
     /// Every profile's second solo run reproduced its model exactly.
     pub exact_models: bool,
-}
-
-/// The default 16-job stream the BENCH section and CI matrix run.
-pub fn default_workload() -> WorkloadSpec {
-    WorkloadSpec {
-        jobs: 16,
-        arrival_per_s: 0.02,
-        mix: TENANCY_APPS.iter().map(|a| (a.to_string(), 1.0)).collect(),
-        drivers: DriverMix::Mixed,
-        scales: vec![64, 128, 256],
-        seed: STREAM_SEED,
-    }
 }
 
 /// First index (1-based, over the last `total_iters` trajectory points)
@@ -177,16 +220,9 @@ pub fn models_exact(set: &ProfileSet) -> bool {
     set.values().all(|p| p.exact_model)
 }
 
-/// Run one stream with already-derived profiles.
-pub fn stream_with(
-    preset_name: &str,
-    wl: &WorkloadSpec,
-    set: &ProfileSet,
-) -> Result<TenancyReport, String> {
-    let cluster = preset(preset_name)?;
-    wl.validate(&TENANCY_APPS, &cluster)?;
-    let jobs: Vec<TenancyJob> = wl
-        .arrivals()
+/// Replay the gated stream under `drivers` with already-derived profiles.
+pub fn stream(drivers: DriverMix, set: &ProfileSet) -> TenancyReport {
+    let jobs: Vec<TenancyJob> = arrivals(drivers)
         .into_iter()
         .map(|arrival| {
             let key = (arrival.app.clone(), arrival.driver);
@@ -201,44 +237,20 @@ pub fn stream_with(
             }
         })
         .collect();
+    let cluster = preset(PRESET).expect("the gated preset resolves");
     let tracer = Tracer::standalone();
-    Ok(pic_simnet::tenancy::run_stream(
-        preset_name,
-        &cluster,
-        &jobs,
-        &tracer,
-    ))
+    pic_simnet::tenancy::run_stream(PRESET, &cluster, &jobs, &tracer)
 }
 
-/// Derive profiles and run one stream (the `pic tenancy` entry point).
-pub fn stream(
-    ctx: &ExperimentCtx,
-    preset_name: &str,
-    wl: &WorkloadSpec,
-) -> Result<TenancyReport, String> {
-    // Validate before paying for profile runs so a bad spec fails fast.
-    let cluster = preset(preset_name)?;
-    wl.validate(&TENANCY_APPS, &cluster)?;
-    let set = profiles(ctx)?;
-    stream_with(preset_name, wl, &set)
-}
-
-/// Build the BENCH `tenancy` section: the default mixed stream at the 1k
-/// preset, plus IC-only and PIC-only replays of the same arrivals for
-/// the packing-density headline.
+/// Build the BENCH `tenancy` section: the mixed stream at the 1k preset,
+/// plus IC-only and PIC-only replays of the same arrivals for the
+/// packing-density headline.
 pub fn section(ctx: &ExperimentCtx) -> Result<TenancySection, String> {
     let set = profiles(ctx)?;
-    let wl = default_workload();
-    let p99_of = |drivers| {
-        let replay = WorkloadSpec {
-            drivers,
-            ..wl.clone()
-        };
-        stream_with("1k", &replay, &set).map(|r| r.tt_quality_percentile(99.0))
-    };
-    let (ic_p99, pic_p99) = (p99_of(DriverMix::IcOnly)?, p99_of(DriverMix::PicOnly)?);
+    let ic_p99 = stream(DriverMix::IcOnly, &set).tt_quality_percentile(99.0);
+    let pic_p99 = stream(DriverMix::PicOnly, &set).tt_quality_percentile(99.0);
     Ok(TenancySection {
-        mixed: stream_with("1k", &wl, &set)?,
+        mixed: stream(DriverMix::Mixed, &set),
         ic_p99_tt_quality_s: ic_p99,
         pic_p99_tt_quality_s: pic_p99,
         packing_x: if pic_p99 > 0.0 { ic_p99 / pic_p99 } else { 0.0 },
@@ -300,72 +312,36 @@ mod tests {
     }
 
     #[test]
-    fn workload_rejections_are_pinned() {
-        let set = toy_profiles();
-        let ok = default_workload();
-
-        let err = stream_with(
-            "1k",
-            &WorkloadSpec {
-                jobs: 0,
-                ..ok.clone()
-            },
-            &set,
-        )
-        .unwrap_err();
-        assert_eq!(err, "workload must have at least one job");
-
-        let err = stream_with(
-            "1k",
-            &WorkloadSpec {
-                mix: vec![("pagerank".to_string(), 1.0)],
-                ..ok.clone()
-            },
-            &set,
-        )
-        .unwrap_err();
-        assert!(err.contains("unknown app 'pagerank' in mix"), "{err}");
-        for a in TENANCY_APPS {
-            assert!(err.contains(a), "error must name {a}: {err}");
+    fn arrivals_are_deterministic_and_sorted() {
+        let a = arrivals(DriverMix::Mixed);
+        assert_eq!(a, arrivals(DriverMix::Mixed));
+        assert_eq!(a.len(), STREAM_JOBS);
+        for w in a.windows(2) {
+            assert!(w[0].arrival_s <= w[1].arrival_s);
         }
-
-        let err = stream_with(
-            "1k",
-            &WorkloadSpec {
-                arrival_per_s: 0.0,
-                ..ok.clone()
-            },
-            &set,
-        )
-        .unwrap_err();
-        assert_eq!(err, "arrival rate must be positive (got 0)");
-
-        let err = stream_with(
-            "1k",
-            &WorkloadSpec {
-                scales: vec![2048],
-                ..ok.clone()
-            },
-            &set,
-        )
-        .unwrap_err();
-        assert_eq!(err, "job scale 2048 exceeds topology capacity (1000 nodes)");
-
-        let err = stream_with("3k", &ok, &set).unwrap_err();
-        assert!(err.contains("unknown preset '3k'"), "{err}");
-        for p in pic_simnet::tenancy::PRESETS {
-            assert!(err.contains(p), "error must name {p}: {err}");
-        }
+        assert!(a.iter().all(|j| j.arrival_s > 0.0));
+        assert!(a.iter().enumerate().all(|(i, j)| j.id == i));
+        // Mixed drivers really mix over 16 draws with this seed.
+        assert!(a.iter().any(|j| j.driver == "ic"));
+        assert!(a.iter().any(|j| j.driver == "pic"));
+        // The single-driver replays differ only in the driver.
+        let (ic, pic) = (arrivals(DriverMix::IcOnly), arrivals(DriverMix::PicOnly));
+        assert!(ic.iter().all(|j| j.driver == "ic"));
+        assert!(pic.iter().all(|j| j.driver == "pic"));
+        let retagged: Vec<JobArrival> = ic
+            .into_iter()
+            .map(|j| JobArrival { driver: "pic", ..j })
+            .collect();
+        assert_eq!(retagged, pic);
     }
 
     #[test]
     fn stream_is_deterministic_with_fixed_profiles() {
         let set = toy_profiles();
-        let wl = default_workload();
-        let a = tenancy_csv(&stream_with("1k", &wl, &set).unwrap());
-        let b = tenancy_csv(&stream_with("1k", &wl, &set).unwrap());
+        let a = tenancy_csv(&stream(DriverMix::Mixed, &set));
+        let b = tenancy_csv(&stream(DriverMix::Mixed, &set));
         assert_eq!(a, b);
-        assert_eq!(a.lines().count(), 1 + wl.jobs);
+        assert_eq!(a.lines().count(), 1 + STREAM_JOBS);
     }
 
     #[test]
@@ -383,7 +359,7 @@ mod tests {
         }
         let s = section(&ctx).unwrap();
         assert!(s.exact_models);
-        assert_eq!(s.mixed.rows.len(), default_workload().jobs);
+        assert_eq!(s.mixed.rows.len(), STREAM_JOBS);
         assert!(s.ic_p99_tt_quality_s > 0.0);
         assert!(s.pic_p99_tt_quality_s > 0.0);
         // JSON embeds the summary keys the regress gate bands on.

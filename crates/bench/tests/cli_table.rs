@@ -74,7 +74,6 @@ fn bad_values(kind: Kind) -> Vec<String> {
             .collect(),
         Kind::NonNegative => vec!["x".into(), "-1".into(), "inf".into(), "nan".into()],
         Kind::Count(max) => vec!["x".into(), "0".into(), "-1".into(), (max + 1).to_string()],
-        Kind::Counts(max) => vec!["x".into(), "0".into(), format!("1,{}", max + 1)],
         Kind::U64 => vec!["x".into(), "-1".into(), "1.5".into()],
         Kind::Names(..) => vec!["no-such-name".into()],
     }
@@ -107,12 +106,13 @@ fn every_value_flag_rejects_missing_garbage_and_out_of_range_values() {
     }
 }
 
-/// The nine argv cases that panicked, aborted, or were silently accepted
-/// before the table: each now exits 2 naming the flag, the value and
-/// the accepted range.
+/// The argv cases that panicked, aborted, were silently accepted, or
+/// were refused only after an experiment had run: each now exits 2,
+/// before any run, naming the flag, the value and the accepted range or
+/// catalog.
 #[test]
-fn the_nine_known_bad_argvs_are_refused_by_name() {
-    let cases: [(&str, &[&str], &str); 9] = [
+fn known_bad_argvs_are_refused_by_name() {
+    let cases: [(&str, &[&str], &str); 13] = [
         (
             "kmeans",
             &["--partitions", "0"],
@@ -158,6 +158,28 @@ fn the_nine_known_bad_argvs_are_refused_by_name() {
             &["linsolve", "--top", "-1"],
             "--top wants an integer ≥ 0, got '-1'",
         ),
+        (
+            "timeline",
+            &["--width", " 12", "--scale", "0.01", "--apps", "linsolve"],
+            "--width wants an integer in 1..=4096, got ' 12'",
+        ),
+        (
+            "repro",
+            &["--exp", "table9"],
+            "unknown experiment 'table9'; valid experiments: fig2, fig9, fig10, fig11, \
+             fig12a, fig12b, fig12c, table1, table2, table3, weak, ablation",
+        ),
+        (
+            "repro",
+            &["--exp", "fig2,", "--scale", "0.001"],
+            "unknown experiment ''; valid experiments: fig2, fig9, fig10, fig11, \
+             fig12a, fig12b, fig12c, table1, table2, table3, weak, ablation",
+        ),
+        (
+            "repro",
+            &["--exp", "table2,table2", "--scale", "0.001"],
+            "--exp lists experiment 'table2' twice",
+        ),
     ];
     for (name, args, expected) in cases {
         let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
@@ -166,13 +188,11 @@ fn the_nine_known_bad_argvs_are_refused_by_name() {
 }
 
 /// The launcher's cross-flag checks: shapes the app constructors would
-/// panic (or, for a one-page graph, spin) on, a neural net too small to
-/// hold out a validation point, a stream whose arrival times would
-/// overflow into the event queue's finite-time assert, and a mix that
-/// names an app twice or whose weights overflow when summed.
+/// panic (or, for a one-page graph, spin) on, and a neural net too small
+/// to hold out a validation point.
 #[test]
 fn launcher_refuses_shapes_the_apps_cannot_build() {
-    let cases: [(&str, &[&str], &str); 11] = [
+    let cases: [(&str, &[&str], &str); 7] = [
         ("pagerank", &["--n", "1", "--partitions", "1"], "--n ≥ 2"),
         ("linsolve", &["--n", "5", "--partitions", "10"], "--n ≥ 10"),
         (
@@ -187,22 +207,6 @@ fn launcher_refuses_shapes_the_apps_cannot_build() {
         ),
         ("kmeans", &["--cluster", "largeX"], "unknown cluster"),
         ("kmeans", &["--cluster", "large:abc"], "got 'abc'"),
-        (
-            "tenancy",
-            &["--jobs", "4", "--arrival", "1e-320", "--scale", "0.05"],
-            "arrival rate must be finite and keep all 4 arrivals at finite times (got 1e-320)",
-        ),
-        ("tenancy", &["--mix", "kmeans=inf"], "(got inf)"),
-        (
-            "tenancy",
-            &["--mix", "kmeans=1,kmeans=1,linsolve=1"],
-            "lists app 'kmeans' twice",
-        ),
-        (
-            "tenancy",
-            &["--mix", "kmeans=1e308,linsolve=1e308"],
-            "finite total (got inf)",
-        ),
         ("neuralnet", &["--n", "9"], "--n ≥ 10"),
     ];
     for (name, args, expected) in cases {
@@ -212,26 +216,45 @@ fn launcher_refuses_shapes_the_apps_cannot_build() {
     }
 }
 
-/// README's `pic tenancy` example, at a small scale: one CSV row per
-/// job, every one driven by PIC and drawn from the mix.
+/// A baseline `pic regress` cannot diff against — missing, or recorded
+/// at another scale — is refused (exit 2) before the suite runs, so
+/// `--out` is never written.
 #[test]
-fn readme_tenancy_example_runs() {
-    let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("readme_tenancy.csv");
-    let flags = "--scale 0.05 --preset 4k --jobs 32 --mix kmeans=2,linsolve=1 --drivers pic --csv";
-    let mut args: Vec<&str> = flags.split(' ').collect();
-    args.push(csv.to_str().unwrap());
-    let out = invoke(
-        COMMANDS.iter().find(|c| c.name == "tenancy").unwrap(),
-        &args,
-    );
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let doc = std::fs::read_to_string(&csv).unwrap();
-    let rows: Vec<Vec<&str>> = doc.lines().map(|l| l.split(',').collect()).collect();
-    assert_eq!(rows[0][1..3], ["app", "driver"], "{doc}");
-    assert_eq!(rows.len(), 1 + 32, "{doc}");
-    for row in &rows[1..] {
-        assert!(["kmeans", "linsolve"].contains(&row[1]), "{doc}");
-        assert_eq!(row[2], "pic", "{doc}");
+fn regress_refuses_an_unusable_baseline_before_running_the_suite() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (missing, other_scale) = (dir.join("none.json"), dir.join("scale_0.05.json"));
+    let _ = std::fs::remove_file(&missing);
+    std::fs::write(&other_scale, r#"{"scale": 0.05}"#).unwrap();
+    let regress = COMMANDS.iter().find(|c| c.name == "regress").unwrap();
+    let cases = [
+        (missing, "0.05", "baseline: cannot read"),
+        (
+            other_scale,
+            "0.01",
+            "recorded at scale Some(0.05), this run is at 0.01",
+        ),
+    ];
+    for (i, (baseline, scale, expected)) in cases.into_iter().enumerate() {
+        let fresh = dir.join(format!("unwritten_{i}.json"));
+        let _ = std::fs::remove_file(&fresh);
+        let args = [
+            "--baseline",
+            baseline.to_str().unwrap(),
+            "--scale",
+            scale,
+            "--out",
+            fresh.to_str().unwrap(),
+        ];
+        let out = invoke(regress, &args);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.starts_with("[regress] "), "{stderr}");
+        assert!(stderr.contains(expected), "{stderr}");
+        assert!(
+            !fresh.exists(),
+            "{} was written:\n{stderr}",
+            fresh.display()
+        );
     }
 }
 

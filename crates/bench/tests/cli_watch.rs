@@ -10,10 +10,10 @@ fn pic() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pic"))
 }
 
-/// The eight dispatched subcommands, pinned: `pic help` (and bare
+/// The seven dispatched subcommands, pinned: `pic help` (and bare
 /// `pic`) must list every one of them.
-const SUBCOMMANDS: [&str; 8] = [
-    "report", "timeline", "chaos", "tenancy", "diff", "explain", "watch", "help",
+const SUBCOMMANDS: [&str; 7] = [
+    "report", "timeline", "chaos", "diff", "explain", "watch", "help",
 ];
 
 /// The monitor replay is pure trace post-processing on the simulated

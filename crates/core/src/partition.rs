@@ -111,17 +111,6 @@ pub fn bfs_graph(adjacency: &[Vec<usize>], parts: usize, seed: u64) -> Vec<usize
     assignment
 }
 
-/// Count edges cut by a vertex partition (each undirected edge counted
-/// once; for directed adjacency pass each arc once).
-pub fn edges_cut(adjacency: &[Vec<usize>], assignment: &[usize]) -> usize {
-    adjacency
-        .iter()
-        .enumerate()
-        .flat_map(|(v, ns)| ns.iter().map(move |&u| (v, u)))
-        .filter(|&(v, u)| assignment[v] != assignment[u])
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,14 +167,21 @@ mod tests {
         adj[0].push(k);
         adj[k].push(0);
 
+        // Arcs whose endpoints land in different partitions.
+        let edges_cut = |assignment: &[usize]| {
+            (0..n)
+                .flat_map(|v| adj[v].iter().map(move |&u| (v, u)))
+                .filter(|&(v, u)| assignment[v] != assignment[u])
+                .count()
+        };
         let bfs = bfs_graph(&adj, 2, 1);
-        let cut_bfs = edges_cut(&adj, &bfs);
+        let cut_bfs = edges_cut(&bfs);
 
         let mut rng_assign = vec![0usize; n];
         for (i, a) in rng_assign.iter_mut().enumerate() {
             *a = (i * 7 + 3) % 2; // deterministic pseudo-random split
         }
-        let cut_rand = edges_cut(&adj, &rng_assign);
+        let cut_rand = edges_cut(&rng_assign);
         assert!(
             cut_bfs < cut_rand / 4,
             "bfs cut {cut_bfs} should be far below random cut {cut_rand}"

@@ -872,7 +872,10 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-        assert!((combined.stats.combine_ratio() - 0.96).abs() < 1e-9);
+        // The combiner removed 96% of the map output records before the
+        // shuffle.
+        let kept = combined.stats.shuffle_records as f64 / combined.stats.map_output_records as f64;
+        assert!((kept - 0.04).abs() < 1e-9, "{kept}");
     }
 
     /// Counts records per key `x % 10`. Folding, one task emits one

@@ -62,34 +62,3 @@ pub struct JobResult<O> {
     /// Execution statistics.
     pub stats: JobStats,
 }
-
-impl JobStats {
-    /// Combiner effectiveness: fraction of map output records eliminated
-    /// before the shuffle (0 = nothing combined).
-    pub fn combine_ratio(&self) -> f64 {
-        if self.map_output_records == 0 {
-            return 0.0;
-        }
-        1.0 - self.shuffle_records as f64 / self.map_output_records as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn combine_ratio() {
-        let s = JobStats {
-            map_output_records: 100,
-            shuffle_records: 25,
-            ..Default::default()
-        };
-        assert!((s.combine_ratio() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn combine_ratio_empty_job() {
-        assert_eq!(JobStats::default().combine_ratio(), 0.0);
-    }
-}

@@ -397,11 +397,6 @@ impl ChaosInjector {
         *self.armed() = None;
     }
 
-    /// True if a plan is armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed().is_some()
-    }
-
     /// How many fault events have actually been injected so far (crash
     /// instants fired, windows announced, resizes applied).
     pub fn injected_events(&self) -> usize {
@@ -646,7 +641,6 @@ mod tests {
     #[test]
     fn unarmed_injector_is_a_no_op() {
         let c = ChaosInjector::idle();
-        assert!(!c.is_armed());
         assert!(c.peek_failures(0.0, 100.0).is_empty());
         assert!(c.commit_failures(100.0, 0.0, 100.0).is_empty());
         assert_eq!(c.degradation_factor(5.0), 1.0);
@@ -787,9 +781,8 @@ mod tests {
             Tracer::disabled(),
         )
         .unwrap();
-        assert!(c.is_armed());
+        assert_eq!(c.peek_failures(0.0, 10.0), [(1, 1.0)]);
         c.disarm();
-        assert!(!c.is_armed());
         assert!(c.peek_failures(0.0, 10.0).is_empty());
     }
 
@@ -803,7 +796,11 @@ mod tests {
             Tracer::disabled(),
         )
         .unwrap();
-        assert!(c2.is_armed(), "clones must see the same plan");
+        assert_eq!(
+            c2.peek_failures(0.0, 10.0),
+            [(1, 1.0)],
+            "clones must see the same plan"
+        );
         c2.commit_failures(10.0, 0.0, 10.0);
         assert_eq!(c.injected_events(), 1);
     }

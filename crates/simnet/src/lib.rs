@@ -50,11 +50,10 @@
 //!   drop stragglers, instant merge) replayed as time warps over the
 //!   saturated charge windows, ranked into a [`SensitivityReport`]
 //!   bottleneck table (the `pic explain` subcommand).
-//! * [`tenancy`] — multi-tenant job streams: a seeded Poisson-ish
-//!   workload generator over 1k–10k-node presets and a cluster-level
-//!   scheduler ([`ClusterScheduler`]) with FIFO admission, weighted fair
-//!   node grants and best-effort preemption, reported as per-job
-//!   time-to-quality percentiles ([`TenancyReport`]).
+//! * [`tenancy`] — multi-tenant job streams: a cluster-level scheduler
+//!   ([`ClusterScheduler`]) over the 1k-node preset with FIFO admission,
+//!   weighted fair node grants and best-effort preemption, reported as
+//!   per-job time-to-quality percentiles ([`TenancyReport`]).
 //!
 //! Real computation happens elsewhere (the `pic-mapreduce` engine runs map
 //! and reduce functions for real on a rayon pool); this crate only answers
@@ -90,8 +89,7 @@ pub use report::{
 pub use scheduler::{ScheduleOutcome, SlotScheduler, TaskLaunch, TaskSpec};
 pub use sweep::LinkClass;
 pub use tenancy::{
-    ClusterScheduler, DriverMix, IterKind, IterationDemand, JobArrival, JobProfile, TenancyJob,
-    WorkloadSpec,
+    ClusterScheduler, IterKind, IterationDemand, JobArrival, JobProfile, TenancyJob,
 };
 pub use timeline::{LinkSeries, Saturation, SlotSeries, UtilizationReport};
 pub use topology::{ClusterSpec, NodeId, RackId};

@@ -1012,23 +1012,6 @@ impl TenancyReport {
     pub fn csv_records(&self) -> Vec<Vec<String>> {
         self.rows.iter().map(|r| csv_record(r.columns())).collect()
     }
-
-    /// Short human summary (the `pic tenancy` table renders the rows).
-    pub fn render(&self) -> String {
-        format!(
-            "tenancy {} ({} nodes): {} jobs, makespan {:.1}s, tt-quality p50/p95/p99 = {:.1}/{:.1}/{:.1}s, queue p99 {:.1}s, contention {:.1}s, {} preemptions",
-            self.preset,
-            self.cluster_nodes,
-            self.rows.len(),
-            self.makespan_s,
-            self.tt_quality_percentile(50.0),
-            self.tt_quality_percentile(95.0),
-            self.tt_quality_percentile(99.0),
-            self.queue_delay_percentile(99.0),
-            self.contention_total_s(),
-            self.preemption_total(),
-        )
-    }
 }
 
 /// Emit a [`TrafficSnapshot`] as a JSON object keyed by class label,

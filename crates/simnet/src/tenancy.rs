@@ -5,11 +5,7 @@
 //! other tenants can use that headroom. This module provides the
 //! cluster-level half of that experiment:
 //!
-//! * [`WorkloadSpec`] — a seeded description of a job stream: Poisson-ish
-//!   arrivals (exponential inter-arrival times from the vendored `rand`),
-//!   a weighted app mix, an IC/PIC driver mix, and a set of node-scale
-//!   tiers, validated against a topology preset.
-//! * [`preset`] — 1k–10k-node EMR-style topologies
+//! * [`preset`] — the 1k-node EMR-style topology
 //!   ([`ClusterSpec::large`]) addressable by name.
 //! * [`JobProfile`] — the *shape* of one job as a sequence of
 //!   [`IterationDemand`]s (task count, per-task seconds, bisection
@@ -26,200 +22,31 @@
 //!   waves and a longer iteration — contention moves timing, never
 //!   computation.
 //!
-//! Everything is simulated and seeded, so a stream's
-//! [`TenancyReport`] JSON is byte-identical
-//! across rayon pool widths.
+//! The arrival stream itself is the caller's: the gated one is generated
+//! by `pic_bench::experiments::tenancy`, the benchmark draws its own.
+//! Everything is simulated, so a stream's [`TenancyReport`] JSON is
+//! byte-identical across rayon pool widths.
 
 use crate::event::EventQueue;
 use crate::report::{TenancyReport, TenancyRow};
 use crate::scheduler::{SlotScheduler, TaskSpec};
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::Tracer;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::ops::Range;
 
-/// Topology presets addressable from [`preset`], in ascending size.
-pub const PRESETS: [&str; 4] = ["1k", "2k", "4k", "10k"];
-
-/// Resolve a named 1k–10k-node topology preset (EMR-style racks of 16,
-/// [`ClusterSpec::large`]).
+/// Resolve a named topology preset: `1k`, the 1 000-node EMR-style
+/// cluster (racks of 16, [`ClusterSpec::large`]) the gated stream and the
+/// benchmark run on.
 pub fn preset(name: &str) -> Result<ClusterSpec, String> {
     match name {
         "1k" => Ok(ClusterSpec::large(1000)),
-        "2k" => Ok(ClusterSpec::large(2000)),
-        "4k" => Ok(ClusterSpec::large(4000)),
-        "10k" => Ok(ClusterSpec::large(10_000)),
-        other => Err(format!("unknown preset '{other}'; known: {PRESETS:?}")),
+        other => Err(format!("unknown preset '{other}'; known: [\"1k\"]")),
     }
 }
 
-/// Which drivers the generator draws from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverMix {
-    /// Alternate IC and PIC jobs (seeded coin flip).
-    Mixed,
-    /// Only classic iterative-convergence jobs.
-    IcOnly,
-    /// Only partitioned (best-effort + top-off) jobs.
-    PicOnly,
-}
-
-impl DriverMix {
-    /// Parse a `--drivers` value.
-    pub fn parse(s: &str) -> Result<DriverMix, String> {
-        match s {
-            "mixed" => Ok(DriverMix::Mixed),
-            "ic" => Ok(DriverMix::IcOnly),
-            "pic" => Ok(DriverMix::PicOnly),
-            other => Err(format!(
-                "unknown driver mix '{other}'; known: [\"mixed\", \"ic\", \"pic\"]"
-            )),
-        }
-    }
-}
-
-/// Seeded description of a multi-tenant job stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadSpec {
-    /// Number of jobs to submit.
-    pub jobs: usize,
-    /// Poisson arrival rate (jobs per simulated second); inter-arrival
-    /// gaps are `-ln(1-u)/rate`.
-    pub arrival_per_s: f64,
-    /// Weighted app mix, e.g. `[("kmeans", 1.0), ("linsolve", 2.0)]`.
-    pub mix: Vec<(String, f64)>,
-    /// Which drivers jobs use.
-    pub drivers: DriverMix,
-    /// Node-scale tiers jobs request from (uniform draw).
-    pub scales: Vec<usize>,
-    /// RNG seed; same seed ⇒ same stream, byte for byte.
-    pub seed: u64,
-}
-
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        WorkloadSpec {
-            jobs: 16,
-            arrival_per_s: 0.02,
-            mix: Vec::new(),
-            drivers: DriverMix::Mixed,
-            scales: vec![64, 128, 256],
-            seed: 0x7E4A,
-        }
-    }
-}
-
-impl WorkloadSpec {
-    /// Validate against the app registry and the target topology.
-    /// Error strings are pinned by negative tests — change them only with
-    /// the tests.
-    pub fn validate(&self, known_apps: &[&str], cluster: &ClusterSpec) -> Result<(), String> {
-        if self.jobs == 0 {
-            return Err("workload must have at least one job".to_string());
-        }
-        if self.arrival_per_s <= 0.0 || self.arrival_per_s.is_nan() {
-            return Err(format!(
-                "arrival rate must be positive (got {})",
-                self.arrival_per_s
-            ));
-        }
-        // A gap is `-ln(1-u)/rate` with `u` a 53-bit draw from [0, 1), so it
-        // is below `37/rate` and the last arrival below `jobs` such gaps.
-        let last_arrival_bound_s = self.jobs as f64 * 37.0 / self.arrival_per_s;
-        if !self.arrival_per_s.is_finite() || !last_arrival_bound_s.is_finite() {
-            return Err(format!(
-                "arrival rate must be finite and keep all {} arrivals at finite times (got {:e})",
-                self.jobs, self.arrival_per_s
-            ));
-        }
-        if self.mix.is_empty() {
-            return Err("mix must name at least one app".to_string());
-        }
-        for (i, (app, w)) in self.mix.iter().enumerate() {
-            if !known_apps.contains(&app.as_str()) {
-                return Err(format!("unknown app '{app}' in mix; known: {known_apps:?}"));
-            }
-            if *w <= 0.0 || !w.is_finite() {
-                return Err(format!(
-                    "mix weight for '{app}' must be positive and finite (got {w})"
-                ));
-            }
-            if self.mix[..i].iter().any(|(a, _)| a == app) {
-                return Err(format!("mix lists app '{app}' twice"));
-            }
-        }
-        // `arrivals` draws against the total: an infinite one picks the first app every time.
-        let total_w: f64 = self.mix.iter().map(|(_, w)| w).sum();
-        if !total_w.is_finite() {
-            return Err(format!(
-                "mix weights must sum to a finite total (got {total_w})"
-            ));
-        }
-        if self.scales.is_empty() {
-            return Err("scales must name at least one node count".to_string());
-        }
-        for &s in &self.scales {
-            if s == 0 {
-                return Err("job scale must be > 0 nodes".to_string());
-            }
-            if s > cluster.nodes {
-                return Err(format!(
-                    "job scale {s} exceeds topology capacity ({} nodes)",
-                    cluster.nodes
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Generate the arrival stream. Call [`WorkloadSpec::validate`]
-    /// first; this panics on an empty mix.
-    pub fn arrivals(&self) -> Vec<JobArrival> {
-        assert!(!self.mix.is_empty(), "validate() the workload first");
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let total_w: f64 = self.mix.iter().map(|(_, w)| w).sum();
-        let mut t = 0.0_f64;
-        let mut out = Vec::with_capacity(self.jobs);
-        for id in 0..self.jobs {
-            let u: f64 = rng.gen();
-            t += -(1.0 - u).ln() / self.arrival_per_s;
-            let mut pick = rng.gen::<f64>() * total_w;
-            let mut app = self.mix[0].0.clone();
-            for (a, w) in &self.mix {
-                if pick < *w {
-                    app = a.clone();
-                    break;
-                }
-                pick -= w;
-            }
-            let driver = match self.drivers {
-                DriverMix::IcOnly => "ic",
-                DriverMix::PicOnly => "pic",
-                DriverMix::Mixed => {
-                    if rng.gen_bool(0.5) {
-                        "pic"
-                    } else {
-                        "ic"
-                    }
-                }
-            };
-            let scale = self.scales[rng.gen_range(0..self.scales.len())];
-            out.push(JobArrival {
-                id,
-                app,
-                driver,
-                arrival_s: t,
-                scale,
-            });
-        }
-        out
-    }
-}
-
-/// One generated arrival: which app/driver at what time, asking for how
-/// many nodes. The fairness weight is the requested scale.
+/// One arrival: which app/driver at what time, asking for how many
+/// nodes. The fairness weight is the requested scale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobArrival {
     /// Job id in arrival order.
@@ -694,42 +521,9 @@ mod tests {
     #[test]
     fn preset_names_resolve_and_unknown_is_listed() {
         assert_eq!(preset("1k").unwrap().nodes, 1000);
-        assert_eq!(preset("10k").unwrap().nodes, 10_000);
         let err = preset("3k").unwrap_err();
         assert!(err.contains("unknown preset '3k'"), "{err}");
         assert!(err.contains("1k"), "{err}");
-    }
-
-    #[test]
-    fn arrivals_are_deterministic_and_sorted() {
-        let wl = WorkloadSpec {
-            mix: vec![("kmeans".to_string(), 1.0), ("linsolve".to_string(), 1.0)],
-            ..WorkloadSpec::default()
-        };
-        let a = wl.arrivals();
-        let b = wl.arrivals();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 16);
-        for w in a.windows(2) {
-            assert!(w[0].arrival_s <= w[1].arrival_s);
-        }
-        assert!(a.iter().all(|j| j.arrival_s > 0.0));
-        // Mixed drivers really mix over 16 draws with this seed.
-        assert!(a.iter().any(|j| j.driver == "ic"));
-        assert!(a.iter().any(|j| j.driver == "pic"));
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let wl = WorkloadSpec {
-            mix: vec![("kmeans".to_string(), 1.0)],
-            ..WorkloadSpec::default()
-        };
-        let other = WorkloadSpec {
-            seed: 1,
-            ..wl.clone()
-        };
-        assert_ne!(wl.arrivals(), other.arrivals());
     }
 
     #[test]

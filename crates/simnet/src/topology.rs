@@ -260,16 +260,6 @@ impl ClusterSpec {
         }
         Ok(())
     }
-
-    /// True when every node of `range` lies within a single rack — such a
-    /// group's internal traffic never touches a rack uplink or the
-    /// bisection.
-    pub fn group_is_rack_local(&self, range: &std::ops::Range<NodeId>) -> bool {
-        if range.is_empty() {
-            return true;
-        }
-        self.rack_of(range.start) == self.rack_of(range.end - 1)
-    }
 }
 
 /// A contiguous group of nodes `0..nodes` for sub-problem `g` of
@@ -514,10 +504,10 @@ mod tests {
         let m = ClusterSpec::medium(); // 64 nodes, 6 racks => 11 per rack
                                        // 8 groups of 8 nodes: group 0 = nodes 0..8 all in rack 0.
         let g0 = node_group(m.nodes, 0, 8);
-        assert!(m.group_is_rack_local(&g0));
+        assert_eq!(m.rack_of(g0.start), m.rack_of(g0.end - 1));
         // 2 groups of 32 span racks.
         let h = node_group(m.nodes, 0, 2);
-        assert!(!m.group_is_rack_local(&h));
+        assert_ne!(m.rack_of(h.start), m.rack_of(h.end - 1));
     }
 
     #[test]

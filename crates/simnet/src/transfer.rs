@@ -167,7 +167,7 @@ mod tests {
     fn rack_local_group_shuffle_avoids_bisection() {
         let m = ClusterSpec::medium();
         let g = crate::topology::node_group(m.nodes, 0, 8); // 8 nodes, inside rack 0
-        assert!(m.group_is_rack_local(&g));
+        assert_eq!(m.rack_of(g.start), m.rack_of(g.end - 1));
         let c = shuffle(&m, &g, 1_000_000_000);
         assert_eq!(c.bisection_bytes, 0);
     }

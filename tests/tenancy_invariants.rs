@@ -1,5 +1,5 @@
 //! Multi-tenant stream invariants (DESIGN.md §13), at the integration
-//! level: the full profile-derivation → workload-generation → cluster-
+//! level: the full profile-derivation → arrival-generation → cluster-
 //! scheduler pipeline.
 //!
 //! * Determinism: the same seed must produce a byte-identical
@@ -11,7 +11,13 @@
 //! * Sanity: per-job rows must be monotone (arrive ≤ admit ≤ finish) with
 //!   non-negative queueing delay.
 
-use pic_bench::experiments::{tenancy, ExperimentCtx};
+use pic_bench::experiments::tenancy::{self, DriverMix, STREAM_JOBS};
+use pic_bench::experiments::ExperimentCtx;
+
+const _: () = assert!(
+    STREAM_JOBS >= 16,
+    "the acceptance stream is at least 16 jobs"
+);
 
 fn small_ctx() -> ExperimentCtx {
     ExperimentCtx { scale: 0.01 }
@@ -23,12 +29,9 @@ fn small_ctx() -> ExperimentCtx {
 #[test]
 fn mixed_stream_is_pool_width_independent_and_models_exact() {
     let ctx = small_ctx();
-    let wl = tenancy::default_workload();
-    assert!(wl.jobs >= 16, "the acceptance stream is at least 16 jobs");
-
     let run = || {
         let set = tenancy::profiles(&ctx).expect("profiles");
-        let report = tenancy::stream_with("1k", &wl, &set).expect("stream");
+        let report = tenancy::stream(DriverMix::Mixed, &set);
         (tenancy::models_exact(&set), report.to_json(0))
     };
 
@@ -52,11 +55,10 @@ fn mixed_stream_is_pool_width_independent_and_models_exact() {
 #[test]
 fn stream_rows_are_monotone_and_within_grants() {
     let ctx = small_ctx();
-    let wl = tenancy::default_workload();
     let set = tenancy::profiles(&ctx).expect("profiles");
-    let report = tenancy::stream_with("1k", &wl, &set).expect("stream");
+    let report = tenancy::stream(DriverMix::Mixed, &set);
 
-    assert_eq!(report.rows.len(), wl.jobs);
+    assert_eq!(report.rows.len(), STREAM_JOBS);
     for r in &report.rows {
         assert!(
             r.arrival_s <= r.admitted_s && r.admitted_s <= r.finish_s,
