@@ -17,11 +17,11 @@
 use pic_bench::cli::Failure::{Input, Usage};
 use pic_bench::cli::{self, write_artifact, Command, Failure, Group, Handler, Matches};
 use pic_bench::experiments::common::{cost, BenchApp, Comparison, Workload};
-use pic_bench::experiments::report::{self as perf, SuiteOutputs};
+use pic_bench::experiments::report as perf;
 use pic_bench::experiments::{self, chaos, explain, watch, ExperimentCtx};
 use pic_bench::json;
-use pic_bench::table::{fmt_bytes, fmt_secs, fmt_x, Table};
-use pic_simnet::{ClusterSpec, Rule, TrafficClass};
+use pic_bench::table::{fmt_secs, fmt_x, Table};
+use pic_simnet::{traffic::human_bytes, ClusterSpec, Rule, TrafficClass};
 
 fn ctx_of(m: &Matches) -> ExperimentCtx {
     ExperimentCtx {
@@ -127,7 +127,7 @@ fn chaos(m: &Matches) -> Result<i32, Failure> {
             &fmt_secs(c.clean_s),
             &fmt_secs(c.faulty_s),
             &fmt_secs(c.recovery_s),
-            &fmt_bytes(c.recovery_bytes),
+            &human_bytes(c.recovery_bytes),
             &c.injected_events.to_string(),
             &fmt_secs(c.tt_quality_delta_s),
             // The §16 monitor's incident count for the faulty run; the
@@ -137,7 +137,6 @@ fn chaos(m: &Matches) -> Result<i32, Failure> {
         ]);
     }
     println!("{}", t.render());
-    m.write("--csv", || chaos::chaos_csv(&cells));
     Ok(0)
 }
 
@@ -236,15 +235,8 @@ fn regress(m: &Matches) -> Result<i32, Failure> {
     } else {
         Some(load_baseline(&tag, baseline_path, ctx.scale)?)
     };
-    let outputs = SuiteOutputs {
-        json: text(m, "--out"),
-        csv: m.get("--csv"),
-        util_csv: m.get("--util-csv"),
-        chaos_csv: m.get("--chaos-csv"),
-        tenancy_csv: m.get("--tenancy-csv"),
-        explain_csv: m.get("--explain-csv"),
-    };
-    let fresh_text = perf::run_suite(&tag, &ctx, m.on("--profile-host"), &outputs)?;
+    let out = text(m, "--out");
+    let fresh_text = perf::run_suite(&tag, &ctx, m.on("--profile-host"), out)?;
 
     let Some(baseline) = baseline else {
         write_artifact(&tag, baseline_path, &fresh_text);
@@ -371,13 +363,13 @@ fn compare_and_print<A: BenchApp>(
     ]);
     t.row([
         "intermediate data",
-        &fmt_bytes(ic.traffic.get(TrafficClass::MapSpill)),
-        &fmt_bytes(pic.traffic().get(TrafficClass::MapSpill)),
+        &human_bytes(ic.traffic.get(TrafficClass::MapSpill)),
+        &human_bytes(pic.traffic().get(TrafficClass::MapSpill)),
     ]);
     t.row([
         "model updates",
-        &fmt_bytes(ic.traffic.model_update_total()),
-        &fmt_bytes(pic.traffic().model_update_total()),
+        &human_bytes(ic.traffic.model_update_total()),
+        &human_bytes(pic.traffic().model_update_total()),
     ]);
     if let (Some(a), Some(b)) = (ic.trajectory.last(), pic.trajectory.last()) {
         t.row([

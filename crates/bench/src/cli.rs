@@ -293,7 +293,6 @@ pub const COMMANDS: &[Command] = &[
     command("chaos", Group::Subcommand, "§12", NO_ARGS, "fault-injection campaign, IC vs PIC", &[
         SCALE,
         flag("--scenarios", "<a,b,..>", Kind::Names("scenario", &chaos::SCENARIOS), "", "subset of the scenario matrix"),
-        path("--csv", "write the campaign cells as CSV"),
         list("--list-scenarios", &chaos::SCENARIOS, "print the valid scenario names and exit"),
     ]),
     command("diff", Group::Subcommand, "§14", Positionals::Exactly(&["<old.json>", "<new.json>"]), "attribute the delta between two BENCH_pic.json documents under the gate's comparison", &[
@@ -320,12 +319,7 @@ pub const COMMANDS: &[Command] = &[
     command("regress", Group::Tool, "§9", NO_ARGS, "the CI gate: diff a fresh report suite against the committed baseline under one band rule (exit 1 on regression, 2 on misconfiguration)", &[
         flag("--baseline", "<path>", Kind::Text, "BENCH_pic.json",              "the committed baseline to diff against"),
         flag("--scale",    "<f>",    SCALE_KIND, "0.05",                        "workload scale multiplier; must match the baseline's"),
-        flag("--out",      "<path>", Kind::Text, "target/BENCH_pic.fresh.json", "where the fresh report is written"),
-        path("--csv",         "also write the convergence curves as CSV"),
-        path("--util-csv",    "also write the utilization series as CSV"),
-        path("--chaos-csv",   "also write the quality-under-failure campaign cells as CSV"),
-        path("--tenancy-csv", "also write the per-job rows of the mixed tenancy stream as CSV"),
-        path("--explain-csv", "also write the ranked counterfactual bottleneck tables as CSV (DESIGN.md §15)"),
+        flag("--out",      "<path>", Kind::Text, "target/BENCH_pic.fresh.json", "where the fresh report is written; the suite CSVs go beside it"),
         switch("--update",    "rewrite the baseline from the fresh run instead of diffing"),
         switch("--profile-host", "record host-side stage timings (DESIGN.md §14) as host_profile in the JSON"),
     ]),
@@ -682,10 +676,21 @@ mod tests {
     /// export one JSON document each: anything else is an unknown flag.
     #[test]
     fn removed_exports_are_unknown_flags() {
-        let removed: [(&str, &[&str]); 3] = [
+        let removed: [(&str, &[&str]); 5] = [
             ("report", &["--json", "--csv", "--util-csv", "--chaos-csv"]),
             ("explain", &["--side", "--csv"]),
             ("watch", &["--csv", "--metrics"]),
+            ("chaos", &["--csv"]),
+            (
+                "regress",
+                &[
+                    "--csv",
+                    "--util-csv",
+                    "--chaos-csv",
+                    "--tenancy-csv",
+                    "--explain-csv",
+                ],
+            ),
         ];
         for (name, flags) in removed {
             for flag in flags {

@@ -300,8 +300,9 @@ pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, Str
     fn name_of(app: &Json) -> Option<&str> {
         app.get("app").and_then(Json::as_str)
     }
-    for old_app in old_apps {
+    for (i, old_app) in old_apps.iter().enumerate() {
         let Some(name) = name_of(old_app) else {
+            notes.push(format!("baseline app {i} has no 'app' name"));
             continue;
         };
         let Some(new_app) = new_apps.iter().find(|a| name_of(a) == Some(name)) else {
@@ -360,9 +361,13 @@ pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, Str
             });
         }
     }
-    for name in new_apps.iter().filter_map(name_of) {
-        if !old_apps.iter().any(|a| name_of(a) == Some(name)) {
-            notes.push(format!("app '{name}' missing from baseline"));
+    for (i, new_app) in new_apps.iter().enumerate() {
+        match name_of(new_app) {
+            None => notes.push(format!("fresh app {i} has no 'app' name")),
+            Some(name) if !old_apps.iter().any(|a| name_of(a) == Some(name)) => {
+                notes.push(format!("app '{name}' missing from baseline"));
+            }
+            Some(_) => {}
         }
     }
 
@@ -562,6 +567,17 @@ mod tests {
         assert!(!report.is_empty());
         assert_eq!(report.notes.len(), 2, "{:?}", report.notes);
         assert!(diff_docs(&Json::Null, &b, 1e-9).is_err());
+        // An entry without an `app` name is a note naming its index, on
+        // either side.
+        let d = json::parse(r#"{"scale": 0.05, "apps": [{"ic_total_s": 5}]}"#).unwrap();
+        let e = json::parse(r#"{"scale": 0.05, "apps": []}"#).unwrap();
+        for (old, new, note) in [
+            (&d, &e, "baseline app 0 has no 'app' name"),
+            (&e, &d, "fresh app 0 has no 'app' name"),
+        ] {
+            let report = diff_docs(old, new, 1e-9).unwrap();
+            assert_eq!(report.notes, [note]);
+        }
     }
 
     /// Notes and labels come from the documents' own strings; the JSON

@@ -3,10 +3,10 @@
 
 use super::common::{compare, cost};
 use super::ExperimentCtx;
-use crate::table::{fmt_bytes, fmt_secs, fmt_x, Table};
+use crate::table::{fmt_secs, fmt_x, Table};
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_apps::pagerank::{block_local_graph, PageRankApp, PartitionMode};
-use pic_simnet::ClusterSpec;
+use pic_simnet::{traffic::human_bytes, ClusterSpec};
 
 /// Partition-count sweep (paper §III.B: "more sub-problems of smaller
 /// size can increase the number of best-effort iterations").
@@ -178,13 +178,13 @@ pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
     t.row([
         "with combiner".to_string(),
         with.shuffle_records.to_string(),
-        fmt_bytes(with.shuffle_bytes),
+        human_bytes(with.shuffle_bytes),
         fmt_secs(with.total_time_s),
     ]);
     t.row([
         "without combiner".to_string(),
         without.shuffle_records.to_string(),
-        fmt_bytes(without.shuffle_bytes),
+        human_bytes(without.shuffle_bytes),
         fmt_secs(without.total_time_s),
     ]);
     format!(
@@ -193,7 +193,7 @@ pub fn combiner_effect(ctx: &ExperimentCtx) -> String {
          the combiner shrinks only what crosses the network, which is why PIC's \
          savings are additive to it (paper §II grants the baseline combiners).\n",
         t.render(),
-        fmt_bytes(with.map_output_bytes),
+        human_bytes(with.map_output_bytes),
     )
 }
 
@@ -346,7 +346,7 @@ pub fn tile_layout(ctx: &ExperimentCtx) -> String {
     for r in rows {
         t.row([
             r.name.to_string(),
-            fmt_bytes(r.sub_bytes),
+            human_bytes(r.sub_bytes),
             r.be_iterations.to_string(),
             r.topoff_iterations.to_string(),
             fmt_secs(r.pic_time_s),

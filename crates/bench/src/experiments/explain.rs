@@ -7,7 +7,7 @@
 //! result as an IC-vs-PIC side-by-side terminal table and a
 //! deterministic JSON document (byte-identical across rayon pool
 //! widths — everything is a pure function of the simulated traces).
-//! `pic regress --explain-csv` writes the ranked tables as CSV.
+//! `pic regress` writes the ranked tables as `explain.csv` beside `--out`.
 
 use super::report::AppRun;
 use super::ExperimentCtx;

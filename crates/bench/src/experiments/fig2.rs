@@ -4,9 +4,9 @@
 
 use super::common::{compare, cost};
 use super::ExperimentCtx;
-use crate::table::{fmt_bytes, fmt_secs, fmt_x, Table};
+use crate::table::{fmt_secs, fmt_x, Table};
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
-use pic_simnet::ClusterSpec;
+use pic_simnet::{traffic::human_bytes, ClusterSpec};
 
 /// Run Figure 2.
 pub fn run(ctx: &ExperimentCtx) -> String {
@@ -63,13 +63,13 @@ pub fn run_full(ctx: &ExperimentCtx) -> (String, super::common::Comparison<Centr
     let mut traffic = Table::new(["run", "intermediate data", "model updates"]);
     traffic.row([
         "IC baseline",
-        &fmt_bytes(ic_traffic.get(pic_simnet::TrafficClass::MapSpill)),
-        &fmt_bytes(ic_traffic.model_update_total()),
+        &human_bytes(ic_traffic.get(pic_simnet::TrafficClass::MapSpill)),
+        &human_bytes(ic_traffic.model_update_total()),
     ]);
     traffic.row([
         "PIC",
-        &fmt_bytes(pic_traffic.get(pic_simnet::TrafficClass::MapSpill)),
-        &fmt_bytes(pic_traffic.model_update_total()),
+        &human_bytes(pic_traffic.get(pic_simnet::TrafficClass::MapSpill)),
+        &human_bytes(pic_traffic.model_update_total()),
     ]);
 
     let report = format!(

@@ -245,24 +245,6 @@ pub fn collect(ctx: &ExperimentCtx, apps: &[&str]) -> Result<Vec<AppRun>, String
     Ok(runs)
 }
 
-/// Where one `pic regress` run writes its artifacts: `BENCH_pic.json`
-/// always (`--out`), each CSV when its flag asks for it.
-#[derive(Debug, Clone, Copy)]
-pub struct SuiteOutputs<'a> {
-    /// `BENCH_pic.json` (`--out`).
-    pub json: &'a str,
-    /// Convergence curves (`--csv`).
-    pub csv: Option<&'a str>,
-    /// Utilization/occupancy series (`--util-csv`).
-    pub util_csv: Option<&'a str>,
-    /// Quality-under-failure campaign cells (`--chaos-csv`).
-    pub chaos_csv: Option<&'a str>,
-    /// Per-job rows of the mixed tenancy stream (`--tenancy-csv`).
-    pub tenancy_csv: Option<&'a str>,
-    /// Ranked counterfactual bottleneck tables (`--explain-csv`).
-    pub explain_csv: Option<&'a str>,
-}
-
 /// Run `work` under the host profiler when `on` (DESIGN.md §14):
 /// reset, enable, run, disable, snapshot. The one bracket behind `pic
 /// report --profile-host` and `pic regress --profile-host`.
@@ -282,16 +264,18 @@ pub fn profiled<T>(on: bool, work: impl FnOnce() -> T) -> (T, Option<pic_simnet:
 
 /// The `pic regress` pipeline: collect all five comparisons, run the
 /// chaos campaign and the tenancy section, then write `BENCH_pic.json`
-/// and the requested CSV artifacts, logging under `[tag]`. Returns the
-/// `BENCH_pic.json` text.
+/// to `out` and the five suite CSVs beside it (`convergence.csv`,
+/// `utilization.csv`, `chaos.csv`, `tenancy.csv`, `explain.csv`), logging
+/// under `[tag]`. Returns the `BENCH_pic.json` text.
 pub fn run_suite(
     tag: &str,
     ctx: &ExperimentCtx,
     profile_host: bool,
-    outputs: &SuiteOutputs<'_>,
+    out: &str,
 ) -> Result<String, String> {
     use super::{chaos, explain, tenancy};
     use crate::cli::write_artifact;
+    use std::path::Path;
 
     let t0 = std::time::Instant::now();
     let (suite, host_profile) = profiled(profile_host, || -> Result<_, String> {
@@ -307,21 +291,18 @@ pub fn run_suite(
     );
 
     let json = bench_json(ctx, &runs, &cells, Some(&tenancy), host_profile.as_ref());
-    write_artifact(tag, outputs.json, &json);
-    let write = |path: Option<&str>, doc: &dyn Fn() -> String| {
-        if let Some(path) = path {
-            write_artifact(tag, path, &doc());
-        }
-    };
-    write(outputs.csv, &|| quality_csv(&runs));
-    write(outputs.util_csv, &|| utilization_csv(&runs));
-    write(outputs.chaos_csv, &|| chaos::chaos_csv(&cells));
-    write(outputs.tenancy_csv, &|| {
-        tenancy::tenancy_csv(&tenancy.mixed)
-    });
-    write(outputs.explain_csv, &|| {
-        explain::explain_csv(&explain::sections(&runs, &pic_simnet::whatif::CATALOG))
-    });
+    write_artifact(tag, out, &json);
+    let dir = Path::new(out).parent().unwrap_or(Path::new(""));
+    let sections = explain::sections(&runs, &pic_simnet::whatif::CATALOG);
+    for (name, doc) in [
+        ("convergence.csv", quality_csv(&runs)),
+        ("utilization.csv", utilization_csv(&runs)),
+        ("chaos.csv", chaos::chaos_csv(&cells)),
+        ("tenancy.csv", tenancy::tenancy_csv(&tenancy.mixed)),
+        ("explain.csv", explain::explain_csv(&sections)),
+    ] {
+        write_artifact(tag, &dir.join(name).to_string_lossy(), &doc);
+    }
     Ok(json)
 }
 

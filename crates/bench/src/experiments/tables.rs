@@ -2,11 +2,11 @@
 
 use super::common::{compare, cost};
 use super::ExperimentCtx;
-use crate::table::{fmt_bytes, Table};
+use crate::table::Table;
 use pic_apps::kmeans::{
     gaussian_mixture, init_random_centroids, jagota_index, Centroids, KMeansApp,
 };
-use pic_simnet::{ClusterSpec, TrafficClass};
+use pic_simnet::{traffic::human_bytes, ClusterSpec, TrafficClass};
 
 /// Table I: iterations required for IC and the best-effort phase of PIC
 /// (K-means) across dataset sizes. Paper sizes: 0.5M / 5M / 50M / 500M
@@ -92,17 +92,17 @@ pub fn table2(ctx: &ExperimentCtx) -> String {
     ]);
     t.row([
         "Intermediate data",
-        &fmt_bytes(ic_inter_total / iters),
-        &fmt_bytes(ic_inter_total),
-        &fmt_bytes(be.get(TrafficClass::MapSpill)),
-        &fmt_bytes(pic_traffic.get(TrafficClass::MapSpill)),
+        &human_bytes(ic_inter_total / iters),
+        &human_bytes(ic_inter_total),
+        &human_bytes(be.get(TrafficClass::MapSpill)),
+        &human_bytes(pic_traffic.get(TrafficClass::MapSpill)),
     ]);
     t.row([
         "Model updates",
-        &fmt_bytes(ic_model_total / iters),
-        &fmt_bytes(ic_model_total),
-        &fmt_bytes(be.model_update_total()),
-        &fmt_bytes(pic_traffic.model_update_total()),
+        &human_bytes(ic_model_total / iters),
+        &human_bytes(ic_model_total),
+        &human_bytes(be.model_update_total()),
+        &human_bytes(pic_traffic.model_update_total()),
     ]);
 
     format!(

@@ -177,6 +177,13 @@ mod tests {
         ] {
             assert!(text.contains(row), "'{row}' missing from:\n{text}");
         }
+        // Every sparkline starts in one column, whatever its label's length.
+        let bars: Vec<usize> = text.lines().filter_map(|l| l.find('|')).collect();
+        assert_eq!(bars.len(), 14, "{text}");
+        assert!(
+            bars.iter().all(|&c| c == bars[0]),
+            "misaligned rows:\n{text}"
+        );
 
         // Intermediate frames appear once an interval is requested, and
         // the stride caps them at MAX_FRAMES per side.

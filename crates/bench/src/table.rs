@@ -2,7 +2,6 @@
 //! columns to content (the `pic report` / `pic diff` tables). CSV
 //! escaping is unified in [`csv_row`].
 
-use pic_simnet::traffic::human_bytes;
 use std::fmt::Write as _;
 
 /// A simple fixed-layout table: headers plus rows, auto-sized columns.
@@ -110,11 +109,6 @@ pub fn fmt_secs(s: f64) -> String {
     } else {
         format!("{:.0} ms", s * 1000.0)
     }
-}
-
-/// Format a byte count (paper-style KB/MB/GB).
-pub fn fmt_bytes(b: u64) -> String {
-    human_bytes(b)
 }
 
 /// Format a speedup factor.

@@ -65,7 +65,11 @@ pub fn run_ic<A: IterativeApp>(
     // nesting inside.
     let tracer = engine.tracer().clone();
     let chaos = engine.chaos();
-    let root_span = tracer.begin(format!("{}:{}", opts.phase, app.name()), "driver");
+    let root_span = tracer.begin_at(
+        format!("{}:{}", opts.phase, app.name()),
+        "driver",
+        engine.now(),
+    );
 
     if opts.charge_startup {
         // One-time startup; per-iteration job re-creation is excluded, as
@@ -102,7 +106,11 @@ pub fn run_ic<A: IterativeApp>(
     while iterations < max_iterations {
         let it_t0 = engine.now();
         let it_traffic0 = engine.traffic();
-        let it_span = tracer.begin(format!("{}-{}", opts.phase, scope.iteration), opts.phase);
+        let it_span = tracer.begin_at(
+            format!("{}-{}", opts.phase, scope.iteration),
+            opts.phase,
+            it_t0,
+        );
         // The report layer keys its per-iteration decomposition off this
         // arg rather than re-parsing the span name.
         tracer.set_arg(it_span, "iteration", Payload::U64(scope.iteration as u64));
@@ -136,8 +144,8 @@ pub fn run_ic<A: IterativeApp>(
         // span is still open, so the quality sample parents to (and lands
         // inside) it.
         let error = app.error(&next);
-        super::record_quality(&tracer, error, scope.iteration, Vec::new());
-        tracer.end(it_span);
+        super::record_quality(engine, error, scope.iteration, Vec::new());
+        tracer.end_at(it_span, engine.now());
         per_iteration.push(IterationStats {
             time_s: engine.now() - it_t0,
             traffic: engine.traffic().delta_since(&it_traffic0),
@@ -161,7 +169,7 @@ pub fn run_ic<A: IterativeApp>(
         // the new node count and the current model ships to the adjusted
         // group as recovery traffic (the data itself stays in the DFS, so
         // joining nodes read it through the normal remote-read path).
-        if let Some((_, new_nodes)) = chaos.resize_after(iterations) {
+        if let Some((_, new_nodes)) = chaos.resize_after(iterations, engine.now()) {
             let n = new_nodes.clamp(1, spec.nodes);
             scope.group = 0..n;
             let (secs, net) = transfer::broadcast(spec, n, model.byte_size());
@@ -175,7 +183,7 @@ pub fn run_ic<A: IterativeApp>(
         }
     }
 
-    tracer.end(root_span);
+    tracer.end_at(root_span, engine.now());
 
     IcReport {
         final_model: model,

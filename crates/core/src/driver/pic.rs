@@ -80,7 +80,7 @@ pub fn run_pic<A: PicApp>(
     // Root span for the whole two-phase run; the best-effort rounds and the
     // top-off's "topoff:*" driver span nest inside it.
     let tracer = engine.tracer().clone();
-    let pic_span = tracer.begin(format!("pic:{}", app.name()), "driver");
+    let pic_span = tracer.begin_at(format!("pic:{}", app.name()), "driver", engine.now());
 
     engine.advance(spec.job_overhead_s); // one-time startup
     let run_t0 = engine.now();
@@ -116,7 +116,11 @@ pub fn run_pic<A: PicApp>(
     let mut be_iterations = 0;
 
     while be_iterations < max_be {
-        let be_span = tracer.begin(format!("be-{}", be_iterations + 1), "be-iteration");
+        let be_span = tracer.begin_at(
+            format!("be-{}", be_iterations + 1),
+            "be-iteration",
+            engine.now(),
+        );
         tracer.set_arg(be_span, "iteration", Payload::U64(be_iterations as u64 + 1));
 
         // Sub-models out of the unified model (paper `partition`, model
@@ -204,7 +208,7 @@ pub fn run_pic<A: PicApp>(
         // common size undercounts the merge traffic by up to `parts - 1`
         // bytes per round whenever sub-model sizes are uneven.
         let sub_sizes: Vec<u64> = sub_results.iter().map(ByteSize::byte_size).collect();
-        let merge_span = tracer.begin("merge", "merge");
+        let merge_span = tracer.begin_at("merge", "merge", engine.now());
         let hp_merge = hostprof::scope(Stage::PicMerge);
         engine.gather_models_sized(&sub_sizes);
         // The merge itself runs as a (small) MapReduce job in the paper's
@@ -218,7 +222,7 @@ pub fn run_pic<A: PicApp>(
             0,
             TrafficClass::ModelUpdate,
         );
-        tracer.end(merge_span);
+        tracer.end_at(merge_span, engine.now());
 
         let batch_locals: usize = iters.iter().sum();
         local_iterations.push(iters);
@@ -227,12 +231,12 @@ pub fn run_pic<A: PicApp>(
         // still open; the round's local-iteration batch total rides along.
         error = app.error(&merged);
         super::record_quality(
-            &tracer,
+            engine,
             error,
             be_iterations,
             vec![("local_iterations".into(), Payload::U64(batch_locals as u64))],
         );
-        tracer.end(be_span);
+        tracer.end_at(be_span, engine.now());
         if let Some(e) = error {
             trajectory.push(QualityPoint {
                 t_s: engine.now() - run_t0,
@@ -252,7 +256,7 @@ pub fn run_pic<A: PicApp>(
         // chaos event that legitimately changes results (different
         // sub-problem boundaries), which is why the scenario matrix holds
         // it to a tolerance instead of exact equality.
-        if let Some((new_parts, new_nodes)) = chaos.resize_after(be_iterations) {
+        if let Some((new_parts, new_nodes)) = chaos.resize_after(be_iterations, engine.now()) {
             parts = new_parts;
             active_nodes = new_nodes.min(spec.nodes).max(1);
             parts_records = app.partition_data(data, parts);
@@ -285,7 +289,7 @@ pub fn run_pic<A: PicApp>(
         charge_startup: false, // same job chain continues
     };
     let topoff = run_ic(engine, app, data, model, &topoff_opts);
-    tracer.end(pic_span);
+    tracer.end_at(pic_span, engine.now());
 
     for p in &topoff.trajectory {
         let t_s = be_time_s + p.t_s;

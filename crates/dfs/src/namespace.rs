@@ -131,9 +131,10 @@ impl Dfs {
         let (mut secs, _net) = transfer::dfs_write(&self.spec, bytes);
         secs *= self.chaos.degradation_factor(t0);
         self.ledger.add_over(class, bytes * copies, t0, t0 + secs);
-        self.tracer.instant(
+        self.tracer.instant_at(
             "write",
             "dfs",
+            t0,
             vec![
                 ("path".to_string(), Payload::Str(path.to_string())),
                 ("bytes".to_string(), Payload::U64(bytes)),
@@ -309,6 +310,24 @@ mod tests {
         dfs.create("/f", 1000, 0, TrafficClass::DfsWrite, 0.0)
             .unwrap();
         assert_eq!(l.get(TrafficClass::DfsWrite), 3000);
+    }
+
+    #[test]
+    fn write_instant_lands_at_the_callers_start_time() {
+        let tracer = Tracer::standalone();
+        let ledger = Arc::new(TrafficLedger::traced(tracer.clone()));
+        let dfs = Dfs::new(
+            Arc::new(ClusterSpec::small()),
+            ledger,
+            tracer.clone(),
+            ChaosInjector::idle(),
+        );
+        dfs.create("/f", 1000, 0, TrafficClass::DfsWrite, 3.0)
+            .unwrap();
+        let tr = tracer.trace();
+        let at = |cat: &str| tr.instants.iter().find(|i| i.cat == cat).unwrap().t;
+        assert_eq!(at("dfs"), 3.0, "the write instant");
+        assert_eq!(at("traffic"), 3.0, "its charge");
     }
 
     #[test]

@@ -20,13 +20,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The engine: a simulated cluster plus the machinery to run typed
-/// MapReduce jobs on it. Clone-cheap handles are not provided on purpose —
+/// MapReduce jobs on it. The engine owns the run's one [`SimClock`]:
+/// every span and instant its [`Tracer`] records carries a time read from
+/// that clock. Clone-cheap handles are not provided on purpose —
 /// experiments own one engine and thread `&Engine` through.
 pub struct Engine {
     spec: Arc<ClusterSpec>,
     ledger: Arc<TrafficLedger>,
     dfs: Dfs,
-    clock: Arc<SimClock>,
+    clock: SimClock,
     tracer: Tracer,
     chaos: ChaosInjector,
 }
@@ -38,7 +40,7 @@ impl Engine {
     /// # Panics
     /// Panics if the spec fails validation.
     pub fn new(spec: ClusterSpec) -> Self {
-        Self::build(spec, Tracer::new)
+        Self::build(spec, Tracer::standalone())
     }
 
     /// An engine with tracing disabled: the ledger still counts bytes
@@ -46,14 +48,12 @@ impl Engine {
     /// call takes the allocation-free early-return path — the right
     /// constructor for throughput benchmarks.
     pub fn untraced(spec: ClusterSpec) -> Self {
-        Self::build(spec, |_| Tracer::disabled())
+        Self::build(spec, Tracer::disabled())
     }
 
-    fn build(spec: ClusterSpec, tracer: impl FnOnce(Arc<SimClock>) -> Tracer) -> Self {
+    fn build(spec: ClusterSpec, tracer: Tracer) -> Self {
         spec.validate().expect("invalid cluster spec");
         let spec = Arc::new(spec);
-        let clock = Arc::new(SimClock::new());
-        let tracer = tracer(Arc::clone(&clock));
         let ledger = Arc::new(TrafficLedger::traced(tracer.clone()));
         let chaos = ChaosInjector::idle();
         let dfs = Dfs::new(
@@ -66,7 +66,7 @@ impl Engine {
             spec,
             ledger,
             dfs,
-            clock,
+            clock: SimClock::new(),
             tracer,
             chaos,
         }
@@ -128,9 +128,15 @@ impl Engine {
     }
 
     /// Snapshot everything traced since creation (or the last
-    /// [`Engine::reset`]).
+    /// [`Engine::reset`]). Spans still open are closed at the current
+    /// simulated time *in the snapshot only*.
     pub fn trace(&self) -> Trace {
-        self.tracer.trace()
+        let mut trace = self.tracer.trace();
+        let now = self.now();
+        for s in trace.spans.iter_mut().filter(|s| s.t1.is_nan()) {
+            s.t1 = now.max(s.t0);
+        }
+        trace
     }
 
     /// Snapshot the ledger (for per-phase deltas).
@@ -360,7 +366,9 @@ impl Engine {
             ..Default::default()
         };
         let t_job = self.now();
-        let job_span = self.tracer.begin(format!("job:{}", cfg.name), "job");
+        let job_span = self
+            .tracer
+            .begin_at(format!("job:{}", cfg.name), "job", t_job);
 
         let host_map = Instant::now();
         let outs: MapOuts<M> = input
@@ -819,6 +827,16 @@ mod tests {
         let traced = degraded_run(Engine::new(ClusterSpec::small()));
         let untraced = degraded_run(Engine::untraced(ClusterSpec::small()));
         assert_eq!(traced, untraced);
+    }
+
+    #[test]
+    fn trace_closes_open_spans_in_the_snapshot_only() {
+        let engine = Engine::new(ClusterSpec::small());
+        engine.tracer().begin_at("open", "job", engine.now());
+        engine.advance(5.0);
+        assert_eq!(engine.trace().spans[0].t1, 5.0);
+        engine.advance(1.0);
+        assert_eq!(engine.trace().spans[0].t1, 6.0, "still open in the tracer");
     }
 
     #[test]

@@ -492,9 +492,9 @@ impl ChaosInjector {
 
     /// If the plan resizes the cluster after driver iteration
     /// `iteration`, fire that resize (once) and return
-    /// `(partitions, nodes)`. Emits an `elastic-resize` instant at the
-    /// tracer's current time.
-    pub fn resize_after(&self, iteration: usize) -> Option<(usize, usize)> {
+    /// `(partitions, nodes)`. Emits an `elastic-resize` instant at `t`,
+    /// the caller's simulated time.
+    pub fn resize_after(&self, iteration: usize, t: f64) -> Option<(usize, usize)> {
         let mut g = self.armed();
         let a = g.as_mut()?;
         let r = a
@@ -509,7 +509,7 @@ impl ChaosInjector {
             CHAOS_LANE,
             "elastic-resize",
             "chaos",
-            a.tracer.now(),
+            t,
             vec![
                 ("partitions".to_string(), Payload::U64(parts as u64)),
                 ("nodes".to_string(), Payload::U64(nodes as u64)),
@@ -644,7 +644,7 @@ mod tests {
         assert!(c.peek_failures(0.0, 100.0).is_empty());
         assert!(c.commit_failures(100.0, 0.0, 100.0).is_empty());
         assert_eq!(c.degradation_factor(5.0), 1.0);
-        assert_eq!(c.resize_after(1), None);
+        assert_eq!(c.resize_after(1, 0.0), None);
         assert_eq!(c.injected_events(), 0);
     }
 
@@ -761,15 +761,20 @@ mod tests {
     #[test]
     fn resize_fires_once_for_its_iteration() {
         let c = ChaosInjector::idle();
+        let tracer = Tracer::standalone();
         c.arm(
             &FaultPlan::new(0).elastic_resize(2, 6, 4),
             &ClusterSpec::small(),
-            Tracer::standalone(),
+            tracer.clone(),
         )
         .unwrap();
-        assert_eq!(c.resize_after(1), None);
-        assert_eq!(c.resize_after(2), Some((6, 4)));
-        assert_eq!(c.resize_after(2), None, "a resize fires once");
+        assert_eq!(c.resize_after(1, 1.0), None);
+        assert_eq!(c.resize_after(2, 7.5), Some((6, 4)));
+        assert_eq!(c.resize_after(2, 9.0), None, "a resize fires once");
+        let tr = tracer.trace();
+        assert_eq!(tr.instants.len(), 1);
+        assert_eq!(tr.instants[0].name, "elastic-resize");
+        assert_eq!(tr.instants[0].t, 7.5, "stamped at the caller's time");
     }
 
     #[test]

@@ -8,11 +8,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically non-decreasing simulated clock, in seconds.
 ///
-/// Lock-free: the seconds live in an [`AtomicU64`] as `f64` bits, so the
-/// engine and its tracer share one `Arc<SimClock>` and every method takes
-/// `&self`. [`SimClock::advance`] is a load then a store, so the clock
-/// has one writer: the thread driving the engine. `Relaxed` suffices, as
-/// the seconds publish no other data.
+/// The engine owns its clock by value and is the only owner of simulated
+/// time: the tracer holds no clock and records the times it is given.
+/// Lock-free: the seconds live in an [`AtomicU64`] as `f64` bits, so every
+/// method takes `&self` and a shared `&Engine` can advance time.
+/// [`SimClock::advance`] is a load then a store, so the clock has one
+/// writer: the thread driving the engine. `Relaxed` suffices, as the
+/// seconds publish no other data.
 #[derive(Debug, Default)]
 pub struct SimClock {
     bits: AtomicU64,

@@ -824,10 +824,13 @@ impl MonitorReport {
     /// the incident count.
     fn render_frame(&self, header: &str, open_note: &str, t_s: f64, width: usize) -> String {
         let mut out = format!("{header}\n");
-        for (label, bar, last, peak) in self.rows_at(t_s, width) {
+        let rows = self.rows_at(t_s, width);
+        // Pad to the widest label, so every sparkline starts in one column.
+        let pad = rows.iter().map(|r| r.0.len()).max().unwrap_or(0);
+        for (label, bar, last, peak) in rows {
             let _ = writeln!(
                 out,
-                "  {label:<14} |{bar}| last {last:>10.4} peak {peak:>10.4}"
+                "  {label:<pad$} |{bar}| last {last:>10.4} peak {peak:>10.4}"
             );
         }
         let opened: Vec<&Incident> = self.incidents.iter().filter(|i| i.open_s <= t_s).collect();

@@ -1253,14 +1253,7 @@ pub fn json_f64s(values: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
     use crate::trace::{Payload, Tracer};
-    use std::sync::Arc;
-
-    fn tracer() -> (Tracer, Arc<SimClock>) {
-        let clock = Arc::new(SimClock::new());
-        (Tracer::new(Arc::clone(&clock)), clock)
-    }
 
     /// A three-level tree with a known longest chain:
     ///
@@ -1271,8 +1264,8 @@ mod tests {
     ///   └─ (root self 9..10)
     /// ```
     fn known_tree() -> Trace {
-        let (t, clock) = tracer();
-        let root = t.begin("root", "job");
+        let t = Tracer::standalone();
+        let root = t.begin_at("root", "job", 0.0);
         let a = t.begin_at("a", "phase", 0.0);
         t.span_at_in("x-slot-0", "a1", "task", 0.0, 2.0, Vec::new());
         t.span_at_in("x-slot-1", "a2", "task", 2.0, 4.0, Vec::new());
@@ -1280,8 +1273,7 @@ mod tests {
         let b = t.begin_at("b", "phase", 4.0);
         t.span_at_in("x-slot-0", "b1", "task", 5.0, 8.0, Vec::new());
         t.end_at(b, 9.0);
-        clock.advance(10.0);
-        t.end(root);
+        t.end_at(root, 10.0);
         t.trace()
     }
 
@@ -1332,12 +1324,11 @@ mod tests {
 
     #[test]
     fn zero_width_children_cannot_stall_the_walk() {
-        let (t, clock) = tracer();
-        let root = t.begin("root", "job");
+        let t = Tracer::standalone();
+        let root = t.begin_at("root", "job", 0.0);
         t.span_at("sort", "phase", 1.0, 1.0, Vec::new());
         t.span_at("sort2", "phase", 1.0, 1.0, Vec::new());
-        clock.advance(2.0);
-        t.end(root);
+        t.end_at(root, 2.0);
         let cp = CriticalPath::from_trace(&t.trace()).unwrap();
         assert!((cp.total_s - 2.0).abs() < 1e-12);
         assert_eq!(cp.segments.len(), 1, "zero-width spans are skipped");
@@ -1347,12 +1338,11 @@ mod tests {
     fn overlapping_children_pick_the_blocking_chain() {
         // c2 overlaps the cursor when c1 is chosen; the walk must skip
         // it rather than loop or double-count.
-        let (t, clock) = tracer();
-        let root = t.begin("root", "job");
+        let t = Tracer::standalone();
+        let root = t.begin_at("root", "job", 0.0);
         t.span_at("c1", "phase", 0.0, 6.0, Vec::new());
         t.span_at("c2", "phase", 2.0, 5.0, Vec::new());
-        clock.advance(6.0);
-        t.end(root);
+        t.end_at(root, 6.0);
         let cp = CriticalPath::from_trace(&t.trace()).unwrap();
         assert!((cp.total_s - 6.0).abs() < 1e-12);
         assert_eq!(cp.segments.len(), 1);
@@ -1364,8 +1354,8 @@ mod tests {
     fn single_child_slack_is_none_but_tied_siblings_get_zero() {
         // A lone child has no competitor (slack None); two siblings that
         // finish at the same instant compete with zero margin (Some(0)).
-        let (t, clock) = tracer();
-        let root = t.begin("root", "job");
+        let t = Tracer::standalone();
+        let root = t.begin_at("root", "job", 0.0);
         let solo = t.begin_at("solo", "phase", 0.0);
         t.span_at_in("x-slot-0", "only", "task", 0.0, 3.0, Vec::new());
         t.end_at(solo, 3.0);
@@ -1373,8 +1363,7 @@ mod tests {
         t.span_at_in("x-slot-0", "t1", "task", 3.0, 6.0, Vec::new());
         t.span_at_in("x-slot-1", "t2", "task", 3.0, 6.0, Vec::new());
         t.end_at(tied, 6.0);
-        clock.advance(6.0);
-        t.end(root);
+        t.end_at(root, 6.0);
         let cp = CriticalPath::from_trace(&t.trace()).unwrap();
         let only = cp.segments.iter().find(|s| s.name == "only").unwrap();
         assert_eq!(only.slack_s, None);
@@ -1388,10 +1377,10 @@ mod tests {
 
     #[test]
     fn zero_duration_root_yields_an_empty_path() {
-        let (t, _clock) = tracer();
-        let root = t.begin("root", "job");
+        let t = Tracer::standalone();
+        let root = t.begin_at("root", "job", 0.0);
         t.span_at("blip", "phase", 0.0, 0.0, Vec::new());
-        t.end(root); // clock never advanced: root is zero-duration
+        t.end_at(root, 0.0); // root is zero-duration
         let cp = CriticalPath::from_trace(&t.trace()).unwrap();
         assert_eq!(cp.total_s, 0.0);
         // The zero-width child is skipped; only the (zero-length) root
@@ -1409,15 +1398,14 @@ mod tests {
         // Pool width only permutes the order concurrent spans are
         // recorded in; the rollup must not depend on it.
         let build = |swap: bool| {
-            let (t, clock) = tracer();
-            let root = t.begin("root", "job");
+            let t = Tracer::standalone();
+            let root = t.begin_at("root", "job", 0.0);
             let a = t.begin_at("a", "phase", 0.0);
             let (first, second) = if swap { ("a2", "a1") } else { ("a1", "a2") };
             t.span_at_in("x-slot-0", first, "task", 0.0, 2.0, Vec::new());
             t.span_at_in("x-slot-1", second, "task", 0.0, 4.0, Vec::new());
             t.end_at(a, 4.0);
-            clock.advance(5.0);
-            t.end(root);
+            t.end_at(root, 5.0);
             CriticalPath::from_trace(&t.trace()).unwrap().by_cat_s()
         };
         let (fwd, rev) = (build(false), build(true));
@@ -1596,21 +1584,19 @@ mod tests {
 
     #[test]
     fn iteration_attribution_reconciles_exactly() {
-        let (t, clock) = tracer();
-        let root = t.begin("pic:app", "driver");
+        let t = Tracer::standalone();
+        let root = t.begin_at("pic:app", "driver", 0.0);
         t.traffic_event_over(TrafficClass::DfsRead, 1000, 0.0, 0.0); // outside any iteration
-        let be = t.begin("be-1", "be-iteration");
+        let be = t.begin_at("be-1", "be-iteration", 0.0);
         t.set_arg(be, "iteration", Payload::U64(1));
         t.traffic_event_over(TrafficClass::Broadcast, 10, 0.0, 0.0);
         t.traffic_event_over(TrafficClass::Merge, 20, 0.0, 1.0);
-        clock.advance(1.0);
-        t.end(be);
-        let top = t.begin("topoff-1", "topoff");
+        t.end_at(be, 1.0);
+        let top = t.begin_at("topoff-1", "topoff", 1.0);
         t.traffic_event_over(TrafficClass::ShuffleRack, 30, 1.0, 3.0);
         t.traffic_event_over(TrafficClass::ModelUpdate, 40, 1.0, 1.0);
-        clock.advance(2.0);
-        t.end(top);
-        t.end(root);
+        t.end_at(top, 3.0);
+        t.end_at(root, 3.0);
         let tr = t.trace();
         let r = PerfReport::from_trace(&tr);
         assert_eq!(r.iterations.len(), 2);
@@ -1633,10 +1619,9 @@ mod tests {
 
     #[test]
     fn iteration_index_falls_back_to_name_suffix() {
-        let (t, clock) = tracer();
-        let it = t.begin("topoff-7", "topoff");
-        clock.advance(1.0);
-        t.end(it);
+        let t = Tracer::standalone();
+        let it = t.begin_at("topoff-7", "topoff", 0.0);
+        t.end_at(it, 1.0);
         let r = PerfReport::from_trace(&t.trace());
         assert_eq!(r.iterations[0].index, 7);
     }
@@ -1676,13 +1661,12 @@ mod tests {
 
     #[test]
     fn render_mentions_every_section() {
-        let (t, clock) = tracer();
-        let root = t.begin("pic:app", "driver");
-        let be = t.begin("be-1", "be-iteration");
+        let t = Tracer::standalone();
+        let root = t.begin_at("pic:app", "driver", 0.0);
+        let be = t.begin_at("be-1", "be-iteration", 0.0);
         t.traffic_event_over(TrafficClass::Broadcast, 10, 0.0, 0.0);
-        clock.advance(1.0);
-        t.end(be);
-        t.end(root);
+        t.end_at(be, 1.0);
+        t.end_at(root, 1.0);
         let r = PerfReport::from_trace(&t.trace());
         let text = r.render(10);
         assert!(text.contains("total simulated time"));

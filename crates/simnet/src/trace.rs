@@ -5,8 +5,9 @@
 //! spends its time in cheap local iterations instead of framework passes.
 //! End-of-run aggregates ([`crate::traffic::TrafficSnapshot`], `JobStats`)
 //! cannot show *when* bytes moved or *which* phase/iteration spent the
-//! time, so this module records a tree of spans and instant events on the
-//! simulated clock:
+//! time, so this module records a tree of spans and instant events in
+//! simulated time. The recorder holds no clock: every record carries the
+//! time its caller passes, which in a run is the engine's clock:
 //!
 //! * **Spans** — `job → phase (map/shuffle/sort/reduce) → task`, and on
 //!   the driver side `pic run → best-effort iteration → local solves /
@@ -35,7 +36,6 @@
 //! derives per-phase time, per-class bytes and event counts, and
 //! [`check`] holds the reusable trace invariants the test suite asserts.
 
-use crate::clock::SimClock;
 use crate::sweep::collect_charges;
 use crate::traffic::{TrafficClass, TrafficSnapshot};
 use std::collections::BTreeMap;
@@ -181,39 +181,21 @@ struct State {
     stack: Vec<SpanId>,
 }
 
-#[derive(Debug)]
-struct Shared {
-    clock: Arc<SimClock>,
-    state: Mutex<State>,
-}
-
-impl Shared {
-    /// The recorded state. Every update is a push or a field write that
-    /// leaves it valid, so a poisoned lock is recovered: a panic in one
-    /// traced call must not wedge every later one.
-    fn state(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// A cloneable handle recording spans and events against a shared
-/// simulated clock. A disabled tracer ([`Tracer::disabled`], also the
-/// `Default`) makes every call a no-op, so library code can thread the
-/// handle unconditionally.
+/// A cloneable handle recording spans and events at the simulated times
+/// its callers pass. It holds no clock: the engine owns simulated time
+/// and stamps every record. A disabled tracer ([`Tracer::disabled`],
+/// also the `Default`) makes every call a no-op, so library code can
+/// thread the handle unconditionally.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Option<Arc<Shared>>,
+    inner: Option<Arc<Mutex<State>>>,
 }
 
 impl Tracer {
-    /// A tracer stamping with `clock`, the engine's shared simulated
-    /// clock (the tracer only reads it).
-    pub fn new(clock: Arc<SimClock>) -> Self {
+    /// A tracer that records.
+    pub fn standalone() -> Self {
         Tracer {
-            inner: Some(Arc::new(Shared {
-                clock,
-                state: Mutex::new(State::default()),
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -222,50 +204,33 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A tracer with its own private clock pinned at `t = 0` — for
-    /// standalone scheduler replays and tests where no engine clock
-    /// exists (all explicit-time methods still work).
-    pub fn standalone() -> Self {
-        Tracer::new(Arc::default())
-    }
-
     /// True when this handle records.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Current simulated time (0.0 when disabled) — a stamp for records,
-    /// never an input to the simulation: that reads the engine's clock.
-    pub(crate) fn now(&self) -> f64 {
-        self.inner.as_ref().map_or(0.0, |sh| sh.clock.now())
+    /// The recorded state. Every update is a push or a field write that
+    /// leaves it valid, so a poisoned lock is recovered: a panic in one
+    /// traced call must not wedge every later one.
+    fn state(&self) -> Option<MutexGuard<'_, State>> {
+        let st = self.inner.as_ref()?;
+        Some(st.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Drop everything recorded so far (between independent runs).
     pub fn clear(&self) {
-        if let Some(sh) = &self.inner {
-            *sh.state() = State::default();
+        if let Some(mut st) = self.state() {
+            *st = State::default();
         }
     }
 
-    /// Open a span at the current simulated time and push it on the
-    /// span stack; subsequent spans/instants become its children until
-    /// [`Tracer::end`].
-    pub fn begin(&self, name: impl Into<String>, cat: &'static str) -> SpanId {
-        // Early-out before reading the clock or converting `name`:
-        // this path is hot in benches that run with tracing disabled.
-        if self.inner.is_none() {
-            return SpanId(0);
-        }
-        let t0 = self.now();
-        self.begin_at(name, cat, t0)
-    }
-
-    /// [`Tracer::begin`] at an explicit simulated time.
+    /// Open a span at simulated time `t0` and push it on the span stack;
+    /// subsequent spans/instants become its children until
+    /// [`Tracer::end_at`].
     pub fn begin_at(&self, name: impl Into<String>, cat: &'static str, t0: f64) -> SpanId {
-        let Some(sh) = &self.inner else {
+        let Some(mut st) = self.state() else {
             return SpanId(0);
         };
-        let mut st = sh.state();
         let id = SpanId(st.spans.len() as u64);
         let parent = st.stack.last().copied();
         st.spans.push(Span {
@@ -282,20 +247,10 @@ impl Tracer {
         id
     }
 
-    /// Close `id` at the current simulated time.
-    pub fn end(&self, id: SpanId) {
-        if self.inner.is_none() {
-            return;
-        }
-        let t1 = self.now();
-        self.end_at(id, t1);
-    }
-
-    /// Close `id` at an explicit simulated time. Any spans opened inside
-    /// `id` and still open are closed at the same instant.
+    /// Close `id` at simulated time `t1`. Any spans opened inside `id`
+    /// and still open are closed at the same instant.
     pub fn end_at(&self, id: SpanId, t1: f64) {
-        let Some(sh) = &self.inner else { return };
-        let mut st = sh.state();
+        let Some(mut st) = self.state() else { return };
         let Some(pos) = st.stack.iter().rposition(|s| *s == id) else {
             return;
         };
@@ -310,8 +265,7 @@ impl Tracer {
 
     /// Attach an argument to an already-recorded span.
     pub fn set_arg(&self, id: SpanId, key: impl Into<String>, value: Payload) {
-        let Some(sh) = &self.inner else { return };
-        let mut st = sh.state();
+        let Some(mut st) = self.state() else { return };
         if let Some(span) = st.spans.get_mut(id.index()) {
             span.args.push((key.into(), value));
         }
@@ -341,10 +295,9 @@ impl Tracer {
         t1: f64,
         args: Args,
     ) -> SpanId {
-        let Some(sh) = &self.inner else {
+        let Some(mut st) = self.state() else {
             return SpanId(0);
         };
-        let mut st = sh.state();
         let id = SpanId(st.spans.len() as u64);
         let parent = st.stack.last().copied();
         st.spans.push(Span {
@@ -360,18 +313,7 @@ impl Tracer {
         id
     }
 
-    /// Record an instant event at the current simulated time on the
-    /// driver lane.
-    pub fn instant(&self, name: impl Into<String>, cat: &'static str, args: Args) {
-        if self.inner.is_none() {
-            return;
-        }
-        let t = self.now();
-        self.instant_at_in(DRIVER_LANE, name, cat, t, args);
-    }
-
-    /// Record an instant event at an explicit simulated time on the
-    /// driver lane.
+    /// Record an instant event at simulated time `t` on the driver lane.
     pub fn instant_at(&self, name: impl Into<String>, cat: &'static str, t: f64, args: Args) {
         self.instant_at_in(DRIVER_LANE, name, cat, t, args);
     }
@@ -385,8 +327,7 @@ impl Tracer {
         t: f64,
         args: Args,
     ) {
-        let Some(sh) = &self.inner else { return };
-        let mut st = sh.state();
+        let Some(mut st) = self.state() else { return };
         let parent = st.stack.last().copied();
         st.instants.push(InstantEvent {
             parent,
@@ -406,7 +347,7 @@ impl Tracer {
     /// [`crate::traffic::TrafficLedger::add_over`], which is what makes
     /// traced bytes reconcile exactly with ledger totals.
     /// The instant is stamped at `w0` — the moment the transfer starts —
-    /// not at the emission clock: the engine assembles whole jobs with
+    /// not at the engine's clock: the engine assembles whole jobs with
     /// the clock parked at the job start, so a charge committed while a
     /// later phase span is open (e.g. chaos recovery during the reduce
     /// phase) would otherwise escape its parent's window.
@@ -426,22 +367,15 @@ impl Tracer {
         );
     }
 
-    /// Snapshot everything recorded so far. Spans still open are closed
-    /// at the current simulated time *in the snapshot only*.
+    /// Snapshot everything recorded so far, as recorded: a span still
+    /// open carries `t1 = NaN` (`Engine::trace` closes such spans at the
+    /// engine's current time).
     pub fn trace(&self) -> Trace {
-        let Some(sh) = &self.inner else {
+        let Some(st) = self.state() else {
             return Trace::default();
         };
-        let now = sh.clock.now();
-        let st = sh.state();
-        let mut spans = st.spans.clone();
-        for s in &mut spans {
-            if s.t1.is_nan() {
-                s.t1 = now.max(s.t0);
-            }
-        }
         Trace {
-            spans,
+            spans: st.spans.clone(),
             instants: st.instants.clone(),
         }
     }
@@ -871,28 +805,19 @@ pub mod check {
 mod tests {
     use super::*;
 
-    fn tracer() -> (Tracer, Arc<SimClock>) {
-        let clock = Arc::new(SimClock::new());
-        (Tracer::new(Arc::clone(&clock)), clock)
-    }
-
     #[test]
     fn disabled_tracer_is_a_no_op() {
         // Every entry point must record nothing — and (by inspection of
         // the early returns) skip the name/lane String builds entirely.
         let t = Tracer::disabled();
         assert!(!t.is_enabled());
-        assert_eq!(t.now(), 0.0);
-        let id = t.begin("x", "job");
-        let id2 = t.begin_at("y", "phase", 1.0);
+        let id = t.begin_at("y", "phase", 1.0);
         t.set_arg(id, "k", Payload::U64(1));
-        t.instant("e", "sched", Vec::new());
         t.instant_at("e2", "sched", 0.5, Vec::new());
         t.instant_at_in("lane", "e3", "dfs", 0.5, Vec::new());
         t.span_at("s", "phase", 0.0, 1.0, Vec::new());
         t.span_at_in("lane", "s2", "task", 0.0, 1.0, Vec::new());
         t.traffic_event_over(TrafficClass::Merge, 99, 0.0, 1.0);
-        t.end(id2);
         t.end_at(id, 2.0);
         t.clear();
         let tr = t.trace();
@@ -903,7 +828,7 @@ mod tests {
 
     #[test]
     fn arg_u64_finds_typed_payloads_only() {
-        let (t, _clock) = tracer();
+        let t = Tracer::standalone();
         t.span_at(
             "s",
             "phase",
@@ -915,7 +840,7 @@ mod tests {
                 ("bytes".into(), Payload::U64(77)),
             ],
         );
-        t.instant("c", "sched", vec![("value".into(), Payload::U64(3))]);
+        t.instant_at("c", "sched", 0.0, vec![("value".into(), Payload::U64(3))]);
         let tr = t.trace();
         assert_eq!(tr.spans[0].arg_u64("bytes"), Some(77));
         assert_eq!(tr.spans[0].arg_u64("ratio"), None, "F64 is not U64");
@@ -926,15 +851,12 @@ mod tests {
 
     #[test]
     fn spans_nest_and_parent_links() {
-        let (t, clock) = tracer();
-        let outer = t.begin("outer", "job");
-        clock.advance(1.0);
-        let inner = t.begin("inner", "phase");
-        t.instant("tick", "sched", Vec::new());
-        clock.advance(1.0);
-        t.end(inner);
-        clock.advance(1.0);
-        t.end(outer);
+        let t = Tracer::standalone();
+        let outer = t.begin_at("outer", "job", 0.0);
+        let inner = t.begin_at("inner", "phase", 1.0);
+        t.instant_at("tick", "sched", 1.0, Vec::new());
+        t.end_at(inner, 2.0);
+        t.end_at(outer, 3.0);
         let tr = t.trace();
         assert_eq!(tr.spans.len(), 2);
         assert_eq!(tr.spans[1].parent, Some(outer));
@@ -949,32 +871,32 @@ mod tests {
 
     #[test]
     fn end_closes_abandoned_children() {
-        let (t, clock) = tracer();
-        let outer = t.begin("outer", "job");
-        let _inner = t.begin("inner", "phase");
-        clock.advance(2.0);
-        t.end(outer); // inner never ended explicitly
+        let t = Tracer::standalone();
+        let outer = t.begin_at("outer", "job", 0.0);
+        let _inner = t.begin_at("inner", "phase", 0.0);
+        t.end_at(outer, 2.0); // inner never ended explicitly
         let tr = t.trace();
         assert_eq!(tr.spans[1].t1, 2.0);
         // The stack is empty again: a new span is a root.
-        let root = t.begin("next", "job");
+        let root = t.begin_at("next", "job", 2.0);
         assert_eq!(t.trace().spans[root.index()].parent, None);
     }
 
     #[test]
-    fn open_spans_close_in_snapshot_only() {
-        let (t, clock) = tracer();
-        t.begin("open", "job");
-        clock.advance(5.0);
-        let tr = t.trace();
-        assert_eq!(tr.spans[0].t1, 5.0);
-        clock.advance(1.0);
-        assert_eq!(t.trace().spans[0].t1, 6.0, "still open in the tracer");
+    fn open_spans_snapshot_as_recorded() {
+        // The tracer keeps no time of its own: an open span has no end
+        // until its caller passes one (`Engine::trace` closes open spans
+        // at the engine's clock).
+        let t = Tracer::standalone();
+        let id = t.begin_at("open", "job", 1.0);
+        assert!(t.trace().spans[0].t1.is_nan());
+        t.end_at(id, 5.0);
+        assert_eq!(t.trace().spans[0].t1, 5.0);
     }
 
     #[test]
     fn traffic_events_reconcile_exactly() {
-        let (t, _clock) = tracer();
+        let t = Tracer::standalone();
         t.traffic_event_over(TrafficClass::Broadcast, 100, 0.0, 0.0);
         t.traffic_event_over(TrafficClass::Broadcast, 23, 0.5, 1.5);
         t.traffic_event_over(TrafficClass::Merge, 7, 1.0, 1.0);
@@ -990,12 +912,11 @@ mod tests {
 
     #[test]
     fn nesting_violation_is_reported() {
-        let (t, clock) = tracer();
-        let outer = t.begin("outer", "job");
+        let t = Tracer::standalone();
+        let outer = t.begin_at("outer", "job", 0.0);
         // Child claims to run past its parent's end.
         t.span_at("escapee", "phase", 0.5, 9.0, Vec::new());
-        clock.advance(1.0);
-        t.end(outer);
+        t.end_at(outer, 1.0);
         let errs = check::spans_nest(&t.trace()).unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("escapee"), "{errs:?}");
@@ -1003,7 +924,7 @@ mod tests {
 
     #[test]
     fn slot_overlap_is_reported() {
-        let (t, _clock) = tracer();
+        let t = Tracer::standalone();
         t.span_at_in("map-slot-0", "t0", "task", 0.0, 2.0, Vec::new());
         t.span_at_in("map-slot-0", "t1", "task", 1.0, 3.0, Vec::new());
         t.span_at_in("map-slot-1", "t2", "task", 1.0, 3.0, Vec::new());
@@ -1011,7 +932,7 @@ mod tests {
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("map-slot-0"));
         // Touching endpoints are fine.
-        let (t2, _c) = tracer();
+        let t2 = Tracer::standalone();
         t2.span_at_in("s", "a", "task", 0.0, 1.0, Vec::new());
         t2.span_at_in("s", "b", "task", 1.0, 2.0, Vec::new());
         check::no_overlap_per_slot(&t2.trace()).unwrap();
@@ -1019,7 +940,7 @@ mod tests {
 
     #[test]
     fn span_order_detects_interleaving() {
-        let (t, _clock) = tracer();
+        let t = Tracer::standalone();
         t.span_at("be-1", "be-iteration", 0.0, 1.0, Vec::new());
         t.span_at("topoff-1", "topoff", 1.0, 2.0, Vec::new());
         check::span_order(&t.trace(), "be-iteration", "topoff").unwrap();
@@ -1029,16 +950,16 @@ mod tests {
 
     #[test]
     fn chrome_json_is_well_formed() {
-        let (t, clock) = tracer();
-        let job = t.begin("job:\"quoted\"\n", "job");
+        let t = Tracer::standalone();
+        let job = t.begin_at("job:\"quoted\"\n", "job", 0.0);
         t.span_at_in("map-slot-0", "task-0", "task", 0.0, 0.5, Vec::new());
-        t.instant(
+        t.instant_at(
             "task-killed",
             "sched",
+            0.0,
             vec![("task".into(), Payload::U64(3))],
         );
-        clock.advance(1.0);
-        t.end(job);
+        t.end_at(job, 1.0);
         let json = t.trace().to_chrome_json_with_counters(&[]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
@@ -1057,10 +978,9 @@ mod tests {
 
     #[test]
     fn counter_tracks_export_on_their_own_lane() {
-        let (t, clock) = tracer();
-        let job = t.begin("job", "job");
-        clock.advance(2.0);
-        t.end(job);
+        let t = Tracer::standalone();
+        let job = t.begin_at("job", "job", 0.0);
+        t.end_at(job, 2.0);
         let tracks = vec![CounterTrack {
             name: "util:bisection".to_string(),
             points: vec![(0.0, 0.5), (1.0, 1.0), (2.0, f64::NAN)],
@@ -1077,19 +997,18 @@ mod tests {
 
     #[test]
     fn quality_instants_export_as_counter_events() {
-        let (t, clock) = tracer();
-        let it = t.begin("ic-1", "ic");
-        clock.advance(1.0);
-        t.instant(
+        let t = Tracer::standalone();
+        let it = t.begin_at("ic-1", "ic", 0.0);
+        t.instant_at(
             "sample",
             "quality",
+            1.0,
             vec![
                 ("iteration".into(), Payload::U64(1)),
                 ("objective".into(), Payload::F64(0.25)),
             ],
         );
-        clock.advance(1.0);
-        t.end(it);
+        t.end_at(it, 2.0);
         let tr = t.trace();
         assert_eq!(tr.instants[0].arg_f64("objective"), Some(0.25));
         assert_eq!(tr.instants[0].arg_f64("iteration"), None, "U64 is not F64");
@@ -1104,29 +1023,25 @@ mod tests {
 
     #[test]
     fn quality_samples_accepts_monotone_in_window_sequences() {
-        let (t, clock) = tracer();
-        let be = t.begin("be-1", "be-iteration");
-        clock.advance(1.0);
-        t.instant("sample", "quality", Vec::new());
-        clock.advance(1.0);
-        t.end(be);
-        let ic = t.begin("topoff-1", "topoff");
-        clock.advance(1.0);
-        t.instant("sample", "quality", Vec::new());
-        clock.advance(1.0);
-        t.end(ic);
+        let t = Tracer::standalone();
+        let be = t.begin_at("be-1", "be-iteration", 0.0);
+        t.instant_at("sample", "quality", 1.0, Vec::new());
+        t.end_at(be, 2.0);
+        let ic = t.begin_at("topoff-1", "topoff", 2.0);
+        t.instant_at("sample", "quality", 3.0, Vec::new());
+        t.end_at(ic, 4.0);
         check::quality_samples(&t.trace()).unwrap();
         check::validate(&t.trace(), &TrafficSnapshot::default()).unwrap();
     }
 
     #[test]
     fn metrics_registry_rolls_up() {
-        let (t, _clock) = tracer();
+        let t = Tracer::standalone();
         t.span_at("map", "phase", 0.0, 2.0, Vec::new());
         t.span_at("map", "phase", 2.0, 3.0, Vec::new());
         t.traffic_event_over(TrafficClass::MapSpill, 10, 0.0, 3.0);
-        t.instant("task-killed", "sched", Vec::new());
-        t.instant("task-killed", "sched", Vec::new());
+        t.instant_at("task-killed", "sched", 0.0, Vec::new());
+        t.instant_at("task-killed", "sched", 0.0, Vec::new());
         let m = MetricsRegistry::from_trace(&t.trace());
         assert_eq!(m.phase_time_s.get("phase/map").copied(), Some(3.0));
         assert_eq!(m.class_bytes.get("map-spill").copied(), Some(10));
