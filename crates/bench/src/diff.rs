@@ -300,6 +300,19 @@ pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, Str
     fn name_of(app: &Json) -> Option<&str> {
         app.get("app").and_then(Json::as_str)
     }
+    // Apps pair up by name, so a name listed twice on either side would
+    // hide its later entries; each such name is one note.
+    for (side, apps) in [("baseline", old_apps), ("fresh", new_apps)] {
+        let names: Vec<&str> = apps.iter().filter_map(name_of).collect();
+        for (i, name) in names.iter().enumerate() {
+            let count = names.iter().filter(|n| *n == name).count();
+            if count > 1 && !names[..i].contains(name) {
+                notes.push(format!(
+                    "app '{name}' appears {count} times in the {side} report"
+                ));
+            }
+        }
+    }
     for (i, old_app) in old_apps.iter().enumerate() {
         let Some(name) = name_of(old_app) else {
             notes.push(format!("baseline app {i} has no 'app' name"));
@@ -577,6 +590,30 @@ mod tests {
         ] {
             let report = diff_docs(old, new, 1e-9).unwrap();
             assert_eq!(report.notes, [note]);
+        }
+        // A name listed twice is a note naming the name, side and count,
+        // even when its first entry matches the other side exactly.
+        let once =
+            json::parse(r#"{"scale":0.05,"apps":[{"app":"kmeans","ic_total_s":1}]}"#).unwrap();
+        let twice = json::parse(
+            r#"{"scale":0.05,"apps":[{"app":"kmeans","ic_total_s":1},{"app":"kmeans","ic_total_s":9}]}"#,
+        )
+        .unwrap();
+        for (old, new, note) in [
+            (
+                &once,
+                &twice,
+                "app 'kmeans' appears 2 times in the fresh report",
+            ),
+            (
+                &twice,
+                &once,
+                "app 'kmeans' appears 2 times in the baseline report",
+            ),
+        ] {
+            let report = diff_docs(old, new, 1e-9).unwrap();
+            assert_eq!(report.notes, [note]);
+            assert!(!report.is_empty());
         }
     }
 

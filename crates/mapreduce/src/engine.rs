@@ -577,15 +577,11 @@ impl Engine {
         );
         drop(hp_shuffle);
 
-        // ---- Partition + sort (group by key within each bucket). --------
+        // ---- Partition: transpose task-major buckets. --------------------
         //
         // Map tasks already partitioned their output, so this step only
-        // transposes task-major buckets into reducer-major chunk lists
-        // (cheap pointer moves) and then groups every reducer's bucket in
-        // parallel with a sort-based merge. The stable sort + Ord-equality
-        // run detection reproduces the previous serial BTreeMap build
-        // exactly: ascending keys, values in map-task-major emission
-        // order, first-emitted key instance representing each group.
+        // moves each task's buckets into reducer-major chunk lists (cheap
+        // pointer moves; no record is copied or compared).
         let host_partition = Instant::now();
         let mut reducer_chunks: Vec<Chunks<M::K, M::V>> = (0..cfg.reducers)
             .map(|_| Vec::with_capacity(map_outs.len()))
@@ -600,8 +596,6 @@ impl Engine {
                 }
             }
         }
-        let grouped: Vec<Grouped<M::K, M::V>> =
-            reducer_chunks.into_par_iter().map(group_bucket).collect();
         stats.host_partition_s = host_partition.elapsed().as_secs_f64();
 
         // Simulated time charges the sort/group to the reducers' merge
@@ -612,22 +606,26 @@ impl Engine {
         self.tracer
             .span_at("sort", "phase", t_reduce, t_reduce, Vec::new());
 
-        // ---- Reduce phase: real execution, analytic replay. --------------
+        // ---- Reduce tasks: real execution, analytic replay. --------------
+        // Each reduce task merges its chunks into grouped columns and
+        // reduces them straight away, as a Hadoop reduce task does, so
+        // only the grouped inputs of tasks in flight are alive at once.
         // (output records, input values) per reduce task.
         let host_reduce = Instant::now();
-        let red_outs: Vec<(Vec<R::Out>, usize)> = grouped
+        let red_outs: Vec<(Vec<R::Out>, usize)> = reducer_chunks
             .into_par_iter()
-            .map(|bucket| {
+            .map(|chunks| {
+                let input = group_bucket(chunks);
                 let mut ctx = ReduceContext::new();
-                let mut values = 0usize;
                 {
                     let _hp = hostprof::scope(Stage::Reduce);
-                    for (k, vs) in &bucket {
-                        values += vs.len();
-                        reducer.reduce(k, vs, &mut ctx);
+                    let mut start = 0;
+                    for (k, &end) in input.keys.iter().zip(&input.ends) {
+                        reducer.reduce(k, &input.values[start..end], &mut ctx);
+                        start = end;
                     }
                 }
-                (ctx.into_parts(), values)
+                (ctx.into_parts(), input.values.len())
             })
             .collect();
         stats.host_reduce_s = host_reduce.elapsed().as_secs_f64();
@@ -699,9 +697,14 @@ struct OpenJob {
 /// bucket for this reducer, in task-major order.
 type Chunks<K, V> = Vec<Vec<(K, V)>>;
 
-/// One reducer's grouped input: ascending keys, each with its values in
-/// task-major emission order.
-type Grouped<K, V> = Vec<(K, Vec<V>)>;
+/// One reducer's grouped input as three flat columns: group `g` has key
+/// `keys[g]` and values `values[ends[g - 1]..ends[g]]` (from 0 for the
+/// first group). Keys ascend; values keep task-major emission order.
+struct ReduceInput<K, V> {
+    keys: Vec<K>,
+    ends: Vec<usize>,
+    values: Vec<V>,
+}
 
 /// Group one reducer's bucket: concatenate the per-map-task chunks (in
 /// task order), stable-sort by key, and split into per-key runs.
@@ -716,7 +719,7 @@ type Grouped<K, V> = Vec<(K, Vec<V>)>;
 /// * the stored key of each group is its first-emitted instance, and
 ///   values keep task-major emission order (stable sort preserves the
 ///   concatenation order of equal keys).
-fn group_bucket<K: Ord, V>(chunks: Chunks<K, V>) -> Grouped<K, V> {
+fn group_bucket<K: Ord, V>(chunks: Chunks<K, V>) -> ReduceInput<K, V> {
     let _hp = hostprof::scope(Stage::SortMergeGroup);
     let total: usize = chunks.iter().map(Vec::len).sum();
     let mut pairs: Vec<(K, V)> = Vec::with_capacity(total);
@@ -724,12 +727,24 @@ fn group_bucket<K: Ord, V>(chunks: Chunks<K, V>) -> Grouped<K, V> {
         pairs.extend(chunk);
     }
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
+    let mut out: ReduceInput<K, V> = ReduceInput {
+        keys: Vec::new(),
+        ends: Vec::new(),
+        values: Vec::with_capacity(total),
+    };
     for (k, v) in pairs {
-        match out.last_mut() {
-            Some((run_key, vs)) if (*run_key).cmp(&k) == Ordering::Equal => vs.push(v),
-            _ => out.push((k, vec![v])),
+        match out.keys.last() {
+            Some(run_key) if run_key.cmp(&k) == Ordering::Equal => {}
+            Some(_) => {
+                out.ends.push(out.values.len());
+                out.keys.push(k);
+            }
+            None => out.keys.push(k),
         }
+        out.values.push(v);
+    }
+    if !out.keys.is_empty() {
+        out.ends.push(out.values.len());
     }
     out
 }
@@ -1293,6 +1308,63 @@ mod tests {
         }
         assert_eq!(combine_run(&Sum, vec![(7u64, 42u64)]), vec![(7, 42)]);
         assert_eq!(combine_run(&Sum, Vec::<(u64, u64)>::new()), vec![]);
+    }
+
+    /// A key whose `Eq`, `Ord` and `Hash` read only `id`: `tag` tells
+    /// equal instances apart.
+    #[derive(Clone, Debug)]
+    struct Tagged {
+        id: u64,
+        tag: u64,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.id == other.id
+        }
+    }
+    impl Eq for Tagged {}
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.id.cmp(&other.id)
+        }
+    }
+    impl std::hash::Hash for Tagged {
+        fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+            self.id.hash(h);
+        }
+    }
+    impl kv::ByteSize for Tagged {
+        fn byte_size(&self) -> u64 {
+            16
+        }
+    }
+
+    #[test]
+    fn each_group_keeps_its_first_emitted_key_and_task_major_values() {
+        let engine = word_count_engine();
+        let ds = Dataset::create(&engine, "/tag", (0..12u64).collect(), 2);
+        // Every pair has one key, tagged with the map task that emitted it.
+        let mapper = FnMapper::new(|x: &u64, ctx: &mut MapContext<Tagged, u64>| {
+            let tag = ctx.split() as u64;
+            ctx.emit(Tagged { id: 7, tag }, *x);
+        });
+        let reducer = FnReducer::new(
+            |k: &Tagged, vs: &[u64], ctx: &mut ReduceContext<(u64, u64, Vec<u64>)>| {
+                ctx.emit((k.id, k.tag, vs.to_vec()))
+            },
+        );
+        // Three reducers: one bucket receives every pair, two receive none.
+        let res = engine.run(&analytic("tag").reducers(3), &ds, &mapper, &reducer);
+        let task_major: Vec<u64> = ds.splits.iter().flat_map(|s| s.records.clone()).collect();
+        assert_eq!(ds.splits.len(), 2);
+        assert_eq!(res.output, vec![(7, 0, task_major)]);
+        assert_eq!(res.stats.reduce_tasks, 3);
     }
 
     #[test]

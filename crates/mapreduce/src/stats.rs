@@ -27,10 +27,11 @@ pub struct JobStats {
     /// Host times are diagnostics for the engine's own pipeline: they
     /// never feed the simulated clock or the trace, and live only here.
     pub host_map_s: f64,
-    /// Measured host wall-clock seconds of the parallel partition/group
-    /// step (per-reducer concatenation + stable sort + run grouping).
+    /// Measured host wall-clock seconds of the serial partition step
+    /// (moving each map task's buckets into per-reducer chunk lists).
     pub host_partition_s: f64,
-    /// Measured host wall-clock seconds of the parallel reduce phase.
+    /// Measured host wall-clock seconds of the parallel reduce tasks: each
+    /// one's concatenation, stable sort and run grouping, then its reduce.
     pub host_reduce_s: f64,
     /// Input records consumed.
     pub input_records: u64,

@@ -2,9 +2,10 @@
 //! partition/sort/merge pipeline.
 //!
 //! The engine partitions each map task's output into per-reducer buckets
-//! as it emits, then groups every reducer's bucket in parallel with a
-//! sort-based merge. These tests pin that pipeline to a small serial
-//! reference implementation — the per-reducer `BTreeMap` build the engine
+//! as it emits; each reduce task, in parallel, then groups its bucket
+//! with a sort-based merge and reduces it. These tests pin that pipeline,
+//! down to the order of each key's values, to a small serial reference
+//! implementation — the per-reducer `BTreeMap` build the engine
 //! used historically — across randomized jobs, and to itself across
 //! thread-pool widths.
 
@@ -46,10 +47,17 @@ fn engine_combiner() -> impl pic_mapreduce::Combiner<K = u64, V = u64> {
     })
 }
 
+/// An order-sensitive fold of a key's values (`h = h·31 + v`, wrapping),
+/// so any reordering of a group's values changes the output.
+fn fold(vs: &[u64]) -> u64 {
+    vs.iter()
+        .fold(0u64, |h, &v| h.wrapping_mul(31).wrapping_add(v))
+}
+
 fn engine_reducer() -> impl pic_mapreduce::Reducer<K = u64, V = u64, Out = (u64, u64, u64)> {
     FnReducer::new(
         |k: &u64, vs: &[u64], ctx: &mut ReduceContext<(u64, u64, u64)>| {
-            ctx.emit((*k, vs.iter().sum(), vs.len() as u64));
+            ctx.emit((*k, fold(vs), vs.len() as u64));
         },
     )
 }
@@ -118,7 +126,7 @@ fn serial_reference(splits: &[Vec<Rec>], reducers: usize, combine: bool) -> Refe
     let mut output = Vec::new();
     for bucket in &buckets {
         for (k, vs) in bucket {
-            output.push((*k, vs.iter().sum(), vs.len() as u64));
+            output.push((*k, fold(vs), vs.len() as u64));
         }
     }
     Reference {
