@@ -21,7 +21,7 @@ use pic_bench::experiments::report as perf;
 use pic_bench::experiments::{self, chaos, explain, watch, ExperimentCtx};
 use pic_bench::json;
 use pic_bench::table::{fmt_secs, fmt_x, Table};
-use pic_simnet::{traffic::human_bytes, ClusterSpec, Rule, TrafficClass};
+use pic_simnet::{traffic::human_bytes, ClusterSpec, TrafficClass};
 
 fn ctx_of(m: &Matches) -> ExperimentCtx {
     ExperimentCtx {
@@ -190,20 +190,7 @@ fn explain(m: &Matches) -> Result<i32, Failure> {
 /// render the dashboard plus the optional JSON document. Pure trace
 /// post-processing.
 fn watch(m: &Matches) -> Result<i32, Failure> {
-    // The table validated every `--rules` name against `CATALOG_RULES`,
-    // the names of `Rule::ALL`.
-    let rule = |name: &str| {
-        Rule::ALL
-            .into_iter()
-            .find(|r| r.name() == name)
-            .expect("a rule")
-    };
-    let opts = watch::WatchOptions {
-        window_s: m.num("--window"),
-        rules: m.names("--rules").into_iter().map(rule).collect(),
-        interval_s: m.num("--interval"),
-        width: m.num("--width"),
-    };
+    let opts = watch::WatchOptions::from_matches(m);
     let ctx = ctx_of(m);
     let runs = perf::collect(&ctx, &m.positional_names())?;
     let sections = watch::sections(&runs, &opts)?;

@@ -631,17 +631,6 @@ mod tests {
         assert_eq!(m.names("--apps"), report::APPS);
     }
 
-    /// The table's defaults are the library's: `pic watch` with no flags
-    /// is the default monitor.
-    #[test]
-    fn table_defaults_match_the_library_defaults() {
-        let opts = experiments::watch::WatchOptions::default();
-        let m = parse(&[], cmd("watch")).unwrap();
-        assert_eq!(m.num::<f64>("--window"), opts.window_s);
-        assert_eq!(m.num::<f64>("--interval"), opts.interval_s);
-        assert_eq!(m.num::<usize>("--width"), opts.width);
-    }
-
     #[test]
     fn out_of_kind_values_name_flag_value_and_range() {
         let err = |name: &str, words: &[&str]| parse(&argv(words), cmd(name)).unwrap_err();

@@ -12,11 +12,12 @@
 //! (which changes the partitioning) may move the converged model.
 
 use super::common::{
-    small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload, SMALL_SUITE_APPS,
+    quality_target, small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload,
+    SMALL_SUITE_APPS,
 };
 use super::ExperimentCtx;
 use pic_simnet::chaos::FaultPlan;
-use pic_simnet::report::{csv_record, fmt_f64, Column, QualityPoint, QualityReport};
+use pic_simnet::report::{fmt_f64, Column, QualityPoint, QualityReport};
 use pic_simnet::trace::check;
 use pic_simnet::{ClusterSpec, Monitor, MonitorConfig};
 
@@ -54,8 +55,8 @@ pub struct ChaosCell {
     pub recovery_bytes: u64,
     /// Fault events the injector actually fired during the run.
     pub injected_events: usize,
-    /// How much later the faulty run reaches the clean run's final
-    /// quality (with 5% slack), in simulated seconds.
+    /// How much later the faulty run reaches the clean run's
+    /// [`quality_target`], in simulated seconds.
     pub tt_quality_delta_s: f64,
     /// True when the faulty run converged to exactly the clean answer
     /// (the crash/degrade/preemption invariant; resize may legitimately
@@ -94,13 +95,6 @@ pub fn plan_for(
 /// First trajectory time at which `target` quality is reached.
 fn time_to_quality(traj: &[QualityPoint], target: f64, fallback: f64) -> f64 {
     QualityReport::first_at_or_below(traj, target).map_or(fallback, |i| traj[i].t_s)
-}
-
-/// Final trajectory error (every campaign app defines one).
-fn final_error(traj: &[QualityPoint], who: &str) -> f64 {
-    traj.last()
-        .unwrap_or_else(|| panic!("{who}: empty trajectory"))
-        .err
 }
 
 /// What a cell keeps of one run, clean or faulty. The trace is checked
@@ -157,7 +151,8 @@ impl SuiteVisitor for Campaign<'_> {
                 let faulty = checked_run(w, driver, scenario, Some(&plan))?;
                 let (faulty_s, faulty_traj, faulty_model) = faulty.report.outcome();
 
-                let target = final_error(clean_traj, w.name) * 1.05 + 1e-12;
+                let target = quality_target(clean_traj)
+                    .unwrap_or_else(|| panic!("{}: empty trajectory", w.name));
                 let tt_clean = time_to_quality(clean_traj, target, clean_s);
                 let tt_faulty = time_to_quality(faulty_traj, target, faulty_s);
 
@@ -223,15 +218,9 @@ impl ChaosCell {
     }
 }
 
-/// CSV header for [`chaos_csv`].
-pub fn csv_header() -> &'static str {
-    "app,scenario,driver,clean_s,faulty_s,recovery_s,recovery_bytes,injected_events,\
-     tt_quality_delta_s,incidents,clean_incidents,exact_result"
-}
-
 /// The campaign cells as one CSV document (the CI artifact).
 pub fn chaos_csv(cells: &[ChaosCell]) -> String {
-    crate::table::csv_doc(csv_header(), cells.iter().map(|c| csv_record(c.columns())))
+    crate::table::csv_doc(cells.iter().map(ChaosCell::columns))
 }
 
 #[cfg(test)]
@@ -267,10 +256,6 @@ mod tests {
                 c.driver
             );
         }
-        // The CSV header is the column list the JSON and the rows share.
-        let columns = cells[0].columns();
-        let keys: Vec<&str> = columns.iter().map(Column::key).collect();
-        assert_eq!(csv_header(), keys.join(","));
         // At least one driver side pays visible recovery.
         assert!(cells.iter().any(|c| c.recovery_bytes > 0));
         assert!(cells.iter().any(|c| c.recovery_s > 0.0));

@@ -271,6 +271,14 @@ impl<M> Comparison<M> {
     }
 }
 
+/// The error a run counts as converged at when the chaos campaign and
+/// the tenancy stream read time-to-quality: within 5 % of `traj`'s final
+/// error, plus an absolute hair so a zero final error is reachable.
+/// `None` on an empty trajectory.
+pub fn quality_target(traj: &[QualityPoint]) -> Option<f64> {
+    traj.last().map(|p| p.err * 1.05 + 1e-12)
+}
+
 /// Run the IC baseline and the PIC implementation of `app` over the same
 /// records on fresh engines of `spec`. `splits` is the map-task count for
 /// the input; `cost` the deterministic cost model.

@@ -12,7 +12,7 @@
 use super::report::AppRun;
 use super::ExperimentCtx;
 use crate::table::csv_doc;
-use pic_simnet::report::{fmt_f64, JsonWriter};
+use pic_simnet::report::{fmt_f64, Column, JsonWriter};
 use pic_simnet::whatif::{Scenario, SensitivityReport};
 use std::fmt::Write as _;
 
@@ -128,16 +128,47 @@ pub fn explain_json(ctx: &ExperimentCtx, sections: &[ExplainSection]) -> String 
     doc + "\n"
 }
 
-/// The ranked-table CSV artifact
-/// (`app,side,rank,scenario,projected_makespan_s,delta_makespan_s,
-/// tt_10pct_s,delta_tt_10pct_s,binding,clamped`), both sides of every
-/// app.
+/// The [`pic_simnet::Projection::columns`] `explain.csv` keeps, in its
+/// order (after the `app,side,rank` prefix).
+const CSV_COLUMNS: [&str; 7] = [
+    "scenario",
+    "projected_makespan_s",
+    "delta_makespan_s",
+    "tt_10pct_s",
+    "delta_tt_10pct_s",
+    "binding",
+    "clamped",
+];
+
+/// The ranked-table CSV artifact, both sides of every app.
 pub fn explain_csv(sections: &[ExplainSection]) -> String {
     let sides = sections
         .iter()
         .flat_map(|s| [("ic", s, &s.ic), ("pic", s, &s.pic)]);
-    let records = sides.flat_map(|(side, s, report)| report.csv_records(&s.app, side));
-    csv_doc(SensitivityReport::csv_header(), records)
+    csv_doc(sides.flat_map(|(side, s, report)| ranked_rows(report, &s.app, side)))
+}
+
+/// One row per ranked scenario: `app`, `side` and the 1-based `rank`,
+/// then the projection's [`CSV_COLUMNS`], a `null` shown as `-`.
+fn ranked_rows<'a>(
+    report: &'a SensitivityReport,
+    app: &'a str,
+    side: &'a str,
+) -> impl Iterator<Item = Vec<Column>> + 'a {
+    report.rows.iter().enumerate().map(move |(i, projection)| {
+        let columns = projection.columns();
+        let pick = |key| match columns.iter().find(|c| c.key() == key) {
+            Some(c) if c.value() == "null" => Column::text(key, "-"),
+            c => c.expect("a CSV column is a projection column").clone(),
+        };
+        let mut row = vec![
+            Column::text("app", app),
+            Column::text("side", side),
+            Column::num("rank", i + 1),
+        ];
+        row.extend(CSV_COLUMNS.map(pick));
+        row
+    })
 }
 
 #[cfg(test)]
@@ -146,6 +177,7 @@ mod tests {
     use crate::experiments::report::collect;
     use crate::json;
     use pic_simnet::whatif::CATALOG;
+    use pic_simnet::{ClusterSpec, Tracer, TrafficClass, TrafficLedger};
 
     fn kmeans_sections() -> Vec<ExplainSection> {
         let runs = collect(&ExperimentCtx { scale: 0.01 }, &["kmeans"]).unwrap();
@@ -185,6 +217,27 @@ mod tests {
                  PIC Δtt10(s)  binding (ic/pic)    "
             )
         );
+    }
+
+    /// Each side's ranked table is one row per scenario, ranked from 1,
+    /// with the projection's `CSV_COLUMNS` after the prefix and a
+    /// missing time-to-quality (no curve here) shown as `-`.
+    #[test]
+    fn ranked_rows_cover_the_catalog() {
+        let (tracer, spec) = (Tracer::standalone(), ClusterSpec::small());
+        let ledger = TrafficLedger::traced(tracer.clone());
+        let root = tracer.begin_at("root", "job", 0.0);
+        tracer.span_at_in("map-slot-0", "t0", "task", 0.0, 2.0, vec![]);
+        let bytes = (4.0 * spec.bisection_bw) as u64;
+        ledger.add_over(TrafficClass::ShuffleBisection, bytes, 2.0, 6.0);
+        tracer.end_at(root, 10.0);
+        let report = SensitivityReport::from_trace(&tracer.trace(), &spec, &[], &CATALOG).unwrap();
+        let rows: Vec<Vec<Column>> = ranked_rows(&report, "kmeans", "ic").collect();
+        assert_eq!(rows.len(), CATALOG.len());
+        assert_eq!(rows[0][2].value(), "1");
+        let picked: Vec<&str> = rows[0][3..].iter().map(Column::key).collect();
+        assert_eq!(picked, CSV_COLUMNS);
+        assert!(rows.iter().all(|row| row[6].value() == "-"));
     }
 
     /// Identity projects exactly zero delta on every reported field,

@@ -2,40 +2,23 @@
 //! IC vs PIC (paper: 100M points / 100 clusters / 64 nodes; here scaled to
 //! 400k points on the same 64-node cluster model).
 
-use super::common::{compare, cost};
+use super::common::{compare, cost, Comparison};
 use super::ExperimentCtx;
 use crate::table::{fmt_secs, fmt_x, Table};
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_simnet::{traffic::human_bytes, ClusterSpec};
 
-/// Run Figure 2.
-pub fn run(ctx: &ExperimentCtx) -> String {
-    run_full(ctx).0
+/// Clusters of the Figure 2 run (the paper's 100).
+const K: usize = 100;
+
+/// Points of the Figure 2 run at `ctx`'s scale.
+fn points(ctx: &ExperimentCtx) -> usize {
+    ctx.n(400_000, 4_000)
 }
 
-/// Run Figure 2 and also return the comparison with both runs' traces —
-/// `pic report` validates and exports them.
-pub fn run_full(ctx: &ExperimentCtx) -> (String, super::common::Comparison<Centroids>) {
-    let n = ctx.n(400_000, 4_000);
-    let k = 100;
-    let dim = 3;
-    let spec = ClusterSpec::medium();
-    let partitions = 64; // one sub-problem per node, as the paper sizes it
-
-    let app = KMeansApp::new(k, dim, 1.0);
-    let pts = gaussian_mixture(n, k, dim, 1000.0, 40.0, 21);
-    let init = Centroids::new(init_random_centroids(k, dim, 1000.0, 5));
-
-    // Quality metric: relative SSE excess on a fixed ~2k-point subsample
-    // against the sequential solution on that subsample — deterministic,
-    // and cheap enough to probe every iteration even at full scale.
-    let stride = (n / 2_000).max(1);
-    let sample: Vec<_> = pts.iter().step_by(stride).cloned().collect();
-    let reference = app.solve_reference(&sample, &init, 300);
-    let app = app.with_eval_sample(sample, &reference);
-
-    let cmp = compare(&spec, &app, pts, init, 256, partitions, cost::kmeans());
-
+/// Run Figure 2 and render its two tables.
+pub fn run(ctx: &ExperimentCtx) -> String {
+    let cmp = run_full(ctx);
     let ic_traffic = cmp.ic.traffic;
     let pic_traffic = cmp.pic.traffic();
 
@@ -72,16 +55,39 @@ pub fn run_full(ctx: &ExperimentCtx) -> (String, super::common::Comparison<Centr
         &human_bytes(pic_traffic.model_update_total()),
     ]);
 
-    let report = format!(
-        "Figure 2 — K-means runtime and traffic, IC vs PIC ({n} points, {k} clusters, \
+    let n = points(ctx);
+    format!(
+        "Figure 2 — K-means runtime and traffic, IC vs PIC ({n} points, {K} clusters, \
          64-node cluster; paper ran 100M points)\n\n{}\n{}\nspeedup: {}\n\n\
          paper expectation: BE phase ≈ 1/5 of IC time; top-off ≈ 1/6 of IC's \
          iterations; overall ≈ 3x; traffic collapses by orders of magnitude.\n",
         time.render(),
         traffic.render(),
         fmt_x(cmp.speedup()),
-    );
-    (report, cmp)
+    )
+}
+
+/// Run Figure 2's comparison, both runs' traces included — `fig2::run`
+/// renders it, `pic report` validates and exports it.
+pub fn run_full(ctx: &ExperimentCtx) -> Comparison<Centroids> {
+    let n = points(ctx);
+    let dim = 3;
+    let spec = ClusterSpec::medium();
+    let partitions = 64; // one sub-problem per node, as the paper sizes it
+
+    let app = KMeansApp::new(K, dim, 1.0);
+    let pts = gaussian_mixture(n, K, dim, 1000.0, 40.0, 21);
+    let init = Centroids::new(init_random_centroids(K, dim, 1000.0, 5));
+
+    // Quality metric: relative SSE excess on a fixed ~2k-point subsample
+    // against the sequential solution on that subsample — deterministic,
+    // and cheap enough to probe every iteration even at full scale.
+    let stride = (n / 2_000).max(1);
+    let sample: Vec<_> = pts.iter().step_by(stride).cloned().collect();
+    let reference = app.solve_reference(&sample, &init, 300);
+    let app = app.with_eval_sample(sample, &reference);
+
+    compare(&spec, &app, pts, init, 256, partitions, cost::kmeans())
 }
 
 #[cfg(test)]

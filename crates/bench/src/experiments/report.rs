@@ -14,10 +14,13 @@
 use super::common::Comparison;
 use super::{fig2, speedups, ExperimentCtx};
 use crate::table::csv_doc;
-use pic_simnet::report::{fmt_f64, JsonWriter, PerfReport, QualityReport, REPORT_SCHEMA_VERSION};
+use pic_simnet::report::{
+    fmt_f64, Column, JsonWriter, PerfReport, QualityReport, REPORT_SCHEMA_VERSION,
+};
 use pic_simnet::trace::check;
 use pic_simnet::{
-    ClusterSpec, Monitor, MonitorConfig, MonitorReport, Trace, TrafficSnapshot, UtilizationReport,
+    ClusterSpec, LinkClass, Monitor, MonitorConfig, MonitorReport, Trace, TrafficSnapshot,
+    UtilizationReport,
 };
 
 /// The five applications, in report order.
@@ -212,7 +215,7 @@ pub fn collect(ctx: &ExperimentCtx, apps: &[&str]) -> Result<Vec<AppRun>, String
         let run = match app {
             // The acceptance-named run: paper Fig. 2, medium cluster.
             "kmeans" => {
-                let (_, cmp) = fig2::run_full(ctx);
+                let cmp = fig2::run_full(ctx);
                 let spec = ClusterSpec::medium();
                 AppRun::from_cmp("kmeans", "fig2", spec, cmp, t0.elapsed().as_secs_f64())
             }
@@ -383,32 +386,118 @@ fn write_app(w: &mut JsonWriter, run: &AppRun) {
     });
 }
 
-/// Concatenate every run's convergence curves into one CSV document
-/// (`app,driver,point,t_s,err`) — the artifact CI uploads so curves can
-/// be plotted without re-running the suite.
+/// Concatenate every run's convergence curves into one CSV document —
+/// the artifact CI uploads so curves can be plotted without re-running
+/// the suite.
 pub fn quality_csv(runs: &[AppRun]) -> String {
-    let records = runs.iter().flat_map(|run| run.quality.csv_records());
-    csv_doc(QualityReport::csv_header(), records)
+    csv_doc(runs.iter().flat_map(|run| quality_rows(&run.quality)))
+}
+
+/// One row per curve point: `app`, `driver` and the point's index, then
+/// the point's own columns.
+fn quality_rows(q: &QualityReport) -> impl Iterator<Item = Vec<Column>> + '_ {
+    let curves = [("ic", &q.ic_curve), ("pic", &q.pic_curve)];
+    curves.into_iter().flat_map(move |(driver, curve)| {
+        curve.iter().enumerate().map(move |(i, p)| {
+            let mut row = vec![
+                Column::text("app", &q.app),
+                Column::text("driver", driver),
+                Column::num("point", i),
+            ];
+            row.extend(p.columns());
+            row
+        })
+    })
 }
 
 /// Concatenate every run's full utilization/occupancy series into one
-/// CSV document (`app,side,series,interval,t0_s,value`). `BENCH_pic.json`
-/// carries only scalar rollups plus the bisection series; this is the
-/// artifact with everything, uploaded by CI next to the quality curves.
+/// long-form CSV document. `BENCH_pic.json` carries only scalar rollups
+/// plus the bisection series; this is the artifact with everything,
+/// uploaded by CI next to the quality curves.
 pub fn utilization_csv(runs: &[AppRun]) -> String {
-    let records = runs.iter().flat_map(|run| {
+    csv_doc(runs.iter().flat_map(|run| {
         let sides = [("ic", run.ic_utilization()), ("pic", run.pic_utilization())];
         sides
             .into_iter()
-            .flat_map(|(side, util)| util.csv_records(run.app, side))
-    });
-    csv_doc(UtilizationReport::csv_header(), records)
+            .flat_map(|(side, util)| utilization_rows(&util, run.app, side))
+    }))
+}
+
+/// One row per grid interval of every link-utilization series
+/// (`link:<label>`) and slot-occupancy series (`slots:<group>`).
+fn utilization_rows(util: &UtilizationReport, app: &str, side: &str) -> Vec<Vec<Column>> {
+    let dt = util.dt_s();
+    let links =
+        LinkClass::ALL.map(|l| (format!("link:{}", l.label()), &util.links[l.label()].util));
+    let slots = util
+        .slots
+        .iter()
+        .map(|(g, s)| (format!("slots:{g}"), &s.occupancy));
+    links
+        .into_iter()
+        .chain(slots)
+        .flat_map(|(series, values)| {
+            values.iter().enumerate().map(move |(i, v)| {
+                vec![
+                    Column::text("app", app),
+                    Column::text("side", side),
+                    Column::text("series", &series),
+                    Column::num("interval", i),
+                    Column::num("t0_s", fmt_f64(i as f64 * dt)),
+                    Column::num("value", fmt_f64(*v)),
+                ]
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
+    use pic_simnet::{QualityPoint, Tracer, TrafficClass, TrafficLedger};
+
+    /// The rendered values of each row, as the CSV records carry them.
+    fn records(rows: impl IntoIterator<Item = Vec<Column>>) -> Vec<Vec<String>> {
+        let values = |row: Vec<Column>| row.iter().map(|c| c.value().to_string()).collect();
+        rows.into_iter().map(values).collect()
+    }
+
+    #[test]
+    fn quality_csv_lists_every_point() {
+        let point = |t_s, err| QualityPoint { t_s, err };
+        let q = QualityReport {
+            app: "toy".into(),
+            ic_curve: vec![point(1.0, 8.0), point(2.0, 2.0), point(3.0, 1.0)],
+            pic_curve: vec![point(0.5, 4.0), point(1.0, 1.05), point(4.0, 1.0)],
+            ic_iterations: 3,
+            be_iterations: 2,
+            topoff_iterations: 1,
+            be_final_err: 1.05,
+        };
+        let records = records(quality_rows(&q));
+        assert_eq!(records.len(), 6);
+        assert_eq!(records[0], ["toy", "ic", "0", "1", "8"]);
+        assert!(records.iter().any(|r| r == &["toy", "pic", "2", "4", "1"]));
+    }
+
+    #[test]
+    fn utilization_csv_covers_every_series() {
+        let tracer = Tracer::standalone();
+        let ledger = TrafficLedger::traced(tracer.clone());
+        let root = tracer.begin_at("root", "job", 0.0);
+        tracer.span_at_in("solve-slot-0", "s0", "task", 0.0, 2.0, vec![]);
+        ledger.add_over(TrafficClass::Broadcast, 500, 0.0, 1.0);
+        tracer.end_at(root, 4.0);
+        let r = UtilizationReport::with_intervals(&tracer.trace(), &ClusterSpec::small(), 8);
+        let records = records(utilization_rows(&r, "kmeans", "pic"));
+        // 4 links + 1 slot group, 8 intervals each.
+        assert_eq!(records.len(), 5 * 8);
+        assert!(records
+            .iter()
+            .any(|rec| rec[..4] == ["kmeans", "pic", "link:bisection", "0"]));
+        assert!(records.iter().any(|rec| rec[2] == "slots:solve"));
+    }
 
     /// One cheap app exercises the full pipeline; the root integration
     /// suite covers kmeans and the cross-pool identity.

@@ -14,10 +14,13 @@
 //! that construction against future drift.
 
 use super::common::{
-    small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload, SMALL_SUITE_APPS,
+    quality_target, small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload,
+    SMALL_SUITE_APPS,
 };
 use super::ExperimentCtx;
-use pic_simnet::report::{fmt_f64, JsonWriter, QualityPoint, QualityReport, TenancyReport};
+use pic_simnet::report::{
+    fmt_f64, JsonWriter, QualityPoint, QualityReport, TenancyReport, TenancyRow,
+};
 use pic_simnet::tenancy::{preset, IterKind, IterationDemand, JobArrival, JobProfile, TenancyJob};
 use pic_simnet::{Tracer, TrafficClass};
 use rand::rngs::StdRng;
@@ -117,14 +120,11 @@ pub struct TenancySection {
 }
 
 /// First index (1-based, over the last `total_iters` trajectory points)
-/// at which the run is within 5% of its own final error — the same
-/// within-5% target the chaos campaign uses.
+/// at which the run reaches its own [`quality_target`].
 fn quality_index(traj: &[QualityPoint], total_iters: usize) -> usize {
-    if traj.is_empty() || total_iters == 0 {
+    let Some(target) = quality_target(traj).filter(|_| total_iters > 0) else {
         return total_iters.max(1);
-    }
-    let fin = traj.last().expect("non-empty").err;
-    let target = fin * 1.05 + 1e-12;
+    };
     let skip = traj.len().saturating_sub(total_iters);
     QualityReport::first_at_or_below(&traj[skip..], target)
         .map(|i| i + 1)
@@ -272,7 +272,7 @@ impl TenancySection {
 
 /// The per-job rows as one CSV document (the CI artifact).
 pub fn tenancy_csv(r: &TenancyReport) -> String {
-    crate::table::csv_doc(TenancyReport::csv_header(), r.csv_records())
+    crate::table::csv_doc(r.rows.iter().map(TenancyRow::columns))
 }
 
 #[cfg(test)]

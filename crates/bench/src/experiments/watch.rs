@@ -8,7 +8,8 @@
 //! rayon pool widths (pinned by `tests/cli_watch.rs`).
 
 use super::report::AppRun;
-use pic_simnet::monitor::{Rule, DEFAULT_WINDOW_S, MAX_BUCKETS};
+use crate::cli::Matches;
+use pic_simnet::monitor::{Rule, MAX_BUCKETS};
 use pic_simnet::report::{fmt_f64, JsonWriter};
 use pic_simnet::{Monitor, MonitorConfig, MonitorReport};
 use std::fmt::Write as _;
@@ -27,13 +28,23 @@ pub struct WatchOptions {
     pub width: usize,
 }
 
-impl Default for WatchOptions {
-    fn default() -> Self {
+impl WatchOptions {
+    /// The options a parsed `pic watch` argv sets; the command table
+    /// states every default.
+    pub fn from_matches(m: &Matches) -> WatchOptions {
+        // The table validated every `--rules` name against
+        // `CATALOG_RULES`, the names of `Rule::ALL`.
+        let rule = |name: &str| {
+            Rule::ALL
+                .into_iter()
+                .find(|r| r.name() == name)
+                .expect("a rule")
+        };
         WatchOptions {
-            window_s: DEFAULT_WINDOW_S,
-            rules: Rule::ALL.to_vec(),
-            interval_s: 0.0,
-            width: 48,
+            window_s: m.num("--window"),
+            rules: m.names("--rules").into_iter().map(rule).collect(),
+            interval_s: m.num("--interval"),
+            width: m.num("--width"),
         }
     }
 }
@@ -149,6 +160,13 @@ mod tests {
     use super::*;
     use crate::experiments::{report as perf, ExperimentCtx};
 
+    /// The options `pic watch <flags>` sets.
+    fn watch_opts(flags: &[&str]) -> WatchOptions {
+        let watch = crate::cli::COMMANDS.iter().find(|c| c.name == "watch");
+        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        WatchOptions::from_matches(&crate::cli::parse(&argv, watch.unwrap()).unwrap())
+    }
+
     fn small_sections(opts: &WatchOptions) -> Vec<WatchSection> {
         let ctx = ExperimentCtx { scale: 0.01 };
         let runs = perf::collect(&ctx, &["linsolve"]).unwrap();
@@ -157,7 +175,7 @@ mod tests {
 
     #[test]
     fn watch_renders_dashboard_frames_and_exports() {
-        let opts = WatchOptions::default();
+        let opts = watch_opts(&[]);
         let secs = small_sections(&opts);
         assert_eq!(secs.len(), 1);
         let s = &secs[0];
@@ -187,20 +205,14 @@ mod tests {
 
         // Intermediate frames appear once an interval is requested, and
         // the stride caps them at MAX_FRAMES per side.
-        let framed = WatchOptions {
-            interval_s: s.ic.horizon_s / 4.0,
-            ..WatchOptions::default()
-        };
+        let framed = watch_opts(&["--interval", &(s.ic.horizon_s / 4.0).to_string()]);
         let text = render_section(s, &framed);
         let frames = text.matches("  t = ").count();
         assert!(frames >= 2, "expected intermediate frames:\n{text}");
         // Down to the smallest positive interval, where the frame count
         // saturates.
         for interval_s in [s.ic.horizon_s / 10_000.0, 1e-300, 5e-324] {
-            let tiny = WatchOptions {
-                interval_s,
-                ..WatchOptions::default()
-            };
+            let tiny = watch_opts(&["--interval", &interval_s.to_string()]);
             let frames = render_section(s, &tiny).matches("  t = ").count();
             assert!(frames <= 2 * MAX_FRAMES, "{interval_s}: {frames} frames");
         }
@@ -225,10 +237,7 @@ mod tests {
         use crate::json::Json;
         // A window far shorter than linsolve's quality gaps opens stall
         // incidents, so the per-incident check is not vacuous.
-        let opts = WatchOptions {
-            window_s: 0.5,
-            ..WatchOptions::default()
-        };
+        let opts = watch_opts(&["--window", "0.5"]);
         let doc = watch_json(0.01, &opts, &small_sections(&opts));
         let doc = crate::json::parse(&doc).unwrap();
         let Some(Json::Arr(apps)) = doc.get("apps") else {
@@ -276,7 +285,7 @@ mod tests {
 
     #[test]
     fn frame_view_matches_the_final_dashboard_at_the_horizon() {
-        let opts = WatchOptions::default();
+        let opts = watch_opts(&[]);
         let secs = small_sections(&opts);
         let r = &secs[0].pic;
         // Beyond the horizon every series is fully visible, so the frame

@@ -1,7 +1,9 @@
 //! ASCII table rendering for experiment output: [`Table`] auto-sizes
-//! columns to content (the `pic report` / `pic diff` tables). CSV
+//! columns to content (the `pic report` / `pic diff` tables). Every CSV
+//! document is built by [`csv_doc`] from rows of [`Column`]s, and its
 //! escaping is unified in [`csv_row`].
 
+use pic_simnet::report::Column;
 use std::fmt::Write as _;
 
 /// A simple fixed-layout table: headers plus rows, auto-sized columns.
@@ -83,16 +85,28 @@ pub fn csv_row<S: AsRef<str>>(fields: impl IntoIterator<Item = S>) -> String {
         .join(",")
 }
 
-/// A whole CSV document: the header line, then one [`csv_row`] line per
-/// record. Every CSV artifact this crate writes is built here.
-pub fn csv_doc<R, S>(header: &str, records: impl IntoIterator<Item = R>) -> String
-where
-    R: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut doc = format!("{header}\n");
-    for record in records {
-        doc.push_str(&csv_row(record));
+/// A whole CSV document: the first row's keys as the header, then one
+/// [`csv_row`] of values per row, so a row type's [`Column`] list is its
+/// CSV schema. No rows make an empty document. Panics, naming the row's
+/// index and first differing key, when a row's keys differ from the
+/// first row's: a ragged CSV is a bug.
+pub fn csv_doc(rows: impl IntoIterator<Item = Vec<Column>>) -> String {
+    let mut rows = rows.into_iter().peekable();
+    let Some(first) = rows.peek() else {
+        return String::new();
+    };
+    let header: Vec<String> = first.iter().map(|c| c.key().to_string()).collect();
+    let mut doc = csv_row(&header) + "\n";
+    for (i, row) in rows.enumerate() {
+        let differs = |&j: &usize| header.get(j).map(String::as_str) != row.get(j).map(Column::key);
+        if let Some(j) = (0..header.len().max(row.len())).find(differs) {
+            panic!(
+                "ragged CSV: row {i} has key {:?} where the header has {:?}",
+                row.get(j).map(Column::key),
+                header.get(j)
+            );
+        }
+        doc.push_str(&csv_row(row.iter().map(Column::value)));
         doc.push('\n');
     }
     doc
@@ -230,6 +244,28 @@ mod tests {
         assert_eq!(csv_parse("a,b\n").unwrap(), vec![vec!["a", "b"]]);
         assert_eq!(csv_parse("a,b").unwrap(), vec![vec!["a", "b"]]);
         assert!(csv_parse("\"open").is_err());
+    }
+
+    fn toy_row(a: u32, b: &str) -> Vec<Column> {
+        vec![Column::num("a", a), Column::text("b", b)]
+    }
+
+    #[test]
+    fn csv_doc_header_is_the_rows_keys() {
+        let doc = csv_doc([toy_row(1, "x"), toy_row(2, "y,z")]);
+        assert_eq!(doc, "a,b\n1,x\n2,\"y,z\"\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2 has key Some(\"c\") where the header has Some(\"b\")")]
+    fn csv_doc_refuses_a_ragged_row() {
+        let ragged = vec![Column::num("a", 3), Column::text("c", "w")];
+        csv_doc([toy_row(1, "x"), toy_row(2, "y"), ragged]);
+    }
+
+    #[test]
+    fn csv_doc_of_no_rows_is_empty() {
+        assert_eq!(csv_doc(Vec::new()), "");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 use crate::sweep::{collect_charges, phase_key, slot_group};
 use crate::trace::{check, json_string, MetricsRegistry, Span, SpanId, Trace};
 use crate::traffic::{human_bytes, TrafficClass, TrafficSnapshot};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -707,6 +708,17 @@ pub struct QualityPoint {
     pub err: f64,
 }
 
+impl QualityPoint {
+    /// The point in schema order — the one definition behind the curve
+    /// JSON objects and the convergence CSV rows.
+    pub fn columns(&self) -> Vec<Column> {
+        vec![
+            Column::num("t_s", fmt_f64(self.t_s)),
+            Column::num("err", fmt_f64(self.err)),
+        ]
+    }
+}
+
 /// The `x` values of the *time-to-within-x%-of-final-error* analysis
 /// (paper Fig. 12's error-vs-time comparison, read off at fixed levels).
 pub const TIME_TO_WITHIN_PCTS: [(&str, f64); 3] = [("1pct", 0.01), ("5pct", 0.05), ("10pct", 0.10)];
@@ -762,31 +774,6 @@ impl QualityReport {
     /// `target` — the one scan behind every time-to-quality reading.
     pub fn first_at_or_below(curve: &[QualityPoint], target: f64) -> Option<usize> {
         curve.iter().position(|p| p.err <= target)
-    }
-
-    /// Header line of [`Self::csv_records`].
-    pub fn csv_header() -> &'static str {
-        "app,driver,point,t_s,err"
-    }
-
-    /// The two curves as CSV field records (no header), one
-    /// `app,driver,point index,t_s,err` record per trajectory point.
-    /// Records come back unjoined: quoting/escaping lives in one place,
-    /// the `pic-bench` CSV writer.
-    pub fn csv_records(&self) -> Vec<Vec<String>> {
-        let mut out = Vec::new();
-        for (driver, curve) in [("ic", &self.ic_curve), ("pic", &self.pic_curve)] {
-            for (i, p) in curve.iter().enumerate() {
-                out.push(vec![
-                    self.app.clone(),
-                    driver.to_string(),
-                    i.to_string(),
-                    fmt_f64(p.t_s),
-                    fmt_f64(p.err),
-                ]);
-            }
-        }
-        out
     }
 
     /// Human-readable quality section.
@@ -857,10 +844,7 @@ impl QualityReport {
         }
         w.close("}");
         for (key, curve) in [("ic_curve", &self.ic_curve), ("pic_curve", &self.pic_curve)] {
-            w.objects(key, curve, |w, p| {
-                w.field("t_s", &fmt_f64(p.t_s));
-                w.field("err", &fmt_f64(p.err));
-            });
+            w.objects(key, curve, |w, p| w.columns(&p.columns()));
         }
     }
 }
@@ -902,8 +886,8 @@ pub struct TenancyRow {
 
 impl TenancyRow {
     /// The row in schema order — the one definition behind the
-    /// `per_job` JSON objects and the tenancy CSV records.
-    fn columns(&self) -> Vec<Column> {
+    /// `per_job` JSON objects and the tenancy CSV rows.
+    pub fn columns(&self) -> Vec<Column> {
         vec![
             Column::num("id", self.id),
             Column::text("app", &self.app),
@@ -1000,17 +984,6 @@ impl TenancyReport {
         w.field("contention_s", &fmt_f64(self.contention_total_s()));
         w.field("preemption_total", &self.preemption_total().to_string());
         w.objects("per_job", &self.rows, |w, r| w.columns(&r.columns()));
-    }
-
-    /// CSV header matching [`TenancyReport::csv_records`].
-    pub fn csv_header() -> &'static str {
-        "id,app,driver,arrival_s,admitted_s,finish_s,queue_delay_s,tt_quality_s,contention_s,requested_nodes,granted_nodes,preemptions"
-    }
-
-    /// One CSV field record per job, arrival order. Records come back
-    /// unjoined: quoting/escaping lives in the `pic-bench` CSV writer.
-    pub fn csv_records(&self) -> Vec<Vec<String>> {
-        self.rows.iter().map(|r| csv_record(r.columns())).collect()
     }
 }
 
@@ -1204,18 +1177,19 @@ impl JsonWriter {
 
 /// One cell of a report row: column name, rendered value, and whether
 /// the value is text (JSON-quoted) or an already-rendered JSON literal.
-/// A row type lists its columns once; [`JsonWriter::columns`] and
-/// [`csv_record`] derive the JSON object and the CSV record from it.
+/// A row type lists its columns once; [`JsonWriter::columns`] writes the
+/// JSON object from them, and `pic-bench` writes a CSV document whose
+/// header is the rows' keys and whose records are their values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Column {
-    pub(crate) key: String,
-    pub(crate) value: String,
+    key: Cow<'static, str>,
+    value: String,
     is_text: bool,
 }
 
 impl Column {
     /// A numeric / boolean / `null` cell (`value` renders the literal).
-    pub fn num(key: impl Into<String>, value: impl ToString) -> Column {
+    pub fn num(key: impl Into<Cow<'static, str>>, value: impl ToString) -> Column {
         Column {
             key: key.into(),
             value: value.to_string(),
@@ -1224,7 +1198,7 @@ impl Column {
     }
 
     /// A text cell.
-    pub fn text(key: impl Into<String>, value: &str) -> Column {
+    pub fn text(key: impl Into<Cow<'static, str>>, value: &str) -> Column {
         Column {
             key: key.into(),
             value: value.to_string(),
@@ -1236,12 +1210,11 @@ impl Column {
     pub fn key(&self) -> &str {
         &self.key
     }
-}
 
-/// The CSV record of a row: its column values, in order (quoting and
-/// escaping live in the `pic-bench` CSV writer).
-pub fn csv_record(columns: Vec<Column>) -> Vec<String> {
-    columns.into_iter().map(|c| c.value).collect()
+    /// The rendered value (unquoted, even for a text cell).
+    pub fn value(&self) -> &str {
+        &self.value
+    }
 }
 
 /// Render a float series as an inline JSON array.
@@ -1534,16 +1507,6 @@ mod tests {
         };
         assert_eq!(empty.ic_final_err(), None);
         assert_eq!(empty.be_handoff_gap_err(), None);
-    }
-
-    #[test]
-    fn quality_csv_lists_every_point() {
-        let q = quality_fixture();
-        assert_eq!(QualityReport::csv_header(), "app,driver,point,t_s,err");
-        let records = q.csv_records();
-        assert_eq!(records.len(), 6);
-        assert_eq!(records[0], ["toy", "ic", "0", "1", "8"]);
-        assert!(records.iter().any(|r| r == &["toy", "pic", "2", "4", "1"]));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   overlap, peak/p95/mean utilization per link class.
 //!
 //! Everything is a pure function of simulated time and byte counts, so
-//! the whole report — JSON, CSV, counter tracks — is byte-identical
-//! across rayon pool widths.
+//! the whole report — JSON, counter tracks, every series — is
+//! byte-identical across rayon pool widths.
 
 use crate::report::{fmt_f64, json_f64s, peak, percentile, JsonWriter};
 use crate::sweep::{
@@ -352,42 +352,6 @@ impl UtilizationReport {
             });
         }
         tracks
-    }
-
-    /// CSV header for [`UtilizationReport::csv_records`].
-    pub fn csv_header() -> &'static str {
-        "app,side,series,interval,t0_s,value"
-    }
-
-    /// CSV field records (`app,side,series,interval,t0_s,value`) for
-    /// every link utilization and slot occupancy series. Records come
-    /// back unjoined: quoting/escaping lives in the `pic-bench` CSV
-    /// writer.
-    pub fn csv_records(&self, app: &str, side: &str) -> Vec<Vec<String>> {
-        let dt = self.dt_s();
-        let mut out = Vec::new();
-        let mut push = |series: String, values: &[f64]| {
-            for (i, v) in values.iter().enumerate() {
-                out.push(vec![
-                    app.to_string(),
-                    side.to_string(),
-                    series.clone(),
-                    i.to_string(),
-                    fmt_f64(i as f64 * dt),
-                    fmt_f64(*v),
-                ]);
-            }
-        };
-        for link in LinkClass::ALL {
-            push(
-                format!("link:{}", link.label()),
-                &self.links[link.label()].util,
-            );
-        }
-        for (group, s) in &self.slots {
-            push(format!("slots:{group}"), &s.occupancy);
-        }
-        out
     }
 
     /// JSON for the `"utilization"` section of `BENCH_pic.json`
@@ -748,20 +712,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_counter_tracks_cover_every_series() {
+    fn counter_tracks_cover_every_series() {
         let (tracer, ledger) = traced_ledger();
         let root = tracer.begin_at("root", "job", 0.0);
         tracer.span_at_in("solve-slot-0", "s0", "task", 0.0, 2.0, vec![]);
         ledger.add_over(TrafficClass::Broadcast, 500, 0.0, 1.0);
         tracer.end_at(root, 4.0);
         let r = UtilizationReport::with_intervals(&tracer.trace(), &ClusterSpec::small(), 8);
-        let records = r.csv_records("kmeans", "pic");
-        // 4 links + 1 slot group, 8 intervals each.
-        assert_eq!(records.len(), 5 * 8);
-        assert!(records
-            .iter()
-            .any(|rec| rec[..4] == ["kmeans", "pic", "link:bisection", "0"]));
-        assert!(records.iter().any(|rec| rec[2] == "slots:solve"));
         let tracks = r.counter_tracks();
         assert_eq!(tracks.len(), 5);
         assert!(tracks.iter().any(|t| t.name == "util:nic"));

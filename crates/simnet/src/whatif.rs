@@ -336,9 +336,8 @@ pub struct Projection {
 
 impl Projection {
     /// The row in JSON schema order — the one definition behind the
-    /// `scenarios` JSON objects and (through [`CSV_COLUMNS`]) the
-    /// ranked-table CSV records.
-    fn columns(&self) -> Vec<Column> {
+    /// `scenarios` JSON objects and the columns `explain.csv` picks.
+    pub fn columns(&self) -> Vec<Column> {
         let opt = |v: Option<f64>| v.map_or("null".to_string(), fmt_f64);
         let mut cols = vec![
             Column::text("scenario", self.scenario.name),
@@ -355,18 +354,6 @@ impl Projection {
         cols
     }
 }
-
-/// The [`Projection::columns`] the ranked-table CSV keeps, in CSV order
-/// (after the `app,side,rank` prefix).
-const CSV_COLUMNS: [&str; 7] = [
-    "scenario",
-    "projected_makespan_s",
-    "delta_makespan_s",
-    "tt_10pct_s",
-    "delta_tt_10pct_s",
-    "binding",
-    "clamped",
-];
 
 /// The projection engine for one recorded run: caches the charges, the
 /// critical path, the root window and the baseline quantities, then
@@ -732,33 +719,6 @@ impl SensitivityReport {
             }
         });
     }
-
-    /// Header line of [`Self::csv_records`].
-    pub fn csv_header() -> &'static str {
-        "app,side,rank,scenario,projected_makespan_s,delta_makespan_s,\
-         tt_10pct_s,delta_tt_10pct_s,binding,clamped"
-    }
-
-    /// The ranked table as CSV field records (no header). Records come
-    /// back unjoined: quoting/escaping lives in the `pic-bench` CSV
-    /// writer.
-    pub fn csv_records(&self, app: &str, side: &str) -> Vec<Vec<String>> {
-        self.rows
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let cols = row.columns();
-                let cell = |name: &str| {
-                    let col = cols.iter().find(|c| c.key == name);
-                    let value = &col.expect("a CSV column is a row column").value;
-                    (if value == "null" { "-" } else { value }).to_string()
-                };
-                let mut rec = vec![app.to_string(), side.to_string(), (i + 1).to_string()];
-                rec.extend(CSV_COLUMNS.map(cell));
-                rec
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -941,13 +901,6 @@ mod tests {
         assert!(json.contains("\"delta_makespan_s\""));
         assert!(json.contains("\"phases\""));
         assert!(!report.to_json(0, false).contains("\"phases\""));
-        let records = report.csv_records("kmeans", "ic");
-        assert_eq!(
-            SensitivityReport::csv_header(),
-            format!("app,side,rank,{}", CSV_COLUMNS.join(","))
-        );
-        assert_eq!(records.len(), CATALOG.len());
-        assert_eq!(records[0][2], "1");
     }
 
     #[test]
