@@ -8,7 +8,7 @@
 //! pic kmeans    --n 100000 --k 100 --partitions 24 --cluster small
 //! pic report    --scale 0.05 --check --traces target/traces
 //! pic timeline  --scale 0.05 --apps kmeans --width 48
-//! pic explain   kmeans --scale 0.05 --top 8
+//! pic explain   kmeans --scale 0.05
 //! pic watch     kmeans --scale 0.05 --interval 10 --rules stall,saturation
 //! pic regress   --baseline BENCH_pic.json --scale 0.05
 //! pic repro     --exp fig9,table2
@@ -106,7 +106,7 @@ fn timeline(m: &Matches) -> Result<i32, Failure> {
         let width = m.num("--width");
         println!(
             "{}",
-            pic_simnet::timeline::render_side_by_side(&ic, &pic, width)
+            pic_simnet::timeline::render_side_by_side(ic, pic, width)
         );
     }
     Ok(0)
@@ -167,19 +167,11 @@ fn diff(m: &Matches) -> Result<i32, Failure> {
 /// trace post-processing, so the output is a deterministic function of
 /// the runs.
 fn explain(m: &Matches) -> Result<i32, Failure> {
-    use pic_simnet::whatif::Scenario;
-    let scenarios: Vec<Scenario> = m
-        .names("--scenarios")
-        .iter()
-        .map(|name| Scenario::parse(name).expect("the table's catalog is whatif's"))
-        .collect();
     let ctx = ctx_of(m);
     let runs = perf::collect(&ctx, &m.positional_names())?;
-    let sections = explain::sections(&runs, &scenarios);
-    let top = m.num("--top");
-
+    let sections = explain::sections(&runs, &pic_simnet::whatif::CATALOG);
     for s in &sections {
-        print!("{}", explain::render_side_by_side(s, top));
+        print!("{}", explain::render_side_by_side(s));
         println!();
     }
     m.write("--json", || explain::explain_json(&ctx, &sections));

@@ -209,17 +209,6 @@ const WIDTH: Kind = Kind::Count(4_096);
 /// 40M k-means points.
 const SCALE_KIND: Kind = Kind::Positive(100.0);
 
-/// `whatif::CATALOG`'s names as the static slice the table wants.
-const WHATIF_NAMES: [&str; pic_simnet::whatif::CATALOG.len()] = {
-    let mut names = [""; pic_simnet::whatif::CATALOG.len()];
-    let mut n = 0;
-    while n < names.len() {
-        names[n] = pic_simnet::whatif::CATALOG[n].name;
-        n += 1;
-    }
-    names
-};
-
 const fn command(
     name: &'static str,
     group: Group,
@@ -301,10 +290,7 @@ pub const COMMANDS: &[Command] = &[
     ]),
     command("explain", Group::Subcommand, "§15", Positionals::Names("app", APPS), "counterfactual bottleneck attribution", &[
         SCALE,
-        flag("--scenarios", "<a,b,..>", Kind::Names("scenario", &WHATIF_NAMES), "",   "subset of the scenario catalog"),
-        flag("--top",       "<n>",      Kind::U64,                             "10", "rows per ranked table (0 = all)"),
         path("--json", "write the full projection document (both sides, with phases)"),
-        list("--list-scenarios", &WHATIF_NAMES, "print the valid scenario names and exit"),
     ]),
     command("watch", Group::Subcommand, "§16", Positionals::Names("app", APPS), "online monitor replay: dashboard, alert rules, incident log", &[
         SCALE,
@@ -643,7 +629,7 @@ mod tests {
             "--scale wants a number in (0, 100], got 'inf'"
         );
         assert_eq!(
-            err("explain", &["--top", "-1"]),
+            err("diff", &["--top", "-1"]),
             "--top wants an integer ≥ 0, got '-1'"
         );
         assert_eq!(
@@ -663,11 +649,22 @@ mod tests {
 
     /// The suite documents are `pic regress`'s to write, and the views
     /// export one JSON document each: anything else is an unknown flag.
+    /// `pic explain` prints its whole three-row catalog, so it has no
+    /// selection flags either.
     #[test]
     fn removed_exports_are_unknown_flags() {
         let removed: [(&str, &[&str]); 5] = [
             ("report", &["--json", "--csv", "--util-csv", "--chaos-csv"]),
-            ("explain", &["--side", "--csv"]),
+            (
+                "explain",
+                &[
+                    "--side",
+                    "--csv",
+                    "--scenarios",
+                    "--top",
+                    "--list-scenarios",
+                ],
+            ),
             ("watch", &["--csv", "--metrics"]),
             ("chaos", &["--csv"]),
             (

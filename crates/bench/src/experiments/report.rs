@@ -54,6 +54,9 @@ pub struct AppRun {
     /// Quality-of-convergence comparison (curves, time-to-quality,
     /// BE-handoff gap) — see DESIGN.md §10.
     pub quality: QualityReport,
+    /// Both traces' utilization, derived once when the run is collected.
+    ic_utilization: UtilizationReport,
+    pic_utilization: UtilizationReport,
 }
 
 impl AppRun {
@@ -83,6 +86,8 @@ impl AppRun {
             be_final_err,
         };
         AppRun {
+            ic_utilization: UtilizationReport::from_trace(&cmp.ic_trace, &spec),
+            pic_utilization: UtilizationReport::from_trace(&cmp.pic_trace, &spec),
             app,
             experiment,
             spec,
@@ -103,13 +108,13 @@ impl AppRun {
     }
 
     /// Time-resolved utilization of the IC baseline run (DESIGN.md §11).
-    pub fn ic_utilization(&self) -> UtilizationReport {
-        UtilizationReport::from_trace(&self.ic_trace, &self.spec)
+    pub fn ic_utilization(&self) -> &UtilizationReport {
+        &self.ic_utilization
     }
 
     /// Time-resolved utilization of the PIC run.
-    pub fn pic_utilization(&self) -> UtilizationReport {
-        UtilizationReport::from_trace(&self.pic_trace, &self.spec)
+    pub fn pic_utilization(&self) -> &UtilizationReport {
+        &self.pic_utilization
     }
 
     /// Monitor replay of the IC baseline run with the default rule
@@ -419,7 +424,7 @@ pub fn utilization_csv(runs: &[AppRun]) -> String {
         let sides = [("ic", run.ic_utilization()), ("pic", run.pic_utilization())];
         sides
             .into_iter()
-            .flat_map(|(side, util)| utilization_rows(&util, run.app, side))
+            .flat_map(|(side, util)| utilization_rows(util, run.app, side))
     }))
 }
 

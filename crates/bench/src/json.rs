@@ -116,16 +116,93 @@ fn parse_keyword(b: &[u8], pos: &mut usize, kw: &str, value: Json) -> Result<Jso
     }
 }
 
+/// Parse the number literal at `pos`. The literal must follow JSON's
+/// grammar (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`) and
+/// stay finite: `+1`, `01`, `.5`, `1.` and `1e999` are refused with the
+/// literal's byte offset.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let raw = std::str::from_utf8(&b[start..*pos]).expect("digits are ASCII");
-    let v: f64 = raw
-        .parse()
-        .map_err(|_| format!("invalid number '{raw}' at byte {start}"))?;
+    if !is_json_number(raw.as_bytes()) {
+        return Err(format!("invalid number '{raw}' at byte {start}"));
+    }
+    let v: f64 = raw.parse().expect("a JSON number literal is a Rust float");
+    if !v.is_finite() {
+        return Err(format!("number '{raw}' overflows at byte {start}"));
+    }
     Ok(Json::Num(v, raw.to_string()))
+}
+
+/// Whether `raw` is exactly one number literal of JSON's grammar.
+fn is_json_number(raw: &[u8]) -> bool {
+    let mut i = usize::from(raw.first() == Some(&b'-'));
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while raw.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > from
+    };
+    let int_start = i;
+    if !digits(&mut i) || (raw[int_start] == b'0' && i - int_start > 1) {
+        return false;
+    }
+    if raw.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(raw.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(raw.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == raw.len()
+}
+
+/// The four hex digits of the `\u` escape whose `u` is at `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let bad = || format!("bad \\u escape at byte {}", at - 1);
+    let hex = b.get(at + 1..at + 5).ok_or_else(bad)?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(bad());
+    }
+    let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+    Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
+}
+
+/// Decode the `\u` escape whose `u` is at `*pos`, joining a surrogate
+/// pair; leaves `*pos` on the escape's last hex digit. A lone surrogate
+/// is refused.
+fn unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let at = *pos - 1;
+    let lone = || format!("lone surrogate in \\u escape at byte {at}");
+    let high = hex4(b, *pos)?;
+    *pos += 4;
+    let code = match high {
+        0xD800..=0xDBFF => {
+            if b.get(*pos + 1..*pos + 3) != Some(b"\\u") {
+                return Err(lone());
+            }
+            let low = hex4(b, *pos + 2)?;
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err(lone());
+            }
+            *pos += 6;
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(lone()),
+        code => code,
+    };
+    Ok(char::from_u32(code).expect("a scalar value"))
 }
 
 fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
@@ -150,16 +227,7 @@ fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
+                    Some(b'u') => out.push(unicode_escape(b, pos)?),
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
@@ -433,6 +501,36 @@ mod tests {
         let j = obj(r#"{"é→𝛑": "é→𝛑", "esc": "caf\u00e9"}"#);
         assert_eq!(j.get("é→𝛑").unwrap().as_str(), Some("é→𝛑"));
         assert_eq!(j.get("esc").unwrap().as_str(), Some("café"));
+        assert_eq!(obj(r#""\ud83d\ude00""#).as_str(), Some("😀"));
+        assert_eq!(
+            parse(r#""\u+0e9""#).unwrap_err(),
+            "bad \\u escape at byte 1"
+        );
+        assert_eq!(
+            parse(r#"["\ud83d"]"#).unwrap_err(),
+            "lone surrogate in \\u escape at byte 2"
+        );
+        assert_eq!(
+            parse(r#""\ude00\ud83d""#).unwrap_err(),
+            "lone surrogate in \\u escape at byte 1"
+        );
+    }
+
+    /// Literals outside JSON's number grammar, and literals that
+    /// overflow to ±∞, are refused with their byte offset.
+    #[test]
+    fn numbers_follow_the_json_grammar_and_stay_finite() {
+        assert_eq!(parse("+1").unwrap_err(), "invalid number '+1' at byte 0");
+        assert_eq!(parse("[01]").unwrap_err(), "invalid number '01' at byte 1");
+        assert_eq!(parse(".5").unwrap_err(), "invalid number '.5' at byte 0");
+        assert_eq!(parse("1.").unwrap_err(), "invalid number '1.' at byte 0");
+        assert_eq!(
+            parse("[0, -1e999]").unwrap_err(),
+            "number '-1e999' overflows at byte 4"
+        );
+        for ok in ["0", "-0", "10", "-1.5e-3", "2E+8", "1e308"] {
+            assert!(parse(ok).is_ok(), "{ok}");
+        }
     }
 
     #[test]

@@ -154,8 +154,8 @@ fn known_bad_argvs_are_refused_by_name() {
             "--scale wants a number in (0, 100], got 'inf'",
         ),
         (
-            "explain",
-            &["linsolve", "--top", "-1"],
+            "diff",
+            &["--top", "-1", "old.json", "new.json"],
             "--top wants an integer ≥ 0, got '-1'",
         ),
         (

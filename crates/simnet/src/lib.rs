@@ -46,10 +46,10 @@
 //!   [`TrafficLedger`] (the `pic watch` subcommand and the BENCH
 //!   `monitor` section).
 //! * [`whatif`] — counterfactual projection over recorded traces:
-//!   declarative scenario edits (scale a link, zero a traffic class,
-//!   drop stragglers, instant merge) replayed as time warps over the
-//!   saturated charge windows, ranked into a [`SensitivityReport`]
-//!   bottleneck table (the `pic explain` subcommand).
+//!   declarative scenario edits (drop stragglers, instant merge)
+//!   replayed as time warps that delete recorded windows, ranked into a
+//!   [`SensitivityReport`] bottleneck table (the `pic explain`
+//!   subcommand).
 //! * [`tenancy`] — multi-tenant job streams: a cluster-level scheduler
 //!   ([`ClusterScheduler`]) over the 1k-node preset with FIFO admission,
 //!   weighted fair node grants and best-effort preemption, reported as

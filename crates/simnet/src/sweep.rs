@@ -11,7 +11,7 @@
 //!   [`crate::report::PerfReport::from_trace`];
 //! * [`rate_steps`] cuts one [`LinkClass`]'s charge windows into the
 //!   elementary steps of its piecewise-constant byte rate — the
-//!   saturation sweep and the what-if warps are filters over those steps;
+//!   saturation sweep is a filter over those steps;
 //! * [`apportion`], [`spread_busy`] and [`utilization`] put bytes and
 //!   task busy-seconds onto a uniform grid (a series of `n` buckets of
 //!   `dt` simulated seconds from `t = 0`) and price bucketed bytes
@@ -141,21 +141,16 @@ pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
     (charges, horizon)
 }
 
-/// One elementary step `(t0, t1, rate, focus_rate)` of a link's
-/// piecewise-constant byte rate: between two adjacent window
-/// breakpoints the link moves `rate` bytes/second, `focus_rate` of it
-/// billed to the focus class.
-pub type RateStep = (f64, f64, f64, f64);
+/// One elementary step `(t0, t1, rate)` of a link's piecewise-constant
+/// byte rate: between two adjacent window breakpoints the link moves
+/// `rate` bytes/second.
+pub type RateStep = (f64, f64, f64);
 
 /// Cut the windowed charges of `link` at every window boundary and
 /// return the steps with a positive rate, in time order. A step's rate
 /// is summed over the charges covering it, in charge order. Impulse
 /// charges carry no width and are ignored. O(cuts × windows).
-pub fn rate_steps(
-    charges: &[Charge],
-    link: LinkClass,
-    focus: Option<TrafficClass>,
-) -> Vec<RateStep> {
+pub fn rate_steps(charges: &[Charge], link: LinkClass) -> Vec<RateStep> {
     let windows: Vec<&Charge> = charges
         .iter()
         .filter(|c| LinkClass::of(c.class) == link)
@@ -167,16 +162,12 @@ pub fn rate_steps(
     let mut steps = Vec::new();
     for pair in cuts.windows(2) {
         let (p, q) = (pair[0], pair[1]);
-        let (mut rate, mut focus_rate) = (0.0, 0.0);
+        let mut rate = 0.0;
         for c in windows.iter().filter(|c| c.w0 <= p && q <= c.w1) {
-            let r = c.bytes as f64 / (c.w1 - c.w0);
-            rate += r;
-            if focus == Some(c.class) {
-                focus_rate += r;
-            }
+            rate += c.bytes as f64 / (c.w1 - c.w0);
         }
         if rate > 0.0 {
-            steps.push((p, q, rate, focus_rate));
+            steps.push((p, q, rate));
         }
     }
     steps
@@ -302,8 +293,8 @@ mod tests {
         proptest::collection::vec(charge, 0..80)
     }
 
-    /// The per-step formula both pre-kernel sweeps (`saturation_sweep`,
-    /// `WhatIf::rate_intervals`) spelled out, kept as the oracle.
+    /// The per-step formula the saturation sweep spelled out before the
+    /// kernel existed, kept as the oracle.
     fn oracle_rate(windows: &[&Charge], p: f64, q: f64) -> f64 {
         windows
             .iter()
@@ -316,35 +307,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn rate_steps_equal_the_per_step_formula_bit_for_bit(
-            charges in charges_strategy(),
-            focus in 0..TrafficClass::ALL.len(),
-        ) {
-            let focus = TrafficClass::ALL[focus];
+        fn rate_steps_equal_the_per_step_formula_bit_for_bit(charges in charges_strategy()) {
             for link in LinkClass::ALL {
                 let windows: Vec<&Charge> = charges
                     .iter()
                     .filter(|c| LinkClass::of(c.class) == link && c.w1 > c.w0 && c.bytes > 0)
                     .collect();
-                let focused: Vec<&Charge> =
-                    windows.iter().copied().filter(|c| c.class == focus).collect();
                 let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
                 cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 cuts.dedup();
-                let expected: Vec<(f64, f64, u64, u64)> = cuts
+                let expected: Vec<(f64, f64, u64)> = cuts
                     .windows(2)
                     .map(|pair| (pair[0], pair[1]))
                     .filter(|&(p, q)| oracle_rate(&windows, p, q) > 0.0)
-                    // `+ 0.0` folds the empty sum's -0.0 into +0.0.
-                    .map(|(p, q)| {
-                        let (rate, focus_rate) =
-                            (oracle_rate(&windows, p, q), oracle_rate(&focused, p, q) + 0.0);
-                        (p, q, rate.to_bits(), focus_rate.to_bits())
-                    })
+                    .map(|(p, q)| (p, q, oracle_rate(&windows, p, q).to_bits()))
                     .collect();
-                let got: Vec<(f64, f64, u64, u64)> = rate_steps(&charges, link, Some(focus))
+                let got: Vec<(f64, f64, u64)> = rate_steps(&charges, link)
                     .into_iter()
-                    .map(|(p, q, rate, focus_rate)| (p, q, rate.to_bits(), focus_rate.to_bits()))
+                    .map(|(p, q, rate)| (p, q, rate.to_bits()))
                     .collect();
                 prop_assert_eq!(got, expected);
             }

@@ -248,13 +248,7 @@ impl UtilizationReport {
         }
 
         // ---- Bisection saturation (exact breakpoint sweep). -------------
-        let bisection_saturation = saturation_sweep(
-            trace,
-            &charges,
-            LinkClass::Bisection,
-            LinkClass::Bisection.capacity(spec),
-            SATURATION_THRESHOLD,
-        );
+        let bisection_saturation = saturation_sweep(trace, &charges, LinkClass::Bisection, spec);
 
         // ---- Compute↔comms overlap on the grid. -------------------------
         let mut overlap_s = 0.0;
@@ -499,30 +493,29 @@ pub fn render_side_by_side(
 
 /// Exact saturated-seconds sweep for one link, a filter over its
 /// [`rate_steps`]: every step whose rate is at or above
-/// `threshold × capacity` contributes its length, attributed to the
-/// iteration span kind enclosing it. Impulse charges have zero width
-/// and cannot contribute. Parameterized by `link` and
-/// `capacity` so the `whatif` engine can re-sweep under scaled
-/// capacities or filtered charge sets; the utilization report calls it
-/// with [`LinkClass::Bisection`] at the topology capacity.
+/// [`SATURATION_THRESHOLD`] × the link's capacity on `spec` contributes
+/// its length, attributed to the iteration span kind enclosing it.
+/// Impulse charges have zero width and cannot contribute. The
+/// utilization report sweeps [`LinkClass::Bisection`]; the `whatif`
+/// engine sweeps every link to name a run's binding resource.
 pub fn saturation_sweep(
     trace: &Trace,
     charges: &[Charge],
     link: LinkClass,
-    capacity: f64,
-    threshold: f64,
+    spec: &ClusterSpec,
 ) -> Saturation {
     let mut sat = Saturation {
-        threshold_util: threshold,
+        threshold_util: SATURATION_THRESHOLD,
         ..Saturation::default()
     };
+    let capacity = link.capacity(spec);
     if capacity <= 0.0 {
         return sat;
     }
-    for (p, q, rate, _) in rate_steps(charges, link, None) {
+    for (p, q, rate) in rate_steps(charges, link) {
         // `>=` with a one-ulp-scale slack: a transfer windowed at exactly
         // its serialization time computes to 1.0 up to rounding.
-        if rate < threshold * capacity * (1.0 - 1e-12) {
+        if rate < SATURATION_THRESHOLD * capacity * (1.0 - 1e-12) {
             continue;
         }
         let len = q - p;

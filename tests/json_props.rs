@@ -143,27 +143,38 @@ proptest! {
         }
     }
 
-    /// `1e999` parses to infinity: every `stride`-th number literal from
-    /// `offset` on becomes `±1e999`, and the comparison must still rank,
-    /// render and write its attribution.
+    /// Every `stride`-th number literal from `offset` on becomes `±MAX`
+    /// (the largest finite `f64`), so sums and differences inside the
+    /// comparison overflow to infinity: it must still rank, render and
+    /// write its attribution. Spelled `±1e999`, the same literals are
+    /// refused by the parser at the first one's byte offset.
     #[test]
     fn numbers_rewritten_to_infinity_compare_without_panicking(
         stride in 1usize..8,
         offset in 0usize..8,
         negative_every in 1usize..4,
     ) {
-        let mut text = String::with_capacity(BENCH.len());
-        let mut copied = 0;
-        let spans = number_literals().iter().skip(offset).step_by(stride);
-        for (n, span) in spans.enumerate() {
-            text.push_str(&BENCH[copied..span.start]);
-            text.push_str(if n % negative_every == 0 { "-1e999" } else { "1e999" });
-            copied = span.end;
-        }
-        text.push_str(&BENCH[copied..]);
-        let doc = json::parse(&text).map_err(TestCaseError::fail)?;
+        let rewrite = |huge: &str| {
+            let mut text = String::with_capacity(BENCH.len());
+            let mut copied = 0;
+            let spans = number_literals().iter().skip(offset).step_by(stride);
+            for (n, span) in spans.enumerate() {
+                text.push_str(&BENCH[copied..span.start]);
+                if n % negative_every == 0 {
+                    text.push('-');
+                }
+                text.push_str(huge);
+                copied = span.end;
+            }
+            text.push_str(&BENCH[copied..]);
+            text
+        };
+        let doc = json::parse(&rewrite("1.7976931348623157e308")).map_err(TestCaseError::fail)?;
         compare_both(bench(), &doc)?;
         compare_both(&doc, &doc)?;
+        let first = number_literals()[offset].start;
+        let err = json::parse(&rewrite("1e999")).unwrap_err();
+        prop_assert!(err.ends_with(&format!("overflows at byte {first}")), "{}", err);
     }
 }
 
