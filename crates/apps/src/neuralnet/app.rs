@@ -52,16 +52,6 @@ impl NeuralNetApp {
             partition_seed: 0xbeef,
         }
     }
-
-    fn batch_gradient(samples: &[Sample], model: &Mlp) -> (Vec<f64>, u64) {
-        let mut sum = vec![0.0; model.params.len()];
-        for s in samples {
-            for (a, b) in sum.iter_mut().zip(model.gradient(s)) {
-                *a += b;
-            }
-        }
-        (sum, samples.len() as u64)
-    }
 }
 
 impl IterativeApp for NeuralNetApp {
@@ -141,13 +131,16 @@ impl PicApp for NeuralNetApp {
         }
         // Plateau criterion on this sub-problem's own shard loss; the
         // relative threshold is small enough to ride out the sigmoid's
-        // early plateau dip.
+        // early plateau dip. Each pass returns the loss of the model whose
+        // gradient it sums, so a step costs one pass over the shard; the
+        // gradient of the model a solve returns goes unused.
         let mut m = model.clone();
-        let mut prev_loss = m.loss(records);
+        let (mut grad, mut buf) = (vec![0.0; m.params.len()], m.buffers());
+        let count = records.len() as u64;
+        let mut prev_loss = m.batch_gradient_and_loss(records, &mut grad, &mut buf);
         for it in 1..=cap {
-            let (grad, count) = Self::batch_gradient(records, &m);
             m = m.apply_gradient(&grad, count, self.lr);
-            let loss = m.loss(records);
+            let loss = m.batch_gradient_and_loss(records, &mut grad, &mut buf);
             if (prev_loss - loss) / prev_loss.max(1e-12) < self.local_rel_threshold {
                 return (m, it);
             }
@@ -195,8 +188,9 @@ mod tests {
         let app = NeuralNetApp::new(valid);
         let scope = IterScope::cluster(6, pic_mapreduce::Timing::default_analytic());
         let via_mr = app.iterate(&engine, &data, &model, &scope);
-        let (grad, count) = NeuralNetApp::batch_gradient(&train, &model);
-        let via_seq = model.apply_gradient(&grad, count, app.lr);
+        let mut grad = vec![0.0; model.params.len()];
+        model.batch_gradient_and_loss(&train, &mut grad, &mut model.buffers());
+        let via_seq = model.apply_gradient(&grad, train.len() as u64, app.lr);
         for (a, b) in via_mr.params.iter().zip(&via_seq.params) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }

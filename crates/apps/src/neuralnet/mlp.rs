@@ -32,6 +32,28 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
+/// The cross-entropy of a sample the model gives probability `p`: one
+/// term of [`Mlp::loss`].
+pub(crate) fn nll(p: f64) -> f64 {
+    -(p.max(1e-300)).ln()
+}
+
+/// Rows the forward kernel sums side by side, one accumulator each.
+const LANES: usize = 4;
+
+/// Caller-owned buffers of one sample's forward and backward pass, sized
+/// by [`Mlp::buffers`]; reused across samples, so the kernels allocate
+/// nothing.
+pub(crate) struct Buffers {
+    /// Hidden activations (`dh`).
+    h: Vec<f64>,
+    /// Class probabilities; the backward pass turns them into the output
+    /// layer's error (`dout`).
+    p: Vec<f64>,
+    /// The hidden layer's error (`dh`).
+    delta: Vec<f64>,
+}
+
 impl Mlp {
     /// Total parameter count for a given shape.
     pub fn param_count(din: usize, dh: usize, dout: usize) -> usize {
@@ -71,85 +93,141 @@ impl Mlp {
         &self.params[o..]
     }
 
-    /// Forward pass: hidden activations and softmax class probabilities.
-    pub fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    /// Forward kernel: hidden activations into `buf.h` and softmax class
+    /// probabilities into `buf.p`.
+    ///
+    /// Operation order (DESIGN.md §7): each hidden unit and each logit is
+    /// `z = b; z += w_i·x_i` in input order, no fused multiply-add; rows
+    /// run [`LANES`] at a time as independent accumulation chains, which
+    /// changes which sums overlap and not what any of them adds. Never
+    /// inlined, so the 64-byte function alignment pins where its loops sit
+    /// (DESIGN.md §14).
+    #[inline(never)]
+    fn forward_into(&self, x: &[f64], buf: &mut Buffers) {
         assert_eq!(x.len(), self.din, "input dimension mismatch");
-        let (w1, b1, w2, b2) = (self.w1(), self.b1(), self.w2(), self.b2());
-        let mut h = vec![0.0; self.dh];
-        for j in 0..self.dh {
-            let mut z = b1[j];
-            let row = &w1[j * self.din..(j + 1) * self.din];
-            for (w, xi) in row.iter().zip(x) {
-                z += w * xi;
-            }
-            h[j] = sigmoid(z);
+        assert!(
+            buf.h.len() == self.dh && buf.p.len() == self.dout,
+            "buffers of another network shape"
+        );
+        affine(self.w1(), self.b1(), x, &mut buf.h);
+        for z in &mut buf.h {
+            *z = sigmoid(*z);
         }
-        let mut logits = vec![0.0; self.dout];
-        for k in 0..self.dout {
-            let mut z = b2[k];
-            let row = &w2[k * self.dh..(k + 1) * self.dh];
-            for (w, hj) in row.iter().zip(&h) {
-                z += w * hj;
-            }
-            logits[k] = z;
-        }
+        affine(self.w2(), self.b2(), &buf.h, &mut buf.p);
         // Stable softmax.
+        let logits = &mut buf.p;
         let mx = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut sum = 0.0;
-        for z in &mut logits {
+        for z in logits.iter_mut() {
             *z = (*z - mx).exp();
             sum += *z;
         }
-        for z in &mut logits {
+        for z in logits.iter_mut() {
             *z /= sum;
         }
-        (h, logits)
+    }
+
+    /// Buffers sized for this network's forward and backward pass.
+    pub(crate) fn buffers(&self) -> Buffers {
+        Buffers {
+            h: vec![0.0; self.dh],
+            p: vec![0.0; self.dout],
+            delta: vec![0.0; self.dh],
+        }
+    }
+
+    /// Forward pass: hidden activations and softmax class probabilities.
+    pub fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut buf = self.buffers();
+        self.forward_into(x, &mut buf);
+        (buf.h, buf.p)
     }
 
     /// Predicted class of `x`.
     pub fn predict(&self, x: &[f64]) -> u8 {
-        let (_, p) = self.forward(x);
-        p.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are never NaN"))
-            .map(|(i, _)| i as u8)
-            .expect("dout > 0")
+        let mut buf = self.buffers();
+        self.forward_into(x, &mut buf);
+        argmax(&buf.p)
+    }
+
+    /// Gradient kernel: adds the cross-entropy gradient of `s`, flattened
+    /// in parameter order, into `sum`, and returns the probability the
+    /// model gives `s`'s label (its loss term is [`nll`] of that).
+    ///
+    /// Each entry of `sum` gets exactly one `+=` of the entry
+    /// [`Mlp::gradient`] returns, so a caller that sums samples this way
+    /// adds the same numbers in the same order as one that sums returned
+    /// vectors. Never inlined, like [`Mlp::forward_into`].
+    #[inline(never)]
+    pub(crate) fn add_gradient(&self, s: &Sample, sum: &mut [f64], buf: &mut Buffers) -> f64 {
+        assert_eq!(sum.len(), self.params.len(), "gradient length mismatch");
+        self.forward_into(&s.x, buf);
+        let Buffers { h, p, delta } = buf;
+        let label = s.label as usize;
+        let p_label = p[label];
+        // `p` becomes the output layer's error.
+        p[label] -= 1.0;
+
+        let (dh, din) = (self.dh, self.din);
+        let (g_w1, rest) = sum.split_at_mut(dh * din);
+        let (g_b1, rest) = rest.split_at_mut(dh);
+        let (g_w2, g_b2) = rest.split_at_mut(self.dout * dh);
+
+        // Output layer.
+        for ((&d, gb), gw) in p.iter().zip(g_b2).zip(g_w2.chunks_exact_mut(dh)) {
+            *gb += d;
+            for (g, hj) in gw.iter_mut().zip(h.iter()) {
+                *g += d * hj;
+            }
+        }
+        // Hidden layer: each unit's error sums over the classes in order.
+        delta.fill(0.0);
+        for (&d, row) in p.iter().zip(self.w2().chunks_exact(dh)) {
+            for (e, w) in delta.iter_mut().zip(row) {
+                *e += w * d;
+            }
+        }
+        for ((e, &hj), (gb, gw)) in delta
+            .iter_mut()
+            .zip(h.iter())
+            .zip(g_b1.iter_mut().zip(g_w1.chunks_exact_mut(din)))
+        {
+            *e *= hj * (1.0 - hj);
+            *gb += *e;
+            for (g, xi) in gw.iter_mut().zip(&s.x) {
+                *g += *e * xi;
+            }
+        }
+        p_label
     }
 
     /// Cross-entropy gradient of one sample, flattened in parameter order.
     pub fn gradient(&self, s: &Sample) -> Vec<f64> {
-        let (h, p) = self.forward(&s.x);
-        let mut dlogits = p;
-        dlogits[s.label as usize] -= 1.0;
-
-        let mut g = vec![0.0; self.params.len()];
-        let o_w1 = 0;
-        let o_b1 = self.dh * self.din;
-        let o_w2 = o_b1 + self.dh;
-        let o_b2 = o_w2 + self.dout * self.dh;
-
-        // Output layer.
-        for k in 0..self.dout {
-            let d = dlogits[k];
-            g[o_b2 + k] = d;
-            for j in 0..self.dh {
-                g[o_w2 + k * self.dh + j] = d * h[j];
-            }
-        }
-        // Hidden layer.
-        let w2 = self.w2();
-        for j in 0..self.dh {
-            let mut dh_j = 0.0;
-            for k in 0..self.dout {
-                dh_j += w2[k * self.dh + j] * dlogits[k];
-            }
-            dh_j *= h[j] * (1.0 - h[j]);
-            g[o_b1 + j] = dh_j;
-            for (i, xi) in s.x.iter().enumerate() {
-                g[o_w1 + j * self.din + i] = dh_j * xi;
-            }
-        }
+        // `-0.0 + x` has the bits of `x` for every `x`: adding into
+        // `-0.0` writes the gradient itself.
+        let mut g = vec![-0.0; self.params.len()];
+        self.add_gradient(s, &mut g, &mut self.buffers());
         g
+    }
+
+    /// One pass over `samples`: sets `sum` to their batch gradient (from
+    /// `+0.0`, in sample order) and returns their mean loss, the bits
+    /// [`Mlp::loss`] returns, from the same forward passes.
+    pub(crate) fn batch_gradient_and_loss(
+        &self,
+        samples: &[Sample],
+        sum: &mut [f64],
+        buf: &mut Buffers,
+    ) -> f64 {
+        sum.fill(0.0);
+        if samples.is_empty() {
+            return 0.0;
+        }
+        let total: f64 = samples
+            .iter()
+            .map(|s| nll(self.add_gradient(s, sum, buf)))
+            .sum();
+        total / samples.len() as f64
     }
 
     /// Take a gradient step: `params -= lr/Σcount × grad_sum`.
@@ -175,11 +253,12 @@ impl Mlp {
         if samples.is_empty() {
             return 0.0;
         }
+        let mut buf = self.buffers();
         let total: f64 = samples
             .iter()
             .map(|s| {
-                let (_, p) = self.forward(&s.x);
-                -(p[s.label as usize].max(1e-300)).ln()
+                self.forward_into(&s.x, &mut buf);
+                nll(buf.p[s.label as usize])
             })
             .sum();
         total / samples.len() as f64
@@ -190,11 +269,57 @@ impl Mlp {
         if samples.is_empty() {
             return 0.0;
         }
+        let mut buf = self.buffers();
         let wrong = samples
             .iter()
-            .filter(|s| self.predict(&s.x) != s.label)
+            .filter(|s| {
+                self.forward_into(&s.x, &mut buf);
+                argmax(&buf.p) != s.label
+            })
             .count();
         wrong as f64 / samples.len() as f64
+    }
+}
+
+/// Index of the largest probability; the last one on a tie.
+fn argmax(p: &[f64]) -> u8 {
+    p.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are never NaN"))
+        .map(|(i, _)| i as u8)
+        .expect("dout > 0")
+}
+
+/// `out[r] = b[r] + Σ_i w[r·n + i]·x[i]` for the row-major `out.len() × n`
+/// matrix `w`, `n = x.len()`, every row summed in `i` order. Full blocks
+/// of [`LANES`] rows run as that many independent accumulation chains;
+/// the remaining rows run one at a time.
+#[inline(always)]
+fn affine(w: &[f64], b: &[f64], x: &[f64], out: &mut [f64]) {
+    let n = x.len();
+    let mut w_blocks = w.chunks_exact(LANES * n);
+    let mut b_blocks = b.chunks_exact(LANES);
+    let mut out_blocks = out.chunks_exact_mut(LANES);
+    for ((w, b), out) in (&mut w_blocks).zip(&mut b_blocks).zip(&mut out_blocks) {
+        let rows: [&[f64]; LANES] = std::array::from_fn(|r| &w[r * n..][..n]);
+        let mut acc: [f64; LANES] = b.try_into().expect("one block");
+        for (i, &xi) in x.iter().enumerate() {
+            for (z, row) in acc.iter_mut().zip(rows) {
+                *z += row[i] * xi;
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+    let rows = w_blocks.remainder().chunks_exact(n);
+    for ((row, &b), out) in rows
+        .zip(b_blocks.remainder())
+        .zip(out_blocks.into_remainder())
+    {
+        let mut z = b;
+        for (w, xi) in row.iter().zip(x) {
+            z += w * xi;
+        }
+        *out = z;
     }
 }
 

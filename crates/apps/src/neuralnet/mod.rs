@@ -26,6 +26,8 @@ mod app;
 pub mod data;
 mod mlp;
 pub(crate) mod mr;
+#[cfg(test)]
+mod reference;
 
 pub use app::NeuralNetApp;
 pub use data::{ocr_like, ocr_like_split, Sample};

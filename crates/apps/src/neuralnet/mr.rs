@@ -33,11 +33,12 @@ impl Mapper for GradMapper<'_> {
         let Some((last, rest)) = samples.split_last() else {
             return;
         };
-        let mut sum = self.model.gradient(last);
-        for s in rest {
-            for (a, b) in sum.iter_mut().zip(&self.model.gradient(s)) {
-                *a += b;
-            }
+        // `-0.0 + x` has the bits of `x`, so the sum starts as the last
+        // sample's gradient itself.
+        let mut sum = vec![-0.0; self.model.params.len()];
+        let mut buf = self.model.buffers();
+        for s in std::iter::once(last).chain(rest) {
+            self.model.add_gradient(s, &mut sum, &mut buf);
         }
         let value = (sum, samples.len() as u64);
         // Every per-sample pair has the folded pair's size: one key, a

@@ -9,7 +9,9 @@
 //! first point at which the convergence curves diverge, and — when both
 //! documents carry a `host_profile` section — host-side stage deltas.
 //! Results come back ranked (most-regressing segment first) for the CLI
-//! table and as a machine-readable JSON document for tooling.
+//! table and as a machine-readable JSON document for tooling. Whatever
+//! else the gate's walk finds becomes one note, so drift outside those
+//! subtrees still fails `pic diff`.
 
 use crate::json::{self, Json, Step};
 use crate::table::Table;
@@ -102,7 +104,8 @@ pub struct DiffReport {
     /// First divergence point per app/driver curve that moved.
     pub divergence: Vec<QualityDivergence>,
     /// Structural observations (apps present on one side only, scale
-    /// mismatch) that make the attribution partial.
+    /// mismatch) that make the attribution partial, and the count and
+    /// first path of gated differences outside the attributed sections.
     pub notes: Vec<String>,
 }
 
@@ -272,6 +275,33 @@ fn moved<'a>(
         .collect()
 }
 
+/// Whether [`diff_docs`] attributes the gate's difference `d` between two
+/// reports whose apps pair up index by index: an app's totals, a label of
+/// its critical-path, phase or traffic-class maps (or that label's
+/// `total_s`), or a point of its convergence curves (or their lengths).
+fn attributed(d: &json::Difference) -> bool {
+    use Step::{Index, Key};
+    let [Key("apps"), Index(_), rest @ ..] = &d.path[..] else {
+        return false;
+    };
+    match rest {
+        [Key("ic_total_s" | "pic_total_s")] => true,
+        [Key("quality"), Key("ic_curve" | "pic_curve"), Index(_), ..] => true,
+        [Key("quality"), Key("ic_curve" | "pic_curve")] => d.kind == json::DiffKind::Length,
+        [Key("ic" | "pic"), map @ ..] => {
+            let map = match map {
+                [map @ .., Key(_), Key("total_s")] | [map @ .., Key(_)] => map,
+                _ => return false,
+            };
+            matches!(
+                map,
+                [Key("critical_path"), Key("by_cat_s")] | [Key("phases")] | [Key("class_bytes")]
+            )
+        }
+        _ => false,
+    }
+}
+
 /// Attribute the differences between two parsed `BENCH_pic.json`
 /// documents: [`json::compare`] — the gate's walk and band rule at
 /// relative band `epsilon` — runs over each attributed subtree of every
@@ -296,6 +326,7 @@ pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, Str
             "scale mismatch: {os:?} vs {ns:?} — deltas span workloads"
         ));
     }
+    let scale_notes = notes.len();
 
     fn name_of(app: &Json) -> Option<&str> {
         app.get("app").and_then(Json::as_str)
@@ -382,6 +413,33 @@ pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, Str
             }
             Some(_) => {}
         }
+    }
+
+    // The gate's walk over the whole documents: the gated lines nothing
+    // above stands for — a section this attribution does not walk
+    // (`sensitivity`, `monitor`, …) or a field beside the ones it does —
+    // make one note, so `pic diff` fails wherever `pic regress` does.
+    // Lines under `apps` are left to the app notes when there are any,
+    // and are attributed by index only when both sides list the same
+    // names in the same order.
+    let by_index = old_apps
+        .iter()
+        .map(name_of)
+        .eq(new_apps.iter().map(name_of));
+    let app_notes = notes.len() > scale_notes;
+    let gated = json::compare("", old, new, epsilon);
+    let accounted = |d: &json::Difference| match d.path[..] {
+        [Step::Key("scale")] => os != ns,
+        [Step::Key("apps"), ..] => app_notes || by_index && attributed(d),
+        _ => false,
+    };
+    let unattributed: Vec<_> = gated.iter().filter(|d| !accounted(d)).collect();
+    if let Some(first) = unattributed.first() {
+        notes.push(format!(
+            "{} gated difference(s) outside the attributed sections, first {}",
+            unattributed.len(),
+            json::line(first, epsilon)
+        ));
     }
 
     // Host stages, when both sides carry a profile: every stage whose
@@ -615,6 +673,51 @@ mod tests {
             assert_eq!(report.notes, [note]);
             assert!(!report.is_empty());
         }
+    }
+
+    /// Drift only in a section the attribution does not walk is still a
+    /// note — one, naming the count and the first path — so `pic diff`
+    /// fails where the gate fails.
+    #[test]
+    fn drift_outside_the_attributed_sections_is_a_note() {
+        let old = json::parse(&linsolve_doc()).unwrap();
+        let mut new = old.clone();
+        let path = [
+            "apps",
+            "0",
+            "sensitivity",
+            "pic",
+            "scenarios",
+            "0",
+            "delta_makespan_s",
+        ];
+        set_num(&mut new, &path, |v| v + 1.0);
+        assert_eq!(json::diff(&old, &new, json::EPSILON).len(), 1);
+        let report = diff_docs(&old, &new, json::EPSILON).unwrap();
+        assert!(report.time.is_empty() && report.bytes.is_empty() && report.divergence.is_empty());
+        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
+        let note = &report.notes[0];
+        assert!(
+            note.starts_with(
+                "1 gated difference(s) outside the attributed sections, \
+                 first $.apps[0].sensitivity.pic.scenarios[0].delta_makespan_s: "
+            ),
+            "{note}"
+        );
+        assert!(!report.is_empty());
+        assert!(report.render(0).contains(note.as_str()));
+
+        // A field beside the attributed ones counts too; a second line
+        // only moves the count.
+        set_num(
+            &mut new,
+            &["apps", "0", "pic", "phases", "driver", "p50_s"],
+            |v| v + 1.0,
+        );
+        let report = diff_docs(&old, &new, json::EPSILON).unwrap();
+        assert!(report.time.is_empty(), "{:?}", report.time);
+        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
+        assert!(report.notes[0].starts_with("2 gated difference(s)"));
     }
 
     /// Notes and labels come from the documents' own strings; the JSON

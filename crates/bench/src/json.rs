@@ -422,7 +422,9 @@ pub fn diff(baseline: &Json, fresh: &Json, epsilon: f64) -> Vec<String> {
     diffs.iter().map(|d| line(d, epsilon)).collect()
 }
 
-fn line(d: &Difference, eps: f64) -> String {
+/// One difference as the gate prints it: its `$`-rooted path, then what
+/// moved.
+pub(crate) fn line(d: &Difference, eps: f64) -> String {
     let mut path = String::from("$");
     for step in &d.path {
         let _ = match step {
