@@ -9,7 +9,7 @@
 //! pic report    --scale 0.05 --check --traces target/traces
 //! pic timeline  --scale 0.05 --apps kmeans --width 48
 //! pic explain   kmeans --scale 0.05
-//! pic watch     kmeans --scale 0.05 --interval 10 --rules stall,saturation
+//! pic watch     kmeans --scale 0.05 --width 40
 //! pic regress   --baseline BENCH_pic.json --scale 0.05
 //! pic repro     --exp fig9,table2
 //! ```
@@ -182,15 +182,14 @@ fn explain(m: &Matches) -> Result<i32, Failure> {
 /// render the dashboard plus the optional JSON document. Pure trace
 /// post-processing.
 fn watch(m: &Matches) -> Result<i32, Failure> {
-    let opts = watch::WatchOptions::from_matches(m);
     let ctx = ctx_of(m);
     let runs = perf::collect(&ctx, &m.positional_names())?;
-    let sections = watch::sections(&runs, &opts)?;
+    let sections = watch::sections(&runs)?;
     for s in &sections {
-        print!("{}", watch::render_section(s, &opts));
+        print!("{}", watch::render_section(s, m.num("--width")));
         println!();
     }
-    m.write("--json", || watch::watch_json(ctx.scale, &opts, &sections));
+    m.write("--json", || watch::watch_json(ctx.scale, &sections));
     Ok(0)
 }
 

@@ -22,8 +22,6 @@ pub enum Kind {
     List(&'static [&'static str]),
     /// A number in `(0, max]`.
     Positive(f64),
-    /// A finite number ≥ 0.
-    NonNegative,
     /// An integer in `1..=max`.
     Count(usize),
     /// An integer ≥ 0 (seeds; row limits where 0 means "all").
@@ -41,7 +39,6 @@ impl Kind {
     pub fn wants(self) -> String {
         match self {
             Kind::Positive(max) => format!("a number in (0, {max}]"),
-            Kind::NonNegative => "a finite number ≥ 0".into(),
             Kind::Count(max) => format!("an integer in 1..={max}"),
             Kind::U64 => "an integer ≥ 0".into(),
             Kind::Switch | Kind::List(_) | Kind::Text => "a value".into(),
@@ -57,7 +54,6 @@ impl Kind {
         let ok = match self {
             Kind::Switch | Kind::List(_) | Kind::Text => true,
             Kind::Positive(max) => number(&|x| 0.0 < x && x <= max),
-            Kind::NonNegative => number(&|x| x.is_finite() && x >= 0.0),
             Kind::Count(max) => v.parse().is_ok_and(|n| (1..=max).contains(&n)),
             Kind::U64 => v.parse::<u64>().is_ok(),
             Kind::Names(what, catalog) => {
@@ -70,9 +66,10 @@ impl Kind {
 }
 
 /// Each of `names` in the catalog's own `'static` spelling. An unknown
-/// name gets the enumerating error (`unknown rule 'x'; valid rules: a,
-/// b`, pinned by the `pic watch --rules` tests); a repeated one is
-/// refused naming `source`, the flag or command that listed it.
+/// name gets the enumerating error (`unknown app 'x'; valid apps: a,
+/// b`, pinned for every catalog flag by `tests/cli_table.rs`); a
+/// repeated one is refused naming `source`, the flag or command that
+/// listed it.
 pub fn canonical(
     source: &str,
     what: &str,
@@ -203,7 +200,6 @@ impl Command {
 /// No positional arguments.
 pub const NO_ARGS: Positionals = Positionals::Exactly(&[]);
 const APPS: &[&str] = &report::APPS;
-const RULES: &[&str] = &pic_simnet::monitor::CATALOG_RULES;
 const WIDTH: Kind = Kind::Count(4_096);
 /// Workload scale multipliers: 100× the documented sizes is already
 /// 40M k-means points.
@@ -294,12 +290,8 @@ pub const COMMANDS: &[Command] = &[
     ]),
     command("watch", Group::Subcommand, "§16", Positionals::Names("app", APPS), "online monitor replay: dashboard, alert rules, incident log", &[
         SCALE,
-        flag("--rules",    "<a,b,..>", Kind::Names("rule", RULES), "",   "alert rules to evaluate"),
-        flag("--window",   "<s>",      Kind::Positive(1e6),        "5",  "sliding-window length, simulated seconds"),
-        flag("--interval", "<s>",      Kind::NonNegative,          "0",  "render a dashboard frame every <s> simulated seconds (0 = final frame only)"),
-        flag("--width",    "<n>",      WIDTH,                      "48", "sparkline cells per series"),
+        flag("--width", "<n>", WIDTH, "48", "sparkline cells per series"),
         path("--json", "write the full monitor document (series + incidents)"),
-        list("--list-rules", RULES, "print the valid rule names and exit"),
     ]),
     command("help", Group::Subcommand, "", NO_ARGS, "print this command table", &[]),
     command("regress", Group::Tool, "§9", NO_ARGS, "the CI gate: diff a fresh report suite against the committed baseline under one band rule (exit 1 on regression, 2 on misconfiguration)", &[
@@ -633,8 +625,8 @@ mod tests {
             "--top wants an integer ≥ 0, got '-1'"
         );
         assert_eq!(
-            err("watch", &["--interval"]),
-            "--interval wants a finite number ≥ 0, got nothing"
+            err("watch", &["--width"]),
+            "--width wants an integer in 1..=4096, got nothing"
         );
         assert_eq!(
             err("timeline", &["--width", " 12"]),
@@ -665,7 +657,17 @@ mod tests {
                     "--list-scenarios",
                 ],
             ),
-            ("watch", &["--csv", "--metrics"]),
+            (
+                "watch",
+                &[
+                    "--csv",
+                    "--metrics",
+                    "--rules",
+                    "--window",
+                    "--interval",
+                    "--list-rules",
+                ],
+            ),
             ("chaos", &["--csv"]),
             (
                 "regress",
@@ -692,8 +694,8 @@ mod tests {
     fn a_repeated_catalog_name_is_refused() {
         let err = |name: &str, words: &[&str]| parse(&argv(words), cmd(name)).unwrap_err();
         assert_eq!(
-            err("watch", &["--rules", "stall,stall"]),
-            "--rules lists rule 'stall' twice"
+            err("chaos", &["--scenarios", "node-crash,node-crash"]),
+            "--scenarios lists scenario 'node-crash' twice"
         );
         assert_eq!(
             err("timeline", &["--apps", "kmeans, kmeans"]),

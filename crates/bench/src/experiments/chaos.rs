@@ -62,9 +62,8 @@ pub struct ChaosCell {
     /// (the crash/degrade/preemption invariant; resize may legitimately
     /// differ).
     pub exact_result: bool,
-    /// Incidents the online monitor (default rule catalog) opened on
-    /// the faulty run — every cell whose plan actually fired must open
-    /// at least one.
+    /// Incidents the online monitor opened on the faulty run — every
+    /// cell whose plan actually fired must open at least one.
     pub incidents: u64,
     /// Incidents on the matching clean run — must be exactly zero (the
     /// monitor is quiet on healthy runs).
@@ -109,7 +108,7 @@ struct Checked<M> {
 
 /// Run `driver` under `plan`, then hold the trace to the full structural
 /// suite (chaos checks included, byte-exact reconciliation) and replay it
-/// through the online monitor with the default rule catalog — the
+/// through the online monitor and its rule catalog — the
 /// incident count couples each cell to the alerting layer.
 fn checked_run<A: BenchApp>(
     w: &Workload<'_, A>,

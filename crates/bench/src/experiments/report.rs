@@ -117,17 +117,15 @@ impl AppRun {
         &self.pic_utilization
     }
 
-    /// Monitor replay of the IC baseline run with the default rule
-    /// catalog (DESIGN.md §16).
-    pub fn ic_monitor(&self) -> MonitorReport {
+    /// Monitor replay of the IC baseline run (DESIGN.md §16); a run too
+    /// long for the monitor's bucket grid is refused.
+    pub fn ic_monitor(&self) -> Result<MonitorReport, String> {
         Monitor::replay(MonitorConfig::new(self.spec.clone()), &self.ic_trace)
-            .expect("default monitor config is valid")
     }
 
     /// Monitor replay of the PIC run.
-    pub fn pic_monitor(&self) -> MonitorReport {
+    pub fn pic_monitor(&self) -> Result<MonitorReport, String> {
         Monitor::replay(MonitorConfig::new(self.spec.clone()), &self.pic_trace)
-            .expect("default monitor config is valid")
     }
 
     /// Run the full structural suite on both traces (nesting, per-slot
@@ -384,8 +382,12 @@ fn write_app(w: &mut JsonWriter, run: &AppRun) {
     // incident counts exact, open durations banded like every `_s`.
     // The full series live in the `pic watch --json` artifact.
     w.object("monitor", |w| {
-        let (ic, pic) = (run.ic_monitor(), run.pic_monitor());
-        w.field("window_s", &fmt_f64(ic.window_s));
+        let fits = "a suite run fits the monitor's bucket grid";
+        let (ic, pic) = (
+            run.ic_monitor().expect(fits),
+            run.pic_monitor().expect(fits),
+        );
+        w.field("window_s", &fmt_f64(pic_simnet::monitor::WINDOW_S));
         w.object("ic", |w| ic.write_json_summary(w));
         w.object("pic", |w| pic.write_json_summary(w));
     });

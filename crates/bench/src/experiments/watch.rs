@@ -8,46 +8,10 @@
 //! rayon pool widths (pinned by `tests/cli_watch.rs`).
 
 use super::report::AppRun;
-use crate::cli::Matches;
-use pic_simnet::monitor::{Rule, MAX_BUCKETS};
+use pic_simnet::monitor::{CATALOG_RULES, WINDOW_S};
 use pic_simnet::report::{fmt_f64, JsonWriter};
-use pic_simnet::{Monitor, MonitorConfig, MonitorReport};
+use pic_simnet::MonitorReport;
 use std::fmt::Write as _;
-
-/// How `pic watch` replays a run — the parsed flag set.
-#[derive(Debug, Clone)]
-pub struct WatchOptions {
-    /// Sliding-window length, simulated seconds (`--window`).
-    pub window_s: f64,
-    /// Alert rules to evaluate (`--rules`, default the full catalog).
-    pub rules: Vec<Rule>,
-    /// Dashboard frame spacing, simulated seconds (`--interval`);
-    /// `0` renders only the final frame.
-    pub interval_s: f64,
-    /// Sparkline cells per series (`--width`).
-    pub width: usize,
-}
-
-impl WatchOptions {
-    /// The options a parsed `pic watch` argv sets; the command table
-    /// states every default.
-    pub fn from_matches(m: &Matches) -> WatchOptions {
-        // The table validated every `--rules` name against
-        // `CATALOG_RULES`, the names of `Rule::ALL`.
-        let rule = |name: &str| {
-            Rule::ALL
-                .into_iter()
-                .find(|r| r.name() == name)
-                .expect("a rule")
-        };
-        WatchOptions {
-            window_s: m.num("--window"),
-            rules: m.names("--rules").into_iter().map(rule).collect(),
-            interval_s: m.num("--interval"),
-            width: m.num("--width"),
-        }
-    }
-}
 
 /// One app's pair of monitor reports, IC vs PIC.
 #[derive(Debug)]
@@ -62,88 +26,50 @@ pub struct WatchSection {
     pub pic: MonitorReport,
 }
 
-fn cfg_for(run: &AppRun, opts: &WatchOptions) -> MonitorConfig {
-    let mut cfg = MonitorConfig::new(run.spec.clone());
-    cfg.window_s = opts.window_s;
-    cfg.rules = opts.rules.clone();
-    cfg
-}
-
-/// Replay every collected run through the monitor with the given
-/// options. Errors carry the monitor's pinned validation messages.
-pub fn sections(runs: &[AppRun], opts: &WatchOptions) -> Result<Vec<WatchSection>, String> {
+/// Replay every collected run through the monitor — the replay the
+/// BENCH `monitor` section reads ([`AppRun::ic_monitor`]). A run too
+/// long for the monitor's bucket grid is refused, naming its app.
+pub fn sections(runs: &[AppRun]) -> Result<Vec<WatchSection>, String> {
     runs.iter()
         .map(|run| {
-            // The monitor refuses a window finer than its bucket limit;
-            // name the app before any replay starts.
-            let buckets = run.ic_time_s.max(run.pic_time_s) / cfg_for(run, opts).bucket_s();
-            if buckets > MAX_BUCKETS {
-                let (window, app) = (opts.window_s, run.app);
-                return Err(format!(
-                    "--window {window:e} s is too fine for {app}: {buckets:.1e} buckets, limit {MAX_BUCKETS}"
-                ));
-            }
-            let ic = Monitor::replay(cfg_for(run, opts), &run.ic_trace)?;
-            let pic = Monitor::replay(cfg_for(run, opts), &run.pic_trace)?;
+            let named = |e: String| format!("{}: {e}", run.app);
             Ok(WatchSection {
                 app: run.app,
                 experiment: run.experiment,
-                ic,
-                pic,
+                ic: run.ic_monitor().map_err(named)?,
+                pic: run.pic_monitor().map_err(named)?,
             })
         })
         .collect()
 }
 
-/// Intermediate frames never flood the terminal: a tiny `--interval`
-/// against a long horizon strides up so at most this many frames print
-/// per side (the final full dashboard always follows).
-pub const MAX_FRAMES: usize = 24;
-
-/// Render one app's dashboard: optional intermediate frames every
-/// `interval_s` simulated seconds, then the final panel per side.
-pub fn render_section(s: &WatchSection, opts: &WatchOptions) -> String {
+/// Render one app's dashboard: the final panel per side, `width`
+/// sparkline cells per series.
+pub fn render_section(s: &WatchSection, width: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "=== {} ({}) — online monitor, window {} s ===",
         s.app,
         s.experiment,
-        fmt_f64(opts.window_s)
+        fmt_f64(WINDOW_S)
     );
     for (side, r) in [("ic", &s.ic), ("pic", &s.pic)] {
         let _ = writeln!(out, "\n--- {side} ---");
-        if opts.interval_s > 0.0 && r.horizon_s > 0.0 {
-            // The frame count saturates for a tiny interval, so the
-            // frame index, not the time, bounds the loop.
-            let frames = (r.horizon_s / opts.interval_s).ceil() as usize;
-            let stride = frames.div_ceil(MAX_FRAMES).max(1);
-            for j in 1..=MAX_FRAMES {
-                let t = j.saturating_mul(stride) as f64 * opts.interval_s;
-                if t >= r.horizon_s {
-                    break;
-                }
-                let _ = write!(out, "{}", r.render_at(t, opts.width));
-            }
-        }
-        let _ = write!(out, "{}", r.render(opts.width));
+        let _ = write!(out, "{}", r.render(width));
     }
     out
 }
 
-/// The `pic watch --json` document: suite header, the rule set in
-/// force, and the full monitor report (every series, waves, incident
+/// The `pic watch --json` document: suite header, the window and rule
+/// catalog, and the full monitor report (every series, waves, incident
 /// log) per app and side.
-pub fn watch_json(scale: f64, opts: &WatchOptions, sections: &[WatchSection]) -> String {
-    let rules: Vec<String> = opts
-        .rules
-        .iter()
-        .map(|r| format!("\"{}\"", r.name()))
-        .collect();
+pub fn watch_json(scale: f64, sections: &[WatchSection]) -> String {
+    let rules: Vec<String> = CATALOG_RULES.iter().map(|r| format!("\"{r}\"")).collect();
     let doc = JsonWriter::document(0, |w| {
         w.field_str("suite", "pic-watch");
         w.field("scale", &fmt_f64(scale));
-        w.field("window_s", &fmt_f64(opts.window_s));
+        w.field("window_s", &fmt_f64(WINDOW_S));
         w.field("rules", &format!("[{}]", rules.join(", ")));
         w.objects("apps", sections, |w, s| {
             w.field_str("app", s.app);
@@ -160,28 +86,19 @@ mod tests {
     use super::*;
     use crate::experiments::{report as perf, ExperimentCtx};
 
-    /// The options `pic watch <flags>` sets.
-    fn watch_opts(flags: &[&str]) -> WatchOptions {
-        let watch = crate::cli::COMMANDS.iter().find(|c| c.name == "watch");
-        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
-        WatchOptions::from_matches(&crate::cli::parse(&argv, watch.unwrap()).unwrap())
-    }
-
-    fn small_sections(opts: &WatchOptions) -> Vec<WatchSection> {
+    fn small_sections(app: &str) -> Vec<WatchSection> {
         let ctx = ExperimentCtx { scale: 0.01 };
-        let runs = perf::collect(&ctx, &["linsolve"]).unwrap();
-        sections(&runs, opts).unwrap()
+        sections(&perf::collect(&ctx, &[app]).unwrap()).unwrap()
     }
 
     #[test]
-    fn watch_renders_dashboard_frames_and_exports() {
-        let opts = watch_opts(&[]);
-        let secs = small_sections(&opts);
+    fn watch_renders_dashboard_and_exports() {
+        let secs = small_sections("linsolve");
         assert_eq!(secs.len(), 1);
         let s = &secs[0];
 
         // Final dashboard per side, with every series row present.
-        let text = render_section(s, &opts);
+        let text = render_section(s, 48);
         assert!(text.contains("=== linsolve"), "{text}");
         assert!(text.contains("--- ic ---") && text.contains("--- pic ---"));
         for row in [
@@ -203,22 +120,8 @@ mod tests {
             "misaligned rows:\n{text}"
         );
 
-        // Intermediate frames appear once an interval is requested, and
-        // the stride caps them at MAX_FRAMES per side.
-        let framed = watch_opts(&["--interval", &(s.ic.horizon_s / 4.0).to_string()]);
-        let text = render_section(s, &framed);
-        let frames = text.matches("  t = ").count();
-        assert!(frames >= 2, "expected intermediate frames:\n{text}");
-        // Down to the smallest positive interval, where the frame count
-        // saturates.
-        for interval_s in [s.ic.horizon_s / 10_000.0, 1e-300, 5e-324] {
-            let tiny = watch_opts(&["--interval", &interval_s.to_string()]);
-            let frames = render_section(s, &tiny).matches("  t = ").count();
-            assert!(frames <= 2 * MAX_FRAMES, "{interval_s}: {frames} frames");
-        }
-
         // JSON carries the suite header, the rule set and both sides.
-        let doc = watch_json(0.01, &opts, &secs);
+        let doc = watch_json(0.01, &secs);
         assert!(doc.starts_with("{\n  \"suite\": \"pic-watch\",\n"));
         assert!(
             doc.contains("\"rules\": [\"stall\", \"divergence\""),
@@ -235,10 +138,8 @@ mod tests {
     #[test]
     fn watch_json_carries_every_exported_value() {
         use crate::json::Json;
-        // A window far shorter than linsolve's quality gaps opens stall
-        // incidents, so the per-incident check is not vacuous.
-        let opts = watch_opts(&["--window", "0.5"]);
-        let doc = watch_json(0.01, &opts, &small_sections(&opts));
+        // K-means stalls, so the per-incident check is not vacuous.
+        let doc = watch_json(0.01, &small_sections("kmeans"));
         let doc = crate::json::parse(&doc).unwrap();
         let Some(Json::Arr(apps)) = doc.get("apps") else {
             panic!("apps is an array")
@@ -281,19 +182,5 @@ mod tests {
             }
         }
         assert!(incidents > 0, "no incident to check");
-    }
-
-    #[test]
-    fn frame_view_matches_the_final_dashboard_at_the_horizon() {
-        let opts = watch_opts(&[]);
-        let secs = small_sections(&opts);
-        let r = &secs[0].pic;
-        // Beyond the horizon every series is fully visible, so the frame
-        // rows equal the final dashboard rows exactly.
-        let full = r.rows_at(f64::INFINITY, 32);
-        assert_eq!(r.rows_at(r.horizon_s + 1.0, 32), full);
-        // An early frame shows no more buckets than the full view.
-        let early = r.rows_at(r.horizon_s / 3.0, 32);
-        assert_eq!(early.len(), full.len());
     }
 }

@@ -1,8 +1,7 @@
 //! Acceptance tests for the `pic watch` and `pic help` CLI surfaces
 //! (DESIGN.md §16): the monitor document must be a deterministic
 //! function of the simulated runs — byte-identical across rayon pool
-//! widths — an unknown rule must enumerate the catalog, and the help
-//! table must name every dispatched subcommand.
+//! widths — and the help table must name every dispatched subcommand.
 
 use std::process::Command;
 
@@ -64,46 +63,6 @@ fn watch_json_is_byte_identical_across_pool_widths() {
     let doc = String::from_utf8(docs.remove(0)).unwrap();
     assert!(doc.starts_with("{\n  \"suite\": \"pic-watch\",\n"), "{doc}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// An unknown rule name exits 2 and the error enumerates the catalog —
-/// the command table's `--rules` check, verbatim.
-#[test]
-fn unknown_rule_lists_the_catalog() {
-    let out = pic()
-        .args(["watch", "--rules", "bogus"])
-        .output()
-        .expect("spawn pic");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    let first = stderr.lines().next().unwrap_or("");
-    assert_eq!(
-        first,
-        "error: unknown rule 'bogus'; valid rules: stall, divergence, \
-         saturation, straggler-tail, recovery-storm, fault"
-    );
-}
-
-/// `--list-rules` prints exactly the rule catalog, one name per line.
-#[test]
-fn list_rules_prints_the_catalog() {
-    let out = pic()
-        .args(["watch", "--list-rules"])
-        .output()
-        .expect("spawn pic");
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(
-        stdout.lines().collect::<Vec<_>>(),
-        vec![
-            "stall",
-            "divergence",
-            "saturation",
-            "straggler-tail",
-            "recovery-storm",
-            "fault"
-        ]
-    );
 }
 
 /// `pic help` renders the subcommand table with every dispatched entry,

@@ -2,30 +2,23 @@
 //! (DESIGN.md §16).
 //!
 //! [`Monitor::replay`] is a pure function of `(MonitorConfig, &Trace)`:
-//! it replays a recorded run onto sliding-window series on the simulated
-//! clock:
+//! it replays a recorded run onto series of [`BUCKET_S`] buckets on the
+//! simulated clock:
 //!
 //! * per-link utilization EWMAs over the §11 [`LinkClass`] mapping,
 //! * the quality-improvement rate from the §10 `quality` probes,
-//! * the straggler tail ratio (p-max/p50) per scheduler wave,
+//! * the straggler tail ratio (p-max/p50) per phase wave,
 //! * the task-queue depth (mean concurrent tasks per bucket),
 //! * the recovery-byte rate under chaos.
 //!
 //! The closed [`Rule`] catalog evaluates those series into an incident
 //! log: `stall`, `divergence`, `saturation`, `straggler-tail`,
-//! `recovery-storm` and `fault`. The only free value is the window;
-//! `saturation` reads §11's [`SATURATION_THRESHOLD`]. Each [`Incident`]
-//! records its rule (and through it the severity), open/close times, the
-//! peak value that tripped it, and the deepest trace span enclosing its
-//! open time — the span tree gives incidents the same nesting the other
-//! views have.
-//!
-//! Every bucketed series is **causal** — a bucket depends only on events
-//! at or before its own end, and the EWMA runs forward — so the frame a
-//! live dashboard would have shown at simulated time `t` is exactly the
-//! prefix of the finished series up to `t` ([`MonitorReport::rows_at`]).
-//! A streaming sink on the tracer returns with its first caller (the
-//! closed-loop alert→action item); nothing needs one today.
+//! `recovery-storm` and `fault`. Every rule runs, and every sustain or
+//! gap test reads the one window [`WINDOW_S`]; `saturation` reads §11's
+//! [`SATURATION_THRESHOLD`]. Each [`Incident`] records its rule (and
+//! through it the severity), open/close times, the peak value that
+//! tripped it, and the deepest trace span enclosing its open time — the
+//! span tree gives incidents the same nesting the other views have.
 //!
 //! **Reconciliation guarantee.** The per-link window series are built by
 //! the same [`crate::sweep`] spreader as [`crate::timeline`], so every
@@ -40,7 +33,7 @@
 //! [`TrafficLedger`]: crate::traffic::TrafficLedger
 
 use crate::report::{fmt_f64, json_f64s, nearest_rank, peak, Column, JsonWriter};
-use crate::sweep::{apportion, collect_charges, spread_busy, utilization, LinkClass};
+use crate::sweep::{apportion, collect_charges, phase_waves, spread_busy, utilization, LinkClass};
 use crate::timeline::{heat_bar, SATURATION_THRESHOLD};
 use crate::topology::ClusterSpec;
 use crate::trace::{check, Span, Trace};
@@ -48,19 +41,20 @@ use crate::traffic::{TrafficClass, TrafficSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default sliding-window length, simulated seconds.
-pub const DEFAULT_WINDOW_S: f64 = 5.0;
+/// Sliding-window length, simulated seconds: every sustain or gap test
+/// and the utilization EWMA's time constant.
+pub const WINDOW_S: f64 = 5.0;
 
-/// Buckets per window: the bucket width is `window_s / BUCKETS_PER_WINDOW`.
-pub const BUCKETS_PER_WINDOW: usize = 4;
+/// Bucket width, simulated seconds: four buckets per window.
+pub const BUCKET_S: f64 = WINDOW_S / 4.0;
 
 /// Most buckets one replay may span: the monitor keeps every bucket of
-/// every series, so a window too fine for the run's horizon is refused
-/// instead of allocated.
+/// every series, so a run too long for the grid is refused instead of
+/// allocated.
 pub const MAX_BUCKETS: f64 = 1e6;
 
 /// Names of the alert-rule catalog, in [`Rule::ALL`] order — the
-/// incident-log keys and the `pic watch --rules` vocabulary.
+/// incident-log and `by_rule` keys.
 pub const CATALOG_RULES: [&str; 6] = [
     "stall",
     "divergence",
@@ -71,22 +65,22 @@ pub const CATALOG_RULES: [&str; 6] = [
 ];
 
 /// One alert rule of the closed catalog. Every sustain or gap test reads
-/// the monitor's one window ([`MonitorConfig::window_s`]); the fixed
-/// thresholds are documented per variant.
+/// the monitor's one window ([`WINDOW_S`]); the fixed thresholds are
+/// documented per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// No quality improvement for more than `window_s` simulated
+    /// No quality improvement for more than [`WINDOW_S`] simulated
     /// seconds (measured between strict improvements of the
     /// best-so-far objective; the gap to the run's end counts).
     Stall,
     /// The objective rises across consecutive quality samples for at
-    /// least `window_s` simulated seconds.
+    /// least [`WINDOW_S`] simulated seconds.
     Divergence,
     /// Some link's bucket utilization stays at or above §11's
-    /// [`SATURATION_THRESHOLD`] for at least `window_s` consecutive
+    /// [`SATURATION_THRESHOLD`] for at least [`WINDOW_S`] consecutive
     /// simulated seconds.
     Saturation,
-    /// A scheduler wave's p-max/p50 task-duration ratio reaches 4.
+    /// A phase wave's p-max/p50 task-duration ratio reaches 4.
     StragglerTail,
     /// The recovery-byte rate in any bucket reaches 1 byte/second
     /// (contiguous storm buckets merge into one incident).
@@ -123,55 +117,17 @@ impl Rule {
 }
 
 /// Monitor configuration: the cluster whose capacities utilization is
-/// measured against, the sliding-window length, and the rule set.
+/// measured against.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Capacity model for link utilization.
     pub spec: ClusterSpec,
-    /// Sliding-window length, simulated seconds.
-    pub window_s: f64,
-    /// Alert rules to evaluate (empty = telemetry only).
-    pub rules: Vec<Rule>,
 }
 
 impl MonitorConfig {
-    /// The default configuration on `spec`: [`DEFAULT_WINDOW_S`] and the
-    /// whole catalog.
+    /// The configuration on `spec`.
     pub fn new(spec: ClusterSpec) -> MonitorConfig {
-        MonitorConfig {
-            spec,
-            window_s: DEFAULT_WINDOW_S,
-            rules: Rule::ALL.to_vec(),
-        }
-    }
-
-    /// Telemetry-only configuration (no rules) — what the reconciliation
-    /// check pass uses.
-    pub fn telemetry(spec: ClusterSpec) -> MonitorConfig {
-        MonitorConfig {
-            spec,
-            window_s: DEFAULT_WINDOW_S,
-            rules: Vec::new(),
-        }
-    }
-
-    /// Bucket width, simulated seconds.
-    pub fn bucket_s(&self) -> f64 {
-        self.window_s / BUCKETS_PER_WINDOW as f64
-    }
-
-    /// Check the window and reject duplicate rules. Error strings are
-    /// pinned by tests.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.window_s.is_finite() && self.window_s > 0.0) {
-            return Err("monitor: window_s must be finite and positive".to_string());
-        }
-        for (i, rule) in self.rules.iter().enumerate() {
-            if self.rules[..i].contains(rule) {
-                return Err(format!("monitor: duplicate rule '{}'", rule.name()));
-            }
-        }
-        Ok(())
+        MonitorConfig { spec }
     }
 }
 
@@ -181,7 +137,7 @@ impl MonitorConfig {
 pub struct Incident {
     /// The rule that fired; its [`Rule::severity`] is the incident's.
     pub rule: Rule,
-    /// Which series tripped it (`quality`, `util:bisection`, `wave:3`,
+    /// Which series tripped it (`quality`, `util:bisection`, `wave:map/3`,
     /// `recovery`, `fault:node-crash`).
     pub series: String,
     /// Open time, simulated seconds.
@@ -222,10 +178,10 @@ impl Incident {
 pub struct MonitorSeries {
     /// Bytes attributed to each bucket (cumulative-rounding exact).
     pub bytes: Vec<u64>,
-    /// `bytes[i] / (capacity × bucket_s)` per bucket.
+    /// `bytes[i] / (capacity × BUCKET_S)` per bucket.
     pub util: Vec<f64>,
     /// Exponentially-weighted moving average of `util` with time
-    /// constant `window_s`.
+    /// constant [`WINDOW_S`].
     pub ewma: Vec<f64>,
     /// Sum of `bytes` — reconciles exactly with the ledger.
     pub total_bytes: u64,
@@ -233,10 +189,13 @@ pub struct MonitorSeries {
     pub peak_util: f64,
 }
 
-/// Straggler statistics for one scheduler wave.
+/// Straggler statistics for one scheduler wave of one phase
+/// ([`phase_waves`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaveStat {
-    /// Wave index (the `wave` arg on task spans).
+    /// Name of the phase span the wave's tasks ran under.
+    pub phase: String,
+    /// Wave index within the phase (the `wave` arg on task spans).
     pub wave: u64,
     /// Tasks in the wave.
     pub tasks: usize,
@@ -256,10 +215,6 @@ pub struct WaveStat {
 /// incident log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorReport {
-    /// Sliding-window length, simulated seconds.
-    pub window_s: f64,
-    /// Bucket width, simulated seconds.
-    pub bucket_s: f64,
     /// Run horizon, simulated seconds.
     pub horizon_s: f64,
     /// Number of buckets covering the horizon.
@@ -277,22 +232,15 @@ pub struct MonitorReport {
     pub peak_depth: f64,
     /// Recovery bytes attributed to each bucket (exact).
     pub recovery_bytes: Vec<u64>,
-    /// `recovery_bytes[i] / bucket_s` per bucket.
+    /// `recovery_bytes[i] / BUCKET_S` per bucket.
     pub recovery_rate: Vec<f64>,
-    /// Per-wave straggler statistics, ascending by wave.
+    /// Per-wave straggler statistics, by phase in recording order, then
+    /// ascending by wave.
     pub waves: Vec<WaveStat>,
     /// Injected `chaos` fault instants seen.
     pub faults: u64,
     /// The incident log, ordered by `(open_s, close_s, rule, series)`.
     pub incidents: Vec<Incident>,
-}
-
-/// Bucket index containing time `t` on a grid of width `dt`.
-fn bucket_of(t: f64, dt: f64) -> usize {
-    if dt <= 0.0 {
-        return 0;
-    }
-    (t.max(0.0) / dt).floor() as usize
 }
 
 /// The run monitor. [`Monitor::replay`] is its one entry point (`pic
@@ -303,16 +251,15 @@ pub struct Monitor;
 
 impl Monitor {
     /// Replay `trace` under `cfg`: put every charge, task, quality probe
-    /// and fault on a grid of `cfg.bucket_s()` buckets covering the
-    /// run's horizon, compute EWMAs and rates, evaluate the rule set
+    /// and fault on a grid of [`BUCKET_S`] buckets covering the run's
+    /// horizon, compute EWMAs and rates, evaluate the whole rule catalog
     /// into the incident log, and anchor each incident to the deepest
-    /// span enclosing it. A window so fine that the grid would exceed
+    /// span enclosing it. A run so long that the grid would exceed
     /// [`MAX_BUCKETS`] is refused.
     pub fn replay(cfg: MonitorConfig, trace: &Trace) -> Result<MonitorReport, String> {
-        cfg.validate()?;
-        let dt = cfg.bucket_s();
+        let dt = BUCKET_S;
         let (charges, horizon) = collect_charges(trace);
-        // Counted in f64 first: a fine window's bucket count overflows
+        // Counted in f64 first: a long horizon's bucket count overflows
         // `usize` long before it fails the limit.
         let grid = if horizon > 0.0 {
             (horizon / dt).floor() + 1.0
@@ -321,8 +268,7 @@ impl Monitor {
         };
         if grid > MAX_BUCKETS {
             return Err(format!(
-                "monitor: window_s {:e} s is too fine for a {horizon} s run: {grid:.1e} buckets, over {MAX_BUCKETS}",
-                cfg.window_s
+                "monitor: a {horizon:e} s run needs {grid:.1e} buckets of {dt} s, over {MAX_BUCKETS}"
             ));
         }
         let buckets = grid as usize;
@@ -335,7 +281,7 @@ impl Monitor {
             }
             bytes
         };
-        let alpha = 1.0 - (-dt / cfg.window_s).exp();
+        let alpha = 1.0 - (-dt / WINDOW_S).exp();
         let mut links = BTreeMap::new();
         for link in LinkClass::ALL {
             let bytes = series_of(&|class| LinkClass::of(class) == link);
@@ -362,40 +308,35 @@ impl Monitor {
         let recovery_bytes = series_of(&|class| class == TrafficClass::Recovery);
         let recovery_rate: Vec<f64> = recovery_bytes.iter().map(|&b| b as f64 / dt).collect();
 
-        // Queue depth (busy task-seconds per bucket, accumulated in span
-        // recording order) and the per-wave task windows.
+        // Queue depth: busy task-seconds per bucket, accumulated in span
+        // recording order.
         let mut busy = vec![0.0; buckets];
-        let mut by_wave: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
         let is_closed_task = |s: &&Span| s.cat == "task" && s.t1.is_finite();
         for s in trace.spans.iter().filter(is_closed_task) {
             spread_busy(&mut busy, s.t0, s.t1, dt);
-            if let Some(wave) = s.arg_u64("wave") {
-                by_wave.entry(wave).or_default().push((s.t0, s.t1));
-            }
         }
         let depth: Vec<f64> = busy.iter().map(|s| s / dt).collect();
-        let waves: Vec<WaveStat> = by_wave
-            .into_iter()
-            .map(|(wave, tasks)| {
-                let mut durations: Vec<f64> =
-                    tasks.iter().map(|&(a, b)| (b - a).max(0.0)).collect();
+        let mut waves = Vec::new();
+        for (phase, by_wave) in phase_waves(trace) {
+            for (wave, tasks) in by_wave {
+                let mut durations: Vec<f64> = tasks.iter().map(|s| s.duration_s()).collect();
                 durations.sort_by(|x, y| x.partial_cmp(y).expect("finite durations"));
-                let mut ends: Vec<f64> = tasks.iter().map(|&(_, b)| b).collect();
+                let mut ends: Vec<f64> = tasks.iter().map(|s| s.t1).collect();
                 ends.sort_by(|x, y| x.partial_cmp(y).expect("finite times"));
                 let p50_s = nearest_rank(&durations, 50.0);
                 let max_s = durations.last().copied().unwrap_or(0.0);
-                let tail_x = if p50_s > 0.0 { max_s / p50_s } else { 0.0 };
-                WaveStat {
+                waves.push(WaveStat {
+                    phase: trace.spans[phase].name.clone(),
                     wave,
                     tasks: tasks.len(),
                     p50_s,
                     max_s,
-                    tail_x,
+                    tail_x: if p50_s > 0.0 { max_s / p50_s } else { 0.0 },
                     open_s: nearest_rank(&ends, 50.0),
                     close_s: ends.last().copied().unwrap_or(0.0),
-                }
-            })
-            .collect();
+                });
+            }
+        }
 
         // Quality samples and fault instants in time order; the stable
         // sorts keep equal times in recording order.
@@ -417,7 +358,7 @@ impl Monitor {
             let mut best = first_obj;
             for &(t, obj) in &quality {
                 if obj < best {
-                    let i = bucket_of(t, dt).min(buckets.saturating_sub(1));
+                    let i = ((t.max(0.0) / dt).floor() as usize).min(buckets.saturating_sub(1));
                     if !quality_rate.is_empty() {
                         quality_rate[i] += (best - obj) / dt;
                     }
@@ -427,8 +368,6 @@ impl Monitor {
         }
 
         let mut report = MonitorReport {
-            window_s: cfg.window_s,
-            bucket_s: dt,
             horizon_s: horizon,
             buckets,
             links,
@@ -442,21 +381,19 @@ impl Monitor {
             faults: faults.len() as u64,
             incidents: Vec::new(),
         };
-        report.incidents = evaluate_rules(&cfg, &report, &faults, trace);
+        report.incidents = evaluate_rules(&report, &faults, trace);
         Ok(report)
     }
 }
 
-/// Evaluate every configured rule over the finished series.
+/// Evaluate the whole rule catalog over the finished series.
 fn evaluate_rules(
-    cfg: &MonitorConfig,
     report: &MonitorReport,
     faults: &[(f64, String)],
     trace: &Trace,
 ) -> Vec<Incident> {
-    let dt = report.bucket_s;
+    let (dt, window) = (BUCKET_S, WINDOW_S);
     let horizon = report.horizon_s;
-    let window = cfg.window_s;
     let mut incidents = Vec::new();
     let mut push = |rule: Rule, series: String, open: f64, close: f64, peak: f64| {
         incidents.push(Incident {
@@ -490,7 +427,7 @@ fn evaluate_rules(
         out
     };
 
-    for &rule in &cfg.rules {
+    for rule in Rule::ALL {
         match rule {
             Rule::Stall => {
                 if report.quality.is_empty() {
@@ -557,7 +494,7 @@ fn evaluate_rules(
                     if w.tail_x >= 4.0 {
                         push(
                             rule,
-                            format!("wave:{}", w.wave),
+                            format!("wave:{}/{}", w.phase, w.wave),
                             w.open_s,
                             w.close_s,
                             w.tail_x,
@@ -707,8 +644,8 @@ impl MonitorReport {
     /// The fields of [`MonitorReport::to_json`], written into the
     /// caller's open object.
     pub fn write_json(&self, w: &mut JsonWriter) {
-        w.field("window_s", &fmt_f64(self.window_s));
-        w.field("bucket_s", &fmt_f64(self.bucket_s));
+        w.field("window_s", &fmt_f64(WINDOW_S));
+        w.field("bucket_s", &fmt_f64(BUCKET_S));
         w.field("horizon_s", &fmt_f64(self.horizon_s));
         w.field("buckets", &self.buckets.to_string());
         w.open_key("links", "{");
@@ -732,6 +669,7 @@ impl MonitorReport {
         );
         w.field("recovery_rate", &json_f64s(&self.recovery_rate));
         w.objects("waves", &self.waves, |w, wv| {
+            w.field_str("phase", &wv.phase);
             w.field("wave", &wv.wave.to_string());
             w.field("tasks", &wv.tasks.to_string());
             w.field("p50_s", &fmt_f64(wv.p50_s));
@@ -745,34 +683,22 @@ impl MonitorReport {
         });
     }
 
-    /// `(label, sparkline, last, peak)` dashboard rows for every series,
-    /// `width` cells each, for the run's prefix up to simulated time
-    /// `t_s` — the frame a live dashboard shows mid-run
-    /// (`f64::INFINITY` for the whole run). Every bucketed series
-    /// is causal (a bucket depends only on events at or before its own
-    /// end, and the EWMA runs forward), so slicing the finished series
-    /// reproduces the live view exactly.
-    pub fn rows_at(&self, t_s: f64, width: usize) -> Vec<(String, String, f64, f64)> {
-        let visible = if t_s.is_finite() && self.bucket_s > 0.0 && t_s >= 0.0 {
-            (bucket_of(t_s, self.bucket_s) + 1).min(self.buckets)
-        } else {
-            self.buckets
-        };
+    /// `(label, sparkline, last, peak)` dashboard rows for every series
+    /// over the whole run, `width` cells each.
+    fn rows(&self, width: usize) -> Vec<(String, String, f64, f64)> {
         let mut rows = Vec::new();
         for (label, s) in &self.links {
-            let ewma = &s.ewma[..visible.min(s.ewma.len())];
-            let util = &s.util[..visible.min(s.util.len())];
             rows.push((
                 format!("util:{label}"),
-                heat_bar(ewma, width),
-                ewma.last().copied().unwrap_or(0.0),
-                util.iter().copied().fold(0.0, f64::max),
+                heat_bar(&s.ewma, width),
+                s.ewma.last().copied().unwrap_or(0.0),
+                s.peak_util,
             ));
         }
         let norm = |v: &[f64]| -> Vec<f64> {
-            let peak = v.iter().copied().fold(0.0, f64::max);
-            if peak > 0.0 {
-                v.iter().map(|x| x / peak).collect()
+            let top = peak(v);
+            if top > 0.0 {
+                v.iter().map(|x| x / top).collect()
             } else {
                 vec![0.0; v.len()]
             }
@@ -782,12 +708,11 @@ impl MonitorReport {
             ("queue-depth", &self.depth),
             ("recovery-rate", &self.recovery_rate),
         ] {
-            let series = &series[..visible.min(series.len())];
             rows.push((
                 label.to_string(),
                 heat_bar(&norm(series), width),
                 series.last().copied().unwrap_or(0.0),
-                series.iter().copied().fold(0.0, f64::max),
+                peak(series),
             ));
         }
         rows
@@ -796,35 +721,13 @@ impl MonitorReport {
     /// Render the dashboard panel: one sparkline row per series plus the
     /// incident ticker.
     pub fn render(&self, width: usize) -> String {
-        let header = format!(
-            "  window {} s, bucket {} s, horizon {:.3} s, {} waves, {} faults",
-            self.window_s,
-            self.bucket_s,
+        let mut out = format!(
+            "  window {WINDOW_S} s, bucket {BUCKET_S} s, horizon {:.3} s, {} waves, {} faults\n",
             self.horizon_s,
             self.waves.len(),
             self.faults
         );
-        let open_note = format!(" ({:.3} s open)", self.incident_s());
-        self.render_frame(&header, &open_note, f64::INFINITY, width)
-    }
-
-    /// Render one live frame at simulated time `t_s`: the dashboard
-    /// rows over the elapsed buckets plus the incident ticker of
-    /// everything opened by `t_s`. Incidents still open at the frame
-    /// time show `close      ...` — that is the live-dashboard view
-    /// `pic watch --interval` replays frame by frame.
-    pub fn render_at(&self, t_s: f64, width: usize) -> String {
-        let (now, horizon) = (t_s.min(self.horizon_s), self.horizon_s);
-        let header = format!("  t = {now:.3} s / {horizon:.3} s");
-        self.render_frame(&header, "", t_s, width)
-    }
-
-    /// The row loop and incident ticker behind [`MonitorReport::render`]
-    /// (`t_s` = ∞) and [`MonitorReport::render_at`]; `open_note` trails
-    /// the incident count.
-    fn render_frame(&self, header: &str, open_note: &str, t_s: f64, width: usize) -> String {
-        let mut out = format!("{header}\n");
-        let rows = self.rows_at(t_s, width);
+        let rows = self.rows(width);
         // Pad to the widest label, so every sparkline starts in one column.
         let pad = rows.iter().map(|r| r.0.len()).max().unwrap_or(0);
         for (label, bar, last, peak) in rows {
@@ -833,25 +736,21 @@ impl MonitorReport {
                 "  {label:<pad$} |{bar}| last {last:>10.4} peak {peak:>10.4}"
             );
         }
-        let opened: Vec<&Incident> = self.incidents.iter().filter(|i| i.open_s <= t_s).collect();
-        if opened.is_empty() {
+        if self.incidents.is_empty() {
             let _ = writeln!(out, "  incidents: none");
         } else {
-            let _ = writeln!(out, "  incidents: {}{open_note}", opened.len());
+            let n = self.incidents.len();
+            let _ = writeln!(out, "  incidents: {n} ({:.3} s open)", self.incident_s());
         }
-        for inc in opened {
-            let close = if inc.close_s <= t_s {
-                format!("{:>9.3}", inc.close_s)
-            } else {
-                "      ...".to_string()
-            };
+        for inc in &self.incidents {
             let _ = writeln!(
                 out,
-                "    [{}] {:<14} {:<18} open {:>9.3} close {close} peak {:>10.4} in {}",
+                "    [{}] {:<14} {:<18} open {:>9.3} close {:>9.3} peak {:>10.4} in {}",
                 inc.rule.severity(),
                 inc.rule.name(),
                 inc.series,
                 inc.open_s,
+                inc.close_s,
                 inc.peak,
                 inc.span
             );
@@ -893,35 +792,19 @@ mod tests {
             .all(|r| matches!(r.severity(), "warn" | "page")));
     }
 
+    /// A run whose grid would exceed the bucket limit is refused with an
+    /// error naming the horizon, not an overflow or an empty report —
+    /// also where the bucket count overflows `usize`.
     #[test]
-    fn config_validation_messages_are_pinned() {
-        let mut c = cfg();
-        c.window_s = -1.0;
-        assert_eq!(
-            c.validate().unwrap_err(),
-            "monitor: window_s must be finite and positive"
-        );
-        let mut c = cfg();
-        c.rules.push(Rule::Stall);
-        assert_eq!(c.validate().unwrap_err(), "monitor: duplicate rule 'stall'");
-    }
-
-    /// A window so fine that the bucket count overflows `usize` is
-    /// refused with an error, not an overflow or an empty report.
-    #[test]
-    fn a_window_finer_than_the_bucket_limit_is_refused() {
-        let t = Tracer::standalone();
-        let root = t.begin_at("run", "driver", 0.0);
-        quality_at(&t, 0.5, 10.0);
-        t.end_at(root, 10.0);
-        let subnormal = f64::MIN_POSITIVE / 1024.0;
-        assert!(subnormal > 0.0 && !subnormal.is_normal());
-        for window_s in [1e-300, f64::MIN_POSITIVE, subnormal] {
-            let mut c = cfg();
-            c.window_s = window_s;
-            let err = Monitor::replay(c, &t.trace()).unwrap_err();
-            assert!(err.contains("too fine"), "{window_s:e}: {err}");
-            assert!(err.contains(&format!("window_s {window_s:e} s")), "{err}");
+    fn a_run_longer_than_the_bucket_limit_is_refused() {
+        for horizon in [2e6, 1e300] {
+            let t = Tracer::standalone();
+            let root = t.begin_at("run", "driver", 0.0);
+            quality_at(&t, 0.5, 10.0);
+            t.end_at(root, horizon);
+            let err = Monitor::replay(cfg(), &t.trace()).unwrap_err();
+            assert!(err.contains(&format!("a {horizon:e} s run")), "{err}");
+            assert!(err.contains("over 1000000"), "{err}");
             assert!(err.len() < 160, "{} characters: {err}", err.len());
         }
     }
@@ -958,17 +841,15 @@ mod tests {
         assert!(r.reconcile(&TrafficSnapshot::default()).is_ok());
     }
 
-    /// Satellite edge case: a single quality sample in a window longer
-    /// than the run fires nothing.
+    /// Satellite edge case: a single quality sample in a run shorter
+    /// than the window fires nothing.
     #[test]
     fn single_sample_and_window_longer_than_run() {
         let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         quality_at(&t, 0.5, 10.0);
         t.end_at(root, 1.0);
-        let mut c = cfg();
-        c.window_s = 100.0; // window ≫ run
-        let r = Monitor::replay(c, &t.trace()).unwrap();
+        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
         assert_eq!(r.quality.len(), 1);
         assert!(r.incidents.is_empty(), "{:?}", r.incidents);
         assert_eq!(r.buckets, 1, "one bucket covers the whole run");
@@ -984,9 +865,7 @@ mod tests {
             quality_at(&t, i as f64, 100.0 - i as f64); // steady improvement
         }
         t.end_at(root, 100.0);
-        let mut c = cfg();
-        c.rules = vec![Rule::Stall, Rule::Divergence];
-        let r = Monitor::replay(c, &t.trace()).unwrap();
+        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
         assert!(r.incidents.is_empty(), "{:?}", r.incidents);
     }
 
@@ -1005,29 +884,23 @@ mod tests {
             .filter(|i| i.rule == Rule::Stall)
             .collect();
         assert_eq!(stalls.len(), 1, "{:?}", r.incidents);
-        assert_eq!(stalls[0].open_s, 2.0 + DEFAULT_WINDOW_S);
+        assert_eq!(stalls[0].open_s, 2.0 + WINDOW_S);
         assert_eq!(stalls[0].close_s, 20.0);
         assert_eq!(stalls[0].peak, 18.0);
         assert_eq!(stalls[0].span, "run", "nested in the live span tree");
     }
 
-    /// The rules read the configured window: a 10 s quality gap stalls
-    /// under the default 5 s window but not under a 20 s one.
+    /// A gap shorter than the window is no stall: a 3 s gap between
+    /// improvements, and 1 s from the last one to the run's end.
     #[test]
-    fn stall_gap_is_measured_against_the_configured_window() {
+    fn a_gap_shorter_than_the_window_is_no_stall() {
         let t = Tracer::standalone();
         let root = t.begin_at("run", "driver", 0.0);
         quality_at(&t, 1.0, 10.0);
-        quality_at(&t, 11.0, 9.0); // 10 s without improvement
-        t.end_at(root, 12.0);
-        let stalls = |window_s: f64| {
-            let mut c = cfg();
-            c.window_s = window_s;
-            c.rules = vec![Rule::Stall];
-            Monitor::replay(c, &t.trace()).unwrap().incidents.len()
-        };
-        assert_eq!(stalls(DEFAULT_WINDOW_S), 1);
-        assert_eq!(stalls(20.0), 0, "a gap shorter than the window is no stall");
+        quality_at(&t, 4.0, 9.0); // 3 s without improvement
+        t.end_at(root, 5.0);
+        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
+        assert_eq!(r.count(Rule::Stall), 0, "{:?}", r.incidents);
     }
 
     #[test]
@@ -1132,10 +1005,43 @@ mod tests {
             .filter(|i| i.rule == Rule::StragglerTail)
             .collect();
         assert_eq!(tails.len(), 1, "{:?}", r.incidents);
-        assert_eq!(tails[0].series, "wave:1");
+        assert_eq!(tails[0].series, "wave:run/1");
         assert_eq!(tails[0].peak, 5.0);
         assert_eq!(r.waves.len(), 2);
         assert_eq!(r.waves[0].tail_x, 1.0);
+    }
+
+    /// The scheduler numbers waves per phase, so wave 0 of one phase is
+    /// not wave 0 of the next: a phase of tasks `[1, 1, 1, 1, 5]` s
+    /// pages its own tail beside a phase of ten 10 s tasks, which pooled
+    /// into one wave would put the p50 at 10 s and hide it.
+    #[test]
+    fn straggler_tail_is_judged_per_phase() {
+        let t = Tracer::standalone();
+        let root = t.begin_at("run", "driver", 0.0);
+        let wave0 = || vec![("wave".to_string(), Payload::U64(0))];
+        let map = t.begin_at("map", "phase", 0.0);
+        for (slot, d) in [1.0, 1.0, 1.0, 1.0, 5.0].into_iter().enumerate() {
+            t.span_at_in(&format!("map-slot-{slot}"), "t", "task", 0.0, d, wave0());
+        }
+        t.end_at(map, 5.0);
+        let reduce = t.begin_at("reduce", "phase", 5.0);
+        for slot in 0..10 {
+            t.span_at_in(&format!("red-slot-{slot}"), "t", "task", 5.0, 15.0, wave0());
+        }
+        t.end_at(reduce, 15.0);
+        t.end_at(root, 15.0);
+        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
+        let phases: Vec<(&str, usize)> = r.waves.iter().map(|w| (&*w.phase, w.tasks)).collect();
+        assert_eq!(phases, [("map", 5), ("reduce", 10)]);
+        let tails: Vec<&Incident> = r
+            .incidents
+            .iter()
+            .filter(|i| i.rule == Rule::StragglerTail)
+            .collect();
+        assert_eq!(tails.len(), 1, "{:?}", r.incidents);
+        assert_eq!(tails[0].series, "wave:map/0");
+        assert_eq!(tails[0].peak, 5.0);
     }
 
     #[test]

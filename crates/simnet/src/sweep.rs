@@ -18,11 +18,13 @@
 //!   against a capacity — the 60-interval utilization report and the
 //!   monitor's quarter-window buckets are the same code at two `dt`s;
 //! * [`phase_key`] and [`slot_group`] name a span's rollup group and a
-//!   task lane's slot group.
+//!   task lane's slot group;
+//! * [`phase_waves`] groups task spans into scheduler waves, per phase.
 
 use crate::topology::ClusterSpec;
 use crate::trace::{Span, SpanId, Trace};
 use crate::traffic::TrafficClass;
+use std::collections::BTreeMap;
 
 /// The four link classes the topology prices, each aggregating the
 /// traffic classes that consume it.
@@ -263,6 +265,29 @@ pub fn phase_key(s: &Span) -> Option<String> {
 /// follows the scheduler's `{group}-slot-{n}` convention.
 pub fn slot_group(lane: &str) -> Option<&str> {
     lane.split_once("-slot-").map(|(g, _)| g)
+}
+
+/// Closed `task` spans grouped into scheduler waves: parent (phase) span
+/// index → `wave` arg → the wave's spans in recording order. The
+/// scheduler numbers waves per schedule call, one call per phase, so a
+/// wave means something only under its phase: the straggler tail of the
+/// monitor and the no-stragglers projection of [`crate::whatif`] both
+/// read these groups. A task without a parent span is skipped; one
+/// without a `wave` arg counts as wave 0.
+pub fn phase_waves(trace: &Trace) -> BTreeMap<usize, BTreeMap<u64, Vec<&Span>>> {
+    let mut phases: BTreeMap<usize, BTreeMap<u64, Vec<&Span>>> = BTreeMap::new();
+    for s in &trace.spans {
+        if let (Some(p), "task", true) = (s.parent, s.cat, s.t1.is_finite()) {
+            let wave = s.arg_u64("wave").unwrap_or(0);
+            phases
+                .entry(p.index())
+                .or_default()
+                .entry(wave)
+                .or_default()
+                .push(s);
+        }
+    }
+    phases
 }
 
 #[cfg(test)]

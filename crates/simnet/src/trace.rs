@@ -766,14 +766,14 @@ pub mod check {
     }
 
     /// The monitor's sliding-window series reconcile **exactly** with
-    /// the ledger: replaying the trace through a telemetry-only
+    /// the ledger: replaying the trace through the
     /// [`crate::monitor::Monitor`] yields per-link window integrals
     /// equal to the summed ledger totals of each link's traffic
     /// classes, and a recovery series integrating to
     /// `recovery_total()`. Capacities do not affect byte sums, so any
     /// spec works; the small preset is used.
     pub fn monitor_reconciles(trace: &Trace, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
-        let cfg = crate::monitor::MonitorConfig::telemetry(crate::topology::ClusterSpec::small());
+        let cfg = crate::monitor::MonitorConfig::new(crate::topology::ClusterSpec::small());
         let report = crate::monitor::Monitor::replay(cfg, trace).map_err(|e| vec![e])?;
         report.reconcile(ledger)
     }

@@ -30,7 +30,7 @@ use crate::report::{
     fmt_f64, percentile, Column, CriticalPath, JsonWriter, QualityPoint, QualityReport,
     TIME_TO_WITHIN_PCTS,
 };
-use crate::sweep::{collect_charges, phase_key, LinkClass};
+use crate::sweep::{collect_charges, phase_key, phase_waves, LinkClass};
 use crate::timeline::saturation_sweep;
 use crate::topology::ClusterSpec;
 use crate::trace::{Span, Trace};
@@ -248,38 +248,25 @@ impl<'a> WhatIf<'a> {
         match edit {
             Edit::Identity => {}
             Edit::DropStragglers => {
-                // Group task attempts under their parent span; clamp each
-                // attempt to its wave's p50 and cut the phase tail after
-                // the projected last finisher. Applies only to parents
-                // that end with their last task (no trailing self time).
-                let mut by_parent: BTreeMap<usize, Vec<&Span>> = BTreeMap::new();
-                for s in self.trace.spans.iter().filter(|s| s.cat == "task") {
-                    if let Some(p) = s.parent {
-                        by_parent.entry(p.index()).or_default().push(s);
-                    }
-                }
-                for (pidx, tasks) in by_parent {
+                // Clamp each task attempt to its phase wave's p50 and cut
+                // the phase tail after the projected last finisher.
+                // Applies only to parents that end with their last task
+                // (no trailing self time).
+                for (pidx, waves) in phase_waves(self.trace) {
                     let parent = &self.trace.spans[pidx];
-                    let last_end = tasks.iter().map(|s| s.t1).fold(f64::NEG_INFINITY, f64::max);
+                    let tasks = || waves.values().flatten();
+                    let last_end = tasks().map(|s| s.t1).fold(f64::NEG_INFINITY, f64::max);
                     let tol = 1e-9 * parent.duration_s().abs().max(1.0);
                     if (parent.t1 - last_end).abs() > tol {
                         continue;
                     }
-                    let mut waves: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-                    for s in &tasks {
-                        waves
-                            .entry(s.arg_u64("wave").unwrap_or(0))
-                            .or_default()
-                            .push(s.duration_s());
-                    }
-                    let p50: BTreeMap<u64, f64> = waves
-                        .into_iter()
-                        .map(|(w, durs)| (w, percentile(&durs, 50.0)))
-                        .collect();
                     let mut projected_end = parent.t0;
-                    for s in &tasks {
-                        let cap = p50[&s.arg_u64("wave").unwrap_or(0)];
-                        projected_end = projected_end.max(s.t0 + s.duration_s().min(cap));
+                    for wave in waves.values() {
+                        let durs: Vec<f64> = wave.iter().map(|s| s.duration_s()).collect();
+                        let cap = percentile(&durs, 50.0);
+                        for s in wave {
+                            projected_end = projected_end.max(s.t0 + s.duration_s().min(cap));
+                        }
                     }
                     if projected_end < parent.t1 {
                         raw.push((projected_end, parent.t1));

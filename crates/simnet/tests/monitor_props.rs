@@ -1,8 +1,7 @@
-//! Property-based tests for the run monitor: the sliding-window byte
-//! series must integrate to the **exact** ledger totals for any
-//! sequence of charges — windowed or impulse, awkward fractional
-//! windows included — and to the same per-link totals as the
-//! utilization timeline of the same trace.
+//! Property-based tests for the run monitor: the bucketed byte series
+//! must integrate to the **exact** ledger totals for any sequence of
+//! charges — windowed or impulse — and to the same per-link totals as
+//! the utilization timeline of the same trace at any interval count.
 
 use pic_simnet::monitor::{Monitor, MonitorConfig};
 use pic_simnet::trace::check;
@@ -45,21 +44,18 @@ proptest! {
 
     /// The monitor's per-link window integrals equal the exact ledger
     /// totals — and therefore the `check::monitor_reconciles` pass
-    /// holds — for any random charge sequence and window length.
+    /// holds — for any random charge sequence.
     #[test]
     fn window_integrals_equal_ledger_totals(
         charges in proptest::collection::vec(charge_strategy(), 0..120),
-        window_s in 0.1f64..60.0,
     ) {
         let (tracer, ledger) = traced_run(&charges);
         let trace = tracer.trace();
         let snap = ledger.snapshot();
 
-        let mut cfg = MonitorConfig::telemetry(ClusterSpec::small());
-        cfg.window_s = window_s;
-        let report = Monitor::replay(cfg, &trace).expect("valid config");
-        prop_assert!(report.reconcile(&snap).is_ok(),
-            "window {window_s}: {:?}", report.reconcile(&snap).unwrap_err());
+        let cfg = MonitorConfig::new(ClusterSpec::small());
+        let report = Monitor::replay(cfg, &trace).expect("a 500 s run fits the grid");
+        prop_assert!(report.reconcile(&snap).is_ok(), "{:?}", report.reconcile(&snap).unwrap_err());
         prop_assert!(check::monitor_reconciles(&trace, &snap).is_ok());
 
         // The recovery series is the exact recovery total, bucket sums
@@ -70,22 +66,20 @@ proptest! {
         );
     }
 
-    /// The monitor (`dt` = window/4) and the utilization timeline (`n`
-    /// intervals) put the same charges on two grids through one
-    /// spreader: whatever the grids, each link's bytes integrate to the
-    /// same total.
+    /// The monitor (`dt` = `BUCKET_S`) and the utilization timeline
+    /// (`n` intervals) put the same charges on two grids through one
+    /// spreader: whatever the interval count, each link's bytes
+    /// integrate to the same total.
     #[test]
     fn monitor_and_timeline_link_totals_agree(
         charges in proptest::collection::vec(charge_strategy(), 0..120),
-        window_s in 0.1f64..60.0,
         intervals in 1usize..200,
     ) {
         let (tracer, _ledger) = traced_run(&charges);
         let trace = tracer.trace();
         let spec = ClusterSpec::small();
-        let mut cfg = MonitorConfig::telemetry(spec.clone());
-        cfg.window_s = window_s;
-        let monitor = Monitor::replay(cfg, &trace).expect("valid config");
+        let monitor = Monitor::replay(MonitorConfig::new(spec.clone()), &trace)
+            .expect("a 500 s run fits the grid");
         let timeline = UtilizationReport::with_intervals(&trace, &spec, intervals);
         for link in LinkClass::ALL {
             let (m, t) = (&monitor.links[link.label()], &timeline.links[link.label()]);
