@@ -36,7 +36,7 @@ pub fn sensitivity(run: &AppRun, side: &str, scenarios: &[Scenario]) -> Option<S
         "pic" => (&run.pic_trace, &run.quality.pic_curve),
         _ => return None,
     };
-    SensitivityReport::from_trace(trace, &run.spec, curve, scenarios)
+    SensitivityReport::from_trace(trace, curve, scenarios)
 }
 
 /// Build the explain sections for every collected run.
@@ -66,13 +66,8 @@ pub fn render_side_by_side(section: &ExplainSection) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:<24} {:>15} {:>15} {:>12} {:>12}  {:<20}",
-        "scenario",
-        "IC Δmakespan(s)",
-        "PIC Δmakespan(s)",
-        "IC Δtt10(s)",
-        "PIC Δtt10(s)",
-        "binding (ic/pic)"
+        "  {:<24} {:>15} {:>15} {:>12} {:>12}",
+        "scenario", "IC Δmakespan(s)", "PIC Δmakespan(s)", "IC Δtt10(s)", "PIC Δtt10(s)"
     );
     let dtt10 = |report: &SensitivityReport, name: &str| -> String {
         report
@@ -92,13 +87,12 @@ pub fn render_side_by_side(section: &ExplainSection) -> String {
         let pic_row = section.pic.rows.iter().find(|r| r.scenario.name == name);
         let _ = writeln!(
             out,
-            "  {:<24} {:>15.6} {:>15} {:>12} {:>12}  {:<20}",
+            "  {:<24} {:>15.6} {:>15} {:>12} {:>12}",
             name,
             row.delta_makespan_s,
             pic_row.map_or("-".to_string(), |r| format!("{:.6}", r.delta_makespan_s)),
             dtt10(&section.ic, name),
             dtt10(&section.pic, name),
-            format!("{}/{}", row.binding, pic_row.map_or("-", |r| r.binding)),
         );
     }
     out
@@ -122,14 +116,12 @@ pub fn explain_json(ctx: &ExperimentCtx, sections: &[ExplainSection]) -> String 
 
 /// The [`pic_simnet::Projection::columns`] `explain.csv` keeps, in its
 /// order (after the `app,side,rank` prefix).
-const CSV_COLUMNS: [&str; 7] = [
+const CSV_COLUMNS: [&str; 5] = [
     "scenario",
     "projected_makespan_s",
     "delta_makespan_s",
     "tt_10pct_s",
     "delta_tt_10pct_s",
-    "binding",
-    "clamped",
 ];
 
 /// The ranked-table CSV artifact, both sides of every app.
@@ -169,7 +161,7 @@ mod tests {
     use crate::experiments::report::collect;
     use crate::json;
     use pic_simnet::whatif::CATALOG;
-    use pic_simnet::{ClusterSpec, Tracer, TrafficClass, TrafficLedger};
+    use pic_simnet::Tracer;
 
     fn kmeans_sections() -> Vec<ExplainSection> {
         let runs = collect(&ExperimentCtx { scale: 0.01 }, &["kmeans"]).unwrap();
@@ -202,7 +194,7 @@ mod tests {
             rendered.lines().nth(1),
             Some(
                 "  scenario                 IC Δmakespan(s) PIC Δmakespan(s)  IC Δtt10(s) \
-                 PIC Δtt10(s)  binding (ic/pic)    "
+                 PIC Δtt10(s)"
             )
         );
     }
@@ -212,24 +204,23 @@ mod tests {
     /// missing time-to-quality (no curve here) shown as `-`.
     #[test]
     fn ranked_rows_cover_the_catalog() {
-        let (tracer, spec) = (Tracer::standalone(), ClusterSpec::small());
-        let ledger = TrafficLedger::traced(tracer.clone());
+        let tracer = Tracer::standalone();
         let root = tracer.begin_at("root", "job", 0.0);
         tracer.span_at_in("map-slot-0", "t0", "task", 0.0, 2.0, vec![]);
-        let bytes = (4.0 * spec.bisection_bw) as u64;
-        ledger.add_over(TrafficClass::ShuffleBisection, bytes, 2.0, 6.0);
         tracer.end_at(root, 10.0);
-        let report = SensitivityReport::from_trace(&tracer.trace(), &spec, &[], &CATALOG).unwrap();
+        let report = SensitivityReport::from_trace(&tracer.trace(), &[], &CATALOG).unwrap();
         let rows: Vec<Vec<Column>> = ranked_rows(&report, "kmeans", "ic").collect();
         assert_eq!(rows.len(), CATALOG.len());
         assert_eq!(rows[0][2].value(), "1");
         let picked: Vec<&str> = rows[0][3..].iter().map(Column::key).collect();
         assert_eq!(picked, CSV_COLUMNS);
         assert!(rows.iter().all(|row| row[6].value() == "-"));
+        assert!(rows.iter().all(|row| row[7].value() == "-"));
     }
 
-    /// Identity projects exactly zero delta on every reported field,
-    /// and every scenario's projection respects its compute lower bound.
+    /// Identity projects exactly zero delta on every reported field, and
+    /// since every edit only deletes recorded time, each projection lies
+    /// in `[0, baseline]` with each phase at most its recorded length.
     #[test]
     fn identity_is_exact_and_bounds_hold_on_real_runs() {
         for s in &kmeans_sections() {
@@ -245,13 +236,16 @@ mod tests {
                     assert_eq!(*d, Some(0.0), "{side}");
                 }
                 for row in &report.rows {
-                    assert!(
-                        row.makespan_s >= row.lower_bound_s - 1e-12,
-                        "{side}/{}: {} < bound {}",
-                        row.scenario.name,
-                        row.makespan_s,
-                        row.lower_bound_s
-                    );
+                    let name = row.scenario.name;
+                    let (m, base) = (row.makespan_s, report.baseline_makespan_s);
+                    assert!((0.0..=base).contains(&m), "{side}/{name}: {m} vs {base}");
+                    for (key, secs) in &row.phases {
+                        let recorded = id.phases[key];
+                        assert!(
+                            (0.0..=recorded).contains(secs),
+                            "{side}/{name}/{key}: {secs} vs {recorded}"
+                        );
+                    }
                 }
             }
         }
@@ -285,10 +279,10 @@ mod tests {
             };
             assert_eq!(rows.len(), CATALOG.len());
             assert!(rows[0].get("phases").is_some(), "explain JSON keeps phases");
-            // The terminal table omits these two; every row carries them.
+            // The terminal table omits the projected makespan; every row
+            // carries it.
             for row in rows {
                 assert!(row.get("projected_makespan_s").unwrap().as_f64().is_some());
-                assert!(row.get("clamped").is_some(), "{side}: {row:?}");
             }
         }
 

@@ -387,7 +387,6 @@ fn write_app(w: &mut JsonWriter, run: &AppRun) {
             run.ic_monitor().expect(fits),
             run.pic_monitor().expect(fits),
         );
-        w.field("window_s", &fmt_f64(pic_simnet::monitor::WINDOW_S));
         w.object("ic", |w| ic.write_json_summary(w));
         w.object("pic", |w| pic.write_json_summary(w));
     });
@@ -669,8 +668,26 @@ mod tests {
             assert_eq!(rows.len(), pic_simnet::whatif::CATALOG.len());
             // Gate rows are scalar-only: phase breakdowns stay out of
             // BENCH_pic.json.
-            assert!(rows[0].get("phases").is_none());
-            assert!(rows[0].get("binding").unwrap().as_str().is_some());
+            for row in rows {
+                let json::Json::Obj(fields) = row else {
+                    panic!("a scenario row is an object: {row:?}")
+                };
+                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(
+                    keys,
+                    [
+                        "scenario",
+                        "projected_makespan_s",
+                        "delta_makespan_s",
+                        "tt_1pct_s",
+                        "tt_5pct_s",
+                        "tt_10pct_s",
+                        "delta_tt_1pct_s",
+                        "delta_tt_5pct_s",
+                        "delta_tt_10pct_s",
+                    ]
+                );
+            }
         }
 
         // Drift a projected delta past the band.
@@ -703,18 +720,21 @@ mod tests {
             other => panic!("apps not an array: {other:?}"),
         };
         let mon = apps[0].get("monitor").unwrap();
-        assert!(mon.get("window_s").unwrap().as_f64().unwrap() > 0.0);
+        let json::Json::Obj(sides) = mon else {
+            panic!("monitor is an object: {mon:?}")
+        };
+        let keys: Vec<&str> = sides.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["ic", "pic"]);
         for side in ["ic", "pic"] {
             let m = mon.get(side).unwrap();
             assert!(m.get("incidents").unwrap().as_f64().is_some());
             assert!(m.get("incident_s").unwrap().as_f64().is_some());
-            let by_rule = m.get("by_rule").unwrap();
-            for rule in pic_simnet::monitor::CATALOG_RULES {
-                assert!(
-                    by_rule.get(rule).unwrap().as_f64().is_some(),
-                    "rule {rule} missing from by_rule"
-                );
-            }
+            let Some(json::Json::Obj(by_rule)) = m.get("by_rule") else {
+                panic!("{side}: by_rule is an object")
+            };
+            let rules: Vec<&str> = by_rule.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(rules, ["stall", "divergence", "recovery-storm", "fault"]);
+            assert!(by_rule.iter().all(|(_, n)| n.as_f64().is_some()));
             assert_eq!(
                 m.get("faults").unwrap().as_f64(),
                 Some(0.0),

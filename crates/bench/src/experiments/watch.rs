@@ -8,7 +8,7 @@
 //! rayon pool widths (pinned by `tests/cli_watch.rs`).
 
 use super::report::AppRun;
-use pic_simnet::monitor::{CATALOG_RULES, WINDOW_S};
+use pic_simnet::monitor::WINDOW_S;
 use pic_simnet::report::{fmt_f64, JsonWriter};
 use pic_simnet::MonitorReport;
 use std::fmt::Write as _;
@@ -61,16 +61,12 @@ pub fn render_section(s: &WatchSection, width: usize) -> String {
     out
 }
 
-/// The `pic watch --json` document: suite header, the window and rule
-/// catalog, and the full monitor report (every series, waves, incident
-/// log) per app and side.
+/// The `pic watch --json` document: suite header and the full monitor
+/// report (every series and the incident log) per app and side.
 pub fn watch_json(scale: f64, sections: &[WatchSection]) -> String {
-    let rules: Vec<String> = CATALOG_RULES.iter().map(|r| format!("\"{r}\"")).collect();
     let doc = JsonWriter::document(0, |w| {
         w.field_str("suite", "pic-watch");
         w.field("scale", &fmt_f64(scale));
-        w.field("window_s", &fmt_f64(WINDOW_S));
-        w.field("rules", &format!("[{}]", rules.join(", ")));
         w.objects("apps", sections, |w, s| {
             w.field_str("app", s.app);
             w.field_str("experiment", s.experiment);
@@ -120,13 +116,9 @@ mod tests {
             "misaligned rows:\n{text}"
         );
 
-        // JSON carries the suite header, the rule set and both sides.
+        // JSON carries the suite header and both sides.
         let doc = watch_json(0.01, &secs);
         assert!(doc.starts_with("{\n  \"suite\": \"pic-watch\",\n"));
-        assert!(
-            doc.contains("\"rules\": [\"stall\", \"divergence\""),
-            "{doc}"
-        );
         assert!(doc.contains("\"ic\": {") && doc.contains("\"pic\": {"));
         crate::json::parse(&doc).expect("watch --json must be valid JSON");
     }
@@ -134,13 +126,17 @@ mod tests {
     /// The JSON document is the monitor's whole machine-readable record:
     /// per-link byte totals and peaks, the per-run scalars and every
     /// incident's seven columns, per app and side (incidents per rule
-    /// are a count over the `incidents` array).
+    /// are a count over the `incidents` array). The fixed window, bucket
+    /// and rule catalog are not exported, and there are no per-wave rows.
     #[test]
     fn watch_json_carries_every_exported_value() {
         use crate::json::Json;
         // K-means stalls, so the per-incident check is not vacuous.
         let doc = watch_json(0.01, &small_sections("kmeans"));
         let doc = crate::json::parse(&doc).unwrap();
+        for key in ["window_s", "rules", "bucket_s"] {
+            assert!(doc.get(key).is_none(), "{key} is a constant");
+        }
         let Some(Json::Arr(apps)) = doc.get("apps") else {
             panic!("apps is an array")
         };
@@ -148,6 +144,9 @@ mod tests {
         for app in apps {
             for side in ["ic", "pic"] {
                 let r = app.get(side).unwrap();
+                for key in ["waves", "window_s", "bucket_s"] {
+                    assert!(r.get(key).is_none(), "{side}.{key}");
+                }
                 let Some(Json::Obj(links)) = r.get("links") else {
                     panic!("{side}: links is an object")
                 };

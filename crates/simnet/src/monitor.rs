@@ -7,15 +7,13 @@
 //!
 //! * per-link utilization EWMAs over the §11 [`LinkClass`] mapping,
 //! * the quality-improvement rate from the §10 `quality` probes,
-//! * the straggler tail ratio (p-max/p50) per phase wave,
 //! * the task-queue depth (mean concurrent tasks per bucket),
 //! * the recovery-byte rate under chaos.
 //!
 //! The closed [`Rule`] catalog evaluates those series into an incident
-//! log: `stall`, `divergence`, `saturation`, `straggler-tail`,
-//! `recovery-storm` and `fault`. Every rule runs, and every sustain or
-//! gap test reads the one window [`WINDOW_S`]; `saturation` reads §11's
-//! [`SATURATION_THRESHOLD`]. Each [`Incident`] records its rule (and
+//! log: `stall`, `divergence`, `recovery-storm` and `fault`. Every rule
+//! runs, and every sustain or gap test reads the one window
+//! [`WINDOW_S`]. Each [`Incident`] records its rule (and
 //! through it the severity), open/close times, the peak value that
 //! tripped it, and the deepest trace span enclosing its open time — the
 //! span tree gives incidents the same nesting the other views have.
@@ -32,9 +30,9 @@
 //!
 //! [`TrafficLedger`]: crate::traffic::TrafficLedger
 
-use crate::report::{fmt_f64, json_f64s, nearest_rank, peak, Column, JsonWriter};
-use crate::sweep::{apportion, collect_charges, phase_waves, spread_busy, utilization, LinkClass};
-use crate::timeline::{heat_bar, SATURATION_THRESHOLD};
+use crate::report::{fmt_f64, json_f64s, peak, Column, JsonWriter};
+use crate::sweep::{apportion, collect_charges, spread_busy, utilization, LinkClass};
+use crate::timeline::heat_bar;
 use crate::topology::ClusterSpec;
 use crate::trace::{check, Span, Trace};
 use crate::traffic::{TrafficClass, TrafficSnapshot};
@@ -55,14 +53,7 @@ pub const MAX_BUCKETS: f64 = 1e6;
 
 /// Names of the alert-rule catalog, in [`Rule::ALL`] order — the
 /// incident-log and `by_rule` keys.
-pub const CATALOG_RULES: [&str; 6] = [
-    "stall",
-    "divergence",
-    "saturation",
-    "straggler-tail",
-    "recovery-storm",
-    "fault",
-];
+pub const CATALOG_RULES: [&str; 4] = ["stall", "divergence", "recovery-storm", "fault"];
 
 /// One alert rule of the closed catalog. Every sustain or gap test reads
 /// the monitor's one window ([`WINDOW_S`]); the fixed thresholds are
@@ -76,12 +67,6 @@ pub enum Rule {
     /// The objective rises across consecutive quality samples for at
     /// least [`WINDOW_S`] simulated seconds.
     Divergence,
-    /// Some link's bucket utilization stays at or above §11's
-    /// [`SATURATION_THRESHOLD`] for at least [`WINDOW_S`] consecutive
-    /// simulated seconds.
-    Saturation,
-    /// A phase wave's p-max/p50 task-duration ratio reaches 4.
-    StragglerTail,
     /// The recovery-byte rate in any bucket reaches 1 byte/second
     /// (contiguous storm buckets merge into one incident).
     RecoveryStorm,
@@ -91,11 +76,9 @@ pub enum Rule {
 
 impl Rule {
     /// The whole catalog, in evaluation order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 4] = [
         Rule::Stall,
         Rule::Divergence,
-        Rule::Saturation,
-        Rule::StragglerTail,
         Rule::RecoveryStorm,
         Rule::Fault,
     ];
@@ -111,7 +94,7 @@ impl Rule {
     pub fn severity(self) -> &'static str {
         match self {
             Rule::Divergence | Rule::RecoveryStorm | Rule::Fault => "page",
-            Rule::Stall | Rule::Saturation | Rule::StragglerTail => "warn",
+            Rule::Stall => "warn",
         }
     }
 }
@@ -137,15 +120,15 @@ impl MonitorConfig {
 pub struct Incident {
     /// The rule that fired; its [`Rule::severity`] is the incident's.
     pub rule: Rule,
-    /// Which series tripped it (`quality`, `util:bisection`, `wave:map/3`,
-    /// `recovery`, `fault:node-crash`).
+    /// Which series tripped it (`quality`, `recovery`,
+    /// `fault:node-crash`).
     pub series: String,
     /// Open time, simulated seconds.
     pub open_s: f64,
     /// Close time, simulated seconds (`== open_s` for point incidents).
     pub close_s: f64,
     /// Peak value of the watched signal while open (gap seconds,
-    /// utilization, ratio, bytes/second, …).
+    /// objective rise, bytes/second, 1 per fault).
     pub peak: f64,
     /// Name of the deepest span enclosing `open_s` — where in the span
     /// tree the incident opened (`-` when no span contains it).
@@ -178,37 +161,14 @@ impl Incident {
 pub struct MonitorSeries {
     /// Bytes attributed to each bucket (cumulative-rounding exact).
     pub bytes: Vec<u64>,
-    /// `bytes[i] / (capacity × BUCKET_S)` per bucket.
-    pub util: Vec<f64>,
-    /// Exponentially-weighted moving average of `util` with time
-    /// constant [`WINDOW_S`].
+    /// Exponentially-weighted moving average, with time constant
+    /// [`WINDOW_S`], of the bucket utilization
+    /// `bytes[i] / (capacity × BUCKET_S)`.
     pub ewma: Vec<f64>,
     /// Sum of `bytes` — reconciles exactly with the ledger.
     pub total_bytes: u64,
-    /// Maximum of `util`.
+    /// Maximum bucket utilization.
     pub peak_util: f64,
-}
-
-/// Straggler statistics for one scheduler wave of one phase
-/// ([`phase_waves`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveStat {
-    /// Name of the phase span the wave's tasks ran under.
-    pub phase: String,
-    /// Wave index within the phase (the `wave` arg on task spans).
-    pub wave: u64,
-    /// Tasks in the wave.
-    pub tasks: usize,
-    /// Nearest-rank p50 task duration, seconds.
-    pub p50_s: f64,
-    /// Longest task duration, seconds.
-    pub max_s: f64,
-    /// `max_s / p50_s` (0 when p50 is 0).
-    pub tail_x: f64,
-    /// p50 task *completion* time — when the wave's bulk finished.
-    pub open_s: f64,
-    /// Last task completion time.
-    pub close_s: f64,
 }
 
 /// The monitor's finished snapshot: every sliding-window series plus the
@@ -234,9 +194,6 @@ pub struct MonitorReport {
     pub recovery_bytes: Vec<u64>,
     /// `recovery_bytes[i] / BUCKET_S` per bucket.
     pub recovery_rate: Vec<f64>,
-    /// Per-wave straggler statistics, by phase in recording order, then
-    /// ascending by wave.
-    pub waves: Vec<WaveStat>,
     /// Injected `chaos` fault instants seen.
     pub faults: u64,
     /// The incident log, ordered by `(open_s, close_s, rule, series)`.
@@ -298,7 +255,6 @@ impl Monitor {
                 link.label(),
                 MonitorSeries {
                     bytes,
-                    util,
                     ewma,
                     total_bytes,
                     peak_util,
@@ -316,27 +272,6 @@ impl Monitor {
             spread_busy(&mut busy, s.t0, s.t1, dt);
         }
         let depth: Vec<f64> = busy.iter().map(|s| s / dt).collect();
-        let mut waves = Vec::new();
-        for (phase, by_wave) in phase_waves(trace) {
-            for (wave, tasks) in by_wave {
-                let mut durations: Vec<f64> = tasks.iter().map(|s| s.duration_s()).collect();
-                durations.sort_by(|x, y| x.partial_cmp(y).expect("finite durations"));
-                let mut ends: Vec<f64> = tasks.iter().map(|s| s.t1).collect();
-                ends.sort_by(|x, y| x.partial_cmp(y).expect("finite times"));
-                let p50_s = nearest_rank(&durations, 50.0);
-                let max_s = durations.last().copied().unwrap_or(0.0);
-                waves.push(WaveStat {
-                    phase: trace.spans[phase].name.clone(),
-                    wave,
-                    tasks: tasks.len(),
-                    p50_s,
-                    max_s,
-                    tail_x: if p50_s > 0.0 { max_s / p50_s } else { 0.0 },
-                    open_s: nearest_rank(&ends, 50.0),
-                    close_s: ends.last().copied().unwrap_or(0.0),
-                });
-            }
-        }
 
         // Quality samples and fault instants in time order; the stable
         // sorts keep equal times in recording order.
@@ -377,7 +312,6 @@ impl Monitor {
             depth,
             recovery_bytes,
             recovery_rate,
-            waves,
             faults: faults.len() as u64,
             incidents: Vec::new(),
         };
@@ -404,27 +338,6 @@ fn evaluate_rules(
             peak,
             span: String::new(),
         });
-    };
-
-    // Maximal runs of consecutive buckets where `hot(i)` holds, as
-    // (first, last) inclusive bucket indices.
-    let runs = |hot: &dyn Fn(usize) -> bool, n: usize| -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut start: Option<usize> = None;
-        for i in 0..n {
-            match (hot(i), start) {
-                (true, None) => start = Some(i),
-                (false, Some(s)) => {
-                    out.push((s, i - 1));
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            out.push((s, n - 1));
-        }
-        out
     };
 
     for rule in Rule::ALL {
@@ -470,52 +383,29 @@ fn evaluate_rules(
                     }
                 }
             }
-            Rule::Saturation => {
-                for link in LinkClass::ALL {
-                    let s = &report.links[link.label()];
-                    let hot = |i: usize| s.util[i] >= SATURATION_THRESHOLD;
-                    for (a, b) in runs(&hot, s.util.len()) {
-                        let dur = (b - a + 1) as f64 * dt;
-                        if dur >= window {
-                            let peak = s.util[a..=b].iter().copied().fold(0.0, f64::max);
-                            push(
-                                rule,
-                                format!("util:{}", link.label()),
-                                a as f64 * dt,
-                                ((b + 1) as f64 * dt).min(horizon),
-                                peak,
-                            );
-                        }
-                    }
-                }
-            }
-            Rule::StragglerTail => {
-                for w in &report.waves {
-                    if w.tail_x >= 4.0 {
-                        push(
-                            rule,
-                            format!("wave:{}/{}", w.phase, w.wave),
-                            w.open_s,
-                            w.close_s,
-                            w.tail_x,
-                        );
-                    }
-                }
-            }
             Rule::RecoveryStorm => {
-                let hot = |i: usize| report.recovery_rate[i] >= 1.0;
-                for (a, b) in runs(&hot, report.recovery_rate.len()) {
-                    let peak = report.recovery_rate[a..=b]
-                        .iter()
-                        .copied()
-                        .fold(0.0, f64::max);
+                // One incident per maximal run of storm buckets `a..=b`.
+                let rate = &report.recovery_rate;
+                let mut a = 0;
+                while a < rate.len() {
+                    if rate[a] < 1.0 {
+                        a += 1;
+                        continue;
+                    }
+                    let mut b = a;
+                    while b + 1 < rate.len() && rate[b + 1] >= 1.0 {
+                        b += 1;
+                    }
+                    let peak = rate[a..=b].iter().copied().fold(0.0, f64::max);
+                    let (open, close) = (a as f64 * dt, (b + 1) as f64 * dt);
                     push(
                         rule,
                         "recovery".to_string(),
-                        a as f64 * dt,
-                        ((b + 1) as f64 * dt).min(horizon).max(a as f64 * dt),
+                        open,
+                        close.min(horizon).max(open),
                         peak,
                     );
+                    a = b + 1;
                 }
             }
             Rule::Fault => {
@@ -613,7 +503,7 @@ impl MonitorReport {
     }
 
     /// The scalar summary the regression gate diffs (`BENCH_pic.json`
-    /// schema v8): incident counts exact, durations banded seconds.
+    /// schema v9): incident counts exact, durations banded seconds.
     pub fn to_json_summary(&self, indent: usize) -> String {
         JsonWriter::document(indent, |w| self.write_json_summary(w))
     }
@@ -635,7 +525,7 @@ impl MonitorReport {
     }
 
     /// The full machine-readable document behind `pic watch --json`:
-    /// config, every series, waves and the incident log. A pure function
+    /// every series and the incident log. A pure function
     /// of the simulated trace — byte-identical across rayon pool widths.
     pub fn to_json(&self, indent: usize) -> String {
         JsonWriter::document(indent, |w| self.write_json(w))
@@ -644,8 +534,6 @@ impl MonitorReport {
     /// The fields of [`MonitorReport::to_json`], written into the
     /// caller's open object.
     pub fn write_json(&self, w: &mut JsonWriter) {
-        w.field("window_s", &fmt_f64(WINDOW_S));
-        w.field("bucket_s", &fmt_f64(BUCKET_S));
         w.field("horizon_s", &fmt_f64(self.horizon_s));
         w.field("buckets", &self.buckets.to_string());
         w.open_key("links", "{");
@@ -668,14 +556,6 @@ impl MonitorReport {
             &self.recovery_bytes.iter().sum::<u64>().to_string(),
         );
         w.field("recovery_rate", &json_f64s(&self.recovery_rate));
-        w.objects("waves", &self.waves, |w, wv| {
-            w.field_str("phase", &wv.phase);
-            w.field("wave", &wv.wave.to_string());
-            w.field("tasks", &wv.tasks.to_string());
-            w.field("p50_s", &fmt_f64(wv.p50_s));
-            w.field("max_s", &fmt_f64(wv.max_s));
-            w.field("tail_x", &fmt_f64(wv.tail_x));
-        });
         w.field("faults", &self.faults.to_string());
         w.field("incident_s", &fmt_f64(self.incident_s()));
         w.objects("incidents", &self.incidents, |w, inc| {
@@ -722,10 +602,8 @@ impl MonitorReport {
     /// incident ticker.
     pub fn render(&self, width: usize) -> String {
         let mut out = format!(
-            "  window {WINDOW_S} s, bucket {BUCKET_S} s, horizon {:.3} s, {} waves, {} faults\n",
-            self.horizon_s,
-            self.waves.len(),
-            self.faults
+            "  window {WINDOW_S} s, bucket {BUCKET_S} s, horizon {:.3} s, {} faults\n",
+            self.horizon_s, self.faults
         );
         let rows = self.rows(width);
         // Pad to the widest label, so every sparkline starts in one column.
@@ -923,125 +801,6 @@ mod tests {
         assert_eq!(div[0].open_s, 0.0);
         assert_eq!(div[0].close_s, 8.0);
         assert_eq!(div[0].peak, 8.0); // rose 5 → 13
-    }
-
-    #[test]
-    fn saturation_fires_only_when_sustained() {
-        let t = Tracer::standalone();
-        let ledger = TrafficLedger::traced(t.clone());
-        let root = t.begin_at("run", "driver", 0.0);
-        let spec = ClusterSpec::small();
-        let cap = LinkClass::Bisection.capacity(&spec);
-        // Saturate the bisection for 10 s (≥ window), then idle to 20 s.
-        ledger.add_over(
-            crate::traffic::TrafficClass::ShuffleBisection,
-            (cap * 10.0) as u64,
-            0.0,
-            10.0,
-        );
-        t.end_at(root, 20.0);
-        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
-        let sat: Vec<&Incident> = r
-            .incidents
-            .iter()
-            .filter(|i| i.rule == Rule::Saturation)
-            .collect();
-        assert_eq!(sat.len(), 1, "{:?}", r.incidents);
-        assert_eq!(sat[0].series, "util:bisection");
-        assert!(sat[0].peak >= SATURATION_THRESHOLD);
-        assert!(r.reconcile(&ledger.snapshot()).is_ok());
-
-        // A sub-window burst stays quiet.
-        let t = Tracer::standalone();
-        let ledger = TrafficLedger::traced(t.clone());
-        let root = t.begin_at("run", "driver", 0.0);
-        ledger.add_over(
-            crate::traffic::TrafficClass::ShuffleBisection,
-            (cap * 2.0) as u64,
-            0.0,
-            2.0,
-        );
-        t.end_at(root, 20.0);
-        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
-        assert!(
-            r.incidents.iter().all(|i| i.rule != Rule::Saturation),
-            "{:?}",
-            r.incidents
-        );
-    }
-
-    #[test]
-    fn straggler_tail_fires_per_wave() {
-        let t = Tracer::standalone();
-        let root = t.begin_at("run", "driver", 0.0);
-        let wave_arg = |w: u64| vec![("wave".to_string(), Payload::U64(w))];
-        // Wave 0: balanced. Wave 1: one task 5× the p50.
-        for slot in 0..4 {
-            t.span_at_in(
-                &format!("map-slot-{slot}"),
-                "t",
-                "task",
-                0.0,
-                1.0,
-                wave_arg(0),
-            );
-        }
-        for slot in 0..3 {
-            t.span_at_in(
-                &format!("map-slot-{slot}"),
-                "t",
-                "task",
-                1.0,
-                2.0,
-                wave_arg(1),
-            );
-        }
-        t.span_at_in("map-slot-3", "t", "task", 1.0, 6.0, wave_arg(1));
-        t.end_at(root, 6.0);
-        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
-        let tails: Vec<&Incident> = r
-            .incidents
-            .iter()
-            .filter(|i| i.rule == Rule::StragglerTail)
-            .collect();
-        assert_eq!(tails.len(), 1, "{:?}", r.incidents);
-        assert_eq!(tails[0].series, "wave:run/1");
-        assert_eq!(tails[0].peak, 5.0);
-        assert_eq!(r.waves.len(), 2);
-        assert_eq!(r.waves[0].tail_x, 1.0);
-    }
-
-    /// The scheduler numbers waves per phase, so wave 0 of one phase is
-    /// not wave 0 of the next: a phase of tasks `[1, 1, 1, 1, 5]` s
-    /// pages its own tail beside a phase of ten 10 s tasks, which pooled
-    /// into one wave would put the p50 at 10 s and hide it.
-    #[test]
-    fn straggler_tail_is_judged_per_phase() {
-        let t = Tracer::standalone();
-        let root = t.begin_at("run", "driver", 0.0);
-        let wave0 = || vec![("wave".to_string(), Payload::U64(0))];
-        let map = t.begin_at("map", "phase", 0.0);
-        for (slot, d) in [1.0, 1.0, 1.0, 1.0, 5.0].into_iter().enumerate() {
-            t.span_at_in(&format!("map-slot-{slot}"), "t", "task", 0.0, d, wave0());
-        }
-        t.end_at(map, 5.0);
-        let reduce = t.begin_at("reduce", "phase", 5.0);
-        for slot in 0..10 {
-            t.span_at_in(&format!("red-slot-{slot}"), "t", "task", 5.0, 15.0, wave0());
-        }
-        t.end_at(reduce, 15.0);
-        t.end_at(root, 15.0);
-        let r = Monitor::replay(cfg(), &t.trace()).unwrap();
-        let phases: Vec<(&str, usize)> = r.waves.iter().map(|w| (&*w.phase, w.tasks)).collect();
-        assert_eq!(phases, [("map", 5), ("reduce", 10)]);
-        let tails: Vec<&Incident> = r
-            .incidents
-            .iter()
-            .filter(|i| i.rule == Rule::StragglerTail)
-            .collect();
-        assert_eq!(tails.len(), 1, "{:?}", r.incidents);
-        assert_eq!(tails[0].series, "wave:map/0");
-        assert_eq!(tails[0].peak, 5.0);
     }
 
     #[test]

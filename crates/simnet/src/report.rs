@@ -47,8 +47,11 @@ use std::fmt::Write as _;
 /// (DESIGN.md §15); version 8 added the per-app `monitor` section —
 /// online incident counts (exact) and open durations (banded seconds)
 /// from [`crate::monitor`], plus per-cell `incidents` /
-/// `clean_incidents` in `quality_under_failure` (DESIGN.md §16).
-pub const REPORT_SCHEMA_VERSION: u64 = 8;
+/// `clean_incidents` in `quality_under_failure` (DESIGN.md §16); version
+/// 9 removed `lower_bound_s`, `clamped` and `binding` from `sensitivity`
+/// rows, and `window_s` and the `saturation` and `straggler-tail` counts
+/// from `monitor`.
+pub const REPORT_SCHEMA_VERSION: u64 = 9;
 
 /// Span categories that mark one driver-level iteration; traffic is
 /// attributed to the nearest enclosing span with one of these cats.
@@ -102,6 +105,19 @@ impl CriticalSegment {
     }
 }
 
+/// The longest root (parentless) span, ties going to the
+/// earliest-recorded one; `None` for an empty trace. The run that the
+/// critical path and the what-if projection both measure.
+pub(crate) fn longest_root(trace: &Trace) -> Option<&Span> {
+    let roots = trace.spans.iter().filter(|s| s.parent.is_none());
+    roots.max_by(|a, b| {
+        a.duration_s()
+            .partial_cmp(&b.duration_s())
+            .expect("span times are finite")
+            .then(b.id.cmp(&a.id))
+    })
+}
+
 /// The longest simulated-time chain through one span tree.
 ///
 /// Extracted by walking backwards from the root's end: at each cursor,
@@ -126,18 +142,7 @@ impl CriticalPath {
     /// Extract the critical path of the longest root (parentless) span,
     /// or `None` for an empty trace.
     pub fn from_trace(trace: &Trace) -> Option<CriticalPath> {
-        let root = trace
-            .spans
-            .iter()
-            .filter(|s| s.parent.is_none())
-            .max_by(|a, b| {
-                a.duration_s()
-                    .partial_cmp(&b.duration_s())
-                    .expect("span times are finite")
-                    // Ties prefer the earliest-recorded root.
-                    .then(b.id.cmp(&a.id))
-            })?;
-        Some(Self::for_span(trace, root.id))
+        Some(Self::for_span(trace, longest_root(trace)?.id))
     }
 
     /// Extract the critical path rooted at `root`.
@@ -1608,7 +1613,7 @@ mod tests {
         assert_eq!(a, b, "rendering twice must be identical");
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert!(a.contains("\"schema_version\": 8"));
+        assert!(a.contains("\"schema_version\": 9"));
         assert!(a.contains("\"total_s\": 10"));
         assert!(a.contains("\"phase/a\""));
         assert!(

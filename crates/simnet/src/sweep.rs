@@ -270,10 +270,9 @@ pub fn slot_group(lane: &str) -> Option<&str> {
 /// Closed `task` spans grouped into scheduler waves: parent (phase) span
 /// index → `wave` arg → the wave's spans in recording order. The
 /// scheduler numbers waves per schedule call, one call per phase, so a
-/// wave means something only under its phase: the straggler tail of the
-/// monitor and the no-stragglers projection of [`crate::whatif`] both
-/// read these groups. A task without a parent span is skipped; one
-/// without a `wave` arg counts as wave 0.
+/// wave means something only under its phase: the no-stragglers
+/// projection of [`crate::whatif`] reads these groups. A task without a
+/// parent span is skipped; one without a `wave` arg counts as wave 0.
 pub fn phase_waves(trace: &Trace) -> BTreeMap<usize, BTreeMap<u64, Vec<&Span>>> {
     let mut phases: BTreeMap<usize, BTreeMap<u64, Vec<&Span>>> = BTreeMap::new();
     for s in &trace.spans {
@@ -375,6 +374,36 @@ mod tests {
         assert_eq!(utilization(&[50, 0, 200], 100.0, 2.0), vec![0.25, 0.0, 1.0]);
         assert_eq!(utilization(&[50], 0.0, 2.0), vec![0.0]);
         assert_eq!(utilization(&[50], 100.0, 0.0), vec![0.0]);
+    }
+
+    /// The scheduler numbers waves per phase, so two phases that both
+    /// have a wave 0 form two groups, not one pooled wave; a task with
+    /// no parent span is skipped.
+    #[test]
+    fn waves_are_grouped_per_phase() {
+        let tracer = crate::trace::Tracer::standalone();
+        let wave = |w: u64| vec![("wave".to_string(), crate::trace::Payload::U64(w))];
+        let map = tracer.begin_at("map", "phase", 0.0);
+        for (slot, w) in [0, 0, 1].into_iter().enumerate() {
+            let lane = format!("map-slot-{slot}");
+            tracer.span_at_in(&lane, "t", "task", 0.0, 1.0, wave(w));
+        }
+        tracer.end_at(map, 2.0);
+        let reduce = tracer.begin_at("reduce", "phase", 2.0);
+        tracer.span_at_in("red-slot-0", "t", "task", 2.0, 3.0, wave(0));
+        tracer.end_at(reduce, 3.0);
+        tracer.span_at("orphan", "task", 0.0, 1.0, wave(0));
+        let trace = tracer.trace();
+        let groups: Vec<(&str, u64, usize)> = phase_waves(&trace)
+            .into_iter()
+            .flat_map(|(phase, waves)| {
+                let name = trace.spans[phase].name.as_str();
+                waves
+                    .into_iter()
+                    .map(move |(w, tasks)| (name, w, tasks.len()))
+            })
+            .collect();
+        assert_eq!(groups, [("map", 0, 2), ("map", 1, 1), ("reduce", 0, 1)]);
     }
 
     #[test]

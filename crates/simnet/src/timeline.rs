@@ -248,7 +248,7 @@ impl UtilizationReport {
         }
 
         // ---- Bisection saturation (exact breakpoint sweep). -------------
-        let bisection_saturation = saturation_sweep(trace, &charges, LinkClass::Bisection, spec);
+        let bisection_saturation = saturation_sweep(trace, &charges, spec);
 
         // ---- Compute↔comms overlap on the grid. -------------------------
         let mut overlap_s = 0.0;
@@ -491,19 +491,13 @@ pub fn render_side_by_side(
     out
 }
 
-/// Exact saturated-seconds sweep for one link, a filter over its
+/// Exact saturated-seconds sweep for the bisection, a filter over its
 /// [`rate_steps`]: every step whose rate is at or above
-/// [`SATURATION_THRESHOLD`] × the link's capacity on `spec` contributes
-/// its length, attributed to the iteration span kind enclosing it.
-/// Impulse charges have zero width and cannot contribute. The
-/// utilization report sweeps [`LinkClass::Bisection`]; the `whatif`
-/// engine sweeps every link to name a run's binding resource.
-pub fn saturation_sweep(
-    trace: &Trace,
-    charges: &[Charge],
-    link: LinkClass,
-    spec: &ClusterSpec,
-) -> Saturation {
+/// [`SATURATION_THRESHOLD`] × the bisection's capacity on `spec`
+/// contributes its length, attributed to the iteration span kind
+/// enclosing it. Impulse charges have zero width and cannot contribute.
+fn saturation_sweep(trace: &Trace, charges: &[Charge], spec: &ClusterSpec) -> Saturation {
+    let link = LinkClass::Bisection;
     let mut sat = Saturation {
         threshold_util: SATURATION_THRESHOLD,
         ..Saturation::default()

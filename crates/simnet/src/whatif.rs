@@ -16,9 +16,9 @@
 //!   counts are taken as recorded; only deleted windows change. A later
 //!   wave does not start earlier *on a different slot* — the warp shifts
 //!   everything after a deleted window uniformly.
-//! * **Lower-bound guarantee.** Every projected makespan is clamped from
-//!   below by the critical path's `task` time pushed through the same
-//!   warp, so no scenario can claim to beat the computation it keeps.
+//! * **Deletion only.** Every edit deletes recorded time and none adds
+//!   any, so a projection lies between zero and the recorded value, and
+//!   each projected phase is at most its recorded length.
 //! * **Identity honesty.** The identity scenario builds an empty warp
 //!   and short-circuits to the recorded values — the projected delta is
 //!   exactly (bit-for-bit) zero, which the test suite pins.
@@ -27,12 +27,10 @@
 //! counts, so reports are byte-identical across rayon pool widths.
 
 use crate::report::{
-    fmt_f64, percentile, Column, CriticalPath, JsonWriter, QualityPoint, QualityReport,
+    fmt_f64, longest_root, percentile, Column, JsonWriter, QualityPoint, QualityReport,
     TIME_TO_WITHIN_PCTS,
 };
-use crate::sweep::{collect_charges, phase_key, phase_waves, LinkClass};
-use crate::timeline::saturation_sweep;
-use crate::topology::ClusterSpec;
+use crate::sweep::{phase_key, phase_waves};
 use crate::trace::{Span, Trace};
 use std::collections::BTreeMap;
 
@@ -128,17 +126,11 @@ impl TimeWarp {
 pub struct Projection {
     /// The scenario that produced this row.
     pub scenario: Scenario,
-    /// Projected makespan, simulated seconds (lower-bound clamped).
+    /// Projected makespan, simulated seconds.
     pub makespan_s: f64,
     /// `baseline − projected` makespan: positive means the scenario
     /// makes the run faster.
     pub delta_makespan_s: f64,
-    /// Compute-only lower bound: critical-path `task` time pushed
-    /// through the scenario's warp.
-    pub lower_bound_s: f64,
-    /// True when the raw projection fell below the lower bound and was
-    /// clamped up to it.
-    pub clamped: bool,
     /// Projected per-phase durations, keyed like
     /// [`crate::report::PerfReport`] phases (`phase/map`, `merge/merge`,
     /// bare iteration cats).
@@ -148,10 +140,6 @@ pub struct Projection {
     pub tt_within_s: Vec<(&'static str, Option<f64>)>,
     /// `baseline − projected` per time-to-within level.
     pub delta_tt_s: Vec<(&'static str, Option<f64>)>,
-    /// The resource with the most saturated seconds in the recorded run
-    /// (link label, or `"compute"` when nothing saturates). No edit
-    /// changes a capacity or a charge, so every row of a run agrees.
-    pub binding: &'static str,
 }
 
 impl Projection {
@@ -163,9 +151,6 @@ impl Projection {
             Column::text("scenario", self.scenario.name),
             Column::num("projected_makespan_s", fmt_f64(self.makespan_s)),
             Column::num("delta_makespan_s", fmt_f64(self.delta_makespan_s)),
-            Column::num("lower_bound_s", fmt_f64(self.lower_bound_s)),
-            Column::num("clamped", self.clamped),
-            Column::text("binding", self.binding),
         ];
         let tt = self.tt_within_s.iter();
         cols.extend(tt.map(|(l, v)| Column::num(format!("tt_{l}_s"), opt(*v))));
@@ -175,17 +160,14 @@ impl Projection {
     }
 }
 
-/// The projection engine for one recorded run: caches the critical
-/// path, the root window, the baseline quantities and the binding
-/// resource, then projects any number of scenarios.
+/// The projection engine for one recorded run: caches the root window
+/// and the baseline quantities, then projects any number of scenarios.
 pub struct WhatIf<'a> {
     trace: &'a Trace,
     curve: &'a [QualityPoint],
-    path: CriticalPath,
     root_t0: f64,
     root_t1: f64,
     baseline_phases: BTreeMap<String, f64>,
-    binding: &'static str,
 }
 
 /// The spans a projection reports per phase, with their rollup key:
@@ -196,31 +178,12 @@ fn phase_spans(trace: &Trace) -> impl Iterator<Item = (&Span, String)> {
     keyed.filter_map(|s| phase_key(s).map(|key| (s, key)))
 }
 
-/// The link with the most saturated seconds in `trace` on `spec`, or
-/// `"compute"` when no link saturates (DESIGN.md §15).
-fn binding_resource(trace: &Trace, spec: &ClusterSpec) -> &'static str {
-    let (charges, _) = collect_charges(trace);
-    let mut best: Option<(&'static str, f64)> = None;
-    for link in LinkClass::ALL {
-        let sat = saturation_sweep(trace, &charges, link, spec);
-        if sat.total_s > 0.0 && best.is_none_or(|(_, b)| sat.total_s > b) {
-            best = Some((link.label(), sat.total_s));
-        }
-    }
-    best.map_or("compute", |(label, _)| label)
-}
-
 impl<'a> WhatIf<'a> {
-    /// Build the engine from a recorded run; `None` when the trace has
-    /// no root span. `curve` may be empty (time-to-quality projections
-    /// become `None`).
-    pub fn new(
-        trace: &'a Trace,
-        spec: &ClusterSpec,
-        curve: &'a [QualityPoint],
-    ) -> Option<WhatIf<'a>> {
-        let path = CriticalPath::from_trace(trace)?;
-        let root = &trace.spans[path.root.index()];
+    /// Build the engine from a recorded run, measured over its longest
+    /// root span; `None` when the trace has no root span. `curve` may be
+    /// empty (time-to-quality projections become `None`).
+    pub fn new(trace: &'a Trace, curve: &'a [QualityPoint]) -> Option<WhatIf<'a>> {
+        let root = longest_root(trace)?;
         let (root_t0, root_t1) = (root.t0, root.t1);
         let mut baseline_phases: BTreeMap<String, f64> = BTreeMap::new();
         for (s, key) in phase_spans(trace) {
@@ -229,11 +192,9 @@ impl<'a> WhatIf<'a> {
         Some(WhatIf {
             trace,
             curve,
-            path,
             root_t0,
             root_t1,
             baseline_phases,
-            binding: binding_resource(trace, spec),
         })
     }
 
@@ -289,18 +250,6 @@ impl<'a> WhatIf<'a> {
         TimeWarp::deleting(raw)
     }
 
-    /// Compute-only lower bound: the critical path's `task` time pushed
-    /// through `warp`. Both edits that delete time remove compute with
-    /// it, so the bound follows the warp.
-    fn lower_bound(&self, warp: &TimeWarp) -> f64 {
-        self.path
-            .segments
-            .iter()
-            .filter(|s| s.cat == "task" && !s.is_self)
-            .map(|s| warp.project_len(s.t0, s.t1).max(0.0))
-            .sum()
-    }
-
     /// Baseline time-to-within levels from the recorded curve.
     fn baseline_tt(&self) -> Vec<(&'static str, Option<f64>)> {
         TIME_TO_WITHIN_PCTS
@@ -314,27 +263,21 @@ impl<'a> WhatIf<'a> {
         let warp = self.warp_for(scenario.edit);
         let baseline = self.baseline_makespan_s();
         let baseline_tt = self.baseline_tt();
-        let lower_bound_s = self.lower_bound(&warp);
         if warp.is_identity() {
             // Bit-exact zero delta: return the recorded values untouched.
             return Projection {
                 scenario,
                 makespan_s: baseline,
                 delta_makespan_s: 0.0,
-                lower_bound_s,
-                clamped: false,
                 phases: self.baseline_phases.clone(),
                 tt_within_s: baseline_tt.clone(),
                 delta_tt_s: baseline_tt
                     .iter()
                     .map(|&(label, tt)| (label, tt.map(|_| 0.0)))
                     .collect(),
-                binding: self.binding,
             };
         }
-        let raw = warp.project_len(self.root_t0, self.root_t1);
-        let clamped = raw < lower_bound_s;
-        let makespan_s = raw.max(lower_bound_s);
+        let makespan_s = warp.project_len(self.root_t0, self.root_t1);
         let mut phases: BTreeMap<String, f64> = BTreeMap::new();
         for (s, key) in phase_spans(self.trace) {
             *phases.entry(key).or_insert(0.0) += warp.project_len(s.t0, s.t1).max(0.0);
@@ -364,12 +307,9 @@ impl<'a> WhatIf<'a> {
             scenario,
             makespan_s,
             delta_makespan_s: baseline - makespan_s,
-            lower_bound_s,
-            clamped,
             phases,
             tt_within_s,
             delta_tt_s,
-            binding: self.binding,
         }
     }
 }
@@ -390,11 +330,10 @@ impl SensitivityReport {
     /// the results. `None` when the trace has no root span.
     pub fn from_trace(
         trace: &Trace,
-        spec: &ClusterSpec,
         curve: &[QualityPoint],
         scenarios: &[Scenario],
     ) -> Option<SensitivityReport> {
-        let engine = WhatIf::new(trace, spec, curve)?;
+        let engine = WhatIf::new(trace, curve)?;
         let mut rows: Vec<Projection> = scenarios.iter().map(|&s| engine.project(s)).collect();
         // Stable sort: ties keep the caller's scenario order.
         rows.sort_by(|a, b| {
@@ -439,7 +378,6 @@ impl SensitivityReport {
 mod tests {
     use super::*;
     use crate::trace::{Payload, Tracer};
-    use crate::traffic::{TrafficClass, TrafficLedger};
 
     fn scenario(name: &str) -> Scenario {
         *CATALOG.iter().find(|s| s.name == name).unwrap()
@@ -468,39 +406,17 @@ mod tests {
 
     #[test]
     fn identity_projects_bitwise_zero_delta() {
-        let (trace, spec) = (merge_run(), ClusterSpec::small());
-        let engine = WhatIf::new(&trace, &spec, &[]).unwrap();
+        let trace = merge_run();
+        let engine = WhatIf::new(&trace, &[]).unwrap();
         let p = engine.project(scenario("identity"));
         assert_eq!(p.delta_makespan_s, 0.0);
         assert_eq!(p.makespan_s, engine.baseline_makespan_s());
-        assert!(!p.clamped);
-    }
-
-    /// The bound is the critical path's task time pushed through the
-    /// warp: deleting time inside a task shrinks the bound with it, and
-    /// no projection falls below its bound.
-    #[test]
-    fn projection_respects_the_warped_compute_lower_bound() {
-        let tracer = Tracer::standalone();
-        let spec = ClusterSpec::small();
-        let root = tracer.begin_at("root", "driver", 0.0);
-        tracer.span_at_in("map-slot-0", "t0", "task", 0.0, 10.0, vec![]);
-        tracer.span_at_in("driver", "merge", "merge", 4.0, 6.0, vec![]);
-        tracer.end_at(root, 10.0);
-        let trace = tracer.trace();
-        let engine = WhatIf::new(&trace, &spec, &[]).unwrap();
-        let identity = engine.project(scenario("identity"));
-        assert!((identity.lower_bound_s - 10.0).abs() < 1e-9, "{identity:?}");
-        let p = engine.project(scenario("instant-merge"));
-        assert!((p.lower_bound_s - 8.0).abs() < 1e-9, "{p:?}");
-        assert!((p.makespan_s - 8.0).abs() < 1e-9, "{p:?}");
-        assert!(p.makespan_s >= p.lower_bound_s && !p.clamped, "{p:?}");
     }
 
     #[test]
     fn straggler_clamp_cuts_the_phase_tail() {
-        let (trace, spec) = (merge_run(), ClusterSpec::small());
-        let engine = WhatIf::new(&trace, &spec, &[]).unwrap();
+        let trace = merge_run();
+        let engine = WhatIf::new(&trace, &[]).unwrap();
         let p = engine.project(scenario("no-stragglers"));
         // p50 of [2, 2, 8] is 2: the phase shrinks from 8 s to 2 s.
         assert!((p.delta_makespan_s - 6.0).abs() < 1e-9, "{p:?}");
@@ -509,8 +425,8 @@ mod tests {
 
     #[test]
     fn instant_merge_deletes_merge_and_topoff_windows() {
-        let (trace, spec) = (merge_run(), ClusterSpec::small());
-        let engine = WhatIf::new(&trace, &spec, &[]).unwrap();
+        let trace = merge_run();
+        let engine = WhatIf::new(&trace, &[]).unwrap();
         let p = engine.project(scenario("instant-merge"));
         assert!((p.delta_makespan_s - 8.0).abs() < 1e-9, "{p:?}");
         assert_eq!(p.phases["merge/merge"], 0.0);
@@ -520,7 +436,7 @@ mod tests {
 
     #[test]
     fn quality_curve_times_warp_with_the_run() {
-        let (trace, spec) = (merge_run(), ClusterSpec::small());
+        let trace = merge_run();
         let curve = [
             QualityPoint { t_s: 1.0, err: 8.0 },
             QualityPoint {
@@ -532,7 +448,7 @@ mod tests {
                 err: 1.0,
             },
         ];
-        let engine = WhatIf::new(&trace, &spec, &curve).unwrap();
+        let engine = WhatIf::new(&trace, &curve).unwrap();
         let p = engine.project(scenario("instant-merge"));
         // The [10, 18] window goes: t=15 maps to 10, t=19.5 to 11.5.
         let level = |v: &[(&str, Option<f64>)]| {
@@ -547,8 +463,7 @@ mod tests {
 
     #[test]
     fn sensitivity_report_ranks_and_serializes() {
-        let (trace, spec) = (merge_run(), ClusterSpec::small());
-        let report = SensitivityReport::from_trace(&trace, &spec, &[], &CATALOG).unwrap();
+        let report = SensitivityReport::from_trace(&merge_run(), &[], &CATALOG).unwrap();
         let ranked: Vec<&str> = report.rows.iter().map(|r| r.scenario.name).collect();
         assert_eq!(ranked, ["instant-merge", "no-stragglers", "identity"]);
         let deltas: Vec<f64> = report.rows.iter().map(|r| r.delta_makespan_s).collect();
@@ -558,26 +473,6 @@ mod tests {
         assert!(json.contains("\"delta_makespan_s\""));
         assert!(json.contains("\"phases\""));
         assert!(!report.to_json(0, false).contains("\"phases\""));
-    }
-
-    /// No edit moves a capacity or a charge, so every row names the
-    /// recorded run's binding resource.
-    #[test]
-    fn every_row_names_the_recorded_binding_resource() {
-        let tracer = Tracer::standalone();
-        let ledger = TrafficLedger::traced(tracer.clone());
-        let spec = ClusterSpec::small();
-        let root = tracer.begin_at("root", "driver", 0.0);
-        // The bisection runs exactly at capacity over [2, 6].
-        let bytes = (4.0 * spec.bisection_bw) as u64;
-        ledger.add_over(TrafficClass::ShuffleBisection, bytes, 2.0, 6.0);
-        tracer.span_at_in("driver", "merge", "merge", 4.0, 5.0, vec![]);
-        tracer.end_at(root, 10.0);
-        let trace = tracer.trace();
-        let report = SensitivityReport::from_trace(&trace, &spec, &[], &CATALOG).unwrap();
-        assert!(report.rows.iter().all(|r| r.binding == "bisection"));
-        let idle = SensitivityReport::from_trace(&merge_run(), &spec, &[], &CATALOG).unwrap();
-        assert!(idle.rows.iter().all(|r| r.binding == "compute"));
     }
 
     #[test]
@@ -598,8 +493,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_no_engine() {
-        let spec = ClusterSpec::small();
-        assert!(WhatIf::new(&Trace::default(), &spec, &[]).is_none());
-        assert!(SensitivityReport::from_trace(&Trace::default(), &spec, &[], &CATALOG).is_none());
+        assert!(WhatIf::new(&Trace::default(), &[]).is_none());
+        assert!(SensitivityReport::from_trace(&Trace::default(), &[], &CATALOG).is_none());
     }
 }
