@@ -12,7 +12,7 @@
 //! (which changes the partitioning) may move the converged model.
 
 use super::common::{
-    quality_target, small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload,
+    fan_out, quality_target, small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload,
     SMALL_SUITE_APPS,
 };
 use super::ExperimentCtx;
@@ -36,7 +36,7 @@ pub const CHAOS_APPS: [&str; 3] = SMALL_SUITE_APPS;
 const CAMPAIGN_SEED: u64 = 0xC1A0;
 
 /// One (app, scenario, driver) cell of the campaign matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosCell {
     /// Application name.
     pub app: &'static str,
@@ -131,7 +131,7 @@ fn checked_run<A: BenchApp>(
 
 /// Visits each suite workload: one pair of clean per-driver baselines,
 /// shared by all of the app's scenarios, then one faulty run per
-/// (scenario, driver).
+/// (scenario, driver). Each stage's runs fan out ([`fan_out`]).
 struct Campaign<'s> {
     scenarios: &'s [&'static str],
     cells: Vec<ChaosCell>,
@@ -139,37 +139,48 @@ struct Campaign<'s> {
 
 impl SuiteVisitor for Campaign<'_> {
     fn visit<A: BenchApp>(&mut self, w: &Workload<'_, A>) -> Result<(), String> {
-        let clean_runs = [
-            checked_run(w, Driver::Ic, "clean", None)?,
-            checked_run(w, Driver::Pic, "clean", None)?,
-        ];
+        let clean_runs = fan_out(&Driver::BOTH, |&driver| {
+            checked_run(w, driver, "clean", None)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        // Every plan is timed from its clean run, so the faulty runs fan
+        // out only once both clean runs are in.
+        let mut faults = Vec::new();
         for &scenario in self.scenarios {
             for (driver, clean) in Driver::BOTH.into_iter().zip(&clean_runs) {
-                let (clean_s, clean_traj, clean_model) = clean.report.outcome();
+                let (clean_s, _, _) = clean.report.outcome();
                 let plan = plan_for(scenario, clean_s, &w.spec, w.partitions)?;
-                let faulty = checked_run(w, driver, scenario, Some(&plan))?;
-                let (faulty_s, faulty_traj, faulty_model) = faulty.report.outcome();
-
-                let target = quality_target(clean_traj)
-                    .unwrap_or_else(|| panic!("{}: empty trajectory", w.name));
-                let tt_clean = time_to_quality(clean_traj, target, clean_s);
-                let tt_faulty = time_to_quality(faulty_traj, target, faulty_s);
-
-                self.cells.push(ChaosCell {
-                    app: w.name,
-                    scenario,
-                    driver: driver.label(),
-                    clean_s,
-                    faulty_s,
-                    recovery_s: faulty_s - clean_s,
-                    recovery_bytes: faulty.recovery_bytes,
-                    injected_events: faulty.injected_events,
-                    tt_quality_delta_s: tt_faulty - tt_clean,
-                    exact_result: faulty_model == clean_model,
-                    incidents: faulty.incidents,
-                    clean_incidents: clean.incidents,
-                });
+                faults.push((scenario, driver, clean, plan));
             }
+        }
+        let faulty_runs = fan_out(&faults, |(scenario, driver, _, plan)| {
+            checked_run(w, *driver, scenario, Some(plan))
+        });
+        for ((scenario, driver, clean, _), faulty) in faults.iter().zip(faulty_runs) {
+            let faulty = faulty?;
+            let (clean_s, clean_traj, clean_model) = clean.report.outcome();
+            let (faulty_s, faulty_traj, faulty_model) = faulty.report.outcome();
+
+            let target = quality_target(clean_traj)
+                .unwrap_or_else(|| panic!("{}: empty trajectory", w.name));
+            let tt_clean = time_to_quality(clean_traj, target, clean_s);
+            let tt_faulty = time_to_quality(faulty_traj, target, faulty_s);
+
+            self.cells.push(ChaosCell {
+                app: w.name,
+                scenario,
+                driver: driver.label(),
+                clean_s,
+                faulty_s,
+                recovery_s: faulty_s - clean_s,
+                recovery_bytes: faulty.recovery_bytes,
+                injected_events: faulty.injected_events,
+                tt_quality_delta_s: tt_faulty - tt_clean,
+                exact_result: faulty_model == clean_model,
+                incidents: faulty.incidents,
+                clean_incidents: clean.incidents,
+            });
         }
         Ok(())
     }

@@ -5,6 +5,7 @@ use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine};
 use pic_simnet::chaos::FaultPlan;
 use pic_simnet::{ClusterSpec, QualityPoint, Trace, TrafficSnapshot};
+use rayon::prelude::*;
 
 /// Deterministic per-record costs per application.
 ///
@@ -221,14 +222,16 @@ impl<A: BenchApp> Workload<'_, A> {
         };
         Ok(Run {
             report,
-            trace: engine.trace(),
             traffic: engine.traffic(),
             injected_events: engine.chaos().injected_events(),
+            trace: engine.into_trace(),
         })
     }
 
     /// The IC baseline and the PIC run, on independent engines over
-    /// identical data.
+    /// identical data. They run one after the other, each with the whole
+    /// pool for its tasks: at full scale, running them side by side on
+    /// half the pool each was slower (DESIGN.md §7).
     pub fn compare(&self) -> Comparison<A::Model> {
         let ic = self.run(Driver::Ic, None).expect("no plan to reject");
         let pic = self.run(Driver::Pic, None).expect("no plan to reject");
@@ -269,6 +272,30 @@ impl<M> Comparison<M> {
     pub fn speedup(&self) -> f64 {
         pic_core::report::speedup(self.ic.total_time_s, self.pic.total_time_s)
     }
+}
+
+/// Run `f` over every job and return the results in `jobs`' order: how
+/// the chaos campaign and the tenancy profiler run the [`small_suite`]'s
+/// independent [`Workload::run`]s side by side.
+///
+/// The jobs go through the pool like any parallel map (the caller works
+/// too, jobs are claimed one at a time, and a job's panic reaches the
+/// caller with its own payload), at a width of
+/// [`rayon::current_num_threads`] clamped to the job count. Each job
+/// runs under an equal share of the pool, at least one thread, for its
+/// engine's own parallel loops, so no more threads run than the pool has.
+/// On a pool no wider than the job count that share is one thread, and
+/// a run's map and reduce tasks run inline instead of spawning per call.
+pub fn fan_out<J: Sync, R: Send>(jobs: &[J], f: impl Fn(&J) -> R + Sync) -> Vec<R> {
+    let threads = rayon::current_num_threads();
+    let width = threads.min(jobs.len()).max(1);
+    let share = rayon::ThreadPoolBuilder::new()
+        .num_threads((threads / width).max(1))
+        .build()
+        .expect("a fixed-width pool always builds");
+    jobs.par_iter()
+        .map(|job| share.install(|| f(job)))
+        .collect()
 }
 
 /// The error a run counts as converged at when the chaos campaign and
@@ -388,6 +415,82 @@ pub fn small_suite(
 mod tests {
     use super::*;
     use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+
+    fn pool(width: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap()
+    }
+
+    /// Runs `job` on `width` jobs at once before any returns: the first
+    /// `width` jobs meet at a barrier, so each worker holds one of them.
+    fn all_workers_at_once<R: Send>(width: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let barrier = Barrier::new(width);
+        let jobs: Vec<usize> = (0..12).collect();
+        pool(width).install(|| {
+            fan_out(&jobs, |&j| {
+                if j < width {
+                    barrier.wait();
+                }
+                job(j)
+            })
+        })
+    }
+
+    #[test]
+    fn fan_out_keeps_input_order() {
+        for width in 1..=3 {
+            let out = all_workers_at_once(width, |j| j * j);
+            assert_eq!(out, (0..12).map(|j| j * j).collect::<Vec<_>>());
+        }
+        assert!(fan_out(&[] as &[u8], |_| ()).is_empty());
+    }
+
+    /// The caller is a worker, so exactly the pool's width of threads
+    /// run jobs, and each job sees a one-thread pool when there are
+    /// helpers.
+    #[test]
+    fn fan_out_runs_on_the_pool_width() {
+        for width in 1..=3 {
+            let seen = all_workers_at_once(width, |_| {
+                (std::thread::current().id(), rayon::current_num_threads())
+            });
+            let threads: HashSet<_> = seen.iter().map(|&(id, _)| id).collect();
+            assert_eq!(threads.len(), width);
+            assert!(
+                seen.iter().all(|&(_, inner)| inner == 1),
+                "width {width}: {seen:?}"
+            );
+        }
+    }
+
+    /// A lone job keeps the caller's pool for its own parallel loops;
+    /// fewer jobs than threads split the pool between them.
+    #[test]
+    fn each_job_gets_its_share_of_the_pool() {
+        let inner = |width, jobs| {
+            pool(width).install(|| fan_out(&vec![(); jobs], |_| rayon::current_num_threads()))
+        };
+        assert_eq!(inner(3, 1), [3]);
+        assert_eq!(inner(4, 2), [2, 2]);
+        assert_eq!(inner(3, 2), [1, 1]);
+    }
+
+    /// Only the helper's job fails, where a bare `std::thread::scope`
+    /// would replace its message with its own.
+    #[test]
+    #[should_panic(expected = "a helper's job failed")]
+    fn fan_out_reraises_the_jobs_own_panic() {
+        let caller = std::thread::current().id();
+        all_workers_at_once(2, |_| {
+            if std::thread::current().id() != caller {
+                panic!("a helper's job failed");
+            }
+        });
+    }
 
     #[test]
     fn compare_runs_both_sides() {

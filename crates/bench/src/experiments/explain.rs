@@ -13,7 +13,7 @@ use super::report::AppRun;
 use super::ExperimentCtx;
 use crate::table::csv_doc;
 use pic_simnet::report::{fmt_f64, Column, JsonWriter};
-use pic_simnet::whatif::{Scenario, SensitivityReport};
+use pic_simnet::whatif::{Scenario, SensitivityReport, CATALOG};
 use std::fmt::Write as _;
 
 /// Both sides' ranked sensitivity tables for one app.
@@ -39,17 +39,22 @@ pub fn sensitivity(run: &AppRun, side: &str, scenarios: &[Scenario]) -> Option<S
     SensitivityReport::from_trace(trace, curve, scenarios)
 }
 
-/// Build the explain sections for every collected run.
+/// The explain sections of every collected run: the [`CATALOG`] tables
+/// each run derived when it was collected.
 ///
 /// # Panics
-/// Panics if a run's trace has no root span — collected runs always
-/// trace a driver root, so that would be a harness bug.
+/// Panics if `scenarios` is not [`CATALOG`]: every caller passes it, and
+/// the parameter stays only because the benchmark harness calls this.
 pub fn sections(runs: &[AppRun], scenarios: &[Scenario]) -> Vec<ExplainSection> {
+    assert_eq!(
+        scenarios, CATALOG,
+        "a collected run stores the catalog only"
+    );
     runs.iter()
         .map(|run| ExplainSection {
             app: run.app.to_string(),
-            ic: sensitivity(run, "ic", scenarios).expect("collected run has a root span"),
-            pic: sensitivity(run, "pic", scenarios).expect("collected run has a root span"),
+            ic: run.ic_sensitivity().clone(),
+            pic: run.pic_sensitivity().clone(),
         })
         .collect()
 }
@@ -160,12 +165,34 @@ mod tests {
     use super::*;
     use crate::experiments::report::collect;
     use crate::json;
-    use pic_simnet::whatif::CATALOG;
     use pic_simnet::Tracer;
 
     fn kmeans_sections() -> Vec<ExplainSection> {
         let runs = collect(&ExperimentCtx { scale: 0.01 }, &["kmeans"]).unwrap();
         sections(&runs, &CATALOG)
+    }
+
+    /// The catalog tables a run stored when it was collected are the
+    /// ones a fresh projection derives.
+    #[test]
+    fn stored_catalog_tables_match_a_fresh_projection() {
+        let runs = collect(&ExperimentCtx { scale: 0.01 }, &["linsolve"]).unwrap();
+        let run = &runs[0];
+        assert_eq!(
+            sensitivity(run, "ic", &CATALOG).as_ref(),
+            Some(run.ic_sensitivity())
+        );
+        assert_eq!(
+            sensitivity(run, "pic", &CATALOG).as_ref(),
+            Some(run.pic_sensitivity())
+        );
+        assert_eq!(sensitivity(run, "both", &CATALOG), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "stores the catalog only")]
+    fn sections_refuse_another_scenario_list() {
+        sections(&[], &CATALOG[..2]);
     }
 
     /// IC records no merge and no top-off, so deleting them cannot move

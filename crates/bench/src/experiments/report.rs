@@ -18,6 +18,7 @@ use pic_simnet::report::{
     fmt_f64, Column, JsonWriter, PerfReport, QualityReport, REPORT_SCHEMA_VERSION,
 };
 use pic_simnet::trace::check;
+use pic_simnet::whatif::{SensitivityReport, CATALOG};
 use pic_simnet::{
     ClusterSpec, LinkClass, Monitor, MonitorConfig, MonitorReport, Trace, TrafficSnapshot,
     UtilizationReport,
@@ -57,6 +58,10 @@ pub struct AppRun {
     /// Both traces' utilization, derived once when the run is collected.
     ic_utilization: UtilizationReport,
     pic_utilization: UtilizationReport,
+    /// Both sides' what-if [`CATALOG`] projections, derived once when the
+    /// run is collected.
+    ic_sensitivity: SensitivityReport,
+    pic_sensitivity: SensitivityReport,
 }
 
 impl AppRun {
@@ -85,9 +90,15 @@ impl AppRun {
             topoff_iterations: cmp.pic.topoff_iterations,
             be_final_err,
         };
+        let sensitivity = |trace, curve| {
+            SensitivityReport::from_trace(trace, curve, &CATALOG)
+                .unwrap_or_else(|| panic!("{app}: a collected run has a root span"))
+        };
         AppRun {
             ic_utilization: UtilizationReport::from_trace(&cmp.ic_trace, &spec),
             pic_utilization: UtilizationReport::from_trace(&cmp.pic_trace, &spec),
+            ic_sensitivity: sensitivity(&cmp.ic_trace, &quality.ic_curve),
+            pic_sensitivity: sensitivity(&cmp.pic_trace, &quality.pic_curve),
             app,
             experiment,
             spec,
@@ -115,6 +126,17 @@ impl AppRun {
     /// Time-resolved utilization of the PIC run.
     pub fn pic_utilization(&self) -> &UtilizationReport {
         &self.pic_utilization
+    }
+
+    /// The what-if [`CATALOG`] projected over the IC baseline run
+    /// (DESIGN.md §15).
+    pub(crate) fn ic_sensitivity(&self) -> &SensitivityReport {
+        &self.ic_sensitivity
+    }
+
+    /// The what-if [`CATALOG`] projected over the PIC run.
+    pub(crate) fn pic_sensitivity(&self) -> &SensitivityReport {
+        &self.pic_sensitivity
     }
 
     /// Monitor replay of the IC baseline run (DESIGN.md §16); a run too
@@ -299,7 +321,7 @@ pub fn run_suite(
     let json = bench_json(ctx, &runs, &cells, Some(&tenancy), host_profile.as_ref());
     write_artifact(tag, out, &json);
     let dir = Path::new(out).parent().unwrap_or(Path::new(""));
-    let sections = explain::sections(&runs, &pic_simnet::whatif::CATALOG);
+    let sections = explain::sections(&runs, &CATALOG);
     for (name, doc) in [
         ("convergence.csv", quality_csv(&runs)),
         ("utilization.csv", utilization_csv(&runs)),
@@ -372,11 +394,8 @@ fn write_app(w: &mut JsonWriter, run: &AppRun) {
     // (DESIGN.md §15). Scalar rows only — the per-phase breakdowns
     // live in the `pic explain --json` artifact, not the gate.
     w.object("sensitivity", |w| {
-        for side in ["ic", "pic"] {
-            let table = super::explain::sensitivity(run, side, &pic_simnet::whatif::CATALOG)
-                .expect("collected run has a root span");
-            w.object(side, |w| table.write_json(w, false));
-        }
+        w.object("ic", |w| run.ic_sensitivity().write_json(w, false));
+        w.object("pic", |w| run.pic_sensitivity().write_json(w, false));
     });
     // Schema v8: the online-monitor summary (DESIGN.md §16) —
     // incident counts exact, open durations banded like every `_s`.
@@ -665,7 +684,7 @@ mod tests {
                 json::Json::Arr(a) => a,
                 other => panic!("scenarios not an array: {other:?}"),
             };
-            assert_eq!(rows.len(), pic_simnet::whatif::CATALOG.len());
+            assert_eq!(rows.len(), CATALOG.len());
             // Gate rows are scalar-only: phase breakdowns stay out of
             // BENCH_pic.json.
             for row in rows {

@@ -14,7 +14,7 @@
 //! that construction against future drift.
 
 use super::common::{
-    quality_target, small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload,
+    fan_out, quality_target, small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload,
     SMALL_SUITE_APPS,
 };
 use super::ExperimentCtx;
@@ -91,7 +91,7 @@ fn arrivals(drivers: DriverMix) -> Vec<JobArrival> {
 
 /// One derived profile: how the job runs, plus whether a second fresh
 /// solo run converged to the bit-identical model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoloProfile {
     /// Iteration demands + quality target derived from the solo run.
     pub profile: JobProfile,
@@ -184,14 +184,20 @@ fn profile_of<M>(
 
 /// Visits each suite workload: per driver, two solo runs on fresh
 /// engines — the profile from the first, the exact-model bit from
-/// comparing both converged models.
+/// comparing both converged models. The four runs fan out
+/// ([`fan_out`]).
 struct Profiler(ProfileSet);
 
 impl SuiteVisitor for Profiler {
     fn visit<A: BenchApp>(&mut self, w: &Workload<'_, A>) -> Result<(), String> {
+        let solo = [Driver::Ic, Driver::Ic, Driver::Pic, Driver::Pic];
+        let mut reports =
+            fan_out(&solo, |&driver| w.run(driver, None).map(|run| run.report)).into_iter();
         for driver in Driver::BOTH {
-            let first = w.run(driver, None)?.report;
-            let second = w.run(driver, None)?.report;
+            let (Some(first), Some(second)) = (reports.next(), reports.next()) else {
+                unreachable!("two solo runs per driver")
+            };
+            let (first, second) = (first?, second?);
             let ((_, _, model), (_, _, rerun_model)) = (first.outcome(), second.outcome());
             let who = format!("{}/{}", w.name, driver.label());
             self.0.insert(

@@ -131,7 +131,18 @@ impl Engine {
     /// [`Engine::reset`]). Spans still open are closed at the current
     /// simulated time *in the snapshot only*.
     pub fn trace(&self) -> Trace {
-        let mut trace = self.tracer.trace();
+        self.closed_at_now(self.tracer.trace())
+    }
+
+    /// Everything [`Engine::trace`] would return, moved out instead of
+    /// copied: the one-shot form for a caller done with the engine.
+    pub fn into_trace(self) -> Trace {
+        self.closed_at_now(self.tracer.take())
+    }
+
+    /// `trace` with every span still open closed at the current
+    /// simulated time.
+    fn closed_at_now(&self, mut trace: Trace) -> Trace {
         let now = self.now();
         for s in trace.spans.iter_mut().filter(|s| s.t1.is_nan()) {
             s.t1 = now.max(s.t0);
@@ -852,6 +863,21 @@ mod tests {
         assert_eq!(engine.trace().spans[0].t1, 5.0);
         engine.advance(1.0);
         assert_eq!(engine.trace().spans[0].t1, 6.0, "still open in the tracer");
+    }
+
+    /// The moved-out trace is the snapshot, open spans closed at `now`
+    /// included.
+    #[test]
+    fn into_trace_returns_exactly_the_snapshot() {
+        let engine = word_count_engine();
+        let ds = Dataset::create(&engine, "/nums", (0u64..200).collect(), 4);
+        engine.run(&analytic("job"), &ds, &mapper_mod(), &reducer_sum());
+        engine.tracer().begin_at("open", "job", engine.now());
+        engine.advance(3.0);
+        let snapshot = engine.trace();
+        assert!(snapshot.spans.len() > 1 && !snapshot.instants.is_empty());
+        assert_eq!(snapshot.spans.last().unwrap().t1, engine.now());
+        assert_eq!(engine.into_trace(), snapshot);
     }
 
     #[test]

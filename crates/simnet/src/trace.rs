@@ -379,6 +379,24 @@ impl Tracer {
             instants: st.instants.clone(),
         }
     }
+
+    /// Move everything recorded so far out, as [`Tracer::trace`] would
+    /// snapshot it, and leave the tracer empty. Both vectors are shrunk
+    /// to their length: a taken trace outlives its run, and the
+    /// doubling slack of a large recording is dead weight.
+    pub fn take(&self) -> Trace {
+        let Some(mut st) = self.state() else {
+            return Trace::default();
+        };
+        let State {
+            mut spans,
+            mut instants,
+            ..
+        } = std::mem::take(&mut *st);
+        spans.shrink_to_fit();
+        instants.shrink_to_fit();
+        Trace { spans, instants }
+    }
 }
 
 impl Trace {
