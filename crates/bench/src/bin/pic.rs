@@ -55,8 +55,8 @@ fn report(m: &Matches) -> Result<i32, Failure> {
     }
     if let Some(dir) = m.get("--traces") {
         for run in &runs {
-            // Counter tracks ride along so the Chrome view plots link
-            // utilization and slot occupancy under the span timeline.
+            // Counter tracks ride along so the Chrome view plots slot
+            // occupancy under the span timeline.
             let sides = [
                 ("ic", &run.ic_trace, run.ic_utilization()),
                 ("pic", &run.pic_trace, run.pic_utilization()),
@@ -95,11 +95,11 @@ fn report(m: &Matches) -> Result<i32, Failure> {
     Ok(0)
 }
 
-/// `pic timeline`: the side-by-side utilization heatmaps.
+/// `pic timeline`: the side-by-side slot-occupancy heatmaps.
 fn timeline(m: &Matches) -> Result<i32, Failure> {
     for run in &perf::collect(&ctx_of(m), &m.names("--apps"))? {
         println!(
-            "=== {} ({}) on {} — utilization, darkness = fraction of capacity ===\n",
+            "=== {} ({}) on {} — slot occupancy, darkness = fraction of slots busy ===\n",
             run.app, run.experiment, run.spec.name
         );
         let (ic, pic) = (run.ic_utilization(), run.pic_utilization());

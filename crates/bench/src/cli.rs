@@ -270,7 +270,7 @@ pub const COMMANDS: &[Command] = &[
         switch("--quality",    "print only the quality-of-convergence sections"),
         switch("--profile-host", "print host-side stage timings (DESIGN.md §14)"),
     ]),
-    command("timeline", Group::Subcommand, "§11", NO_ARGS, "utilization heatmaps, IC vs PIC", &[
+    command("timeline", Group::Subcommand, "§11", NO_ARGS, "slot-occupancy heatmaps, IC vs PIC", &[
         SCALE,
         APP_SUBSET,
         flag("--width", "<n>", WIDTH, "48", "heatmap cells per side"),

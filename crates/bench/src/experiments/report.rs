@@ -20,8 +20,7 @@ use pic_simnet::report::{
 use pic_simnet::trace::check;
 use pic_simnet::whatif::{SensitivityReport, CATALOG};
 use pic_simnet::{
-    ClusterSpec, LinkClass, Monitor, MonitorConfig, MonitorReport, Trace, TrafficSnapshot,
-    UtilizationReport,
+    ClusterSpec, Monitor, MonitorConfig, MonitorReport, Trace, TrafficSnapshot, UtilizationReport,
 };
 
 /// The five applications, in report order.
@@ -35,7 +34,7 @@ pub struct AppRun {
     pub app: &'static str,
     /// Which paper experiment the configuration mirrors.
     pub experiment: &'static str,
-    /// The cluster both runs were simulated on — the capacity model the
+    /// The cluster both runs were simulated on — the slot counts the
     /// utilization timelines are measured against.
     pub spec: ClusterSpec,
     /// Trace of the IC baseline run.
@@ -435,10 +434,10 @@ fn quality_rows(q: &QualityReport) -> impl Iterator<Item = Vec<Column>> + '_ {
     })
 }
 
-/// Concatenate every run's full utilization/occupancy series into one
-/// long-form CSV document. `BENCH_pic.json` carries only scalar rollups
-/// plus the bisection series; this is the artifact with everything,
-/// uploaded by CI next to the quality curves.
+/// Concatenate every run's full slot-occupancy series into one
+/// long-form CSV document. `BENCH_pic.json` carries only scalar rollups;
+/// this is the artifact with every interval, uploaded by CI next to the
+/// quality curves.
 pub fn utilization_csv(runs: &[AppRun]) -> String {
     csv_doc(runs.iter().flat_map(|run| {
         let sides = [("ic", run.ic_utilization()), ("pic", run.pic_utilization())];
@@ -448,21 +447,15 @@ pub fn utilization_csv(runs: &[AppRun]) -> String {
     }))
 }
 
-/// One row per grid interval of every link-utilization series
-/// (`link:<label>`) and slot-occupancy series (`slots:<group>`).
+/// One row per grid interval of every slot-occupancy series
+/// (`slots:<group>`).
 fn utilization_rows(util: &UtilizationReport, app: &str, side: &str) -> Vec<Vec<Column>> {
     let dt = util.dt_s();
-    let links =
-        LinkClass::ALL.map(|l| (format!("link:{}", l.label()), &util.links[l.label()].util));
-    let slots = util
-        .slots
+    util.slots
         .iter()
-        .map(|(g, s)| (format!("slots:{g}"), &s.occupancy));
-    links
-        .into_iter()
-        .chain(slots)
-        .flat_map(|(series, values)| {
-            values.iter().enumerate().map(move |(i, v)| {
+        .flat_map(|(group, s)| {
+            let series = format!("slots:{group}");
+            s.occupancy.iter().enumerate().map(move |(i, v)| {
                 vec![
                     Column::text("app", app),
                     Column::text("side", side),
@@ -516,12 +509,10 @@ mod tests {
         tracer.end_at(root, 4.0);
         let r = UtilizationReport::with_intervals(&tracer.trace(), &ClusterSpec::small(), 8);
         let records = records(utilization_rows(&r, "kmeans", "pic"));
-        // 4 links + 1 slot group, 8 intervals each.
-        assert_eq!(records.len(), 5 * 8);
-        assert!(records
-            .iter()
-            .any(|rec| rec[..4] == ["kmeans", "pic", "link:bisection", "0"]));
-        assert!(records.iter().any(|rec| rec[2] == "slots:solve"));
+        // 1 slot group, 8 intervals; no per-link rows.
+        assert_eq!(records.len(), 8);
+        assert_eq!(records[0][..4], ["kmeans", "pic", "slots:solve", "0"]);
+        assert!(records.iter().all(|rec| rec[2] == "slots:solve"));
     }
 
     /// One cheap app exercises the full pipeline; the root integration
@@ -555,13 +546,13 @@ mod tests {
         let util = apps[0].get("utilization").unwrap();
         for side in ["ic", "pic"] {
             let u = util.get(side).unwrap();
+            let json::Json::Obj(fields) = u else {
+                panic!("{side}: utilization is an object: {u:?}")
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["horizon_s", "intervals", "slots"], "{side}");
             assert!(u.get("horizon_s").unwrap().as_f64().unwrap() > 0.0);
-            assert!(u.get("links").unwrap().get("bisection").is_some());
-            assert!(u.get("bisection_saturated").is_some());
-            assert!(matches!(
-                u.get("bisection_util").unwrap(),
-                json::Json::Arr(_)
-            ));
+            assert!(u.get("slots").unwrap().get("map").is_some());
         }
         // Self-diff passes; a perturbed copy fails.
         assert!(json::diff(&parsed, &parsed, 1e-9).is_empty());
@@ -775,34 +766,34 @@ mod tests {
     }
 
     /// The gate must also catch utilization drift: a perturbed
-    /// `peak_util` beyond the band is flagged, and a perturbed byte
-    /// total is exact-gated.
+    /// `busy_util` beyond the band is flagged, and a perturbed interval
+    /// count is exact-gated.
     #[test]
     fn utilization_drift_is_a_regression() {
         let ctx = ExperimentCtx { scale: 0.01 };
         let doc = bench_json(&ctx, &linsolve_runs(), &[], None, None);
         let baseline = json::parse(&doc).unwrap();
 
-        let key = r#""peak_util": "#;
-        let start = doc.find(key).expect("peak_util in json") + key.len();
+        let key = r#""busy_util": "#;
+        let start = doc.find(key).expect("busy_util in json") + key.len();
         let end = start + doc[start..].find(',').unwrap();
         let v: f64 = doc[start..end].trim().parse().unwrap();
         let drifted = format!("{}{}{}", &doc[..start], v + 1.0, &doc[end..]);
         let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
         assert!(
-            diffs.iter().any(|d| d.contains("peak_util")),
-            "drifted peak_util not flagged: {diffs:?}"
+            diffs.iter().any(|d| d.contains("busy_util")),
+            "drifted busy_util not flagged: {diffs:?}"
         );
 
-        let key = r#""total_bytes": "#;
-        let start = doc.find(key).expect("total_bytes in json") + key.len();
+        let key = r#""intervals": "#;
+        let start = doc.find(key).expect("intervals in json") + key.len();
         let end = start + doc[start..].find(',').unwrap();
         let n: u64 = doc[start..end].trim().parse().unwrap();
         let drifted = format!("{}{}{}", &doc[..start], n + 1, &doc[end..]);
         let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
         assert!(
-            diffs.iter().any(|d| d.contains("total_bytes")),
-            "drifted total_bytes not flagged: {diffs:?}"
+            diffs.iter().any(|d| d.contains("intervals")),
+            "drifted interval count not flagged: {diffs:?}"
         );
     }
 
@@ -938,13 +929,13 @@ mod tests {
         let doc = utilization_csv(&runs);
         let mut lines = doc.lines();
         assert_eq!(lines.next(), Some("app,side,series,interval,t0_s,value"));
-        assert!(doc.contains("\nlinsolve,ic,link:bisection,"));
-        assert!(doc.contains("\nlinsolve,pic,link:bisection,"));
-        assert!(doc.contains("slots:map,"));
-        // 4 links + at least one slot group, both sides, one row per
-        // interval each — never fewer rows than the links alone imply.
+        assert!(doc.contains("\nlinsolve,ic,slots:map,"));
+        assert!(doc.contains("\nlinsolve,pic,slots:map,"));
+        assert!(!doc.contains(",link:"), "no per-link rows");
+        // One row per interval of every slot group, both sides.
+        let groups = runs[0].ic_utilization().slots.len() + runs[0].pic_utilization().slots.len();
         let intervals = runs[0].ic_utilization().intervals;
-        assert!(doc.lines().count() > 1 + 2 * 4 * intervals);
+        assert_eq!(doc.lines().count(), 1 + groups * intervals);
     }
 
     #[test]

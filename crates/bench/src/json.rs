@@ -671,7 +671,7 @@ mod tests {
         ledger.add_over(TrafficClass::ShuffleBisection, 4096, 0.5, 2.0);
         tracer.end_at(job, 3.0);
         let tracks = vec![CounterTrack {
-            name: "util:bisection".to_string(),
+            name: "slots:map".to_string(),
             points: vec![(0.0, 0.0), (1.0, 0.75)],
         }];
         let doc = tracer.trace().to_chrome_json_with_counters(&tracks);
@@ -705,23 +705,22 @@ mod tests {
     #[test]
     fn utilization_keys_use_relative_epsilon() {
         // `*_util` scalars and `*_util` series elements (arrays inherit
-        // the array's key) sit in the tolerance band; byte totals under
+        // the array's key) sit in the tolerance band; slot counts under
         // the same object stay exact.
-        let a = obj(r#"{"peak_util": 0.8, "bisection_util": [0.5, 1.0], "total_bytes": 10}"#);
+        let a = obj(r#"{"busy_util": 0.8, "series_util": [0.5, 1.0], "slots": 10}"#);
         let within = obj(
-            r#"{"peak_util": 0.8000000000001, "bisection_util": [0.5, 1.0000000000001], "total_bytes": 10}"#,
+            r#"{"busy_util": 0.8000000000001, "series_util": [0.5, 1.0000000000001], "slots": 10}"#,
         );
         assert!(diff(&a, &within, 1e-9).is_empty());
-        let beyond = obj(r#"{"peak_util": 0.81, "bisection_util": [0.5, 1.0], "total_bytes": 10}"#);
+        let beyond = obj(r#"{"busy_util": 0.81, "series_util": [0.5, 1.0], "slots": 10}"#);
         let d = diff(&a, &beyond, 1e-9);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(
-            d[0].contains("$.peak_util") && d[0].contains("epsilon"),
+            d[0].contains("$.busy_util") && d[0].contains("epsilon"),
             "{d:?}"
         );
-        let bytes_off =
-            obj(r#"{"peak_util": 0.8, "bisection_util": [0.5, 1.0], "total_bytes": 11}"#);
-        assert_eq!(diff(&a, &bytes_off, 1e-9).len(), 1, "bytes stay exact");
+        let count_off = obj(r#"{"busy_util": 0.8, "series_util": [0.5, 1.0], "slots": 11}"#);
+        assert_eq!(diff(&a, &count_off, 1e-9).len(), 1, "counts stay exact");
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn watch_json_is_byte_identical_across_pool_widths() {
         let stdout = String::from_utf8(out.stdout).unwrap();
         assert!(stdout.contains("linsolve"), "{stdout}");
         assert!(stdout.contains("online monitor"), "{stdout}");
-        assert!(stdout.contains("util:bisection"), "{stdout}");
+        assert!(stdout.contains("recovery-rate"), "{stdout}");
         docs.push(std::fs::read(&json).unwrap());
         stdouts.push(stdout);
     }

@@ -27,9 +27,9 @@
 //!   [`ChaosInjector`]): node crashes, rack/bisection degradation windows,
 //!   spot-preemption waves and elastic resize, each emitted as trace
 //!   instants so recovery cost is attributable per phase.
-//! * [`timeline`] — time-resolved utilization derived from a trace: link
-//!   and slot-pool series against [`ClusterSpec`] capacities, bisection
-//!   saturated-seconds, and compute↔comms overlap
+//! * [`timeline`] — time-resolved utilization derived from a trace:
+//!   per-traffic-class byte series that reconcile exactly with the
+//!   ledger, and slot-pool occupancy against [`ClusterSpec`] slot counts
 //!   ([`UtilizationReport`]).
 //! * [`hostprof`] — a host-side (wall-clock) stage profiler: RAII scope
 //!   timers over the engine/DFS/event-queue/driver hot paths with a
@@ -37,12 +37,12 @@
 //!   `BENCH_pic.json` and `pic diff` host-stage attribution
 //!   ([`HostProfile`]).
 //! * [`sweep`] — the charge-sweep kernel every trace derivation shares:
-//!   `traffic` instants → charges, a link's rate steps, bytes and busy
-//!   seconds onto a bucket grid, span and lane group names.
+//!   `traffic` instants → charges, bytes and busy seconds onto a bucket
+//!   grid, span and lane group names.
 //! * [`monitor`] — run monitoring: [`Monitor::replay`] turns a recorded
 //!   trace into sliding-window series on the simulated clock, evaluates
 //!   the closed [`monitor::Rule`] catalog, and keeps an incident log
-//!   whose window integrals reconcile exactly with the
+//!   whose recovery-byte series reconciles exactly with the
 //!   [`TrafficLedger`] (the `pic watch` subcommand and the BENCH
 //!   `monitor` section).
 //! * [`whatif`] — counterfactual projection over recorded traces:
@@ -87,11 +87,10 @@ pub use report::{
     TenancyReport, TenancyRow,
 };
 pub use scheduler::{ScheduleOutcome, SlotScheduler, TaskLaunch, TaskSpec};
-pub use sweep::LinkClass;
 pub use tenancy::{
     ClusterScheduler, IterKind, IterationDemand, JobArrival, JobProfile, TenancyJob,
 };
-pub use timeline::{LinkSeries, Saturation, SlotSeries, UtilizationReport};
+pub use timeline::{SlotSeries, UtilizationReport};
 pub use topology::{ClusterSpec, NodeId, RackId};
 pub use trace::{CounterTrack, MetricsRegistry, Payload, Trace, Tracer};
 pub use traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};

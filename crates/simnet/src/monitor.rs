@@ -5,7 +5,6 @@
 //! it replays a recorded run onto series of [`BUCKET_S`] buckets on the
 //! simulated clock:
 //!
-//! * per-link utilization EWMAs over the §11 [`LinkClass`] mapping,
 //! * the quality-improvement rate from the §10 `quality` probes,
 //! * the task-queue depth (mean concurrent tasks per bucket),
 //! * the recovery-byte rate under chaos.
@@ -18,29 +17,27 @@
 //! tripped it, and the deepest trace span enclosing its open time — the
 //! span tree gives incidents the same nesting the other views have.
 //!
-//! **Reconciliation guarantee.** The per-link window series are built by
-//! the same [`crate::sweep`] spreader as [`crate::timeline`], so every
-//! byte integral equals the [`TrafficLedger`] total for its link class
-//! **exactly** (`==`), and the recovery series integrates to
-//! `recovery_total()`. [`crate::trace::check::monitor_reconciles`]
-//! enforces this for every validated run. Bytes land in fixed
-//! simulated-time buckets and point series are stably sorted by time
-//! (equal times keep recording order), so the report is byte-identical
-//! across rayon pool widths.
+//! **Reconciliation guarantee.** The recovery series is built by the
+//! same [`crate::sweep`] spreader as the [`crate::timeline`] class
+//! series, so it integrates to the [`TrafficLedger`]'s
+//! `recovery_total()` **exactly** (`==`);
+//! [`crate::trace::check::monitor_reconciles`] enforces this for every
+//! validated run. Bytes land in fixed simulated-time buckets and point
+//! series are stably sorted by time (equal times keep recording order),
+//! so the report is byte-identical across rayon pool widths.
 //!
 //! [`TrafficLedger`]: crate::traffic::TrafficLedger
 
 use crate::report::{fmt_f64, json_f64s, peak, Column, JsonWriter};
-use crate::sweep::{apportion, collect_charges, spread_busy, utilization, LinkClass};
+use crate::sweep::{apportion, collect_charges, spread_busy};
 use crate::timeline::heat_bar;
 use crate::topology::ClusterSpec;
 use crate::trace::{check, Span, Trace};
 use crate::traffic::{TrafficClass, TrafficSnapshot};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Sliding-window length, simulated seconds: every sustain or gap test
-/// and the utilization EWMA's time constant.
+/// reads it.
 pub const WINDOW_S: f64 = 5.0;
 
 /// Bucket width, simulated seconds: four buckets per window.
@@ -99,11 +96,12 @@ impl Rule {
     }
 }
 
-/// Monitor configuration: the cluster whose capacities utilization is
-/// measured against.
+/// Monitor configuration: the cluster the run was simulated on. No
+/// series reads it since the monitor keeps no link utilization; it stays
+/// because the benchmark harness builds one per replay.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
-    /// Capacity model for link utilization.
+    /// The run's cluster.
     pub spec: ClusterSpec,
 }
 
@@ -156,21 +154,6 @@ impl Incident {
     }
 }
 
-/// One link class's windowed byte/utilization series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSeries {
-    /// Bytes attributed to each bucket (cumulative-rounding exact).
-    pub bytes: Vec<u64>,
-    /// Exponentially-weighted moving average, with time constant
-    /// [`WINDOW_S`], of the bucket utilization
-    /// `bytes[i] / (capacity × BUCKET_S)`.
-    pub ewma: Vec<f64>,
-    /// Sum of `bytes` — reconciles exactly with the ledger.
-    pub total_bytes: u64,
-    /// Maximum bucket utilization.
-    pub peak_util: f64,
-}
-
 /// The monitor's finished snapshot: every sliding-window series plus the
 /// incident log.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,8 +162,6 @@ pub struct MonitorReport {
     pub horizon_s: f64,
     /// Number of buckets covering the horizon.
     pub buckets: usize,
-    /// Per-link-class series, keyed by [`LinkClass::label`].
-    pub links: BTreeMap<&'static str, MonitorSeries>,
     /// Quality samples `(t, objective)`, ordered by time, equal times in
     /// recording order.
     pub quality: Vec<(f64, f64)>,
@@ -207,13 +188,13 @@ pub struct MonitorReport {
 pub struct Monitor;
 
 impl Monitor {
-    /// Replay `trace` under `cfg`: put every charge, task, quality probe
+    /// Replay `trace`: put every recovery charge, task, quality probe
     /// and fault on a grid of [`BUCKET_S`] buckets covering the run's
-    /// horizon, compute EWMAs and rates, evaluate the whole rule catalog
-    /// into the incident log, and anchor each incident to the deepest
-    /// span enclosing it. A run so long that the grid would exceed
-    /// [`MAX_BUCKETS`] is refused.
-    pub fn replay(cfg: MonitorConfig, trace: &Trace) -> Result<MonitorReport, String> {
+    /// horizon, compute the rates, evaluate the whole rule catalog into
+    /// the incident log, and anchor each incident to the deepest span
+    /// enclosing it. A run so long that the grid would exceed
+    /// [`MAX_BUCKETS`] is refused. No series reads `_cfg`.
+    pub fn replay(_cfg: MonitorConfig, trace: &Trace) -> Result<MonitorReport, String> {
         let dt = BUCKET_S;
         let (charges, horizon) = collect_charges(trace);
         // Counted in f64 first: a long horizon's bucket count overflows
@@ -230,38 +211,11 @@ impl Monitor {
         }
         let buckets = grid as usize;
 
-        // Per-link byte series (exact apportionment), utilization, EWMA.
-        let series_of = |member: &dyn Fn(TrafficClass) -> bool| {
-            let mut bytes = vec![0u64; buckets];
-            for ch in charges.iter().filter(|c| member(c.class)) {
-                apportion(&mut bytes, ch, dt);
-            }
-            bytes
-        };
-        let alpha = 1.0 - (-dt / WINDOW_S).exp();
-        let mut links = BTreeMap::new();
-        for link in LinkClass::ALL {
-            let bytes = series_of(&|class| LinkClass::of(class) == link);
-            let util = utilization(&bytes, link.capacity(&cfg.spec), dt);
-            let mut ewma = Vec::with_capacity(util.len());
-            let mut e = 0.0;
-            for u in &util {
-                e = alpha * u + (1.0 - alpha) * e;
-                ewma.push(e);
-            }
-            let total_bytes = bytes.iter().sum();
-            let peak_util = peak(&util);
-            links.insert(
-                link.label(),
-                MonitorSeries {
-                    bytes,
-                    ewma,
-                    total_bytes,
-                    peak_util,
-                },
-            );
+        // Recovery byte series (exact apportionment) and rate.
+        let mut recovery_bytes = vec![0u64; buckets];
+        for ch in charges.iter().filter(|c| c.class == TrafficClass::Recovery) {
+            apportion(&mut recovery_bytes, ch, dt);
         }
-        let recovery_bytes = series_of(&|class| class == TrafficClass::Recovery);
         let recovery_rate: Vec<f64> = recovery_bytes.iter().map(|&b| b as f64 / dt).collect();
 
         // Queue depth: busy task-seconds per bucket, accumulated in span
@@ -305,7 +259,6 @@ impl Monitor {
         let mut report = MonitorReport {
             horizon_s: horizon,
             buckets,
-            links,
             quality,
             quality_rate,
             peak_depth: peak(&depth),
@@ -472,26 +425,10 @@ impl MonitorReport {
         self.incidents.iter().filter(|i| i.rule == rule).count()
     }
 
-    /// The reconciliation guarantee, enforced exactly (`==`): every
-    /// per-link window series integrates to the ledger totals of its
-    /// member traffic classes, and the recovery series integrates to
-    /// `recovery_total()`.
+    /// The reconciliation guarantee, enforced exactly (`==`): the
+    /// recovery series integrates to `recovery_total()`.
     pub fn reconcile(&self, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
-        for link in LinkClass::ALL {
-            let expected: u64 = TrafficClass::ALL
-                .iter()
-                .filter(|c| LinkClass::of(**c) == link)
-                .map(|c| ledger.get(*c))
-                .sum();
-            let got = self.links[link.label()].total_bytes;
-            if got != expected {
-                errs.push(format!(
-                    "monitor: {} window integral {got} != ledger total {expected}",
-                    link.label()
-                ));
-            }
-        }
         let recovery: u64 = self.recovery_bytes.iter().sum();
         if recovery != ledger.recovery_total() {
             errs.push(format!(
@@ -502,8 +439,9 @@ impl MonitorReport {
         check::verdict(errs)
     }
 
-    /// The scalar summary the regression gate diffs (`BENCH_pic.json`
-    /// schema v9): incident counts exact, durations banded seconds.
+    /// The scalar summary the regression gate diffs (the
+    /// `BENCH_pic.json` `monitor` section): incident counts exact,
+    /// durations banded seconds.
     pub fn to_json_summary(&self, indent: usize) -> String {
         JsonWriter::document(indent, |w| self.write_json_summary(w))
     }
@@ -536,17 +474,6 @@ impl MonitorReport {
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.field("horizon_s", &fmt_f64(self.horizon_s));
         w.field("buckets", &self.buckets.to_string());
-        w.open_key("links", "{");
-        for (label, s) in &self.links {
-            let bytes: Vec<String> = s.bytes.iter().map(u64::to_string).collect();
-            w.open_key(label, "{");
-            w.field("total_bytes", &s.total_bytes.to_string());
-            w.field("peak_util", &fmt_f64(s.peak_util));
-            w.field("bytes", &format!("[{}]", bytes.join(", ")));
-            w.field("ewma_util", &json_f64s(&s.ewma));
-            w.close("}");
-        }
-        w.close("}");
         w.field("quality_samples", &self.quality.len().to_string());
         w.field("quality_rate", &json_f64s(&self.quality_rate));
         w.field("depth", &json_f64s(&self.depth));
@@ -566,15 +493,6 @@ impl MonitorReport {
     /// `(label, sparkline, last, peak)` dashboard rows for every series
     /// over the whole run, `width` cells each.
     fn rows(&self, width: usize) -> Vec<(String, String, f64, f64)> {
-        let mut rows = Vec::new();
-        for (label, s) in &self.links {
-            rows.push((
-                format!("util:{label}"),
-                heat_bar(&s.ewma, width),
-                s.ewma.last().copied().unwrap_or(0.0),
-                s.peak_util,
-            ));
-        }
         let norm = |v: &[f64]| -> Vec<f64> {
             let top = peak(v);
             if top > 0.0 {
@@ -583,19 +501,21 @@ impl MonitorReport {
                 vec![0.0; v.len()]
             }
         };
-        for (label, series) in [
+        [
             ("quality-rate", &self.quality_rate),
             ("queue-depth", &self.depth),
             ("recovery-rate", &self.recovery_rate),
-        ] {
-            rows.push((
+        ]
+        .into_iter()
+        .map(|(label, series)| {
+            (
                 label.to_string(),
                 heat_bar(&norm(series), width),
                 series.last().copied().unwrap_or(0.0),
                 peak(series),
-            ));
-        }
-        rows
+            )
+        })
+        .collect()
     }
 
     /// Render the dashboard panel: one sparkline row per series plus the
@@ -867,30 +787,26 @@ mod tests {
         );
     }
 
-    /// Byte integrals reconcile exactly against the ledger, per link
-    /// class, on awkward windows.
+    /// The recovery series reconciles exactly against the ledger on
+    /// awkward windows, whatever other classes move beside it.
     #[test]
-    fn window_integrals_reconcile_exactly() {
+    fn recovery_integral_reconciles_exactly() {
         let t = Tracer::standalone();
         let ledger = TrafficLedger::traced(t.clone());
         let root = t.begin_at("run", "driver", 0.0);
-        ledger.add_over(crate::traffic::TrafficClass::ShuffleBisection, 7, 0.1, 9.7);
-        ledger.add_over(
-            crate::traffic::TrafficClass::ShuffleRack,
-            1_000_003,
-            2.3,
-            2.300001,
-        );
-        ledger.add_over(crate::traffic::TrafficClass::Recovery, 13, 4.0, 4.0);
-        ledger.add_over(crate::traffic::TrafficClass::DfsRead, 999, 0.0, 0.0);
+        ledger.add_over(TrafficClass::ShuffleBisection, 7, 0.1, 9.7);
+        ledger.add_over(TrafficClass::Recovery, 1_000_003, 2.3, 2.300001);
+        ledger.add_over(TrafficClass::Recovery, 7, 0.1, 9.7);
+        ledger.add_over(TrafficClass::Recovery, 13, 4.0, 4.0);
         t.end_at(root, 12.0);
         let r = Monitor::replay(cfg(), &t.trace()).unwrap();
         r.reconcile(&ledger.snapshot()).expect("exact reconcile");
+        assert_eq!(r.recovery_bytes.iter().sum::<u64>(), 1_000_023);
         // And a corrupted ledger is caught.
         let mut bad = ledger.snapshot();
-        bad.set(crate::traffic::TrafficClass::DfsRead, 1000);
+        bad.set(TrafficClass::Recovery, 1_000_024);
         let errs = r.reconcile(&bad).unwrap_err();
-        assert!(errs[0].contains("nic window integral"), "{errs:?}");
+        assert!(errs[0].contains("recovery window integral"), "{errs:?}");
     }
 
     #[test]

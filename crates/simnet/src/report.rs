@@ -50,8 +50,10 @@ use std::fmt::Write as _;
 /// `clean_incidents` in `quality_under_failure` (DESIGN.md §16); version
 /// 9 removed `lower_bound_s`, `clamped` and `binding` from `sensitivity`
 /// rows, and `window_s` and the `saturation` and `straggler-tail` counts
-/// from `monitor`.
-pub const REPORT_SCHEMA_VERSION: u64 = 9;
+/// from `monitor`; version 10 removed `overlap_s`, `links`,
+/// `bisection_saturated` and `bisection_util` from `utilization`, which
+/// keeps the horizon, the grid and the slot-group rollups.
+pub const REPORT_SCHEMA_VERSION: u64 = 10;
 
 /// Span categories that mark one driver-level iteration; traffic is
 /// attributed to the nearest enclosing span with one of these cats.
@@ -1613,7 +1615,7 @@ mod tests {
         assert_eq!(a, b, "rendering twice must be identical");
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert!(a.contains("\"schema_version\": 9"));
+        assert!(a.contains("\"schema_version\": 10"));
         assert!(a.contains("\"total_s\": 10"));
         assert!(a.contains("\"phase/a\""));
         assert!(

@@ -9,87 +9,17 @@
 //!   instants, also behind [`Trace::traffic_totals`],
 //!   [`crate::trace::MetricsRegistry::from_trace`] and
 //!   [`crate::report::PerfReport::from_trace`];
-//! * [`rate_steps`] cuts one [`LinkClass`]'s charge windows into the
-//!   elementary steps of its piecewise-constant byte rate — the
-//!   saturation sweep is a filter over those steps;
-//! * [`apportion`], [`spread_busy`] and [`utilization`] put bytes and
-//!   task busy-seconds onto a uniform grid (a series of `n` buckets of
-//!   `dt` simulated seconds from `t = 0`) and price bucketed bytes
-//!   against a capacity — the 60-interval utilization report and the
+//! * [`apportion`] and [`spread_busy`] put bytes and task busy-seconds
+//!   onto a uniform grid (a series of `n` buckets of `dt` simulated
+//!   seconds from `t = 0`) — the 60-interval utilization report and the
 //!   monitor's quarter-window buckets are the same code at two `dt`s;
 //! * [`phase_key`] and [`slot_group`] name a span's rollup group and a
 //!   task lane's slot group;
 //! * [`phase_waves`] groups task spans into scheduler waves, per phase.
 
-use crate::topology::ClusterSpec;
 use crate::trace::{Span, SpanId, Trace};
 use crate::traffic::TrafficClass;
 use std::collections::BTreeMap;
-
-/// The four link classes the topology prices, each aggregating the
-/// traffic classes that consume it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LinkClass {
-    /// Aggregate node-local disk bandwidth (`nodes × disk_bw`).
-    Disk,
-    /// Aggregate NIC bandwidth (`nodes × nic_bw`).
-    Nic,
-    /// Aggregate rack-uplink bandwidth (`racks × rack_uplink_bw`).
-    RackUplink,
-    /// Cluster bisection bandwidth (`bisection_bw`) — the paper's
-    /// bottleneck resource.
-    Bisection,
-}
-
-impl LinkClass {
-    /// All link classes, in display order.
-    pub const ALL: [LinkClass; 4] = [
-        LinkClass::Disk,
-        LinkClass::Nic,
-        LinkClass::RackUplink,
-        LinkClass::Bisection,
-    ];
-
-    /// Short label for reports and CSV.
-    pub fn label(self) -> &'static str {
-        match self {
-            LinkClass::Disk => "disk",
-            LinkClass::Nic => "nic",
-            LinkClass::RackUplink => "rack-uplink",
-            LinkClass::Bisection => "bisection",
-        }
-    }
-
-    /// The link a traffic class consumes. Shuffle-local and map-spill
-    /// bytes hit node disks; broadcast / merge / DFS-read / recovery
-    /// bytes enter or leave single nodes (NIC-bound); rack shuffle bytes
-    /// climb the rack uplinks; bisection shuffle, model updates and
-    /// replicated DFS writes cross the core (replication pipelines span
-    /// racks).
-    pub fn of(class: TrafficClass) -> LinkClass {
-        match class {
-            TrafficClass::ShuffleLocal | TrafficClass::MapSpill => LinkClass::Disk,
-            TrafficClass::Broadcast
-            | TrafficClass::Merge
-            | TrafficClass::DfsRead
-            | TrafficClass::Recovery => LinkClass::Nic,
-            TrafficClass::ShuffleRack => LinkClass::RackUplink,
-            TrafficClass::ShuffleBisection | TrafficClass::ModelUpdate | TrafficClass::DfsWrite => {
-                LinkClass::Bisection
-            }
-        }
-    }
-
-    /// Aggregate capacity of this link class on `spec`, bytes/second.
-    pub fn capacity(self, spec: &ClusterSpec) -> f64 {
-        match self {
-            LinkClass::Disk => spec.nodes as f64 * spec.disk_bw,
-            LinkClass::Nic => spec.nodes as f64 * spec.nic_bw,
-            LinkClass::RackUplink => spec.racks as f64 * spec.rack_uplink_bw,
-            LinkClass::Bisection => spec.bisection_bw,
-        }
-    }
-}
 
 /// One ledger charge with its attribution window (`w1 == w0` for
 /// impulse charges).
@@ -141,38 +71,6 @@ pub fn collect_charges(trace: &Trace) -> (Vec<Charge>, f64) {
         });
     }
     (charges, horizon)
-}
-
-/// One elementary step `(t0, t1, rate)` of a link's piecewise-constant
-/// byte rate: between two adjacent window breakpoints the link moves
-/// `rate` bytes/second.
-pub type RateStep = (f64, f64, f64);
-
-/// Cut the windowed charges of `link` at every window boundary and
-/// return the steps with a positive rate, in time order. A step's rate
-/// is summed over the charges covering it, in charge order. Impulse
-/// charges carry no width and are ignored. O(cuts × windows).
-pub fn rate_steps(charges: &[Charge], link: LinkClass) -> Vec<RateStep> {
-    let windows: Vec<&Charge> = charges
-        .iter()
-        .filter(|c| LinkClass::of(c.class) == link)
-        .filter(|c| c.w1 > c.w0 && c.bytes > 0)
-        .collect();
-    let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
-    cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite windows"));
-    cuts.dedup();
-    let mut steps = Vec::new();
-    for pair in cuts.windows(2) {
-        let (p, q) = (pair[0], pair[1]);
-        let mut rate = 0.0;
-        for c in windows.iter().filter(|c| c.w0 <= p && q <= c.w1) {
-            rate += c.bytes as f64 / (c.w1 - c.w0);
-        }
-        if rate > 0.0 {
-            steps.push((p, q, rate));
-        }
-    }
-    steps
 }
 
 /// Spread `charge` over the grid buckets its window covers by
@@ -235,21 +133,6 @@ pub fn spread_busy(series: &mut [f64], t0: f64, t1: f64, dt: f64) {
     }
 }
 
-/// Bucketed bytes as a fraction of what `capacity` bytes/second moves
-/// in one `dt`-second bucket.
-pub fn utilization(bytes: &[u64], capacity: f64, dt: f64) -> Vec<f64> {
-    bytes
-        .iter()
-        .map(|&b| {
-            if capacity > 0.0 && dt > 0.0 {
-                b as f64 / (capacity * dt)
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
 /// Rollup group of a span: `cat/name` for `phase` / `transfer` /
 /// `merge` spans, the bare category for iteration-level spans and the
 /// driver root, `None` for everything else (tasks).
@@ -292,68 +175,6 @@ pub fn phase_waves(trace: &Trace) -> BTreeMap<usize, BTreeMap<u64, Vec<&Span>>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// Random charges on a quarter-second lattice (so windows share
-    /// breakpoints, nest and abut), a third of them impulses.
-    fn charges_strategy() -> impl Strategy<Value = Vec<Charge>> {
-        let charge = (
-            0..TrafficClass::ALL.len(),
-            0u64..1_000_000_000,
-            0u32..3,
-            0u32..400,
-            0u32..400,
-        )
-            .prop_map(|(class, bytes, kind, a, b)| {
-                let (w0, w1) = (f64::from(a.min(b)) / 4.0, f64::from(a.max(b)) / 4.0);
-                Charge {
-                    class: TrafficClass::ALL[class],
-                    bytes,
-                    w0,
-                    w1: if kind == 0 { w0 } else { w1 },
-                    parent: None,
-                }
-            });
-        proptest::collection::vec(charge, 0..80)
-    }
-
-    /// The per-step formula the saturation sweep spelled out before the
-    /// kernel existed, kept as the oracle.
-    fn oracle_rate(windows: &[&Charge], p: f64, q: f64) -> f64 {
-        windows
-            .iter()
-            .filter(|c| c.w0 <= p && q <= c.w1)
-            .map(|c| c.bytes as f64 / (c.w1 - c.w0))
-            .sum()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn rate_steps_equal_the_per_step_formula_bit_for_bit(charges in charges_strategy()) {
-            for link in LinkClass::ALL {
-                let windows: Vec<&Charge> = charges
-                    .iter()
-                    .filter(|c| LinkClass::of(c.class) == link && c.w1 > c.w0 && c.bytes > 0)
-                    .collect();
-                let mut cuts: Vec<f64> = windows.iter().flat_map(|c| [c.w0, c.w1]).collect();
-                cuts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                cuts.dedup();
-                let expected: Vec<(f64, f64, u64)> = cuts
-                    .windows(2)
-                    .map(|pair| (pair[0], pair[1]))
-                    .filter(|&(p, q)| oracle_rate(&windows, p, q) > 0.0)
-                    .map(|(p, q)| (p, q, oracle_rate(&windows, p, q).to_bits()))
-                    .collect();
-                let got: Vec<(f64, f64, u64)> = rate_steps(&charges, link)
-                    .into_iter()
-                    .map(|(p, q, rate)| (p, q, rate.to_bits()))
-                    .collect();
-                prop_assert_eq!(got, expected);
-            }
-        }
-    }
 
     #[test]
     fn busy_seconds_spread_exactly_over_the_buckets_they_overlap() {
@@ -367,13 +188,6 @@ mod tests {
         spread_busy(&mut series, 0.0, 5.0, 0.0);
         spread_busy(&mut series, 3.0, 1.0, 1.0);
         assert_eq!(series.iter().sum::<f64>(), 3.25);
-    }
-
-    #[test]
-    fn utilization_prices_bytes_against_capacity_per_bucket() {
-        assert_eq!(utilization(&[50, 0, 200], 100.0, 2.0), vec![0.25, 0.0, 1.0]);
-        assert_eq!(utilization(&[50], 0.0, 2.0), vec![0.0]);
-        assert_eq!(utilization(&[50], 100.0, 0.0), vec![0.0]);
     }
 
     /// The scheduler numbers waves per phase, so two phases that both

@@ -175,13 +175,6 @@ impl ClusterSpec {
         spec
     }
 
-    /// The cluster's oversubscription ratio: aggregate NIC bandwidth of
-    /// half the nodes over the bisection — how contended an all-to-all
-    /// shuffle is (1.0 = non-blocking).
-    pub fn oversubscription(&self) -> f64 {
-        (self.nodes as f64 / 2.0) * self.nic_bw / self.bisection_bw
-    }
-
     /// Rack that hosts `node`. Nodes are laid out in contiguous blocks so
     /// that a contiguous range of node ids tends to be rack-local — the
     /// property PIC's partitioned sub-problems exploit.
@@ -334,39 +327,44 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.nodes, 32);
         assert_eq!(c.map_slots, 256);
-        assert!((c.oversubscription() - 4.0).abs() < 1e-9);
+        assert_eq!(c.bisection_bw, 16.0 * GBE / 4.0);
     }
 
     #[test]
-    fn oversubscription_of_presets_is_sane() {
+    fn preset_bisections_are_at_most_half_the_nics() {
+        let half_nics = |s: &ClusterSpec| s.nodes as f64 / 2.0 * s.nic_bw;
         let s = ClusterSpec::small();
-        assert!(
-            (s.oversubscription() - 1.0).abs() < 1e-9,
+        assert_eq!(
+            s.bisection_bw,
+            half_nics(&s),
             "single switch is non-blocking"
         );
         let m = ClusterSpec::medium();
         assert!(
-            m.oversubscription() > 1.0,
+            m.bisection_bw < half_nics(&m),
             "medium cluster is oversubscribed"
         );
     }
 
     #[test]
-    fn preset_oversubscription_ratios_are_exact() {
-        // These ratios feed the timeline's saturation accounting
-        // (DESIGN.md §11), so pin them exactly — every term is a ratio
-        // of the constants above and must not drift.
-        assert_eq!(ClusterSpec::small().oversubscription(), 1.0);
+    fn preset_bisection_bandwidths_are_exact() {
+        // `transfer` prices every bisection-crossing byte against
+        // `bisection_bw`, so pin it exactly: every term is a product or
+        // ratio of the constants above and must not drift.
+        assert_eq!(ClusterSpec::small().bisection_bw, 3.0 * GBE);
         assert_eq!(
-            ClusterSpec::medium().oversubscription(),
-            32.0 * GBE / (3.0 * TEN_GBE),
-            "64 GbE nodes behind a 3x10GbE bisection"
+            ClusterSpec::medium().bisection_bw,
+            3.0 * TEN_GBE,
+            "three 10 GbE rack uplinks on each side of an even split"
         );
-        assert_eq!(ClusterSpec::single().oversubscription(), 0.5);
-        // custom() derives the bisection *from* the requested ratio, so
-        // the round trip is exact by construction.
-        assert_eq!(ClusterSpec::custom(32, 8, 4, 4.0).oversubscription(), 4.0);
-        assert_eq!(ClusterSpec::custom(10, 4, 2, 1.0).oversubscription(), 1.0);
+        assert_eq!(ClusterSpec::single().bisection_bw, GBE);
+        // 16 instances per rack, half the racks' uplinks at 4:1, at
+        // least one uplink's worth.
+        assert_eq!(ClusterSpec::large(256).bisection_bw, 8.0 * TEN_GBE / 4.0);
+        assert_eq!(ClusterSpec::large(16).bisection_bw, TEN_GBE / 4.0);
+        // custom() divides half the nodes' NICs by the requested ratio.
+        assert_eq!(ClusterSpec::custom(32, 8, 4, 4.0).bisection_bw, 4.0 * GBE);
+        assert_eq!(ClusterSpec::custom(10, 4, 2, 1.0).bisection_bw, 5.0 * GBE);
     }
 
     /// `spec` must fail validation with a message containing every

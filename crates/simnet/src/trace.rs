@@ -164,10 +164,10 @@ pub const COUNTER_LANE: &str = "utilization";
 /// A derived counter series — `(t_seconds, value)` samples — exported
 /// as Chrome `"ph":"C"` counter events on the [`COUNTER_LANE`] lane.
 /// [`crate::timeline::UtilizationReport::counter_tracks`] produces one
-/// per link class and slot group.
+/// per slot group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterTrack {
-    /// Counter name (one plot track in Chrome, e.g. `util:bisection`).
+    /// Counter name (one plot track in Chrome, e.g. `slots:map`).
     pub name: String,
     /// `(simulated seconds, value)` samples, ascending in time.
     pub points: Vec<(f64, f64)>,
@@ -783,13 +783,11 @@ pub mod check {
         verdict(errs)
     }
 
-    /// The monitor's sliding-window series reconcile **exactly** with
-    /// the ledger: replaying the trace through the
-    /// [`crate::monitor::Monitor`] yields per-link window integrals
-    /// equal to the summed ledger totals of each link's traffic
-    /// classes, and a recovery series integrating to
-    /// `recovery_total()`. Capacities do not affect byte sums, so any
-    /// spec works; the small preset is used.
+    /// The monitor's recovery series reconciles **exactly** with the
+    /// ledger: replaying the trace through the
+    /// [`crate::monitor::Monitor`] yields a recovery series integrating
+    /// to `recovery_total()`. No series reads the spec, so the small
+    /// preset is used.
     pub fn monitor_reconciles(trace: &Trace, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
         let cfg = crate::monitor::MonitorConfig::new(crate::topology::ClusterSpec::small());
         let report = crate::monitor::Monitor::replay(cfg, trace).map_err(|e| vec![e])?;
@@ -1000,11 +998,11 @@ mod tests {
         let job = t.begin_at("job", "job", 0.0);
         t.end_at(job, 2.0);
         let tracks = vec![CounterTrack {
-            name: "util:bisection".to_string(),
+            name: "slots:map".to_string(),
             points: vec![(0.0, 0.5), (1.0, 1.0), (2.0, f64::NAN)],
         }];
         let json = t.trace().to_chrome_json_with_counters(&tracks);
-        assert!(json.contains("\"name\":\"util:bisection\""));
+        assert!(json.contains("\"name\":\"slots:map\""));
         assert!(json.contains("\"args\":{\"value\":0.5}"));
         assert!(json.contains("\"args\":{\"value\":null}"), "NaN -> null");
         assert!(json.contains(&format!("\"name\":{}", json_string(COUNTER_LANE))));

@@ -1,11 +1,12 @@
-//! Property-based tests for the run monitor: the bucketed byte series
-//! must integrate to the **exact** ledger totals for any sequence of
-//! charges — windowed or impulse — and to the same per-link totals as
-//! the utilization timeline of the same trace at any interval count.
+//! Property-based tests for the run monitor: the bucketed recovery
+//! series must integrate to the **exact** ledger total for any sequence
+//! of charges — windowed or impulse — and to the same total as the
+//! utilization timeline's recovery class series of the same trace at any
+//! interval count.
 
 use pic_simnet::monitor::{Monitor, MonitorConfig};
 use pic_simnet::trace::check;
-use pic_simnet::{ClusterSpec, LinkClass, Tracer, TrafficClass, TrafficLedger, UtilizationReport};
+use pic_simnet::{ClusterSpec, Tracer, TrafficClass, TrafficLedger, UtilizationReport};
 use proptest::prelude::*;
 
 /// One random charge: a class, a byte count small enough that even
@@ -42,9 +43,9 @@ fn traced_run(charges: &[RandomCharge]) -> (Tracer, TrafficLedger) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The monitor's per-link window integrals equal the exact ledger
-    /// totals — and therefore the `check::monitor_reconciles` pass
-    /// holds — for any random charge sequence.
+    /// The monitor's recovery window integral equals the exact ledger
+    /// total — and therefore the `check::monitor_reconciles` pass holds —
+    /// for any random charge sequence.
     #[test]
     fn window_integrals_equal_ledger_totals(
         charges in proptest::collection::vec(charge_strategy(), 0..120),
@@ -68,10 +69,10 @@ proptest! {
 
     /// The monitor (`dt` = `BUCKET_S`) and the utilization timeline
     /// (`n` intervals) put the same charges on two grids through one
-    /// spreader: whatever the interval count, each link's bytes
-    /// integrate to the same total.
+    /// spreader: whatever the interval count, the recovery bytes
+    /// integrate to the same total on both.
     #[test]
-    fn monitor_and_timeline_link_totals_agree(
+    fn monitor_and_timeline_recovery_totals_agree(
         charges in proptest::collection::vec(charge_strategy(), 0..120),
         intervals in 1usize..200,
     ) {
@@ -81,10 +82,10 @@ proptest! {
         let monitor = Monitor::replay(MonitorConfig::new(spec.clone()), &trace)
             .expect("a 500 s run fits the grid");
         let timeline = UtilizationReport::with_intervals(&trace, &spec, intervals);
-        for link in LinkClass::ALL {
-            let (m, t) = (&monitor.links[link.label()], &timeline.links[link.label()]);
-            prop_assert_eq!(m.bytes.iter().sum::<u64>(), t.bytes.iter().sum::<u64>());
-            prop_assert_eq!(m.total_bytes, t.total_bytes);
-        }
+        let on_timeline = &timeline.class_bytes[TrafficClass::Recovery.label()];
+        prop_assert_eq!(
+            monitor.recovery_bytes.iter().sum::<u64>(),
+            on_timeline.iter().sum::<u64>()
+        );
     }
 }
