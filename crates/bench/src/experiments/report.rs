@@ -521,6 +521,30 @@ mod tests {
         collect(&ExperimentCtx { scale: 0.01 }, &["linsolve"]).unwrap()
     }
 
+    /// Add `by` to the first `key` value in `doc` and assert that the
+    /// gate's diff against `doc` flags `key`.
+    fn assert_drift_flagged(doc: &str, key: &str, by: f64) {
+        let tag = format!("\"{key}\": ");
+        let start = doc.find(&tag).unwrap_or_else(|| panic!("{key} in json")) + tag.len();
+        let end = start + doc[start..].find([',', '\n']).unwrap();
+        let v: f64 = doc[start..end].trim().parse().unwrap();
+        let drifted = format!("{}{}{}", &doc[..start], v + by, &doc[end..]);
+        let baseline = json::parse(doc).unwrap();
+        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
+        assert!(
+            diffs.iter().any(|d| d.contains(key)),
+            "drifted {key} not flagged: {diffs:?}"
+        );
+    }
+
+    /// The keys of `obj`, in document order.
+    fn keys(obj: &json::Json) -> Vec<&str> {
+        let json::Json::Obj(fields) = obj else {
+            panic!("not an object: {obj:?}")
+        };
+        fields.iter().map(|(k, _)| k.as_str()).collect()
+    }
+
     #[test]
     fn collect_validates_cleanly_and_serializes() {
         let ctx = ExperimentCtx { scale: 0.01 };
@@ -541,18 +565,45 @@ mod tests {
             other => panic!("apps not an array: {other:?}"),
         };
         assert_eq!(apps[0].get("app").unwrap().as_str(), Some("linsolve"));
-        assert!(apps[0].get("ic").unwrap().get("total_s").is_some());
-        assert!(apps[0].get("pic").unwrap().get("iterations").is_some());
+        // Each run's report, its byte objects and its slot rollups carry
+        // only keys that restate no other key.
+        let labels: Vec<&str> = TrafficClass::ALL.iter().map(|c| c.label()).collect();
         let util = apps[0].get("utilization").unwrap();
         for side in ["ic", "pic"] {
-            let u = util.get(side).unwrap();
-            let json::Json::Obj(fields) = u else {
-                panic!("{side}: utilization is an object: {u:?}")
+            let r = apps[0].get(side).unwrap();
+            assert_eq!(
+                keys(r),
+                [
+                    "total_s",
+                    "critical_path",
+                    "phases",
+                    "tasks",
+                    "iterations",
+                    "outside_bytes",
+                    "class_bytes",
+                ],
+                "{side}"
+            );
+            let json::Json::Arr(iterations) = r.get("iterations").unwrap() else {
+                panic!("{side}: iterations is an array")
             };
-            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-            assert_eq!(keys, ["horizon_s", "intervals", "slots"], "{side}");
+            assert!(!iterations.is_empty(), "{side}");
+            for bytes in iterations
+                .iter()
+                .map(|it| it.get("bytes").unwrap())
+                .chain([r.get("outside_bytes").unwrap()])
+            {
+                assert_eq!(keys(bytes), labels, "{side}");
+            }
+            let u = util.get(side).unwrap();
+            assert_eq!(keys(u), ["horizon_s", "intervals", "slots"], "{side}");
             assert!(u.get("horizon_s").unwrap().as_f64().unwrap() > 0.0);
-            assert!(u.get("slots").unwrap().get("map").is_some());
+            let map = u.get("slots").unwrap().get("map").unwrap();
+            assert_eq!(
+                keys(map),
+                ["slots", "busy_s", "busy_util", "peak_occupancy_util"],
+                "{side}"
+            );
         }
         // Self-diff passes; a perturbed copy fails.
         assert!(json::diff(&parsed, &parsed, 1e-9).is_empty());
@@ -631,28 +682,9 @@ mod tests {
         // Drift the BE-handoff error well past the band (the tolerance is
         // floored at `eps` absolute, so a relative nudge on a near-zero
         // error could legitimately pass — drift by a whole unit instead).
-        let be_err = r#""be_final_err": "#;
-        let start = doc.find(be_err).expect("be_final_err in json") + be_err.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let v: f64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], v + 1.0, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("be_final_err")),
-            "drifted be_final_err not flagged: {diffs:?}"
-        );
-
+        assert_drift_flagged(&doc, "be_final_err", 1.0);
         // An off-by-one iteration count is exact-gated: always a diff.
-        let iters = r#""ic_iterations": "#;
-        let start = doc.find(iters).expect("ic_iterations in json") + iters.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let n: u64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], n + 1, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("ic_iterations")),
-            "drifted ic_iterations not flagged: {diffs:?}"
-        );
+        assert_drift_flagged(&doc, "ic_iterations", 1.0);
     }
 
     /// Schema v7: every app carries a `sensitivity` section with both
@@ -679,12 +711,8 @@ mod tests {
             // Gate rows are scalar-only: phase breakdowns stay out of
             // BENCH_pic.json.
             for row in rows {
-                let json::Json::Obj(fields) = row else {
-                    panic!("a scenario row is an object: {row:?}")
-                };
-                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
                 assert_eq!(
-                    keys,
+                    keys(row),
                     [
                         "scenario",
                         "projected_makespan_s",
@@ -701,16 +729,7 @@ mod tests {
         }
 
         // Drift a projected delta past the band.
-        let key = r#""delta_makespan_s": "#;
-        let start = doc.find(key).expect("delta_makespan_s in json") + key.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let v: f64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], v + 1.0, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("delta_makespan_s")),
-            "drifted delta_makespan_s not flagged: {diffs:?}"
-        );
+        assert_drift_flagged(&doc, "delta_makespan_s", 1.0);
     }
 
     /// Schema v8: every app carries a `monitor` section with per-side
@@ -730,11 +749,7 @@ mod tests {
             other => panic!("apps not an array: {other:?}"),
         };
         let mon = apps[0].get("monitor").unwrap();
-        let json::Json::Obj(sides) = mon else {
-            panic!("monitor is an object: {mon:?}")
-        };
-        let keys: Vec<&str> = sides.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["ic", "pic"]);
+        assert_eq!(keys(mon), ["ic", "pic"]);
         for side in ["ic", "pic"] {
             let m = mon.get(side).unwrap();
             assert!(m.get("incidents").unwrap().as_f64().is_some());
@@ -753,16 +768,7 @@ mod tests {
         }
 
         // An incident-count drift is an exact-gated regression.
-        let key = r#""incidents": "#;
-        let start = doc.find(key).expect("incidents in json") + key.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let n: u64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], n + 1, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("incidents")),
-            "drifted incident count not flagged: {diffs:?}"
-        );
+        assert_drift_flagged(&doc, "incidents", 1.0);
     }
 
     /// The gate must also catch utilization drift: a perturbed
@@ -772,29 +778,8 @@ mod tests {
     fn utilization_drift_is_a_regression() {
         let ctx = ExperimentCtx { scale: 0.01 };
         let doc = bench_json(&ctx, &linsolve_runs(), &[], None, None);
-        let baseline = json::parse(&doc).unwrap();
-
-        let key = r#""busy_util": "#;
-        let start = doc.find(key).expect("busy_util in json") + key.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let v: f64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], v + 1.0, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("busy_util")),
-            "drifted busy_util not flagged: {diffs:?}"
-        );
-
-        let key = r#""intervals": "#;
-        let start = doc.find(key).expect("intervals in json") + key.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let n: u64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], n + 1, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("intervals")),
-            "drifted interval count not flagged: {diffs:?}"
-        );
+        assert_drift_flagged(&doc, "busy_util", 1.0);
+        assert_drift_flagged(&doc, "intervals", 1.0);
     }
 
     /// The gate must also catch recovery drift in the quality-under-
@@ -821,38 +806,12 @@ mod tests {
         let baseline = json::parse(&doc).unwrap();
         assert!(json::diff(&baseline, &baseline, 1e-6).is_empty());
 
-        let key = r#""recovery_s": "#;
-        let start = doc.find(key).expect("recovery_s in json") + key.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let v: f64 = doc[start..end].trim().parse().unwrap();
-
         // Rel 5e-6 at eps 1e-6: no key gets a wider band, so flagged.
-        let mild = format!("{}{}{}", &doc[..start], v + 1e-4, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&mild).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("recovery_s")),
-            "mild recovery drift must be flagged: {diffs:?}"
-        );
-
+        assert_drift_flagged(&doc, "recovery_s", 1e-4);
         // Far beyond the band: flagged.
-        let wild = format!("{}{}{}", &doc[..start], v + 10.0, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&wild).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("recovery_s")),
-            "drifted recovery_s not flagged: {diffs:?}"
-        );
-
+        assert_drift_flagged(&doc, "recovery_s", 10.0);
         // Recovery bytes are exact-gated.
-        let key = r#""recovery_bytes": "#;
-        let start = doc.find(key).expect("recovery_bytes in json") + key.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let n: u64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], n + 1, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("recovery_bytes")),
-            "drifted recovery_bytes not flagged: {diffs:?}"
-        );
+        assert_drift_flagged(&doc, "recovery_bytes", 1.0);
     }
 
     /// The gate must catch tenancy drift: `p99_tt_quality_s` sits in the
@@ -894,33 +853,11 @@ mod tests {
         let baseline = json::parse(&doc).unwrap();
         assert!(json::diff(&baseline, &baseline, 1e-6).is_empty());
 
-        for key_name in ["p99_tt_quality_s", "packing_x"] {
-            let key = format!("\"{key_name}\": ");
-            let start = doc
-                .find(&key)
-                .unwrap_or_else(|| panic!("{key_name} in json"))
-                + key.len();
-            let end = start + doc[start..].find([',', '\n']).unwrap();
-            let v: f64 = doc[start..end].trim().parse().unwrap();
-            let drifted = format!("{}{}{}", &doc[..start], v + 10.0, &doc[end..]);
-            let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-            assert!(
-                diffs.iter().any(|d| d.contains(key_name)),
-                "drifted {key_name} not flagged: {diffs:?}"
-            );
+        for key in ["p99_tt_quality_s", "packing_x"] {
+            assert_drift_flagged(&doc, key, 10.0);
         }
-
         // Preemption counts are exact-gated.
-        let key = r#""preemption_total": "#;
-        let start = doc.find(key).expect("preemption_total in json") + key.len();
-        let end = start + doc[start..].find(',').unwrap();
-        let n: u64 = doc[start..end].trim().parse().unwrap();
-        let drifted = format!("{}{}{}", &doc[..start], n + 1, &doc[end..]);
-        let diffs = json::diff(&baseline, &json::parse(&drifted).unwrap(), 1e-6);
-        assert!(
-            diffs.iter().any(|d| d.contains("preemption_total")),
-            "drifted preemption_total not flagged: {diffs:?}"
-        );
+        assert_drift_flagged(&doc, "preemption_total", 1.0);
     }
 
     #[test]

@@ -92,6 +92,6 @@ pub use tenancy::{
 };
 pub use timeline::{SlotSeries, UtilizationReport};
 pub use topology::{ClusterSpec, NodeId, RackId};
-pub use trace::{CounterTrack, MetricsRegistry, Payload, Trace, Tracer};
+pub use trace::{CounterTrack, Payload, Trace, Tracer};
 pub use traffic::{TrafficClass, TrafficLedger, TrafficSnapshot};
 pub use whatif::{Edit, Projection, Scenario, SensitivityReport, TimeWarp, WhatIf};

@@ -13,7 +13,7 @@
 //!   duration — `tests/report_invariants.rs` pins that to 1e-9 relative.
 //! * [`PerfReport`] — per-phase percentile rollups, per-slot straggler /
 //!   skew statistics, and per-iteration traffic attribution mirroring the
-//!   paper's Fig. 2 decomposition; embeds a [`MetricsRegistry`]. Traffic
+//!   paper's Fig. 2 decomposition. Traffic
 //!   instants are charged to the nearest enclosing iteration span (cats
 //!   `be-iteration` / `ic` / `topoff`), anything outside goes to an
 //!   `outside` bucket, and the per-class sums reconcile **exactly**
@@ -27,7 +27,7 @@
 //!   across rayon pool widths. DESIGN.md §9 documents the schema.
 
 use crate::sweep::{collect_charges, phase_key, slot_group};
-use crate::trace::{check, json_string, MetricsRegistry, Span, SpanId, Trace};
+use crate::trace::{check, json_string, Span, SpanId, Trace};
 use crate::traffic::{human_bytes, TrafficClass, TrafficSnapshot};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -52,8 +52,12 @@ use std::fmt::Write as _;
 /// rows, and `window_s` and the `saturation` and `straggler-tail` counts
 /// from `monitor`; version 10 removed `overlap_s`, `links`,
 /// `bisection_saturated` and `bisection_util` from `utilization`, which
-/// keeps the horizon, the grid and the slot-group rollups.
-pub const REPORT_SCHEMA_VERSION: u64 = 10;
+/// keeps the horizon, the grid and the slot-group rollups; version 11
+/// removed the keys that restate others: each run's `phase_time_s` and
+/// `counters` (and its zero-byte `class_bytes` entries), the
+/// `shuffle_total` and `model_update_total` sums of every byte object,
+/// each run's own `schema_version`, and `idle_util` from `utilization`.
+pub const REPORT_SCHEMA_VERSION: u64 = 11;
 
 /// Span categories that mark one driver-level iteration; traffic is
 /// attributed to the nearest enclosing span with one of these cats.
@@ -392,8 +396,8 @@ pub struct IterationRollup {
     pub bytes: TrafficSnapshot,
 }
 
-/// Everything derived from one run's trace: critical path, rollups,
-/// iteration decomposition, and the flat [`MetricsRegistry`].
+/// Everything derived from one run's trace: critical path, rollups and
+/// the per-iteration decomposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Root span duration (0 for an empty trace).
@@ -411,8 +415,6 @@ pub struct PerfReport {
     /// writes); `iterations` + `outside_bytes` reconcile exactly with
     /// the ledger.
     pub outside_bytes: TrafficSnapshot,
-    /// Flat per-phase / per-class / counter rollups.
-    pub metrics: MetricsRegistry,
 }
 
 impl PerfReport {
@@ -525,7 +527,6 @@ impl PerfReport {
             tasks,
             iterations,
             outside_bytes,
-            metrics: MetricsRegistry::from_trace(trace),
         }
     }
 
@@ -620,24 +621,26 @@ impl PerfReport {
                 human_bytes(self.outside_bytes.get(TrafficClass::Broadcast)),
             );
         }
-        out.push('\n');
-        out.push_str(&self.metrics.render());
         out
     }
 
     /// Deterministic JSON rendering, `indent` spaces of leading indent
-    /// per line. One key per line; keys are emitted in a fixed order;
+    /// per line: the schema version, then [`PerfReport::write_json`]'s
+    /// fields. One key per line; keys are emitted in a fixed order;
     /// seconds keys end in `_s` and ratio keys in `_x` (the regression
     /// gate compares those with a relative epsilon, everything else
     /// exactly). Contains no host wall-clock values.
     pub fn to_json(&self, indent: usize) -> String {
-        JsonWriter::document(indent, |w| self.write_json(w))
+        JsonWriter::document(indent, |w| {
+            w.field("schema_version", &REPORT_SCHEMA_VERSION.to_string());
+            self.write_json(w);
+        })
     }
 
-    /// The fields of [`PerfReport::to_json`], written into the caller's
-    /// open object.
+    /// The fields of [`PerfReport::to_json`] after its schema version,
+    /// written into the caller's open object (a document that nests
+    /// them carries its own version).
     pub fn write_json(&self, w: &mut JsonWriter) {
-        w.field("schema_version", &REPORT_SCHEMA_VERSION.to_string());
         w.field("total_s", &fmt_f64(self.total_s));
         match &self.critical_path {
             None => w.field("critical_path", "null"),
@@ -687,19 +690,14 @@ impl PerfReport {
             write_snapshot(w, "bytes", &it.bytes);
         });
         write_snapshot(w, "outside_bytes", &self.outside_bytes);
-        w.open_key("phase_time_s", "{");
-        for (key, secs) in &self.metrics.phase_time_s {
-            w.field(key, &fmt_f64(*secs));
-        }
-        w.close("}");
+        // The run's per-class totals, `pic diff`'s traffic axis: every
+        // class that carried bytes, in label order.
+        let attributed = self.attributed_bytes();
+        let mut classes = TrafficClass::ALL;
+        classes.sort_by_key(|c| c.label());
         w.open_key("class_bytes", "{");
-        for (key, bytes) in &self.metrics.class_bytes {
-            w.field(key, &bytes.to_string());
-        }
-        w.close("}");
-        w.open_key("counters", "{");
-        for (key, v) in &self.metrics.counters {
-            w.field(key, &v.to_string());
+        for c in classes.into_iter().filter(|&c| attributed.get(c) > 0) {
+            w.field(c.label(), &attributed.get(c).to_string());
         }
         w.close("}");
     }
@@ -994,15 +992,12 @@ impl TenancyReport {
     }
 }
 
-/// Emit a [`TrafficSnapshot`] as a JSON object keyed by class label,
-/// plus the two Table-II totals.
+/// Emit a [`TrafficSnapshot`] as a JSON object keyed by class label.
 fn write_snapshot(w: &mut JsonWriter, key: &str, snap: &TrafficSnapshot) {
     w.open_key(key, "{");
     for c in TrafficClass::ALL {
         w.field(c.label(), &snap.get(c).to_string());
     }
-    w.field("shuffle_total", &snap.shuffle_total().to_string());
-    w.field("model_update_total", &snap.model_update_total().to_string());
     w.close("}");
 }
 
@@ -1615,7 +1610,7 @@ mod tests {
         assert_eq!(a, b, "rendering twice must be identical");
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert!(a.contains("\"schema_version\": 10"));
+        assert!(a.contains("\"schema_version\": 11"));
         assert!(a.contains("\"total_s\": 10"));
         assert!(a.contains("\"phase/a\""));
         assert!(

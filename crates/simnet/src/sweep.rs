@@ -6,8 +6,7 @@
 //! * [`collect_charges`] turns `traffic` instants (with the `w0`/`w1`
 //!   windows [`crate::traffic::TrafficLedger::add_over`] records) into
 //!   [`Charge`]s and the timeline horizon — the one decoder of those
-//!   instants, also behind [`Trace::traffic_totals`],
-//!   [`crate::trace::MetricsRegistry::from_trace`] and
+//!   instants, also behind [`Trace::traffic_totals`] and
 //!   [`crate::report::PerfReport::from_trace`];
 //! * [`apportion`] and [`spread_busy`] put bytes and task busy-seconds
 //!   onto a uniform grid (a series of `n` buckets of `dt` simulated

@@ -14,7 +14,7 @@
 //! * **slot-pool occupancy** — busy slot-seconds per interval per slot
 //!   group (`map` / `red` / `solve` lanes), whose integral reconciles
 //!   with the summed `task`-span durations within 1e-9 relative, with
-//!   busy/idle fractions and peak occupancy per group.
+//!   the busy fraction and peak occupancy per group.
 //!
 //! Link utilization is not modelled here: at the suite's scale no link
 //! ever came near its capacity (DESIGN.md §11), and the traffic result
@@ -52,8 +52,6 @@ pub struct SlotSeries {
     pub task_span_s: f64,
     /// `busy_integral_s / (slots × horizon)`.
     pub busy_util: f64,
-    /// `1 − busy_util`.
-    pub idle_util: f64,
     /// Maximum of `occupancy`, in slots.
     pub peak_occupancy: f64,
 }
@@ -141,7 +139,6 @@ impl UtilizationReport {
                     busy_integral_s: 0.0,
                     task_span_s: 0.0,
                     busy_util: 0.0,
-                    idle_util: 1.0,
                     peak_occupancy: 0.0,
                 });
             entry.task_span_s += s.duration_s();
@@ -154,7 +151,6 @@ impl UtilizationReport {
             }
             if series.slots > 0 && horizon > 0.0 {
                 series.busy_util = series.busy_integral_s / (series.slots as f64 * horizon);
-                series.idle_util = 1.0 - series.busy_util;
             }
             series.peak_occupancy = peak(&series.occupancy);
         }
@@ -247,7 +243,6 @@ impl UtilizationReport {
             w.field("slots", &s.slots.to_string());
             w.field("busy_s", &fmt_f64(s.busy_integral_s));
             w.field("busy_util", &fmt_f64(s.busy_util));
-            w.field("idle_util", &fmt_f64(s.idle_util));
             w.field("peak_occupancy_util", &fmt_f64(s.peak_occupancy));
             w.close("}");
         }
@@ -436,8 +431,9 @@ mod tests {
         let red = &r.slots["red"];
         assert_eq!(red.slots, spec.reduce_slots);
         assert!((red.busy_integral_s - 3.0).abs() < 1e-9);
-        // Busy + idle fractions are complementary.
-        assert!((map.busy_util + map.idle_util - 1.0).abs() < 1e-12);
+        // Busy slot-seconds over the slots' capacity across the horizon.
+        let capacity = spec.map_slots as f64 * r.horizon_s;
+        assert!((map.busy_util - 6.0 / capacity).abs() < 1e-12);
     }
 
     #[test]

@@ -32,13 +32,11 @@
 //!
 //! [`Trace::to_chrome_json_with_counters`] exports the Chrome
 //! `about:tracing` / Perfetto JSON format, rendered by hand so the bytes
-//! are a pinned function of the trace. [`MetricsRegistry::from_trace`]
-//! derives per-phase time, per-class bytes and event counts, and
-//! [`check`] holds the reusable trace invariants the test suite asserts.
+//! are a pinned function of the trace, and [`check`] holds the reusable
+//! trace invariants the test suite asserts.
 
 use crate::sweep::collect_charges;
 use crate::traffic::{TrafficClass, TrafficSnapshot};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -537,72 +535,6 @@ fn json_args(args: &Args) -> String {
     out
 }
 
-/// Metrics derived from one [`Trace`]: per-phase simulated time,
-/// per-class bytes, and scheduler/DFS event counts.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsRegistry {
-    /// Total simulated seconds per `cat/name` of every phase-like span
-    /// (cats `phase`, `transfer`, `merge`, plus per-iteration cats).
-    pub phase_time_s: BTreeMap<String, f64>,
-    /// Traced bytes per traffic-class label.
-    pub class_bytes: BTreeMap<String, u64>,
-    /// Event counts per `sched.*` / `dfs.*` instant name.
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl MetricsRegistry {
-    /// Derive metrics from `trace`.
-    pub fn from_trace(trace: &Trace) -> Self {
-        let mut m = MetricsRegistry::default();
-        for s in &trace.spans {
-            let timed = matches!(
-                s.cat,
-                "phase" | "transfer" | "merge" | "be-iteration" | "ic" | "topoff" | "job"
-            );
-            if timed {
-                *m.phase_time_s
-                    .entry(format!("{}/{}", s.cat, s.name))
-                    .or_insert(0.0) += (s.t1 - s.t0).max(0.0);
-            }
-        }
-        for c in collect_charges(trace).0 {
-            *m.class_bytes
-                .entry(c.class.label().to_string())
-                .or_insert(0) += c.bytes;
-        }
-        for i in &trace.instants {
-            match i.cat {
-                "sched" => {
-                    *m.counters.entry(format!("sched.{}", i.name)).or_insert(0) += 1;
-                }
-                "dfs" => {
-                    *m.counters.entry(format!("dfs.{}", i.name)).or_insert(0) += 1;
-                }
-                _ => {}
-            }
-        }
-        m
-    }
-
-    /// Plain-text rendering for reports and smoke-run logs.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("phase time (simulated seconds)\n");
-        for (k, v) in &self.phase_time_s {
-            let _ = writeln!(out, "  {k:<40} {v:>14.3}");
-        }
-        out.push_str("traffic (bytes)\n");
-        for (k, v) in &self.class_bytes {
-            let _ = writeln!(out, "  {k:<40} {v:>14}");
-        }
-        out.push_str("counters\n");
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "  {k:<40} {v:>14}");
-        }
-        out
-    }
-}
-
 /// Reusable trace invariants. Every function returns `Ok(())` or the
 /// list of violations, so test failures show all problems at once and
 /// `pic report --check` can print them.
@@ -1048,23 +980,5 @@ mod tests {
         t.end_at(ic, 4.0);
         check::quality_samples(&t.trace()).unwrap();
         check::validate(&t.trace(), &TrafficSnapshot::default()).unwrap();
-    }
-
-    #[test]
-    fn metrics_registry_rolls_up() {
-        let t = Tracer::standalone();
-        t.span_at("map", "phase", 0.0, 2.0, Vec::new());
-        t.span_at("map", "phase", 2.0, 3.0, Vec::new());
-        t.traffic_event_over(TrafficClass::MapSpill, 10, 0.0, 3.0);
-        t.instant_at("task-killed", "sched", 0.0, Vec::new());
-        t.instant_at("task-killed", "sched", 0.0, Vec::new());
-        let m = MetricsRegistry::from_trace(&t.trace());
-        assert_eq!(m.phase_time_s.get("phase/map").copied(), Some(3.0));
-        assert_eq!(m.class_bytes.get("map-spill").copied(), Some(10));
-        assert_eq!(m.counters.get("sched.task-killed").copied(), Some(2));
-        let rendered = m.render();
-        assert!(rendered.contains("phase/map"));
-        assert!(rendered.contains("map-spill"));
-        assert!(rendered.contains("sched.task-killed"));
     }
 }

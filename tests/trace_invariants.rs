@@ -10,8 +10,8 @@
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, Timing};
-use pic_simnet::trace::{check, MetricsRegistry, Span, Trace};
-use pic_simnet::{ClusterSpec, TrafficSnapshot};
+use pic_simnet::trace::{check, Span, Trace};
+use pic_simnet::{ClusterSpec, PerfReport, TrafficClass, TrafficSnapshot};
 
 fn pic_timing() -> Timing {
     Timing {
@@ -161,35 +161,33 @@ fn pic_trace_is_identical_across_pool_widths() {
 }
 
 #[test]
-fn metrics_registry_reflects_the_run() {
+fn perf_report_reflects_the_run() {
     let (trace, traffic, report) = std_run();
-    let m = MetricsRegistry::from_trace(trace);
-    // Per-round BE time is present and sums near the BE wall time minus
-    // startup (each round span covers broadcast + solve + merge).
-    let be_time: f64 = m
-        .phase_time_s
+    let perf = PerfReport::from_trace(trace);
+    // Per-round BE time is present and sums to at most the BE wall time
+    // (each round span covers broadcast + solve + merge).
+    let be_time: f64 = perf
+        .iterations
         .iter()
-        .filter(|(k, _)| k.starts_with("be-iteration/"))
-        .map(|(_, v)| v)
+        .filter(|it| it.cat == "be-iteration")
+        .map(|it| it.time_s)
         .sum();
     assert!(be_time > 0.0 && be_time <= report.be_time_s + 1e-9);
-    // Traced class bytes match the ledger label for label.
-    for (label, bytes) in &m.class_bytes {
-        let ledger_bytes = pic_simnet::TrafficClass::ALL
-            .iter()
-            .find(|c| c.label() == label.as_str())
-            .map(|c| traffic.get(*c))
-            .expect("known class label");
-        assert_eq!(*bytes, ledger_bytes, "class {label}");
+    // Attributed class bytes match the ledger class for class.
+    let attributed = perf.attributed_bytes();
+    for class in TrafficClass::ALL {
+        assert_eq!(
+            attributed.get(class),
+            traffic.get(class),
+            "class {}",
+            class.label()
+        );
     }
-    // The run's DFS writes surfaced as `dfs.*` event counts.
+    // The run's DFS writes surfaced as `dfs` instants.
     assert!(
-        m.counters.keys().any(|k| k.starts_with("dfs.")),
-        "dfs.* event counts present: {:?}",
-        m.counters.keys().collect::<Vec<_>>()
+        trace.instants.iter().any(|i| i.cat == "dfs"),
+        "dfs instants present"
     );
-    let rendered = m.render();
-    assert!(rendered.contains("be-iteration/"));
 }
 
 #[test]
