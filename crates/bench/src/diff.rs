@@ -253,6 +253,13 @@ fn number(v: Option<&Json>) -> f64 {
     v.and_then(Json::as_f64).unwrap_or(0.0)
 }
 
+/// Whether the gate's difference `d` changes the [`number`] attribution
+/// reads. A key on one side only whose number equals the other side's
+/// (absent counts as 0) does not: it is left to the gate-walk note.
+fn moves(d: &json::Difference) -> bool {
+    number(d.old) != number(d.new)
+}
+
 /// `(label, old, new)` for every label of the maps at `path` below `old`
 /// and `new` whose [`number`] the gate's walk finds moved.
 fn moved<'a>(
@@ -266,6 +273,7 @@ fn moved<'a>(
     let diffs = json::compare(key, a.unwrap_or(&EMPTY), b.unwrap_or(&EMPTY), eps);
     diffs
         .into_iter()
+        .filter(moves)
         .filter_map(|d| match d.path[..] {
             [Step::Key(label)] | [Step::Key(label), Step::Key("total_s")] => {
                 Some((label, number(d.old), number(d.new)))
@@ -278,14 +286,15 @@ fn moved<'a>(
 /// Whether [`diff_docs`] attributes the gate's difference `d` between two
 /// reports whose apps pair up index by index: an app's totals, a label of
 /// its critical-path, phase or traffic-class maps (or that label's
-/// `total_s`), or a point of its convergence curves (or their lengths).
+/// `total_s`) whose number [`moves`], or a point of its convergence
+/// curves (or their lengths).
 fn attributed(d: &json::Difference) -> bool {
     use Step::{Index, Key};
     let [Key("apps"), Index(_), rest @ ..] = &d.path[..] else {
         return false;
     };
     match rest {
-        [Key("ic_total_s" | "pic_total_s")] => true,
+        [Key("ic_total_s" | "pic_total_s")] => moves(d),
         [Key("quality"), Key("ic_curve" | "pic_curve"), Index(_), ..] => true,
         [Key("quality"), Key("ic_curve" | "pic_curve")] => d.kind == json::DiffKind::Length,
         [Key("ic" | "pic"), map @ ..] => {
@@ -293,10 +302,11 @@ fn attributed(d: &json::Difference) -> bool {
                 [map @ .., Key(_), Key("total_s")] | [map @ .., Key(_)] => map,
                 _ => return false,
             };
-            matches!(
+            let axis = matches!(
                 map,
                 [Key("critical_path"), Key("by_cat_s")] | [Key("phases")] | [Key("class_bytes")]
-            )
+            );
+            axis && moves(d)
         }
         _ => false,
     }
@@ -802,6 +812,88 @@ mod tests {
                 );
                 *at(&mut new, &path) = original.clone();
             }
+            // The key repeated beside itself: `Json::get` would read the
+            // first field and the gate's walk both, so the text is refused.
+            let (key, parent) = path.split_last().expect("a path ends in its key");
+            let mut twice = new.clone();
+            let Json::Obj(fields) = at(&mut twice, parent) else {
+                panic!("{path:?}: the parent is an object")
+            };
+            let i = fields.iter().position(|(k, _)| k == key).unwrap();
+            fields.insert(i + 1, fields[i].clone());
+            let err = json::parse(&render(&twice)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("repeated key {key:?} at byte ")),
+                "{err}"
+            );
         }
+    }
+
+    /// `v` as compact JSON text, numbers by their raw literals.
+    fn render(v: &Json) -> String {
+        let join = |parts: Vec<String>| parts.join(",");
+        match v {
+            Json::Null => "null".to_string(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(_, raw) => raw.clone(),
+            Json::Str(s) => json_string(s),
+            Json::Arr(items) => format!("[{}]", join(items.iter().map(render).collect())),
+            Json::Obj(fields) => {
+                let fields = fields
+                    .iter()
+                    .map(|(k, v)| format!("{}:{}", json_string(k), render(v)));
+                format!("{{{}}}", join(fields.collect()))
+            }
+        }
+    }
+
+    /// A key on one side only whose number equals the other side's 0 is
+    /// no delta: it is the gate-walk note, so the report still fails as
+    /// `pic regress` does but ranks no "0 0 +0" row.
+    #[test]
+    fn a_presence_change_at_an_equal_number_is_the_gate_note() {
+        let doc = |ic: &str| {
+            let text = format!(r#"{{"scale": 0.05, "apps": [{{"app": "kmeans", {ic}}}]}}"#);
+            json::parse(&text).unwrap()
+        };
+        let cases = [
+            (
+                r#""ic": {"class_bytes": {"merge": 0}}"#,
+                r#""ic": {"class_bytes": {}}"#,
+            ),
+            (
+                r#""ic": {"phases": {"merge": {"total_s": 0}}}"#,
+                r#""ic": {"phases": {}}"#,
+            ),
+            (r#""ic_total_s": 0"#, r#""pic_total_s": 0"#),
+        ];
+        for (a, b) in cases {
+            for (old, new) in [(doc(a), doc(b)), (doc(b), doc(a))] {
+                let report = diff_docs(&old, &new, json::EPSILON).unwrap();
+                assert!(
+                    report.time.is_empty() && report.bytes.is_empty(),
+                    "{report:?}"
+                );
+                let gated = json::diff(&old, &new, json::EPSILON);
+                let note = format!(
+                    "{} gated difference(s) outside the attributed sections, first {}",
+                    gated.len(),
+                    gated[0]
+                );
+                assert_eq!(report.notes, [note], "{a} / {b}");
+            }
+        }
+        // A number that does move is still a ranked delta.
+        let (old, new) = (
+            doc(r#""ic": {"class_bytes": {"merge": 7}}"#),
+            doc(r#""ic": {"class_bytes": {}}"#),
+        );
+        let report = diff_docs(&old, &new, json::EPSILON).unwrap();
+        assert_eq!(
+            (report.bytes.len(), report.notes.len()),
+            (1, 0),
+            "{report:?}"
+        );
+        assert_eq!((report.bytes[0].old, report.bytes[0].new), (7.0, 0.0));
     }
 }

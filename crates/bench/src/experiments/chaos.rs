@@ -5,11 +5,11 @@
 //! of `BENCH_pic.json` and the chaos CSV CI artifact.
 //!
 //! Fault times are derived from the clean run's own simulated duration
-//! (crash at 0.3 T, degradation over [0.2 T, 0.6 T], wave at 0.4 T), so
-//! every scenario lands mid-run at any workload scale. Chaos never
-//! touches host computation: crash / degrade / preemption cells must
-//! reproduce the clean run's answer exactly, and only `elastic-resize`
-//! (which changes the partitioning) may move the converged model.
+//! (crash at 0.3 T, wave at 0.4 T), so every scenario lands mid-run at
+//! any workload scale. Chaos never touches host computation: crash and
+//! preemption cells must reproduce the clean run's answer exactly, and
+//! only `elastic-resize` (which changes the partitioning) may move the
+//! converged model.
 
 use super::common::{
     fan_out, quality_target, small_suite, BenchApp, Driver, DriverReport, SuiteVisitor, Workload,
@@ -22,12 +22,7 @@ use pic_simnet::trace::check;
 use pic_simnet::{ClusterSpec, Monitor, MonitorConfig};
 
 /// The fault scenarios of the campaign matrix, in report order.
-pub const SCENARIOS: [&str; 4] = [
-    "node-crash",
-    "rack-degrade",
-    "preemption-wave",
-    "elastic-resize",
-];
+pub const SCENARIOS: [&str; 3] = ["node-crash", "preemption-wave", "elastic-resize"];
 
 /// The apps the campaign runs: [`small_suite`]'s.
 pub const CHAOS_APPS: [&str; 3] = SMALL_SUITE_APPS;
@@ -59,7 +54,7 @@ pub struct ChaosCell {
     /// [`quality_target`], in simulated seconds.
     pub tt_quality_delta_s: f64,
     /// True when the faulty run converged to exactly the clean answer
-    /// (the crash/degrade/preemption invariant; resize may legitimately
+    /// (the crash/preemption invariant; resize may legitimately
     /// differ).
     pub exact_result: bool,
     /// Incidents the online monitor opened on the faulty run — every
@@ -82,7 +77,6 @@ pub fn plan_for(
     let plan = FaultPlan::new(CAMPAIGN_SEED);
     match scenario {
         "node-crash" => Ok(plan.node_crash(1 % spec.nodes, 0.3 * t_clean)),
-        "rack-degrade" => Ok(plan.degrade_links(4.0, 0.2 * t_clean, 0.6 * t_clean)),
         "preemption-wave" => {
             Ok(plan.preemption_wave(2usize.min(spec.nodes - 1).max(1), 0.4 * t_clean))
         }
@@ -310,8 +304,8 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let ctx = ExperimentCtx { scale: 0.01 };
-        let a = chaos_csv(&campaign(&ctx, &["rack-degrade"]).unwrap());
-        let b = chaos_csv(&campaign(&ctx, &["rack-degrade"]).unwrap());
+        let a = chaos_csv(&campaign(&ctx, &["node-crash"]).unwrap());
+        let b = chaos_csv(&campaign(&ctx, &["node-crash"]).unwrap());
         assert_eq!(a, b);
     }
 }

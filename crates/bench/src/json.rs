@@ -24,7 +24,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, fields in file order.
+    /// An object, fields in file order. [`parse`] refuses an object that
+    /// repeats a key, so every name is unique.
     Obj(Vec<(String, Json)>),
 }
 
@@ -251,7 +252,7 @@ fn parse_container(src: &str, pos: &mut usize, depth: usize) -> Result<Json, Str
     let b = src.as_bytes();
     let close = if b[*pos] == b'{' { b'}' } else { b']' };
     *pos += 1;
-    let (mut items, mut fields) = (Vec::new(), Vec::new());
+    let (mut items, mut fields, mut seen) = (Vec::new(), Vec::new(), 0u64);
     let expected = |pos| format!("expected ',' or '{}' at byte {pos}", close as char);
     skip_ws(b, pos);
     let mut more = b.get(*pos) != Some(&close);
@@ -263,7 +264,16 @@ fn parse_container(src: &str, pos: &mut usize, depth: usize) -> Result<Json, Str
             if b.get(*pos) != Some(&b'"') {
                 return Err(format!("expected key string at byte {pos}", pos = *pos));
             }
+            let at = *pos;
             let key = parse_string(src, pos)?;
+            // `Json::get` reads the first field of a name and the gate's
+            // walk every field, so a repeated key would let them disagree.
+            // `seen` has one bit per (length ^ last byte) class: a new class skips the scan.
+            let class = 1u64 << ((key.len() ^ usize::from(key.bytes().last().unwrap_or(0))) & 63);
+            if seen & class != 0 && fields.iter().any(|(k, _)| *k == key) {
+                return Err(format!("repeated key {key:?} at byte {at}"));
+            }
+            seen |= class;
             skip_ws(b, pos);
             if b.get(*pos) != Some(&b':') {
                 return Err(format!("expected ':' at byte {pos}", pos = *pos));
@@ -496,6 +506,16 @@ mod tests {
         assert!(parse("{}extra").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"k\" 1}").is_err());
+        assert_eq!(
+            parse(r#"{"a": 1, "b": {"k": 1, "k": 5}}"#).unwrap_err(),
+            "repeated key \"k\" at byte 23"
+        );
+        assert_eq!(
+            parse(r#"{"x_s": 1, "x_s": 1}"#).unwrap_err(),
+            "repeated key \"x_s\" at byte 11"
+        );
+        // The same name in sibling objects is no repeat.
+        assert!(parse(r#"[{"k": 1}, {"k": 2}]"#).is_ok());
     }
 
     #[test]

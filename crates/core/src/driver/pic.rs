@@ -136,12 +136,10 @@ pub fn run_pic<A: PicApp>(
             "split_model must return `parts` models"
         );
         let t_bcast = engine.now();
-        let degrade = chaos.degradation_factor(t_bcast);
         let mut bcast_s: f64 = 0.0;
         let mut bcast_bytes: u64 = 0;
         for (g, sm) in groups.iter().zip(&sub_models) {
-            let (raw_s, net) = transfer::broadcast(spec, g.len(), sm.byte_size());
-            let s = raw_s * degrade;
+            let (s, net) = transfer::broadcast(spec, g.len(), sm.byte_size());
             engine
                 .ledger()
                 .add_over(TrafficClass::Broadcast, net, t_bcast, t_bcast + s);

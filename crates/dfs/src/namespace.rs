@@ -8,7 +8,6 @@
 use crate::placement::BlockPlacement;
 use crate::split::{even_ranges, InputSplit};
 use crate::DEFAULT_BLOCK_SIZE;
-use pic_simnet::chaos::ChaosInjector;
 use pic_simnet::hostprof::{self, Stage};
 use pic_simnet::topology::{ClusterSpec, NodeId};
 use pic_simnet::trace::{Payload, Tracer};
@@ -57,27 +56,18 @@ pub struct Dfs {
     ledger: Arc<TrafficLedger>,
     files: Mutex<HashMap<String, FileMeta>>,
     tracer: Tracer,
-    chaos: ChaosInjector,
 }
 
 impl Dfs {
     /// A DFS over `spec` with [`DEFAULT_BLOCK_SIZE`] blocks, accounting
     /// into `ledger`. Every write emits a `dfs` `write` instant on
-    /// `tracer`, and writes started inside one of `chaos`'s
-    /// link-degradation windows take its factor longer (the handle is
-    /// shared, so a plan armed later is seen here too).
-    pub fn new(
-        spec: Arc<ClusterSpec>,
-        ledger: Arc<TrafficLedger>,
-        tracer: Tracer,
-        chaos: ChaosInjector,
-    ) -> Self {
+    /// `tracer`.
+    pub fn new(spec: Arc<ClusterSpec>, ledger: Arc<TrafficLedger>, tracer: Tracer) -> Self {
         Dfs {
             spec,
             ledger,
             files: Mutex::default(),
             tracer,
-            chaos,
         }
     }
 
@@ -103,9 +93,8 @@ impl Dfs {
     /// job output, [`TrafficClass::ModelUpdate`] for model writes —
     /// distinguishing them is how Table II gets its two rows). The write
     /// starts at simulated time `t0`, the caller's clock: the charge is
-    /// windowed from there and a degradation window covering `t0`
-    /// stretches it. Returns the simulated seconds the write pipeline
-    /// takes.
+    /// windowed from there. Returns the simulated seconds the write
+    /// pipeline takes.
     pub fn create(
         &self,
         path: &str,
@@ -128,8 +117,7 @@ impl Dfs {
         // *full* replicated volume, matching how Hadoop counters report
         // "bytes written".
         let copies = self.spec.replication.min(self.spec.nodes) as u64;
-        let (mut secs, _net) = transfer::dfs_write(&self.spec, bytes);
-        secs *= self.chaos.degradation_factor(t0);
+        let (secs, _net) = transfer::dfs_write(&self.spec, bytes);
         self.ledger.add_over(class, bytes * copies, t0, t0 + secs);
         self.tracer.instant_at(
             "write",
@@ -273,12 +261,7 @@ mod tests {
 
     fn mk(spec: ClusterSpec) -> (Dfs, Arc<TrafficLedger>) {
         let ledger = Arc::new(TrafficLedger::new());
-        let dfs = Dfs::new(
-            Arc::new(spec),
-            Arc::clone(&ledger),
-            Tracer::disabled(),
-            ChaosInjector::idle(),
-        );
+        let dfs = Dfs::new(Arc::new(spec), Arc::clone(&ledger), Tracer::disabled());
         (dfs, ledger)
     }
 
@@ -316,12 +299,7 @@ mod tests {
     fn write_instant_lands_at_the_callers_start_time() {
         let tracer = Tracer::standalone();
         let ledger = Arc::new(TrafficLedger::traced(tracer.clone()));
-        let dfs = Dfs::new(
-            Arc::new(ClusterSpec::small()),
-            ledger,
-            tracer.clone(),
-            ChaosInjector::idle(),
-        );
+        let dfs = Dfs::new(Arc::new(ClusterSpec::small()), ledger, tracer.clone());
         dfs.create("/f", 1000, 0, TrafficClass::DfsWrite, 3.0)
             .unwrap();
         let tr = tracer.trace();
@@ -408,43 +386,5 @@ mod tests {
         let outsider = (0..6).find(|n| !holders.contains(n)).unwrap();
         assert_eq!(dfs.rereplicate_after_crash(outsider, 1.0, &[outsider]), 0);
         assert_eq!(l.get(TrafficClass::Recovery), 0);
-    }
-
-    #[test]
-    fn degradation_stretches_writes_but_not_bytes() {
-        use pic_simnet::chaos::FaultPlan;
-
-        let spec = ClusterSpec::small();
-        let ledger = Arc::new(TrafficLedger::new());
-        let chaos = ChaosInjector::idle();
-        chaos
-            .arm(
-                &FaultPlan::new(0).degrade_links(4.0, 0.0, 1e9),
-                &spec,
-                Tracer::disabled(),
-            )
-            .unwrap();
-        let clean = mk(ClusterSpec::small()).0;
-        let slow = Dfs::new(
-            Arc::new(spec),
-            Arc::clone(&ledger),
-            Tracer::disabled(),
-            chaos,
-        );
-        let s_clean = clean
-            .create("/f", 1_000_000, 0, TrafficClass::DfsWrite, 0.0)
-            .unwrap();
-        let s_slow = slow
-            .create("/f", 1_000_000, 0, TrafficClass::DfsWrite, 0.0)
-            .unwrap();
-        assert!(
-            (s_slow - s_clean * 4.0).abs() < 1e-9,
-            "{s_slow} vs {s_clean}"
-        );
-        assert_eq!(
-            ledger.get(TrafficClass::DfsWrite),
-            3_000_000,
-            "bytes unchanged"
-        );
     }
 }

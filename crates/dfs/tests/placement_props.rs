@@ -3,7 +3,6 @@
 use pic_dfs::placement::BlockPlacement;
 use pic_dfs::split::even_ranges;
 use pic_dfs::Dfs;
-use pic_simnet::chaos::ChaosInjector;
 use pic_simnet::trace::Tracer;
 use pic_simnet::traffic::{TrafficClass, TrafficLedger};
 use pic_simnet::ClusterSpec;
@@ -61,12 +60,7 @@ proptest! {
     ) {
         let spec = ClusterSpec::small();
         let ledger = Arc::new(TrafficLedger::new());
-        let dfs = Dfs::new(
-            Arc::new(spec),
-            Arc::clone(&ledger),
-            Tracer::disabled(),
-            ChaosInjector::idle(),
-        );
+        let dfs = Dfs::new(Arc::new(spec), Arc::clone(&ledger), Tracer::disabled());
         dfs.create("/prop/w", bytes, writer, TrafficClass::ModelUpdate, 0.0).unwrap();
         prop_assert_eq!(ledger.get(TrafficClass::ModelUpdate), bytes * 3);
         let splits = dfs.splits("/prop/w", n_splits).unwrap();

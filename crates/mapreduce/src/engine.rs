@@ -55,20 +55,14 @@ impl Engine {
         spec.validate().expect("invalid cluster spec");
         let spec = Arc::new(spec);
         let ledger = Arc::new(TrafficLedger::traced(tracer.clone()));
-        let chaos = ChaosInjector::idle();
-        let dfs = Dfs::new(
-            Arc::clone(&spec),
-            Arc::clone(&ledger),
-            tracer.clone(),
-            chaos.clone(),
-        );
+        let dfs = Dfs::new(Arc::clone(&spec), Arc::clone(&ledger), tracer.clone());
         Engine {
             spec,
             ledger,
             dfs,
             clock: SimClock::new(),
             tracer,
-            chaos,
+            chaos: ChaosInjector::idle(),
         }
     }
 
@@ -107,7 +101,7 @@ impl Engine {
     }
 
     /// Arm a deterministic fault plan: every scheduled phase from now on
-    /// consults the injector for node crashes, link degradation and
+    /// consults the injector for node crashes, preemption waves and
     /// elastic resizes. Returns the plan's validation errors unchanged.
     /// Arm *after* [`Engine::reset`] — resetting disarms.
     pub fn arm_chaos(&self, plan: &FaultPlan) -> Result<(), Vec<String>> {
@@ -156,21 +150,18 @@ impl Engine {
     }
 
     /// The one timed data movement: starting now, `bytes` of `class`
-    /// traffic occupy the wire for `raw_secs` stretched by any active
-    /// link-degradation window (same bytes, slower links). The charge is
-    /// windowed over that interval, a `name` transfer span (args: the
-    /// charged `bytes`, then `extra`) covers it, and the clock advances
-    /// past it.
+    /// traffic occupy the wire for `secs`. The charge is windowed over
+    /// that interval, a `name` transfer span (args: the charged `bytes`,
+    /// then `extra`) covers it, and the clock advances past it.
     pub fn transfer(
         &self,
         name: &str,
         class: TrafficClass,
         bytes: u64,
-        raw_secs: f64,
+        secs: f64,
         extra: &[(&str, u64)],
     ) {
         let t0 = self.now();
-        let secs = raw_secs * self.chaos.degradation_factor(t0);
         self.ledger.add_over(class, bytes, t0, t0 + secs);
         let mut args = vec![("bytes".to_string(), Payload::U64(bytes))];
         args.extend(extra.iter().map(|&(k, v)| (k.to_string(), Payload::U64(v))));
@@ -186,8 +177,7 @@ impl Engine {
     /// Write (or overwrite) a model file of `bytes` to the DFS, charged to
     /// `class`, advancing the clock by the write-pipeline time. Replication
     /// multiplies the charged bytes, per the paper's model-update
-    /// bottleneck. The DFS makes the (replicated, degradation-stretched)
-    /// charge itself.
+    /// bottleneck. The DFS makes the (replicated) charge itself.
     pub fn write_model(&self, path: &str, bytes: u64, writer: NodeId, class: TrafficClass) {
         let t0 = self.now();
         let secs = self.dfs.overwrite(path, bytes, writer, class, t0);
@@ -547,11 +537,7 @@ impl Engine {
         hp_shuffle.add_bytes(shuffle_bytes);
         stats.shuffle_bytes = shuffle_bytes;
         let shuffle_cost = transfer::shuffle(&self.spec, group, shuffle_bytes);
-        // An active degradation window stretches the shuffle's wire time
-        // (same bytes, slower links) — the chaos model's rack/bisection
-        // brown-out.
-        let degrade = self.chaos.degradation_factor(t_job);
-        let shuffle_secs = shuffle_cost.seconds * degrade;
+        let shuffle_secs = shuffle_cost.seconds;
         // Window each split over the interval its link is actually busy:
         // local and rack bytes stream for the whole modelled shuffle,
         // while the bisection share is done after its own serialization
@@ -569,7 +555,7 @@ impl Engine {
             shuffle_cost.rack_bytes,
             shuffle_secs,
         );
-        let bisection_s = shuffle_cost.bisection_bytes as f64 / self.spec.bisection_bw * degrade;
+        let bisection_s = shuffle_cost.bisection_bytes as f64 / self.spec.bisection_bw;
         charge(
             TrafficClass::ShuffleBisection,
             shuffle_cost.bisection_bytes,
@@ -838,20 +824,33 @@ mod tests {
 
     #[test]
     fn tracing_only_observes_the_simulation() {
-        /// Clock, stats without their wall-clock fields, and ledger after
-        /// a job and a model write inside a link-degradation window.
-        fn degraded_run(engine: Engine) -> (f64, String, TrafficSnapshot) {
-            let plan = FaultPlan::new(0).degrade_links(4.0, 1.0, 1e9);
+        /// Clock, stats without their wall-clock fields, ledger and
+        /// injected-event count after a job with a node crash in its map
+        /// phase, then a model write.
+        fn crashed_run(engine: Engine) -> (f64, String, TrafficSnapshot, usize) {
+            let slow = Timing {
+                map_secs: 1e-3,
+                reduce_secs: 1e-3,
+            };
+            let ds = Dataset::create(&engine, "/in", (0u64..2000).collect(), 12);
+            let plan = FaultPlan::new(7).node_crash(1, engine.now() + 0.05);
             engine.arm_chaos(&plan).unwrap();
-            engine.advance(2.0);
-            let ds = Dataset::create(&engine, "/in", (0u64..100).collect(), 4);
-            let r = engine.run(&analytic("job"), &ds, &mapper_mod(), &reducer_sum());
+            let cfg = JobConfig::new("job").timing(slow).reducers(4);
+            let r = engine.run(&cfg, &ds, &mapper_mod(), &reducer_sum());
             engine.write_model("/model", 10_000_000, 0, TrafficClass::ModelUpdate);
             let stats = simulated(r.stats);
-            (engine.now(), format!("{stats:?}"), engine.traffic())
+            let injected = engine.chaos().injected_events();
+            (
+                engine.now(),
+                format!("{stats:?}"),
+                engine.traffic(),
+                injected,
+            )
         }
-        let traced = degraded_run(Engine::new(ClusterSpec::small()));
-        let untraced = degraded_run(Engine::untraced(ClusterSpec::small()));
+        let traced = crashed_run(Engine::new(ClusterSpec::small()));
+        let untraced = crashed_run(Engine::untraced(ClusterSpec::small()));
+        assert_eq!(traced.3, 1, "the crash fired");
+        assert!(traced.2.recovery_total() > 0, "the crash charged recovery");
         assert_eq!(traced, untraced);
     }
 

@@ -1,4 +1,4 @@
-//! Deterministic fault injection: crashes, degradation, preemption, resize.
+//! Deterministic fault injection: crashes, preemption, resize.
 //!
 //! The paper ran PIC on spot-priced Amazon EMR and leaned on Hadoop's task
 //! re-execution ("if a node running a best-effort phase fails, Hadoop will
@@ -14,7 +14,7 @@
 //!
 //! Chaos only perturbs the *simulated* replay — task placement, timing and
 //! traffic. Host-side computation is never killed, so a run under crashes
-//! or degradation produces byte-identical results to the clean run; only
+//! or preemption produces byte-identical results to the clean run; only
 //! elastic resize (which changes the partitioning) may change the numbers.
 //! The scenario suite in `tests/fault_tolerance.rs` pins these invariants.
 
@@ -37,17 +37,6 @@ pub enum FaultEvent {
         node: NodeId,
         /// Absolute simulated time of the crash, seconds.
         at_s: f64,
-    },
-    /// All network transfers started inside `[from_s, until_s)` take
-    /// `factor`× as long (rack-uplink / bisection congestion). Windows
-    /// compound multiplicatively when they overlap.
-    LinkDegradation {
-        /// Slow-down multiplier, `>= 1`.
-        factor: f64,
-        /// Window start, absolute simulated seconds.
-        from_s: f64,
-        /// Window end, absolute simulated seconds.
-        until_s: f64,
     },
     /// A spot-preemption wave reclaims `k` nodes at once at `at_s`. The
     /// victims are chosen deterministically from the plan seed.
@@ -113,16 +102,6 @@ impl FaultPlan {
         self
     }
 
-    /// Degrade all links by `factor`× over `[from_s, until_s)`.
-    pub fn degrade_links(mut self, factor: f64, from_s: f64, until_s: f64) -> Self {
-        self.events.push(FaultEvent::LinkDegradation {
-            factor,
-            from_s,
-            until_s,
-        });
-        self
-    }
-
     /// Schedule a preemption wave taking `k` seed-chosen nodes at `at_s`.
     pub fn preemption_wave(mut self, k: usize, at_s: f64) -> Self {
         self.events.push(FaultEvent::PreemptionWave { k, at_s });
@@ -164,24 +143,6 @@ impl FaultPlan {
                     }
                     if !killed.insert(*node) {
                         errs.push(format!("node {node} crashes twice in one plan"));
-                    }
-                }
-                FaultEvent::LinkDegradation {
-                    factor,
-                    from_s,
-                    until_s,
-                } => {
-                    if !factor.is_finite() || *factor < 1.0 {
-                        errs.push(format!("degradation factor {factor} must be at least 1"));
-                    }
-                    if !from_s.is_finite()
-                        || !until_s.is_finite()
-                        || *from_s < 0.0
-                        || until_s <= from_s
-                    {
-                        errs.push(format!(
-                            "degradation window [{from_s}, {until_s}] is malformed"
-                        ));
                     }
                 }
                 FaultEvent::PreemptionWave { k, at_s } => {
@@ -253,15 +214,6 @@ struct Crash {
 }
 
 #[derive(Debug, Clone)]
-struct Window {
-    factor: f64,
-    from_s: f64,
-    until_s: f64,
-    /// Set once the window's `link-degraded` instant has been emitted.
-    announced: bool,
-}
-
-#[derive(Debug, Clone)]
 struct Resize {
     after_iteration: usize,
     partitions: usize,
@@ -272,17 +224,16 @@ struct Resize {
 #[derive(Debug)]
 struct Armed {
     crashes: Vec<Crash>,
-    windows: Vec<Window>,
     resizes: Vec<Resize>,
     tracer: Tracer,
     injected: usize,
 }
 
-/// Runtime handle consulted by the engine, DFS and drivers during replay.
+/// Runtime handle consulted by the engine and drivers during replay.
 ///
 /// Cloning shares state — one `Mutex` over the armed plan: the engine
-/// hands clones to the DFS and drivers so one armed plan is seen
-/// consistently everywhere. An unarmed injector is
+/// hands clones to the drivers so one armed plan is seen consistently
+/// everywhere. An unarmed injector is
 /// free to query — every method takes its fast path and reports "no fault".
 #[derive(Debug, Clone, Default)]
 pub struct ChaosInjector {
@@ -313,7 +264,6 @@ impl ChaosInjector {
     ) -> Result<(), Vec<String>> {
         plan.validate(spec)?;
         let mut crashes = Vec::new();
-        let mut windows = Vec::new();
         let mut resizes = Vec::new();
         let mut taken: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
         // Resolve in event order so wave victims never collide with
@@ -354,16 +304,6 @@ impl ChaosInjector {
                         });
                     }
                 }
-                FaultEvent::LinkDegradation {
-                    factor,
-                    from_s,
-                    until_s,
-                } => windows.push(Window {
-                    factor: *factor,
-                    from_s: *from_s,
-                    until_s: *until_s,
-                    announced: false,
-                }),
                 FaultEvent::ElasticResize {
                     after_iteration,
                     partitions,
@@ -384,7 +324,6 @@ impl ChaosInjector {
         });
         *self.armed() = Some(Armed {
             crashes,
-            windows,
             resizes,
             tracer,
             injected: 0,
@@ -398,7 +337,7 @@ impl ChaosInjector {
     }
 
     /// How many fault events have actually been injected so far (crash
-    /// instants fired, windows announced, resizes applied).
+    /// instants fired, resizes applied).
     pub fn injected_events(&self) -> usize {
         self.armed().as_ref().map_or(0, |a| a.injected)
     }
@@ -456,40 +395,6 @@ impl ChaosInjector {
         fresh
     }
 
-    /// The multiplicative slow-down for a transfer starting at `t`.
-    /// `1.0` when no degradation window covers `t`; overlapping windows
-    /// compound. The first query inside a window emits its
-    /// `link-degraded` instant at the query time (emitting at the
-    /// window edge could escape the enclosing span).
-    pub fn degradation_factor(&self, t: f64) -> f64 {
-        let mut g = self.armed();
-        let Some(a) = g.as_mut() else {
-            return 1.0;
-        };
-        let mut factor = 1.0;
-        for w in a.windows.iter_mut() {
-            if t >= w.from_s && t < w.until_s {
-                factor *= w.factor;
-                if !w.announced {
-                    w.announced = true;
-                    a.injected += 1;
-                    a.tracer.instant_at_in(
-                        CHAOS_LANE,
-                        "link-degraded",
-                        "chaos",
-                        t,
-                        vec![
-                            ("factor".to_string(), Payload::F64(w.factor)),
-                            ("w0".to_string(), Payload::F64(w.from_s)),
-                            ("w1".to_string(), Payload::F64(w.until_s)),
-                        ],
-                    );
-                }
-            }
-        }
-        factor
-    }
-
     /// If the plan resizes the cluster after driver iteration
     /// `iteration`, fire that resize (once) and return
     /// `(partitions, nodes)`. Emits an `elastic-resize` instant at `t`,
@@ -520,16 +425,12 @@ impl ChaosInjector {
     }
 }
 
-/// Chaos-specific structural checks, run by `check::validate` on every
-/// trace (they pass trivially when no chaos instants are present).
-///
-/// - A crash instant may not land strictly inside a `merge` span: the
-///   merge barrier is the driver's consistency point, and the simulation
-///   only injects crashes into scheduling rounds, never mid-merge. A
-///   trace that claims otherwise is corrupt.
-/// - A `link-degraded` window must intersect the traced run: announcing
-///   a window that lies entirely outside what actually executed means
-///   the injector and the trace disagree.
+/// The chaos-specific structural check, run by `check::validate` on every
+/// trace (it passes trivially when no chaos instants are present): a
+/// crash instant may not land strictly inside a `merge` span. The merge
+/// barrier is the driver's consistency point, and the simulation only
+/// injects crashes into scheduling rounds, never mid-merge, so a trace
+/// that claims otherwise is corrupt.
 pub fn check_chaos(trace: &Trace) -> Result<(), Vec<String>> {
     let mut errs = Vec::new();
     let extent = trace
@@ -539,28 +440,18 @@ pub fn check_chaos(trace: &Trace) -> Result<(), Vec<String>> {
         .chain(trace.instants.iter().map(|i| i.t))
         .fold(0.0f64, f64::max);
     let eps = 1e-9 * extent.max(1.0);
-    for i in trace.instants.iter().filter(|i| i.cat == "chaos") {
-        match i.name.as_str() {
-            "node-crash" | "preemption" => {
-                for s in trace.spans.iter().filter(|s| s.cat == "merge") {
-                    if i.t > s.t0 + eps && i.t < s.t1 - eps {
-                        errs.push(format!(
-                            "{} at {:.6} is a crash during merge barrier {}:{} [{:.6}, {:.6}]",
-                            i.name, i.t, s.cat, s.name, s.t0, s.t1
-                        ));
-                    }
-                }
+    let crashes = trace
+        .instants
+        .iter()
+        .filter(|i| i.cat == "chaos" && matches!(i.name.as_str(), "node-crash" | "preemption"));
+    for i in crashes {
+        for s in trace.spans.iter().filter(|s| s.cat == "merge") {
+            if i.t > s.t0 + eps && i.t < s.t1 - eps {
+                errs.push(format!(
+                    "{} at {:.6} is a crash during merge barrier {}:{} [{:.6}, {:.6}]",
+                    i.name, i.t, s.cat, s.name, s.t0, s.t1
+                ));
             }
-            "link-degraded" => {
-                let w0 = i.arg_f64("w0").unwrap_or(f64::NAN);
-                let w1 = i.arg_f64("w1").unwrap_or(f64::NAN);
-                if !(w0 < extent + eps && w1 > -eps) || w0.is_nan() || w1.is_nan() {
-                    errs.push(format!(
-                        "degradation window [{w0}, {w1}] lies outside the run (trace extent {extent:.6})"
-                    ));
-                }
-            }
-            _ => {}
         }
     }
     check::verdict(errs)
@@ -573,7 +464,6 @@ mod tests {
     fn plan() -> FaultPlan {
         FaultPlan::new(7)
             .node_crash(2, 5.0)
-            .degrade_links(3.0, 2.0, 8.0)
             .preemption_wave(2, 10.0)
             .elastic_resize(2, 6, 4)
     }
@@ -581,7 +471,7 @@ mod tests {
     #[test]
     fn valid_plan_passes() {
         plan().validate(&ClusterSpec::small()).unwrap();
-        assert_eq!(plan().events().len(), 4);
+        assert_eq!(plan().events().len(), 3);
         assert!(!plan().is_empty());
         assert_eq!(plan().seed(), 7);
     }
@@ -598,11 +488,6 @@ mod tests {
             (
                 FaultPlan::new(0).node_crash(1, 1.0).node_crash(1, 2.0),
                 "crashes twice",
-            ),
-            (FaultPlan::new(0).degrade_links(0.5, 0.0, 1.0), "at least 1"),
-            (
-                FaultPlan::new(0).degrade_links(2.0, 5.0, 1.0),
-                "is malformed",
             ),
             (FaultPlan::new(0).preemption_wave(0, 1.0), "zero nodes"),
             (
@@ -643,7 +528,6 @@ mod tests {
         let c = ChaosInjector::idle();
         assert!(c.peek_failures(0.0, 100.0).is_empty());
         assert!(c.commit_failures(100.0, 0.0, 100.0).is_empty());
-        assert_eq!(c.degradation_factor(5.0), 1.0);
         assert_eq!(c.resize_after(1, 0.0), None);
         assert_eq!(c.injected_events(), 0);
     }
@@ -732,33 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_windows_compound_and_announce_once() {
-        let c = ChaosInjector::idle();
-        let tracer = Tracer::standalone();
-        c.arm(
-            &FaultPlan::new(0)
-                .degrade_links(2.0, 0.0, 10.0)
-                .degrade_links(3.0, 5.0, 15.0),
-            &ClusterSpec::small(),
-            tracer.clone(),
-        )
-        .unwrap();
-        assert_eq!(c.degradation_factor(1.0), 2.0);
-        assert_eq!(c.degradation_factor(7.0), 6.0, "overlap compounds");
-        assert_eq!(c.degradation_factor(12.0), 3.0);
-        assert_eq!(c.degradation_factor(20.0), 1.0);
-        let tr = tracer.trace();
-        let announced: Vec<_> = tr
-            .instants
-            .iter()
-            .filter(|i| i.name == "link-degraded")
-            .collect();
-        assert_eq!(announced.len(), 2, "each window announces exactly once");
-        assert_eq!(announced[0].arg_f64("factor"), Some(2.0));
-        assert_eq!(c.injected_events(), 2);
-    }
-
-    #[test]
     fn resize_fires_once_for_its_iteration() {
         let c = ChaosInjector::idle();
         let tracer = Tracer::standalone();
@@ -830,30 +687,6 @@ mod tests {
         assert!(
             errs.iter()
                 .any(|e| e.contains("crash during merge barrier")),
-            "got {errs:?}"
-        );
-    }
-
-    #[test]
-    fn check_chaos_rejects_window_outside_the_run() {
-        let t = Tracer::standalone();
-        let id = t.begin_at("run", "driver", 0.0);
-        t.end_at(id, 10.0);
-        t.instant_at_in(
-            CHAOS_LANE,
-            "link-degraded",
-            "chaos",
-            5.0,
-            vec![
-                ("factor".to_string(), Payload::F64(2.0)),
-                ("w0".to_string(), Payload::F64(50.0)),
-                ("w1".to_string(), Payload::F64(60.0)),
-            ],
-        );
-        let errs = check_chaos(&t.trace()).unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("degradation window") && e.contains("outside the run")),
             "got {errs:?}"
         );
     }

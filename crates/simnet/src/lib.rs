@@ -24,9 +24,9 @@
 //!   measured durations onto the cluster's map/reduce slots in waves, with
 //!   data-locality preference, and reports the makespan.
 //! * [`chaos`] — deterministic, seeded fault injection ([`FaultPlan`] /
-//!   [`ChaosInjector`]): node crashes, rack/bisection degradation windows,
-//!   spot-preemption waves and elastic resize, each emitted as trace
-//!   instants so recovery cost is attributable per phase.
+//!   [`ChaosInjector`]): node crashes, spot-preemption waves and elastic
+//!   resize, each emitted as trace instants so recovery cost is
+//!   attributable per phase.
 //! * [`timeline`] — time-resolved utilization derived from a trace:
 //!   per-traffic-class byte series that reconcile exactly with the
 //!   ledger, and slot-pool occupancy against [`ClusterSpec`] slot counts

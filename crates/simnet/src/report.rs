@@ -19,12 +19,14 @@
 //!   `outside` bucket, and the per-class sums reconcile **exactly**
 //!   (`==`) with the [`crate::traffic::TrafficLedger`] totals —
 //!   [`PerfReport::reconcile`] asserts it.
-//! * [`PerfReport::to_json`] — a deterministic, schema-versioned JSON
-//!   rendering (written by hand: key order and number formatting are part
-//!   of the byte-identity contract) that
-//!   `bench`'s `BENCH_pic.json` embeds and the `regress` gate diffs. The
-//!   JSON contains no host wall-clock values, so it is byte-identical
-//!   across rayon pool widths. DESIGN.md §9 documents the schema.
+//! * [`PerfReport::write_json`] — a deterministic JSON rendering (written
+//!   by hand: key order and number formatting are part of the
+//!   byte-identity contract) that `bench`'s `BENCH_pic.json` nests once
+//!   per run under its own single `schema_version`, and the `regress`
+//!   gate diffs. [`PerfReport::to_json`] wraps the same fields in a
+//!   standalone versioned document. The JSON contains no host wall-clock
+//!   values, so it is byte-identical across rayon pool widths. DESIGN.md
+//!   §9 documents the schema.
 
 use crate::sweep::{collect_charges, phase_key, slot_group};
 use crate::trace::{check, json_string, Span, SpanId, Trace};
@@ -33,10 +35,12 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Version stamp for [`PerfReport::to_json`]; bump on any breaking field
-/// change (see DESIGN.md §9 for the policy). Version 2 added the per-app
-/// `quality` section (DESIGN.md §10); version 3 added the per-app
-/// `utilization` section (DESIGN.md §11); version 4 added the top-level
+/// Version stamp of `BENCH_pic.json`, written once at its top (`bench`'s
+/// `bench_json` nests each run's [`PerfReport::write_json`] under it), and
+/// of the standalone [`PerfReport::to_json`] document; bump on any
+/// breaking field change (see DESIGN.md §9 for the policy). Version 2
+/// added the per-app `quality` section (DESIGN.md §10); version 3 added
+/// the per-app `utilization` section (DESIGN.md §11); version 4 added the top-level
 /// `quality_under_failure` campaign matrix (DESIGN.md §12); version 5
 /// added the top-level `tenancy` section — multi-tenant p50/p95/p99
 /// time-to-quality and packing density (DESIGN.md §13); version 6 added
@@ -56,8 +60,10 @@ use std::fmt::Write as _;
 /// removed the keys that restate others: each run's `phase_time_s` and
 /// `counters` (and its zero-byte `class_bytes` entries), the
 /// `shuffle_total` and `model_update_total` sums of every byte object,
-/// each run's own `schema_version`, and `idle_util` from `utilization`.
-pub const REPORT_SCHEMA_VERSION: u64 = 11;
+/// each run's own `schema_version`, and `idle_util` from `utilization`;
+/// version 12 removed the link-slowdown cells from
+/// `quality_under_failure` with that fault.
+pub const REPORT_SCHEMA_VERSION: u64 = 12;
 
 /// Span categories that mark one driver-level iteration; traffic is
 /// attributed to the nearest enclosing span with one of these cats.
@@ -1610,7 +1616,7 @@ mod tests {
         assert_eq!(a, b, "rendering twice must be identical");
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert!(a.contains("\"schema_version\": 11"));
+        assert!(a.contains("\"schema_version\": 12"));
         assert!(a.contains("\"total_s\": 10"));
         assert!(a.contains("\"phase/a\""));
         assert!(

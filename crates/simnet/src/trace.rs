@@ -728,9 +728,8 @@ pub mod check {
 
     /// Run the whole structural suite: nesting, slot non-overlap, exact
     /// byte attribution against `ledger`, quality-sample placement, the
-    /// chaos checks (crash clear of merge barriers, degradation
-    /// windows inside the run), and the monitor window-integral
-    /// reconciliation.
+    /// chaos check (crashes clear of merge barriers), and the monitor
+    /// window-integral reconciliation.
     pub fn validate(trace: &Trace, ledger: &TrafficSnapshot) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
         for r in [

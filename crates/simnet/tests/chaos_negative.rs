@@ -44,22 +44,6 @@ fn plan_killing_every_node_is_rejected() {
 }
 
 #[test]
-fn malformed_degradation_window_is_rejected() {
-    let spec = ClusterSpec::small();
-    let errs = FaultPlan::new(3)
-        .degrade_links(2.0, 5.0, 5.0)
-        .validate(&spec)
-        .unwrap_err();
-    assert_violation(&errs, &["degradation window [5, 5] is malformed"]);
-
-    let errs = FaultPlan::new(3)
-        .degrade_links(0.5, 0.0, 1.0)
-        .validate(&spec)
-        .unwrap_err();
-    assert_violation(&errs, &["degradation factor 0.5 must be at least 1"]);
-}
-
-#[test]
 fn crash_during_merge_barrier_is_reported() {
     let tracer = Tracer::standalone();
     let root = tracer.begin_at("root", "driver", 0.0);
@@ -84,39 +68,9 @@ fn crash_during_merge_barrier_is_reported() {
 }
 
 #[test]
-fn degradation_window_outside_the_run_is_reported() {
+fn crash_at_a_merge_edge_passes() {
     let tracer = Tracer::standalone();
     let root = tracer.begin_at("root", "driver", 0.0);
-    // Announced window [100, 200] while the run ends at t=10: the
-    // injector and the trace disagree about what executed.
-    tracer.instant_at(
-        "link-degraded",
-        "chaos",
-        5.0,
-        vec![
-            ("w0".to_string(), Payload::F64(100.0)),
-            ("w1".to_string(), Payload::F64(200.0)),
-            ("factor".to_string(), Payload::F64(4.0)),
-        ],
-    );
-    tracer.end_at(root, 10.0);
-    let errs = check_chaos(&tracer.trace()).unwrap_err();
-    assert_violation(&errs, &["degradation window [100, 200]", "outside the run"]);
-}
-
-#[test]
-fn intersecting_window_and_clean_trace_pass() {
-    let tracer = Tracer::standalone();
-    let root = tracer.begin_at("root", "driver", 0.0);
-    tracer.instant_at(
-        "link-degraded",
-        "chaos",
-        5.0,
-        vec![
-            ("w0".to_string(), Payload::F64(4.0)),
-            ("w1".to_string(), Payload::F64(20.0)),
-        ],
-    );
     // A crash instant at a merge-span *edge* is fine: barriers begin and
     // end on scheduling-round boundaries.
     let merge = tracer.begin_at("merge-1", "merge", 6.0);
@@ -175,25 +129,17 @@ fn any_count() -> impl Strategy<Value = usize> {
 
 /// Any fault event, every field drawn from its whole domain.
 fn any_event() -> impl Strategy<Value = FaultEvent> {
-    (
-        0u8..4,
-        (any_count(), any_count(), any_count()),
-        (any_time(), any_time(), any_time()),
-    )
-        .prop_map(|(kind, (a, b, c), (x, y, z))| match kind {
+    (0u8..3, (any_count(), any_count(), any_count()), any_time()).prop_map(
+        |(kind, (a, b, c), x)| match kind {
             0 => FaultEvent::NodeCrash { node: a, at_s: x },
-            1 => FaultEvent::LinkDegradation {
-                factor: x,
-                from_s: y,
-                until_s: z,
-            },
-            2 => FaultEvent::PreemptionWave { k: a, at_s: x },
+            1 => FaultEvent::PreemptionWave { k: a, at_s: x },
             _ => FaultEvent::ElasticResize {
                 after_iteration: a,
                 partitions: b,
                 nodes: c,
             },
-        })
+        },
+    )
 }
 
 proptest! {
@@ -210,9 +156,6 @@ proptest! {
         let spec = ClusterSpec::small();
         let plan = events.iter().fold(FaultPlan::new(seed), |p, e| match *e {
             FaultEvent::NodeCrash { node, at_s } => p.node_crash(node, at_s),
-            FaultEvent::LinkDegradation { factor, from_s, until_s } => {
-                p.degrade_links(factor, from_s, until_s)
-            }
             FaultEvent::PreemptionWave { k, at_s } => p.preemption_wave(k, at_s),
             FaultEvent::ElasticResize { after_iteration, partitions, nodes } => {
                 p.elastic_resize(after_iteration, partitions, nodes)

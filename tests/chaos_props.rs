@@ -9,7 +9,7 @@ use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, Timing};
 use pic_simnet::chaos::FaultPlan;
 use pic_simnet::report::fmt_f64;
-use pic_simnet::trace::{check, Span, SpanId};
+use pic_simnet::trace::{Span, SpanId};
 use pic_simnet::ClusterSpec;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -76,10 +76,7 @@ proptest! {
         seed in 0u64..1_000,
         crash_node in 1usize..6,
         crash_frac in 0.05f64..1.2,
-        // factor < 1.5 means "no degradation window in this plan";
         // wave_nodes == 0 means "no preemption wave".
-        degrade_factor in 0.0f64..6.0,
-        degrade_w in (0.0f64..0.5, 0.55f64..1.0),
         wave_nodes in 0usize..3,
         wave_frac in 0.1f64..0.9,
     ) {
@@ -93,10 +90,6 @@ proptest! {
         let (clean_model, _) = replay(None);
 
         let mut plan = FaultPlan::new(seed).node_crash(crash_node, crash_frac * t_clean);
-        if degrade_factor >= 1.5 {
-            let (f0, f1) = degrade_w;
-            plan = plan.degrade_links(degrade_factor, f0 * t_clean, f1 * t_clean);
-        }
         if wave_nodes > 0 {
             plan = plan.preemption_wave(wave_nodes, wave_frac * t_clean);
         }
@@ -176,33 +169,6 @@ fn crash_time_bisection_pins_the_effective_window() {
     assert!(!crash_fires(hi * 1.5), "crash past the window fired");
 }
 
-/// Start and duration of the `rebalance` transfer an elastic resize pays
-/// under `plan`, for the IC (`pic == false`) or PIC driver.
-fn rebalance_span(pic: bool, plan: &FaultPlan) -> (f64, f64) {
-    let (app, rows, n) = app();
-    let engine = Engine::new(ClusterSpec::small());
-    let data = Dataset::create(&engine, "/props/rebalance", rows, 5);
-    engine.reset();
-    engine.arm_chaos(plan).expect("valid plan");
-    if pic {
-        let opts = PicOptions {
-            partitions: 5, // the app's fixed block count
-            ..Default::default()
-        };
-        run_pic(&engine, &app, &data, vec![0.0; n], &opts);
-    } else {
-        run_ic(&engine, &app, &data, vec![0.0; n], &IcOptions::default());
-    }
-    let trace = engine.trace();
-    check::validate(&trace, &engine.traffic()).expect("resized trace validates");
-    let span = trace
-        .spans
-        .iter()
-        .find(|s| s.cat == "transfer" && s.name == "rebalance")
-        .expect("the resize pays a rebalance transfer");
-    (span.t0, span.duration_s())
-}
-
 /// An IC run shrunk from 6 to 4 nodes after its first iteration gives
 /// every later job one reduce task per remaining node, all of them on the
 /// remaining nodes.
@@ -249,24 +215,5 @@ fn resized_ic_jobs_reduce_on_one_task_per_remaining_node() {
             .collect();
         assert_eq!(nodes.len(), 4, "{}: {nodes:?}", by_id[&job].name);
         assert!(nodes.iter().all(|&node| node < 4), "{nodes:?}");
-    }
-}
-
-/// A link brown-out stretches the rebalance transfer like every other
-/// transfer: a 4× window opening exactly at the rebalance makes it take 4×
-/// the resize-only run's time, under both drivers.
-#[test]
-fn degraded_links_stretch_the_rebalance_transfer() {
-    for pic in [false, true] {
-        let resize = FaultPlan::new(3).elastic_resize(1, 5, 4);
-        let (t_rb, clean_s) = rebalance_span(pic, &resize);
-        assert!(clean_s > 0.0);
-        let degraded = resize.degrade_links(4.0, t_rb, t_rb + clean_s);
-        let (t_degraded, degraded_s) = rebalance_span(pic, &degraded);
-        assert_eq!(t_degraded, t_rb, "nothing before the window moves");
-        assert!(
-            (degraded_s - 4.0 * clean_s).abs() <= 1e-9 * degraded_s,
-            "pic={pic}: rebalance took {degraded_s} s degraded vs {clean_s} s clean"
-        );
     }
 }
