@@ -50,7 +50,7 @@ fn report(m: &Matches) -> Result<i32, Failure> {
         if m.on("--quality") {
             println!("{}", run.quality.render());
         } else {
-            println!("{}", run.render(m.num("--path-limit")));
+            println!("{}", run.render());
         }
     }
     if let Some(dir) = m.get("--traces") {

@@ -265,7 +265,6 @@ pub const COMMANDS: &[Command] = &[
         SCALE,
         APP_SUBSET,
         flag("--traces",       "<dir>", Kind::Text, "",   "export Chrome about:tracing JSON per app/run"),
-        flag("--path-limit",   "<n>",   Kind::U64,  "40", "critical-path lines to print (0 = all)"),
         switch("--check",      "validate every trace invariant; exit 1 on violation"),
         switch("--quality",    "print only the quality-of-convergence sections"),
         switch("--profile-host", "print host-side stage timings (DESIGN.md §14)"),
@@ -646,7 +645,16 @@ mod tests {
     #[test]
     fn removed_exports_are_unknown_flags() {
         let removed: [(&str, &[&str]); 5] = [
-            ("report", &["--json", "--csv", "--util-csv", "--chaos-csv"]),
+            (
+                "report",
+                &[
+                    "--json",
+                    "--csv",
+                    "--util-csv",
+                    "--chaos-csv",
+                    "--path-limit",
+                ],
+            ),
             (
                 "explain",
                 &[

@@ -4,8 +4,8 @@
 //! Where the regression gate (`json::diff`) answers *whether* two reports
 //! differ, this module answers *where the time went*, from the gate's own
 //! walk and band rule ([`json::compare`]) run over the subtrees it
-//! attributes: per-app simulated seconds along the critical-path
-//! categories and per-phase rollups, byte deltas by traffic class, the
+//! attributes: per-app simulated seconds of the run totals and the
+//! per-phase rollups, byte deltas by traffic class, the
 //! first point at which the convergence curves diverge, and — when both
 //! documents carry a `host_profile` section — host-side stage deltas.
 //! Results come back ranked (most-regressing segment first) for the CLI
@@ -24,8 +24,7 @@ use std::fmt::Write as _;
 pub struct DeltaEntry {
     /// App the segment belongs to (empty for suite-level host stages).
     pub app: String,
-    /// Attribution axis: `total`, `critical-path`, `phase`, `traffic`,
-    /// or `host-stage`.
+    /// Attribution axis: `total`, `phase`, `traffic` or `host-stage`.
     pub axis: &'static str,
     /// Driver side (`ic` / `pic`), empty when the axis has no side.
     pub side: String,
@@ -91,8 +90,8 @@ pub struct QualityDivergence {
 /// Full attribution between two reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiffReport {
-    /// Simulated-seconds deltas (totals, critical-path categories,
-    /// phase rollups), sorted most-regressing first.
+    /// Simulated-seconds deltas (totals, phase rollups), sorted
+    /// most-regressing first.
     pub time: Vec<DeltaEntry>,
     /// Byte deltas by traffic class, sorted by |delta| descending.
     pub bytes: Vec<DeltaEntry>,
@@ -260,16 +259,15 @@ fn moves(d: &json::Difference) -> bool {
     number(d.old) != number(d.new)
 }
 
-/// `(label, old, new)` for every label of the maps at `path` below `old`
-/// and `new` whose [`number`] the gate's walk finds moved.
+/// `(label, old, new)` for every label of the maps at `key` of `old` and
+/// `new` whose [`number`] the gate's walk finds moved.
 fn moved<'a>(
     old: Option<&'a Json>,
     new: Option<&'a Json>,
-    path: &[&'a str],
+    key: &'a str,
     eps: f64,
 ) -> Vec<(&'a str, f64, f64)> {
-    let (a, b) = (lookup(old, path), lookup(new, path));
-    let key = path[path.len() - 1];
+    let (a, b) = (lookup(old, &[key]), lookup(new, &[key]));
     let diffs = json::compare(key, a.unwrap_or(&EMPTY), b.unwrap_or(&EMPTY), eps);
     diffs
         .into_iter()
@@ -285,9 +283,9 @@ fn moved<'a>(
 
 /// Whether [`diff_docs`] attributes the gate's difference `d` between two
 /// reports whose apps pair up index by index: an app's totals, a label of
-/// its critical-path, phase or traffic-class maps (or that label's
-/// `total_s`) whose number [`moves`], or a point of its convergence
-/// curves (or their lengths).
+/// its phase or traffic-class maps (or that label's `total_s`) whose
+/// number [`moves`], or a point of its convergence curves (or their
+/// lengths).
 fn attributed(d: &json::Difference) -> bool {
     use Step::{Index, Key};
     let [Key("apps"), Index(_), rest @ ..] = &d.path[..] else {
@@ -302,11 +300,7 @@ fn attributed(d: &json::Difference) -> bool {
                 [map @ .., Key(_), Key("total_s")] | [map @ .., Key(_)] => map,
                 _ => return false,
             };
-            let axis = matches!(
-                map,
-                [Key("critical_path"), Key("by_cat_s")] | [Key("phases")] | [Key("class_bytes")]
-            );
-            axis && moves(d)
+            matches!(map, [Key("phases")] | [Key("class_bytes")]) && moves(d)
         }
         _ => false,
     }
@@ -372,17 +366,12 @@ pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, Str
         }
         for side in ["ic", "pic"] {
             let (o, n) = (old_app.get(side), new_app.get(side));
-            let axes: [(_, &[&str]); 3] = [
-                ("critical-path", &["critical_path", "by_cat_s"]),
-                ("phase", &["phases"]),
-                ("traffic", &["class_bytes"]),
+            let axes = [
+                ("phase", "phases", &mut report.time),
+                ("traffic", "class_bytes", &mut report.bytes),
             ];
-            for (axis, path) in axes {
-                let list = match axis {
-                    "traffic" => &mut report.bytes,
-                    _ => &mut report.time,
-                };
-                for m in moved(o, n, path, epsilon) {
+            for (axis, key, list) in axes {
+                for m in moved(o, n, key, epsilon) {
                     list.push(DeltaEntry::new(name, axis, side, m));
                 }
             }
@@ -457,7 +446,7 @@ pub fn diff_docs(old: &Json, new: &Json, epsilon: f64) -> Result<DiffReport, Str
     if let (Some(o @ Json::Obj(_)), Some(n @ Json::Obj(_))) =
         (old.get("host_profile"), new.get("host_profile"))
     {
-        for (stage, a, b) in moved(Some(o), Some(n), &["stages"], 0.0) {
+        for (stage, a, b) in moved(Some(o), Some(n), "stages", 0.0) {
             if (a - b).abs() > HOST_BAND * a.abs().max(b.abs()) {
                 let entry = DeltaEntry::new("", "host-stage", "", (stage, a, b));
                 report.host.push(entry);
@@ -539,8 +528,8 @@ mod tests {
             &["apps", "0", "pic", "class_bytes", "shuffle-rack"],
             |v| v * 2.0,
         );
-        // Grow one pic phase a lot and one ic critical-path category a
-        // little; ranking must put the bigger regression first.
+        // Grow one pic phase a lot and one ic phase a little; ranking
+        // must put the bigger regression first.
         set_num(
             &mut new,
             &["apps", "0", "pic", "phases", "topoff", "total_s"],
@@ -548,7 +537,7 @@ mod tests {
         );
         set_num(
             &mut new,
-            &["apps", "0", "ic", "critical_path", "by_cat_s", "task"],
+            &["apps", "0", "ic", "phases", "phase/map", "total_s"],
             |v| v + 5.0,
         );
 
@@ -568,7 +557,12 @@ mod tests {
             report.time
         );
         assert!((top.delta() - 50.0).abs() < 1e-6);
-        assert_eq!(report.time[1].label, "task");
+        let second = &report.time[1];
+        assert_eq!(
+            (second.side.as_str(), second.label.as_str()),
+            ("ic", "phase/map")
+        );
+        assert!((second.delta() - 5.0).abs() < 1e-6);
 
         let top_bytes = &report.bytes[0];
         assert_eq!(
@@ -789,7 +783,6 @@ mod tests {
             matches!(
                 p[..],
                 ["apps", _, "ic_total_s" | "pic_total_s"]
-                    | ["apps", _, "ic" | "pic", "critical_path", "by_cat_s", _]
                     | ["apps", _, "ic" | "pic", "phases", _, "total_s"]
                     | ["apps", _, "ic" | "pic", "class_bytes", _]
                     | ["apps", _, "quality", "ic_curve" | "pic_curve", _, _]

@@ -217,14 +217,14 @@ impl AppRun {
     }
 
     /// Human-readable report for both runs.
-    pub fn render(&self, path_limit: usize) -> String {
+    pub fn render(&self) -> String {
         format!(
             "=== {} ({}) — speedup {:.2}x ===\n\n--- IC baseline ---\n{}\n--- PIC ---\n{}\n{}",
             self.app,
             self.experiment,
             self.speedup_x(),
-            PerfReport::from_trace(&self.ic_trace).render(path_limit),
-            PerfReport::from_trace(&self.pic_trace).render(path_limit),
+            PerfReport::from_trace(&self.ic_trace).render(),
+            PerfReport::from_trace(&self.pic_trace).render(),
             self.quality.render(),
         )
     }
@@ -575,7 +575,6 @@ mod tests {
                 keys(r),
                 [
                     "total_s",
-                    "critical_path",
                     "phases",
                     "tasks",
                     "iterations",
@@ -887,10 +886,10 @@ mod tests {
     #[test]
     fn render_covers_both_sides() {
         let runs = linsolve_runs();
-        let text = runs[0].render(10);
+        let text = runs[0].render();
         assert!(text.contains("IC baseline"));
         assert!(text.contains("--- PIC ---"));
-        assert!(text.contains("critical path"));
+        assert!(text.contains("phase rollups"));
         assert!(text.contains("per-iteration decomposition"));
     }
 }

@@ -329,9 +329,6 @@ pub enum DiffKind {
 pub struct Difference<'a> {
     /// Where, relative to the compared root.
     pub path: Vec<Step<'a>>,
-    /// The key that decides the band: the value's own key, or the nearest
-    /// enclosing key when only that one is banded.
-    pub key: &'a str,
     /// The baseline's value (none for [`DiffKind::Extra`]).
     pub old: Option<&'a Json>,
     /// The fresh value (none for [`DiffKind::Missing`]).
@@ -352,16 +349,16 @@ fn banded(key: &str) -> bool {
 /// difference between two values found under `key` (empty at a document's
 /// root; array elements sit under their array's key), in document order.
 /// Keys starting `host_` (wall clock) are skipped. A number is banded —
-/// equal within `eps·max(|a|,|b|,1)` — when its own key, or else the
-/// nearest enclosing key, is `banded`; every other number must match by
-/// raw literal, then by value. Everything else must match exactly.
+/// equal within `eps·max(|a|,|b|,1)` — when its own key is `banded`;
+/// every other number must match by raw literal, then by value.
+/// Everything else must match exactly.
 pub fn compare<'a>(key: &'a str, old: &'a Json, new: &'a Json, eps: f64) -> Vec<Difference<'a>> {
     let mut walk = Walk {
         path: Vec::new(),
         eps,
         out: Vec::new(),
     };
-    walk.visit(key, "", Some(old), Some(new));
+    walk.visit(key, Some(old), Some(new));
     walk.out
 }
 
@@ -372,8 +369,7 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn visit(&mut self, key: &'a str, parent: &'a str, a: Option<&'a Json>, b: Option<&'a Json>) {
-        let band = [key, parent].into_iter().find(|k| banded(k));
+    fn visit(&mut self, key: &'a str, a: Option<&'a Json>, b: Option<&'a Json>) {
         let kind = match (a, b) {
             (Some(a @ Json::Obj(af)), Some(b @ Json::Obj(bf))) => {
                 let pairs = af.iter().map(|(k, v)| (k, Some(v), b.get(k)));
@@ -381,7 +377,7 @@ impl<'a> Walk<'a> {
                 for (k, av, bv) in pairs.chain(fresh_only.map(|(k, v)| (k, None, Some(v)))) {
                     if !k.starts_with("host_") {
                         self.path.push(Step::Key(k));
-                        self.visit(k, key, av, bv);
+                        self.visit(k, av, bv);
                         self.path.pop();
                     }
                 }
@@ -389,20 +385,18 @@ impl<'a> Walk<'a> {
             }
             (Some(Json::Arr(ai)), Some(Json::Arr(bi))) => {
                 if ai.len() != bi.len() {
-                    self.found(DiffKind::Length, key, a, b);
+                    self.found(DiffKind::Length, a, b);
                 }
                 for (i, (av, bv)) in ai.iter().zip(bi).enumerate() {
                     self.path.push(Step::Index(i));
-                    self.visit(key, parent, Some(av), Some(bv));
+                    self.visit(key, Some(av), Some(bv));
                     self.path.pop();
                 }
                 return;
             }
-            (Some(Json::Num(x, x_raw)), Some(Json::Num(y, y_raw))) => match band {
-                Some(_) if (x - y).abs() > self.eps * x.abs().max(y.abs()).max(1.0) => {
-                    DiffKind::Band
-                }
-                None if x_raw != y_raw && x != y => DiffKind::Exact,
+            (Some(Json::Num(x, x_raw)), Some(Json::Num(y, y_raw))) => match banded(key) {
+                true if (x - y).abs() > self.eps * x.abs().max(y.abs()).max(1.0) => DiffKind::Band,
+                false if x_raw != y_raw && x != y => DiffKind::Exact,
                 _ => return,
             },
             (Some(x), Some(y)) if x == y => return,
@@ -410,14 +404,13 @@ impl<'a> Walk<'a> {
             (Some(_), None) => DiffKind::Missing,
             (None, _) => DiffKind::Extra,
         };
-        self.found(kind, band.unwrap_or(key), a, b);
+        self.found(kind, a, b);
     }
 
-    fn found(&mut self, kind: DiffKind, key: &'a str, a: Option<&'a Json>, b: Option<&'a Json>) {
+    fn found(&mut self, kind: DiffKind, a: Option<&'a Json>, b: Option<&'a Json>) {
         let (path, old, new) = (self.path.clone(), a, b);
         self.out.push(Difference {
             path,
-            key,
             old,
             new,
             kind,
@@ -619,39 +612,39 @@ mod tests {
         assert_eq!(diff(&e1, &e2, 1e-9).len(), 1, "plain 'stderr' is exact");
     }
 
-    /// One rule for every key: a number is banded when its own key or
-    /// else its enclosing key is, so `by_cat_s` / `phase_time_s` children
-    /// are seconds too; no key is wider than the rest, so a 5e-8 relative
-    /// drift of `recovery_s` / `delta_makespan_s` / `incident_s` is
-    /// flagged. Counts stay exact.
+    /// One rule for every key: a number is banded when its own key is (an
+    /// array element's key is its array's), never through an enclosing
+    /// object's key, so the children of a `_s`-named object compare
+    /// exactly; no key is wider than the rest, so a 5e-8 relative drift
+    /// of `recovery_s` / `delta_makespan_s` / `incident_s` is flagged.
+    /// Counts stay exact.
     #[test]
-    fn one_band_rule_covers_children_and_widens_nothing() {
+    fn one_band_rule_reads_a_numbers_own_key_and_widens_nothing() {
         let a = obj(
-            r#"{"by_cat_s": {"task": 30.503265727999995}, "phase_time_s": {"be": 2.5}, "class_bytes": {"shuffle": 10}}"#,
+            r#"{"phase": {"total_s": 2.5}, "by_s": {"task": 2.5}, "ts_s": [2.5], "class_bytes": {"shuffle": 10}}"#,
         );
         let ulp = obj(
-            r#"{"by_cat_s": {"task": 30.503265728000001}, "phase_time_s": {"be": 2.5000000000000004}, "class_bytes": {"shuffle": 10}}"#,
+            r#"{"phase": {"total_s": 2.5000000000000004}, "by_s": {"task": 2.5}, "ts_s": [2.5000000000000004], "class_bytes": {"shuffle": 10}}"#,
         );
         assert!(
             diff(&a, &ulp, EPSILON).is_empty(),
             "an ulp is inside the band"
         );
         let moved = obj(
-            r#"{"by_cat_s": {"task": 31.5}, "phase_time_s": {"be": 2.5}, "class_bytes": {"shuffle": 11}}"#,
+            r#"{"phase": {"total_s": 31.5}, "by_s": {"task": 2.5000000000000004}, "ts_s": [2.5], "class_bytes": {"shuffle": 11}}"#,
         );
         let d = compare("", &a, &moved, EPSILON);
-        let found: Vec<_> = d.iter().map(|d| (d.path.clone(), d.key, d.kind)).collect();
+        let found: Vec<_> = d.iter().map(|d| (d.path.clone(), d.kind)).collect();
         assert_eq!(
             found,
             [
                 (
-                    vec![Step::Key("by_cat_s"), Step::Key("task")],
-                    "by_cat_s",
+                    vec![Step::Key("phase"), Step::Key("total_s")],
                     DiffKind::Band
                 ),
+                (vec![Step::Key("by_s"), Step::Key("task")], DiffKind::Exact),
                 (
                     vec![Step::Key("class_bytes"), Step::Key("shuffle")],
-                    "shuffle",
                     DiffKind::Exact
                 ),
             ]

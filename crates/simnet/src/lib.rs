@@ -83,8 +83,7 @@ pub use clock::SimClock;
 pub use hostprof::{HostProfile, Stage, StageProfile};
 pub use monitor::{Incident, Monitor, MonitorConfig, MonitorReport, Rule};
 pub use report::{
-    CriticalPath, CriticalSegment, IterationRollup, PerfReport, QualityPoint, QualityReport,
-    TenancyReport, TenancyRow,
+    IterationRollup, PerfReport, QualityPoint, QualityReport, TenancyReport, TenancyRow,
 };
 pub use scheduler::{ScheduleOutcome, SlotScheduler, TaskLaunch, TaskSpec};
 pub use tenancy::{

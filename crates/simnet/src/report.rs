@@ -1,24 +1,21 @@
-//! Trace-driven performance analysis: critical paths, rollups, reports.
+//! Trace-driven performance analysis: rollups and reports.
 //!
 //! The PR-2 trace layer records *what happened*; this module explains
 //! *where the simulated time went* — the paper's own argument is exactly
 //! such a decomposition (Fig. 2: shuffle bytes vs model-update bytes vs
-//! compute per iteration). Three consumers share it:
+//! compute per iteration). Two consumers share it:
 //!
-//! * [`CriticalPath`] — the longest simulated-time chain through the span
-//!   tree (job → phase → task on the engine side, pic → BE-iteration →
-//!   solve/merge → top-off on the driver side), with per-segment slack
-//!   against the runner-up sibling. The path's segments tile the root
-//!   span's window contiguously, so their durations telescope to the root
-//!   duration — `tests/report_invariants.rs` pins that to 1e-9 relative.
-//! * [`PerfReport`] — per-phase percentile rollups, per-slot straggler /
-//!   skew statistics, and per-iteration traffic attribution mirroring the
-//!   paper's Fig. 2 decomposition. Traffic
-//!   instants are charged to the nearest enclosing iteration span (cats
-//!   `be-iteration` / `ic` / `topoff`), anything outside goes to an
-//!   `outside` bucket, and the per-class sums reconcile **exactly**
-//!   (`==`) with the [`crate::traffic::TrafficLedger`] totals —
-//!   [`PerfReport::reconcile`] asserts it.
+//! * [`PerfReport`] — the run's total (the longest root span), per-phase
+//!   percentile rollups, per-slot straggler / skew statistics, and
+//!   per-iteration traffic attribution mirroring the paper's Fig. 2
+//!   decomposition. Traffic instants are charged to the nearest
+//!   enclosing iteration span (cats `be-iteration` / `ic` / `topoff`),
+//!   anything outside goes to an `outside` bucket, and the per-class sums
+//!   reconcile **exactly** (`==`) with the [`crate::traffic::TrafficLedger`]
+//!   totals — [`PerfReport::reconcile`] asserts it. An iterative run is a
+//!   chain of barrier-separated jobs, so its longest chain of spans
+//!   crosses every task-running phase: the phase rollups already say
+//!   where the time went, and [`crate::whatif`] says which spans gated it.
 //! * [`PerfReport::write_json`] — a deterministic JSON rendering (written
 //!   by hand: key order and number formatting are part of the
 //!   byte-identity contract) that `bench`'s `BENCH_pic.json` nests once
@@ -29,7 +26,7 @@
 //!   §9 documents the schema.
 
 use crate::sweep::{collect_charges, phase_key, slot_group};
-use crate::trace::{check, json_string, Span, SpanId, Trace};
+use crate::trace::{check, json_string, Span, Trace};
 use crate::traffic::{human_bytes, TrafficClass, TrafficSnapshot};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -62,64 +59,17 @@ use std::fmt::Write as _;
 /// `shuffle_total` and `model_update_total` sums of every byte object,
 /// each run's own `schema_version`, and `idle_util` from `utilization`;
 /// version 12 removed the link-slowdown cells from
-/// `quality_under_failure` with that fault.
-pub const REPORT_SCHEMA_VERSION: u64 = 12;
+/// `quality_under_failure` with that fault; version 13 removed each
+/// run's `critical_path`, which only restated its `phases`.
+pub const REPORT_SCHEMA_VERSION: u64 = 13;
 
 /// Span categories that mark one driver-level iteration; traffic is
 /// attributed to the nearest enclosing span with one of these cats.
 const ITERATION_CATS: [&str; 3] = ["be-iteration", "ic", "topoff"];
 
-/// `a <= b` up to the relative epsilon used throughout the trace layer.
-fn le(a: f64, b: f64) -> bool {
-    a <= b + 1e-9 * a.abs().max(b.abs()).max(1.0)
-}
-
-/// One segment of a critical path: a maximal stretch of simulated time
-/// attributed to a single span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalSegment {
-    /// The span this stretch of time is charged to.
-    pub span: SpanId,
-    /// Its name.
-    pub name: String,
-    /// Its category.
-    pub cat: &'static str,
-    /// Its display lane.
-    pub lane: String,
-    /// Tree depth below the path's root (root = 0).
-    pub depth: usize,
-    /// Segment start, simulated seconds.
-    pub t0: f64,
-    /// Segment end, simulated seconds.
-    pub t1: f64,
-    /// True when the span has children but none of them covers this
-    /// stretch — time the span spent in its own code between children.
-    pub is_self: bool,
-    /// How much later this span finished than the runner-up sibling
-    /// competing for the path (`None` for self segments and only
-    /// children). Large slack = this span alone gates the parent.
-    pub slack_s: Option<f64>,
-}
-
-impl CriticalSegment {
-    /// Simulated seconds covered by this segment.
-    pub fn duration_s(&self) -> f64 {
-        self.t1 - self.t0
-    }
-
-    /// Rollup key: the category, suffixed for self time.
-    pub fn cat_key(&self) -> String {
-        if self.is_self {
-            format!("{} (self)", self.cat)
-        } else {
-            self.cat.to_string()
-        }
-    }
-}
-
 /// The longest root (parentless) span, ties going to the
-/// earliest-recorded one; `None` for an empty trace. The run that the
-/// critical path and the what-if projection both measure.
+/// earliest-recorded one; `None` for an empty trace. The run that
+/// [`PerfReport::total_s`] and the what-if projection both measure.
 pub(crate) fn longest_root(trace: &Trace) -> Option<&Span> {
     let roots = trace.spans.iter().filter(|s| s.parent.is_none());
     roots.max_by(|a, b| {
@@ -128,216 +78,6 @@ pub(crate) fn longest_root(trace: &Trace) -> Option<&Span> {
             .expect("span times are finite")
             .then(b.id.cmp(&a.id))
     })
-}
-
-/// The longest simulated-time chain through one span tree.
-///
-/// Extracted by walking backwards from the root's end: at each cursor,
-/// descend into the child that finished last at-or-before the cursor,
-/// recursively; gaps no child covers become `self` segments of the
-/// parent. The resulting segments tile `[root.t0, root.t1]` contiguously
-/// in chronological order, so [`CriticalPath::total_s`] equals the root
-/// span's duration (up to float summation error ≪ 1e-9 relative).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalPath {
-    /// The root span the path spans.
-    pub root: SpanId,
-    /// Root span's name (`pic:kmeans`, `job:kmeans-it3`, …).
-    pub root_name: String,
-    /// Sum of segment durations == root duration.
-    pub total_s: f64,
-    /// Chronologically ordered, contiguously tiling segments.
-    pub segments: Vec<CriticalSegment>,
-}
-
-impl CriticalPath {
-    /// Extract the critical path of the longest root (parentless) span,
-    /// or `None` for an empty trace.
-    pub fn from_trace(trace: &Trace) -> Option<CriticalPath> {
-        Some(Self::for_span(trace, longest_root(trace)?.id))
-    }
-
-    /// Extract the critical path rooted at `root`.
-    pub fn for_span(trace: &Trace, root: SpanId) -> CriticalPath {
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); trace.spans.len()];
-        for (i, s) in trace.spans.iter().enumerate() {
-            if let Some(p) = s.parent {
-                children[p.index()].push(i);
-            }
-        }
-        let root_span = &trace.spans[root.index()];
-        let mut segments = Vec::new();
-        descend(
-            trace,
-            &children,
-            root.index(),
-            0,
-            root_span.t1,
-            None,
-            &mut segments,
-        );
-        segments.reverse();
-        let total_s = segments.iter().map(CriticalSegment::duration_s).sum();
-        CriticalPath {
-            root,
-            root_name: root_span.name.clone(),
-            total_s,
-            segments,
-        }
-    }
-
-    /// Simulated seconds on the path per [`CriticalSegment::cat_key`].
-    pub fn by_cat_s(&self) -> BTreeMap<String, f64> {
-        let mut by_cat: BTreeMap<String, f64> = BTreeMap::new();
-        for seg in &self.segments {
-            *by_cat.entry(seg.cat_key()).or_insert(0.0) += seg.duration_s();
-        }
-        by_cat
-    }
-
-    /// Plain-text rendering; at most `limit` segment lines are printed
-    /// (0 = unlimited), the rest summarized.
-    pub fn render(&self, limit: usize) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "critical path — {} ({} segments, {:.6} s total)",
-            self.root_name,
-            self.segments.len(),
-            self.total_s
-        );
-        let _ = writeln!(
-            out,
-            "  {:>12} {:>12} {:>10}  span",
-            "t0 (s)", "dur (s)", "slack (s)"
-        );
-        let shown = if limit == 0 {
-            self.segments.len()
-        } else {
-            limit.min(self.segments.len())
-        };
-        for seg in &self.segments[..shown] {
-            let slack = match seg.slack_s {
-                Some(s) => format!("{s:>10.6}"),
-                None => format!("{:>10}", "-"),
-            };
-            let _ = writeln!(
-                out,
-                "  {:>12.6} {:>12.6} {}  {}{} [{}]{}",
-                seg.t0,
-                seg.duration_s(),
-                slack,
-                "  ".repeat(seg.depth),
-                seg.name,
-                seg.cat,
-                if seg.is_self { " (self)" } else { "" },
-            );
-        }
-        if shown < self.segments.len() {
-            let _ = writeln!(out, "  … {} more segments", self.segments.len() - shown);
-        }
-        out.push_str("  time on path by category:\n");
-        for (cat, secs) in self.by_cat_s() {
-            let pct = if self.total_s > 0.0 {
-                100.0 * secs / self.total_s
-            } else {
-                0.0
-            };
-            let _ = writeln!(out, "    {cat:<24} {secs:>12.6} s  ({pct:>5.1}%)");
-        }
-        out
-    }
-}
-
-/// Back-walk one span: starting from `window_end`, repeatedly pick the
-/// child that finished last at-or-before the cursor, pushing segments in
-/// reverse chronological order.
-fn descend(
-    trace: &Trace,
-    children: &[Vec<usize>],
-    idx: usize,
-    depth: usize,
-    window_end: f64,
-    slack_s: Option<f64>,
-    out: &mut Vec<CriticalSegment>,
-) {
-    let span = &trace.spans[idx];
-    // Zero-width children can never advance the cursor; dropping them up
-    // front guarantees termination and keeps the path free of noise
-    // (e.g. the zero-width `sort` marker span).
-    let mut kids: Vec<&Span> = children[idx]
-        .iter()
-        .map(|&c| &trace.spans[c])
-        .filter(|c| c.duration_s() > 0.0)
-        .collect();
-    kids.sort_by(|a, b| {
-        b.t1.partial_cmp(&a.t1)
-            .expect("span times are finite")
-            // Ties prefer the later-starting (shorter) child, then the
-            // recording order, so the walk is deterministic.
-            .then(b.t0.partial_cmp(&a.t0).expect("span times are finite"))
-            .then(a.id.cmp(&b.id))
-    });
-
-    if kids.is_empty() {
-        // Leaf: the whole window is the span's own time.
-        out.push(segment(span, depth, span.t0, window_end, false, slack_s));
-        return;
-    }
-
-    let seg_self = |t0: f64, t1: f64| segment(span, depth, t0, t1, true, None);
-    let mut cursor = window_end;
-    let mut j = 0;
-    while j < kids.len() && !le(cursor, span.t0) {
-        let k = kids[j];
-        // A child still running at the cursor (it ends after it) cannot
-        // be the one whose completion the cursor waited on; once skipped
-        // it stays invalid because the cursor only moves backwards.
-        if !le(k.t1, cursor) {
-            j += 1;
-            continue;
-        }
-        if k.t1 < cursor {
-            out.push(seg_self(k.t1, cursor));
-        }
-        let child_end = k.t1.min(cursor);
-        let child_slack = kids.get(j + 1).map(|n| k.t1 - n.t1);
-        descend(
-            trace,
-            children,
-            k.id.index(),
-            depth + 1,
-            child_end,
-            child_slack,
-            out,
-        );
-        cursor = k.t0.max(span.t0);
-        j += 1;
-    }
-    if cursor > span.t0 {
-        out.push(seg_self(span.t0, cursor));
-    }
-}
-
-fn segment(
-    span: &Span,
-    depth: usize,
-    t0: f64,
-    t1: f64,
-    is_self: bool,
-    slack_s: Option<f64>,
-) -> CriticalSegment {
-    CriticalSegment {
-        span: span.id,
-        name: span.name.clone(),
-        cat: span.cat,
-        lane: span.lane.clone(),
-        depth,
-        t0,
-        t1,
-        is_self,
-        slack_s,
-    }
 }
 
 /// Duration statistics over one group of spans (nearest-rank
@@ -402,14 +142,12 @@ pub struct IterationRollup {
     pub bytes: TrafficSnapshot,
 }
 
-/// Everything derived from one run's trace: critical path, rollups and
-/// the per-iteration decomposition.
+/// Everything derived from one run's trace: the total, rollups and the
+/// per-iteration decomposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
-    /// Root span duration (0 for an empty trace).
+    /// Duration of the longest root span (0 for an empty trace).
     pub total_s: f64,
-    /// Critical path of the longest root span.
-    pub critical_path: Option<CriticalPath>,
     /// Percentile rollups keyed `cat/name` for phase-like cats
     /// (`phase`, `transfer`, `merge`) and bare `cat` for the rest.
     pub phases: BTreeMap<String, PhaseStats>,
@@ -426,11 +164,7 @@ pub struct PerfReport {
 impl PerfReport {
     /// Analyse `trace`.
     pub fn from_trace(trace: &Trace) -> PerfReport {
-        let critical_path = CriticalPath::from_trace(trace);
-        let total_s = critical_path
-            .as_ref()
-            .map(|cp| trace.spans[cp.root.index()].duration_s())
-            .unwrap_or(0.0);
+        let total_s = longest_root(trace).map_or(0.0, Span::duration_s);
 
         // Percentile rollups per phase group.
         let mut groups: BTreeMap<String, Vec<f64>> = BTreeMap::new();
@@ -528,7 +262,6 @@ impl PerfReport {
 
         PerfReport {
             total_s,
-            critical_path,
             phases,
             tasks,
             iterations,
@@ -563,16 +296,11 @@ impl PerfReport {
         check::verdict(errs)
     }
 
-    /// Human-readable report; the critical path prints at most
-    /// `path_limit` segments (0 = unlimited).
-    pub fn render(&self, path_limit: usize) -> String {
+    /// Human-readable report.
+    pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "total simulated time: {:.6} s", self.total_s);
         out.push('\n');
-        if let Some(cp) = &self.critical_path {
-            out.push_str(&cp.render(path_limit));
-            out.push('\n');
-        }
         out.push_str(
             "phase rollups (simulated s)\n  \
              group                         count        total          p50          p95          max\n",
@@ -648,21 +376,6 @@ impl PerfReport {
     /// them carries its own version).
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.field("total_s", &fmt_f64(self.total_s));
-        match &self.critical_path {
-            None => w.field("critical_path", "null"),
-            Some(cp) => {
-                w.open_key("critical_path", "{");
-                w.field_str("root", &cp.root_name);
-                w.field("total_s", &fmt_f64(cp.total_s));
-                w.field("segments", &cp.segments.len().to_string());
-                w.open_key("by_cat_s", "{");
-                for (cat, secs) in cp.by_cat_s() {
-                    w.field(&cat, &fmt_f64(secs));
-                }
-                w.close("}");
-                w.close("}");
-            }
-        }
         w.open_key("phases", "{");
         for (key, st) in &self.phases {
             w.open_key(key, "{");
@@ -1236,13 +949,12 @@ mod tests {
     use super::*;
     use crate::trace::{Payload, Tracer};
 
-    /// A three-level tree with a known longest chain:
+    /// A three-level tree:
     ///
     /// ```text
     /// root [0,10]
     ///   ├─ a [0,4]      (tasks a1 [0,2], a2 [2,4])
-    ///   ├─ b [4,9]      (task  b1 [5,8])   <- gap 4..5 and 8..9 = b self
-    ///   └─ (root self 9..10)
+    ///   └─ b [4,9]      (task  b1 [5,8])
     /// ```
     fn known_tree() -> Trace {
         let t = Tracer::standalone();
@@ -1256,145 +968,6 @@ mod tests {
         t.end_at(b, 9.0);
         t.end_at(root, 10.0);
         t.trace()
-    }
-
-    #[test]
-    fn critical_path_tiles_the_root_window() {
-        let tr = known_tree();
-        let cp = CriticalPath::from_trace(&tr).unwrap();
-        assert_eq!(cp.root_name, "root");
-        assert!((cp.total_s - 10.0).abs() < 1e-12, "total {}", cp.total_s);
-        // Chronological, contiguous tiling.
-        assert_eq!(cp.segments[0].t0, 0.0);
-        for pair in cp.segments.windows(2) {
-            assert_eq!(pair[0].t1, pair[1].t0, "segments must tile contiguously");
-        }
-        assert_eq!(cp.segments.last().unwrap().t1, 10.0);
-        let names: Vec<(&str, bool)> = cp
-            .segments
-            .iter()
-            .map(|s| (s.name.as_str(), s.is_self))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("a1", false),
-                ("a2", false),
-                ("b", true), // 4..5 waiting inside b
-                ("b1", false),
-                ("b", true),    // 8..9 inside b after b1
-                ("root", true), // 9..10
-            ]
-        );
-    }
-
-    #[test]
-    fn slack_measures_the_runner_up() {
-        let tr = known_tree();
-        let cp = CriticalPath::from_trace(&tr).unwrap();
-        // b (ends 9) beats a (ends 4) by 5 seconds.
-        let b1 = cp
-            .segments
-            .iter()
-            .find(|s| s.name == "b1" && !s.is_self)
-            .unwrap();
-        assert_eq!(b1.slack_s, None, "only child has no competitor");
-        let a2 = cp.segments.iter().find(|s| s.name == "a2").unwrap();
-        assert_eq!(a2.slack_s, Some(2.0), "a2 (t1=4) vs a1 (t1=2)");
-    }
-
-    #[test]
-    fn zero_width_children_cannot_stall_the_walk() {
-        let t = Tracer::standalone();
-        let root = t.begin_at("root", "job", 0.0);
-        t.span_at("sort", "phase", 1.0, 1.0, Vec::new());
-        t.span_at("sort2", "phase", 1.0, 1.0, Vec::new());
-        t.end_at(root, 2.0);
-        let cp = CriticalPath::from_trace(&t.trace()).unwrap();
-        assert!((cp.total_s - 2.0).abs() < 1e-12);
-        assert_eq!(cp.segments.len(), 1, "zero-width spans are skipped");
-    }
-
-    #[test]
-    fn overlapping_children_pick_the_blocking_chain() {
-        // c2 overlaps the cursor when c1 is chosen; the walk must skip
-        // it rather than loop or double-count.
-        let t = Tracer::standalone();
-        let root = t.begin_at("root", "job", 0.0);
-        t.span_at("c1", "phase", 0.0, 6.0, Vec::new());
-        t.span_at("c2", "phase", 2.0, 5.0, Vec::new());
-        t.end_at(root, 6.0);
-        let cp = CriticalPath::from_trace(&t.trace()).unwrap();
-        assert!((cp.total_s - 6.0).abs() < 1e-12);
-        assert_eq!(cp.segments.len(), 1);
-        assert_eq!(cp.segments[0].name, "c1");
-        assert_eq!(cp.segments[0].slack_s, Some(1.0), "c1 (6) vs c2 (5)");
-    }
-
-    #[test]
-    fn single_child_slack_is_none_but_tied_siblings_get_zero() {
-        // A lone child has no competitor (slack None); two siblings that
-        // finish at the same instant compete with zero margin (Some(0)).
-        let t = Tracer::standalone();
-        let root = t.begin_at("root", "job", 0.0);
-        let solo = t.begin_at("solo", "phase", 0.0);
-        t.span_at_in("x-slot-0", "only", "task", 0.0, 3.0, Vec::new());
-        t.end_at(solo, 3.0);
-        let tied = t.begin_at("tied", "phase", 3.0);
-        t.span_at_in("x-slot-0", "t1", "task", 3.0, 6.0, Vec::new());
-        t.span_at_in("x-slot-1", "t2", "task", 3.0, 6.0, Vec::new());
-        t.end_at(tied, 6.0);
-        t.end_at(root, 6.0);
-        let cp = CriticalPath::from_trace(&t.trace()).unwrap();
-        let only = cp.segments.iter().find(|s| s.name == "only").unwrap();
-        assert_eq!(only.slack_s, None);
-        let winner = cp
-            .segments
-            .iter()
-            .find(|s| s.cat == "task" && s.t0 == 3.0)
-            .unwrap();
-        assert_eq!(winner.slack_s, Some(0.0), "tied siblings, zero margin");
-    }
-
-    #[test]
-    fn zero_duration_root_yields_an_empty_path() {
-        let t = Tracer::standalone();
-        let root = t.begin_at("root", "job", 0.0);
-        t.span_at("blip", "phase", 0.0, 0.0, Vec::new());
-        t.end_at(root, 0.0); // root is zero-duration
-        let cp = CriticalPath::from_trace(&t.trace()).unwrap();
-        assert_eq!(cp.total_s, 0.0);
-        // The zero-width child is skipped; only the (zero-length) root
-        // segment survives, contributing nothing to the rollup.
-        assert_eq!(cp.segments.len(), 1, "{:?}", cp.segments);
-        assert_eq!(cp.segments[0].name, "root");
-        assert_eq!(cp.segments[0].duration_s(), 0.0);
-        assert_eq!(cp.by_cat_s().get("job"), Some(&0.0));
-        // Degenerate paths still render.
-        assert!(cp.render(5).contains("critical path"));
-    }
-
-    #[test]
-    fn by_cat_s_keys_are_stable_across_recording_order() {
-        // Pool width only permutes the order concurrent spans are
-        // recorded in; the rollup must not depend on it.
-        let build = |swap: bool| {
-            let t = Tracer::standalone();
-            let root = t.begin_at("root", "job", 0.0);
-            let a = t.begin_at("a", "phase", 0.0);
-            let (first, second) = if swap { ("a2", "a1") } else { ("a1", "a2") };
-            t.span_at_in("x-slot-0", first, "task", 0.0, 2.0, Vec::new());
-            t.span_at_in("x-slot-1", second, "task", 0.0, 4.0, Vec::new());
-            t.end_at(a, 4.0);
-            t.end_at(root, 5.0);
-            CriticalPath::from_trace(&t.trace()).unwrap().by_cat_s()
-        };
-        let (fwd, rev) = (build(false), build(true));
-        let keys: Vec<&String> = fwd.keys().collect();
-        assert_eq!(keys, rev.keys().collect::<Vec<_>>());
-        assert_eq!(fwd, rev, "rollup must be order-independent");
-        assert!(fwd.contains_key("task"));
-        assert!(fwd.contains_key("job (self)"));
     }
 
     #[test]
@@ -1601,10 +1174,9 @@ mod tests {
     fn empty_trace_yields_an_empty_report() {
         let r = PerfReport::from_trace(&Trace::default());
         assert_eq!(r.total_s, 0.0);
-        assert!(r.critical_path.is_none());
-        assert!(r.iterations.is_empty());
+        assert!(r.phases.is_empty() && r.iterations.is_empty());
         let json = r.to_json(0);
-        assert!(json.contains("\"critical_path\": null"));
+        assert!(json.contains("\"total_s\": 0"));
     }
 
     #[test]
@@ -1616,7 +1188,7 @@ mod tests {
         assert_eq!(a, b, "rendering twice must be identical");
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
-        assert!(a.contains("\"schema_version\": 12"));
+        assert!(a.contains("\"schema_version\": 13"));
         assert!(a.contains("\"total_s\": 10"));
         assert!(a.contains("\"phase/a\""));
         assert!(
@@ -1639,21 +1211,10 @@ mod tests {
         t.end_at(be, 1.0);
         t.end_at(root, 1.0);
         let r = PerfReport::from_trace(&t.trace());
-        let text = r.render(10);
+        let text = r.render();
         assert!(text.contains("total simulated time"));
-        assert!(text.contains("critical path — pic:app"));
+        assert!(text.contains("phase rollups"));
         assert!(text.contains("per-iteration decomposition"));
         assert!(text.contains("be-1"));
-        assert!(text.contains("time on path by category"));
-    }
-
-    #[test]
-    fn path_limit_truncates_rendering() {
-        let tr = known_tree();
-        let cp = CriticalPath::from_trace(&tr).unwrap();
-        let text = cp.render(2);
-        assert!(text.contains("… 4 more segments"), "{text}");
-        let full = cp.render(0);
-        assert!(!full.contains("more segments"));
     }
 }

@@ -1,10 +1,10 @@
 //! Counterfactual what-if projection over recorded traces.
 //!
-//! The rest of the observability stack is descriptive: the trace says
-//! where simulated time went, the timeline says when each link moved
-//! bytes, the critical path says which spans gated the makespan. This
-//! module asks what a recorded run would have cost had its stragglers
-//! behaved or its merge been free — **without re-simulating**. A
+//! The rest of the observability stack is descriptive: the trace and its
+//! report say where simulated time went, the timeline says how busy each
+//! slot group was. This module says which spans gated the makespan, by
+//! asking what a recorded run would have cost had its stragglers behaved
+//! or its merge been free — **without re-simulating**. A
 //! [`Scenario`] edit names the recorded windows it deletes; the
 //! [`TimeWarp`] cuts them out of the timeline, and every projected
 //! quantity (makespan, per-phase durations, time-to-within-x% bounds) is

@@ -2,15 +2,15 @@
 //! over full PIC and IC runs.
 //!
 //! The headline properties mirror the acceptance criteria of the report
-//! subsystem: the critical path tiles the root span exactly (its total
-//! equals the root duration within 1e-9 relative), per-iteration byte
-//! attribution reconciles **exactly** with the engine's traffic ledger,
-//! and the serialized report is byte-identical across rayon pool widths.
+//! subsystem: the report's total is the driver span's duration,
+//! per-iteration byte attribution reconciles **exactly** with the
+//! engine's traffic ledger, and the serialized report is byte-identical
+//! across rayon pool widths.
 
 use pic_apps::kmeans::{gaussian_mixture, init_random_centroids, Centroids, KMeansApp};
 use pic_core::prelude::*;
 use pic_mapreduce::{Dataset, Engine, Timing};
-use pic_simnet::report::{CriticalPath, PerfReport};
+use pic_simnet::report::PerfReport;
 use pic_simnet::trace::check;
 use pic_simnet::{ClusterSpec, Trace, TrafficSnapshot};
 
@@ -67,86 +67,32 @@ fn std_runs() -> &'static ((Trace, TrafficSnapshot), (Trace, TrafficSnapshot)) {
     RUN.get_or_init(run_kmeans_both)
 }
 
-/// Pin the tiling contract of one trace's critical path: segments are
-/// chronological, contiguous (each starts where the previous ended),
-/// cover exactly `[root.t0, root.t1]`, and their durations telescope to
-/// the root duration within 1e-9 relative.
-fn assert_path_tiles(trace: &Trace) -> CriticalPath {
-    let path = CriticalPath::from_trace(trace).expect("non-empty trace");
-    let root = trace
+/// Pin the root half of the run's timing: the longest root (parentless)
+/// span is the driver span named with `driver`, and the report's total
+/// is its duration. An iterative run is one chain of barrier-separated
+/// phases, so this span is its critical path.
+fn assert_total_is_root(trace: &Trace, driver: &str) {
+    let longest = trace
         .spans
         .iter()
-        .find(|s| s.id == path.root)
-        .expect("path root is in the trace");
-    assert!(!path.segments.is_empty());
-    assert_eq!(path.segments.first().unwrap().t0, root.t0, "starts at root");
-    assert_eq!(path.segments.last().unwrap().t1, root.t1, "ends at root");
-    for pair in path.segments.windows(2) {
-        assert_eq!(
-            pair[0].t1, pair[1].t0,
-            "segments are contiguous: {} then {}",
-            pair[0].name, pair[1].name
-        );
-    }
-    let tol = 1e-9 * root.duration_s().max(1.0);
-    assert!(
-        (path.total_s - root.duration_s()).abs() <= tol,
-        "critical path total {} != root duration {}",
-        path.total_s,
-        root.duration_s()
-    );
-    path
+        .filter(|s| s.parent.is_none())
+        .max_by(|a, b| a.duration_s().total_cmp(&b.duration_s()))
+        .expect("non-empty trace");
+    assert!(longest.name.starts_with(driver), "{}", longest.name);
+    assert!(longest.duration_s() > 0.0);
+    assert_eq!(PerfReport::from_trace(trace).total_s, longest.duration_s());
 }
 
 #[test]
 fn pic_critical_path_totals_the_root_span() {
     let ((trace, _), _) = std_runs();
-    let path = assert_path_tiles(trace);
-    assert!(path.root_name.starts_with("pic:"), "{}", path.root_name);
-    // The path descends to leaves in both phases: solve tasks run on
-    // `solve-slot-*` lanes (best-effort), top-off MapReduce tasks on
-    // `map-slot-*`/`red-slot-*` lanes — and task compute dominates.
-    let lanes: Vec<&str> = path.segments.iter().map(|s| s.lane.as_str()).collect();
-    assert!(
-        lanes.iter().any(|l| l.starts_with("solve-slot")),
-        "{lanes:?}"
-    );
-    assert!(
-        lanes
-            .iter()
-            .any(|l| l.starts_with("map-slot") || l.starts_with("red-slot")),
-        "{lanes:?}"
-    );
-    assert!(path.by_cat_s().contains_key("task"));
+    assert_total_is_root(trace, "pic:");
 }
 
 #[test]
 fn ic_critical_path_totals_the_root_span() {
     let (_, (trace, _)) = std_runs();
-    let path = assert_path_tiles(trace);
-    assert!(path.root_name.starts_with("ic:"), "{}", path.root_name);
-    assert!(path.by_cat_s().contains_key("task"));
-}
-
-#[test]
-fn every_span_subtree_is_a_valid_path_root() {
-    // The tiling contract holds for any root, not just the driver span:
-    // spot-check every job span in the PIC trace.
-    let ((trace, _), _) = std_runs();
-    let mut jobs = 0;
-    for s in trace.spans.iter().filter(|s| s.cat == "job") {
-        let path = CriticalPath::for_span(trace, s.id);
-        let tol = 1e-9 * s.duration_s().max(1.0);
-        assert!(
-            (path.total_s - s.duration_s()).abs() <= tol,
-            "job {}: path total {} != span duration {}",
-            s.name,
-            path.total_s,
-            s.duration_s()
-        );
-        jobs += 1;
-    }
-    assert!(jobs > 0, "the PIC run ran MapReduce jobs");
+    assert_total_is_root(trace, "ic:");
 }
 
 #[test]
@@ -200,8 +146,8 @@ fn report_json_is_identical_across_pool_widths() {
     );
     // The text rendering inherits the same determinism.
     assert_eq!(
-        PerfReport::from_trace(&pic_1).render(40),
-        PerfReport::from_trace(pic_n).render(40)
+        PerfReport::from_trace(&pic_1).render(),
+        PerfReport::from_trace(pic_n).render()
     );
 }
 
@@ -209,8 +155,8 @@ fn report_json_is_identical_across_pool_widths() {
 fn rendered_report_carries_the_headline_sections() {
     let ((trace, _), _) = std_runs();
     let report = PerfReport::from_trace(trace);
-    let text = report.render(40);
-    assert!(text.contains("critical path"));
+    let text = report.render();
+    assert!(text.contains("phase rollups"));
     assert!(text.contains("per-iteration decomposition"));
     assert!(text.contains("be-iteration"));
     assert!(text.contains("model-update"));
